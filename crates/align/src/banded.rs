@@ -8,7 +8,7 @@
 //! second reference for the x-drop kernel.
 
 use crate::scoring::Scoring;
-use crate::simd::{self, I32x8, KernelImpl, LANES};
+use crate::simd::{I32x8, KernelImpl, SimdMode, LANES};
 use crate::sw::LocalAlignment;
 use crate::workspace::AlignWorkspace;
 
@@ -42,8 +42,8 @@ pub fn banded_sw(
 
 /// [`banded_sw`] using caller-owned scratch for its two DP rows: zero
 /// heap allocations once the workspace has warmed up to the widest band
-/// seen. Runs the kernel implementation selected by the thread's
-/// [`crate::simd::SimdMode`] (the `DIBELLA_SIMD` knob); both
+/// seen. Runs the kernel implementation [`SimdMode::from_env`] selects
+/// (the `DIBELLA_SIMD` knob); both
 /// implementations are bit-identical to [`banded_sw`] for every input and
 /// any prior workspace state.
 ///
@@ -57,13 +57,13 @@ pub fn banded_sw_with_workspace(
     scoring: Scoring,
     ws: &mut AlignWorkspace,
 ) -> LocalAlignment {
-    banded_sw_with(s, t, center, half_band, scoring, ws, simd::thread_simd_mode().kernel())
+    banded_sw_with(s, t, center, half_band, scoring, ws, SimdMode::from_env().kernel())
 }
 
 /// [`banded_sw_with_workspace`] with the kernel implementation pinned by
-/// the caller instead of resolved from the thread's
-/// [`crate::simd::SimdMode`] — the entry point the differential
-/// bit-identity suites and kernel benchmarks drive both paths through.
+/// the caller instead of resolved from the environment — the entry point
+/// the differential bit-identity suites and kernel benchmarks drive both
+/// paths through.
 ///
 /// # Panics
 /// Panics if `half_band == 0`, exactly as [`banded_sw`] does.

@@ -22,11 +22,11 @@ pub mod xdrop;
 pub use banded::{band_for_error_rate, banded_sw, banded_sw_with, banded_sw_with_workspace};
 pub use cigar::{global_alignment, global_alignment_with_workspace, Cigar, CigarOp};
 pub use scoring::Scoring;
-pub use simd::{set_thread_simd_mode, thread_simd_mode, KernelImpl, SimdMode};
+pub use simd::{KernelImpl, SimdMode};
 pub use sw::{smith_waterman, sw_forward, LocalAlignment};
 pub use workspace::AlignWorkspace;
 pub use xdrop::{
     extend_seed, extend_seed_with, extend_seed_with_workspace, extend_ungapped, extend_xdrop,
     extend_xdrop_dir_with, extend_xdrop_dir_with_workspace, extend_xdrop_with,
-    extend_xdrop_with_workspace, Dir, Extension, SeedAlignment, SeedHit,
+    extend_xdrop_with_workspace, Dir, Extension, SeedAlignment, SeedExtender, SeedHit,
 };

@@ -1,49 +1,56 @@
 //! Portable integer SIMD lanes for the alignment kernels, and the
 //! `DIBELLA_SIMD` kernel-selection knob.
 //!
-//! # Why a hand-rolled lane type
+//! # Why hand-rolled lanes
 //!
-//! The striped/vertical kernels in [`crate::xdrop`] and [`crate::banded`]
-//! need exact, deterministic integer arithmetic — their contract is
-//! **bit-identity** with the scalar kernels, checked by a differential
-//! test suite (`tests/simd_identity.rs`, `tests/kernel_golden.rs`). On
-//! stable Rust there is no `std::simd`, and explicit `core::arch`
-//! intrinsics would tie the crate to one ISA and drag in `unsafe`. An
-//! [`I32x8`] is instead a plain `[i32; 8]` with `#[inline(always)]`
-//! lane-wise operations: every op is branchless straight-line integer
-//! code, which LLVM auto-vectorizes to SSE2 (`paddd`/`pcmpgtd`/`pand`…)
-//! on the x86-64 baseline and to NEON on aarch64 — and on any other
-//! target it is still the *same arithmetic*, so results never depend on
-//! the ISA. Eight lanes = two SSE2 registers or one AVX2 register,
-//! enough for the vectorizer to amortize loop overhead either way.
+//! The lane kernels in [`crate::xdrop`] and [`crate::banded`] need exact,
+//! deterministic integer arithmetic — their contract is **bit-identity**
+//! with the scalar kernels, checked by a differential test suite
+//! (`tests/simd_identity.rs`, `tests/kernel_golden.rs`). On stable Rust
+//! there is no `std::simd`, and explicit `core::arch` intrinsics would
+//! tie the crate to one ISA and drag in `unsafe`. A lane vector is
+//! instead a plain fixed-size array worked on by `#[inline(always)]`
+//! element-wise loops: every op is branchless straight-line integer
+//! code, which LLVM auto-vectorizes to SSE2 on the x86-64 baseline and to
+//! NEON on aarch64 — and on any other target it is still the *same
+//! arithmetic*, so results never depend on the ISA.
+//!
+//! Two widths are in use. The banded kernel computes in [`I32x8`]
+//! (`[i32; 8]`, two SSE2 registers). The x-drop kernel computes in
+//! [`I16x16`]: 16-bit lanes are what the SSE2 baseline has a native
+//! signed `max`/`min` and saturating add for (`pmaxsw`, `pminsw`,
+//! `paddsw`; the 32-bit `max` is a compare-and-blend there), and twice as
+//! many cells fit a register.
 //!
 //! # Kernel selection
 //!
 //! Two implementations of each hot kernel exist forever (scalar and
-//! lane-vectorized); [`KernelImpl`] names them. Which one an
-//! auto-dispatching entry point ([`crate::extend_xdrop_with_workspace`],
-//! [`crate::banded_sw_with_workspace`], …) runs is resolved from
-//! [`SimdMode`]:
-//!
-//! * a **thread-local override** set via [`set_thread_simd_mode`] (the
-//!   pipeline sets it from `PipelineConfig::simd` at the top of every
-//!   alignment batch, so rayon workers inherit the config, not ambient
-//!   process state);
-//! * else the **`DIBELLA_SIMD` environment variable** (`scalar` | `auto`),
-//!   read once per process;
-//! * else [`SimdMode::Auto`], which runs the vectorized kernels.
+//! lane-vectorized); [`KernelImpl`] names them. Every kernel entry point
+//! ending in `_with` takes one explicitly. The `*_with_workspace`
+//! variants resolve it from [`SimdMode::from_env`] — the `DIBELLA_SIMD`
+//! environment variable (`scalar` | `auto`), read once per process, else
+//! [`SimdMode::Auto`], which runs the lane kernels. The pipeline resolves
+//! `PipelineConfig::simd` (falling back to the same environment knob)
+//! once per alignment batch and passes the [`KernelImpl`] down, so the
+//! choice follows the config onto whichever executor thread runs the
+//! batch.
 //!
 //! `scalar` pins the historical kernels — both paths stay reachable on
 //! every build, which is what lets CI run the whole test suite under
-//! `DIBELLA_SIMD=scalar` and the differential suites flip per call.
+//! `DIBELLA_SIMD=scalar` and the differential suites flip per call. The
+//! scalar x-drop is also where the lane x-drop sends what its 16-bit
+//! rows cannot represent (see [`crate::xdrop`]).
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// Lane count of [`I32x8`]. Row buffers used by the vector kernels are
-/// padded to a multiple of this (plus sentinel slack) so full-width
-/// loads never run out of bounds.
+/// Lane count of [`I32x8`]. The banded kernel pads its rows by this much
+/// so full-width loads never run out of bounds.
 pub const LANES: usize = 8;
+
+/// Lane count of [`I16x16`] (two SSE2 registers or one AVX2 register).
+/// The x-drop kernel's rows and staged sequence copies are padded by this
+/// much.
+pub const LANES16: usize = 16;
 
 /// Which implementation of a hot alignment kernel to run.
 ///
@@ -54,7 +61,8 @@ pub const LANES: usize = 8;
 pub enum KernelImpl {
     /// The historical branchy scalar kernel.
     Scalar,
-    /// The striped/vertical lane-SIMD kernel ([`I32x8`] arithmetic).
+    /// The lane-SIMD kernel ([`I16x16`] for x-drop, [`I32x8`] for banded
+    /// Smith-Waterman).
     Simd,
 }
 
@@ -92,6 +100,20 @@ impl std::fmt::Display for SimdMode {
 }
 
 impl SimdMode {
+    /// The process-wide default: `DIBELLA_SIMD` parsed once per process,
+    /// [`SimdMode::Auto`] when unset.
+    ///
+    /// # Panics
+    /// Panics on an unparsable value — a silently ignored kernel knob is
+    /// worse than a crash.
+    pub fn from_env() -> Self {
+        static ENV: OnceLock<SimdMode> = OnceLock::new();
+        *ENV.get_or_init(|| match std::env::var("DIBELLA_SIMD") {
+            Err(_) => SimdMode::default(),
+            Ok(v) => v.parse().unwrap_or_else(|e| panic!("DIBELLA_SIMD: {e}")),
+        })
+    }
+
     /// The [`KernelImpl`] this mode resolves to.
     pub fn kernel(self) -> KernelImpl {
         match self {
@@ -101,43 +123,12 @@ impl SimdMode {
     }
 }
 
-/// `DIBELLA_SIMD` parsed once per process. Panics on an unparsable value
-/// — a silently ignored kernel knob is worse than a crash.
-fn env_mode() -> SimdMode {
-    static ENV: OnceLock<SimdMode> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("DIBELLA_SIMD") {
-        Err(_) => SimdMode::default(),
-        Ok(v) => v.parse().unwrap_or_else(|e| panic!("DIBELLA_SIMD: {e}")),
-    })
-}
-
-thread_local! {
-    /// Per-thread mode override (see [`set_thread_simd_mode`]).
-    static THREAD_MODE: Cell<Option<SimdMode>> = const { Cell::new(None) };
-}
-
-/// Set (or with `None`, clear) this thread's kernel-mode override.
-///
-/// The alignment stage calls this at the top of every batch with the
-/// pipeline config's `simd` field, so the choice follows the config onto
-/// whichever executor thread runs the batch; `None` falls back to the
-/// `DIBELLA_SIMD` environment knob.
-pub fn set_thread_simd_mode(mode: Option<SimdMode>) {
-    THREAD_MODE.with(|c| c.set(mode));
-}
-
-/// The mode auto-dispatching kernels resolve on this thread: the
-/// thread-local override if set, else the `DIBELLA_SIMD` environment
-/// knob, else [`SimdMode::Auto`].
-pub fn thread_simd_mode() -> SimdMode {
-    THREAD_MODE.with(|c| c.get()).unwrap_or_else(env_mode)
-}
-
 /// Eight `i32` lanes with branchless element-wise operations.
 ///
-/// All arithmetic wraps (masked-out lanes may hold garbage whose sums
-/// must not abort a debug build); callers only ever read lanes their
-/// masks validate, where wrapping and two's-complement addition agree.
+/// Addition wraps, so a lane kernel behaves the same in debug and
+/// release builds; the kernels keep their values (`NEG_INF = i32::MIN /
+/// 4` included) far from the `i32` limits, where wrapping and checked
+/// addition agree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct I32x8(pub [i32; LANES]);
 
@@ -146,16 +137,6 @@ impl I32x8 {
     #[inline(always)]
     pub fn splat(v: i32) -> Self {
         Self([v; LANES])
-    }
-
-    /// Lanes `start, start+1, …, start+7`.
-    #[inline(always)]
-    pub fn iota(start: i32) -> Self {
-        let mut a = [0i32; LANES];
-        for (k, slot) in a.iter_mut().enumerate() {
-            *slot = start.wrapping_add(k as i32);
-        }
-        Self(a)
     }
 
     /// Load lanes from `buf[at .. at + LANES]`.
@@ -182,8 +163,7 @@ impl I32x8 {
     }
 
     /// Lane-wise wrapping addition. Deliberately not `std::ops::Add`:
-    /// `+` would suggest overflow-checked semantics, but masked-off
-    /// lanes legitimately hold garbage that must wrap silently.
+    /// `+` would suggest overflow-checked semantics.
     #[inline(always)]
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, o: Self) -> Self {
@@ -204,43 +184,13 @@ impl I32x8 {
         Self(a)
     }
 
-    /// Lane-wise `self >= o` mask: all-ones lanes where true, 0 where
-    /// false.
-    #[inline(always)]
-    pub fn ge(self, o: Self) -> Self {
-        let mut a = [0i32; LANES];
-        for ((slot, &x), &y) in a.iter_mut().zip(&self.0).zip(&o.0) {
-            *slot = -((x >= y) as i32);
-        }
-        Self(a)
-    }
-
-    /// Lane-wise `self <= o` mask.
-    #[inline(always)]
-    pub fn le(self, o: Self) -> Self {
-        let mut a = [0i32; LANES];
-        for ((slot, &x), &y) in a.iter_mut().zip(&self.0).zip(&o.0) {
-            *slot = -((x <= y) as i32);
-        }
-        Self(a)
-    }
-
-    /// Lane-wise equality mask against another vector.
+    /// Lane-wise equality mask against another vector: all-ones lanes
+    /// where equal, 0 elsewhere.
     #[inline(always)]
     pub fn eq_lanes(self, o: Self) -> Self {
         let mut a = [0i32; LANES];
         for ((slot, &x), &y) in a.iter_mut().zip(&self.0).zip(&o.0) {
             *slot = -((x == y) as i32);
-        }
-        Self(a)
-    }
-
-    /// Lane-wise mask intersection.
-    #[inline(always)]
-    pub fn and(self, o: Self) -> Self {
-        let mut a = self.0;
-        for (x, &y) in a.iter_mut().zip(&o.0) {
-            *x &= y;
         }
         Self(a)
     }
@@ -255,22 +205,116 @@ impl I32x8 {
         }
         Self(a)
     }
+}
+
+/// `FIRST_N[n]`: all-ones in the first `n` lanes, zero in the rest.
+static FIRST_N: [[i16; LANES16]; LANES16 + 1] = {
+    let mut table = [[0i16; LANES16]; LANES16 + 1];
+    let mut n = 0;
+    while n <= LANES16 {
+        let mut k = 0;
+        while k < n {
+            table[n][k] = -1;
+            k += 1;
+        }
+        n += 1;
+    }
+    table
+};
+
+/// Sixteen `i16` lanes for the x-drop kernel — the same array-of-lanes
+/// scheme as [`I32x8`], with saturating adds: a row's out-of-range
+/// marker is `i16::MIN`, and saturation is what keeps terms fed by it
+/// pinned near the bottom instead of wrapping.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct I16x16(pub [i16; LANES16]);
+
+impl I16x16 {
+    /// All lanes = `v`.
+    #[inline(always)]
+    pub fn splat(v: i16) -> Self {
+        Self([v; LANES16])
+    }
+
+    /// Load lanes from `buf[at .. at + LANES16]`.
+    #[inline(always)]
+    pub fn load(buf: &[i16], at: usize) -> Self {
+        Self(buf[at..at + LANES16].try_into().expect("lane load in bounds"))
+    }
+
+    /// Store lanes into `buf[at .. at + LANES16]`.
+    #[inline(always)]
+    pub fn store(self, buf: &mut [i16], at: usize) {
+        buf[at..at + LANES16].copy_from_slice(&self.0);
+    }
+
+    /// Substitution scores of the first [`LANES16`] bytes of `a` against
+    /// those of `b`: `on` where the bytes are equal, `off` elsewhere.
+    #[inline(always)]
+    pub fn select_eq_bytes(a: &[u8], b: &[u8], on: i16, off: i16) -> Self {
+        let a: [u8; LANES16] = a[..LANES16].try_into().expect("byte load in bounds");
+        let b: [u8; LANES16] = b[..LANES16].try_into().expect("byte load in bounds");
+        let mut v = [0i16; LANES16];
+        for ((slot, &x), &y) in v.iter_mut().zip(&a).zip(&b) {
+            *slot = if x == y { on } else { off };
+        }
+        Self(v)
+    }
+
+    /// Lane-wise saturating addition.
+    #[inline(always)]
+    pub fn sat_add(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, &y) in a.iter_mut().zip(&o.0) {
+            *x = x.saturating_add(y);
+        }
+        Self(a)
+    }
+
+    /// Lane-wise signed maximum.
+    #[inline(always)]
+    pub fn max(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, &y) in a.iter_mut().zip(&o.0) {
+            *x = (*x).max(y);
+        }
+        Self(a)
+    }
+
+    /// Lane-wise signed minimum.
+    #[inline(always)]
+    pub fn min(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, &y) in a.iter_mut().zip(&o.0) {
+            *x = (*x).min(y);
+        }
+        Self(a)
+    }
+
+    /// The first `n` lanes of `self`, `fill` in the rest.
+    #[inline(always)]
+    pub fn first_n_or(self, n: usize, fill: i16) -> Self {
+        // A table row per `n`: computing the mask from `n` in the lane
+        // loop defeats the vectorizer.
+        let keep = &FIRST_N[n.min(LANES16)];
+        let mut a = self.0;
+        for (x, &m) in a.iter_mut().zip(keep) {
+            *x = (*x & m) | (fill & !m);
+        }
+        Self(a)
+    }
 
     /// Horizontal maximum over all lanes.
     #[inline(always)]
-    pub fn hmax(self) -> i32 {
-        let mut m = self.0[0];
-        for &v in &self.0[1..] {
-            m = m.max(v);
-        }
-        m
+    pub fn hmax(self) -> i16 {
+        self.0.into_iter().fold(i16::MIN, i16::max)
     }
-}
 
-/// `len` rounded up to a whole number of [`LANES`].
-#[inline(always)]
-pub fn round_up_lanes(len: usize) -> usize {
-    len.div_ceil(LANES) * LANES
+    /// Horizontal minimum over all lanes.
+    #[inline(always)]
+    pub fn hmin(self) -> i16 {
+        self.0.into_iter().fold(i16::MAX, i16::min)
+    }
 }
 
 #[cfg(test)]
@@ -279,17 +323,14 @@ mod tests {
 
     #[test]
     fn lane_ops_elementwise() {
-        let a = I32x8::iota(0);
+        let a = I32x8([0, 1, 2, 3, 4, 5, 6, 7]);
         let b = I32x8::splat(3);
         assert_eq!(a.add(b).0, [3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(a.max(b).0, [3, 3, 3, 3, 4, 5, 6, 7]);
-        assert_eq!(a.hmax(), 7);
-        let m = a.ge(b); // lanes 3..=7 set
-        assert_eq!(m.0, [0, 0, 0, -1, -1, -1, -1, -1]);
+        let m = a.eq_lanes(b);
+        assert_eq!(m.0, [0, 0, 0, -1, 0, 0, 0, 0]);
         let sel = m.blend(I32x8::splat(1), I32x8::splat(-9));
-        assert_eq!(sel.0, [-9, -9, -9, 1, 1, 1, 1, 1]);
-        let le = a.le(I32x8::splat(2)).and(a.ge(I32x8::splat(1)));
-        assert_eq!(le.0, [0, -1, -1, 0, 0, 0, 0, 0]);
+        assert_eq!(sel.0, [-9, -9, -9, 1, -9, -9, -9, -9]);
     }
 
     #[test]
@@ -304,12 +345,37 @@ mod tests {
     #[test]
     fn load_store_roundtrip() {
         let mut buf = vec![0i32; 24];
-        I32x8::iota(5).store(&mut buf, 8);
-        assert_eq!(I32x8::load(&buf, 8), I32x8::iota(5));
-        assert_eq!(round_up_lanes(0), 0);
-        assert_eq!(round_up_lanes(1), 8);
-        assert_eq!(round_up_lanes(8), 8);
-        assert_eq!(round_up_lanes(9), 16);
+        let v = I32x8([5, 6, 7, 8, 9, 10, 11, 12]);
+        v.store(&mut buf, 8);
+        assert_eq!(I32x8::load(&buf, 8), v);
+        assert_eq!(&buf[..8], &[0; 8]);
+    }
+
+    #[test]
+    fn i16_lane_ops() {
+        let mut buf = vec![0i16; 40];
+        for (k, slot) in buf.iter_mut().enumerate() {
+            *slot = k as i16 - 20;
+        }
+        let a = I16x16::load(&buf, 3); // -17 ..= -2
+        let b = I16x16::load(&buf, 23); // 3 ..= 18
+        assert_eq!(a.max(b), b);
+        assert_eq!(a.min(b), a);
+        assert_eq!((a.hmax(), a.hmin()), (-2, -17));
+        // Saturation pins both ends instead of wrapping.
+        let low = I16x16::splat(i16::MIN).sat_add(I16x16::splat(-5));
+        assert_eq!(low, I16x16::splat(i16::MIN));
+        assert_eq!(I16x16::splat(i16::MAX).sat_add(b), I16x16::splat(i16::MAX));
+        assert_eq!(a.sat_add(b).0[0], -14);
+        let cut = b.first_n_or(2, -9);
+        assert_eq!(&cut.0[..3], &[3, 4, -9]);
+        assert_eq!(b.first_n_or(0, 7), I16x16::splat(7));
+        assert_eq!(b.first_n_or(LANES16, 7), b);
+        let sub = I16x16::select_eq_bytes(b"ACGTACGTACGTACGTA", b"ACGAACGTACGTTCGTyy", 2, -3);
+        assert_eq!(&sub.0[..5], &[2, 2, 2, -3, 2]);
+        assert_eq!(sub.0[12], -3);
+        b.store(&mut buf, 0);
+        assert_eq!(I16x16::load(&buf, 0), b);
     }
 
     #[test]
@@ -320,17 +386,11 @@ mod tests {
         assert_eq!(SimdMode::Scalar.kernel(), KernelImpl::Scalar);
         assert_eq!(SimdMode::Auto.kernel(), KernelImpl::Simd);
         assert_eq!(SimdMode::Auto.to_string(), "auto");
-        // Thread override wins while set, clears back to the env default
-        // (DIBELLA_SIMD if the suite runs with it set — CI forces
-        // `scalar` in one pass — else Auto).
+        // The process default is DIBELLA_SIMD if the suite runs with it
+        // set — CI forces `scalar` in one pass — else Auto.
         let env_default = std::env::var("DIBELLA_SIMD")
             .ok()
             .map_or(SimdMode::Auto, |v| v.parse().expect("valid DIBELLA_SIMD"));
-        set_thread_simd_mode(Some(SimdMode::Scalar));
-        assert_eq!(thread_simd_mode(), SimdMode::Scalar);
-        set_thread_simd_mode(Some(SimdMode::Auto));
-        assert_eq!(thread_simd_mode(), SimdMode::Auto);
-        set_thread_simd_mode(None);
-        assert_eq!(thread_simd_mode(), env_default);
+        assert_eq!(SimdMode::from_env(), env_default);
     }
 }

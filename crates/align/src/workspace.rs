@@ -19,10 +19,55 @@
 //! that parallelize (e.g. `dibella-core`'s alignment-stage batch executor)
 //! keep one workspace per worker thread and reuse it across every task
 //! that worker processes. Reusing a *dirty* workspace is always safe —
-//! every kernel fully re-initializes the prefix of each buffer it reads —
-//! which is exactly what the bit-identity property tests exercise.
+//! every kernel (re)writes each slot before it reads it — which is
+//! exactly what the bit-identity property tests exercise. The scalar and
+//! lane x-drop kernels keep separate rows (`i32` and `i16`), so switching
+//! implementation on one workspace shares nothing but capacity
+//! accounting.
 
 use crate::cigar::CigarOp;
+use crate::simd::LANES16;
+
+/// One sequence in the form the lane x-drop kernel reads it: a forward
+/// and a reversed copy, each laid out `[1 pad][bases][LANES16 pad]` (one
+/// kernel chunk of tail padding).
+///
+/// An antidiagonal walks one sequence up and the other down; reading the
+/// descending side from the reversed copy makes both sides ascending
+/// byte loads. The front pad backs the `i − 1 = −1` base index of row
+/// cell `i = 0`, the tail pad the full-width loads launched from a row's
+/// last cells — the kernel never looks at a score computed from a pad
+/// byte, it only needs the load to be in bounds.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LaneSeq {
+    /// `[0][seq][0; LANES16]`.
+    pub(crate) fwd: Vec<u8>,
+    /// `[0][seq reversed][0; LANES16]`.
+    pub(crate) rev: Vec<u8>,
+}
+
+impl LaneSeq {
+    fn fill(buf: &mut Vec<u8>, bases: impl Iterator<Item = u8>) {
+        buf.clear();
+        buf.push(0);
+        buf.extend(bases);
+        buf.extend_from_slice(&[0; LANES16]);
+    }
+
+    /// Stage the forward copy of `seq`.
+    pub(crate) fn set_fwd(&mut self, seq: &[u8]) {
+        Self::fill(&mut self.fwd, seq.iter().copied());
+    }
+
+    /// Stage the reversed copy of `seq`.
+    pub(crate) fn set_rev(&mut self, seq: &[u8]) {
+        Self::fill(&mut self.rev, seq.iter().rev().copied());
+    }
+
+    fn capacity(&self) -> usize {
+        self.fwd.capacity() + self.rev.capacity()
+    }
+}
 
 /// Reusable scratch buffers for all alignment kernels.
 ///
@@ -33,13 +78,20 @@ use crate::cigar::CigarOp;
 /// state.
 #[derive(Clone, Debug, Default)]
 pub struct AlignWorkspace {
-    /// Three x-drop score rows (antidiagonals d−2, d−1 and d), rotated in
-    /// place instead of cloned per antidiagonal. The scalar kernel sizes
-    /// them exactly; the lane-SIMD kernel lays the same buffers out with
-    /// a sentinel slot and lane padding. Either kernel fully
-    /// re-initializes what it reads, so the implementations share storage
-    /// across calls safely.
+    /// Three scalar x-drop score rows (antidiagonals d−2, d−1 and d),
+    /// rotated in place instead of cloned per antidiagonal and sized
+    /// exactly per row.
     pub(crate) xdrop: [Vec<i32>; 3],
+    /// The lane x-drop kernel's three rows: scores relative to a running
+    /// offset, with a sentinel slot and lane padding (see
+    /// `docs/ARCHITECTURE.md` § "SIMD kernels"). They only ever grow, and
+    /// are not re-initialized per call.
+    pub(crate) xdrop_lanes: [Vec<i16>; 3],
+    /// Staged copies of the sequence whose index ascends along an
+    /// antidiagonal (`s` / read `a`) for the lane x-drop kernel.
+    pub(crate) lane_a: LaneSeq,
+    /// Staged copies of the descending side (`t` / oriented read `b`).
+    pub(crate) lane_b: LaneSeq,
     /// Two banded-Smith-Waterman rows (previous and current `i`).
     pub(crate) banded: [Vec<i32>; 2],
     /// Reverse-complement scratch for callers orienting a read before
@@ -51,14 +103,6 @@ pub struct AlignWorkspace {
     pub(crate) cigar_dp: Vec<i32>,
     /// Reversed op list the CIGAR traceback is accumulated into.
     pub(crate) cigar_ops: Vec<CigarOp>,
-    /// Per-antidiagonal substitution scores for the lane-SIMD x-drop
-    /// kernel (one lane-padded `i32` per candidate cell; see
-    /// `docs/ARCHITECTURE.md` § "SIMD kernels").
-    pub(crate) sub_scores: Vec<i32>,
-    /// Reversed byte window the SIMD kernels stage the descending-index
-    /// sequence side into, so the substitution-score fill reads both
-    /// sides forward (and therefore vectorizes).
-    pub(crate) rev_bytes: Vec<u8>,
 }
 
 impl AlignWorkspace {
@@ -74,11 +118,13 @@ impl AlignWorkspace {
     pub fn scratch_bytes(&self) -> usize {
         let i32s = self.xdrop.iter().map(Vec::capacity).sum::<usize>()
             + self.banded.iter().map(Vec::capacity).sum::<usize>()
-            + self.cigar_dp.capacity()
-            + self.sub_scores.capacity();
+            + self.cigar_dp.capacity();
+        let i16s = self.xdrop_lanes.iter().map(Vec::capacity).sum::<usize>();
         i32s * std::mem::size_of::<i32>()
+            + i16s * std::mem::size_of::<i16>()
+            + self.lane_a.capacity()
+            + self.lane_b.capacity()
             + self.rc.capacity()
-            + self.rev_bytes.capacity()
             + self.cigar_ops.capacity() * std::mem::size_of::<CigarOp>()
     }
 }
@@ -87,6 +133,7 @@ impl AlignWorkspace {
 mod tests {
     use super::*;
     use crate::scoring::Scoring;
+    use crate::simd::KernelImpl;
 
     #[test]
     fn new_workspace_reserves_nothing() {
@@ -96,13 +143,26 @@ mod tests {
 
     #[test]
     fn scratch_grows_with_use_then_plateaus() {
-        let mut ws = AlignWorkspace::new();
         let s = vec![b'A'; 400];
         let t = vec![b'A'; 400];
-        let _ = crate::xdrop::extend_xdrop_with_workspace(&s, &t, Scoring::bella(), 25, &mut ws);
-        let after_first = ws.scratch_bytes();
-        assert!(after_first > 0);
-        let _ = crate::xdrop::extend_xdrop_with_workspace(&s, &t, Scoring::bella(), 25, &mut ws);
-        assert_eq!(ws.scratch_bytes(), after_first, "steady state must not grow");
+        for imp in [KernelImpl::Scalar, KernelImpl::Simd] {
+            let mut ws = AlignWorkspace::new();
+            let _ = crate::xdrop::extend_xdrop_with(&s, &t, Scoring::bella(), 25, &mut ws, imp);
+            let after_first = ws.scratch_bytes();
+            assert!(after_first > 0);
+            let _ = crate::xdrop::extend_xdrop_with(&s, &t, Scoring::bella(), 25, &mut ws, imp);
+            assert_eq!(ws.scratch_bytes(), after_first, "{imp:?}: steady state must not grow");
+        }
+    }
+
+    #[test]
+    fn lane_seq_copies_are_padded_both_ends() {
+        let mut seq = LaneSeq::default();
+        seq.set_fwd(b"ACG");
+        seq.set_rev(b"ACG");
+        assert_eq!(&seq.fwd[..4], b"\0ACG");
+        assert_eq!(&seq.rev[..4], b"\0GCA");
+        assert_eq!(seq.fwd.len(), 1 + 3 + LANES16);
+        assert_eq!(seq.rev.len(), 1 + 3 + LANES16);
     }
 }

@@ -16,7 +16,7 @@
 //! stage's x-drop load imbalance (paper §9, Figure 8).
 
 use crate::scoring::Scoring;
-use crate::simd::{self, round_up_lanes, I32x8, KernelImpl, LANES};
+use crate::simd::{I16x16, KernelImpl, SimdMode, LANES16};
 use crate::workspace::AlignWorkspace;
 
 /// Score used for pruned/unreachable cells. Kept well away from `i32::MIN`
@@ -80,10 +80,9 @@ pub fn extend_xdrop(s: &[u8], t: &[u8], scoring: Scoring, x: i32) -> Extension {
 /// [`extend_xdrop`] using caller-owned scratch: zero heap allocations per
 /// antidiagonal and — once `ws` has warmed up — zero per call.
 ///
-/// Runs the kernel implementation selected by the thread's
-/// [`crate::simd::SimdMode`] (the `DIBELLA_SIMD` knob); both
-/// implementations are bit-identical to [`extend_xdrop`] for every input
-/// and any prior workspace state.
+/// Runs the kernel implementation [`SimdMode::from_env`] selects (the
+/// `DIBELLA_SIMD` knob); both implementations are bit-identical to
+/// [`extend_xdrop`] for every input and any prior workspace state.
 pub fn extend_xdrop_with_workspace(
     s: &[u8],
     t: &[u8],
@@ -91,7 +90,7 @@ pub fn extend_xdrop_with_workspace(
     x: i32,
     ws: &mut AlignWorkspace,
 ) -> Extension {
-    extend_xdrop_with(s, t, scoring, x, ws, simd::thread_simd_mode().kernel())
+    extend_xdrop_with(s, t, scoring, x, ws, SimdMode::from_env().kernel())
 }
 
 /// [`extend_xdrop_with_workspace`] with the kernel implementation chosen
@@ -105,10 +104,7 @@ pub fn extend_xdrop_with(
     ws: &mut AlignWorkspace,
     imp: KernelImpl,
 ) -> Extension {
-    match imp {
-        KernelImpl::Scalar => xdrop_core::<false>(s, t, scoring, x, &mut ws.xdrop),
-        KernelImpl::Simd => xdrop_core_simd::<false>(s, t, scoring, x, ws),
-    }
+    extend_xdrop_dir_with(s, t, Dir::Fwd, scoring, x, ws, imp)
 }
 
 /// The x-drop scan over antidiagonals, generic over walk direction.
@@ -258,83 +254,143 @@ pub(crate) fn xdrop_core<const REV: bool>(
     Extension { score: best, s_ext: best_i, t_ext: best_j, cells }
 }
 
-/// The lane-SIMD x-drop scan — same antidiagonal walk, pruning and
-/// bookkeeping as [`xdrop_core`], with the per-cell recurrence computed
-/// [`LANES`] cells at a time.
-///
-/// The key observation is that within one antidiagonal the cells are
-/// independent: cell `(i, d−i)` reads only rows `d−1` and `d−2`, so the
-/// inner loop vectorizes *vertically* with three shifted row loads. The
-/// scalar kernel's per-cell range guards become per-term interval masks
-/// (each recurrence source is legal on one contiguous `i`-interval), and
-/// its incremental best tracking collapses to a per-row maximum plus one
-/// rescan on improving rows — the first cell achieving a row's maximum is
-/// exactly the cell the scalar scan records. Rows store a `NEG_INF`
-/// sentinel at slot 0 (so `i−1` loads never underflow) and are padded to
-/// whole lanes (so full-width loads never overflow); pruned cells store
-/// exactly `NEG_INF`, as the scalar kernel leaves them. Output is
-/// therefore bit-identical to [`xdrop_core`] — scores, extents *and* the
-/// `cells` tally — which `tests/simd_identity.rs` and
-/// `tests/kernel_golden.rs` enforce.
-pub(crate) fn xdrop_core_simd<const REV: bool>(
+/// [`xdrop_core`] in walk direction `dir`.
+fn xdrop_core_dir(
     s: &[u8],
     t: &[u8],
+    dir: Dir,
     scoring: Scoring,
     x: i32,
-    ws: &mut AlignWorkspace,
+    rows: &mut [Vec<i32>; 3],
 ) -> Extension {
-    assert!(x > 0, "x-drop threshold must be positive");
-    let n = s.len();
-    let m = t.len();
-    if n == 0 || m == 0 {
-        return Extension { score: 0, s_ext: 0, t_ext: 0, cells: 0 };
+    match dir {
+        Dir::Fwd => xdrop_core::<false>(s, t, scoring, x, rows),
+        Dir::Rev => xdrop_core::<true>(s, t, scoring, x, rows),
     }
+}
 
-    let AlignWorkspace { xdrop: rows, sub_scores, rev_bytes, .. } = ws;
+/// Largest `|match|`, `|mismatch|` and `|gap|` the lane kernel takes.
+const LANE_MAX_PENALTY: i32 = 64;
+/// Largest `x` the lane kernel takes.
+const LANE_MAX_X: i32 = 4_000;
+
+/// Lane-row value of a cell outside a row's logical range.
+const NEG: i16 = i16::MIN;
+/// Everything the recurrence can make out of `NEG` sources alone is at or
+/// below this (`NEG + match` at most), so a cell above it is exact.
+const FLOOR: i16 = NEG + LANE_MAX_PENALTY as i16;
+/// Rows are rebased once the best relative score passes this; a cell
+/// exceeds the previous best by at most one step, so rows stay below
+/// `REBASE_AT + LANE_MAX_PENALTY`.
+const REBASE_AT: i16 = 16_000;
+
+/// Whether the lane kernel's `i16` rows can carry this scoring and `x`:
+/// steps of at most [`LANE_MAX_PENALTY`] keep the saturating adds and the
+/// [`FLOOR`] argument valid, and `x ≤` [`LANE_MAX_X`] leaves the pruning
+/// threshold (`≥ −x` relative) some 28 000 above the floor, so only a
+/// pathologically deep in-band cell can reach it. Anything else runs on
+/// the scalar kernel.
+fn lane_eligible(scoring: Scoring, x: i32) -> bool {
+    let small = |v: i32| (-LANE_MAX_PENALTY..=LANE_MAX_PENALTY).contains(&v);
+    x <= LANE_MAX_X && small(scoring.match_score) && small(scoring.mismatch) && small(scoring.gap)
+}
+
+/// The lane x-drop scan: the antidiagonal walk, pruning and bookkeeping of
+/// [`xdrop_core`] with the recurrence computed [`LANES16`] cells at a time
+/// in 16-bit lanes. Returns `None` when a cell fell out of the `i16`
+/// range (the caller then runs the scalar kernel); otherwise the result
+/// is bit-identical to [`xdrop_core`] — score, extents *and* `cells` —
+/// which `tests/simd_identity.rs` and `tests/kernel_golden.rs` enforce.
+/// That holds for score magnitudes up to [`LANE_MAX_PENALTY`] and any
+/// `x ≤ i16::MAX`; the dispatcher passes `x ≤` [`LANE_MAX_X`].
+///
+/// `a_side[k]` is the walk-order base `k − 1` of the ascending sequence
+/// (`n` bases), `b_side[p]` the walk-order base `m − 1 − p` of the
+/// descending one (`m` bases), both readable one chunk past their last
+/// base — the layout [`LaneSeq`](crate::workspace) stages. Cell `i` of
+/// antidiagonal `d` then compares `a_side[i]` with `b_side[m − d + i]`:
+/// two ascending byte loads, whatever the walk direction.
+///
+/// # Rows
+///
+/// A row stores `score − offset` as `i16`; `offset` absorbs the best
+/// score whenever it passes [`REBASE_AT`], so read length is unbounded.
+/// Slot 0 is a [`NEG`] sentinel and slot `1 + (i − base)` holds cell `i`.
+/// The invariant that removes every validity mask: **each slot a later
+/// row can read that lies outside the row's logical (surviving) range
+/// holds `NEG`**. Later rows read from cell `lo − 1` to cell `hi +
+/// LANES16`, so pruning a row to `[first, last]` stores `NEG` at cell
+/// `first − 1` (slot 0 when nothing was pruned in front) and over the
+/// `LANES16` cells after `last`. Every recurrence source is then either a
+/// live cell or `NEG`, saturating adds keep `NEG`-fed terms at or below
+/// [`FLOOR`], and every cell in `[lo, hi]` has a live horizontal source,
+/// so its true value wins the `max` — unless that true value is itself at
+/// or below [`FLOOR`], which is the one thing checked (once, on the
+/// minimum of every cell computed, after the scan).
+///
+/// Only the row's last chunk is masked (for the row maximum and minimum):
+/// a lane past `hi` can see a live diagonal source, because row `d−2` may
+/// survive beyond `prev_hi + 1`, and the scalar kernel never computes
+/// that cell.
+fn xdrop_core_lanes(
+    a_side: &[u8],
+    b_side: &[u8],
+    n: usize,
+    m: usize,
+    scoring: Scoring,
+    x: i32,
+    rows: &mut [Vec<i16>; 3],
+) -> Option<Extension> {
+    assert!(x > 0, "x-drop threshold must be positive");
+    if n == 0 || m == 0 {
+        return Some(Extension { score: 0, s_ext: 0, t_ext: 0, cells: 0 });
+    }
+    let (gap, match_score, mismatch) =
+        (scoring.gap as i16, scoring.match_score as i16, scoring.mismatch as i16);
+
+    // A row never exceeds min(n, m) + 1 cells; round that up to whole
+    // chunks, add the sentinel and the tail guard. Rows only grow: no slot
+    // is read before this call has written it.
+    let phys = 1 + (n.min(m) + 1).next_multiple_of(LANES16) + LANES16;
+    for row in rows.iter_mut() {
+        if row.len() < phys {
+            row.resize(phys, NEG);
+        }
+        row[0] = NEG;
+    }
+    // Rotate slices, not the `Vec`s: the swaps stay in registers.
     let [prev2, prev, cur] = rows;
+    let (mut prev2, mut prev, mut cur) = (&mut prev2[..], &mut prev[..], &mut cur[..]);
 
-    let mut best = 0i32;
+    // Absolute best = offset + best_rel.
+    let mut offset = 0i32;
+    let mut best_rel = 0i16;
     let mut best_i = 0usize;
     let mut best_j = 0usize;
-    let mut cells = 0u64;
-
-    // Row layout: slot 0 is a NEG_INF sentinel backing the shifted
-    // (`i−1`) loads, slot `1 + (i − base)` holds cell `i`, and the tail
-    // is padded so any full-width load launched from a valid cell stays
-    // in bounds. A row never exceeds min(n, m) + 1 cells, so one sizing
-    // covers the whole call; rows are not re-initialized per
-    // antidiagonal — every slot an *unmasked* lane reads was stored by
-    // the previous rows' store passes (or is the sentinel), masked lanes
-    // tolerate arbitrary stale data, and the post-row scans only look at
-    // freshly stored cells.
-    let max_len = n.min(m) + 1;
-    let phys = 1 + round_up_lanes(max_len) + LANES;
-    for row in [&mut *prev2, &mut *prev, &mut *cur] {
-        row.clear();
-        row.resize(phys, NEG_INF);
-    }
-    sub_scores.clear();
-    sub_scores.resize(round_up_lanes(max_len) + LANES, NEG_INF);
 
     // d = 0: the single cell (0, 0) = 0.
     prev2[1] = 0;
+    prev2[2..2 + LANES16].fill(NEG);
     let mut prev2_base = 0usize;
-    let mut prev2_lo = 0usize;
-    let mut prev2_hi = 0usize;
 
     // d = 1: cells (0,1) and (1,0), both pure gap (n, m ≥ 1 here).
-    prev[1] = scoring.gap;
-    prev[2] = scoring.gap;
-    cells += 2;
-    if scoring.gap < best - x {
-        return Extension { score: best, s_ext: best_i, t_ext: best_j, cells };
+    prev[1] = gap;
+    prev[2] = gap;
+    prev[3..3 + LANES16].fill(NEG);
+    let mut cells = 2u64;
+    if scoring.gap < -x {
+        return Some(Extension { score: 0, s_ext: 0, t_ext: 0, cells });
     }
     let mut prev_base = 0usize;
     let mut prev_lo = 0usize;
     let mut prev_hi = 1usize;
 
-    let gap_v = I32x8::splat(scoring.gap);
-    let neg_v = I32x8::splat(NEG_INF);
+    let gap_v = I16x16::splat(gap);
+    let neg_v = I16x16::splat(NEG);
+    // Minimum over every cell computed so far, checked against FLOOR
+    // once, after the scan: a cell at or below it makes what follows
+    // inexact but cannot make it loop or index out of bounds.
+    let mut all_min = I16x16::splat(i16::MAX);
 
     let mut d = 1usize;
     loop {
@@ -353,123 +409,93 @@ pub(crate) fn xdrop_core_simd<const REV: bool>(
         // scalar kernel's skip guard never fires.
         cells += len as u64;
 
-        // Per-term legal-source intervals of i (empty ⇒ all-false masks):
-        // gap in s needs (i, j−1) alive on row d−1 and j ≥ 1; gap in t
-        // needs (i−1, j) alive on row d−1; substitution needs (i−1, j−1)
-        // alive on row d−2 with i, j ≥ 1.
-        let gs_lo = lo.max(prev_lo);
-        let gs_hi = hi.min(prev_hi).min(d - 1);
-        let gt_lo = lo.max(prev_lo + 1);
-        let gt_hi = hi.min(prev_hi + 1);
-        let sub_lo = lo.max(1).max(prev2_lo + 1);
-        let sub_hi = hi.min(prev2_hi + 1).min(d - 1);
-
-        // Substitution scores for the candidate diagonal cells, staged
-        // into a lane-padded scratch row indexed by i − lo (only the
-        // `[sub_lo, sub_hi]` window is written; lanes outside it are
-        // masked or unused). One side of the antidiagonal walks its
-        // sequence backward; copying that side reversed first lets the
-        // compare loop run forward over both.
-        if sub_lo <= sub_hi {
-            rev_bytes.clear();
-            let fwd: &[u8] = if REV {
-                // Walk-order base of s is s[n − i] (descending with i);
-                // of t is t[m − d + i] (ascending).
-                rev_bytes.extend(s[n - sub_hi..=n - sub_lo].iter().rev());
-                &t[m + sub_lo - d..=m + sub_hi - d]
+        // The row's source, base and output windows, whole chunks long:
+        // `left` starts at the slot of cell `lo − 1` of row d−1, `up` one
+        // further, `diag` at cell `lo − 1` of row d−2.
+        let span = len.next_multiple_of(LANES16);
+        let left = &prev[lo - prev_base..][..span + 1];
+        let (left, up) = (&left[..span], &left[1..]);
+        let diag = &prev2[lo - prev2_base..][..span];
+        let a = &a_side[lo..][..span];
+        let b = &b_side[lo + m - d..][..span];
+        let out = &mut cur[1..][..span];
+        let chunks = out
+            .chunks_exact_mut(LANES16)
+            .zip(up.chunks_exact(LANES16).zip(left.chunks_exact(LANES16)))
+            .zip(diag.chunks_exact(LANES16))
+            .zip(a.chunks_exact(LANES16).zip(b.chunks_exact(LANES16)));
+        let mut row_max = neg_v;
+        let mut live = len;
+        for (((out, (up, left)), diag), (a, b)) in chunks {
+            let horiz = I16x16::load(up, 0).max(I16x16::load(left, 0)).sat_add(gap_v);
+            let sub = I16x16::select_eq_bytes(a, b, match_score, mismatch);
+            let v = horiz.max(I16x16::load(diag, 0).sat_add(sub));
+            v.store(out, 0);
+            if live >= LANES16 {
+                row_max = row_max.max(v);
+                all_min = all_min.min(v);
+                live -= LANES16;
             } else {
-                // s[i − 1] ascends with i; t[d − i − 1] descends.
-                rev_bytes.extend(t[d - 1 - sub_hi..=d - 1 - sub_lo].iter().rev());
-                &s[sub_lo - 1..=sub_hi - 1]
-            };
-            let at = sub_lo - lo;
-            for (slot, (&p, &q)) in sub_scores[at..].iter_mut().zip(fwd.iter().zip(&*rev_bytes)) {
-                *slot = if p == q { scoring.match_score } else { scoring.mismatch };
+                // Lanes past `hi` may hold a score (see "Rows" above); keep
+                // them out of the row maximum and the floor check.
+                row_max = row_max.max(v.first_n_or(live, NEG));
+                all_min = all_min.min(v.first_n_or(live, i16::MAX));
             }
         }
+        let rm = row_max.hmax();
 
-        let gs_lo_v = I32x8::splat(gs_lo as i32);
-        let gs_hi_v = I32x8::splat(gs_hi as i32);
-        let gt_lo_v = I32x8::splat(gt_lo as i32);
-        let gt_hi_v = I32x8::splat(gt_hi as i32);
-        let sub_lo_v = I32x8::splat(sub_lo as i32);
-        let sub_hi_v = I32x8::splat(sub_hi as i32);
-
-        // On `[core_lo, core_hi]` every term is legal, so whole chunks
-        // inside it skip the interval masks (and share the gap add) —
-        // that covers all but the first and last chunks of a typical row.
-        let core_lo = gs_lo.max(gt_lo).max(sub_lo);
-        let core_hi = gs_hi.min(gt_hi).min(sub_hi);
-
-        let mut rowmax = neg_v;
-        let mut i0 = lo;
-        while i0 <= hi {
-            let v = if i0 >= core_lo && i0 + (LANES - 1) <= core_hi {
-                let horiz = I32x8::load(prev, i0 - prev_base + 1)
-                    .max(I32x8::load(prev, i0 - prev_base))
-                    .add(gap_v);
-                let diag =
-                    I32x8::load(prev2, i0 - prev2_base).add(I32x8::load(sub_scores, i0 - lo));
-                // Clamp: a term fed by a pruned (NEG_INF) cell must store
-                // exactly NEG_INF, as the scalar kernel leaves it.
-                horiz.max(diag).max(neg_v)
-            } else {
-                let vi = I32x8::iota(i0 as i32);
-                // Gap in s (from (i, j−1), row d−1, same i).
-                let c = I32x8::load(prev, i0 - prev_base + 1);
-                let mask = vi.ge(gs_lo_v).and(vi.le(gs_hi_v));
-                let mut v = mask.blend(c.add(gap_v), neg_v);
-                // Gap in t (from (i−1, j), row d−1, cell i−1).
-                let c = I32x8::load(prev, i0 - prev_base);
-                let mask = vi.ge(gt_lo_v).and(vi.le(gt_hi_v));
-                v = v.max(mask.blend(c.add(gap_v), neg_v));
-                // Substitution (from (i−1, j−1), row d−2, cell i−1).
-                let c = I32x8::load(prev2, i0 - prev2_base);
-                let sub = I32x8::load(sub_scores, i0 - lo);
-                let mask = vi.ge(sub_lo_v).and(vi.le(sub_hi_v));
-                v = v.max(mask.blend(c.add(sub), neg_v));
-                v.max(neg_v)
-            };
-            v.store(cur, i0 - lo + 1);
-            rowmax = rowmax.max(v);
-            i0 += LANES;
-        }
-
-        let rm = rowmax.hmax();
-        if rm <= NEG_INF {
-            break; // no reachable cell on this antidiagonal
-        }
-        if rm > best {
+        let live = &cur[1..1 + len];
+        if rm > best_rel {
             // The scalar scan's incremental `v > best` updates land on the
             // first cell achieving the row maximum; recover it by rescan.
-            let off = cur[1..1 + len]
-                .iter()
-                .position(|&v| v == rm)
-                .expect("row maximum must be present");
-            best = rm;
-            best_i = lo + off;
+            let at = live.iter().position(|&v| v == rm).expect("row maximum must be present");
+            best_rel = rm;
+            best_i = lo + at;
             best_j = d - best_i;
         }
         // X-drop pruning on the logical range, exactly as the scalar scan.
-        let threshold = best - x;
-        let live = &cur[1..1 + len];
+        let threshold = best_rel - x as i16;
         let first = live.iter().position(|&v| v >= threshold);
         let last = live.iter().rposition(|&v| v >= threshold);
         let (first, last) = match (first, last) {
             (Some(f), Some(l)) => (f, l),
             _ => break, // every cell pruned → extension terminates
         };
-        std::mem::swap(prev2, prev);
-        std::mem::swap(prev, cur);
+        // Restore the row invariant: NEG just outside the surviving range.
+        cur[first] = NEG;
+        cur[last + 2..last + 2 + LANES16].fill(NEG);
+
+        if best_rel > REBASE_AT {
+            // Move the best score into the offset, on the two rows the
+            // next antidiagonal reads. Only live cells carry a score; the
+            // NEG guards around them stay NEG.
+            let live = cur[1 + first..=1 + last]
+                .iter_mut()
+                .chain(&mut prev[1 + prev_lo - prev_base..=1 + prev_hi - prev_base]);
+            let mut floor_hit = false;
+            for v in live {
+                *v = v.saturating_sub(best_rel);
+                floor_hit |= *v <= FLOOR;
+            }
+            if floor_hit {
+                return None;
+            }
+            offset += best_rel as i32;
+            best_rel = 0;
+        }
+
+        std::mem::swap(&mut prev2, &mut prev);
+        std::mem::swap(&mut prev, &mut cur);
         prev2_base = prev_base;
-        prev2_lo = prev_lo;
-        prev2_hi = prev_hi;
         prev_base = lo;
         prev_lo = lo + first;
         prev_hi = lo + last;
     }
 
-    Extension { score: best, s_ext: best_i, t_ext: best_j, cells }
+    if all_min.hmin() <= FLOOR {
+        return None;
+    }
+    Some(Extension { score: offset + best_rel as i32, s_ext: best_i, t_ext: best_j, cells })
 }
 
 /// Ungapped x-drop extension along the main diagonal (the cheap variant
@@ -527,9 +553,8 @@ pub struct SeedAlignment {
 }
 
 /// Directional [`extend_xdrop_with_workspace`]: `Dir::Fwd` extends over
-/// the slices left-to-right; `Dir::Rev` extends right-to-left **in
-/// place**, equivalent to (and bit-identical with) extending over
-/// materialized reversed copies — without the copies.
+/// the slices left-to-right; `Dir::Rev` extends right-to-left, equivalent
+/// to (and bit-identical with) extending over reversed copies of both.
 pub fn extend_xdrop_dir_with_workspace(
     s: &[u8],
     t: &[u8],
@@ -538,14 +563,19 @@ pub fn extend_xdrop_dir_with_workspace(
     x: i32,
     ws: &mut AlignWorkspace,
 ) -> Extension {
-    extend_xdrop_dir_with(s, t, dir, scoring, x, ws, simd::thread_simd_mode().kernel())
+    extend_xdrop_dir_with(s, t, dir, scoring, x, ws, SimdMode::from_env().kernel())
 }
 
 /// [`extend_xdrop_dir_with_workspace`] with the kernel implementation
-/// pinned by the caller instead of resolved from the thread's
-/// [`crate::simd::SimdMode`]. This is the entry point the differential
-/// tests and the kernel benchmarks use to drive both implementations over
-/// the same (dirty) workspace.
+/// pinned by the caller. This is the entry point the differential tests
+/// and the kernel benchmarks use to drive both implementations over the
+/// same (dirty) workspace.
+///
+/// [`KernelImpl::Simd`] runs the 16-bit lane kernel when `scoring` and
+/// `x` fit it (`x ≤ 4000`, `|match|`, `|mismatch|`, `|gap| ≤ 64`) and the
+/// scalar kernel otherwise — or when an in-band cell sinks more than
+/// ~28 000 below the pruning threshold mid-extension, which a 16-bit row
+/// cannot hold. The result is the scalar kernel's either way.
 pub fn extend_xdrop_dir_with(
     s: &[u8],
     t: &[u8],
@@ -555,12 +585,27 @@ pub fn extend_xdrop_dir_with(
     ws: &mut AlignWorkspace,
     imp: KernelImpl,
 ) -> Extension {
-    match (dir, imp) {
-        (Dir::Fwd, KernelImpl::Scalar) => xdrop_core::<false>(s, t, scoring, x, &mut ws.xdrop),
-        (Dir::Rev, KernelImpl::Scalar) => xdrop_core::<true>(s, t, scoring, x, &mut ws.xdrop),
-        (Dir::Fwd, KernelImpl::Simd) => xdrop_core_simd::<false>(s, t, scoring, x, ws),
-        (Dir::Rev, KernelImpl::Simd) => xdrop_core_simd::<true>(s, t, scoring, x, ws),
+    if imp == KernelImpl::Simd && lane_eligible(scoring, x) {
+        let AlignWorkspace { xdrop_lanes, lane_a, lane_b, .. } = ws;
+        let (a_side, b_side) = match dir {
+            Dir::Fwd => {
+                lane_a.set_fwd(s);
+                lane_b.set_rev(t);
+                (&lane_a.fwd[..], &lane_b.rev[1..])
+            }
+            Dir::Rev => {
+                lane_a.set_rev(s);
+                lane_b.set_fwd(t);
+                (&lane_a.rev[..], &lane_b.fwd[1..])
+            }
+        };
+        if let Some(ext) =
+            xdrop_core_lanes(a_side, b_side, s.len(), t.len(), scoring, x, xdrop_lanes)
+        {
+            return ext;
+        }
     }
+    xdrop_core_dir(s, t, dir, scoring, x, &mut ws.xdrop)
 }
 
 /// Seed-and-extend with gapped x-drop in both directions from a shared
@@ -577,10 +622,9 @@ pub fn extend_seed(a: &[u8], b: &[u8], seed: SeedHit, scoring: Scoring, x: i32) 
     extend_seed_with(a, b, seed, scoring, x, &mut AlignWorkspace::new(), KernelImpl::Scalar)
 }
 
-/// [`extend_seed`] using caller-owned scratch. The left extension walks
-/// the two prefixes backward in place ([`Dir::Rev`]) instead of
-/// materializing reversed copies, so the per-task steady state performs
-/// zero heap allocations.
+/// [`extend_seed`] using caller-owned scratch, so the per-task steady
+/// state performs zero heap allocations. Runs the kernel implementation
+/// [`SimdMode::from_env`] selects.
 ///
 /// # Panics
 /// Panics if the seed exceeds either sequence.
@@ -592,12 +636,13 @@ pub fn extend_seed_with_workspace(
     x: i32,
     ws: &mut AlignWorkspace,
 ) -> SeedAlignment {
-    extend_seed_with(a, b, seed, scoring, x, ws, simd::thread_simd_mode().kernel())
+    extend_seed_with(a, b, seed, scoring, x, ws, SimdMode::from_env().kernel())
 }
 
 /// [`extend_seed_with_workspace`] with the kernel implementation pinned
 /// by the caller (both directional extensions run on the chosen kernel;
-/// the seed-region prologue is scalar by nature and shared).
+/// the seed-region prologue is scalar by nature and shared). One-shot
+/// form of [`SeedExtender`].
 ///
 /// # Panics
 /// Panics if the seed exceeds either sequence.
@@ -610,48 +655,119 @@ pub fn extend_seed_with(
     ws: &mut AlignWorkspace,
     imp: KernelImpl,
 ) -> SeedAlignment {
-    assert!(seed.a_pos + seed.k <= a.len(), "seed out of range in a");
-    assert!(seed.b_pos + seed.k <= b.len(), "seed out of range in b");
+    let mut pair = SeedExtender::new(a, scoring, x, ws, imp);
+    pair.set_b(b);
+    pair.extend(seed)
+}
 
-    // Score the seed region itself (normally k matches; sequencing errors
-    // can make canonical-strand seeds imperfect, so score actual bases).
-    // Iterating the two base slices directly lets the compiler hoist the
-    // bounds checks out of the per-task prologue.
-    let seed_score: i32 = a[seed.a_pos..seed.a_pos + seed.k]
-        .iter()
-        .zip(&b[seed.b_pos..seed.b_pos + seed.k])
-        .map(|(&ab, &bb)| scoring.substitution(ab, bb))
-        .sum();
+/// Seed-and-extend over one read `a` against one or more oriented reads
+/// `b`, any number of seeds each.
+///
+/// The lane kernel reads padded forward and reversed copies of both
+/// sequences (see `docs/ARCHITECTURE.md` § "SIMD kernels"). They are
+/// staged in the workspace by [`SeedExtender::new`] (for `a`) and
+/// [`SeedExtender::set_b`] (for `b`) and shared by every
+/// [`SeedExtender::extend`] that follows, so a multi-seed task copies
+/// each read once, not once per seed and direction. The scalar kernel
+/// (chosen, or fallen back to) reads the caller's slices and stages
+/// nothing.
+pub struct SeedExtender<'a> {
+    ws: &'a mut AlignWorkspace,
+    a: &'a [u8],
+    b: &'a [u8],
+    scoring: Scoring,
+    x: i32,
+    /// Whether extensions run on the lane kernel (and copies are staged).
+    lanes: bool,
+}
 
-    // Left: the prefixes, walked backward in place.
-    let left = extend_xdrop_dir_with(
-        &a[..seed.a_pos],
-        &b[..seed.b_pos],
-        Dir::Rev,
-        scoring,
-        x,
-        ws,
-        imp,
-    );
+impl<'a> SeedExtender<'a> {
+    /// Start extending seeds of `a`; call [`SeedExtender::set_b`] before
+    /// the first [`SeedExtender::extend`].
+    pub fn new(
+        a: &'a [u8],
+        scoring: Scoring,
+        x: i32,
+        ws: &'a mut AlignWorkspace,
+        imp: KernelImpl,
+    ) -> Self {
+        let lanes = imp == KernelImpl::Simd && lane_eligible(scoring, x);
+        if lanes {
+            ws.lane_a.set_fwd(a);
+            ws.lane_a.set_rev(a);
+        }
+        let mut pair = Self { ws, a, b: &[], scoring, x, lanes };
+        // Until the caller names one, `b` is empty — staged as such, so the
+        // copies never describe another pair's read.
+        pair.set_b(&[]);
+        pair
+    }
 
-    // Right: suffixes.
-    let right = extend_xdrop_dir_with(
-        &a[seed.a_pos + seed.k..],
-        &b[seed.b_pos + seed.k..],
-        Dir::Fwd,
-        scoring,
-        x,
-        ws,
-        imp,
-    );
+    /// Set (or replace) the oriented read the next seeds are shared with.
+    pub fn set_b(&mut self, b: &'a [u8]) {
+        self.b = b;
+        if self.lanes {
+            self.ws.lane_b.set_fwd(b);
+            self.ws.lane_b.set_rev(b);
+        }
+    }
 
-    SeedAlignment {
-        score: left.score + seed_score + right.score,
-        a_start: seed.a_pos - left.s_ext,
-        a_end: seed.a_pos + seed.k + right.s_ext,
-        b_start: seed.b_pos - left.t_ext,
-        b_end: seed.b_pos + seed.k + right.t_ext,
-        cells: left.cells + right.cells,
+    /// Extend `seed` in both directions. The left extension walks the
+    /// two prefixes backward ([`Dir::Rev`]), the right one the suffixes
+    /// forward.
+    ///
+    /// # Panics
+    /// Panics if the seed exceeds either sequence.
+    pub fn extend(&mut self, seed: SeedHit) -> SeedAlignment {
+        let (a, b, scoring) = (self.a, self.b, self.scoring);
+        assert!(seed.a_pos + seed.k <= a.len(), "seed out of range in a");
+        assert!(seed.b_pos + seed.k <= b.len(), "seed out of range in b");
+        let (a_end, b_end) = (seed.a_pos + seed.k, seed.b_pos + seed.k);
+
+        // Score the seed region itself (normally k matches; sequencing errors
+        // can make canonical-strand seeds imperfect, so score actual bases).
+        // Iterating the two base slices directly lets the compiler hoist the
+        // bounds checks out of the per-task prologue.
+        let seed_score: i32 = a[seed.a_pos..a_end]
+            .iter()
+            .zip(&b[seed.b_pos..b_end])
+            .map(|(&ab, &bb)| scoring.substitution(ab, bb))
+            .sum();
+
+        let left = self.side(Dir::Rev, &a[..seed.a_pos], &b[..seed.b_pos]);
+        let right = self.side(Dir::Fwd, &a[a_end..], &b[b_end..]);
+
+        SeedAlignment {
+            score: left.score + seed_score + right.score,
+            a_start: seed.a_pos - left.s_ext,
+            a_end: a_end + right.s_ext,
+            b_start: seed.b_pos - left.t_ext,
+            b_end: b_end + right.t_ext,
+            cells: left.cells + right.cells,
+        }
+    }
+
+    /// One directional extension: `s` and `t` are the prefixes
+    /// ([`Dir::Rev`]) or suffixes ([`Dir::Fwd`]) of `a` and `b` on that
+    /// side of the seed.
+    fn side(&mut self, dir: Dir, s: &[u8], t: &[u8]) -> Extension {
+        let AlignWorkspace { xdrop, xdrop_lanes, lane_a, lane_b, .. } = &mut *self.ws;
+        if self.lanes {
+            // Windows of the staged whole-read copies: a prefix walked
+            // backward is a suffix of the reversed copy (less its front
+            // pad, which the a-side window starts on), a suffix walked
+            // forward starts at its own offset in the forward copy.
+            let (a_side, b_side) = match dir {
+                Dir::Rev => (&lane_a.rev[self.a.len() - s.len()..], &lane_b.fwd[1..]),
+                Dir::Fwd => (&lane_a.fwd[self.a.len() - s.len()..], &lane_b.rev[1..]),
+            };
+            if let Some(ext) =
+                xdrop_core_lanes(a_side, b_side, s.len(), t.len(), self.scoring, self.x, xdrop_lanes)
+            {
+                return ext;
+            }
+        }
+        xdrop_core_dir(s, t, dir, self.scoring, self.x, xdrop)
     }
 }
 
@@ -800,5 +916,74 @@ mod tests {
             bad.cells
         );
         assert!(good.score > bad.score);
+    }
+    /// A uniformly random base sequence from a fixed xorshift stream.
+    fn random_dna(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b"ACGT"[(state % 4) as usize]
+            })
+            .collect()
+    }
+
+    /// Both implementations through one workspace.
+    fn both(s: &[u8], t: &[u8], dir: Dir, sc: Scoring, x: i32) -> (Extension, Extension) {
+        let mut ws = AlignWorkspace::new();
+        (
+            extend_xdrop_dir_with(s, t, dir, sc, x, &mut ws, KernelImpl::Scalar),
+            extend_xdrop_dir_with(s, t, dir, sc, x, &mut ws, KernelImpl::Simd),
+        )
+    }
+
+    #[test]
+    fn lane_eligibility_bounds() {
+        assert!(lane_eligible(S, 25));
+        assert!(lane_eligible(Scoring { match_score: 64, mismatch: -64, gap: -64 }, LANE_MAX_X));
+        assert!(!lane_eligible(S, LANE_MAX_X + 1));
+        assert!(!lane_eligible(Scoring { match_score: 65, ..S }, 25));
+        assert!(!lane_eligible(Scoring { mismatch: -65, ..S }, 25));
+        assert!(!lane_eligible(Scoring { gap: -65, ..S }, 25));
+        assert!(!lane_eligible(Scoring { gap: i32::MIN, ..S }, 25));
+    }
+
+    #[test]
+    fn lane_kernel_reports_a_cell_at_the_floor() {
+        // No eligible input is known to sink a live cell to FLOOR, so drive
+        // the kernel directly past the x the dispatcher would give it:
+        // all-mismatch rows fall 64 per antidiagonal and x = i16::MAX keeps
+        // them alive down to −32 767, below FLOOR (−32 704), at row 511.
+        let sc = Scoring { match_score: 1, mismatch: -64, gap: -64 };
+        let (s, t) = (vec![b'A'; 600], vec![b'C'; 600]);
+        let mut ws = AlignWorkspace::new();
+        ws.lane_a.set_fwd(&s);
+        ws.lane_b.set_rev(&t);
+        let AlignWorkspace { xdrop_lanes, lane_a, lane_b, .. } = &mut ws;
+        let run = |x: i32, rows: &mut [Vec<i16>; 3]| {
+            xdrop_core_lanes(&lane_a.fwd, &lane_b.rev[1..], 600, 600, sc, x, rows)
+        };
+        assert_eq!(run(i16::MAX as i32, xdrop_lanes), None);
+        // One step shallower every live cell stays above it, and the result
+        // is the scalar kernel's.
+        let x = i16::MAX as i32 - 2 * LANE_MAX_PENALTY;
+        let scalar = xdrop_core::<false>(&s, &t, sc, x, &mut [Vec::new(), Vec::new(), Vec::new()]);
+        assert_eq!(run(x, xdrop_lanes), Some(scalar));
+    }
+
+    #[test]
+    fn rebase_keeps_long_extensions_exact() {
+        // 40 kb identical: the score passes REBASE_AT twice at +1 per base
+        // and many more times at +7.
+        let s = random_dna(40_000, 0xBE11A);
+        for sc in [S, Scoring { match_score: 7, mismatch: -5, gap: -3 }] {
+            for dir in [Dir::Fwd, Dir::Rev] {
+                let (scalar, simd) = both(&s, &s, dir, sc, 25);
+                assert_eq!(simd, scalar);
+                assert_eq!(scalar.score, sc.match_score * 40_000);
+                assert!(scalar.score > 2 * (REBASE_AT as i32 + LANE_MAX_PENALTY));
+            }
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! while a window is being counted.
 
 use dibella_align::{
-    banded_sw_with, banded_sw_with_workspace, extend_seed_with_workspace, extend_xdrop_with,
-    extend_xdrop_with_workspace, AlignWorkspace, KernelImpl, Scoring, SeedHit,
+    banded_sw_with, banded_sw_with_workspace, extend_seed_with, extend_seed_with_workspace,
+    extend_xdrop_with, extend_xdrop_with_workspace, AlignWorkspace, KernelImpl, Scoring,
+    SeedExtender, SeedHit,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,11 +97,11 @@ fn warmed_workspace_kernels_do_not_allocate() {
     });
     assert_eq!(n, 0, "shrunken follow-up call allocated {n}x");
 
-    // Both explicit kernel implementations — the lane-SIMD path lays the
-    // same buffers out with sentinel + lane padding and stages
-    // substitution scores in extra scratch; all of it must come from the
-    // reused workspace. Warm each path once (the first SIMD call may grow
-    // `sub_scores`/`rev_bytes`), then demand zero.
+    // Both explicit kernel implementations — the lane x-drop kernel has
+    // rows of its own (`i16`, sentinel + lane padding) and stages padded
+    // forward and reversed copies of both sequences; all of it must come
+    // from the reused workspace. Warm each path once (the first lane call
+    // grows those buffers), then demand zero.
     for imp in [KernelImpl::Scalar, KernelImpl::Simd] {
         let warm = extend_xdrop_with(&a, &b, sc, 25, &mut ws, imp);
         assert_eq!(warm, warm_x, "kernel implementations must agree");
@@ -111,15 +112,42 @@ fn warmed_workspace_kernels_do_not_allocate() {
         let (n, again) = allocs_during(|| banded_sw_with(&a, &b, 0, 32, sc, &mut ws, imp));
         assert_eq!(n, 0, "banded_sw_with({imp:?}) allocated {n}x in steady state");
         assert_eq!(again, warm_b);
-        // Alternating implementations over the same workspace must also
-        // be allocation-free once both are warm: layout switches reuse
-        // capacity, never reallocate.
-        let other = match imp {
-            KernelImpl::Scalar => KernelImpl::Simd,
-            KernelImpl::Simd => KernelImpl::Scalar,
-        };
-        let _ = extend_xdrop_with(&a, &b, sc, 25, &mut ws, other);
-        let (n, _) = allocs_during(|| extend_xdrop_with(&a, &b, sc, 25, &mut ws, imp));
-        assert_eq!(n, 0, "layout switch back to {imp:?} allocated {n}x");
     }
+
+    // Once both are warm, switching implementation call by call — scalar,
+    // lane, scalar, and an ineligible x that sends a lane call down the
+    // scalar path — never allocates either. (The wide x fills the whole
+    // matrix, so it gets a warm-up of its own: scalar rows are sized to
+    // the band.)
+    let _ = extend_xdrop_with(&a[..700], &b[..700], sc, 4_001, &mut ws, KernelImpl::Simd);
+    let (n, _) = allocs_during(|| {
+        for (imp, x) in [
+            (KernelImpl::Scalar, 25),
+            (KernelImpl::Simd, 25),
+            (KernelImpl::Scalar, 25),
+            (KernelImpl::Simd, 4_001),
+            (KernelImpl::Simd, 25),
+        ] {
+            let _ = extend_xdrop_with(&a[..700], &b[..700], sc, x, &mut ws, imp);
+        }
+    });
+    assert_eq!(n, 0, "scalar/lane/scalar switching allocated {n}x");
+
+    // A multi-seed task on the lane kernel: `a` staged once, `b` once, any
+    // number of seeds — and every seed equal to the one-shot call.
+    let seeds = [seed, small_seed, SeedHit { a_pos: 1_200, b_pos: 1_190, k: 17 }];
+    let expect: Vec<_> = seeds
+        .iter()
+        .map(|&hit| extend_seed_with(&a, &b, hit, sc, 25, &mut ws, KernelImpl::Scalar))
+        .collect();
+    let mut run = || {
+        let mut pair = SeedExtender::new(&a, sc, 25, &mut ws, KernelImpl::Simd);
+        pair.set_b(&b);
+        seeds.map(|hit| pair.extend(hit))
+    };
+    // Under DIBELLA_SIMD=scalar nothing above has staged all four copies.
+    let _ = run();
+    let (n, got) = allocs_during(run);
+    assert_eq!(n, 0, "SeedExtender allocated {n}x over a warm workspace");
+    assert_eq!(got.as_slice(), expect.as_slice());
 }

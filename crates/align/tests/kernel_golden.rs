@@ -50,6 +50,13 @@ const POLY_A: &[u8] = b"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA";
 const POLY_C: &[u8] = b"CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC";
 /// Homopolymer with a 4-base deletion relative to POLY_A.
 const POLY_A_SHORT: &[u8] = b"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA";
+/// Ten ACGT periods: only the main diagonal matches.
+const ACGT_40: &[u8] = b"ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT";
+/// The same behind a 30-base insertion.
+const N30_ACGT_40: &[u8] = b"NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT";
+/// A match worth twenty gaps: one new best lifts the pruning threshold
+/// past a whole chunk of front cells at once.
+const JUMPY: Scoring = Scoring { match_score: 20, mismatch: -1, gap: -1 };
 /// Saturation-boundary scoring: one step from the scalar kernel's
 /// NEG_INF = i32::MIN/4 sentinel arithmetic headroom.
 const HUGE: Scoring = Scoring { match_score: 1 << 20, mismatch: -(1 << 20), gap: -(1 << 20) };
@@ -69,6 +76,16 @@ fn xcases() -> Vec<XCase> {
         XCase { name: "huge_scores_match_run", s: POLY_A, t: POLY_A, scoring: HUGE, x: 1 << 20, expect: (41943040, 40, 40, 198) },
         XCase { name: "huge_scores_mismatch", s: POLY_A, t: POLY_C, scoring: HUGE, x: 1 << 20, expect: (0, 0, 0, 7) },
         XCase { name: "asymmetric_lengths", s: b"ACGTACGTACGTACGTACGT", t: b"ACG", scoring: BELLA, x: 8, expect: (3, 3, 3, 39) },
+        // Lane-kernel row shapes: a band that narrows to one cell on every
+        // other antidiagonal, a row losing more than a chunk of front cells
+        // in one pruning step, and rows shorter than one chunk throughout.
+        XCase { name: "one_cell_band", s: ACGT_40, t: ACGT_40, scoring: BELLA, x: 1, expect: (40, 40, 40, 198) },
+        XCase { name: "front_pruned_in_bulk", s: N30_ACGT_40, t: ACGT_40, scoring: JUMPY, x: 40, expect: (770, 70, 40, 1051) },
+        // x < match + |gap|: a cell past the row's last candidate sees a live
+        // diagonal source and would outscore the true best if the lane
+        // kernel's tail mask let it into the row maximum.
+        XCase { name: "live_diagonal_past_row_end", s: b"TCGGCCAG", t: b"AAGTATTCAG", scoring: Scoring { match_score: 5, mismatch: -1, gap: -1 }, x: 4, expect: (8, 3, 10, 53) },
+        XCase { name: "sub_lane_pair", s: b"ACGTA", t: b"ACTTAGGCATTA", scoring: BELLA, x: 6, expect: (3, 5, 5, 59) },
     ]
 }
 

@@ -4,14 +4,16 @@
 //!
 //! Every case drives **both** implementations through ONE thread-local
 //! [`AlignWorkspace`] that is never reset, so the ~1k random inputs
-//! double as a dirty-reuse test: the SIMD kernels lay the shared row
-//! buffers out differently (sentinel slot + lane padding), and any
-//! stale-scratch leak between layouts would diverge here. Sweeps cover
-//! sequence lengths from 0 to 4k (including lengths below one SIMD
+//! double as a dirty-reuse test: the lane x-drop kernel never
+//! re-initializes its rows or staged sequence copies, the banded kernels
+//! share theirs, and any stale-scratch leak would diverge here. Sweeps
+//! cover sequence lengths from 0 to 4k (including lengths below one SIMD
 //! lane), PacBio-like error rates, random scoring parameters, the x-drop
 //! `X`, band center/width clamped at matrix edges, and both walk
 //! directions; scores, extents, `cells` tallies and CIGARs must all be
-//! identical.
+//! identical. Two deterministic cases reach what 4 kb cannot: 40–70 kb
+//! pairs whose scores cross the lane kernel's rebase point several times,
+//! and the scoring / `x` values either side of its eligibility bounds.
 
 use dibella_align::{
     banded_sw_with, extend_seed_with, extend_xdrop_dir_with, global_alignment,
@@ -78,9 +80,9 @@ fn xdrop_both(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(250))]
 
-    /// Sub-lane and tiny inputs (0..16 bases — shorter than one 8-wide
-    /// SIMD lane) with random scoring and x: the all-edge regime where a
-    /// masking or padding bug would live.
+    /// Sub-lane and tiny inputs (0..16 bases — shorter than one 16-wide
+    /// x-drop chunk) with random scoring and x: the all-edge regime where
+    /// a masking or padding bug would live.
     #[test]
     fn sublane_xdrop_identical(
         s in dna(0..16),
@@ -218,5 +220,96 @@ proptest! {
             )
         });
         prop_assert_eq!(simd, scalar);
+    }
+}
+
+/// xorshift64 step.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// `len` uniformly random bases.
+fn random_dna(len: usize, state: &mut u64) -> Vec<u8> {
+    (0..len).map(|_| b"ACGT"[(next(state) % 4) as usize]).collect()
+}
+
+/// A copy of `template` with substitutions, deletions and insertions at
+/// a total rate of `err` (4 : 3 : 3).
+fn noisy_copy(template: &[u8], err: f64, state: &mut u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(template.len() + template.len() / 8);
+    for &base in template {
+        let r = (next(state) % 1_000_000) as f64 / 1e6;
+        let other = b"ACGT"[(next(state) % 4) as usize];
+        if r < err * 0.4 {
+            out.push(other);
+        } else if r < err * 0.7 {
+            // deletion
+        } else if r < err {
+            out.push(other);
+            out.push(base);
+        } else {
+            out.push(base);
+        }
+    }
+    out
+}
+
+/// Long-read pairs far beyond the proptest sizes: the lane kernel stores
+/// scores relative to an offset it rebases every ~16 000 score, so only
+/// tens of kilobases of extension exercise that path at all. Lengths,
+/// error rates, both directions, unit and non-unit scoring, two `x`.
+#[test]
+fn long_pairs_identical_across_rebases() {
+    let mut state = 0x00D1_BE11_A5EE_D000u64;
+    let non_unit = Scoring::new(3, -2, -2);
+    let mut most_rebases = [0i32; 2];
+    for (len, err) in [(70_000usize, 0.0f64), (60_000, 0.01), (50_000, 0.05), (40_000, 0.15)] {
+        let template = random_dna(len, &mut state);
+        let a = noisy_copy(&template, err, &mut state);
+        let b = noisy_copy(&template, err, &mut state);
+        for (which, sc) in [Scoring::bella(), non_unit].into_iter().enumerate() {
+            for x in [25, 100] {
+                for dir in [Dir::Fwd, Dir::Rev] {
+                    let (scalar, simd) = xdrop_both(&a, &b, dir, sc, x);
+                    assert_eq!(simd, scalar, "len {len} err {err} {sc:?} x {x} {dir:?}");
+                    // The kernel rebases each time the relative best passes
+                    // 16 000 and a row adds at most 64 to it.
+                    most_rebases[which] = most_rebases[which].max(scalar.score / 16_064);
+                }
+            }
+        }
+    }
+    assert!(most_rebases[0] >= 2, "unit scoring crossed {} rebases", most_rebases[0]);
+    assert!(most_rebases[1] >= 2, "non-unit scoring crossed {} rebases", most_rebases[1]);
+}
+
+/// The lane kernel takes `x ≤ 4000` and score magnitudes `≤ 64`; beyond
+/// either, `KernelImpl::Simd` runs the scalar kernel. The largest
+/// eligible and smallest ineligible value of each parameter must give
+/// the scalar result through both — a boundary that only shows if the
+/// 16-bit rows mishandle the extreme they are specified for.
+#[test]
+fn eligibility_boundary_is_invisible() {
+    let mut state = 0x0E11_61B1_E000_0001u64;
+    let template = random_dna(700, &mut state);
+    let a = noisy_copy(&template, 0.03, &mut state);
+    let b = noisy_copy(&template, 0.03, &mut state);
+    let base = Scoring::bella();
+    let mut cases = vec![(base, 4_000), (base, 4_001)];
+    for v in [64, 65] {
+        cases.push((Scoring { match_score: v, ..base }, 200));
+        cases.push((Scoring { mismatch: -v, ..base }, 200));
+        cases.push((Scoring { gap: -v, ..base }, 200));
+        cases.push((Scoring { match_score: v, mismatch: -v, gap: -v }, 4_000));
+    }
+    for (sc, x) in cases {
+        for dir in [Dir::Fwd, Dir::Rev] {
+            let (scalar, simd) = xdrop_both(&a, &b, dir, sc, x);
+            assert_eq!(simd, scalar, "{sc:?} x {x} {dir:?}");
+            assert!(scalar.cells > 500, "{sc:?} x {x}: extension too small to be probative");
+        }
     }
 }

@@ -22,6 +22,12 @@
 //!   figure);
 //! * **task/s** of a 4-rank end-to-end pipeline on the sampled E. coli
 //!   30× workload — the number a perf regression in any stage moves;
+//! * **stage-4 reconciliation** (schema `/4`) — the same workload on one
+//!   rank: stage-4 DP cells over stage-4 compute time, next to the lane
+//!   kernel's cells/s. The two must agree within
+//!   [`RECONCILE_FACTOR`] either way (asserted here and in CI), so a gap
+//!   between them says whether the next stage-4 speedup is in the kernel
+//!   or in the task loop around it;
 //! * **spgemm rows/s** (schema `/3`) — the SpGEMM overlap engine's
 //!   row-block accumulator variants (dense, hash, and the auto selector)
 //!   packing the shared [`dibella_bench::spgemm_fixture`] table, with
@@ -73,6 +79,13 @@ const PAIR_LEN: usize = 2_000;
 const ERROR_RATE: f64 = 0.15;
 const XDROP_X: i32 = 25;
 const KERNEL_ITERS: u32 = 60;
+
+/// Stage-4 compute must lie within this factor of `dp_cells / kernel
+/// cells/s`, either way. The kernel rate comes from one 2 kb pair, the
+/// stage from ~170 pairs of 1–20 kb with per-task orientation and staging
+/// on top, and both are single-shot wall times on a shared host: 2× is
+/// the spread that leaves, not a target.
+const RECONCILE_FACTOR: f64 = 2.0;
 
 const SPGEMM_READS: u32 = 256;
 const SPGEMM_KMERS: usize = 2_000;
@@ -193,8 +206,29 @@ fn main() {
     let dp_cells: u64 = res.reports.iter().map(|r| r.align.dp_cells).sum();
     let tasks_per_sec = tasks as f64 / pipe_wall;
 
+    // ---- stage-4 reconciliation: pipeline cells/s vs kernel cells/s --------
+    // One rank, so the stage's compute time is one thread's and not four
+    // ranks' time-sliced over however many cores the host has.
+    let solo = &run_pipeline(&ds.reads, 1, &cfg).reports[0];
+    let stage4_cells = solo.align.dp_cells;
+    let stage4_s = solo.align_wall.compute().as_secs_f64();
+    let stage4_rate = stage4_cells as f64 / stage4_s;
+    let predicted_s = stage4_cells as f64 / seed_simd.0;
+    let measured_over_predicted = stage4_s / predicted_s;
+    eprintln!(
+        "stage 4: {:.0} Mcell/s in the pipeline ({stage4_cells} cells in {stage4_s:.3} s) vs {:.0} Mcell/s \
+         in the kernel bench: measured / predicted = {measured_over_predicted:.2}",
+        stage4_rate / 1e6,
+        seed_simd.0 / 1e6,
+    );
+    assert!(
+        (1.0 / RECONCILE_FACTOR..=RECONCILE_FACTOR).contains(&measured_over_predicted),
+        "stage-4 compute {stage4_s:.3} s is not within {RECONCILE_FACTOR}x of the {predicted_s:.3} s \
+         that kernel cells/s x stage DP cells predicts"
+    );
+
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/3\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{},\n{},\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2}, \"banded\": {:.2} }},\n  \"allocs_eliminated_per_call\": {:.2},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/4\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{},\n{},\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2}, \"banded\": {:.2} }},\n  \"allocs_eliminated_per_call\": {:.2},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         kernel_json("seed_xdrop_legacy", seed_legacy),
@@ -210,6 +244,7 @@ fn main() {
         spgemm_rows_per_sec[0],
         spgemm_rows_per_sec[1],
         spgemm_rows_per_sec[2],
+        seed_simd.0,
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     print!("{json}");

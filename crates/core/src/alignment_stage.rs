@@ -29,7 +29,7 @@
 
 use crate::config::PipelineConfig;
 use crate::record::AlignmentRecord;
-use dibella_align::{extend_seed_with_workspace, AlignWorkspace, SeedHit};
+use dibella_align::{AlignWorkspace, SeedExtender, SeedHit, SimdMode};
 use dibella_comm::{decode_iter, encode_slice, BatchedExecutor, ByteRounds, Comm, RoundExchange};
 use dibella_io::{ReadId, ReadStore};
 use dibella_kmer::base::reverse_complement_ascii_into;
@@ -251,11 +251,9 @@ fn align_batch(
     let mut counters = AlignCounters::default();
     let mut out = Vec::new();
     let k = cfg.k;
-    // Pin this worker thread's kernel implementation for the batch:
-    // `Some(mode)` from the config wins, `None` defers to the
-    // `DIBELLA_SIMD` environment knob. Set per batch (not per pipeline)
-    // because executor threads outlive any one `PipelineConfig`.
-    dibella_align::set_thread_simd_mode(cfg.simd);
+    // Resolve the kernel once for the batch: `Some(mode)` from the config
+    // wins, `None` defers to the `DIBELLA_SIMD` environment knob.
+    let imp = cfg.simd.unwrap_or_else(SimdMode::from_env).kernel();
     WORKSPACE.with(|cell| {
         let ws = &mut *cell.borrow_mut();
         // Detach the reverse-complement buffer so the kernels can borrow
@@ -272,19 +270,24 @@ fn align_batch(
                 .unwrap_or_else(|| panic!("read {} unavailable for alignment", task.pair.b));
             // Orientation of b, computed at most once per task, into the
             // reusable buffer.
-            let mut rc_filled = false;
+            if task.seeds.iter().any(|seed| seed.reverse) {
+                reverse_complement_ascii_into(b_seq, &mut rc);
+            }
+            // The extender stages `a` once per task and `b` once per run of
+            // equally oriented seeds (one run, for almost every task).
+            let mut pair = SeedExtender::new(a_seq, cfg.scoring, cfg.xdrop, ws, imp);
+            let mut staged: Option<bool> = None;
             for seed in &task.seeds {
-                let (b_oriented, b_pos): (&[u8], usize) = if seed.reverse {
-                    if !rc_filled {
-                        reverse_complement_ascii_into(b_seq, &mut rc);
-                        rc_filled = true;
-                    }
-                    (rc.as_slice(), b_seq.len() - k - seed.b_pos as usize)
+                if staged != Some(seed.reverse) {
+                    pair.set_b(if seed.reverse { &rc } else { b_seq });
+                    staged = Some(seed.reverse);
+                }
+                let b_pos = if seed.reverse {
+                    b_seq.len() - k - seed.b_pos as usize
                 } else {
-                    (b_seq, seed.b_pos as usize)
+                    seed.b_pos as usize
                 };
-                let hit = SeedHit { a_pos: seed.a_pos as usize, b_pos, k };
-                let al = extend_seed_with_workspace(a_seq, b_oriented, hit, cfg.scoring, cfg.xdrop, ws);
+                let al = pair.extend(SeedHit { a_pos: seed.a_pos as usize, b_pos, k });
                 counters.alignments += 1;
                 counters.dp_cells += al.cells;
                 if al.score >= cfg.min_align_score {

@@ -132,7 +132,7 @@ pub struct PipelineConfig {
     /// (virtual Cori, Edison, Titan or AWS) would have charged.
     pub transport: TransportKind,
     /// Alignment-kernel implementation for stage 4: `Some(mode)` pins it
-    /// for every worker thread; `None` (the default) defers to the
+    /// for every batch; `None` (the default) defers to the
     /// `DIBELLA_SIMD` environment knob (itself defaulting to
     /// [`SimdMode::Auto`], the lane-SIMD kernels). Scalar and SIMD
     /// kernels are bit-identical, so this only moves throughput. The CLI
@@ -339,7 +339,7 @@ mod tests {
 
     #[test]
     fn simd_knob_defaults_to_env_fallback() {
-        // None = resolve per worker thread from DIBELLA_SIMD at batch time.
+        // None = resolve from DIBELLA_SIMD at batch time.
         assert_eq!(PipelineConfig::default().simd, None);
         let cfg = PipelineConfig { simd: Some(SimdMode::Scalar), ..Default::default() };
         assert_eq!(cfg.simd, Some(SimdMode::Scalar));

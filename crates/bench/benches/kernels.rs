@@ -9,10 +9,10 @@ use dibella_align::{
     extend_seed_with_workspace, extend_ungapped, extend_xdrop, extend_xdrop_with_workspace,
     smith_waterman, AlignWorkspace, KernelImpl, Scoring, SeedHit,
 };
-use dibella_bench::spgemm_fixture;
+use dibella_bench::{chain_fixture, spgemm_fixture};
 use dibella_datagen::ErrorModel;
 use dibella_kcount::ReadKmerCsr;
-use dibella_overlap::{pack_row_block, SpgemmAccumulator, TaskPlacement};
+use dibella_overlap::{chain_seeds, pack_row_block, ChainConfig, SpgemmAccumulator, TaskPlacement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -144,6 +144,28 @@ fn bench_spgemm_rows(c: &mut Criterion) {
     g.finish();
 }
 
+/// Colinear chaining in seeds/s (one element = one input seed) on the
+/// shared colinear-plus-noise fixture. The rate may fall with `n` only by
+/// the `log n` of the sweep — `bench_kernels_json` tracks the 8 192 / 256
+/// ratio in `BENCH_kernels.json` and CI bounds it.
+fn bench_chain_seeds(c: &mut Criterion) {
+    let cfg = ChainConfig { min_chain_seeds: 2 };
+    let mut g = c.benchmark_group("chain_seeds_per_sec");
+    g.sample_size(10);
+    for n in [256usize, 8_192] {
+        let seeds = chain_fixture(n, 0xC4A1_5EED);
+        g.throughput(Throughput::Elements(seeds.len() as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(n), &seeds, |bench, seeds| {
+            bench.iter(|| {
+                let mut s = seeds.clone();
+                black_box(chain_seeds(&mut s, &cfg));
+                s
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Ablation: the x-drop threshold X trades completed extension length
 /// (score) against DP cells.
 fn bench_xdrop_ablation(c: &mut Criterion) {
@@ -205,6 +227,7 @@ criterion_group!(
     bench_kernels,
     bench_workspace_kernels,
     bench_spgemm_rows,
+    bench_chain_seeds,
     bench_xdrop_ablation,
     bench_xdrop_scaling,
     bench_xdrop_divergent

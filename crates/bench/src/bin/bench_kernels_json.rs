@@ -31,7 +31,14 @@
 //! * **spgemm rows/s** (schema `/3`) — the SpGEMM overlap engine's
 //!   row-block accumulator variants (dense, hash, and the auto selector)
 //!   packing the shared [`dibella_bench::spgemm_fixture`] table, with
-//!   their byte-identity asserted before timing.
+//!   their byte-identity asserted before timing;
+//! * **chain seeds/s** (schema `/5`) — `chain_seeds` on the shared
+//!   [`dibella_bench::chain_fixture`] at 256 and 8 192 seeds. The figure
+//!   that matters is the *ratio* of the two rates: a linearithmic chain
+//!   keeps about half its rate over the 32× larger list, one whose
+//!   per-seed cost is linear in `n` would keep 1/32, and
+//!   [`CHAIN_MIN_RATE_RATIO`] (asserted here and in CI) tells them apart
+//!   on any host.
 //!
 //! Perf PRs diff this file to leave a measurable trajectory; the numbers
 //! are machine-dependent, so compare ratios, not absolutes, across hosts.
@@ -39,12 +46,12 @@
 use dibella_align::{
     banded_sw_with, extend_seed, extend_seed_with, AlignWorkspace, KernelImpl, Scoring, SeedHit,
 };
-use dibella_bench::spgemm_fixture;
+use dibella_bench::{chain_fixture, spgemm_fixture};
 use dibella_core::{run_pipeline, PipelineConfig};
 use dibella_datagen::{ecoli_30x_sample_like, ErrorModel};
 use dibella_io::ReadPartition;
 use dibella_kcount::ReadKmerCsr;
-use dibella_overlap::{pack_row_block, SpgemmAccumulator, TaskPlacement};
+use dibella_overlap::{chain_seeds, pack_row_block, ChainConfig, SpgemmAccumulator, TaskPlacement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,6 +99,15 @@ const SPGEMM_KMERS: usize = 2_000;
 const SPGEMM_RANKS: usize = 4;
 const SPGEMM_BLOCK: usize = 64;
 const SPGEMM_ITERS: u32 = 40;
+
+const CHAIN_SIZES: [usize; 2] = [256, 8_192];
+/// Input seeds chained per measured size (iterations = this / n), so both
+/// sizes are timed over the same amount of input.
+const CHAIN_SEEDS_TIMED: usize = 1 << 20;
+/// Floor on `rate(8 192) / rate(256)`: half of the ~0.5 the sweep
+/// measures (its `log n` plus the larger working set), eight times the
+/// 1/32 an all-predecessors scan would leave.
+const CHAIN_MIN_RATE_RATIO: f64 = 0.25;
 
 /// Pack the whole fixture CSR through one accumulator variant:
 /// per-destination byte streams plus record/seed totals.
@@ -196,6 +212,34 @@ fn main() {
             (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
     }
 
+    // ---- colinear chaining: seeds/s at two sizes ---------------------------
+    let chain_cfg = ChainConfig { min_chain_seeds: 2 };
+    let chain_rates = CHAIN_SIZES.map(|n| {
+        let seeds = chain_fixture(n, 0xC4A1_5EED);
+        let iters = CHAIN_SEEDS_TIMED / n;
+        let run = || {
+            let mut s = seeds.clone();
+            assert!(chain_seeds(&mut s, &chain_cfg), "fixture diagonal must chain");
+            black_box(s);
+        };
+        run(); // warm-up, untimed
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            run();
+        }
+        (seeds.len() * iters) as f64 / t0.elapsed().as_secs_f64()
+    });
+    let chain_ratio = chain_rates[1] / chain_rates[0];
+    assert!(
+        chain_ratio >= CHAIN_MIN_RATE_RATIO,
+        "chain_seeds runs at {:.0} seeds/s on {} seeds but {:.0} on {}: ratio {chain_ratio:.3} is \
+         under {CHAIN_MIN_RATE_RATIO}, the per-seed cost grows with the list",
+        chain_rates[1],
+        CHAIN_SIZES[1],
+        chain_rates[0],
+        CHAIN_SIZES[0],
+    );
+
     // ---- 4-rank end-to-end pipeline ----------------------------------------
     let ds = ecoli_30x_sample_like(0.004, 42);
     let cfg = PipelineConfig { k: 17, max_seeds_per_pair: 4, ..Default::default() };
@@ -228,7 +272,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/4\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{},\n{},\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2}, \"banded\": {:.2} }},\n  \"allocs_eliminated_per_call\": {:.2},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/5\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{},\n{},\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2}, \"banded\": {:.2} }},\n  \"allocs_eliminated_per_call\": {:.2},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         kernel_json("seed_xdrop_legacy", seed_legacy),
@@ -244,6 +288,8 @@ fn main() {
         spgemm_rows_per_sec[0],
         spgemm_rows_per_sec[1],
         spgemm_rows_per_sec[2],
+        chain_rates[0],
+        chain_rates[1],
         seed_simd.0,
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));

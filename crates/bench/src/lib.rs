@@ -46,7 +46,7 @@ use dibella_io::ReadPartition;
 use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence};
 use dibella_kmer::{Kmer1, Strand};
 use dibella_netmodel::{NodeMapping, Platform, Series};
-use dibella_overlap::{OverlapConfig, OverlapEngine, SeedPolicy};
+use dibella_overlap::{OverlapConfig, OverlapEngine, SeedPolicy, SharedSeed};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -218,6 +218,41 @@ pub fn spgemm_fixture(n_reads: u32, n_kmers: usize, ranks: usize, seed: u64) -> 
         .map(|r| per.min((n_reads as usize).saturating_sub(r * per)))
         .collect();
     (table, ReadPartition::from_counts(&counts))
+}
+
+/// Deterministic colinear-plus-noise seed list for the chaining benches,
+/// sorted and deduplicated as [`dibella_overlap::chain_seeds`] requires:
+/// three of four seeds sit on one forward diagonal with a few bases of
+/// indel jitter, the rest are uniform noise of either orientation — the
+/// shape of one HiFi pair's minimizer hits. The `chain_seeds_per_sec`
+/// Criterion group and the `bench_kernels_json` baseline writer share it,
+/// at several `n`, so the rate *ratio* between sizes is comparable.
+pub fn chain_fixture(n: usize, seed: u64) -> Vec<SharedSeed> {
+    let mut state = seed | 1;
+    let mut rnd = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let span = 16 * n as u64;
+    let mut seeds: Vec<SharedSeed> = (0..n as u64)
+        .map(|i| {
+            if rnd() % 4 != 0 {
+                let a = 16 * i + rnd() % 8;
+                SharedSeed { a_pos: a as u32, b_pos: (a + 500 + rnd() % 5) as u32, reverse: false }
+            } else {
+                SharedSeed {
+                    a_pos: (rnd() % span) as u32,
+                    b_pos: (rnd() % span) as u32,
+                    reverse: rnd() % 2 == 0,
+                }
+            }
+        })
+        .collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    seeds
 }
 
 /// Construct a workload's synthetic dataset at the bench scale.

@@ -29,14 +29,17 @@
 
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
+use std::sync::Mutex;
 
 /// Deterministic batched map executor shared by stages 1–4.
 ///
 /// `new(threads)` resolves the pipeline `threads` knob once; stages then
 /// call [`map_indexed`](Self::map_indexed) (batch descriptors computed
-/// from the index) or [`map_batches`](Self::map_batches) (batches are
-/// slices of a task list). Width 1 short-circuits to a plain sequential
-/// loop — the single-threaded pipeline pays no pool or scheduling cost.
+/// from the index), [`map_batches`](Self::map_batches) (batches are
+/// slices of a task list) or [`map_batches_mut`](Self::map_batches_mut)
+/// (batches consume their slice in place). Width 1 short-circuits to a
+/// plain sequential loop — the single-threaded pipeline pays no pool or
+/// scheduling cost.
 #[derive(Debug)]
 pub struct BatchedExecutor {
     /// `None` when width is 1 (sequential fast path).
@@ -110,6 +113,27 @@ impl BatchedExecutor {
             f(&items[lo..hi])
         })
     }
+
+    /// [`map_batches`](Self::map_batches) over exclusive chunks: each
+    /// batch may move out of or rewrite its own items, so a stage can hand
+    /// owned buffers through the executor without copying them. Results
+    /// are collected **in chunk order**.
+    pub fn map_batches_mut<T, R, F>(&self, items: &mut [T], batch: usize, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(&mut [T]) -> R + Sync,
+    {
+        assert!(batch > 0, "batch size must be non-zero");
+        // One uncontended lock per chunk turns the disjoint `&mut` chunks
+        // into something `map_indexed`'s shared closure can reach; every
+        // index is claimed exactly once.
+        let chunks: Vec<Mutex<&mut [T]>> = items.chunks_mut(batch).map(Mutex::new).collect();
+        self.map_indexed(chunks.len(), |i| {
+            let mut chunk = chunks[i].lock().expect("chunk lock is taken once, by its own batch");
+            f(&mut chunk)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -128,6 +152,26 @@ mod tests {
             let got: Vec<u64> =
                 exec.map_batches(&items, 32, |b| b.iter().map(|&x| x as u64).sum::<u64>());
             assert_eq!(got, want, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn map_batches_mut_consumes_chunks_in_order_at_any_width() {
+        let run = |threads: usize| {
+            let mut items: Vec<Vec<u32>> = (0..203u32).map(|i| vec![i; (i % 5) as usize]).collect();
+            let exec = BatchedExecutor::new(threads);
+            let sums: Vec<(usize, u64)> = exec.map_batches_mut(&mut items, 16, |chunk| {
+                let taken: Vec<Vec<u32>> = chunk.iter_mut().map(std::mem::take).collect();
+                (taken.len(), taken.iter().flatten().map(|&x| x as u64).sum())
+            });
+            assert!(items.iter().all(Vec::is_empty), "every chunk was visited");
+            sums
+        };
+        let want = run(1);
+        assert_eq!(want.len(), 203usize.div_ceil(16));
+        assert_eq!(want.last().unwrap().0, 203 % 16);
+        for threads in [2usize, 4] {
+            assert_eq!(run(threads), want, "threads = {threads}");
         }
     }
 
@@ -151,6 +195,8 @@ mod tests {
     fn empty_input() {
         let exec = BatchedExecutor::new(4);
         let got: Vec<u64> = exec.map_batches(&[] as &[u32], 8, |_| 0u64);
+        assert!(got.is_empty());
+        let got: Vec<u64> = exec.map_batches_mut(&mut [] as &mut [u32], 8, |_| 0u64);
         assert!(got.is_empty());
         let got = exec.map_indexed(0, |i| i);
         assert!(got.is_empty());

@@ -25,7 +25,9 @@ pub mod task;
 
 pub use chain::{chain_seeds, ChainConfig};
 pub use policy::SeedPolicy;
-pub use spgemm::{decode_pair_records, pack_row_block, SpgemmAccumulator, SpgemmBlockOut};
+pub use spgemm::{
+    decode_pair_records, pack_row_block, RecordSeeds, SpgemmAccumulator, SpgemmBlockOut,
+};
 pub use stage::{
     overlap_stage, overlap_stage_with_lengths, reference_pairs, OverlapConfig, OverlapCounters,
     OverlapEngine, OverlapOutput,

@@ -212,28 +212,50 @@ pub fn pack_row_block(
     out
 }
 
-/// Decode a buffer of pair records, invoking `f(pair, seed)` for every
-/// carried seed (in record, then seed order). Returns the record count.
+/// The seeds one wire record carries, decoded lazily in wire order.
+#[derive(Clone, Debug)]
+pub struct RecordSeeds<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for RecordSeeds<'_> {
+    type Item = SharedSeed;
+
+    fn next(&mut self) -> Option<SharedSeed> {
+        let s = self.0.next()?;
+        let packed = u32_at(s, 4);
+        Some(SharedSeed { a_pos: u32_at(s, 0), b_pos: packed & !(1 << 31), reverse: packed >> 31 == 1 })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RecordSeeds<'_> {}
+
+fn u32_at(bytes: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte field"))
+}
+
+/// Decode a buffer of pair records, invoking `f(pair, seeds)` once per
+/// record with the seeds it carries, so a consumer pays its per-pair cost
+/// per record, not per seed. Returns the record count.
 ///
 /// # Panics
 /// Panics if `buf` is not a whole number of records.
-pub fn decode_pair_records(buf: &[u8], mut f: impl FnMut(ReadPair, SharedSeed)) -> u64 {
-    let u32_at = |off: usize| u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-    let mut off = 0usize;
+pub fn decode_pair_records(buf: &[u8], mut f: impl FnMut(ReadPair, RecordSeeds<'_>)) -> u64 {
+    let mut rest = buf;
     let mut records = 0u64;
-    while off < buf.len() {
-        assert!(buf.len() - off >= RECORD_HEADER_BYTES, "truncated record header");
-        let (a, b, n) = (u32_at(off), u32_at(off + 4), u32_at(off + 8) as usize);
-        off += RECORD_HEADER_BYTES;
-        assert!(buf.len() - off >= SEED_BYTES * n, "truncated seed list");
-        for _ in 0..n {
-            let (a_pos, packed) = (u32_at(off), u32_at(off + 4));
-            off += SEED_BYTES;
-            f(
-                ReadPair { a, b },
-                SharedSeed { a_pos, b_pos: packed & !(1 << 31), reverse: packed >> 31 == 1 },
-            );
-        }
+    while !rest.is_empty() {
+        assert!(rest.len() >= RECORD_HEADER_BYTES, "truncated record header");
+        let (header, body) = rest.split_at(RECORD_HEADER_BYTES);
+        let (a, b, n) = (u32_at(header, 0), u32_at(header, 4), u32_at(header, 8) as usize);
+        let seed_bytes = SEED_BYTES
+            .checked_mul(n)
+            .filter(|&need| need <= body.len())
+            .expect("truncated seed list");
+        let (seeds, tail) = body.split_at(seed_bytes);
+        f(ReadPair { a, b }, RecordSeeds(seeds.chunks_exact(SEED_BYTES)));
+        rest = tail;
         records += 1;
     }
     records
@@ -293,9 +315,9 @@ pub(crate) fn spgemm_exchange(
         |round| split.pack(round, &bufs),
         |_round, recv| {
             for buf in recv {
-                decode_pair_records(&buf, |pair, seed| {
-                    received_seeds += 1;
-                    pairs.push(pair, seed);
+                decode_pair_records(&buf, |pair, seeds| {
+                    received_seeds += seeds.len() as u64;
+                    pairs.extend(pair, seeds);
                 });
             }
         },
@@ -374,7 +396,7 @@ mod tests {
         );
         assert_eq!(out.lens[0].iter().sum::<usize>(), out.bufs[0].len());
         let mut got: Vec<(ReadPair, SharedSeed)> = Vec::new();
-        let records = decode_pair_records(&out.bufs[0], |p, s| got.push((p, s)));
+        let records = decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
         assert_eq!(records, 2);
         let mut want = vec![
             (ReadPair::new(0, 1), SharedSeed { a_pos: 3, b_pos: 7, reverse: false }),
@@ -445,7 +467,7 @@ mod tests {
             SpgemmAccumulator::Hash,
         );
         let mut got = Vec::new();
-        decode_pair_records(&out.bufs[0], |p, s| got.push((p, s)));
+        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
         assert_eq!(
             got,
             vec![(
@@ -453,5 +475,50 @@ mod tests {
                 SharedSeed { a_pos: 123_456, b_pos: 654_321, reverse: true }
             )]
         );
+    }
+
+    /// A well-formed record: pair (3, 9), two seeds.
+    fn one_record() -> Vec<u8> {
+        [3u32, 9, 2, 10, 20, 30, 40 | 1 << 31].iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn decode_hands_each_record_its_seeds_once() {
+        let mut buf = one_record();
+        buf.extend_from_slice(&one_record());
+        let mut calls = Vec::new();
+        let records = decode_pair_records(&buf, |p, seeds| {
+            let n = seeds.len();
+            calls.push((p, n, seeds.collect::<Vec<_>>()));
+        });
+        assert_eq!(records, 2);
+        let seeds = vec![
+            SharedSeed { a_pos: 10, b_pos: 20, reverse: false },
+            SharedSeed { a_pos: 30, b_pos: 40, reverse: true },
+        ];
+        assert_eq!(calls, vec![(ReadPair::new(3, 9), 2, seeds.clone()), (ReadPair::new(3, 9), 2, seeds)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated record header")]
+    fn decode_rejects_a_cut_header() {
+        let mut buf = one_record();
+        buf.extend_from_slice(&one_record()[..RECORD_HEADER_BYTES - 1]);
+        decode_pair_records(&buf, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated seed list")]
+    fn decode_rejects_a_cut_seed_list() {
+        let buf = one_record();
+        decode_pair_records(&buf[..buf.len() - 1], |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated seed list")]
+    fn decode_rejects_a_seed_count_beyond_the_buffer() {
+        let mut buf = one_record();
+        buf[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        decode_pair_records(&buf, |_, _| {});
     }
 }

@@ -28,7 +28,10 @@
 //! enumerated in parallel, and per-destination buffers are concatenated
 //! in batch order — so the task stream is bit-identical at any thread
 //! count (and downstream sort/dedup makes the *output* independent even
-//! of the table's iteration order).
+//! of the table's iteration order). The shared epilogue runs on the same
+//! executor: the consolidated pairs, sorted by [`ReadPair`], are cut into
+//! fixed batches whose seed lists are canonicalized, chained and
+//! policy-filtered in place, and tasks and counters merge in batch order.
 
 use crate::chain::{chain_seeds, ChainConfig};
 use crate::policy::SeedPolicy;
@@ -321,33 +324,60 @@ pub fn overlap_stage_with_lengths(
 
     // ---- chain, filter seeds, emit deterministic task list ---------------
     // Shared epilogue: both engines deliver the same per-pair seed
-    // multisets, so everything from here on is engine-independent.
-    let mut tasks: Vec<OverlapTask> = exch
-        .pairs
-        .into_map()
-        .into_iter()
-        .filter_map(|(pair, mut seeds)| {
-            seeds.sort_unstable();
-            seeds.dedup();
-            if let Some(chain_cfg) = &cfg.chain {
-                let before = seeds.len() as u64;
-                if !chain_seeds(&mut seeds, chain_cfg) {
-                    counters.pairs_chain_dropped += 1;
-                    counters.seeds_dropped += before;
-                    return None;
-                }
-                counters.seeds_dropped += before - seeds.len() as u64;
-            }
-            counters.pairs_consolidated += 1;
-            let dropped = cfg.policy.apply(&mut seeds, cfg.max_seeds_per_pair);
-            counters.seeds_dropped += dropped as u64;
-            counters.seeds_kept += seeds.len() as u64;
-            Some(OverlapTask { pair, seeds })
-        })
-        .collect();
-    tasks.sort_unstable_by_key(|t| t.pair);
+    // multisets, so everything from here on is engine-independent. Sorting
+    // the pairs first makes the batches — fixed cuts of the sorted list —
+    // a pure function of the input, and concatenating batch results in
+    // batch order leaves the tasks sorted by pair.
+    let mut pairs: Vec<(ReadPair, Vec<SharedSeed>)> = exch.pairs.into_map().into_iter().collect();
+    pairs.sort_unstable_by_key(|&(pair, _)| pair);
+    let parts =
+        exec.map_batches_mut(&mut pairs, EPILOGUE_BATCH_PAIRS, |batch| finish_pairs(batch, cfg));
+    let mut tasks: Vec<OverlapTask> = Vec::with_capacity(pairs.len());
+    for (batch_tasks, c) in parts {
+        tasks.extend(batch_tasks);
+        counters.pairs_chain_dropped += c.pairs_chain_dropped;
+        counters.seeds_dropped += c.seeds_dropped;
+        counters.pairs_consolidated += c.pairs_consolidated;
+        counters.seeds_kept += c.seeds_kept;
+    }
 
     OverlapOutput { tasks, counters }
+}
+
+/// Consolidated pairs per executor batch of the shared epilogue. A pure
+/// function of the input — never of the thread count.
+const EPILOGUE_BATCH_PAIRS: usize = 64;
+
+/// One epilogue batch: canonicalize, chain and policy-filter each pair's
+/// seed list, taking the lists out of `batch` rather than copying them.
+/// Returns the surviving tasks in `batch` order and the four counters the
+/// epilogue owns (every other field stays zero).
+fn finish_pairs(
+    batch: &mut [(ReadPair, Vec<SharedSeed>)],
+    cfg: &OverlapConfig,
+) -> (Vec<OverlapTask>, OverlapCounters) {
+    let mut counters = OverlapCounters::default();
+    let mut tasks = Vec::with_capacity(batch.len());
+    for (pair, seeds) in batch {
+        let mut seeds = std::mem::take(seeds);
+        seeds.sort_unstable();
+        seeds.dedup();
+        if let Some(chain_cfg) = &cfg.chain {
+            let before = seeds.len() as u64;
+            if !chain_seeds(&mut seeds, chain_cfg) {
+                counters.pairs_chain_dropped += 1;
+                counters.seeds_dropped += before;
+                continue;
+            }
+            counters.seeds_dropped += before - seeds.len() as u64;
+        }
+        counters.pairs_consolidated += 1;
+        let dropped = cfg.policy.apply(&mut seeds, cfg.max_seeds_per_pair);
+        counters.seeds_dropped += dropped as u64;
+        counters.seeds_kept += seeds.len() as u64;
+        tasks.push(OverlapTask { pair: *pair, seeds });
+    }
+    (tasks, counters)
 }
 
 /// The `pairs` engine's exchange half — Algorithm 1 verbatim.
@@ -833,6 +863,58 @@ mod tests {
                 let oc_par = OverlapConfig { pair_batch: 7, ..oc_seq };
                 let got = run(threads, oc_par);
                 assert_eq!(got, baseline, "threads={threads} cap={cap}");
+            }
+        }
+    }
+
+    /// The shared epilogue cut into executor batches produces, per rank,
+    /// the sequential run's exact tasks and its *whole* counter set — for
+    /// both engines, with the chain filter on and off, capped and not.
+    #[test]
+    fn threaded_epilogue_is_bit_identical_to_sequential() {
+        // Stride 4 under 60-base reads: every read overlaps a dozen
+        // neighbours each side, so each of the 3 ranks homes well over
+        // ten epilogue batches of pairs.
+        let reads = overlapping_reads(240, 60, 4);
+        let kc = kc_cfg(9, 32);
+        let (part, chunks) = partition_reads(&reads, 3);
+        let run = |threads: usize, oc: OverlapConfig| {
+            CommWorld::run(3, |comm| {
+                let exec = BatchedExecutor::new(threads);
+                let local = chunks[comm.rank()].reads();
+                let bloom = bloom_stage(comm, local, &kc, &exec);
+                let mut table = bloom.table;
+                let _ = hash_stage(comm, local, &mut table, &kc, &exec);
+                let out = overlap_stage(comm, &table, &part, &oc, &exec);
+                (out.tasks, out.counters)
+            })
+        };
+        for chain in [None, Some(ChainConfig { min_chain_seeds: 2 })] {
+            for engine in [OverlapEngine::Pairs, OverlapEngine::Spgemm] {
+                for cap in [usize::MAX, 600] {
+                    let oc = OverlapConfig {
+                        policy: SeedPolicy::MinDistance(9),
+                        max_seeds_per_pair: 64,
+                        max_exchange_bytes_per_round: cap,
+                        chain,
+                        engine,
+                        ..Default::default()
+                    };
+                    let baseline = run(1, oc);
+                    for (tasks, c) in &baseline {
+                        let pairs = (c.pairs_consolidated + c.pairs_chain_dropped) as usize;
+                        assert!(pairs >= 10 * EPILOGUE_BATCH_PAIRS, "only {pairs} pairs on a rank");
+                        assert!(tasks.windows(2).all(|w| w[0].pair < w[1].pair));
+                        assert_eq!(c.pairs_chain_dropped > 0, chain.is_some());
+                    }
+                    for threads in [2usize, 4] {
+                        assert_eq!(
+                            run(threads, oc),
+                            baseline,
+                            "threads={threads} engine={engine} cap={cap} chain={chain:?}"
+                        );
+                    }
+                }
             }
         }
     }

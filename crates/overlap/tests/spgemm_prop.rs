@@ -104,7 +104,7 @@ fn spgemm_multiset(
         }
     }
     for buf in &bufs {
-        decode_pair_records(buf, |p, s| seeds.push((p, s)));
+        decode_pair_records(buf, |p, record| seeds.extend(record.map(|s| (p, s))));
     }
     seeds.sort_unstable();
     (seeds, bufs)

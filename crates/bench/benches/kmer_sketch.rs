@@ -1,11 +1,13 @@
 //! k-mer machinery microbenchmarks: extraction throughput, owner hashing,
-//! Bloom filter insert/query, HyperLogLog insert, and hash-table
-//! occurrence recording — the per-op costs behind the
+//! the stage packer, Bloom filter insert/query, HyperLogLog insert, and
+//! hash-table occurrence recording — the per-op costs behind the
 //! `dibella_netmodel::op_costs` calibration constants.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence};
-use dibella_kmer::{extract_kmers, KmerIter, Strand};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dibella_bench::{bloom_record, hash_record, kmer_fixture};
+use dibella_comm::BatchedExecutor;
+use dibella_kcount::{pack_windows, KcountConfig, KmerHashTable, Occurrence};
+use dibella_kmer::{extract_kmers, kmer_count, KmerIter, Strand, WindowIndex};
 use dibella_sketch::{BloomFilter, HyperLogLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,6 +42,59 @@ fn bench_extraction(c: &mut Criterion) {
                 acc = acc.wrapping_add(h.kmer.owner(1024));
             }
             black_box(acc)
+        })
+    });
+    g.finish();
+}
+
+/// k-mers/s of the rolling extractor at both ends of the one-word k
+/// range. The update is two shift-and-insert steps whatever k is, so the
+/// rates must be close — `bench_kernels_json` tracks the k = 31 / k = 15
+/// ratio in `BENCH_kernels.json` and CI bounds it.
+fn bench_extract_rate(c: &mut Criterion) {
+    let reads = kmer_fixture(1, 200_000, 0x0E87_2AC7);
+    let seq = &reads[0].seq;
+    let mut g = c.benchmark_group("kmer_extract_per_sec");
+    g.sample_size(20);
+    for k in [15usize, 31] {
+        g.throughput(Throughput::Elements(kmer_count(seq.len(), k) as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
+            b.iter(|| black_box(extract_kmers::<1>(seq, k).len()))
+        });
+    }
+    g.finish();
+}
+
+/// k-mers/s of the stage packer — extract, hash once for the owner, write
+/// the wire record — for the Bloom pass's 8-byte and the hash pass's
+/// 20-byte record, to 2 destinations in default-size batches.
+fn bench_pack_rate(c: &mut Criterion) {
+    let reads = kmer_fixture(20, 10_000, 0x9AC4_0001);
+    let k = 21usize;
+    let idx = WindowIndex::new(reads.iter().map(|r| r.len()), k);
+    let total = idx.total_windows();
+    let exec = BatchedExecutor::sequential();
+    let batch = KcountConfig::DEFAULT_EXTRACT_BATCH;
+    let mut g = c.benchmark_group("kmer_pack_per_sec");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(total));
+    // As in a streamed pass, each pack writes into the buffers of the one
+    // before it.
+    let mut spare = Vec::new();
+    g.bench_function("record_8B", |b| {
+        b.iter(|| {
+            let (bufs, n) =
+                pack_windows(&reads, &idx, 0, total, 2, None, batch, &exec, &bloom_record, &mut spare);
+            spare.extend(bufs);
+            black_box(n)
+        })
+    });
+    g.bench_function("record_20B", |b| {
+        b.iter(|| {
+            let (bufs, n) =
+                pack_windows(&reads, &idx, 0, total, 2, None, batch, &exec, &hash_record, &mut spare);
+            spare.extend(bufs);
+            black_box(n)
         })
     });
     g.finish();
@@ -122,5 +177,12 @@ fn bench_hash_table(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_extraction, bench_sketches, bench_hash_table);
+criterion_group!(
+    benches,
+    bench_extraction,
+    bench_extract_rate,
+    bench_pack_rate,
+    bench_sketches,
+    bench_hash_table
+);
 criterion_main!(benches);

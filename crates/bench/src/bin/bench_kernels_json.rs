@@ -38,7 +38,15 @@
 //!   keeps about half its rate over the 32× larger list, one whose
 //!   per-seed cost is linear in `n` would keep 1/32, and
 //!   [`CHAIN_MIN_RATE_RATIO`] (asserted here and in CI) tells them apart
-//!   on any host.
+//!   on any host;
+//! * **k-mer pass rates** (schema `/6`) — k-mers/s of the rolling
+//!   extractor at k = 15 and k = 31, of the stage packer for the 8-byte
+//!   and 20-byte records to 2 destinations, and of the minimizer
+//!   selection, all on the shared [`dibella_bench::kmer_fixture`]. The
+//!   figure that matters is again a *ratio*: the extractor's per-window
+//!   cost must not grow with k, so its k = 31 rate stays within
+//!   [`KMER_MIN_RATE_RATIO`] of its k = 15 rate (asserted here and in
+//!   CI); the O(k)-per-window extractor this replaced measured 0.4–0.6.
 //!
 //! Perf PRs diff this file to leave a measurable trajectory; the numbers
 //! are machine-dependent, so compare ratios, not absolutes, across hosts.
@@ -46,11 +54,13 @@
 use dibella_align::{
     banded_sw_with, extend_seed, extend_seed_with, AlignWorkspace, KernelImpl, Scoring, SeedHit,
 };
-use dibella_bench::{chain_fixture, spgemm_fixture};
+use dibella_bench::{bloom_record, chain_fixture, hash_record, kmer_fixture, spgemm_fixture};
+use dibella_comm::BatchedExecutor;
 use dibella_core::{run_pipeline, PipelineConfig};
 use dibella_datagen::{ecoli_30x_sample_like, ErrorModel};
 use dibella_io::ReadPartition;
-use dibella_kcount::ReadKmerCsr;
+use dibella_kcount::{pack_windows, KcountConfig, ReadKmerCsr};
+use dibella_kmer::{extract_kmers, kmer_count, minimizers, WindowIndex};
 use dibella_overlap::{chain_seeds, pack_row_block, ChainConfig, SpgemmAccumulator, TaskPlacement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,6 +118,18 @@ const CHAIN_SEEDS_TIMED: usize = 1 << 20;
 /// measures (its `log n` plus the larger working set), eight times the
 /// 1/32 an all-predecessors scan would leave.
 const CHAIN_MIN_RATE_RATIO: f64 = 0.25;
+
+const KMER_READS: u32 = 40;
+const KMER_READ_LEN: usize = 10_000;
+const KMER_ITERS: u32 = 10;
+const KMER_EXTRACT_KS: [usize; 2] = [15, 31];
+const KMER_PACK_K: usize = 21;
+const KMER_MINIMIZER_W: usize = 7;
+/// Floor on `extract_rate(k = 31) / extract_rate(k = 15)`: both run the
+/// same two register updates per base, so the ratio sits near 1; an
+/// extractor that rebuilds or re-masks the window per position loses a
+/// third or more of its rate over that k range.
+const KMER_MIN_RATE_RATIO: f64 = 0.7;
 
 /// Pack the whole fixture CSR through one accumulator variant:
 /// per-destination byte streams plus record/seed totals.
@@ -240,6 +262,61 @@ fn main() {
         CHAIN_SIZES[0],
     );
 
+    // ---- k-mer passes: extract, pack, select --------------------------------
+    let kmer_reads = kmer_fixture(KMER_READS, KMER_READ_LEN, 0x0E87_2AC7);
+    // `items` things per call of `run`, timed over KMER_ITERS calls after
+    // one untimed warm-up.
+    let per_sec = |items: u64, run: &mut dyn FnMut()| {
+        run();
+        let t0 = Instant::now();
+        for _ in 0..KMER_ITERS {
+            run();
+        }
+        (items * KMER_ITERS as u64) as f64 / t0.elapsed().as_secs_f64()
+    };
+    let windows = |k: usize| kmer_reads.iter().map(|r| kmer_count(r.len(), k) as u64).sum::<u64>();
+    let extract_rates = KMER_EXTRACT_KS.map(|k| {
+        per_sec(windows(k), &mut || {
+            for r in &kmer_reads {
+                black_box(extract_kmers::<1>(&r.seq, k));
+            }
+        })
+    });
+    let extract_ratio = extract_rates[1] / extract_rates[0];
+    assert!(
+        extract_ratio >= KMER_MIN_RATE_RATIO,
+        "extract_kmers runs at {:.0} k-mers/s at k = {} but {:.0} at k = {}: ratio {extract_ratio:.3} \
+         is under {KMER_MIN_RATE_RATIO}, the per-window cost grows with k",
+        extract_rates[1],
+        KMER_EXTRACT_KS[1],
+        extract_rates[0],
+        KMER_EXTRACT_KS[0],
+    );
+    let minimizer_rate = per_sec(windows(KMER_PACK_K), &mut || {
+        for r in &kmer_reads {
+            black_box(minimizers(&r.seq, KMER_PACK_K, KMER_MINIMIZER_W));
+        }
+    });
+    let kmer_idx = WindowIndex::new(kmer_reads.iter().map(|r| r.len()), KMER_PACK_K);
+    let kmer_exec = BatchedExecutor::sequential();
+    let batch = KcountConfig::DEFAULT_EXTRACT_BATCH;
+    let total = kmer_idx.total_windows();
+    // As in a streamed pass, each pack writes into the buffers of the one
+    // before it.
+    let mut spare = Vec::new();
+    let pack_8b_rate = per_sec(total, &mut || {
+        let (bufs, n) =
+            pack_windows(&kmer_reads, &kmer_idx, 0, total, 2, None, batch, &kmer_exec, &bloom_record, &mut spare);
+        assert_eq!(n, total, "clean fixture: every window is a hit");
+        spare.extend(bufs);
+    });
+    let pack_20b_rate = per_sec(total, &mut || {
+        let (bufs, n) =
+            pack_windows(&kmer_reads, &kmer_idx, 0, total, 2, None, batch, &kmer_exec, &hash_record, &mut spare);
+        assert_eq!(n, total, "clean fixture: every window is a hit");
+        spare.extend(bufs);
+    });
+
     // ---- 4-rank end-to-end pipeline ----------------------------------------
     let ds = ecoli_30x_sample_like(0.004, 42);
     let cfg = PipelineConfig { k: 17, max_seeds_per_pair: 4, ..Default::default() };
@@ -272,7 +349,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/5\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{},\n{},\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2}, \"banded\": {:.2} }},\n  \"allocs_eliminated_per_call\": {:.2},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/6\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{},\n{},\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2}, \"banded\": {:.2} }},\n  \"allocs_eliminated_per_call\": {:.2},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"pack_destinations\": 2, \"pack_kmers_per_sec\": {{ \"record_8B\": {pack_8b_rate:.0}, \"record_20B\": {pack_20b_rate:.0} }}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         kernel_json("seed_xdrop_legacy", seed_legacy),
@@ -290,6 +367,8 @@ fn main() {
         spgemm_rows_per_sec[2],
         chain_rates[0],
         chain_rates[1],
+        extract_rates[0],
+        extract_rates[1],
         seed_simd.0,
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));

@@ -11,7 +11,9 @@
 //! `minimizer`) on the fixed sampled E. coli 30× workload: per stage, the
 //! slowest rank's wall, exchange, pack and derived compute seconds (pack
 //! and exchange are concurrent intervals — their sum may exceed the wall;
-//! the excess is the engine's overlap), the executed streaming-exchange
+//! the excess is the engine's overlap. Neither alone does: the hash
+//! pass's round 0, packed under the Bloom pass's last exchange, is Bloom
+//! pack time), the executed streaming-exchange
 //! rounds, the total bytes shipped, the bytes shipped per input base, and
 //! the largest single-round send volume (`CommStats::peak_round_bytes` —
 //! the figure `--round-mb` / `DIBELLA_ROUND_MB` bounds), plus

@@ -42,9 +42,9 @@
 use dibella_comm::TransportKind;
 use dibella_core::{run_pipeline, PipelineConfig, RankReport, SeedMode};
 use dibella_datagen::{ecoli_100x_like, ecoli_30x_like, ecoli_30x_sample_like, SyntheticDataset};
-use dibella_io::ReadPartition;
+use dibella_io::{Read, ReadPartition};
 use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence};
-use dibella_kmer::{Kmer1, Strand};
+use dibella_kmer::{Kmer1, KmerHit, Strand};
 use dibella_netmodel::{NodeMapping, Platform, Series};
 use dibella_overlap::{OverlapConfig, OverlapEngine, SeedPolicy, SharedSeed};
 use std::collections::HashMap;
@@ -253,6 +253,38 @@ pub fn chain_fixture(n: usize, seed: u64) -> Vec<SharedSeed> {
     seeds.sort_unstable();
     seeds.dedup();
     seeds
+}
+
+/// Deterministic uniform-random reads for the k-mer pass benches. The
+/// `kmer_extract_per_sec` / `kmer_pack_per_sec` Criterion groups and the
+/// `bench_kernels_json` baseline writer share this fixture (and the two
+/// record layouts below), so both measure the same workload.
+pub fn kmer_fixture(n_reads: u32, read_len: usize, seed: u64) -> Vec<Read> {
+    let mut state = seed | 1;
+    (0..n_reads)
+        .map(|id| {
+            let seq: Vec<u8> = (0..read_len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    b"ACGT"[(state % 4) as usize]
+                })
+                .collect();
+            Read::new(id, format!("r{id}"), seq)
+        })
+        .collect()
+}
+
+/// The Bloom pass's 8-byte wire record, for [`dibella_kcount::pack_windows`].
+pub fn bloom_record(_read: &Read, hit: &KmerHit<1>) -> u64 {
+    hit.kmer.words()[0]
+}
+
+/// The hash and minimizer passes' 20-byte wire record, for
+/// [`dibella_kcount::pack_windows`].
+pub fn hash_record(read: &Read, hit: &KmerHit<1>) -> (u64, u32, u32, u32) {
+    (hit.kmer.words()[0], read.id, hit.pos, hit.strand.as_u8() as u32)
 }
 
 /// Construct a workload's synthetic dataset at the bench scale.

@@ -31,11 +31,19 @@ use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::sync::Mutex;
 
+/// Batches each worker maps between two sinks of
+/// [`BatchedExecutor::map_indexed_into`]: enough that starting a parallel
+/// operation is small next to a wave's work, few enough that a wave's
+/// results stay a small fraction of a round.
+const WAVE_BATCHES_PER_THREAD: usize = 64;
+
 /// Deterministic batched map executor shared by stages 1–4.
 ///
 /// `new(threads)` resolves the pipeline `threads` knob once; stages then
 /// call [`map_indexed`](Self::map_indexed) (batch descriptors computed
-/// from the index), [`map_batches`](Self::map_batches) (batches are
+/// from the index), [`map_indexed_into`](Self::map_indexed_into) (the
+/// same, streamed into an in-order sink),
+/// [`map_batches`](Self::map_batches) (batches are
 /// slices of a task list) or [`map_batches_mut`](Self::map_batches_mut)
 /// (batches consume their slice in place). Width 1 short-circuits to a
 /// plain sequential loop — the single-threaded pipeline pays no pool or
@@ -93,6 +101,30 @@ impl BatchedExecutor {
                 pool.install(move || (0..n_batches).into_par_iter().map(f).collect())
             }
             _ => (0..n_batches).map(f).collect(),
+        }
+    }
+
+    /// [`map_indexed`](Self::map_indexed) that hands each result to `sink`
+    /// **in index order** on the calling thread instead of collecting them
+    /// all — for stages whose merge is an append (the k-mer packer), so a
+    /// round never holds every batch's output at once. The sequential
+    /// executor sinks each batch as it finishes, while its output is still
+    /// in cache; a pool maps waves of 64 batches (`WAVE_BATCHES_PER_THREAD`)
+    /// per worker and sinks between waves. What `sink` sees does not
+    /// depend on the wave size, so neither does the stage's output.
+    pub fn map_indexed_into<R, F, S>(&self, n_batches: usize, f: F, mut sink: S)
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+        S: FnMut(R),
+    {
+        if self.pool.is_none() {
+            return (0..n_batches).for_each(|i| sink(f(i)));
+        }
+        let wave = WAVE_BATCHES_PER_THREAD * self.threads;
+        for start in (0..n_batches).step_by(wave) {
+            let len = wave.min(n_batches - start);
+            self.map_indexed(len, |i| f(start + i)).into_iter().for_each(&mut sink);
         }
     }
 
@@ -181,6 +213,19 @@ mod tests {
         let got = exec.map_indexed(100, |i| i * i);
         let want: Vec<usize> = (0..100).map(|i| i * i).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn map_indexed_into_sinks_in_index_order_across_waves() {
+        // More batches than one wave at width 2 and 4, and a ragged tail.
+        let n = 3 * WAVE_BATCHES_PER_THREAD * 4 + 7;
+        let want: Vec<usize> = (0..n).map(|i| i * 3).collect();
+        for threads in [1usize, 2, 4] {
+            let mut got = Vec::new();
+            BatchedExecutor::new(threads).map_indexed_into(n, |i| i * 3, |r| got.push(r));
+            assert_eq!(got, want, "threads = {threads}");
+        }
+        BatchedExecutor::new(4).map_indexed_into(0, |i| i, |_| panic!("nothing to sink"));
     }
 
     #[test]

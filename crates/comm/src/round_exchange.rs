@@ -228,13 +228,12 @@ impl RoundExchange {
     /// `tail`'s duration is declared to the transport as overlapped
     /// compute, so `SimNet` charges `max(tail + pack, modeled exchange)`
     /// for the final round — projections stay honest about what the
-    /// overlap can hide. It is *not* credited to `pack_wall` here: the
-    /// work belongs to the next stage, only its hiding place belongs to
-    /// this one. A stage that pre-packs its round 0 inside a
-    /// predecessor's tail must self-time that work and credit it via
-    /// `Comm::add_pack_wall` when it *ships* the buffers, so the pack
-    /// wall lands in the stats window of the stage that owns the bytes
-    /// (the hash stage's prepacked round 0 does exactly this).
+    /// overlap can hide. It is *not* credited to `pack_wall` here, because
+    /// the engine cannot know that the tail packs anything. A tail that
+    /// does pack (the Bloom pass pre-packing the hash pass's round 0)
+    /// times itself and calls `Comm::add_pack_wall` before it returns, so
+    /// the pack wall lands in the stats window it elapsed in and every
+    /// stage keeps `pack_wall ≤` its own wall time.
     pub fn run_with_tail<P, C, T>(
         comm: &Comm,
         planner: RoundPlan,

@@ -670,6 +670,38 @@ mod tests {
     }
 
     #[test]
+    fn no_stage_reports_more_pack_time_than_wall_time() {
+        // Pack walls are intervals of the rank thread inside the stage's
+        // own timing window — including the hash pass's round 0, which is
+        // packed (and credited) inside the Bloom pass. With one round per
+        // pass that pre-pack is all the hash pass ships.
+        let reads = dataset(12, 400, 120, 17);
+        let one_round = PipelineConfig { max_kmers_per_round: 1 << 20, ..small_cfg() };
+        let streamed = PipelineConfig { max_exchange_bytes_per_round: 2_000, ..small_cfg() };
+        let minimizer = PipelineConfig { max_exchange_bytes_per_round: 2_000, ..minimizer_cfg() };
+        for (mode, cfg, rounds) in [
+            ("reliable, one round", one_round, 1),
+            ("reliable, streamed", streamed, 2),
+            ("minimizer, streamed", minimizer, 2),
+        ] {
+            let res = run_pipeline(&reads, 2, &cfg);
+            assert!(!res.alignments.is_empty(), "{mode}: nothing aligned");
+            for r in &res.reports {
+                assert_eq!(r.hash.rounds.min(2), rounds, "{mode}: k-mer pass rounds");
+                for (stage, t) in ["bloom", "hash", "overlap", "align"].iter().zip(r.stage_timings()) {
+                    assert!(
+                        t.pack <= t.total,
+                        "{mode} rank {} {stage}: pack {:?} > total {:?}",
+                        r.rank,
+                        t.pack,
+                        t.total
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn single_rank_pipeline_works() {
         let reads = dataset(6, 120, 40, 5);
         let res = run_pipeline(&reads, 1, &small_cfg());

@@ -5,7 +5,7 @@
 //! streaming fashion with a subset of input data at a time to limit the
 //! memory consumption"). Each pass is one
 //! [`dibella_comm::RoundExchange`] drive: a shared packer
-//! (`pack_kmer_windows`) extracts and routes the rank's k-mers to their
+//! ([`pack_windows`]) extracts and routes the rank's k-mers to their
 //! owners, the engine agrees the world-wide round count and overlaps each
 //! round's exchange with the packing of the next, and the pass's consumer
 //! folds received records into its Bloom/hash partition.
@@ -14,11 +14,11 @@
 //! [`BatchedExecutor`]: a round's window range (a cut of the rank-global
 //! [`WindowIndex`] space) is sharded into fixed `extract_batch`-window
 //! batches, each batch extracts and routes into its own per-destination
-//! buffers, and buffers are concatenated in batch order — wire bytes are
-//! bit-identical at any thread count. Cross-stage overlap: while the
-//! Bloom pass's **last** round is in flight,
-//! [`bloom_stage_overlapping`] pre-packs the hash pass's first round (the
-//! reads are local, so it depends on nothing in flight), which
+//! byte buffers (hashed once, written once), and buffers are concatenated
+//! in batch order — wire bytes are bit-identical at any thread count.
+//! Cross-stage overlap: while the Bloom pass's **last** round is in
+//! flight, [`bloom_stage_overlapping`] pre-packs the hash pass's first
+//! round (the reads are local, so it depends on nothing in flight), which
 //! [`hash_stage_prepacked`] then ships as its round 0.
 //!
 //! Wire sizes mirror the paper's volumes: a Bloom-pass record is the
@@ -28,14 +28,13 @@
 use crate::config::KcountConfig;
 use crate::table::{KmerHashTable, Occurrence};
 use dibella_comm::{
-    decode_iter, encode_slice, records_per_round, BatchedExecutor, Comm, RoundExchange, RoundPlan,
-    Wire,
+    decode_iter, records_per_round, BatchedExecutor, Comm, RoundExchange, RoundPlan, Wire,
 };
 use dibella_io::Read;
 use dibella_kmer::{minimizer_window_hits, window_hits, Kmer1, KmerHit, Strand, WindowIndex};
 use dibella_sketch::BloomFilter;
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Bloom-pass record: the packed canonical k-mer word.
 type BloomMsg = u64;
@@ -87,113 +86,101 @@ fn hash_msg(read: &Read, hit: &KmerHit<1>) -> HashMsg {
     )
 }
 
-/// Pack the global window range `[lo, hi)` of both k-mer passes: shard it
-/// into fixed `batch_windows`-window executor batches, extract each
-/// batch's k-mers ([`window_hits`] over the [`WindowIndex`] pieces), route
-/// every hit to its owner's rank by hash and encode per-destination wire
-/// bytes — then concatenate the buffers in batch order. Concatenating
-/// encoded slices equals encoding the concatenated record stream, so the
-/// result is byte-identical to a sequential single-pass pack at any
-/// thread count. Returns the buffers and the number of hits parsed
-/// (ambiguous bases make hits < windows).
+/// Pack the global window range `[lo, hi)` of a k-mer pass — the one
+/// packer behind the Bloom, hash and minimizer passes. The range is
+/// sharded into fixed `batch_windows`-window executor batches; each batch
+/// walks its [`WindowIndex`] pieces with the rolling extractor
+/// ([`window_hits`], or [`minimizer_window_hits`] when `minimizer_w` is
+/// set — that re-derives a piece with `w − 1` windows of context on each
+/// side, so a cut never changes which k-mers are selected), hashes every
+/// hit once for its owner rank and appends the record's wire bytes
+/// straight to that destination's batch buffer. Batch buffers are appended
+/// to the round's in batch order
+/// ([`BatchedExecutor::map_indexed_into`]) — the order a sequential
+/// single-pass pack writes them in, so the result is byte-identical at any
+/// thread count — and freed at once, so a round is never held twice.
+/// Returns the round's buffers and the number of hits packed (ambiguous
+/// bases and minimizer selection make hits < windows).
 ///
-/// `to_msg` is the only thing that differs between the passes — the bare
-/// packed word for the Bloom pass, the word plus `(read, position,
-/// strand)` for the hash pass.
+/// `to_msg` is what differs between the passes — the bare packed word for
+/// the Bloom pass, the word plus `(read, position, strand)` for the hash
+/// and minimizer passes. `spare` holds buffers the caller is done with
+/// (a consumed round's receive buffers); the round is written into those
+/// that are large enough, so a streamed pass stops allocating — and
+/// page-faulting — its rounds afresh after the first two.
 #[allow(clippy::too_many_arguments)]
-fn pack_kmer_windows<M, F>(
+pub fn pack_windows<M, F>(
     reads: &[Read],
     idx: &WindowIndex,
     lo: u64,
     hi: u64,
     ranks: usize,
+    minimizer_w: Option<usize>,
     batch_windows: usize,
     exec: &BatchedExecutor,
     to_msg: &F,
+    spare: &mut Vec<Vec<u8>>,
 ) -> (Vec<Vec<u8>>, u64)
 where
-    M: Wire + Clone + Send,
+    M: Wire,
     F: Fn(&Read, &KmerHit<1>) -> M + Sync,
 {
     let k = idx.k();
+    let hi = hi.max(lo);
     let batch_windows = batch_windows.max(1) as u64;
-    let n_batches = (hi.saturating_sub(lo)).div_ceil(batch_windows) as usize;
-    let batches = exec.map_indexed(n_batches, |b| {
-        let blo = lo + b as u64 * batch_windows;
-        let bhi = (blo + batch_windows).min(hi);
-        let mut bufs: Vec<Vec<M>> = vec![Vec::new(); ranks];
-        let mut parsed = 0u64;
-        for (ri, plo, phi) in idx.pieces(blo, bhi) {
-            let read = &reads[ri];
-            for hit in window_hits::<1>(&read.seq, k, plo, phi) {
-                parsed += 1;
-                bufs[hit.kmer.owner(ranks)].push(to_msg(read, &hit));
+    let n_batches = (hi - lo).div_ceil(batch_windows) as usize;
+    // One destination's expected bytes for `windows` windows (uniform
+    // owner hash; minimizers keep ~2/(w + 1) of the windows) plus an
+    // eighth. Reserving that up front, a buffer is allocated once instead
+    // of grown: no thousands of small reallocations per round for the
+    // batches, no doubling — which holds a touched copy of the buffer
+    // while it moves — for the round.
+    let reserve = |windows: u64| {
+        let hits = minimizer_w.map_or(windows, |w| 2 * windows / (w as u64 + 1));
+        let share = (hits / ranks as u64) as usize;
+        (share + share / 8 + 16) * M::SIZE
+    };
+    let mut round: Vec<Vec<u8>> = (0..ranks)
+        .map(|_| match spare.pop() {
+            Some(mut buf) if buf.capacity() >= reserve(hi - lo) => {
+                buf.clear();
+                buf
             }
-        }
-        let wire: Vec<Vec<u8>> = bufs.into_iter().map(|b| encode_slice(&b)).collect();
-        (wire, parsed)
-    });
-
-    merge_packed_batches(batches, ranks)
-}
-
-/// Concatenate per-batch per-destination wire buffers in batch order and
-/// sum the per-batch hit counts. Concatenating encoded slices equals
-/// encoding the concatenated record stream, so the merge preserves the
-/// bit-identity of a sequential pack.
-fn merge_packed_batches(batches: Vec<(Vec<Vec<u8>>, u64)>, ranks: usize) -> (Vec<Vec<u8>>, u64) {
-    let mut merged: Vec<Vec<u8>> = vec![Vec::new(); ranks];
+            _ => Vec::with_capacity(reserve(hi - lo)),
+        })
+        .collect();
     let mut parsed = 0u64;
-    for (wire, n) in batches {
-        parsed += n;
-        for (d, b) in wire.into_iter().enumerate() {
-            if merged[d].is_empty() {
-                merged[d] = b;
-            } else {
-                merged[d].extend_from_slice(&b);
+    exec.map_indexed_into(
+        n_batches,
+        |b| {
+            let blo = lo + b as u64 * batch_windows;
+            let bhi = (blo + batch_windows).min(hi);
+            let mut bufs: Vec<Vec<u8>> =
+                (0..ranks).map(|_| Vec::with_capacity(reserve(bhi - blo))).collect();
+            let mut hits = 0u64;
+            for (ri, plo, phi) in idx.pieces(blo, bhi) {
+                let read = &reads[ri];
+                let mut route = |hit: KmerHit<1>| {
+                    hits += 1;
+                    to_msg(read, &hit).write(&mut bufs[hit.kmer.owner(ranks)]);
+                };
+                match minimizer_w {
+                    None => window_hits::<1>(&read.seq, k, plo, phi).for_each(&mut route),
+                    Some(w) => minimizer_window_hits(&read.seq, k, w, plo, phi)
+                        .into_iter()
+                        .for_each(&mut route),
+                }
             }
-        }
-    }
-    (merged, parsed)
-}
-
-/// Pack the global window range `[lo, hi)` of the minimizer pass: same
-/// batch sharding and batch-order merge as [`pack_kmer_windows`], but
-/// each piece yields only its (w, k) minimizers
-/// ([`minimizer_window_hits`] re-derives a piece with `w − 1` windows of
-/// context on each side, so cutting the window space at round or batch
-/// boundaries never changes which k-mers are selected). Records use the
-/// hash-pass wire layout.
-#[allow(clippy::too_many_arguments)]
-fn pack_minimizer_windows(
-    reads: &[Read],
-    idx: &WindowIndex,
-    lo: u64,
-    hi: u64,
-    ranks: usize,
-    w: usize,
-    batch_windows: usize,
-    exec: &BatchedExecutor,
-) -> (Vec<Vec<u8>>, u64) {
-    let k = idx.k();
-    let batch_windows = batch_windows.max(1) as u64;
-    let n_batches = (hi.saturating_sub(lo)).div_ceil(batch_windows) as usize;
-    let batches = exec.map_indexed(n_batches, |b| {
-        let blo = lo + b as u64 * batch_windows;
-        let bhi = (blo + batch_windows).min(hi);
-        let mut bufs: Vec<Vec<HashMsg>> = vec![Vec::new(); ranks];
-        let mut parsed = 0u64;
-        for (ri, plo, phi) in idx.pieces(blo, bhi) {
-            let read = &reads[ri];
-            for hit in minimizer_window_hits(&read.seq, k, w, plo, phi) {
-                parsed += 1;
-                bufs[hit.kmer.owner(ranks)].push(hash_msg(read, &hit));
+            (bufs, hits)
+        },
+        |(bufs, hits)| {
+            parsed += hits;
+            for (dest, batch) in round.iter_mut().zip(bufs) {
+                dest.extend_from_slice(&batch);
             }
-        }
-        let wire: Vec<Vec<u8>> = bufs.into_iter().map(|b| encode_slice(&b)).collect();
-        (wire, parsed)
-    });
-    merge_packed_batches(batches, ranks)
+        },
+    );
+    (round, parsed)
 }
 
 /// The per-round k-mer budget of a pass: the record cap and the byte cap,
@@ -204,6 +191,14 @@ fn kmers_per_round<M: Wire>(cfg: &KcountConfig) -> usize {
         cfg.max_kmers_per_round,
         cfg.max_exchange_bytes_per_round,
     )
+}
+
+/// Whether the buffers a pass receives in `round` are worth keeping for
+/// its packer: they come back after round `round + 1` is packed, so the
+/// first pack that can fill them is number `round + 2` — if the rank has
+/// that many. Otherwise each is freed as soon as it is consumed.
+fn reusable(round: u64, local_packs: u64) -> bool {
+    round + 2 < local_packs
 }
 
 /// The hash pass's first round, packed ahead of time by
@@ -221,18 +216,12 @@ pub struct PrepackedKmerRound {
     windows: u64,
     /// k it was packed for.
     k: usize,
-    /// Wall time the pack took under the Bloom pass's last exchange. It
-    /// is credited to `CommStats::pack_wall` by the stage that *ships*
-    /// the buffers ([`hash_stage_prepacked`]), not the stage that packed
-    /// them — so the hash pass's reported pack wall covers all of its
-    /// rounds even though round 0 was packed early.
-    pack_wall: Duration,
 }
 
 /// Stage 1 — distributed Bloom filter construction (paper §6).
 ///
 /// Every rank parses its reads into canonical k-mers (threaded through
-/// `exec`, deterministically — see `pack_kmer_windows`), routes each to
+/// `exec`, deterministically — see [`pack_windows`]), routes each to
 /// its owner by hash, and the owner inserts it into its Bloom partition; a
 /// k-mer already present is promoted into the hash-table partition. The
 /// filter is dropped on return ("After the hash table is initialized with
@@ -283,27 +272,34 @@ fn bloom_stage_impl(
     let mut received = 0u64;
     let mut promoted = 0u64;
     let prepacked: RefCell<Option<PrepackedKmerRound>> = RefCell::new(None);
+    // Consumed receive buffers, handed back to the packer (see `pack_windows`).
+    let spare: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
 
+    let plan = RoundPlan::for_records(total, per_round as usize);
+    // The pre-packed hash round is one more pack for the buffers to serve.
+    let packs = plan.local_rounds() + prepack_hash as u64;
     let rounds = RoundExchange::run_with_tail(
         comm,
-        RoundPlan::for_records(total, per_round as usize),
+        plan,
         |round| {
             let lo = (round * per_round).min(total);
             let hi = ((round + 1) * per_round).min(total);
-            let (bufs, n) = pack_kmer_windows::<BloomMsg, _>(
+            let (bufs, n) = pack_windows(
                 reads,
                 &idx,
                 lo,
                 hi,
                 p,
+                None,
                 cfg.extract_batch,
                 exec,
                 &bloom_msg,
+                &mut spare.borrow_mut(),
             );
             parsed += n;
             bufs
         },
-        |_round, recv| {
+        |round, recv| {
             for buf in recv {
                 for word in decode_iter::<BloomMsg>(&buf) {
                     received += 1;
@@ -317,11 +313,21 @@ fn bloom_stage_impl(
                         }
                     }
                 }
+                if reusable(round, packs) {
+                    spare.borrow_mut().push(buf);
+                }
             }
         },
         || {
             if prepack_hash {
-                *prepacked.borrow_mut() = Some(prepack_hash_round0(reads, &idx, cfg, p, exec));
+                // The pack's wall elapses inside this stage's `total`, so
+                // it is this stage's stats window that must carry it —
+                // crediting it to the stage that ships the bytes reported
+                // a hash pass with more pack time than wall time.
+                let t = Instant::now();
+                *prepacked.borrow_mut() =
+                    Some(prepack_hash_round0(reads, &idx, cfg, p, exec, &mut spare.borrow_mut()));
+                comm.add_pack_wall(t.elapsed());
             }
         },
     );
@@ -347,13 +353,13 @@ fn prepack_hash_round0(
     cfg: &KcountConfig,
     ranks: usize,
     exec: &BatchedExecutor,
+    spare: &mut Vec<Vec<u8>>,
 ) -> PrepackedKmerRound {
     let per_round = kmers_per_round::<HashMsg>(cfg) as u64;
     let hi = per_round.min(idx.total_windows());
-    let t = Instant::now();
     let (bufs, parsed) =
-        pack_kmer_windows::<HashMsg, _>(reads, idx, 0, hi, ranks, cfg.extract_batch, exec, &hash_msg);
-    PrepackedKmerRound { bufs, parsed, windows: hi, k: cfg.k, pack_wall: t.elapsed() }
+        pack_windows(reads, idx, 0, hi, ranks, None, cfg.extract_batch, exec, &hash_msg, spare);
+    PrepackedKmerRound { bufs, parsed, windows: hi, k: cfg.k }
 }
 
 /// Result of the hash-table pass.
@@ -405,10 +411,12 @@ pub fn hash_stage_prepacked(
     let mut parsed = 0u64;
     let mut received = 0u64;
     let mut recorded = 0u64;
+    let spare: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
 
+    let plan = RoundPlan::for_records(total, per_round as usize);
     let rounds = RoundExchange::run(
         comm,
-        RoundPlan::for_records(total, per_round as usize),
+        plan,
         |round| {
             let lo = (round * per_round).min(total);
             let hi = ((round + 1) * per_round).min(total);
@@ -417,28 +425,25 @@ pub fn hash_stage_prepacked(
                     debug_assert_eq!(pp.k, cfg.k, "prepacked round for a different k");
                     debug_assert_eq!(pp.windows, hi, "prepacked round for a different cap");
                     parsed += pp.parsed;
-                    // The pack ran under the Bloom pass's last exchange,
-                    // but the bytes ship here — credit the pack wall to
-                    // this stage's stats window so `pack_s_max` reflects
-                    // every round the hash pass sends.
-                    comm.add_pack_wall(pp.pack_wall);
                     return pp.bufs;
                 }
             }
-            let (bufs, n) = pack_kmer_windows::<HashMsg, _>(
+            let (bufs, n) = pack_windows(
                 reads,
                 &idx,
                 lo,
                 hi,
                 p,
+                None,
                 cfg.extract_batch,
                 exec,
                 &hash_msg,
+                &mut spare.borrow_mut(),
             );
             parsed += n;
             bufs
         },
-        |_round, recv| {
+        |round, recv| {
             for buf in recv {
                 for (word, rid, pos, strand) in decode_iter::<HashMsg>(&buf) {
                     received += 1;
@@ -451,6 +456,9 @@ pub fn hash_stage_prepacked(
                     if table.record_occurrence(&kmer, occ, cfg) {
                         recorded += 1;
                     }
+                }
+                if reusable(round, plan.local_rounds()) {
+                    spare.borrow_mut().push(buf);
                 }
             }
         },
@@ -515,19 +523,31 @@ pub fn minimizer_stage(
     let mut received = 0u64;
     let mut promoted = 0u64;
     let mut recorded = 0u64;
+    let spare: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
 
+    let plan = RoundPlan::for_records(total, per_round as usize);
     let rounds = RoundExchange::run(
         comm,
-        RoundPlan::for_records(total, per_round as usize),
+        plan,
         |round| {
             let lo = (round * per_round).min(total);
             let hi = ((round + 1) * per_round).min(total);
-            let (bufs, n) =
-                pack_minimizer_windows(reads, &idx, lo, hi, p, w, cfg.extract_batch, exec);
+            let (bufs, n) = pack_windows(
+                reads,
+                &idx,
+                lo,
+                hi,
+                p,
+                Some(w),
+                cfg.extract_batch,
+                exec,
+                &hash_msg,
+                &mut spare.borrow_mut(),
+            );
             parsed += n;
             bufs
         },
-        |_round, recv| {
+        |round, recv| {
             for buf in recv {
                 for (word, rid, pos, strand) in decode_iter::<HashMsg>(&buf) {
                     received += 1;
@@ -542,6 +562,9 @@ pub fn minimizer_stage(
                         promoted += 1;
                     }
                     recorded += 1;
+                }
+                if reusable(round, plan.local_rounds()) {
+                    spare.borrow_mut().push(buf);
                 }
             }
         },
@@ -608,6 +631,24 @@ mod tests {
                     seq[at..at + core.len()].copy_from_slice(&core);
                 }
                 dibella_io::Read::new(i, format!("r{i}"), seq)
+            })
+            .collect()
+    }
+
+    /// [`make_reads`] with an `N` every 17–21 bases (the step varies by
+    /// read), so hits < windows and windows break mid-batch.
+    fn make_dirty_reads(n: usize, len: usize, seed: u64) -> ReadSet {
+        make_reads(n, len, seed)
+            .iter()
+            .map(|r| {
+                let mut seq = r.seq.clone();
+                let step = 17 + (r.id as usize % 5);
+                let mut i = step;
+                while i < seq.len() {
+                    seq[i] = b'N';
+                    i += step;
+                }
+                dibella_io::Read::new(r.id, r.name.clone(), seq)
             })
             .collect()
     }
@@ -766,6 +807,83 @@ mod tests {
         }
     }
 
+    /// The route [`pack_windows`] replaced, kept as its oracle: one
+    /// sequential pass over the whole range (no batches) that stages each
+    /// destination's records as a `Vec<M>` and encodes them afterwards.
+    fn oracle_pack<M: Wire>(
+        reads: &[Read],
+        idx: &WindowIndex,
+        lo: u64,
+        hi: u64,
+        ranks: usize,
+        minimizer_w: Option<usize>,
+        to_msg: impl Fn(&Read, &KmerHit<1>) -> M,
+    ) -> (Vec<Vec<u8>>, u64) {
+        let k = idx.k();
+        let mut staged: Vec<Vec<M>> = (0..ranks).map(|_| Vec::new()).collect();
+        let mut parsed = 0u64;
+        for (ri, plo, phi) in idx.pieces(lo, hi) {
+            let read = &reads[ri];
+            let hits: Vec<KmerHit<1>> = match minimizer_w {
+                None => window_hits::<1>(&read.seq, k, plo, phi).collect(),
+                Some(w) => minimizer_window_hits(&read.seq, k, w, plo, phi),
+            };
+            for hit in &hits {
+                parsed += 1;
+                staged[hit.kmer.owner(ranks)].push(to_msg(read, hit));
+            }
+        }
+        (staged.iter().map(|m| dibella_comm::encode_slice(m)).collect(), parsed)
+    }
+
+    #[test]
+    fn packer_bytes_equal_the_staged_encode_oracle() {
+        // Dirty reads, so hits < windows; every rank count, thread count
+        // and batch size must write the bytes of the sequential staged
+        // pack, over the full range and over a range cut mid-read at both
+        // ends.
+        let reads = make_dirty_reads(16, 130, 2024);
+        let reads = reads.reads();
+        let k = 9usize;
+        let idx = WindowIndex::new(reads.iter().map(|r| r.len()), k);
+        let total = idx.total_windows();
+        let per_read = kmer_count(130, k) as u64;
+        let cut = (3 * per_read + per_read / 2, 11 * per_read + 7);
+        assert!(
+            !cut.0.is_multiple_of(per_read) && !cut.1.is_multiple_of(per_read),
+            "cut must fall inside reads"
+        );
+        let mut spare: Vec<Vec<u8>> = Vec::new();
+        for ranks in [1usize, 2, 3, 7] {
+            for (lo, hi) in [(0, total), cut] {
+                let bloom = oracle_pack(reads, &idx, lo, hi, ranks, None, bloom_msg);
+                let hash = oracle_pack(reads, &idx, lo, hi, ranks, None, hash_msg);
+                let mini = oracle_pack(reads, &idx, lo, hi, ranks, Some(4), hash_msg);
+                assert!(bloom.1 > 0 && bloom.1 < hi - lo, "want dirty, non-empty input");
+                assert!(mini.1 > 0 && mini.1 < bloom.1);
+                assert_eq!(bloom.0.iter().map(Vec::len).sum::<usize>() as u64, 8 * bloom.1);
+                assert_eq!(hash.0.iter().map(Vec::len).sum::<usize>() as u64, 20 * hash.1);
+                for threads in [1usize, 2, 4] {
+                    let exec = BatchedExecutor::new(threads);
+                    for batch in [1usize, 16, 1024] {
+                        let at = format!("ranks={ranks} range={lo}..{hi} threads={threads} batch={batch}");
+                        // Every pack is handed the previous pack's buffers
+                        // (other sizes, other contents) to write into.
+                        let got = pack_windows(reads, &idx, lo, hi, ranks, None, batch, &exec, &bloom_msg, &mut spare);
+                        assert_eq!(got, bloom, "bloom record, {at}");
+                        spare.extend(got.0);
+                        let got = pack_windows(reads, &idx, lo, hi, ranks, None, batch, &exec, &hash_msg, &mut spare);
+                        assert_eq!(got, hash, "hash record, {at}");
+                        spare.extend(got.0);
+                        let got = pack_windows(reads, &idx, lo, hi, ranks, Some(4), batch, &exec, &hash_msg, &mut spare);
+                        assert_eq!(got, mini, "minimizer selection, {at}");
+                        spare.extend(got.0);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn overlapped_bloom_to_hash_path_matches_plain_path() {
         // Pre-packing the hash round 0 under the Bloom pass's last
@@ -784,20 +902,7 @@ mod tests {
     fn dirty_reads_shard_identically() {
         // Ambiguous bases make hits < windows; window-range sharding must
         // still agree with the serial reference at any thread count.
-        let clean = make_reads(12, 90, 9);
-        let reads: ReadSet = clean
-            .iter()
-            .map(|r| {
-                let mut seq = r.seq.clone();
-                let step = 17 + (r.id as usize % 5);
-                let mut i = step;
-                while i < seq.len() {
-                    seq[i] = b'N';
-                    i += step;
-                }
-                dibella_io::Read::new(r.id, r.name.clone(), seq)
-            })
-            .collect();
+        let reads = make_dirty_reads(12, 90, 9);
         let cfg = test_cfg(7, 30);
         let baseline = run_for_identity(&reads, 3, &cfg, 1, false);
         let total_hits: u64 = reads

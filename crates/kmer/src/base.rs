@@ -14,6 +14,23 @@ pub const G: u8 = 2;
 /// 2-bit code for `T`.
 pub const T: u8 = 3;
 
+/// The value [`CODES`] holds for every byte that is not a nucleotide.
+pub(crate) const AMBIGUOUS: u8 = 4;
+
+/// ASCII byte → 2-bit code, [`AMBIGUOUS`] for everything but `ACGTacgt`.
+/// One load per base instead of a compare chain: the k-mer extractor
+/// encodes every base of every read twice per run (Bloom pass, hash pass).
+pub(crate) const CODES: [u8; 256] = {
+    let mut t = [AMBIGUOUS; 256];
+    let mut code = 0;
+    while code < 4 {
+        t[b"ACGT"[code] as usize] = code as u8;
+        t[b"acgt"[code] as usize] = code as u8;
+        code += 1;
+    }
+    t
+};
+
 /// Encode an ASCII nucleotide to its 2-bit code.
 ///
 /// Accepts upper- and lower-case `ACGT`. Every other byte (including `N`)
@@ -22,12 +39,9 @@ pub const T: u8 = 3;
 /// overlappers.
 #[inline]
 pub fn encode(b: u8) -> Option<u8> {
-    match b {
-        b'A' | b'a' => Some(A),
-        b'C' | b'c' => Some(C),
-        b'G' | b'g' => Some(G),
-        b'T' | b't' => Some(T),
-        _ => None,
+    match CODES[b as usize] {
+        AMBIGUOUS => None,
+        code => Some(code),
     }
 }
 

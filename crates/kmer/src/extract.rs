@@ -1,7 +1,8 @@
 //! k-mer extraction from reads.
 //!
 //! A read of length `L` is parsed into its `L − k + 1` overlapping k-mers
-//! (paper §2, Figure 2b) with an O(1) rolling update per position. Each
+//! (paper §2, Figure 2b) with an O(1) rolling update per position — two
+//! shift-and-insert register updates, independent of k. Each
 //! yielded k-mer is *canonical* (min of forward and reverse-complement
 //! spelling) together with its position in the read and the strand on which
 //! the canonical form was observed — exactly the location metadata that the
@@ -24,19 +25,27 @@ pub struct KmerHit<const W: usize> {
     pub strand: Strand,
 }
 
-/// Iterator over the canonical k-mers of one sequence.
+/// Iterator over the canonical k-mers of one sequence — the one rolling
+/// core behind [`extract_kmers`], [`window_hits`], the minimizer selection
+/// and the k-mer stages' packer.
 ///
-/// Maintains the forward and reverse-complement windows incrementally, so
-/// each step costs O(W) word operations rather than O(k).
+/// Keeps the window's forward and reverse-complement spellings in two
+/// registers and updates both per base in O(W) word operations, whatever
+/// `k` is (minimap2's two shift-and-mask updates): the base enters the
+/// forward register on the right, its complement enters the reverse
+/// register on the left.
 pub struct KmerIter<'a, const W: usize> {
     seq: &'a [u8],
     k: usize,
     /// Index of the *next* base to consume.
     next: usize,
-    /// Number of consecutive clean bases currently in the window.
+    /// Consecutive clean bases ending at `next`; a window is complete
+    /// once it reaches `k`.
     filled: usize,
     fwd: Kmer<W>,
     rc: Kmer<W>,
+    /// `Kmer::slot_mask(k)`, hoisted out of the per-base update.
+    mask: [u64; W],
 }
 
 impl<'a, const W: usize> KmerIter<'a, W> {
@@ -53,6 +62,7 @@ impl<'a, const W: usize> KmerIter<'a, W> {
             filled: 0,
             fwd: Kmer::zero(k as u16),
             rc: Kmer::zero(k as u16),
+            mask: Kmer::<W>::slot_mask(k),
         }
     }
 }
@@ -60,42 +70,30 @@ impl<'a, const W: usize> KmerIter<'a, W> {
 impl<'a, const W: usize> Iterator for KmerIter<'a, W> {
     type Item = KmerHit<W>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        while self.next < self.seq.len() {
-            let b = self.seq[self.next];
+        while let Some(&b) = self.seq.get(self.next) {
             self.next += 1;
-            match base::encode(b) {
-                None => {
-                    // Ambiguity breaks the window entirely.
-                    self.filled = 0;
-                }
-                Some(code) => {
-                    if self.filled < self.k {
-                        // Still filling the initial window.
-                        self.fwd.set_base(self.filled, code);
-                        self.filled += 1;
-                        if self.filled == self.k {
-                            self.rc = self.fwd.reverse_complement();
-                        }
-                    } else {
-                        self.fwd = self.fwd.roll_left(code);
-                        // Incremental RC: prepend complement on the left,
-                        // dropping the rightmost base. Recompute via the
-                        // O(k) path only when W > 1 would make the shift
-                        // fiddly; measurements show the simple recompute is
-                        // fine for W ≤ 2 at the k values used here.
-                        self.rc = self.fwd.reverse_complement();
-                    }
-                    if self.filled == self.k {
-                        let pos = (self.next - self.k) as u32;
-                        let (kmer, strand) = if self.fwd <= self.rc {
-                            (self.fwd, Strand::Forward)
-                        } else {
-                            (self.rc, Strand::Reverse)
-                        };
-                        return Some(KmerHit { kmer, pos, strand });
-                    }
-                }
+            let code = base::CODES[b as usize];
+            if code == base::AMBIGUOUS {
+                // Ambiguity breaks the window. The registers are not
+                // cleared: the k pushes it takes `filled` to reach k again
+                // shift every stale base out of both of them.
+                self.filled = 0;
+                continue;
+            }
+            self.fwd.push_right(code);
+            self.rc.push_left(base::complement(code), &self.mask);
+            self.filled += 1;
+            if self.filled >= self.k {
+                let pos = (self.next - self.k) as u32;
+                // A palindromic window (forward == reverse) is Forward.
+                let (kmer, strand) = if self.fwd <= self.rc {
+                    (self.fwd, Strand::Forward)
+                } else {
+                    (self.rc, Strand::Reverse)
+                };
+                return Some(KmerHit { kmer, pos, strand });
             }
         }
         None

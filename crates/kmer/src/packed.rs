@@ -88,16 +88,23 @@ impl<const W: usize> Kmer<W> {
     /// set (which would break `Eq`/`Hash` canonical form).
     pub fn from_words(words: [u64; W], k: u16) -> Self {
         let _ = Self::zero(k); // validates k
-        let out = Self { words, k };
-        // Verify no stray bits beyond the top of the k-mer.
-        for i in k as usize..Self::MAX_K {
-            assert_eq!(
-                out.get_base_raw(i),
-                0,
-                "stray bits beyond k = {k} in from_words"
-            );
-        }
-        out
+        let mask = Self::slot_mask(k as usize);
+        assert!(
+            (0..W).all(|w| words[w] & !mask[w] == 0),
+            "stray bits beyond k = {k} in from_words"
+        );
+        Self { words, k }
+    }
+
+    /// Per-word mask of the bits that base slots `0..k` occupy. Every
+    /// `Kmer` keeps the bits outside it zero — what `Eq`/`Hash` and the
+    /// rolling updates below rely on.
+    #[inline]
+    pub(crate) fn slot_mask(k: usize) -> [u64; W] {
+        std::array::from_fn(|w| match k.saturating_sub(32 * w).min(32) {
+            0 => 0,
+            bases => !0u64 << (64 - 2 * bases),
+        })
     }
 
     /// Bit position (word, shift) of base index `i` (0 = leftmost base).
@@ -111,17 +118,12 @@ impl<const W: usize> Kmer<W> {
         (word, (62 - 2 * within) as u32)
     }
 
-    #[inline]
-    fn get_base_raw(&self, i: usize) -> u8 {
-        let (w, s) = Self::slot(i);
-        ((self.words[w] >> s) & 3) as u8
-    }
-
     /// 2-bit code of the base at position `i` (0-based from the left).
     #[inline]
     pub fn get_base(&self, i: usize) -> u8 {
         debug_assert!(i < self.k());
-        self.get_base_raw(i)
+        let (w, s) = Self::slot(i);
+        ((self.words[w] >> s) & 3) as u8
     }
 
     /// Set the base at position `i` to the 2-bit `code`.
@@ -133,35 +135,44 @@ impl<const W: usize> Kmer<W> {
         self.words[w] = (self.words[w] & !(3u64 << s)) | ((code as u64 & 3) << s);
     }
 
-    /// Clears any bits at base positions ≥ k (keeps `Eq`/`Hash` canonical).
-    #[inline]
-    fn normalize(&mut self) {
-        for i in self.k()..Self::MAX_K {
-            let (w, s) = Self::slot(i);
-            self.words[w] &= !(3u64 << s);
-        }
-    }
-
     /// Rolling extension: drop the leftmost base, append `code` on the
-    /// right. This is the O(1) step used by the extraction iterator to
-    /// parse a read of length L into its L − k + 1 k-mers (paper §3).
+    /// right — the step that parses a read of length L into its L − k + 1
+    /// k-mers (paper §3). O(W) word operations whatever `k` is: one
+    /// multi-word shift and one OR, because slot `k − 1` receives the
+    /// (always zero) contents of slot `k` and so needs no clearing.
     #[inline]
     pub fn roll_left(&self, code: u8) -> Self {
-        debug_assert!(code <= 3);
         let mut out = *self;
-        // Shift the whole multi-word register left by 2 bits.
-        let mut carry = 0u64;
-        for w in (0..W).rev() {
-            let new_carry = out.words[w] >> 62;
-            out.words[w] = (out.words[w] << 2) | carry;
-            carry = new_carry;
-        }
-        // The shift moved base 1 into base 0's slot across words; append the
-        // new base at position k-1.
-        out.normalize();
-        out.set_base(self.k() - 1, code);
-        out.normalize();
+        out.push_right(code);
         out
+    }
+
+    /// In-place [`Self::roll_left`].
+    #[inline]
+    pub(crate) fn push_right(&mut self, code: u8) {
+        debug_assert!(code <= 3);
+        for w in 0..W {
+            let carry = if w + 1 < W { self.words[w + 1] >> 62 } else { 0 };
+            self.words[w] = (self.words[w] << 2) | carry;
+        }
+        let (w, s) = Self::slot(self.k() - 1);
+        self.words[w] |= (code as u64) << s;
+    }
+
+    /// The mirror of [`Self::push_right`], for a register that tracks the
+    /// reverse complement of a rolling window: drop the rightmost base,
+    /// prepend `code` on the left. Every base moves one slot right, so the
+    /// old base `k − 1` lands in slot `k` and is cleared by `mask`
+    /// ([`Self::slot_mask`] of this k, hoisted by the caller) — or falls
+    /// off the last word when `k = 32·W` and slot `k` does not exist.
+    #[inline]
+    pub(crate) fn push_left(&mut self, code: u8, mask: &[u64; W]) {
+        debug_assert!(code <= 3);
+        for w in (0..W).rev() {
+            let carry = if w > 0 { self.words[w - 1] << 62 } else { 0 };
+            self.words[w] = ((self.words[w] >> 2) | carry) & mask[w];
+        }
+        self.words[0] |= (code as u64) << 62;
     }
 
     /// The reverse complement of this k-mer.

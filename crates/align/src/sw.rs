@@ -3,8 +3,8 @@
 //! Paper §2: "Finding an optimal alignment is attainable via a dynamic
 //! programming algorithm such as Smith-Waterman". diBELLA never runs the
 //! full quadratic kernel in production (the x-drop extension replaces it);
-//! here it serves as the ground-truth oracle the x-drop and banded kernels
-//! are validated against, and as the "exact" end of the ablation benches.
+//! here it serves as the ground-truth oracle the x-drop kernel is
+//! validated against, and as the "exact" end of the ablation benches.
 
 use crate::scoring::Scoring;
 

@@ -1,16 +1,11 @@
-//! Reusable per-thread scratch for the alignment kernels.
+//! Reusable per-thread scratch for the x-drop kernel.
 //!
 //! Pairwise alignment dominates diBELLA's end-to-end runtime (paper §9,
-//! Figure 7), and the kernels' only steady-state heap traffic was scratch:
-//! a fresh score row per antidiagonal in the x-drop scan, reversed prefix
-//! copies per seed extension, two rows per banded call, and a full DP
-//! matrix per CIGAR traceback. An [`AlignWorkspace`] owns all of that
-//! scratch so the `*_with_workspace` kernel variants
-//! ([`crate::extend_xdrop_with_workspace`],
-//! [`crate::extend_seed_with_workspace`],
-//! [`crate::banded_sw_with_workspace`],
-//! [`crate::global_alignment_with_workspace`]) allocate **nothing** once
-//! the workspace has warmed up to the largest problem it has seen.
+//! Figure 7), and the kernel's only steady-state heap traffic would be
+//! scratch: a score row per antidiagonal and staged copies of the reads.
+//! An [`AlignWorkspace`] owns all of that, so [`crate::SeedExtender`],
+//! [`crate::extend_seed`] and [`crate::extend_xdrop`] allocate **nothing**
+//! once the workspace has warmed up to the largest problem it has seen.
 //!
 //! # Ownership model
 //!
@@ -19,13 +14,11 @@
 //! that parallelize (e.g. `dibella-core`'s alignment-stage batch executor)
 //! keep one workspace per worker thread and reuse it across every task
 //! that worker processes. Reusing a *dirty* workspace is always safe —
-//! every kernel (re)writes each slot before it reads it — which is
-//! exactly what the bit-identity property tests exercise. The scalar and
-//! lane x-drop kernels keep separate rows (`i32` and `i16`), so switching
-//! implementation on one workspace shares nothing but capacity
-//! accounting.
+//! the kernel (re)writes each slot before it reads it — which is exactly
+//! what the bit-identity property tests exercise. The scalar core and the
+//! lane kernel keep separate rows (`i32` and `i16`), so switching between
+//! them on one workspace shares nothing but capacity accounting.
 
-use crate::cigar::CigarOp;
 use crate::simd::LANES16;
 
 /// One sequence in the form the lane x-drop kernel reads it: a forward
@@ -69,13 +62,11 @@ impl LaneSeq {
     }
 }
 
-/// Reusable scratch buffers for all alignment kernels.
+/// Reusable scratch buffers for the x-drop kernel.
 ///
 /// Construct once per thread ([`AlignWorkspace::new`] allocates nothing —
-/// buffers grow lazily to the largest call seen) and pass to the
-/// `*_with_workspace` kernel entry points. Outputs are bit-identical to
-/// the legacy allocating kernels for every input and any prior workspace
-/// state.
+/// buffers grow lazily to the largest call seen) and pass to every kernel
+/// entry point. Results do not depend on what earlier calls left in it.
 #[derive(Clone, Debug, Default)]
 pub struct AlignWorkspace {
     /// Three scalar x-drop score rows (antidiagonals d−2, d−1 and d),
@@ -92,17 +83,10 @@ pub struct AlignWorkspace {
     pub(crate) lane_a: LaneSeq,
     /// Staged copies of the descending side (`t` / oriented read `b`).
     pub(crate) lane_b: LaneSeq,
-    /// Two banded-Smith-Waterman rows (previous and current `i`).
-    pub(crate) banded: [Vec<i32>; 2],
     /// Reverse-complement scratch for callers orienting a read before
     /// seeding (take it with [`std::mem::take`] while the kernels borrow
     /// the workspace mutably, and put it back afterwards).
     pub rc: Vec<u8>,
-    /// Full DP matrix for the CIGAR traceback of
-    /// [`crate::global_alignment_with_workspace`].
-    pub(crate) cigar_dp: Vec<i32>,
-    /// Reversed op list the CIGAR traceback is accumulated into.
-    pub(crate) cigar_ops: Vec<CigarOp>,
 }
 
 impl AlignWorkspace {
@@ -116,16 +100,13 @@ impl AlignWorkspace {
     /// per-thread steady-state footprint (reported by the kernel bench
     /// baseline).
     pub fn scratch_bytes(&self) -> usize {
-        let i32s = self.xdrop.iter().map(Vec::capacity).sum::<usize>()
-            + self.banded.iter().map(Vec::capacity).sum::<usize>()
-            + self.cigar_dp.capacity();
+        let i32s = self.xdrop.iter().map(Vec::capacity).sum::<usize>();
         let i16s = self.xdrop_lanes.iter().map(Vec::capacity).sum::<usize>();
         i32s * std::mem::size_of::<i32>()
             + i16s * std::mem::size_of::<i16>()
             + self.lane_a.capacity()
             + self.lane_b.capacity()
             + self.rc.capacity()
-            + self.cigar_ops.capacity() * std::mem::size_of::<CigarOp>()
     }
 }
 
@@ -133,7 +114,8 @@ impl AlignWorkspace {
 mod tests {
     use super::*;
     use crate::scoring::Scoring;
-    use crate::simd::KernelImpl;
+    use crate::simd::SimdMode;
+    use crate::xdrop::{extend_xdrop, Dir};
 
     #[test]
     fn new_workspace_reserves_nothing() {
@@ -145,13 +127,13 @@ mod tests {
     fn scratch_grows_with_use_then_plateaus() {
         let s = vec![b'A'; 400];
         let t = vec![b'A'; 400];
-        for imp in [KernelImpl::Scalar, KernelImpl::Simd] {
+        for mode in [SimdMode::Scalar, SimdMode::Auto] {
             let mut ws = AlignWorkspace::new();
-            let _ = crate::xdrop::extend_xdrop_with(&s, &t, Scoring::bella(), 25, &mut ws, imp);
+            let _ = extend_xdrop(&s, &t, Dir::Fwd, Scoring::bella(), 25, &mut ws, mode);
             let after_first = ws.scratch_bytes();
             assert!(after_first > 0);
-            let _ = crate::xdrop::extend_xdrop_with(&s, &t, Scoring::bella(), 25, &mut ws, imp);
-            assert_eq!(ws.scratch_bytes(), after_first, "{imp:?}: steady state must not grow");
+            let _ = extend_xdrop(&s, &t, Dir::Fwd, Scoring::bella(), 25, &mut ws, mode);
+            assert_eq!(ws.scratch_bytes(), after_first, "{mode:?}: steady state must not grow");
         }
     }
 

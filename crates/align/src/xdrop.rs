@@ -16,7 +16,7 @@
 //! stage's x-drop load imbalance (paper §9, Figure 8).
 
 use crate::scoring::Scoring;
-use crate::simd::{I16x16, KernelImpl, SimdMode, LANES16};
+use crate::simd::{I16x16, SimdMode, LANES16};
 use crate::workspace::AlignWorkspace;
 
 /// Score used for pruned/unreachable cells. Kept well away from `i32::MIN`
@@ -62,51 +62,6 @@ pub struct Extension {
     pub cells: u64,
 }
 
-/// Extend an alignment from the start of `s` against the start of `t`
-/// with gapped x-drop pruning (drop-off parameter `x > 0`).
-///
-/// Returns the maximum-score pair of prefixes; the extension may be empty
-/// (`score = 0`).
-///
-/// Thin wrapper over the **scalar** kernel with a throwaway workspace;
-/// hot callers should hold a per-thread [`AlignWorkspace`] and call the
-/// workspace variant directly. Stays pinned to the scalar implementation
-/// regardless of the `DIBELLA_SIMD` knob so it can serve as the reference
-/// oracle in differential tests.
-pub fn extend_xdrop(s: &[u8], t: &[u8], scoring: Scoring, x: i32) -> Extension {
-    extend_xdrop_with(s, t, scoring, x, &mut AlignWorkspace::new(), KernelImpl::Scalar)
-}
-
-/// [`extend_xdrop`] using caller-owned scratch: zero heap allocations per
-/// antidiagonal and — once `ws` has warmed up — zero per call.
-///
-/// Runs the kernel implementation [`SimdMode::from_env`] selects (the
-/// `DIBELLA_SIMD` knob); both implementations are bit-identical to
-/// [`extend_xdrop`] for every input and any prior workspace state.
-pub fn extend_xdrop_with_workspace(
-    s: &[u8],
-    t: &[u8],
-    scoring: Scoring,
-    x: i32,
-    ws: &mut AlignWorkspace,
-) -> Extension {
-    extend_xdrop_with(s, t, scoring, x, ws, SimdMode::from_env().kernel())
-}
-
-/// [`extend_xdrop_with_workspace`] with the kernel implementation chosen
-/// explicitly — the entry point the differential bit-identity suites
-/// drive both paths through.
-pub fn extend_xdrop_with(
-    s: &[u8],
-    t: &[u8],
-    scoring: Scoring,
-    x: i32,
-    ws: &mut AlignWorkspace,
-    imp: KernelImpl,
-) -> Extension {
-    extend_xdrop_dir_with(s, t, Dir::Fwd, scoring, x, ws, imp)
-}
-
 /// The x-drop scan over antidiagonals, generic over walk direction.
 ///
 /// Row storage is the caller's three reusable buffers (antidiagonals d−2,
@@ -118,7 +73,7 @@ pub fn extend_xdrop_with(
 /// — so the scores read, the candidate ranges derived from them, and the
 /// `cells` tally are exactly those of the historical copying
 /// implementation.
-pub(crate) fn xdrop_core<const REV: bool>(
+fn xdrop_core<const REV: bool>(
     s: &[u8],
     t: &[u8],
     scoring: Scoring,
@@ -293,6 +248,12 @@ const REBASE_AT: i16 = 16_000;
 fn lane_eligible(scoring: Scoring, x: i32) -> bool {
     let small = |v: i32| (-LANE_MAX_PENALTY..=LANE_MAX_PENALTY).contains(&v);
     x <= LANE_MAX_X && small(scoring.match_score) && small(scoring.mismatch) && small(scoring.gap)
+}
+
+/// The dispatch every entry point shares: the lane kernel unless the
+/// caller pinned the scalar oracle or the input is not [`lane_eligible`].
+fn runs_on_lanes(mode: SimdMode, scoring: Scoring, x: i32) -> bool {
+    mode == SimdMode::Auto && lane_eligible(scoring, x)
 }
 
 /// The lane x-drop scan: the antidiagonal walk, pruning and bookkeeping of
@@ -498,28 +459,6 @@ fn xdrop_core_lanes(
     Some(Extension { score: offset + best_rel as i32, s_ext: best_i, t_ext: best_j, cells })
 }
 
-/// Ungapped x-drop extension along the main diagonal (the cheap variant
-/// BLAST uses before gapped extension; exposed for the kernel ablation).
-pub fn extend_ungapped(s: &[u8], t: &[u8], scoring: Scoring, x: i32) -> Extension {
-    assert!(x > 0);
-    let mut score = 0i32;
-    let mut best = 0i32;
-    let mut best_len = 0usize;
-    let mut cells = 0u64;
-    for (i, (&a, &b)) in s.iter().zip(t.iter()).enumerate() {
-        cells += 1;
-        score += scoring.substitution(a, b);
-        if score > best {
-            best = score;
-            best_len = i + 1;
-        }
-        if score < best - x {
-            break;
-        }
-    }
-    Extension { score: best, s_ext: best_len, t_ext: best_len, cells }
-}
-
 /// A shared-seed alignment task between two oriented sequences.
 ///
 /// Positions refer to the *oriented* sequences handed to
@@ -552,40 +491,29 @@ pub struct SeedAlignment {
     pub cells: u64,
 }
 
-/// Directional [`extend_xdrop_with_workspace`]: `Dir::Fwd` extends over
-/// the slices left-to-right; `Dir::Rev` extends right-to-left, equivalent
-/// to (and bit-identical with) extending over reversed copies of both.
-pub fn extend_xdrop_dir_with_workspace(
-    s: &[u8],
-    t: &[u8],
-    dir: Dir,
-    scoring: Scoring,
-    x: i32,
-    ws: &mut AlignWorkspace,
-) -> Extension {
-    extend_xdrop_dir_with(s, t, dir, scoring, x, ws, SimdMode::from_env().kernel())
-}
-
-/// [`extend_xdrop_dir_with_workspace`] with the kernel implementation
-/// pinned by the caller. This is the entry point the differential tests
-/// and the kernel benchmarks use to drive both implementations over the
-/// same (dirty) workspace.
+/// Extend an alignment from the start of `s` against the start of `t`
+/// with gapped x-drop pruning (drop-off parameter `x > 0`), returning the
+/// maximum-score pair of prefixes; the extension may be empty (`score =
+/// 0`). [`Dir::Fwd`] walks the slices left-to-right; [`Dir::Rev`] walks
+/// them right-to-left in place, equivalent to (and bit-identical with)
+/// extending over reversed copies of both.
 ///
-/// [`KernelImpl::Simd`] runs the 16-bit lane kernel when `scoring` and
-/// `x` fit it (`x ≤ 4000`, `|match|`, `|mismatch|`, `|gap| ≤ 64`) and the
-/// scalar kernel otherwise — or when an in-band cell sinks more than
-/// ~28 000 below the pruning threshold mid-extension, which a 16-bit row
-/// cannot hold. The result is the scalar kernel's either way.
-pub fn extend_xdrop_dir_with(
+/// All scratch comes from `ws`: zero heap allocations per antidiagonal
+/// and — once `ws` has warmed up — zero per call. The result is the same
+/// for either `mode` and any prior workspace state.
+///
+/// # Panics
+/// Panics if `x` is not positive.
+pub fn extend_xdrop(
     s: &[u8],
     t: &[u8],
     dir: Dir,
     scoring: Scoring,
     x: i32,
     ws: &mut AlignWorkspace,
-    imp: KernelImpl,
+    mode: SimdMode,
 ) -> Extension {
-    if imp == KernelImpl::Simd && lane_eligible(scoring, x) {
+    if runs_on_lanes(mode, scoring, x) {
         let AlignWorkspace { xdrop_lanes, lane_a, lane_b, .. } = ws;
         let (a_side, b_side) = match dir {
             Dir::Fwd => {
@@ -610,52 +538,22 @@ pub fn extend_xdrop_dir_with(
 
 /// Seed-and-extend with gapped x-drop in both directions from a shared
 /// k-mer (paper §4 step 4: "perform alignment on these read pairs using
-/// the shared k-mer as the starting position (seed)").
-///
-/// Thin wrapper over the **scalar** kernel with a throwaway workspace,
-/// pinned regardless of the `DIBELLA_SIMD` knob so it can serve as the
-/// reference oracle in differential tests.
+/// the shared k-mer as the starting position (seed)"). One-shot form of
+/// [`SeedExtender`]: both directional extensions run the core `mode`
+/// selects; the seed-region prologue is scalar by nature and shared.
 ///
 /// # Panics
 /// Panics if the seed exceeds either sequence.
-pub fn extend_seed(a: &[u8], b: &[u8], seed: SeedHit, scoring: Scoring, x: i32) -> SeedAlignment {
-    extend_seed_with(a, b, seed, scoring, x, &mut AlignWorkspace::new(), KernelImpl::Scalar)
-}
-
-/// [`extend_seed`] using caller-owned scratch, so the per-task steady
-/// state performs zero heap allocations. Runs the kernel implementation
-/// [`SimdMode::from_env`] selects.
-///
-/// # Panics
-/// Panics if the seed exceeds either sequence.
-pub fn extend_seed_with_workspace(
+pub fn extend_seed(
     a: &[u8],
     b: &[u8],
     seed: SeedHit,
     scoring: Scoring,
     x: i32,
     ws: &mut AlignWorkspace,
+    mode: SimdMode,
 ) -> SeedAlignment {
-    extend_seed_with(a, b, seed, scoring, x, ws, SimdMode::from_env().kernel())
-}
-
-/// [`extend_seed_with_workspace`] with the kernel implementation pinned
-/// by the caller (both directional extensions run on the chosen kernel;
-/// the seed-region prologue is scalar by nature and shared). One-shot
-/// form of [`SeedExtender`].
-///
-/// # Panics
-/// Panics if the seed exceeds either sequence.
-pub fn extend_seed_with(
-    a: &[u8],
-    b: &[u8],
-    seed: SeedHit,
-    scoring: Scoring,
-    x: i32,
-    ws: &mut AlignWorkspace,
-    imp: KernelImpl,
-) -> SeedAlignment {
-    let mut pair = SeedExtender::new(a, scoring, x, ws, imp);
+    let mut pair = SeedExtender::new(a, scoring, x, ws, mode);
     pair.set_b(b);
     pair.extend(seed)
 }
@@ -689,9 +587,9 @@ impl<'a> SeedExtender<'a> {
         scoring: Scoring,
         x: i32,
         ws: &'a mut AlignWorkspace,
-        imp: KernelImpl,
+        mode: SimdMode,
     ) -> Self {
-        let lanes = imp == KernelImpl::Simd && lane_eligible(scoring, x);
+        let lanes = runs_on_lanes(mode, scoring, x);
         if lanes {
             ws.lane_a.set_fwd(a);
             ws.lane_a.set_rev(a);
@@ -778,9 +676,33 @@ mod tests {
 
     const S: Scoring = Scoring::bella();
 
+    /// Both cores through one workspace, scalar first.
+    fn both(s: &[u8], t: &[u8], dir: Dir, sc: Scoring, x: i32) -> (Extension, Extension) {
+        let mut ws = AlignWorkspace::new();
+        (
+            extend_xdrop(s, t, dir, sc, x, &mut ws, SimdMode::Scalar),
+            extend_xdrop(s, t, dir, sc, x, &mut ws, SimdMode::Auto),
+        )
+    }
+
+    /// A forward extension under BELLA scoring, the same on both cores.
+    fn fwd(s: &[u8], t: &[u8], x: i32) -> Extension {
+        let (scalar, lanes) = both(s, t, Dir::Fwd, S, x);
+        assert_eq!(lanes, scalar);
+        scalar
+    }
+
+    /// A seed extension under BELLA scoring, the same on both cores.
+    fn seeded(a: &[u8], b: &[u8], seed: SeedHit, x: i32) -> SeedAlignment {
+        let mut ws = AlignWorkspace::new();
+        let scalar = extend_seed(a, b, seed, S, x, &mut ws, SimdMode::Scalar);
+        assert_eq!(extend_seed(a, b, seed, S, x, &mut ws, SimdMode::Auto), scalar);
+        scalar
+    }
+
     #[test]
     fn identical_extension_runs_to_the_end() {
-        let e = extend_xdrop(b"ACGTACGTGG", b"ACGTACGTGG", S, 10);
+        let e = fwd(b"ACGTACGTGG", b"ACGTACGTGG", 10);
         assert_eq!(e.score, 10);
         assert_eq!(e.s_ext, 10);
         assert_eq!(e.t_ext, 10);
@@ -788,15 +710,15 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let e = extend_xdrop(b"", b"", S, 5);
+        let e = fwd(b"", b"", 5);
         assert_eq!(e.score, 0);
-        let e = extend_xdrop(b"ACGT", b"", S, 5);
+        let e = fwd(b"ACGT", b"", 5);
         assert_eq!((e.score, e.s_ext, e.t_ext), (0, 0, 0));
     }
 
     #[test]
     fn mismatch_tail_is_not_included() {
-        let e = extend_xdrop(b"AAAAGGGG", b"AAAACCCC", S, 3);
+        let e = fwd(b"AAAAGGGG", b"AAAACCCC", 3);
         assert_eq!(e.score, 4);
         assert_eq!(e.s_ext, 4);
     }
@@ -804,7 +726,7 @@ mod tests {
     #[test]
     fn bridges_single_gap() {
         // s has an extra base; gapped extension must recover the match run.
-        let e = extend_xdrop(b"AAAACAAAAAAA", b"AAAAAAAAAAA", S, 6);
+        let e = fwd(b"AAAACAAAAAAA", b"AAAAAAAAAAA", 6);
         // 11 matches − 1 gap = 10.
         assert_eq!(e.score, 10);
         assert_eq!(e.s_ext, 12);
@@ -819,7 +741,7 @@ mod tests {
         let mut t = b"ACGTGC".to_vec();
         s.extend(std::iter::repeat_n(b'A', 4000));
         t.extend(std::iter::repeat_n(b'C', 4000));
-        let e = extend_xdrop(&s, &t, S, 10);
+        let e = fwd(&s, &t, 10);
         assert_eq!(e.score, 6);
         assert!(e.cells < 2_000, "expected early exit, computed {} cells", e.cells);
     }
@@ -830,7 +752,7 @@ mod tests {
         let t = b"ACGTTGCAGCTATTTACGCAGCATACGGTTTACA";
         let mut prev = 0;
         for x in [1, 2, 5, 10, 50] {
-            let e = extend_xdrop(s, t, S, x);
+            let e = fwd(s, t, x);
             assert!(e.score >= prev, "x={x}");
             prev = e.score;
         }
@@ -842,16 +764,8 @@ mod tests {
         // which for these inputs equals the SW local score anchored at 0,0.
         let s = b"ACGTACGTAC";
         let t = b"ACGTACGTAC";
-        let e = extend_xdrop(s, t, S, 1_000_000);
+        let e = fwd(s, t, 1_000_000);
         assert_eq!(e.score, 10);
-    }
-
-    #[test]
-    fn ungapped_stops_at_best() {
-        let e = extend_ungapped(b"AAAATTTT", b"AAAACCCC", S, 2);
-        assert_eq!(e.score, 4);
-        assert_eq!(e.s_ext, 4);
-        assert!(e.cells <= 8);
     }
 
     #[test]
@@ -860,7 +774,7 @@ mod tests {
         let a = b"TTTTACGTACGTAAAA";
         let b = b"TTTTACGTACGTAAAA";
         let seed = SeedHit { a_pos: 4, b_pos: 4, k: 8 };
-        let al = extend_seed(a, b, seed, S, 20);
+        let al = seeded(a, b, seed, 20);
         assert_eq!(al.score, 16);
         assert_eq!((al.a_start, al.a_end), (0, 16));
         assert_eq!((al.b_start, al.b_end), (0, 16));
@@ -872,7 +786,7 @@ mod tests {
         let a = b"GGGGGGACGTACGTTTTT";
         let b = b"ACGTACGTTTTTCCCCCC";
         let seed = SeedHit { a_pos: 6, b_pos: 0, k: 8 };
-        let al = extend_seed(a, b, seed, S, 10);
+        let al = seeded(a, b, seed, 10);
         // Overlap region is 12 bases (ACGTACGTTTTT).
         assert_eq!(al.score, 12);
         assert_eq!((al.a_start, al.a_end), (6, 18));
@@ -885,7 +799,7 @@ mod tests {
         let b = b"TTGCAGGTATTAACGCAGGATACGG";
         // Seed at a true shared 8-mer: a[4..12] == b[1..9].
         assert_eq!(&a[4..12], &b[1..9]);
-        let al = extend_seed(a, b, SeedHit { a_pos: 4, b_pos: 1, k: 8 }, S, 50);
+        let al = seeded(a, b, SeedHit { a_pos: 4, b_pos: 1, k: 8 }, 50);
         let oracle = smith_waterman(a, b, S);
         assert!(al.score <= oracle.score, "xdrop {} > SW {}", al.score, oracle.score);
         assert!(al.score > 0);
@@ -894,7 +808,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "seed out of range")]
     fn seed_bounds_checked() {
-        let _ = extend_seed(b"ACGT", b"ACGT", SeedHit { a_pos: 2, b_pos: 0, k: 4 }, S, 5);
+        let _ = seeded(b"ACGT", b"ACGT", SeedHit { a_pos: 2, b_pos: 0, k: 4 }, 5);
     }
 
     #[test]
@@ -905,10 +819,10 @@ mod tests {
         let unit = b"ACGTTGCAGGTATTTACGCA";
         let long: Vec<u8> = unit.iter().cycle().take(2000).copied().collect();
         let seed = SeedHit { a_pos: 0, b_pos: 0, k: 8 };
-        let good = extend_seed(&long, &long.clone(), seed, S, 15);
+        let good = seeded(&long, &long.clone(), seed, 15);
         let mut bad_b = long[..20].to_vec();
         bad_b.extend(std::iter::repeat_n(b'T', 1980));
-        let bad = extend_seed(&long, &bad_b, seed, S, 15);
+        let bad = seeded(&long, &bad_b, seed, 15);
         assert!(
             good.cells > 5 * bad.cells,
             "good={} bad={}",
@@ -927,15 +841,6 @@ mod tests {
                 b"ACGT"[(state % 4) as usize]
             })
             .collect()
-    }
-
-    /// Both implementations through one workspace.
-    fn both(s: &[u8], t: &[u8], dir: Dir, sc: Scoring, x: i32) -> (Extension, Extension) {
-        let mut ws = AlignWorkspace::new();
-        (
-            extend_xdrop_dir_with(s, t, dir, sc, x, &mut ws, KernelImpl::Scalar),
-            extend_xdrop_dir_with(s, t, dir, sc, x, &mut ws, KernelImpl::Simd),
-        )
     }
 
     #[test]

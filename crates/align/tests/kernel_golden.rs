@@ -1,9 +1,9 @@
-//! Golden-vector edge cases for both alignment-kernel implementations.
+//! Golden-vector edge cases for both x-drop cores.
 //!
 //! Unlike the random differential suite (`simd_identity.rs`), these are
 //! hand-picked worst cases with **committed** expected outputs, so a bug
 //! that broke scalar and SIMD identically would still be caught. Each
-//! case runs on both kernel paths through one shared dirty workspace and
+//! case runs on both cores through one shared dirty workspace and
 //! must reproduce the committed (score, s_ext, t_ext, cells) tuple
 //! exactly.
 //!
@@ -15,9 +15,7 @@
 //!
 //! and paste the printed rows (they are produced by the scalar oracle).
 
-use dibella_align::{
-    banded_sw_with, extend_xdrop_dir_with, AlignWorkspace, Dir, KernelImpl, Scoring,
-};
+use dibella_align::{extend_xdrop, AlignWorkspace, Dir, Scoring, SimdMode};
 
 const BELLA: Scoring = Scoring::bella();
 
@@ -29,18 +27,6 @@ struct XCase {
     t: &'static [u8],
     scoring: Scoring,
     x: i32,
-    expect: (i32, usize, usize, u64),
-}
-
-/// A banded golden case: inputs plus the expected
-/// `(score, s_end, t_end, cells)`.
-struct BCase {
-    name: &'static str,
-    s: &'static [u8],
-    t: &'static [u8],
-    center: i64,
-    half_band: usize,
-    scoring: Scoring,
     expect: (i32, usize, usize, u64),
 }
 
@@ -89,21 +75,6 @@ fn xcases() -> Vec<XCase> {
     ]
 }
 
-fn bcases() -> Vec<BCase> {
-    vec![
-        BCase { name: "empty_s", s: b"", t: b"ACGT", center: 0, half_band: 4, scoring: BELLA, expect: (0, 0, 0, 0) },
-        BCase { name: "empty_t", s: b"ACGT", t: b"", center: 0, half_band: 4, scoring: BELLA, expect: (0, 0, 0, 0) },
-        BCase { name: "diagonal_match", s: POLY_A, t: POLY_A, center: 0, half_band: 2, scoring: BELLA, expect: (40, 40, 40, 194) },
-        BCase { name: "all_mismatch", s: POLY_A, t: POLY_C, center: 0, half_band: 3, scoring: BELLA, expect: (0, 0, 0, 268) },
-        BCase { name: "band_off_top_edge", s: POLY_A, t: POLY_A, center: 45, half_band: 3, scoring: BELLA, expect: (0, 0, 0, 0) },
-        BCase { name: "band_off_bottom_edge", s: POLY_A, t: POLY_A, center: -45, half_band: 3, scoring: BELLA, expect: (0, 0, 0, 0) },
-        BCase { name: "band_clipped_at_corner", s: POLY_A, t: POLY_A, center: 38, half_band: 4, scoring: BELLA, expect: (6, 6, 40, 21) },
-        BCase { name: "band_wider_than_matrix", s: b"ACGTAC", t: b"GTACGT", center: 0, half_band: 20, scoring: BELLA, expect: (4, 4, 6, 36) },
-        BCase { name: "one_base_band", s: b"G", t: b"G", center: 0, half_band: 1, scoring: BELLA, expect: (1, 1, 1, 1) },
-        BCase { name: "huge_scores", s: POLY_A, t: POLY_A_SHORT, center: 0, half_band: 6, scoring: HUGE, expect: (37748736, 36, 36, 444) },
-    ]
-}
-
 /// Prints the scalar oracle's outputs in source form for pasting into the
 /// `expect` fields above. Ignored in normal runs.
 #[test]
@@ -111,12 +82,8 @@ fn bcases() -> Vec<BCase> {
 fn print_golden() {
     let mut ws = AlignWorkspace::new();
     for c in xcases() {
-        let e = extend_xdrop_dir_with(c.s, c.t, Dir::Fwd, c.scoring, c.x, &mut ws, KernelImpl::Scalar);
+        let e = extend_xdrop(c.s, c.t, Dir::Fwd, c.scoring, c.x, &mut ws, SimdMode::Scalar);
         println!("x {}: ({}, {}, {}, {})", c.name, e.score, e.s_ext, e.t_ext, e.cells);
-    }
-    for c in bcases() {
-        let a = banded_sw_with(c.s, c.t, c.center, c.half_band, c.scoring, &mut ws, KernelImpl::Scalar);
-        println!("b {}: ({}, {}, {}, {})", c.name, a.score, a.s_end, a.t_end, a.cells);
     }
 }
 
@@ -124,12 +91,12 @@ fn print_golden() {
 fn xdrop_golden_vectors_on_both_kernels() {
     let mut ws = AlignWorkspace::new();
     for c in xcases() {
-        for imp in [KernelImpl::Scalar, KernelImpl::Simd] {
-            let e = extend_xdrop_dir_with(c.s, c.t, Dir::Fwd, c.scoring, c.x, &mut ws, imp);
+        for mode in [SimdMode::Scalar, SimdMode::Auto] {
+            let e = extend_xdrop(c.s, c.t, Dir::Fwd, c.scoring, c.x, &mut ws, mode);
             assert_eq!(
                 (e.score, e.s_ext, e.t_ext, e.cells),
                 c.expect,
-                "xdrop case {:?} on {imp:?}",
+                "xdrop case {:?} on {mode:?}",
                 c.name
             );
         }
@@ -137,28 +104,12 @@ fn xdrop_golden_vectors_on_both_kernels() {
         // committed forward expectation on both kernels, too.
         let s_rev: Vec<u8> = c.s.iter().rev().copied().collect();
         let t_rev: Vec<u8> = c.t.iter().rev().copied().collect();
-        for imp in [KernelImpl::Scalar, KernelImpl::Simd] {
-            let e = extend_xdrop_dir_with(&s_rev, &t_rev, Dir::Rev, c.scoring, c.x, &mut ws, imp);
+        for mode in [SimdMode::Scalar, SimdMode::Auto] {
+            let e = extend_xdrop(&s_rev, &t_rev, Dir::Rev, c.scoring, c.x, &mut ws, mode);
             assert_eq!(
                 (e.score, e.s_ext, e.t_ext, e.cells),
                 c.expect,
-                "reversed xdrop case {:?} on {imp:?}",
-                c.name
-            );
-        }
-    }
-}
-
-#[test]
-fn banded_golden_vectors_on_both_kernels() {
-    let mut ws = AlignWorkspace::new();
-    for c in bcases() {
-        for imp in [KernelImpl::Scalar, KernelImpl::Simd] {
-            let a = banded_sw_with(c.s, c.t, c.center, c.half_band, c.scoring, &mut ws, imp);
-            assert_eq!(
-                (a.score, a.s_end, a.t_end, a.cells),
-                c.expect,
-                "banded case {:?} on {imp:?}",
+                "reversed xdrop case {:?} on {mode:?}",
                 c.name
             );
         }

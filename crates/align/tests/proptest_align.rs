@@ -1,10 +1,21 @@
-//! Property tests: kernel cross-validation against the Smith-Waterman
+//! Property tests: x-drop cross-validation against the Smith-Waterman
 //! oracle.
 
 use dibella_align::{
-    banded_sw, extend_seed, extend_xdrop, smith_waterman, Scoring, SeedHit,
+    extend_seed, extend_xdrop, smith_waterman, AlignWorkspace, Dir, Extension, Scoring,
+    SeedAlignment, SeedHit, SimdMode,
 };
 use proptest::prelude::*;
+
+/// A forward extension on the production dispatch, fresh scratch.
+fn xdrop(s: &[u8], t: &[u8], sc: Scoring, x: i32) -> Extension {
+    extend_xdrop(s, t, Dir::Fwd, sc, x, &mut AlignWorkspace::new(), SimdMode::Auto)
+}
+
+/// A seed extension on the production dispatch, fresh scratch.
+fn seeded(a: &[u8], b: &[u8], seed: SeedHit, sc: Scoring, x: i32) -> SeedAlignment {
+    extend_seed(a, b, seed, sc, x, &mut AlignWorkspace::new(), SimdMode::Auto)
+}
 
 fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(prop::sample::select(b"ACGT".to_vec()), len)
@@ -45,7 +56,7 @@ proptest! {
     #[test]
     fn xdrop_bounded_by_sw(s in dna(1..120), t in dna(1..120), x in 1i32..60) {
         let sc = Scoring::bella();
-        let e = extend_xdrop(&s, &t, sc, x);
+        let e = xdrop(&s, &t, sc, x);
         let oracle = smith_waterman(&s, &t, sc);
         prop_assert!(e.score <= oracle.score,
             "xdrop {} > sw {}", e.score, oracle.score);
@@ -61,7 +72,7 @@ proptest! {
         let sc = Scoring::bella();
         let mut prev = 0;
         for x in [1, 3, 8, 20, 60, 200] {
-            let e = extend_xdrop(&s, &t, sc, x);
+            let e = xdrop(&s, &t, sc, x);
             prop_assert!(e.score >= prev, "x={x}: {} < {prev}", e.score);
             prev = e.score;
         }
@@ -72,7 +83,7 @@ proptest! {
     #[test]
     fn xdrop_infinite_x_equals_full_prefix_dp(s in dna(1..60), t in dna(1..60)) {
         let sc = Scoring::bella();
-        let e = extend_xdrop(&s, &t, sc, 1_000_000);
+        let e = xdrop(&s, &t, sc, 1_000_000);
         // Reference: full DP over prefixes (global start, free end).
         let n = s.len();
         let m = t.len();
@@ -110,7 +121,7 @@ proptest! {
         let _ = noise;
         let seed = SeedHit { a_pos: seed_rel, b_pos: 0, k };
         let sc = Scoring::bella();
-        let al = extend_seed(&a, &b, seed, sc, 30);
+        let al = seeded(&a, &b, seed, sc, 30);
         let oracle = smith_waterman(&a, &b, sc);
         prop_assert!(al.score <= oracle.score);
         prop_assert!(al.score >= k as i32, "seed not recovered: {}", al.score);
@@ -120,23 +131,6 @@ proptest! {
         prop_assert!(al.a_end <= a.len() && al.b_end <= b.len());
     }
 
-    /// Banded SW with a full-width band equals full SW; narrower bands
-    /// never score higher.
-    #[test]
-    fn banded_bounded_and_converges(s in dna(5..80), t in dna(5..80)) {
-        let sc = Scoring::bella();
-        let full = smith_waterman(&s, &t, sc);
-        let wide = banded_sw(&s, &t, 0, s.len() + t.len(), sc);
-        prop_assert_eq!(wide.score, full.score);
-        let mut prev = 0;
-        for hb in [1usize, 2, 4, 8, 16, 64] {
-            let b = banded_sw(&s, &t, 0, hb, sc);
-            prop_assert!(b.score >= prev);
-            prop_assert!(b.score <= full.score);
-            prev = b.score;
-        }
-    }
-
     /// A noisy copy of a read aligns with score proportional to length
     /// (regression guard for the PacBio regime: 15 % error, unit scores).
     #[test]
@@ -144,52 +138,10 @@ proptest! {
         let base: Vec<u8> = (0..len).map(|i| b"ACGT"[(i * 7 + 1) % 4]).collect();
         let noisy = mutate(&base, 0.15, seed);
         let sc = Scoring::bella();
-        let e = extend_seed(
-            &base,
-            &noisy,
-            SeedHit { a_pos: 0, b_pos: 0, k: 1 },
-            sc,
-            50,
-        );
+        let e = seeded(&base, &noisy, SeedHit { a_pos: 0, b_pos: 0, k: 1 }, sc, 50);
         // With e=15% and unit scores, expected per-base score ≈ 0.5; allow
         // a broad band.
         prop_assert!(e.score as f64 > 0.2 * len as f64,
             "score {} too low for len {len}", e.score);
-    }
-}
-
-mod cigar_props {
-    use dibella_align::{global_alignment, Scoring};
-    use proptest::prelude::*;
-
-    fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
-        prop::collection::vec(prop::sample::select(b"ACGT".to_vec()), len)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The CIGAR path consumes exactly both inputs and replays to `b`.
-        #[test]
-        fn path_is_valid(a in dna(0..60), b in dna(0..60)) {
-            let (_, cigar) = global_alignment(&a, &b, Scoring::bella());
-            prop_assert_eq!(cigar.a_len(), a.len());
-            prop_assert_eq!(cigar.b_len(), b.len());
-            prop_assert_eq!(cigar.apply(&a, &b), b);
-        }
-
-        /// The traceback's score equals the DP score recomputed from the
-        /// path, and the path's edit count bounds the score from below.
-        #[test]
-        fn score_consistency(a in dna(1..50), b in dna(1..50)) {
-            let sc = Scoring::bella();
-            let (score, cigar) = global_alignment(&a, &b, sc);
-            let recomputed: i32 = cigar.runs().iter().map(|&(n, op)| {
-                use dibella_align::CigarOp::*;
-                n as i32 * match op { Match => sc.match_score, Mismatch => sc.mismatch, _ => sc.gap }
-            }).sum();
-            prop_assert_eq!(score, recomputed);
-            prop_assert!(cigar.identity() >= 0.0 && cigar.identity() <= 1.0);
-        }
     }
 }

@@ -1,23 +1,25 @@
-//! Differential bit-identity of the lane-SIMD kernels vs the scalar
-//! reference — the property suite behind the "SIMD changes throughput,
-//! never output" guarantee.
+//! Differential bit-identity of the lane x-drop kernel vs the scalar
+//! core — the property suite behind the "SIMD changes throughput, never
+//! output" guarantee.
 //!
-//! Every case drives **both** implementations through ONE thread-local
+//! Every case drives **both** cores through ONE thread-local
 //! [`AlignWorkspace`] that is never reset, so the ~1k random inputs
-//! double as a dirty-reuse test: the lane x-drop kernel never
-//! re-initializes its rows or staged sequence copies, the banded kernels
-//! share theirs, and any stale-scratch leak would diverge here. Sweeps
-//! cover sequence lengths from 0 to 4k (including lengths below one SIMD
-//! lane), PacBio-like error rates, random scoring parameters, the x-drop
-//! `X`, band center/width clamped at matrix edges, and both walk
-//! directions; scores, extents, `cells` tallies and CIGARs must all be
-//! identical. Two deterministic cases reach what 4 kb cannot: 40–70 kb
-//! pairs whose scores cross the lane kernel's rebase point several times,
-//! and the scoring / `x` values either side of its eligibility bounds.
+//! double as a dirty-reuse test: the lane kernel never re-initializes its
+//! rows or staged sequence copies, and any stale-scratch leak would
+//! diverge here. Sweeps cover sequence lengths from 0 to 4k (including
+//! lengths below one SIMD lane), PacBio-like error rates, random scoring
+//! parameters, the x-drop `X` and both walk directions; scores, extents
+//! and `cells` tallies must all be identical. Two deterministic cases
+//! reach what 4 kb cannot: 40–70 kb pairs whose scores cross the lane
+//! kernel's rebase point several times, and the scoring / `x` values
+//! either side of its eligibility bounds. Two more properties pin the
+//! workspace itself: a [`Dir::Rev`] walk equals a forward walk over
+//! reversed copies, and a result does not depend on which calls dirtied
+//! the workspace before it.
 
 use dibella_align::{
-    banded_sw_with, extend_seed_with, extend_xdrop_dir_with, global_alignment,
-    global_alignment_with_workspace, AlignWorkspace, Cigar, Dir, KernelImpl, Scoring, SeedHit,
+    extend_seed, extend_xdrop, AlignWorkspace, Dir, Extension, Scoring, SeedAlignment, SeedHit,
+    SimdMode,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -25,7 +27,7 @@ use std::cell::RefCell;
 thread_local! {
     /// Deliberately shared, never-cleared workspace: every case of every
     /// property dirties it for the next one — alternating between the
-    /// scalar and SIMD row layouts.
+    /// scalar and lane row layouts.
     static WS: RefCell<AlignWorkspace> = RefCell::new(AlignWorkspace::new());
 }
 
@@ -62,18 +64,35 @@ fn mutate(template: &[u8], ops: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Both x-drop kernels over the shared dirty workspace, scalar first.
-fn xdrop_both(
-    s: &[u8],
-    t: &[u8],
-    dir: Dir,
+/// What one call of `mixed_call_orders_stay_identical` returned.
+#[derive(Debug, PartialEq)]
+enum Out {
+    Ext(Extension),
+    Seed(SeedAlignment),
+}
+
+/// Both x-drop cores over the shared dirty workspace, scalar first.
+fn xdrop_both(s: &[u8], t: &[u8], dir: Dir, sc: Scoring, x: i32) -> (Extension, Extension) {
+    with_ws(|ws| {
+        let scalar = extend_xdrop(s, t, dir, sc, x, ws, SimdMode::Scalar);
+        let simd = extend_xdrop(s, t, dir, sc, x, ws, SimdMode::Auto);
+        (scalar, simd)
+    })
+}
+
+/// Both cores over the shared dirty workspace on a full seed-and-extend.
+fn seed_both(
+    a: &[u8],
+    b: &[u8],
+    seed: SeedHit,
     sc: Scoring,
     x: i32,
-) -> (dibella_align::Extension, dibella_align::Extension) {
+) -> (SeedAlignment, SeedAlignment) {
     with_ws(|ws| {
-        let scalar = extend_xdrop_dir_with(s, t, dir, sc, x, ws, KernelImpl::Scalar);
-        let simd = extend_xdrop_dir_with(s, t, dir, sc, x, ws, KernelImpl::Simd);
-        (scalar, simd)
+        (
+            extend_seed(a, b, seed, sc, x, ws, SimdMode::Scalar),
+            extend_seed(a, b, seed, sc, x, ws, SimdMode::Auto),
+        )
     })
 }
 
@@ -120,9 +139,7 @@ proptest! {
 
     /// True overlaps at a controlled error rate: template + independent
     /// mutation streams for each copy, then full seed-and-extend (both
-    /// directions + prologue) on both kernels — and the CIGAR of the
-    /// aligned region afterwards, computed through the same dirty
-    /// workspace the SIMD kernel just used.
+    /// directions + prologue) on both cores.
     #[test]
     fn noisy_overlap_seed_extension_identical(
         template in dna(40..240),
@@ -135,46 +152,7 @@ proptest! {
         prop_assume!(a.len() >= 24 && b.len() >= 24);
         let seed = SeedHit { a_pos: a.len() / 3, b_pos: b.len() / 3, k: 12 };
         prop_assume!(seed.a_pos + seed.k <= a.len() && seed.b_pos + seed.k <= b.len());
-        let sc = Scoring::bella();
-        let (scalar, simd) = with_ws(|ws| {
-            (
-                extend_seed_with(&a, &b, seed, sc, x, ws, KernelImpl::Scalar),
-                extend_seed_with(&a, &b, seed, sc, x, ws, KernelImpl::Simd),
-            )
-        });
-        prop_assert_eq!(simd, scalar);
-
-        // CIGAR of the aligned `a` region vs fresh-scratch reference: the
-        // SIMD kernels must leave the shared workspace reusable by every
-        // other kernel.
-        let (a_s, a_e) = (simd.a_start, simd.a_end);
-        let (b_s, b_e) = (simd.b_start, simd.b_end);
-        let fresh: (i32, Cigar) = global_alignment(&a[a_s..a_e], &b[b_s..b_e], sc);
-        let dirty = with_ws(|ws| global_alignment_with_workspace(&a[a_s..a_e], &b[b_s..b_e], sc, ws));
-        prop_assert_eq!(dirty, fresh);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(250))]
-
-    /// Banded Smith-Waterman: random band center and width, including
-    /// bands hanging off the matrix edges and widths exceeding both
-    /// sequence lengths.
-    #[test]
-    fn banded_identical(
-        s in dna(0..200),
-        t in dna(0..200),
-        center in -220i64..220,
-        half_band in 1usize..96,
-        sc in scoring(),
-    ) {
-        let (scalar, simd) = with_ws(|ws| {
-            (
-                banded_sw_with(&s, &t, center, half_band, sc, ws, KernelImpl::Scalar),
-                banded_sw_with(&s, &t, center, half_band, sc, ws, KernelImpl::Simd),
-            )
-        });
+        let (scalar, simd) = seed_both(&a, &b, seed, Scoring::bella(), x);
         prop_assert_eq!(simd, scalar);
     }
 }
@@ -184,7 +162,7 @@ proptest! {
 
     /// Long-read regime: 1–4 kb noisy overlaps, the shape stage 4
     /// actually runs. Few cases (they are big), but each covers thousands
-    /// of antidiagonals of both kernels plus a wide banded pass.
+    /// of antidiagonals of both cores.
     #[test]
     fn long_noisy_pairs_identical(
         template in dna(1000..4000),
@@ -204,22 +182,66 @@ proptest! {
         let b = mutate(&template, &ops_b);
         let seed = SeedHit { a_pos: a.len() / 2, b_pos: b.len() / 2, k: 17 };
         prop_assume!(seed.a_pos + seed.k <= a.len() && seed.b_pos + seed.k <= b.len());
-        let sc = Scoring::bella();
-        let (scalar, simd) = with_ws(|ws| {
-            (
-                extend_seed_with(&a, &b, seed, sc, x, ws, KernelImpl::Scalar),
-                extend_seed_with(&a, &b, seed, sc, x, ws, KernelImpl::Simd),
-            )
-        });
+        let (scalar, simd) = seed_both(&a, &b, seed, Scoring::bella(), x);
         prop_assert_eq!(simd, scalar);
+    }
+}
 
-        let (scalar, simd) = with_ws(|ws| {
-            (
-                banded_sw_with(&a, &b, 0, 64, sc, ws, KernelImpl::Scalar),
-                banded_sw_with(&a, &b, 0, 64, sc, ws, KernelImpl::Simd),
-            )
-        });
-        prop_assert_eq!(simd, scalar);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(250))]
+
+    /// Reverse-direction extension (in-place backward walk) equals a
+    /// forward extension over materialized reversed copies, on both cores.
+    #[test]
+    fn rev_dir_matches_reversed_copies(s in dna(0..140), t in dna(0..140), x in 1i32..60) {
+        let s_rev: Vec<u8> = s.iter().rev().copied().collect();
+        let t_rev: Vec<u8> = t.iter().rev().copied().collect();
+        let sc = Scoring::bella();
+        let (copied, _) = xdrop_both(&s_rev, &t_rev, Dir::Fwd, sc, x);
+        let (scalar, simd) = xdrop_both(&s, &t, Dir::Rev, sc, x);
+        prop_assert_eq!(scalar, copied);
+        prop_assert_eq!(simd, copied);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100))]
+
+    /// Mixed call orders over one dirty workspace: each case interleaves a
+    /// forward extension, a reverse extension and a seed extension, on
+    /// either core, in an input-dependent order, and every result must
+    /// match the same call on fresh scratch.
+    #[test]
+    fn mixed_call_orders_stay_identical(
+        s in dna(13..120),
+        t in dna(13..120),
+        x in 1i32..50,
+        order in 0u8..6,
+        modes in 0u8..8,
+    ) {
+        let sc = Scoring::bella();
+        let seed = SeedHit { a_pos: s.len() / 2 - 6, b_pos: t.len() / 2 - 6, k: 12 };
+        let mode = |op: usize| {
+            if modes >> op & 1 == 0 { SimdMode::Scalar } else { SimdMode::Auto }
+        };
+        let run = |op: usize, ws: &mut AlignWorkspace| match op {
+            0 => Out::Ext(extend_xdrop(&s, &t, Dir::Fwd, sc, x, ws, mode(op))),
+            1 => Out::Ext(extend_xdrop(&s, &t, Dir::Rev, sc, x, ws, mode(op))),
+            _ => Out::Seed(extend_seed(&s, &t, seed, sc, x, ws, mode(op))),
+        };
+        let seq: [usize; 3] = match order {
+            0 => [0, 1, 2],
+            1 => [0, 2, 1],
+            2 => [1, 0, 2],
+            3 => [1, 2, 0],
+            4 => [2, 0, 1],
+            _ => [2, 1, 0],
+        };
+        for op in seq {
+            let fresh = run(op, &mut AlignWorkspace::new());
+            let dirty = with_ws(|ws| run(op, ws));
+            prop_assert_eq!(dirty, fresh, "op {} in order {:?}", op, seq);
+        }
     }
 }
 
@@ -287,7 +309,7 @@ fn long_pairs_identical_across_rebases() {
 }
 
 /// The lane kernel takes `x ≤ 4000` and score magnitudes `≤ 64`; beyond
-/// either, `KernelImpl::Simd` runs the scalar kernel. The largest
+/// either, `SimdMode::Auto` runs the scalar core. The largest
 /// eligible and smallest ineligible value of each parameter must give
 /// the scalar result through both — a boundary that only shows if the
 /// 16-bit rows mishandle the extreme they are specified for.

@@ -7,17 +7,19 @@
 //! it by k-mer (rayon parallel sort — DALIGNER's radix sort plays the same
 //! role), scan runs of equal k-mers to emit candidate pairs (masking
 //! high-frequency k-mers, as DALIGNER does), then run the same x-drop
-//! kernel diBELLA uses.
+//! kernel diBELLA uses — the same entry point ([`SeedExtender`]) on the
+//! same dispatch as the pipeline's alignment stage.
 //!
 //! Sharing the alignment kernel and filtering thresholds with the
 //! pipeline makes the Table 2 comparison about what it was about in the
 //! paper: *hash-and-exchange versus sort-and-merge overlap discovery*.
 
-use dibella_align::{extend_seed, Scoring, SeedHit};
+use dibella_align::{AlignWorkspace, Scoring, SeedExtender, SeedHit, SimdMode};
 use dibella_io::{ReadId, ReadSet};
-use dibella_kmer::base::reverse_complement_ascii;
+use dibella_kmer::base::reverse_complement_ascii_into;
 use dibella_kmer::{Kmer1, KmerIter, Strand};
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -117,6 +119,66 @@ type Tuple = (Kmer1, ReadId, u32, Strand);
 /// Per-pair seed list: `(a_pos, b_pos, reverse)` records.
 type SeedList = Vec<(u32, u32, bool)>;
 
+thread_local! {
+    /// Kernel scratch of the worker thread, reused for every pair it
+    /// aligns.
+    static WORKSPACE: RefCell<AlignWorkspace> = RefCell::new(AlignWorkspace::new());
+}
+
+/// Phase 4's unit of work: extend every seed of one candidate pair and
+/// append the alignments reaching `cfg.min_score` to `out`.
+///
+/// `seeds` are `(a_pos, b_pos, reverse)` in the reads' own coordinates.
+/// `a` is staged once and the oriented `b` once per run of equally
+/// oriented seeds, exactly as the pipeline's alignment stage does. All
+/// scratch — the reverse complement of `b` included — comes from `ws`, so
+/// once `ws` is warm and `out` has room a call performs no heap
+/// allocation.
+pub fn align_pair(
+    (a, b): (ReadId, ReadId),
+    a_seq: &[u8],
+    b_seq: &[u8],
+    seeds: &[(u32, u32, bool)],
+    cfg: &BaselineConfig,
+    ws: &mut AlignWorkspace,
+    out: &mut Vec<BaselineAlignment>,
+) {
+    // Detached so the extender can borrow `ws` while `b` borrows the
+    // buffer; reattached below.
+    let mut rc = std::mem::take(&mut ws.rc);
+    if seeds.iter().any(|&(_, _, reverse)| reverse) {
+        reverse_complement_ascii_into(b_seq, &mut rc);
+    }
+    let mut pair = SeedExtender::new(a_seq, cfg.scoring, cfg.xdrop, ws, SimdMode::Auto);
+    let mut staged: Option<bool> = None;
+    for &(a_pos, b_pos, reverse) in seeds {
+        if staged != Some(reverse) {
+            pair.set_b(if reverse { &rc } else { b_seq });
+            staged = Some(reverse);
+        }
+        let b_pos = if reverse {
+            b_seq.len() - cfg.k - b_pos as usize
+        } else {
+            b_pos as usize
+        };
+        let al = pair.extend(SeedHit { a_pos: a_pos as usize, b_pos, k: cfg.k });
+        if al.score >= cfg.min_score {
+            out.push(BaselineAlignment {
+                a,
+                b,
+                reverse,
+                score: al.score,
+                a_start: al.a_start as u32,
+                a_end: al.a_end as u32,
+                b_start: al.b_start as u32,
+                b_end: al.b_end as u32,
+                cells: al.cells,
+            });
+        }
+    }
+    ws.rc = rc;
+}
+
 /// Run the DALIGNER-style baseline on a full read set.
 pub fn run_baseline(reads: &ReadSet, cfg: &BaselineConfig) -> BaselineResult {
     // ---- phase 1: tuples ---------------------------------------------------
@@ -207,39 +269,13 @@ pub fn run_baseline(reads: &ReadSet, cfg: &BaselineConfig) -> BaselineResult {
     let all_reads = reads.reads();
     let mut alignments: Vec<BaselineAlignment> = tasks
         .par_iter()
-        .flat_map_iter(|((a, b), seeds)| {
-            let a_seq = &all_reads[*a as usize].seq;
-            let b_seq = &all_reads[*b as usize].seq;
-            let mut b_rc: Option<Vec<u8>> = None;
+        .flat_map_iter(|(pair, seeds)| {
+            let a_seq = &all_reads[pair.0 as usize].seq;
+            let b_seq = &all_reads[pair.1 as usize].seq;
             let mut out = Vec::with_capacity(seeds.len());
-            for &(a_pos, b_pos, reverse) in seeds {
-                let (b_oriented, bp): (&[u8], usize) = if reverse {
-                    let rc = b_rc.get_or_insert_with(|| reverse_complement_ascii(b_seq));
-                    (rc.as_slice(), b_seq.len() - cfg.k - b_pos as usize)
-                } else {
-                    (b_seq.as_slice(), b_pos as usize)
-                };
-                let al = extend_seed(
-                    a_seq,
-                    b_oriented,
-                    SeedHit { a_pos: a_pos as usize, b_pos: bp, k: cfg.k },
-                    cfg.scoring,
-                    cfg.xdrop,
-                );
-                if al.score >= cfg.min_score {
-                    out.push(BaselineAlignment {
-                        a: *a,
-                        b: *b,
-                        reverse,
-                        score: al.score,
-                        a_start: al.a_start as u32,
-                        a_end: al.a_end as u32,
-                        b_start: al.b_start as u32,
-                        b_end: al.b_end as u32,
-                        cells: al.cells,
-                    });
-                }
-            }
+            WORKSPACE.with(|ws| {
+                align_pair(*pair, a_seq, b_seq, seeds, cfg, &mut ws.borrow_mut(), &mut out)
+            });
             out
         })
         .collect();

@@ -11,5 +11,5 @@
 pub mod daligner;
 
 pub use daligner::{
-    run_baseline, BaselineAlignment, BaselineConfig, BaselineResult, BaselineTimings,
+    align_pair, run_baseline, BaselineAlignment, BaselineConfig, BaselineResult, BaselineTimings,
 };

@@ -1,13 +1,11 @@
-//! Alignment-kernel microbenchmarks: x-drop vs banded vs full
-//! Smith-Waterman on a PacBio-like overlapping pair, plus the x-drop `X`
-//! ablation (the paper's §2 claim that x-drop makes pairwise alignment
-//! linear in L, and the DESIGN.md kernel-choice ablation).
+//! Alignment-kernel microbenchmarks: x-drop vs full Smith-Waterman on a
+//! PacBio-like overlapping pair, plus the x-drop `X` ablation (the
+//! paper's §2 claim that x-drop makes pairwise alignment linear in L).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dibella_align::{
-    banded_sw, banded_sw_with, banded_sw_with_workspace, extend_seed, extend_seed_with,
-    extend_seed_with_workspace, extend_ungapped, extend_xdrop, extend_xdrop_with_workspace,
-    smith_waterman, AlignWorkspace, KernelImpl, Scoring, SeedHit,
+    extend_seed, extend_xdrop, smith_waterman, AlignWorkspace, Dir, Extension, Scoring, SeedHit,
+    SimdMode,
 };
 use dibella_bench::{chain_fixture, spgemm_fixture};
 use dibella_datagen::ErrorModel;
@@ -29,22 +27,22 @@ fn noisy_pair_seeded(len: usize, error: f64, seed: u64) -> (Vec<u8>, Vec<u8>) {
     (m.apply(&template, &mut rng), m.apply(&template, &mut rng))
 }
 
+/// A forward extension on the production dispatch.
+fn xdrop(s: &[u8], t: &[u8], x: i32, ws: &mut AlignWorkspace) -> Extension {
+    extend_xdrop(s, t, Dir::Fwd, Scoring::bella(), x, ws, SimdMode::Auto)
+}
+
 fn bench_kernels(c: &mut Criterion) {
     let (a, b) = noisy_pair(2_000, 0.15);
     let sc = Scoring::bella();
     let seed = SeedHit { a_pos: 0, b_pos: 0, k: 17 };
+    let mut ws = AlignWorkspace::new();
 
     let mut g = c.benchmark_group("kernel");
     g.sample_size(10);
     g.throughput(Throughput::Elements(a.len() as u64));
     g.bench_function("xdrop_x25", |bench| {
-        bench.iter(|| black_box(extend_seed(&a, &b, seed, sc, 25)))
-    });
-    g.bench_function("ungapped_x25", |bench| {
-        bench.iter(|| black_box(extend_ungapped(&a, &b, sc, 25)))
-    });
-    g.bench_function("banded_hb64", |bench| {
-        bench.iter(|| black_box(banded_sw(&a, &b, 0, 64, sc)))
+        bench.iter(|| black_box(extend_seed(&a, &b, seed, sc, 25, &mut ws, SimdMode::Auto)))
     });
     g.bench_function("full_sw", |bench| {
         bench.iter(|| black_box(smith_waterman(&a, &b, sc)))
@@ -52,12 +50,11 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// Allocation-free workspace kernels vs their legacy allocating twins,
-/// reported in DP **cells/sec** (one element = one DP cell — the cost
-/// currency of the cross-architecture model). The same numbers are
-/// emitted as a tracked baseline by the `bench_kernels_json` binary
-/// (`BENCH_kernels.json`).
-fn bench_workspace_kernels(c: &mut Criterion) {
+/// The x-drop kernel's scalar core vs its lane kernel, reported in DP
+/// **cells/sec** (one element = one DP cell — the cost currency of the
+/// cross-architecture model). The same numbers are emitted as a tracked
+/// baseline by the `bench_kernels_json` binary (`BENCH_kernels.json`).
+fn bench_xdrop_cores(c: &mut Criterion) {
     let (a, b) = noisy_pair(2_000, 0.15);
     let sc = Scoring::bella();
     let seed = SeedHit { a_pos: 800, b_pos: 800, k: 17 };
@@ -66,42 +63,19 @@ fn bench_workspace_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel_cells_per_sec");
     g.sample_size(10);
 
-    let seed_cells = extend_seed_with_workspace(&a, &b, seed, sc, 25, &mut ws).cells;
+    // Bit-identical outputs — only the cells/s may differ.
+    let seed_cells = extend_seed(&a, &b, seed, sc, 25, &mut ws, SimdMode::Auto).cells;
     g.throughput(Throughput::Elements(seed_cells));
-    g.bench_function("seed_xdrop_workspace_x25", |bench| {
-        bench.iter(|| black_box(extend_seed_with_workspace(&a, &b, seed, sc, 25, &mut ws)))
-    });
-    g.bench_function("seed_xdrop_legacy_x25", |bench| {
-        bench.iter(|| black_box(extend_seed(&a, &b, seed, sc, 25)))
-    });
-    // Scalar vs lane-SIMD, explicitly pinned (bit-identical outputs —
-    // only the cells/s may differ).
     g.bench_function("seed_xdrop_scalar_x25", |bench| {
-        bench.iter(|| {
-            black_box(extend_seed_with(&a, &b, seed, sc, 25, &mut ws, KernelImpl::Scalar))
-        })
+        bench.iter(|| black_box(extend_seed(&a, &b, seed, sc, 25, &mut ws, SimdMode::Scalar)))
     });
     g.bench_function("seed_xdrop_simd_x25", |bench| {
-        bench.iter(|| black_box(extend_seed_with(&a, &b, seed, sc, 25, &mut ws, KernelImpl::Simd)))
+        bench.iter(|| black_box(extend_seed(&a, &b, seed, sc, 25, &mut ws, SimdMode::Auto)))
     });
 
-    let xdrop_cells = extend_xdrop_with_workspace(&a, &b, sc, 25, &mut ws).cells;
+    let xdrop_cells = xdrop(&a, &b, 25, &mut ws).cells;
     g.throughput(Throughput::Elements(xdrop_cells));
-    g.bench_function("xdrop_workspace_x25", |bench| {
-        bench.iter(|| black_box(extend_xdrop_with_workspace(&a, &b, sc, 25, &mut ws)))
-    });
-
-    let banded_cells = banded_sw_with_workspace(&a, &b, 0, 64, sc, &mut ws).cells;
-    g.throughput(Throughput::Elements(banded_cells));
-    g.bench_function("banded_workspace_hb64", |bench| {
-        bench.iter(|| black_box(banded_sw_with_workspace(&a, &b, 0, 64, sc, &mut ws)))
-    });
-    g.bench_function("banded_scalar_hb64", |bench| {
-        bench.iter(|| black_box(banded_sw_with(&a, &b, 0, 64, sc, &mut ws, KernelImpl::Scalar)))
-    });
-    g.bench_function("banded_simd_hb64", |bench| {
-        bench.iter(|| black_box(banded_sw_with(&a, &b, 0, 64, sc, &mut ws, KernelImpl::Simd)))
-    });
+    g.bench_function("xdrop_x25", |bench| bench.iter(|| black_box(xdrop(&a, &b, 25, &mut ws))));
     g.finish();
 }
 
@@ -170,12 +144,12 @@ fn bench_chain_seeds(c: &mut Criterion) {
 /// (score) against DP cells.
 fn bench_xdrop_ablation(c: &mut Criterion) {
     let (a, b) = noisy_pair(4_000, 0.15);
-    let sc = Scoring::bella();
+    let mut ws = AlignWorkspace::new();
     let mut g = c.benchmark_group("ablation_xdrop_x");
     g.sample_size(10);
     for x in [5, 15, 25, 50, 100] {
         g.bench_with_input(BenchmarkId::from_parameter(x), &x, |bench, &x| {
-            bench.iter(|| black_box(extend_xdrop(&a, &b, sc, x)))
+            bench.iter(|| black_box(xdrop(&a, &b, x, &mut ws)))
         });
     }
     g.finish();
@@ -184,14 +158,14 @@ fn bench_xdrop_ablation(c: &mut Criterion) {
 /// x-drop is linear in L for true overlaps (§2): double the length,
 /// roughly double the time — visible across these sizes.
 fn bench_xdrop_scaling(c: &mut Criterion) {
-    let sc = Scoring::bella();
+    let mut ws = AlignWorkspace::new();
     let mut g = c.benchmark_group("xdrop_length_scaling");
     g.sample_size(10);
     for len in [1_000usize, 2_000, 4_000, 8_000] {
         let (a, b) = noisy_pair(len, 0.15);
         g.throughput(Throughput::Elements(len as u64));
         g.bench_with_input(BenchmarkId::from_parameter(len), &len, |bench, _| {
-            bench.iter(|| black_box(extend_xdrop(&a, &b, sc, 25)))
+            bench.iter(|| black_box(xdrop(&a, &b, 25, &mut ws)))
         });
     }
     g.finish();
@@ -206,7 +180,7 @@ fn bench_xdrop_scaling(c: &mut Criterion) {
 /// length. Per-pair DP cost variance (either direction) is precisely the
 /// Fig-8 load-imbalance mechanism.
 fn bench_xdrop_divergent(c: &mut Criterion) {
-    let sc = Scoring::bella();
+    let mut ws = AlignWorkspace::new();
     // Same template → true overlap; different seeds → unrelated
     // sequences (a genuinely spurious pair).
     let (a, b) = noisy_pair_seeded(4_000, 0.15, 99);
@@ -214,10 +188,10 @@ fn bench_xdrop_divergent(c: &mut Criterion) {
     let mut g = c.benchmark_group("xdrop_divergence");
     g.sample_size(10);
     g.bench_function("true_overlap_4k", |bench| {
-        bench.iter(|| black_box(extend_xdrop(&a, &b, sc, 25)))
+        bench.iter(|| black_box(xdrop(&a, &b, 25, &mut ws)))
     });
     g.bench_function("spurious_pair_4k", |bench| {
-        bench.iter(|| black_box(extend_xdrop(&a, &unrelated, sc, 25)))
+        bench.iter(|| black_box(xdrop(&a, &unrelated, 25, &mut ws)))
     });
     g.finish();
 }
@@ -225,7 +199,7 @@ fn bench_xdrop_divergent(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernels,
-    bench_workspace_kernels,
+    bench_xdrop_cores,
     bench_spgemm_rows,
     bench_chain_seeds,
     bench_xdrop_ablation,

@@ -7,19 +7,15 @@
 //! ```
 //!
 //! (optionally pass an output path as the first argument). The file
-//! records, for the scalar and lane-SIMD allocation-free workspace
-//! kernels (side by side, same workload — their `cells_per_call` must
-//! agree because the implementations are bit-identical) and the legacy
-//! allocating twin:
+//! records, for the x-drop kernel's scalar core and its lane kernel (side
+//! by side, same workload — their `cells_per_call` must agree because the
+//! two are bit-identical):
 //!
 //! * **cells/s** — DP cells per second, the cost currency of the
 //!   cross-architecture model, on a fixed 2 kb PacBio-like overlapping
-//!   pair, plus the `simd_speedup` ratios the SIMD PR is accountable
-//!   for;
+//!   pair, plus the `simd_speedup` ratio that justifies the lane kernel;
 //! * **allocs/call** — heap allocations per kernel call measured by a
-//!   counting global allocator (0 for warmed workspace kernels; the
-//!   legacy − workspace difference is the `allocs_eliminated_per_call`
-//!   figure);
+//!   counting global allocator (0 once the workspace is warm);
 //! * **task/s** of a 4-rank end-to-end pipeline on the sampled E. coli
 //!   30× workload — the number a perf regression in any stage moves;
 //! * **stage-4 reconciliation** (schema `/4`) — the same workload on one
@@ -51,9 +47,7 @@
 //! Perf PRs diff this file to leave a measurable trajectory; the numbers
 //! are machine-dependent, so compare ratios, not absolutes, across hosts.
 
-use dibella_align::{
-    banded_sw_with, extend_seed, extend_seed_with, AlignWorkspace, KernelImpl, Scoring, SeedHit,
-};
+use dibella_align::{extend_seed, AlignWorkspace, Scoring, SeedHit, SimdMode};
 use dibella_bench::{bloom_record, chain_fixture, hash_record, kmer_fixture, spgemm_fixture};
 use dibella_comm::BatchedExecutor;
 use dibella_core::{run_pipeline, PipelineConfig};
@@ -187,33 +181,22 @@ fn main() {
     let seed = SeedHit { a_pos: 800, b_pos: 800, k: 17 };
     let mut ws = AlignWorkspace::new();
 
-    let seed_scalar_out = extend_seed_with(&a, &b, seed, sc, XDROP_X, &mut ws, KernelImpl::Scalar);
-    let seed_simd_out = extend_seed_with(&a, &b, seed, sc, XDROP_X, &mut ws, KernelImpl::Simd);
-    assert_eq!(seed_scalar_out, seed_simd_out, "kernel implementations disagree on the bench pair");
+    let seed_scalar_out = extend_seed(&a, &b, seed, sc, XDROP_X, &mut ws, SimdMode::Scalar);
+    let seed_simd_out = extend_seed(&a, &b, seed, sc, XDROP_X, &mut ws, SimdMode::Auto);
+    assert_eq!(seed_scalar_out, seed_simd_out, "scalar core and lane kernel disagree on the bench pair");
     let seed_cells = seed_scalar_out.cells;
-    let banded_cells = banded_sw_with(&a, &b, 0, 64, sc, &mut ws, KernelImpl::Scalar).cells;
 
     let seed_scalar = measure(KERNEL_ITERS, seed_cells, || {
-        black_box(extend_seed_with(&a, &b, seed, sc, XDROP_X, &mut ws, KernelImpl::Scalar));
+        black_box(extend_seed(&a, &b, seed, sc, XDROP_X, &mut ws, SimdMode::Scalar));
     });
     let seed_simd = measure(KERNEL_ITERS, seed_cells, || {
-        black_box(extend_seed_with(&a, &b, seed, sc, XDROP_X, &mut ws, KernelImpl::Simd));
-    });
-    let seed_legacy = measure(KERNEL_ITERS, seed_cells, || {
-        black_box(extend_seed(&a, &b, seed, sc, XDROP_X));
-    });
-    let banded_scalar = measure(KERNEL_ITERS, banded_cells, || {
-        black_box(banded_sw_with(&a, &b, 0, 64, sc, &mut ws, KernelImpl::Scalar));
-    });
-    let banded_simd = measure(KERNEL_ITERS, banded_cells, || {
-        black_box(banded_sw_with(&a, &b, 0, 64, sc, &mut ws, KernelImpl::Simd));
+        black_box(extend_seed(&a, &b, seed, sc, XDROP_X, &mut ws, SimdMode::Auto));
     });
 
-    assert!(seed_scalar.0 > 0.0, "scalar kernel measured zero throughput");
-    assert!(seed_simd.0 > 0.0, "SIMD kernel measured zero throughput");
-    assert_eq!(seed_scalar.1, 0.0, "warmed workspace kernel must not allocate");
-    assert_eq!(seed_simd.1, 0.0, "warmed SIMD kernel must not allocate");
-    assert_eq!(banded_simd.1, 0.0, "warmed SIMD banded kernel must not allocate");
+    assert!(seed_scalar.0 > 0.0, "scalar core measured zero throughput");
+    assert!(seed_simd.0 > 0.0, "lane kernel measured zero throughput");
+    assert_eq!(seed_scalar.1, 0.0, "warmed scalar core must not allocate");
+    assert_eq!(seed_simd.1, 0.0, "warmed lane kernel must not allocate");
 
     // ---- SpGEMM row-block accumulators -------------------------------------
     let (table, part) = spgemm_fixture(SPGEMM_READS, SPGEMM_KMERS, SPGEMM_RANKS, 0x0D1B_E11A);
@@ -349,15 +332,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/6\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{},\n{},\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2}, \"banded\": {:.2} }},\n  \"allocs_eliminated_per_call\": {:.2},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"pack_destinations\": 2, \"pack_kmers_per_sec\": {{ \"record_8B\": {pack_8b_rate:.0}, \"record_20B\": {pack_20b_rate:.0} }}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/7\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"pack_destinations\": 2, \"pack_kmers_per_sec\": {{ \"record_8B\": {pack_8b_rate:.0}, \"record_20B\": {pack_20b_rate:.0} }}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
-        kernel_json("seed_xdrop_legacy", seed_legacy),
-        kernel_json("banded_scalar", banded_scalar),
-        kernel_json("banded_simd", banded_simd),
         seed_simd.0 / seed_scalar.0,
-        banded_simd.0 / banded_scalar.0,
-        seed_legacy.1 - seed_scalar.1,
         ws.scratch_bytes(),
         csr.n_rows(),
         csr.nnz(),

@@ -11,9 +11,8 @@
 //! scale, default 0.01 ≈ 46 kb) and `DIBELLA_SCALE_100X` (100×-like,
 //! default 0.006). `scale = 1.0` reproduces paper-sized inputs.
 //! `DIBELLA_THREADS` sets the intra-rank thread count of all four stages
-//! (default 1; `0` = all hardware threads; the deprecated
-//! `DIBELLA_ALIGN_THREADS` spelling still works) — results are
-//! bit-identical at every setting, only wall time changes.
+//! (default 1; `0` = all hardware threads) — results are bit-identical
+//! at every setting, only wall time changes.
 //! `DIBELLA_TRANSPORT`
 //! (`shared` | `sim:<platform>[:<ranks_per_node>]`) selects the
 //! communication backend: under `sim:*` the pipeline executes on a
@@ -22,11 +21,6 @@
 //! `DIBELLA_ROUND_MB` caps every stage's streaming-exchange rounds at
 //! that many MiB per rank (unset = unbounded); alignments and byte
 //! totals are bit-identical at every cap.
-//! `DIBELLA_SIMD` (`scalar` | `auto`, default `auto`) selects the
-//! stage-4 alignment-kernel implementation; it is read by the align
-//! crate itself, so it reaches every harness run without plumbing.
-//! Scalar and lane-SIMD kernels are bit-identical — only cells/s moves
-//! (tracked side by side in `BENCH_kernels.json`).
 //! `DIBELLA_SEED_MODE` (`reliable` | `minimizer`, default `reliable`)
 //! selects the seed front end: the paper's two-pass reliable-k-mer
 //! counter, or the single-pass minimizer sketch (fewer wire bytes, seeds
@@ -90,17 +84,10 @@ fn env_scale(var: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// The `DIBELLA_THREADS` environment knob (with the deprecated
-/// `DIBELLA_ALIGN_THREADS` as fallback): intra-rank threads for every
+/// The `DIBELLA_THREADS` environment knob: intra-rank threads for every
 /// pipeline stage (see [`dibella_core::PipelineConfig::threads`]).
 pub fn env_threads() -> usize {
     PipelineConfig::env_threads()
-}
-
-/// **Deprecated alias** for [`env_threads`] — the knob now governs all
-/// four stages, not just alignment.
-pub fn env_align_threads() -> usize {
-    env_threads()
 }
 
 /// The `DIBELLA_SEED_MODE` environment knob: which seed front end the
@@ -470,15 +457,12 @@ mod tests {
     fn threads_env_knob() {
         let _env = ENV_LOCK.lock().unwrap();
         std::env::set_var("DIBELLA_THREADS", "3");
-        std::env::set_var("DIBELLA_ALIGN_THREADS", "9");
-        assert_eq!(env_threads(), 3, "DIBELLA_THREADS wins");
+        assert_eq!(env_threads(), 3);
         assert_eq!(
             config_for(Workload::E30, SeedPolicy::Single).effective_threads(),
             3
         );
         std::env::remove_var("DIBELLA_THREADS");
-        assert_eq!(env_threads(), 9, "deprecated spelling still honored");
-        std::env::remove_var("DIBELLA_ALIGN_THREADS");
         assert_eq!(env_threads(), 1);
     }
 

@@ -15,8 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Handle to an irregular byte exchange started with
-/// [`Comm::exchange_start`] and finished with [`Comm::exchange_wait`] /
-/// [`Comm::exchange_wait_overlapped`].
+/// [`Comm::exchange_start`] and finished with [`Comm::exchange_wait`].
 ///
 /// On a reliable transport this is a thin wrapper over the backend's
 /// [`InFlight`]. When the transport advertises a
@@ -162,9 +161,9 @@ impl Comm {
     /// SPMD contract, extended to split collectives: every rank starts the
     /// same exchanges in the same order, at most one exchange is in flight
     /// per rank, and no other collective may be issued between
-    /// `exchange_start` and the matching [`Self::exchange_wait`] /
-    /// [`Self::exchange_wait_overlapped`] — the gap is for packing the
-    /// next round, which is exactly what [`crate::RoundExchange`] does.
+    /// `exchange_start` and the matching [`Self::exchange_wait`] — the gap
+    /// is for packing the next round, which is exactly what
+    /// [`crate::RoundExchange`] does.
     ///
     /// # Panics
     /// Panics if `send.len() != size()`.
@@ -202,18 +201,13 @@ impl Comm {
         self.stats.borrow_mut().pack_wall += d;
     }
 
-    /// Finish an exchange begun by [`Self::exchange_start`], charging the
-    /// backend's wall time with no declared overlap.
-    pub fn exchange_wait(&self, pending: PendingExchange) -> Vec<Vec<u8>> {
-        self.exchange_wait_overlapped(pending, Duration::ZERO)
-    }
-
-    /// Finish an exchange begun by [`Self::exchange_start`]. `overlapped`
-    /// is the compute time this rank spent while the exchange was in
-    /// flight (the next round's packing); real transports ignore it —
-    /// their measured wall already ran concurrently — while simulated ones
-    /// charge `max(overlapped, modeled)` per round so projections stay
-    /// honest about what overlap can and cannot hide.
+    /// Finish an exchange begun by [`Self::exchange_start`] and charge the
+    /// backend's wall for it to `CommStats::exchange_wall`: the measured
+    /// time of the exchange helper on a real transport (it ran
+    /// concurrently with whatever this rank packed in the gap), the
+    /// modeled exchange alone on a simulated one. Packing done in the gap
+    /// is host time and lives in `CommStats::pack_wall`, never in the
+    /// exchange wall.
     ///
     /// On a hardened transport (one advertising a
     /// [`RetryPolicy`]) this is where recovery
@@ -223,14 +217,10 @@ impl Comm {
     /// backoff. A rank that exhausts its retries (or times out waiting on
     /// a hung exchange) panics, failing the stage cleanly so a
     /// checkpointed run can resume from the last completed stage.
-    pub fn exchange_wait_overlapped(
-        &self,
-        pending: PendingExchange,
-        overlapped: Duration,
-    ) -> Vec<Vec<u8>> {
+    pub fn exchange_wait(&self, pending: PendingExchange) -> Vec<Vec<u8>> {
         let PendingExchange { inflight, resend } = pending;
         let Some(resend) = resend else {
-            let (recv, wall) = self.transport.exchange_wait(self.rank, inflight, overlapped);
+            let (recv, wall) = self.transport.exchange_wait(self.rank, inflight);
             self.stats.borrow_mut().exchange_wall += wall;
             return recv;
         };

@@ -215,7 +215,7 @@ impl RoundExchange {
         P: FnMut(u64) -> Vec<Vec<u8>>,
         C: FnMut(u64, Vec<Vec<u8>>),
     {
-        Self::run_with_tail(comm, planner, pack, consume, || {})
+        Self::run_with_tail(comm, planner, pack, consume, || {}).0
     }
 
     /// [`Self::run`] with cross-stage overlap: `tail` runs on the rank
@@ -223,55 +223,45 @@ impl RoundExchange {
     /// exchange helper — the window in which `run` has nothing left to
     /// pack. A stage uses it to start the *next* stage's local work (e.g.
     /// pre-packing that stage's first round from data it already owns)
-    /// under the final exchange instead of after it.
+    /// under the final exchange instead of after it. Returns the round
+    /// count and what `tail` returned.
     ///
-    /// `tail`'s duration is declared to the transport as overlapped
-    /// compute, so `SimNet` charges `max(tail + pack, modeled exchange)`
-    /// for the final round — projections stay honest about what the
-    /// overlap can hide. It is *not* credited to `pack_wall` here, because
-    /// the engine cannot know that the tail packs anything. A tail that
-    /// does pack (the Bloom pass pre-packing the hash pass's round 0)
-    /// times itself and calls `Comm::add_pack_wall` before it returns, so
-    /// the pack wall lands in the stats window it elapsed in and every
-    /// stage keeps `pack_wall ≤` its own wall time.
-    pub fn run_with_tail<P, C, T>(
+    /// `tail`'s duration is host time like any other compute between two
+    /// collectives: no transport is told about it, and it is *not*
+    /// credited to `pack_wall` here, because the engine cannot know that
+    /// the tail packs anything. A tail that does pack (the Bloom pass
+    /// pre-packing the hash pass's round 0) times itself and calls
+    /// `Comm::add_pack_wall` before it returns, so the pack wall lands in
+    /// the stats window it elapsed in and every stage keeps `pack_wall ≤`
+    /// its own wall time.
+    pub fn run_with_tail<P, C, T, R>(
         comm: &Comm,
         planner: RoundPlan,
         mut pack: P,
         mut consume: C,
         tail: T,
-    ) -> u64
+    ) -> (u64, R)
     where
         P: FnMut(u64) -> Vec<Vec<u8>>,
         C: FnMut(u64, Vec<Vec<u8>>),
-        T: FnOnce(),
+        T: FnOnce() -> R,
     {
         let rounds = comm.allreduce_max_u64(planner.local_rounds().max(1));
-        let mut tail = Some(tail);
         let t0 = Instant::now();
         let mut next = pack(0);
         comm.add_pack_wall(t0.elapsed());
-        for round in 0..rounds {
+        for round in 0..rounds - 1 {
             let pending = comm.exchange_start(next);
             let packing = Instant::now();
-            next = if round + 1 < rounds {
-                pack(round + 1)
-            } else {
-                Vec::new()
-            };
-            let mut overlapped = packing.elapsed();
-            comm.add_pack_wall(overlapped);
-            if round + 1 == rounds {
-                if let Some(tail) = tail.take() {
-                    let t = Instant::now();
-                    tail();
-                    overlapped += t.elapsed();
-                }
-            }
-            let recv = comm.exchange_wait_overlapped(pending, overlapped);
-            consume(round, recv);
+            next = pack(round + 1);
+            comm.add_pack_wall(packing.elapsed());
+            consume(round, comm.exchange_wait(pending));
         }
-        rounds
+        // The last round: nothing is left to pack, so the tail runs under it.
+        let pending = comm.exchange_start(next);
+        let tail_out = tail();
+        consume(rounds - 1, comm.exchange_wait(pending));
+        (rounds, tail_out)
     }
 }
 
@@ -416,7 +406,7 @@ mod tests {
             let tail_ran = std::cell::Cell::new(0u32);
             let mut seen = Vec::new();
             let plan = RoundPlan::from_rounds(if comm.rank() == 0 { 3 } else { 1 });
-            let rounds = RoundExchange::run_with_tail(
+            let (rounds, ()) = RoundExchange::run_with_tail(
                 comm,
                 plan,
                 |_r| vec![Vec::new(); comm.size()],

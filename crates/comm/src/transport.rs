@@ -22,8 +22,7 @@
 
 use crate::hub::Hub;
 use dibella_netmodel::{
-    collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s, overlapped_round_s,
-    Platform, PlatformId,
+    collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s, Platform, PlatformId,
 };
 use parking_lot::Mutex;
 use std::any::Any;
@@ -194,14 +193,17 @@ pub trait Transport: Send + Sync {
 
     /// Finish an exchange begun by [`Transport::exchange_start`]: return
     /// the buffers received from every source rank (indexed by source)
-    /// and the wall time to charge for the exchange. `overlapped` is how
-    /// long the caller spent computing while the exchange was in flight —
-    /// real backends ignore it (their measured time already ran
-    /// concurrently with that work), simulated ones charge
-    /// `max(overlapped, modeled)` so a modeled exchange can hide behind
-    /// packing but never make a round cheaper than its compute.
-    fn exchange_wait(&self, rank: usize, pending: InFlight, overlapped: Duration)
-        -> (Vec<Vec<u8>>, Duration);
+    /// and the wall time to charge for the exchange — the helper's
+    /// measured time on a real backend, the modeled exchange alone on a
+    /// simulated one. What the rank thread did while the exchange was in
+    /// flight is never part of it: host packing time is accounted in
+    /// `CommStats::pack_wall`, so a simulated platform's clock is a
+    /// function of traffic counters only. The default hands back what the
+    /// backend's helper delivered — every in-process backend computes its
+    /// charge there.
+    fn exchange_wait(&self, _rank: usize, pending: InFlight) -> (Vec<Vec<u8>>, Duration) {
+        pending.finish()
+    }
 
     /// The recovery policy the communicator should harden irregular
     /// exchanges with, or `None` for a reliable medium (the default):
@@ -266,17 +268,6 @@ impl Transport for SharedMem {
             let _ = tx.send(result);
         });
         InFlight { rx }
-    }
-
-    fn exchange_wait(
-        &self,
-        _rank: usize,
-        pending: InFlight,
-        _overlapped: Duration,
-    ) -> (Vec<Vec<u8>>, Duration) {
-        // The measured helper time already ran concurrently with whatever
-        // the rank thread did in the gap; report it as-is.
-        pending.finish()
     }
 }
 
@@ -417,24 +408,6 @@ impl Transport for SimNet {
             let _ = tx.send(result);
         });
         InFlight { rx }
-    }
-
-    fn exchange_wait(
-        &self,
-        _rank: usize,
-        pending: InFlight,
-        overlapped: Duration,
-    ) -> (Vec<Vec<u8>>, Duration) {
-        // An overlapped round costs the slower of the packing done while
-        // the exchange was in flight and the modeled exchange itself —
-        // the netmodel's single definition of an overlapped round, so the
-        // executable backend and the analytic projections agree.
-        let (recv, modeled) = pending.finish();
-        let charged = Duration::from_secs_f64(overlapped_round_s(
-            overlapped.as_secs_f64(),
-            modeled.as_secs_f64(),
-        ));
-        (recv, charged)
     }
 }
 
@@ -793,29 +766,18 @@ impl Transport for FaultyNet {
         let inner = Arc::clone(&self.inner);
         let (tx, rx) = mpsc::channel();
         // Run the whole inner exchange on our own helper so a stall can
-        // sleep without blocking the rank thread. The inner wait gets
-        // `overlapped = 0`: under chaos only payload bytes and work
-        // counters are compared bit-identically, not modeled walls.
+        // sleep without blocking the rank thread.
         rayon::spawn(move || {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 if stall {
                     std::thread::sleep(Duration::from_millis(stall_ms));
                 }
                 let pending = inner.exchange_start(rank, send);
-                inner.exchange_wait(rank, pending, Duration::ZERO)
+                inner.exchange_wait(rank, pending)
             }));
             let _ = tx.send(result);
         });
         InFlight { rx }
-    }
-
-    fn exchange_wait(
-        &self,
-        _rank: usize,
-        pending: InFlight,
-        _overlapped: Duration,
-    ) -> (Vec<Vec<u8>>, Duration) {
-        pending.finish()
     }
 
     fn retry_policy(&self) -> Option<RetryPolicy> {
@@ -848,38 +810,11 @@ impl TransportKind {
     }
 }
 
-/// Parse the trailing `[:<seed>[:<spec>]]` of a `faulty:` transport. When
-/// both are absent, the `DIBELLA_FAULTS` env var supplies `[seed=N,]spec`
-/// (panicking on unparsable values, like every other `DIBELLA_*` knob),
-/// defaulting to the aggressive `mixed` preset at seed 0.
+/// Parse the trailing `[:<seed>[:<spec>]]` of a `faulty:` transport:
+/// an absent spec is the aggressive `mixed` preset, an absent seed is 0.
 fn parse_faulty_tail(tail: &[&str]) -> Result<(u64, FaultSpec), String> {
     match tail {
-        [] => match std::env::var("DIBELLA_FAULTS") {
-            Err(_) => Ok((0, FaultSpec::mixed())),
-            Ok(v) => {
-                let mut seed = 0u64;
-                let mut spec_entries = Vec::new();
-                for entry in v.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-                    match entry.strip_prefix("seed=") {
-                        Some(n) => {
-                            seed = n.parse().unwrap_or_else(|_| {
-                                panic!("invalid DIBELLA_FAULTS seed {n:?} (u64)")
-                            })
-                        }
-                        None => spec_entries.push(entry),
-                    }
-                }
-                let spec = if spec_entries.is_empty() {
-                    FaultSpec::mixed()
-                } else {
-                    spec_entries
-                        .join(",")
-                        .parse()
-                        .unwrap_or_else(|e| panic!("invalid DIBELLA_FAULTS {v:?}: {e}"))
-                };
-                Ok((seed, spec))
-            }
-        },
+        [] => Ok((0, FaultSpec::mixed())),
         [seed] => {
             let seed = seed
                 .parse()
@@ -909,8 +844,7 @@ impl std::str::FromStr for TransportKind {
     /// is matched greedily (longest colon-prefix that parses), so
     /// `faulty:sim:cori:2` wraps `sim:cori:2`; to pass a seed to a `sim`
     /// inner, spell out its ranks-per-node (`faulty:sim:cori:2:42`).
-    /// With seed and spec absent, `DIBELLA_FAULTS` is consulted
-    /// (`[seed=N,]<spec>`), defaulting to the `mixed` preset at seed 0.
+    /// An absent spec is the `mixed` preset, an absent seed is 0.
     fn from_str(s: &str) -> Result<Self, String> {
         if s == "shared" {
             return Ok(TransportKind::SharedMem);
@@ -1339,9 +1273,9 @@ mod tests {
         let partner = Arc::clone(&shared);
         let t = std::thread::spawn(move || {
             let pending = partner.exchange_start(1, vec![vec![3u8], vec![4u8]]);
-            partner.exchange_wait(1, pending, Duration::ZERO)
+            partner.exchange_wait(1, pending)
         });
-        let (recv0, _) = shared.exchange_wait(0, pending, Duration::ZERO);
+        let (recv0, _) = shared.exchange_wait(0, pending);
         let (recv1, _) = t.join().unwrap();
         assert_eq!(recv0, vec![vec![1u8], vec![3u8]]);
         assert_eq!(recv1, vec![vec![2u8], vec![4u8]]);
@@ -1365,7 +1299,7 @@ mod tests {
         });
         let pending = shared.exchange_start(0, vec![Vec::new(), Vec::new()]);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shared.exchange_wait(0, pending, Duration::ZERO)
+            shared.exchange_wait(0, pending)
         }))
         .expect_err("poisoned slot must panic at wait");
         t.join().unwrap();

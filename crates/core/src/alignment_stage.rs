@@ -29,7 +29,7 @@
 
 use crate::config::PipelineConfig;
 use crate::record::AlignmentRecord;
-use dibella_align::{AlignWorkspace, SeedExtender, SeedHit, SimdMode};
+use dibella_align::{AlignWorkspace, SeedExtender, SeedHit};
 use dibella_comm::{decode_iter, encode_slice, BatchedExecutor, ByteRounds, Comm, RoundExchange};
 use dibella_io::{ReadId, ReadStore};
 use dibella_kmer::base::reverse_complement_ascii_into;
@@ -251,9 +251,7 @@ fn align_batch(
     let mut counters = AlignCounters::default();
     let mut out = Vec::new();
     let k = cfg.k;
-    // Resolve the kernel once for the batch: `Some(mode)` from the config
-    // wins, `None` defers to the `DIBELLA_SIMD` environment knob.
-    let imp = cfg.simd.unwrap_or_else(SimdMode::from_env).kernel();
+    let mode = cfg.simd.unwrap_or_default();
     WORKSPACE.with(|cell| {
         let ws = &mut *cell.borrow_mut();
         // Detach the reverse-complement buffer so the kernels can borrow
@@ -275,7 +273,7 @@ fn align_batch(
             }
             // The extender stages `a` once per task and `b` once per run of
             // equally oriented seeds (one run, for almost every task).
-            let mut pair = SeedExtender::new(a_seq, cfg.scoring, cfg.xdrop, ws, imp);
+            let mut pair = SeedExtender::new(a_seq, cfg.scoring, cfg.xdrop, ws, mode);
             let mut staged: Option<bool> = None;
             for seed in &task.seeds {
                 if staged != Some(seed.reverse) {

@@ -111,11 +111,10 @@ pub struct PipelineConfig {
     /// Alignment-task placement: the paper's parity heuristic, or the §9
     /// future-work longer-read placement that minimizes read movement.
     pub placement: TaskPlacement,
-    /// **Deprecated alias** for [`PipelineConfig::threads`], kept so
-    /// existing configs and the `--align-threads` / `DIBELLA_ALIGN_THREADS`
-    /// spellings keep working: it is only consulted when `threads` is
-    /// `None`. Historically this knob threaded the alignment stage alone;
-    /// the whole pipeline now runs on one executor.
+    /// **Deprecated alias** for [`PipelineConfig::threads`], only
+    /// consulted when `threads` is `None`. Historically this knob threaded
+    /// the alignment stage alone; the whole pipeline now runs on one
+    /// executor.
     pub align_threads: usize,
     /// Intra-rank threads for **all four stages** (hybrid parallelism,
     /// paper §9 / diBELLA 2D lineage): `1` = sequential, `0` = one thread
@@ -131,12 +130,12 @@ pub struct PipelineConfig {
     /// exchanges but reports the `exchange_wall` a modeled interconnect
     /// (virtual Cori, Edison, Titan or AWS) would have charged.
     pub transport: TransportKind,
-    /// Alignment-kernel implementation for stage 4: `Some(mode)` pins it
-    /// for every batch; `None` (the default) defers to the
-    /// `DIBELLA_SIMD` environment knob (itself defaulting to
-    /// [`SimdMode::Auto`], the lane-SIMD kernels). Scalar and SIMD
-    /// kernels are bit-identical, so this only moves throughput. The CLI
-    /// exposes this as `--simd`, the bench harness as `DIBELLA_SIMD`.
+    /// Which x-drop core stage 4 runs: `None` (the default) and
+    /// `Some(SimdMode::Auto)` are the production dispatch — the lane
+    /// kernel, with the scalar core for inputs it cannot take;
+    /// `Some(SimdMode::Scalar)` pins the scalar core, which the tests use
+    /// as the bit-identity oracle. The two are bit-identical, so this only
+    /// moves throughput.
     pub simd: Option<SimdMode>,
     /// When set (`--checkpoint-dir`), each rank serializes its completed
     /// stage outputs (reliable/minimizer k-mer table after stage 2, the
@@ -218,28 +217,18 @@ impl PipelineConfig {
         }
     }
 
-    /// **Deprecated alias** for [`PipelineConfig::effective_threads`] —
-    /// the stages share one thread pool, so there is no longer a separate
-    /// alignment-stage width.
-    pub fn effective_align_threads(&self) -> usize {
-        self.effective_threads()
-    }
-
-    /// The thread count requested via the environment: `DIBELLA_THREADS`,
-    /// falling back to the deprecated `DIBELLA_ALIGN_THREADS` spelling,
-    /// defaulting to `1` (sequential) when neither is set. Panics on an
-    /// unparsable value — a silently ignored perf knob is worse than a
-    /// crash. Feed the result to [`PipelineConfig::threads`].
+    /// The thread count requested via the environment (`DIBELLA_THREADS`),
+    /// defaulting to `1` (sequential) when unset. Panics on an unparsable
+    /// value — a silently ignored perf knob is worse than a crash. Feed
+    /// the result to [`PipelineConfig::threads`].
     pub fn env_threads() -> usize {
-        for var in ["DIBELLA_THREADS", "DIBELLA_ALIGN_THREADS"] {
-            if let Ok(v) = std::env::var(var) {
-                return v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("{var} must be a thread count, got {v:?}"));
-            }
+        match std::env::var("DIBELLA_THREADS") {
+            Err(_) => 1,
+            Ok(v) => v
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("DIBELLA_THREADS must be a thread count, got {v:?}")),
         }
-        1
     }
 
     /// The seed mode requested via the environment (`DIBELLA_SEED_MODE`),
@@ -338,9 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn simd_knob_defaults_to_env_fallback() {
-        // None = resolve from DIBELLA_SIMD at batch time.
+    fn simd_knob_defaults_to_auto() {
         assert_eq!(PipelineConfig::default().simd, None);
+        assert_eq!(PipelineConfig::default().simd.unwrap_or_default(), SimdMode::Auto);
         let cfg = PipelineConfig { simd: Some(SimdMode::Scalar), ..Default::default() };
         assert_eq!(cfg.simd, Some(SimdMode::Scalar));
     }
@@ -391,7 +380,6 @@ mod tests {
         // threads wins over align_threads when set.
         let cfg = PipelineConfig { threads: Some(3), align_threads: 7, ..Default::default() };
         assert_eq!(cfg.effective_threads(), 3);
-        assert_eq!(cfg.effective_align_threads(), 3, "alias must delegate");
         // Unset threads falls back to the alias.
         let cfg = PipelineConfig { align_threads: 5, ..Default::default() };
         assert_eq!(cfg.effective_threads(), 5);

@@ -50,6 +50,11 @@ use std::time::{Duration, Instant};
 /// *while* the previous exchange is in flight — so `exchange + pack` can
 /// legitimately exceed `total`; the excess is exactly the overlap the
 /// streaming engine bought.
+///
+/// Under a simulated transport `exchange` is *modeled* seconds (a function
+/// of traffic counters) while `total` and `pack` stay host seconds, so
+/// [`StageTiming::local`] and [`StageTiming::compute`] subtract unlike
+/// quantities there; read them only from runs on a real transport.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTiming {
     /// Total stage time on this rank.

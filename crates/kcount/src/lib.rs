@@ -25,7 +25,7 @@ pub use cardinality::hll_cardinality;
 pub use config::KcountConfig;
 pub use csr::{CsrEntry, ReadKmerCsr};
 pub use stages::{
-    bloom_stage, bloom_stage_overlapping, hash_stage, hash_stage_prepacked, minimizer_stage,
+    bloom_stage_overlapping, hash_stage_prepacked, minimizer_stage,
     pack_windows, BloomOutput, HashOutput, KmerStageCounters, MinimizerOutput, PrepackedKmerRound,
 };
 pub use table::{FilterStats, KmerEntry, KmerHashTable, Occurrence};

@@ -226,37 +226,18 @@ pub struct PrepackedKmerRound {
 /// k-mer already present is promoted into the hash-table partition. The
 /// filter is dropped on return ("After the hash table is initialized with
 /// k-mer keys, the Bloom filter is freed").
-pub fn bloom_stage(
-    comm: &Comm,
-    reads: &[Read],
-    cfg: &KcountConfig,
-    exec: &BatchedExecutor,
-) -> BloomOutput {
-    bloom_stage_impl(comm, reads, cfg, exec, false).0
-}
-
-/// [`bloom_stage`] with cross-stage overlap: while the Bloom pass's final
-/// exchange round is in flight, the rank thread pre-packs the **hash**
-/// pass's first round from its local reads (which depend on nothing in
-/// flight). Feed the token to [`hash_stage_prepacked`]; results are
-/// bit-identical to the non-overlapped path.
+///
+/// Cross-stage overlap: while the pass's final exchange round is in
+/// flight, the rank thread pre-packs the **hash** pass's first round from
+/// its local reads (which depend on nothing in flight). Feed the token to
+/// [`hash_stage_prepacked`]; the table it builds is bit-identical to the
+/// one it builds when it packs that round itself.
 pub fn bloom_stage_overlapping(
     comm: &Comm,
     reads: &[Read],
     cfg: &KcountConfig,
     exec: &BatchedExecutor,
 ) -> (BloomOutput, PrepackedKmerRound) {
-    let (out, pp) = bloom_stage_impl(comm, reads, cfg, exec, true);
-    (out, pp.expect("tail always packs when requested"))
-}
-
-fn bloom_stage_impl(
-    comm: &Comm,
-    reads: &[Read],
-    cfg: &KcountConfig,
-    exec: &BatchedExecutor,
-    prepack_hash: bool,
-) -> (BloomOutput, Option<PrepackedKmerRound>) {
     let p = comm.size();
     let mut bloom = BloomFilter::for_items(
         cfg.expected_distinct_per_rank(p),
@@ -271,14 +252,13 @@ fn bloom_stage_impl(
     let mut parsed = 0u64;
     let mut received = 0u64;
     let mut promoted = 0u64;
-    let prepacked: RefCell<Option<PrepackedKmerRound>> = RefCell::new(None);
     // Consumed receive buffers, handed back to the packer (see `pack_windows`).
     let spare: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
 
     let plan = RoundPlan::for_records(total, per_round as usize);
     // The pre-packed hash round is one more pack for the buffers to serve.
-    let packs = plan.local_rounds() + prepack_hash as u64;
-    let rounds = RoundExchange::run_with_tail(
+    let packs = plan.local_rounds() + 1;
+    let (rounds, prepacked) = RoundExchange::run_with_tail(
         comm,
         plan,
         |round| {
@@ -319,16 +299,14 @@ fn bloom_stage_impl(
             }
         },
         || {
-            if prepack_hash {
-                // The pack's wall elapses inside this stage's `total`, so
-                // it is this stage's stats window that must carry it —
-                // crediting it to the stage that ships the bytes reported
-                // a hash pass with more pack time than wall time.
-                let t = Instant::now();
-                *prepacked.borrow_mut() =
-                    Some(prepack_hash_round0(reads, &idx, cfg, p, exec, &mut spare.borrow_mut()));
-                comm.add_pack_wall(t.elapsed());
-            }
+            // The pack's wall elapses inside this stage's `total`, so it
+            // is this stage's stats window that must carry it — crediting
+            // it to the stage that ships the bytes reported a hash pass
+            // with more pack time than wall time.
+            let t = Instant::now();
+            let round0 = prepack_hash_round0(reads, &idx, cfg, p, exec, &mut spare.borrow_mut());
+            comm.add_pack_wall(t.elapsed());
+            round0
         },
     );
     counters.kmers_parsed = parsed;
@@ -339,10 +317,7 @@ fn bloom_stage_impl(
     let bloom_bytes = bloom.memory_bytes();
     let bloom_fill = bloom.fill_ratio();
     bloom.clear_and_shrink();
-    (
-        BloomOutput { table, bloom_bytes, bloom_fill, counters },
-        prepacked.into_inner(),
-    )
+    (BloomOutput { table, bloom_bytes, bloom_fill, counters }, prepacked)
 }
 
 /// Pack the hash pass's round 0 — byte-identical to what
@@ -378,20 +353,10 @@ pub struct HashOutput {
 /// k-mer instance carries its (read, position, strand) metadata. Owners
 /// record occurrences only for resident keys, then scan their partition to
 /// drop false-positive singletons and k-mers over the threshold `m`.
-pub fn hash_stage(
-    comm: &Comm,
-    reads: &[Read],
-    table: &mut KmerHashTable,
-    cfg: &KcountConfig,
-    exec: &BatchedExecutor,
-) -> HashOutput {
-    hash_stage_prepacked(comm, reads, table, cfg, exec, None)
-}
-
-/// [`hash_stage`] that ships a [`PrepackedKmerRound`] (packed by
-/// [`bloom_stage_overlapping`] under the Bloom pass's last exchange) as
-/// its round 0 instead of packing it afresh. `None` degrades to the plain
-/// path; results are identical either way.
+///
+/// `prepacked` is the round 0 that [`bloom_stage_overlapping`] packed
+/// under the Bloom pass's last exchange, shipped instead of packing it
+/// afresh. `None` packs it here; results are identical either way.
 pub fn hash_stage_prepacked(
     comm: &Comm,
     reads: &[Read],
@@ -663,9 +628,9 @@ mod tests {
         let results = CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let bloom = bloom_stage(comm, local, cfg, &exec);
+            let (bloom, round0) = bloom_stage_overlapping(comm, local, cfg, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage(comm, local, &mut table, cfg, &exec);
+            let _ = hash_stage_prepacked(comm, local, &mut table, cfg, &exec, Some(round0));
             table
                 .iter()
                 .map(|(k, e)| (*k, e.occurrences.clone()))
@@ -742,9 +707,9 @@ mod tests {
         let outs = CommWorld::run(3, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let b = bloom_stage(comm, local, &cfg, &exec);
+            let (b, round0) = bloom_stage_overlapping(comm, local, &cfg, &exec);
             let mut table = b.table;
-            let h = hash_stage(comm, local, &mut table, &cfg, &exec);
+            let h = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(round0));
             (b.counters, h.counters)
         });
         let total_kmers: u64 = reads
@@ -769,20 +734,17 @@ mod tests {
         p: usize,
         cfg: &KcountConfig,
         threads: usize,
-        overlapped: bool,
+        ship_prepacked: bool,
     ) -> Vec<(Vec<(Kmer1, Vec<Occurrence>)>, KmerStageCounters, KmerStageCounters)> {
         let (_, chunks) = partition_reads(reads, p);
         CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::new(threads);
             let local = chunks[comm.rank()].reads();
-            let (b, pp) = if overlapped {
-                let (b, pp) = bloom_stage_overlapping(comm, local, cfg, &exec);
-                (b, Some(pp))
-            } else {
-                (bloom_stage(comm, local, cfg, &exec), None)
-            };
+            let (b, round0) = bloom_stage_overlapping(comm, local, cfg, &exec);
             let mut table = b.table;
-            let h = hash_stage_prepacked(comm, local, &mut table, cfg, &exec, pp);
+            // Dropping the token makes the hash pass pack its own round 0.
+            let round0 = ship_prepacked.then_some(round0);
+            let h = hash_stage_prepacked(comm, local, &mut table, cfg, &exec, round0);
             let mut entries: Vec<(Kmer1, Vec<Occurrence>)> = table
                 .iter()
                 .map(|(k, e)| (*k, e.occurrences.clone()))
@@ -800,9 +762,9 @@ mod tests {
         // on every rank.
         let reads = make_reads(24, 120, 77);
         let cfg = test_cfg(9, 20);
-        let baseline = run_for_identity(&reads, 4, &cfg, 1, false);
+        let baseline = run_for_identity(&reads, 4, &cfg, 1, true);
         for threads in [2usize, 4] {
-            let got = run_for_identity(&reads, 4, &cfg, threads, false);
+            let got = run_for_identity(&reads, 4, &cfg, threads, true);
             assert_eq!(got, baseline, "threads = {threads}");
         }
     }
@@ -886,9 +848,10 @@ mod tests {
 
     #[test]
     fn overlapped_bloom_to_hash_path_matches_plain_path() {
-        // Pre-packing the hash round 0 under the Bloom pass's last
+        // Shipping the hash round 0 packed under the Bloom pass's last
         // exchange must change nothing observable: tables, counters, and
-        // (via the engine's invariants) rounds all equal the plain path.
+        // (via the engine's invariants) rounds all equal those of a hash
+        // pass that packs its round 0 itself.
         let reads = make_reads(20, 110, 123);
         let cfg = test_cfg(9, 20);
         for threads in [1usize, 4] {
@@ -904,7 +867,7 @@ mod tests {
         // still agree with the serial reference at any thread count.
         let reads = make_dirty_reads(12, 90, 9);
         let cfg = test_cfg(7, 30);
-        let baseline = run_for_identity(&reads, 3, &cfg, 1, false);
+        let baseline = run_for_identity(&reads, 3, &cfg, 1, true);
         let total_hits: u64 = reads
             .iter()
             .flat_map(|r| KmerIter::<1>::new(&r.seq, 7))
@@ -912,7 +875,7 @@ mod tests {
         let parsed: u64 = baseline.iter().map(|(_, b, _)| b.kmers_parsed).sum();
         assert_eq!(parsed, total_hits, "parsed must count hits, not windows");
         for threads in [2usize, 4] {
-            assert_eq!(run_for_identity(&reads, 3, &cfg, threads, false), baseline);
+            assert_eq!(run_for_identity(&reads, 3, &cfg, threads, true), baseline);
         }
     }
 
@@ -1052,9 +1015,14 @@ mod tests {
         let cfg = test_cfg(7, 10);
         let (_, chunks) = partition_reads(&reads, 2);
         let outs = CommWorld::run(2, |comm| {
-            bloom_stage(comm, chunks[comm.rank()].reads(), &cfg, &BatchedExecutor::sequential())
+            bloom_stage_overlapping(
+                comm,
+                chunks[comm.rank()].reads(),
+                &cfg,
+                &BatchedExecutor::sequential(),
+            )
         });
-        for o in outs {
+        for (o, _round0) in outs {
             assert!(o.bloom_bytes > 0);
             assert!(o.bloom_fill > 0.0 && o.bloom_fill < 0.9);
         }

@@ -4,7 +4,7 @@
 
 use dibella_comm::{BatchedExecutor, CommWorld};
 use dibella_io::{partition_reads, Read, ReadSet};
-use dibella_kcount::{bloom_stage, hash_stage, KcountConfig};
+use dibella_kcount::{bloom_stage_overlapping, hash_stage_prepacked, KcountConfig};
 use dibella_kmer::{Kmer1, KmerIter};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -76,9 +76,9 @@ proptest! {
         let parts = CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let bloom = bloom_stage(comm, local, &cfg, &exec);
+            let (bloom, round0) = bloom_stage_overlapping(comm, local, &cfg, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage(comm, local, &mut table, &cfg, &exec);
+            let _ = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(round0));
             table.iter().map(|(k, e)| (*k, e.count)).collect::<Vec<_>>()
         });
         let mut got: HashMap<Kmer1, u32> = HashMap::new();
@@ -106,10 +106,10 @@ proptest! {
         let outs = CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let bloom = bloom_stage(comm, local, &cfg, &exec);
+            let (bloom, round0) = bloom_stage_overlapping(comm, local, &cfg, &exec);
             let keys_before = bloom.table.len() as u64;
             let mut table = bloom.table;
-            let h = hash_stage(comm, local, &mut table, &cfg, &exec);
+            let h = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(round0));
             (keys_before, h.filter, table.len() as u64)
         });
         for (before, stats, after) in outs {

@@ -65,7 +65,7 @@ impl NodeMapping {
 pub struct RankLoad {
     /// Weighted compute nanoseconds at reference (Cori-core, in-cache)
     /// speed. Producers multiply raw op counts by the `ns-per-op`
-    /// constants in [`crate::costs`].
+    /// constants in [`crate::op_costs`].
     pub compute_ns: f64,
     /// Bytes this rank's local phase touches repeatedly (hash-table
     /// partition, Bloom partition, read buffers) — drives the cache term.
@@ -163,9 +163,11 @@ pub fn first_alltoallv_setup_s(platform: &Platform, ranks: usize, base_call_s: f
 /// Wall time of one streaming-exchange round when the packing of the next
 /// round overlaps the in-flight exchange (double buffering): the slower of
 /// the two hides the faster. This is the netmodel's *single* definition of
-/// an overlapped round — the executable `SimNet` transport charges it per
-/// round, and [`pipelined_rounds_s`] composes it into a whole-stage cost —
-/// so simulated runs and analytic projections cannot drift apart.
+/// an overlapped round; [`pipelined_rounds_s`] composes it into a
+/// whole-stage cost. Both sides must be modeled seconds: the executable
+/// `SimNet` transport charges the modeled exchange alone and leaves host
+/// packing time in `CommStats::pack_wall`, so a projection that wants the
+/// overlap supplies a modeled pack cost, never a measured one.
 pub fn overlapped_round_s(pack_s: f64, exchange_s: f64) -> f64 {
     pack_s.max(exchange_s)
 }

@@ -21,11 +21,6 @@ pub mod efficiency;
 pub mod op_costs;
 pub mod platforms;
 
-/// Deprecated alias of [`op_costs`] (the module was renamed to end the
-/// `cost` / `costs` near-collision); update imports to `op_costs`.
-#[doc(hidden)]
-pub use op_costs as costs;
-
 pub use cost::{
     cache_penalty, collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s,
     overlapped_round_s, pipelined_rounds_s, stage_cost, NodeMapping, RankLoad, StageCost,

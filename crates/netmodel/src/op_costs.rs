@@ -1,9 +1,8 @@
 //! Reference per-operation costs (nanoseconds on one Cori Haswell core,
 //! in-cache).
 //!
-//! (Formerly `costs.rs`; renamed to avoid the near-collision with
-//! [`crate::cost`], which holds the *stage* cost model. A deprecated
-//! `costs` module alias remains in the crate root for old call sites.)
+//! (Not to be confused with [`crate::cost`], which holds the *stage*
+//! cost model.)
 //!
 //! The pipeline counts *operations* (k-mers packed, Bloom probes, hash
 //! inserts, pairs emitted, DP cells updated); multiplying by these

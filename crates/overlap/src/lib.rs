@@ -29,7 +29,7 @@ pub use spgemm::{
     decode_pair_records, pack_row_block, RecordSeeds, SpgemmAccumulator, SpgemmBlockOut,
 };
 pub use stage::{
-    overlap_stage, overlap_stage_with_lengths, reference_pairs, OverlapConfig, OverlapCounters,
+    overlap_stage_with_lengths, reference_pairs, OverlapConfig, OverlapCounters,
     OverlapEngine, OverlapOutput,
 };
 pub use task::{task_home, OverlapTask, ReadPair, SharedSeed, TaskPlacement};

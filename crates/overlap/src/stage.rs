@@ -287,19 +287,9 @@ pub(crate) struct ExchangeOut {
 /// Run the overlap stage.
 ///
 /// `table` is this rank's reliable-k-mer partition (after
-/// `retain_reliable`); `read_part` maps read IDs to their owning ranks.
-pub fn overlap_stage(
-    comm: &Comm,
-    table: &KmerHashTable,
-    read_part: &ReadPartition,
-    cfg: &OverlapConfig,
-    exec: &BatchedExecutor,
-) -> OverlapOutput {
-    overlap_stage_with_lengths(comm, table, read_part, cfg, None, exec)
-}
-
-/// [`overlap_stage`] with global read lengths available for length-aware
-/// task placement (`TaskPlacement::LongerRead`).
+/// `retain_reliable`); `read_part` maps read IDs to their owning ranks;
+/// `lengths`, when given, are the global read lengths that length-aware
+/// task placement (`TaskPlacement::LongerRead`) needs.
 pub fn overlap_stage_with_lengths(
     comm: &Comm,
     table: &KmerHashTable,
@@ -510,7 +500,7 @@ mod tests {
     use super::*;
     use dibella_comm::CommWorld;
     use dibella_io::{partition_reads, Read, ReadSet};
-    use dibella_kcount::{bloom_stage, hash_stage, KcountConfig};
+    use dibella_kcount::{bloom_stage_overlapping, hash_stage_prepacked, KcountConfig};
 
     fn kc_cfg(k: usize, m: u32) -> KcountConfig {
         KcountConfig {
@@ -557,10 +547,10 @@ mod tests {
         let results = CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let bloom = bloom_stage(comm, local, kc, &exec);
+            let (bloom, round0) = bloom_stage_overlapping(comm, local, kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage(comm, local, &mut table, kc, &exec);
-            overlap_stage(comm, &table, &part, oc, &exec)
+            let _ = hash_stage_prepacked(comm, local, &mut table, kc, &exec, Some(round0));
+            overlap_stage_with_lengths(comm, &table, &part, oc, None, &exec)
         });
         let mut all: Vec<OverlapTask> = results.into_iter().flat_map(|o| o.tasks).collect();
         all.sort_unstable_by_key(|t| t.pair);
@@ -606,10 +596,10 @@ mod tests {
         let results = CommWorld::run(4, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let bloom = bloom_stage(comm, local, &kc, &exec);
+            let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage(comm, local, &mut table, &kc, &exec);
-            overlap_stage(comm, &table, &part, &oc, &exec)
+            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+            overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
         });
         let mut seen = std::collections::HashSet::new();
         for out in &results {
@@ -629,10 +619,10 @@ mod tests {
         let results = CommWorld::run(4, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let bloom = bloom_stage(comm, local, &kc, &exec);
+            let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage(comm, local, &mut table, &kc, &exec);
-            (comm.rank(), overlap_stage(comm, &table, &part, &oc, &exec))
+            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+            (comm.rank(), overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec))
         });
         for (rank, out) in &results {
             for t in &out.tasks {
@@ -664,10 +654,10 @@ mod tests {
         let outs = CommWorld::run(3, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let bloom = bloom_stage(comm, local, &kc, &exec);
+            let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage(comm, local, &mut table, &kc, &exec);
-            overlap_stage(comm, &table, &part, &oc, &exec).counters
+            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+            overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec).counters
         });
         let emitted: u64 = outs.iter().map(|c| c.pairs_emitted).sum();
         let received: u64 = outs.iter().map(|c| c.tasks_received).sum();
@@ -739,10 +729,10 @@ mod tests {
         let outs = CommWorld::run(3, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let bloom = bloom_stage(comm, local, &kc, &exec);
+            let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage(comm, local, &mut table, &kc, &exec);
-            overlap_stage(comm, &table, &part, &strict, &exec)
+            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+            overlap_stage_with_lengths(comm, &table, &part, &strict, None, &exec)
         });
         let dropped: u64 = outs.iter().map(|o| o.counters.pairs_chain_dropped).sum();
         assert!(dropped > 0);
@@ -790,10 +780,10 @@ mod tests {
             CommWorld::run(3, |comm| {
                 let exec = BatchedExecutor::sequential();
                 let local = chunks[comm.rank()].reads();
-                let bloom = bloom_stage(comm, local, &kc, &exec);
+                let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
                 let mut table = bloom.table;
-                let _ = hash_stage(comm, local, &mut table, &kc, &exec);
-                overlap_stage(comm, &table, &part, &oc, &exec)
+                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
             })
         };
         let pairs_out = run(base);
@@ -851,10 +841,10 @@ mod tests {
                 CommWorld::run(3, |comm| {
                     let exec = BatchedExecutor::new(threads);
                     let local = chunks[comm.rank()].reads();
-                    let bloom = bloom_stage(comm, local, &kc, &exec);
+                    let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
                     let mut table = bloom.table;
-                    let _ = hash_stage(comm, local, &mut table, &kc, &exec);
-                    let out = overlap_stage(comm, &table, &part, &oc, &exec);
+                    let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                    let out = overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec);
                     (out.tasks, out.counters)
                 })
             };
@@ -882,10 +872,10 @@ mod tests {
             CommWorld::run(3, |comm| {
                 let exec = BatchedExecutor::new(threads);
                 let local = chunks[comm.rank()].reads();
-                let bloom = bloom_stage(comm, local, &kc, &exec);
+                let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
                 let mut table = bloom.table;
-                let _ = hash_stage(comm, local, &mut table, &kc, &exec);
-                let out = overlap_stage(comm, &table, &part, &oc, &exec);
+                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                let out = overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec);
                 (out.tasks, out.counters)
             })
         };

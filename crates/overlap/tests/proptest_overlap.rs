@@ -3,8 +3,8 @@
 
 use dibella_comm::{BatchedExecutor, CommWorld};
 use dibella_io::{partition_reads, Read, ReadSet};
-use dibella_kcount::{bloom_stage, hash_stage, KcountConfig};
-use dibella_overlap::{overlap_stage, task_home, OverlapConfig, OverlapTask, SeedPolicy};
+use dibella_kcount::{bloom_stage_overlapping, hash_stage_prepacked, KcountConfig};
+use dibella_overlap::{overlap_stage_with_lengths, task_home, OverlapConfig, OverlapTask, SeedPolicy};
 use proptest::prelude::*;
 
 fn genome_reads() -> impl Strategy<Value = ReadSet> {
@@ -43,10 +43,10 @@ fn run_to_overlap(reads: &ReadSet, p: usize, policy: SeedPolicy) -> Vec<OverlapT
     let outs = CommWorld::run(p, |comm| {
         let exec = BatchedExecutor::sequential();
         let local = chunks[comm.rank()].reads();
-        let bloom = bloom_stage(comm, local, &kc, &exec);
+        let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
         let mut table = bloom.table;
-        let _ = hash_stage(comm, local, &mut table, &kc, &exec);
-        overlap_stage(comm, &table, &part, &oc, &exec)
+        let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+        overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
     });
     let mut all: Vec<OverlapTask> = outs.into_iter().flat_map(|o| o.tasks).collect();
     all.sort_unstable_by_key(|t| t.pair);

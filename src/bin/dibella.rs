@@ -47,11 +47,20 @@ USAGE:
                   [--seed-mode reliable|minimizer] [--minimizer-w W]
                   [--overlap-engine pairs|spgemm] [--pair-batch N]
                   [--spgemm-block ROWS]
-                  [-x XDROP] [--min-score S] [--simd scalar|auto]
+                  [-x XDROP] [--min-score S]
                   [-o out.paf] [--gfa out.gfa]
   dibella simulate <out.fastq> [-g GENOME_BP] [-d DEPTH] [-l MEAN_LEN]
                   [-e ERR] [-s SEED]
   dibella stats <reads.fastq> [-k K] [-e ERR] [-d DEPTH]";
+
+/// The named flags each command takes, dashes stripped.
+const OVERLAP_FLAGS: &[&str] = &[
+    "k", "p", "t", "threads", "transport", "checkpoint-dir", "round-mb", "policy", "e", "d",
+    "seed-mode", "minimizer-w", "overlap-engine", "pair-batch", "spgemm-block", "x", "min-score",
+    "o", "gfa",
+];
+const SIMULATE_FLAGS: &[&str] = &["g", "d", "l", "e", "s"];
+const STATS_FLAGS: &[&str] = &["k", "e", "d"];
 
 /// Minimal flag parser: positional args plus `-f value` / `--flag value`.
 struct Flags {
@@ -59,7 +68,10 @@ struct Flags {
     named: std::collections::HashMap<String, String>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parse `args` for a command whose named flags are `known`. A flag the
+/// command does not take is an error naming it: running with a silently
+/// different configuration is worse than not running.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
     let mut positional = Vec::new();
     let mut named = std::collections::HashMap::new();
     let mut it = args.iter();
@@ -69,6 +81,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         }
         if let Some(name) = a.strip_prefix('-') {
             let name = name.trim_start_matches('-').to_owned();
+            if !known.contains(&name.as_str()) {
+                return Err(format!("unknown flag {a}\n{USAGE}"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag -{name} expects a value"))?;
@@ -97,7 +112,7 @@ fn load_fastq(path: &str) -> Result<ReadSet, String> {
 }
 
 fn cmd_overlap(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, OVERLAP_FLAGS)?;
     let path = flags
         .positional
         .first()
@@ -117,13 +132,12 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
     let xdrop: i32 = flags.get("x", 25)?;
     let min_score: i32 = flags.get("min-score", 0)?;
     // Intra-rank threads for all four stages (hybrid parallelism; 0 = all
-    // cores). `--align-threads` is the deprecated spelling of `--threads`.
-    let threads: usize =
-        flags.get("threads", flags.get("align-threads", flags.get("t", 1)?)?)?;
+    // cores).
+    let threads: usize = flags.get("threads", flags.get("t", 1)?)?;
     // Communication backend: real shared memory, a simulated network
     // ("sim:<platform>[:<ranks_per_node>]" — virtual cori|edison|titan|aws),
     // or either of those wrapped in the fault-injecting chaos transport
-    // ("faulty:<inner>:<seed>:<spec>" — see DIBELLA_FAULTS / ARCHITECTURE.md).
+    // ("faulty:<inner>:<seed>:<spec>" — see ARCHITECTURE.md).
     let transport: TransportKind = match flags.named.get("transport") {
         None => TransportKind::SharedMem,
         Some(v) => v.parse()?,
@@ -150,12 +164,6 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         Some("1000") => SeedPolicy::MinDistance(1000),
         Some("k") => SeedPolicy::MinDistance(k as u32),
         Some(other) => return Err(format!("unknown --policy {other:?} (one|1000|k)")),
-    };
-    // Alignment-kernel implementation: unset defers to the DIBELLA_SIMD
-    // environment knob (default auto = lane-SIMD; bit-identical output).
-    let simd: Option<dibella::align::SimdMode> = match flags.named.get("simd") {
-        None => None,
-        Some(v) => Some(v.parse()?),
     };
     // Seed front end: the paper's two-pass reliable-k-mer counter, or the
     // single-pass (w,k) minimizer sketch. Unset defers to DIBELLA_SEED_MODE.
@@ -186,7 +194,6 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         threads: Some(threads),
         transport,
         max_exchange_bytes_per_round: round_bytes,
-        simd,
         seed_mode,
         minimizer_w,
         overlap_engine,
@@ -297,7 +304,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, SIMULATE_FLAGS)?;
     let out_path = flags
         .positional
         .first()
@@ -332,7 +339,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, STATS_FLAGS)?;
     let path = flags.positional.first().ok_or("stats: missing <reads.fastq>")?;
     let reads = load_fastq(path)?;
     let k: usize = flags.get("k", 17)?;
@@ -358,4 +365,63 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let p_one = params::prob_shared_correct_kmer(2000, k, error);
     println!("P(shared correct {k}-mer | 2kb overlap) = {p_one:.4}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| (*w).to_owned()).collect()
+    }
+
+    fn error(words: &[&str], known: &[&str]) -> String {
+        parse_flags(&args(words), known).err().expect("flags must be rejected")
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_by_name() {
+        let msg = error(&["reads.fastq", "--frobnicate", "3"], OVERLAP_FLAGS);
+        assert!(msg.starts_with("unknown flag --frobnicate"), "{msg}");
+        // Known to another command is still unknown to this one.
+        let msg = error(&["reads.fastq", "-p", "4"], STATS_FLAGS);
+        assert!(msg.starts_with("unknown flag -p"), "{msg}");
+    }
+
+    #[test]
+    fn removed_flag_is_rejected_not_ignored() {
+        let msg = error(&["reads.fastq", "-p", "2", "--simd", "scalar"], OVERLAP_FLAGS);
+        assert!(msg.starts_with("unknown flag --simd"), "{msg}");
+    }
+
+    #[test]
+    fn flag_missing_its_value_is_rejected() {
+        let msg = error(&["reads.fastq", "-p", "4", "--round-mb"], OVERLAP_FLAGS);
+        assert_eq!(msg, "flag -round-mb expects a value");
+    }
+
+    #[test]
+    fn every_documented_flag_parses() {
+        for (known, positional) in
+            [(OVERLAP_FLAGS, "reads.fastq"), (SIMULATE_FLAGS, "out.fastq"), (STATS_FLAGS, "reads.fastq")]
+        {
+            // Single-letter flags in their short spelling, the rest long.
+            let spelled =
+                |name: &str| format!("{}{name}", if name.len() == 1 { "-" } else { "--" });
+            let mut words = vec![positional.to_owned()];
+            for name in known {
+                words.push(spelled(name));
+                words.push("7".to_owned());
+            }
+            let flags = parse_flags(&words, known).expect("full flag set must parse");
+            assert_eq!(flags.positional, [positional]);
+            assert_eq!(flags.named.len(), known.len());
+            assert!(known.iter().all(|name| flags.named[*name] == "7"));
+            // And each is in the usage text, so the sets cannot drift apart.
+            for name in known {
+                assert!(USAGE.contains(&spelled(name)), "{name} missing from usage");
+            }
+        }
+        assert_eq!(parse_flags(&args(&["x.fastq", "-k", "15"]), STATS_FLAGS).unwrap().get("k", 17), Ok(15));
+    }
 }

@@ -16,7 +16,7 @@
 //! | [`netmodel`] | `dibella-netmodel` | Table-1 platform models + LogGP cost projection |
 //! | [`kcount`] | `dibella-kcount` | stages 1–2: distributed k-mer analysis |
 //! | [`overlap`] | `dibella-overlap` | stage 3: Algorithm 1 pair generation + seed policies |
-//! | [`align`] | `dibella-align` | stage 4 kernels: x-drop, banded SW, full SW oracle |
+//! | [`align`] | `dibella-align` | stage 4 kernel: gapped x-drop seed extension (16-bit lanes, scalar fallback) + the full SW oracle |
 //! | [`pipeline`] | `dibella-core` | the four-stage pipeline, reports, cost-model bridge |
 //! | [`baseline`] | `dibella-baseline` | DALIGNER-style single-node comparator (Table 2) |
 //! | [`datagen`] | `dibella-datagen` | synthetic PacBio-like data with ground truth |

@@ -115,7 +115,9 @@ fn empty_fastq() {
 #[test]
 #[should_panic(expected = "x-drop threshold must be positive")]
 fn zero_xdrop_rejected() {
-    let _ = dibella::align::extend_xdrop(b"ACGT", b"ACGT", dibella::align::Scoring::bella(), 0);
+    use dibella::align::{extend_xdrop, AlignWorkspace, Dir, Scoring, SimdMode};
+    let mut ws = AlignWorkspace::new();
+    let _ = extend_xdrop(b"ACGT", b"ACGT", Dir::Fwd, Scoring::bella(), 0, &mut ws, SimdMode::Auto);
 }
 
 /// Reverse-complement palindromic content (seeds hitting themselves) must

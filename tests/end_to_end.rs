@@ -127,6 +127,46 @@ fn baseline_agrees_with_pipeline() {
     assert_eq!(pipe_set, base_set);
 }
 
+/// Baseline and pipeline call the same kernel entry on the same dispatch,
+/// so agreement goes past pairs and scores: under a multi-seed policy
+/// (several extensions per staged read pair) every record's extents and
+/// DP-cell count are equal too.
+#[test]
+fn baseline_records_equal_pipeline_records() {
+    let ds = toy_dataset(5);
+    let cfg = PipelineConfig { seed_policy: SeedPolicy::MinDistance(300), ..toy_cfg() };
+    let pipe = run_pipeline(&ds.reads, 4, &cfg);
+    let bres = dibella::baseline::run_baseline(
+        &ds.reads,
+        &dibella::baseline::BaselineConfig {
+            k: cfg.k,
+            max_multiplicity: cfg.multiplicity_threshold(),
+            seed_min_distance: Some(300),
+            max_seeds_per_pair: cfg.max_seeds_per_pair,
+            xdrop: cfg.xdrop,
+            scoring: cfg.scoring,
+            min_score: cfg.min_align_score,
+        },
+    );
+    type Record = (u32, u32, bool, i32, u32, u32, u32, u32, u64);
+    let mut pipe_set: Vec<Record> = pipe
+        .alignments
+        .iter()
+        .map(|a| {
+            (a.pair.a, a.pair.b, a.reverse, a.score, a.a_start, a.a_end, a.b_start, a.b_end, a.cells)
+        })
+        .collect();
+    let mut base_set: Vec<Record> = bres
+        .alignments
+        .iter()
+        .map(|a| (a.a, a.b, a.reverse, a.score, a.a_start, a.a_end, a.b_start, a.b_end, a.cells))
+        .collect();
+    pipe_set.sort_unstable();
+    base_set.sort_unstable();
+    assert!(pipe_set.len() > pipe.n_pairs(), "policy must explore several seeds per pair");
+    assert_eq!(pipe_set, base_set);
+}
+
 /// Reverse-complement orientation handling end to end: flipping every
 /// read's strand must not change which pairs are found.
 #[test]

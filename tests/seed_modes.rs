@@ -1,8 +1,7 @@
 //! Seed front-end comparison: the minimizer sketch must buy its wire-byte
 //! saving without giving up the overlaps the pipeline exists to find.
 //!
-//! On the committed sampled E. coli 30× workload (the same one
-//! `BENCH_pipeline.json` records), the sketch must ship at least 4× fewer
+//! On the sampled E. coli 30× workload the sketch must ship at least 4× fewer
 //! seed-stage bytes (bloom + hash) than the two-pass reliable front end
 //! while recovering at least 95% of the ground-truth overlap pairs the
 //! reliable mode finds. A second test sweeps the determinism matrix —

@@ -115,7 +115,7 @@ fn simd_mode_bit_identical_across_kernels_and_threads() {
     for mode in [SimdMode::Scalar, SimdMode::Auto] {
         for threads in [1usize, 2, 4] {
             let run = run_pipeline(&reads, ranks, &with_mode(threads, mode));
-            let at = format!("simd={mode} threads={threads}");
+            let at = format!("simd={mode:?} threads={threads}");
             assert_eq!(run.alignments, baseline.alignments, "records diverge at {at}");
             for (par, seq) in run.reports.iter().zip(&baseline.reports) {
                 let rank = par.rank;

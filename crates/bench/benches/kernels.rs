@@ -10,7 +10,9 @@ use dibella_align::{
 use dibella_bench::{chain_fixture, spgemm_fixture};
 use dibella_datagen::ErrorModel;
 use dibella_kcount::ReadKmerCsr;
-use dibella_overlap::{chain_seeds, pack_row_block, ChainConfig, SpgemmAccumulator, TaskPlacement};
+use dibella_overlap::{
+    chain_seeds, pack_row_block, ChainConfig, SeedFold, SpgemmAccumulator, TaskPlacement,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -110,6 +112,7 @@ fn bench_spgemm_rows(c: &mut Criterion) {
                         None,
                         RANKS,
                         acc,
+                        SeedFold::All,
                     ));
                 }
             })

@@ -35,7 +35,6 @@ mod hub;
 pub mod round_exchange;
 pub mod stats;
 pub mod transport;
-pub mod union;
 pub mod wire;
 mod world;
 
@@ -48,6 +47,5 @@ pub use transport::{
     Collective, FaultSpec, FaultyConfig, FaultyInner, FaultyNet, InFlight, RetryPolicy, SharedMem,
     SimNet, SimNetConfig, Transport, TransportKind,
 };
-pub use union::MultisetUnion;
 pub use wire::{decode_iter, decode_vec, encode_slice, try_decode_vec, Wire, WireError};
 pub use world::CommWorld;

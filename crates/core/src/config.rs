@@ -74,12 +74,12 @@ pub struct PipelineConfig {
     /// Cap on seeds explored per pair.
     pub max_seeds_per_pair: usize,
     /// Overlap-stage exchange engine (`--overlap-engine`,
-    /// `DIBELLA_OVERLAP_ENGINE`): the paper's per-seed `pairs` records, or
-    /// the source-deduplicating `spgemm` reformulation. Bit-identical
-    /// alignments either way.
+    /// `DIBELLA_OVERLAP_ENGINE`): the paper's Algorithm-1 enumeration
+    /// (`pairs`, folded per exchange round) or the `spgemm` reformulation
+    /// (folded per matrix row). Bit-identical alignments either way.
     pub overlap_engine: OverlapEngine,
-    /// Pair indices per executor batch in the `pairs` engine
-    /// (`--pair-batch`, `DIBELLA_PAIR_BATCH`).
+    /// Least pair indices per executor batch of the `pairs` engine's
+    /// source fold (`--pair-batch`, `DIBELLA_PAIR_BATCH`).
     pub pair_batch: usize,
     /// Rows per SpGEMM block in the `spgemm` engine (`--spgemm-block`,
     /// `DIBELLA_SPGEMM_BLOCK`).

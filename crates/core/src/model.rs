@@ -61,7 +61,7 @@ pub fn rank_load(report: &RankReport, stage: Stage) -> RankLoad {
         Stage::Overlap => RankLoad {
             compute_ns: report.overlap.retained_kmers as f64 * op_costs::NS_PER_RETAINED_KMER
                 + report.overlap.pairs_emitted as f64 * op_costs::NS_PER_PAIR_TASK
-                + report.overlap.tasks_received as f64 * op_costs::NS_PER_TASK_MERGE,
+                + report.overlap.seeds_merged() as f64 * op_costs::NS_PER_TASK_MERGE,
             working_set: report.table_bytes as f64,
             dest_bytes: report.overlap_comm.dest_bytes.clone(),
             alltoallv_calls: report.overlap_comm.alltoallv_calls,

@@ -28,4 +28,4 @@ pub use stages::{
     bloom_stage_overlapping, hash_stage_prepacked, minimizer_stage,
     pack_windows, BloomOutput, HashOutput, KmerStageCounters, MinimizerOutput, PrepackedKmerRound,
 };
-pub use table::{FilterStats, KmerEntry, KmerHashTable, Occurrence};
+pub use table::{FilterStats, KmerEntry, KmerHashTable, KmerKeyHasher, Occurrence};

@@ -36,9 +36,10 @@ pub struct KmerEntry {
     pub occurrences: Vec<Occurrence>,
 }
 
-/// Pass-through hasher: k-mer keys are pre-mixed by
+/// Word-folding hasher: k-mer keys are pre-mixed by
 /// `dibella_kmer::hash::kmer_hash_words`, so the map hasher only needs to
-/// fold the already-uniform word stream.
+/// fold the word stream — through the splitmix64 finalizer, which also
+/// makes it sound for the overlap stage's raw read-ID pair keys.
 #[derive(Default)]
 pub struct KmerKeyHasher(u64);
 

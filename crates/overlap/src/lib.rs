@@ -24,12 +24,13 @@ pub mod stage;
 pub mod task;
 
 pub use chain::{chain_seeds, ChainConfig};
-pub use policy::SeedPolicy;
+pub use policy::{SeedFold, SeedPolicy};
 pub use spgemm::{
-    decode_pair_records, pack_row_block, RecordSeeds, SpgemmAccumulator, SpgemmBlockOut,
+    decode_pair_records, pack_row_block, write_pair_record, RecordSeeds, SpgemmAccumulator,
+    SpgemmBlockOut,
 };
 pub use stage::{
     overlap_stage_with_lengths, reference_pairs, OverlapConfig, OverlapCounters,
-    OverlapEngine, OverlapOutput,
+    OverlapEngine, OverlapOutput, PairIndexSpace, PairSeeds,
 };
 pub use task::{task_home, OverlapTask, ReadPair, SharedSeed, TaskPlacement};

@@ -72,6 +72,64 @@ impl SeedPolicy {
         }
         before - seeds.len()
     }
+
+    /// The fold under which a pair's seeds may accumulate — at a source
+    /// rank, in the SpGEMM row accumulator, on arrival — without changing
+    /// what [`apply`](Self::apply) finally keeps (`chain_on`: a colinear
+    /// chain filter runs between consolidation and the policy).
+    ///
+    /// | policy | chain filter | fold |
+    /// |---|---|---|
+    /// | `Single` | off | `Smallest(1)` — `apply` keeps the minimum of the sorted list, and the minimum of a union is the minimum of the parts' minima |
+    /// | `Single` | on | `All` — the best chain is a property of the whole list |
+    /// | `MinDistance(_)` | either | `All` — greedy spacing is not closed under truncating the parts: a seed a part drops can be the one the union keeps |
+    pub fn source_keep(&self, chain_on: bool) -> SeedFold {
+        match self {
+            SeedPolicy::Single if !chain_on => SeedFold::Smallest(1),
+            _ => SeedFold::All,
+        }
+    }
+}
+
+/// Stage 3's semiring "add": what a pair's seed list keeps as one more
+/// shared seed is folded in. Chosen by [`SeedPolicy::source_keep`], so
+/// every place seeds accumulate applies the same, policy-preserving rule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SeedFold {
+    /// Keep every seed, in arrival order.
+    All,
+    /// Keep the `n` smallest distinct seeds under [`SharedSeed`]'s order,
+    /// sorted. Associative, commutative and idempotent, so folding per
+    /// source and again at the destination equals folding once.
+    Smallest(usize),
+}
+
+impl SeedFold {
+    /// Fold `seeds` into a pair's kept list, in order. Under `All` the
+    /// list grows once, by exactly what arrives.
+    #[inline]
+    pub fn extend(self, kept: &mut Vec<SharedSeed>, seeds: impl IntoIterator<Item = SharedSeed>) {
+        match self {
+            SeedFold::All => kept.extend(seeds),
+            fold => seeds.into_iter().for_each(|seed| fold.add(kept, seed)),
+        }
+    }
+
+    /// Fold one `seed` into a pair's kept list.
+    #[inline]
+    pub fn add(self, kept: &mut Vec<SharedSeed>, seed: SharedSeed) {
+        match self {
+            SeedFold::All => kept.push(seed),
+            SeedFold::Smallest(n) => {
+                if let Err(at) = kept.binary_search(&seed) {
+                    if at < n {
+                        kept.truncate(n - 1);
+                        kept.insert(at, seed);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +240,29 @@ mod tests {
     fn unsorted_input_is_rejected_in_debug() {
         let mut seeds = vec![seed(10, false), seed(0, false)];
         SeedPolicy::MinDistance(5).apply(&mut seeds, 4);
+    }
+
+    #[test]
+    fn source_keep_folds_only_where_apply_keeps_the_minimum() {
+        assert_eq!(SeedPolicy::Single.source_keep(false), SeedFold::Smallest(1));
+        assert_eq!(SeedPolicy::Single.source_keep(true), SeedFold::All);
+        for chain_on in [false, true] {
+            assert_eq!(SeedPolicy::MinDistance(1000).source_keep(chain_on), SeedFold::All);
+        }
+    }
+
+    #[test]
+    fn smallest_keeps_the_n_least_distinct_seeds_sorted() {
+        let mut kept = Vec::new();
+        for a in [40, 10, 30, 10, 50, 20, 5] {
+            SeedFold::Smallest(3).add(&mut kept, seed(a, false));
+        }
+        assert_eq!(kept, vec![seed(5, false), seed(10, false), seed(20, false)]);
+        let mut all = Vec::new();
+        for a in [40, 10, 10] {
+            SeedFold::All.add(&mut all, seed(a, false));
+        }
+        assert_eq!(all, vec![seed(40, false), seed(10, false), seed(10, false)]);
     }
 
     #[test]

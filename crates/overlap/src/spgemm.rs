@@ -1,24 +1,25 @@
-//! SpGEMM overlap engine: blocked `A·Aᵀ` pair discovery with
-//! merge-at-source deduplication (the BELLA / diBELLA-2D formulation).
+//! SpGEMM overlap engine: blocked `A·Aᵀ` pair discovery (the BELLA /
+//! diBELLA-2D formulation), and the **pair record** — stage 3's one wire
+//! format, which both engines emit and every destination decodes.
 //!
 //! The paper's Algorithm 1 (the `pairs` engine in [`crate::stage`])
-//! enumerates every occurrence pair of every retained k-mer, so a read
-//! pair sharing `m` seeds is encoded and shipped `m` times — one 20-byte
-//! record per seed — before the destination rank consolidates. This
-//! engine reformulates the same enumeration as the sparse matrix product
-//! `A·Aᵀ` of the read-by-k-mer matrix ([`dibella_kcount::ReadKmerCsr`])
-//! and merges per pair *at the source*:
+//! enumerates every occurrence pair of every retained k-mer in table
+//! order. This engine reformulates the same enumeration as the sparse
+//! matrix product `A·Aᵀ` of the read-by-k-mer matrix
+//! ([`dibella_kcount::ReadKmerCsr`]), so that all of a pair's local seeds
+//! meet in one row accumulator:
 //!
 //! 1. rows (local reads) are cut into fixed `spgemm_block`-row blocks —
 //!    the parallel decomposition, fanned out on the shared
 //!    [`BatchedExecutor`] and merged in block order;
 //! 2. each row `i` runs a Gustavson accumulation: for every row entry
 //!    `(c, pos, strand)` and every occurrence `(j, pos_j, strand_j)` of
-//!    column `c` with `read_j > read_i`, accumulate the seed under key
-//!    `read_j` (strictly upper triangular, so each unordered occurrence
-//!    pair is produced by exactly one row — the smaller read's);
-//! 3. per pair `(a, b)` one variable-length wire record carries *all*
-//!    locally discovered seeds:
+//!    column `c` with `read_j > read_i`, fold the seed into the list kept
+//!    under key `read_j` with the run's [`SeedFold`] — the semiring "add"
+//!    (strictly upper triangular, so each unordered occurrence pair is
+//!    produced by exactly one row — the smaller read's);
+//! 3. per pair `(a, b)` one variable-length wire record carries the seeds
+//!    the fold kept:
 //!
 //!    ```text
 //!    ┌────────┬────────┬────────┬──────────────────────────────────┐
@@ -27,25 +28,30 @@
 //!        12-byte header                 8 bytes per seed
 //!    ```
 //!
-//!    versus the pairs engine's `20·n` bytes — equal at `n = 1`,
-//!    strictly smaller whenever a pair shares more than one seed;
+//!    at most 20 bytes per seed instance (a one-seed record), 8 when a
+//!    pair's seeds ship together, and 20 per *pair* under
+//!    `SeedFold::Smallest(1)`. Bit 31 of `b_pos` is the orientation, so a
+//!    position must stay below 2³¹ — [`write_pair_record`] refuses one
+//!    that does not;
 //! 4. the per-destination record streams ship through the standard
-//!    [`ByteRounds`]-planned [`RoundExchange`], so the engine stays
-//!    memory-bounded under `--round-mb`, and the destination consolidates
-//!    with the same [`MultisetUnion`] the pairs engine uses.
+//!    [`ByteRounds`]-planned [`RoundExchange`](dibella_comm::RoundExchange),
+//!    so the engine stays memory-bounded under `--round-mb`, and the
+//!    destination folds arrivals exactly as it does for the pairs engine
+//!    (`exchange_records` in [`crate::stage`]).
 //!
 //! Determinism: column order is the CSR's canonical k-mer sort, row order
 //! is ascending read ID, blocks are a pure function of the row count, and
 //! both accumulator variants ([`SpgemmAccumulator::Dense`] /
 //! [`SpgemmAccumulator::Hash`]) emit candidate reads in ascending-`b`
-//! order with seeds in row-entry (column) order — so the wire bytes are
-//! bit-identical across thread counts, accumulator choices, and round
-//! caps, and the shared consolidate/chain/policy epilogue in
-//! [`crate::stage`] produces bit-identical alignments.
+//! order with seeds folded in row-entry (column) order — so the wire bytes
+//! are bit-identical across thread counts, accumulator choices, and round
+//! caps, and the shared chain/policy epilogue in [`crate::stage`] produces
+//! bit-identical alignments.
 
-use crate::stage::{ExchangeOut, OverlapConfig};
+use crate::policy::SeedFold;
+use crate::stage::{exchange_records, OverlapConfig, OverlapCounters, PairSeeds};
 use crate::task::{ReadPair, SharedSeed, TaskPlacement};
-use dibella_comm::{BatchedExecutor, ByteRounds, Comm, MultisetUnion, RoundExchange};
+use dibella_comm::{BatchedExecutor, ByteRounds, Comm};
 use dibella_io::ReadPartition;
 use dibella_kcount::{KmerHashTable, ReadKmerCsr};
 use std::collections::HashMap;
@@ -84,13 +90,34 @@ pub struct SpgemmBlockOut {
     pub bufs: Vec<Vec<u8>>,
     /// Per-destination record lengths, in send order.
     pub lens: Vec<Vec<usize>>,
-    /// Wire records emitted (source-consolidated candidate pairs).
+    /// Wire records emitted (one per pair with a cross-read seed).
     pub records: u64,
-    /// Seed contributions carried (the pairs engine's per-record unit).
+    /// Seeds those records carry — what the fold kept.
     pub seeds: u64,
+    /// Shared-seed instances enumerated (`≥ seeds`; equal under
+    /// [`SeedFold::All`]).
+    pub instances: u64,
 }
 
-/// Per-row accumulator: `b → seeds`, drained in ascending `b`.
+/// Append one pair record to `buf`; returns its length in bytes.
+///
+/// # Panics
+/// Panics on a `b_pos ≥ 2³¹`: the record keeps the orientation in that
+/// bit, so such a position — a read of two gigabases — would come out of
+/// [`decode_pair_records`] on the other strand.
+pub fn write_pair_record(buf: &mut Vec<u8>, pair: ReadPair, seeds: &[SharedSeed]) -> usize {
+    buf.extend_from_slice(&pair.a.to_le_bytes());
+    buf.extend_from_slice(&pair.b.to_le_bytes());
+    buf.extend_from_slice(&(seeds.len() as u32).to_le_bytes());
+    for s in seeds {
+        assert!(s.b_pos < 1 << 31, "position {} needs bit 31: reads must be shorter than 2^31 bases", s.b_pos);
+        buf.extend_from_slice(&s.a_pos.to_le_bytes());
+        buf.extend_from_slice(&(s.b_pos | (s.reverse as u32) << 31).to_le_bytes());
+    }
+    RECORD_HEADER_BYTES + SEED_BYTES * seeds.len()
+}
+
+/// Per-row accumulator: `b → folded seeds`, drained in ascending `b`.
 enum Acc {
     Dense { slots: Vec<Vec<SharedSeed>>, touched: Vec<u32> },
     Hash { map: HashMap<u32, Vec<SharedSeed>> },
@@ -118,16 +145,16 @@ impl Acc {
     }
 
     #[inline]
-    fn add(&mut self, b: u32, seed: SharedSeed) {
+    fn add(&mut self, fold: SeedFold, b: u32, seed: SharedSeed) {
         match self {
             Acc::Dense { slots, touched } => {
                 let slot = &mut slots[b as usize];
                 if slot.is_empty() {
                     touched.push(b);
                 }
-                slot.push(seed);
+                fold.add(slot, seed);
             }
-            Acc::Hash { map } => map.entry(b).or_default().push(seed),
+            Acc::Hash { map } => fold.add(map.entry(b).or_default(), seed),
         }
     }
 
@@ -157,9 +184,10 @@ impl Acc {
 }
 
 /// Expand row range `rows` of the `A·Aᵀ` product into per-destination
-/// pair records — one executor batch of the SpGEMM engine, also driven
-/// directly by the `spgemm_rows_per_sec` bench. Deterministic: identical
-/// bytes for every accumulator variant and thread count.
+/// pair records, each pair's seeds accumulated under `fold` — one executor
+/// batch of the SpGEMM engine, also driven directly by the
+/// `spgemm_rows_per_sec` bench. Deterministic: identical bytes for every
+/// accumulator variant and thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn pack_row_block(
     csr: &ReadKmerCsr,
@@ -169,12 +197,12 @@ pub fn pack_row_block(
     lengths: Option<&[u32]>,
     ranks: usize,
     acc_kind: SpgemmAccumulator,
+    fold: SeedFold,
 ) -> SpgemmBlockOut {
     let mut out = SpgemmBlockOut {
         bufs: vec![Vec::new(); ranks],
         lens: vec![Vec::new(); ranks],
-        records: 0,
-        seeds: 0,
+        ..Default::default()
     };
     let mut acc = Acc::new(acc_kind, csr, &rows, read_part.n_reads());
     for r in rows {
@@ -186,7 +214,9 @@ pub fn pack_row_block(
                 // exactly once (same-read occurrence pairs witness no
                 // overlap and are skipped by `occ.read == a`).
                 if occ.read > a {
+                    out.instances += 1;
                     acc.add(
+                        fold,
                         occ.read,
                         SharedSeed { a_pos: e.pos, b_pos: occ.pos, reverse: e.strand != occ.strand },
                     );
@@ -195,16 +225,8 @@ pub fn pack_row_block(
         }
         acc.drain(|b, seeds| {
             let dest = read_part.owner_of(placement.home(a, b, lengths));
-            let buf = &mut out.bufs[dest];
-            buf.extend_from_slice(&a.to_le_bytes());
-            buf.extend_from_slice(&b.to_le_bytes());
-            buf.extend_from_slice(&(seeds.len() as u32).to_le_bytes());
-            for s in seeds {
-                debug_assert!(s.b_pos < 1 << 31, "b_pos must leave the orientation bit free");
-                buf.extend_from_slice(&s.a_pos.to_le_bytes());
-                buf.extend_from_slice(&(s.b_pos | (s.reverse as u32) << 31).to_le_bytes());
-            }
-            out.lens[dest].push(RECORD_HEADER_BYTES + SEED_BYTES * seeds.len());
+            let len = write_pair_record(&mut out.bufs[dest], ReadPair { a, b }, seeds);
+            out.lens[dest].push(len);
             out.records += 1;
             out.seeds += seeds.len() as u64;
         });
@@ -261,11 +283,9 @@ pub fn decode_pair_records(buf: &[u8], mut f: impl FnMut(ReadPair, RecordSeeds<'
     records
 }
 
-/// The SpGEMM engine's exchange half: build the CSR, expand row blocks on
+/// The SpGEMM engine's source half: build the CSR, expand row blocks on
 /// the executor, plan the variable-length record stream with
-/// [`ByteRounds`], stream it through [`RoundExchange`], and consolidate
-/// arrivals into the shared [`MultisetUnion`]. The caller (the engine
-/// dispatch in [`crate::stage`]) runs the common epilogue.
+/// [`ByteRounds`] and hand it to the exchange both engines share.
 pub(crate) fn spgemm_exchange(
     comm: &Comm,
     table: &KmerHashTable,
@@ -273,7 +293,8 @@ pub(crate) fn spgemm_exchange(
     cfg: &OverlapConfig,
     lengths: Option<&[u32]>,
     exec: &BatchedExecutor,
-) -> ExchangeOut {
+    fold: SeedFold,
+) -> (PairSeeds, OverlapCounters) {
     let p = comm.size();
     let csr = ReadKmerCsr::from_table(table);
     let block = cfg.spgemm_block.max(1);
@@ -285,15 +306,16 @@ pub(crate) fn spgemm_exchange(
     let parts = exec.map_indexed(n_blocks, |bi| {
         let lo = bi * block;
         let hi = (lo + block).min(csr.n_rows());
-        pack_row_block(&csr, lo..hi, read_part, cfg.placement, lengths, p, SpgemmAccumulator::Auto)
+        let acc = SpgemmAccumulator::Auto;
+        pack_row_block(&csr, lo..hi, read_part, cfg.placement, lengths, p, acc, fold)
     });
     let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); p];
     let mut lens: Vec<Vec<usize>> = vec![Vec::new(); p];
-    let mut emitted_records = 0u64;
-    let mut emitted_seeds = 0u64;
+    let mut counters = OverlapCounters::default();
     for part in parts {
-        emitted_records += part.records;
-        emitted_seeds += part.seeds;
+        counters.pairs_emitted += part.instances;
+        counters.candidate_pairs_emitted += part.records;
+        counters.seeds_shipped += part.seeds;
         for (dest, bytes) in bufs.iter_mut().zip(part.bufs) {
             if dest.is_empty() {
                 *dest = bytes;
@@ -307,28 +329,10 @@ pub(crate) fn spgemm_exchange(
     }
 
     let split = ByteRounds::plan(&lens, cfg.max_exchange_bytes_per_round);
-    let mut pairs: MultisetUnion<ReadPair, SharedSeed> = MultisetUnion::new();
-    let mut received_seeds = 0u64;
-    let rounds = RoundExchange::run(
-        comm,
-        split.round_plan(),
-        |round| split.pack(round, &bufs),
-        |_round, recv| {
-            for buf in recv {
-                decode_pair_records(&buf, |pair, seeds| {
-                    received_seeds += seeds.len() as u64;
-                    pairs.extend(pair, seeds);
-                });
-            }
-        },
-    );
-    ExchangeOut {
-        pairs,
-        emitted_seeds,
-        received_seeds,
-        emitted_records,
-        rounds,
-    }
+    let pairs;
+    (pairs, counters.seeds_received, counters.rounds) =
+        exchange_records(comm, split.round_plan(), fold, |round| split.pack(round, &bufs));
+    (pairs, counters)
 }
 
 #[cfg(test)]
@@ -386,9 +390,11 @@ mod tests {
             None,
             1,
             SpgemmAccumulator::Auto,
+            SeedFold::All,
         );
         assert_eq!(out.records, 2, "one record per pair");
         assert_eq!(out.seeds, 3, "three seed contributions");
+        assert_eq!(out.instances, 3);
         assert_eq!(
             out.bufs[0].len(),
             2 * RECORD_HEADER_BYTES + 3 * SEED_BYTES,
@@ -429,23 +435,54 @@ mod tests {
         ]);
         let csr = ReadKmerCsr::from_table(&t);
         let part = ReadPartition::from_counts(&[3, 3]);
-        let run = |acc: SpgemmAccumulator, block: usize| {
+        let run = |acc: SpgemmAccumulator, block: usize, fold: SeedFold| {
             let mut merged: Vec<Vec<u8>> = vec![Vec::new(); 2];
             for lo in (0..csr.n_rows()).step_by(block) {
                 let hi = (lo + block).min(csr.n_rows());
-                let out = pack_row_block(&csr, lo..hi, &part, TaskPlacement::Parity, None, 2, acc);
+                let out =
+                    pack_row_block(&csr, lo..hi, &part, TaskPlacement::Parity, None, 2, acc, fold);
                 for (d, b) in merged.iter_mut().zip(out.bufs) {
                     d.extend_from_slice(&b);
                 }
             }
             merged
         };
-        let baseline = run(SpgemmAccumulator::Dense, csr.n_rows());
-        for acc in [SpgemmAccumulator::Hash, SpgemmAccumulator::Auto] {
-            for block in [1usize, 2, 3, 64] {
-                assert_eq!(run(acc, block), baseline, "acc={acc:?} block={block}");
+        for fold in [SeedFold::All, SeedFold::Smallest(1)] {
+            let baseline = run(SpgemmAccumulator::Dense, csr.n_rows(), fold);
+            for acc in [SpgemmAccumulator::Hash, SpgemmAccumulator::Auto] {
+                for block in [1usize, 2, 3, 64] {
+                    assert_eq!(run(acc, block, fold), baseline, "acc={acc:?} block={block} {fold:?}");
+                }
             }
         }
+    }
+
+    /// Under `Smallest(1)` a pair's record carries its minimum seed only,
+    /// and the instances it stood for are still counted.
+    #[test]
+    fn folded_rows_ship_the_minimum_seed_per_pair() {
+        let t = table_with(&[
+            (b"ACGTA", vec![occ(0, 9, Strand::Forward), occ(1, 7, Strand::Forward)]),
+            (b"CATCA", vec![occ(0, 3, Strand::Forward), occ(1, 1, Strand::Reverse)]),
+            (b"GGGTG", vec![occ(0, 3, Strand::Forward), occ(1, 0, Strand::Forward)]),
+        ]);
+        let csr = ReadKmerCsr::from_table(&t);
+        let part = ReadPartition::from_counts(&[2]);
+        let out = pack_row_block(
+            &csr,
+            0..csr.n_rows(),
+            &part,
+            TaskPlacement::Parity,
+            None,
+            1,
+            SpgemmAccumulator::Auto,
+            SeedFold::Smallest(1),
+        );
+        assert_eq!((out.instances, out.records, out.seeds), (3, 1, 1));
+        assert_eq!(out.bufs[0].len(), RECORD_HEADER_BYTES + SEED_BYTES);
+        let mut got = Vec::new();
+        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
+        assert_eq!(got, vec![(ReadPair::new(0, 1), SharedSeed { a_pos: 3, b_pos: 0, reverse: false })]);
     }
 
     /// The orientation bit survives packing next to a large position.
@@ -465,6 +502,7 @@ mod tests {
             None,
             1,
             SpgemmAccumulator::Hash,
+            SeedFold::All,
         );
         let mut got = Vec::new();
         decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
@@ -475,6 +513,15 @@ mod tests {
                 SharedSeed { a_pos: 123_456, b_pos: 654_321, reverse: true }
             )]
         );
+    }
+
+    /// Bit 31 of `b_pos` is the orientation: a position that needs it is
+    /// refused in every build profile, not shipped as a flipped strand.
+    #[test]
+    #[should_panic(expected = "reads must be shorter than 2^31 bases")]
+    fn a_position_needing_the_orientation_bit_is_refused() {
+        let seed = SharedSeed { a_pos: 0, b_pos: 1 << 31, reverse: false };
+        write_pair_record(&mut Vec::new(), ReadPair::new(0, 1), &[seed]);
     }
 
     /// A well-formed record: pair (3, 9), two seeds.

@@ -1,63 +1,81 @@
 //! Stage 3 — distributed overlap detection (paper §8, Algorithm 1).
 //!
 //! Each rank walks its hash-table partition, forms every pair of reads
-//! sharing a retained k-mer, routes the task to the home of one of its
-//! reads via the odd/even heuristic, streams the tasks out in
-//! byte-bounded [`dibella_comm::RoundExchange`] rounds
-//! (packing each round while the previous one is in flight), and
-//! consolidates per-pair seed lists, which are then filtered by the run's
-//! [`SeedPolicy`]. With the round cap unbounded this degenerates to the
-//! single monolithic all-to-all of the paper's Algorithm 1; the results
-//! are bit-identical either way.
+//! sharing a retained k-mer, **folds** each pair's seeds as they are found
+//! (the semiring "add": [`SeedPolicy::source_keep`] says what the run's
+//! seed policy lets a partial list forget), routes one *pair record* per
+//! pair to the home of one of its reads via the odd/even heuristic,
+//! streams the records out in byte-bounded
+//! [`dibella_comm::RoundExchange`] rounds (packing each round while the
+//! previous one is in flight), and folds arrivals into per-pair seed lists
+//! with the same rule; the lists are then chained and filtered by the
+//! run's [`SeedPolicy`]. With the round cap unbounded this degenerates to
+//! the single monolithic all-to-all of the paper's Algorithm 1; the
+//! results are bit-identical either way.
 //!
-//! Two interchangeable **engines** implement the exchange half
-//! ([`OverlapEngine`], `--overlap-engine`): the default `pairs` engine
-//! below is the paper's Algorithm 1 — one fixed-size task record per
-//! shared-seed instance, consolidated at the destination — while the
-//! `spgemm` engine ([`crate::spgemm`]) reformulates the enumeration as
-//! the sparse matrix product `A·Aᵀ` and consolidates *at the source*,
-//! shipping one variable-length record per (pair, source rank). Both feed
-//! the identical consolidate → chain → policy epilogue here, and both
-//! produce bit-identical alignments; only wire bytes, pack time, and the
-//! physical `rounds` count differ.
+//! Two interchangeable **engines** implement the source half
+//! ([`OverlapEngine`], `--overlap-engine`). They differ in enumeration
+//! order only: the default `pairs` engine below walks Algorithm 1's nested
+//! loop in table order and folds per exchange round, the `spgemm` engine
+//! ([`crate::spgemm`]) walks the sparse product `A·Aᵀ` row by row and
+//! folds per row. Both write the one wire format
+//! ([`write_pair_record`], `12 + 8n` bytes for a pair's `n` kept seeds),
+//! ship through the one exchange (`exchange_records`) and feed the one
+//! chain → policy epilogue, and both produce bit-identical alignments.
+//!
+//! | policy | chain filter | fold | a pair sharing *m* k-mers leaves a source as |
+//! |---|---|---|---|
+//! | `Single` | off | `Smallest(1)` | one 20-byte record per round it occurs in (`pairs`) or one in all (`spgemm`) |
+//! | `Single` | on | `All` | `12 + 8m` bytes in all (split over the rounds it occurs in for `pairs`) |
+//! | `MinDistance` | either | `All` | the same |
+//!
+//! **Counter ledger** ([`OverlapCounters`]): every enumerated instance is
+//! counted exactly once per rank — `pairs_emitted = seeds_shipped +
+//! seeds_folded_at_source()`; over the world `Σ seeds_shipped =
+//! Σ seeds_received`; and `seeds_received = seeds_kept +
+//! seeds_dropped()`.
 //!
 //! Pair enumeration is threaded through the shared
 //! [`BatchedExecutor`]: prefix sums over each entry's occurrence-pair
 //! bound `n(n−1)/2` form a global *pair-index* space, a round is a cut of
-//! that space, each round is sharded into fixed `pair_batch` batches
-//! enumerated in parallel, and per-destination buffers are concatenated
-//! in batch order — so the task stream is bit-identical at any thread
-//! count (and downstream sort/dedup makes the *output* independent even
-//! of the table's iteration order). The shared epilogue runs on the same
-//! executor: the consolidated pairs, sorted by [`ReadPair`], are cut into
-//! fixed batches whose seed lists are canonicalized, chained and
-//! policy-filtered in place, and tasks and counters merge in batch order.
+//! that space sized as if every instance shipped alone (so the folded
+//! round never exceeds the cap), each round is cut into at most
+//! [`FOLD_BATCHES_PER_ROUND`] batches of at least `pair_batch` indices
+//! folded in parallel, and the partial folds merge in batch order — which
+//! equals one sequential fold of the round, so the record stream is a pure
+//! function of the table at any thread count (and downstream sort/dedup
+//! makes the *output* independent even of the table's iteration order).
+//! The shared epilogue runs on the same executor: the consolidated pairs,
+//! sorted by [`ReadPair`], are cut into fixed batches whose seed lists are
+//! canonicalized, chained and policy-filtered in place, and tasks and
+//! counters merge in batch order.
 
 use crate::chain::{chain_seeds, ChainConfig};
-use crate::policy::SeedPolicy;
-use crate::spgemm::spgemm_exchange;
-use crate::task::{OverlapTask, ReadPair, SharedSeed, TaskPlacement};
-use dibella_comm::{
-    decode_iter, encode_slice, records_per_round, BatchedExecutor, Comm, MultisetUnion,
-    RoundExchange, RoundPlan, Wire,
+use crate::policy::{SeedFold, SeedPolicy};
+use crate::spgemm::{
+    decode_pair_records, spgemm_exchange, write_pair_record, RECORD_HEADER_BYTES, SEED_BYTES,
 };
-use dibella_io::{ReadId, ReadPartition};
-use dibella_kcount::{KmerHashTable, Occurrence};
-use dibella_kmer::Strand;
+use crate::task::{OverlapTask, ReadPair, SharedSeed, TaskPlacement};
+use dibella_comm::{records_per_round, BatchedExecutor, Comm, RoundExchange, RoundPlan};
+use dibella_io::ReadPartition;
+use dibella_kcount::{KmerHashTable, KmerKeyHasher, Occurrence};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::str::FromStr;
 
-/// Which exchange engine the overlap stage runs (`--overlap-engine`).
-/// Final alignments are bit-identical across engines; the choice trades
-/// pack time and wire bytes (see [`crate::spgemm`]).
+/// Which engine enumerates the shared seeds (`--overlap-engine`). Final
+/// alignments are bit-identical across engines; the choice trades pack
+/// time against how much of a pair a source folds before shipping (see
+/// [`crate::spgemm`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OverlapEngine {
-    /// Algorithm 1 verbatim: one 20-byte task record per shared-seed
-    /// instance, consolidated at the destination rank.
+    /// Algorithm 1's nested loop in table order, streamed: each exchange
+    /// round folds and ships its own cut of the pair-index space.
     #[default]
     Pairs,
-    /// Blocked `A·Aᵀ` SpGEMM with source-side per-pair consolidation.
+    /// Blocked `A·Aᵀ` SpGEMM: a pair's local seeds meet in one row
+    /// accumulator, so a source ships one record per pair in all.
     Spgemm,
 }
 
@@ -97,9 +115,11 @@ pub struct OverlapConfig {
     /// i.e. one monolithic exchange). The pipeline plumbs `--round-mb`
     /// through here.
     pub max_exchange_bytes_per_round: usize,
-    /// Pair indices per executor batch when enumeration is threaded. Pure
-    /// function of the input — never of the thread count — so any value
-    /// is deterministic; tests shrink it to force many batches.
+    /// Least pair indices per executor batch of the pairs engine's source
+    /// fold (a round is cut into at most [`FOLD_BATCHES_PER_ROUND`]
+    /// batches). Batches are a pure function of the input — never of the
+    /// thread count — so any value is deterministic; tests shrink it to
+    /// force many batches.
     pub pair_batch: usize,
     /// Colinear chain filter applied between consolidation and the seed
     /// policy (`None` = off). The minimizer seed mode turns it on: sparse
@@ -153,104 +173,177 @@ fn pair_at(n: usize, mut t: u64) -> (usize, usize) {
     }
 }
 
-/// Enumerate the global pair-index range `[lo, hi)` of Algorithm 1's
-/// nested loop, routing each cross-read pair to its home rank's buffer.
-/// Same-read pairs (a k-mer repeated within one read witnesses no
-/// overlap) occupy indices but emit nothing. Returns the per-destination
-/// wire bytes and the emitted-record count — one executor batch.
-#[allow(clippy::too_many_arguments)]
-fn pack_pair_range(
-    entries: &[&[Occurrence]],
-    prefix: &[u64],
-    lo: u64,
-    hi: u64,
-    read_part: &ReadPartition,
-    cfg: &OverlapConfig,
-    lengths: Option<&[u32]>,
-    ranks: usize,
-) -> (Vec<Vec<u8>>, u64) {
-    let mut bufs: Vec<Vec<TaskMsg>> = vec![Vec::new(); ranks];
-    let mut emitted = 0u64;
-    // First entry whose pair-index interval contains `lo`.
-    let mut e = prefix.partition_point(|&start| start <= lo).saturating_sub(1);
-    let mut cursor = lo;
-    while cursor < hi {
-        let end = prefix[e + 1];
-        if end <= cursor {
-            // Zero-pair entry (or one fully before the range) — skip.
-            e += 1;
-            continue;
-        }
-        let occs = entries[e];
-        let stop = end.min(hi);
-        let (mut i, mut j) = pair_at(occs.len(), cursor - prefix[e]);
-        for _ in cursor..stop {
-            let (oi, oj) = (&occs[i], &occs[j]);
-            if oi.read != oj.read {
-                emitted += 1;
-                let home: ReadId = cfg.placement.home(oi.read, oj.read, lengths);
-                // Normalize so the receiving side sees a < b.
-                let (pair, a_pos, b_pos) = if oi.read < oj.read {
-                    (ReadPair::new(oi.read, oj.read), oi.pos, oj.pos)
-                } else {
-                    (ReadPair::new(oj.read, oi.read), oj.pos, oi.pos)
-                };
-                let reverse = oi.strand != oj.strand;
-                bufs[read_part.owner_of(home)].push((
-                    pair.a,
-                    pair.b,
-                    (a_pos, b_pos, reverse as u32),
-                ));
-            }
-            j += 1;
-            if j >= occs.len() {
-                i += 1;
-                j = i + 1;
-            }
-        }
-        cursor = stop;
-        e += 1;
-    }
-    (bufs.into_iter().map(|b| encode_slice(&b)).collect(), emitted)
+/// Most executor batches one round of the pairs engine's source fold is
+/// cut into. Merging a batch's partial fold costs one map operation per
+/// pair it saw, on the rank thread; capping the batch count keeps that
+/// merge small next to the fold itself wherever pairs share many seeds.
+pub const FOLD_BATCHES_PER_ROUND: u64 = 64;
+
+/// Wire bytes of one seed instance shipped alone — a one-seed pair record,
+/// the most an instance can cost. The pairs engine sizes its rounds by it.
+const INSTANCE_BYTES: usize = RECORD_HEADER_BYTES + SEED_BYTES;
+
+/// `pair → folded seeds`: the accumulator wherever a pair's seeds meet —
+/// a batch and a round of the pairs engine's source, and every
+/// destination. Every insertion goes through the run's [`SeedFold`].
+///
+/// The map hashes with the k-mer table's splitmix64 word folder rather
+/// than SipHash: read IDs are dense integers the pipeline assigns itself,
+/// so there is no crafted-collision exposure to pay for on what is the
+/// stage's one per-instance operation (it halves `overlap.stage_s` on
+/// the repo benchmark's `hifi30x`).
+#[derive(Debug)]
+pub struct PairSeeds {
+    fold: SeedFold,
+    map: HashMap<ReadPair, Vec<SharedSeed>, BuildHasherDefault<KmerKeyHasher>>,
 }
 
-/// Work counters for the cost model and the figure harness.
+impl PairSeeds {
+    /// Empty accumulator folding with `fold`.
+    pub fn new(fold: SeedFold) -> Self {
+        Self { fold, map: HashMap::default() }
+    }
+
+    /// Fold `seeds` into `pair`'s list, in order.
+    #[inline]
+    pub fn extend(&mut self, pair: ReadPair, seeds: impl IntoIterator<Item = SharedSeed>) {
+        self.fold.extend(self.map.entry(pair).or_default(), seeds);
+    }
+
+    /// The folded lists, sorted by pair.
+    pub fn into_sorted(self) -> Vec<(ReadPair, Vec<SharedSeed>)> {
+        let mut pairs: Vec<_> = self.map.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(pair, _)| pair);
+        pairs
+    }
+}
+
+/// Algorithm 1's nested loop as an index space: the table's entries in
+/// iteration order and the prefix sums of their occurrence-pair bounds
+/// `n(n−1)/2`, so every occurrence pair has a global index and rounds and
+/// executor batches are plain cuts of `0..n_pairs()`.
+#[derive(Debug)]
+pub struct PairIndexSpace<'t> {
+    entries: Vec<&'t [Occurrence]>,
+    prefix: Vec<u64>,
+}
+
+impl<'t> PairIndexSpace<'t> {
+    /// Index the occurrence pairs of `table`.
+    pub fn new(table: &'t KmerHashTable) -> Self {
+        let entries: Vec<&[Occurrence]> =
+            table.iter().map(|(_, e)| e.occurrences.as_slice()).collect();
+        let mut prefix = vec![0u64];
+        for occs in &entries {
+            let n = occs.len() as u64;
+            prefix.push(prefix[prefix.len() - 1] + n * n.saturating_sub(1) / 2);
+        }
+        Self { entries, prefix }
+    }
+
+    /// Occurrence pairs in the table, same-read ones included.
+    pub fn n_pairs(&self) -> u64 {
+        self.prefix[self.entries.len()]
+    }
+
+    /// Fold the index range `[lo, hi)` — one executor batch of the pairs
+    /// engine's source, also driven directly by the kernel baseline.
+    /// Same-read pairs (a k-mer repeated within one read witnesses no
+    /// overlap) occupy indices but contribute nothing. Returns the folded
+    /// pairs and the cross-read instances enumerated.
+    pub fn fold_range(&self, lo: u64, hi: u64, fold: SeedFold) -> (PairSeeds, u64) {
+        let prefix = &self.prefix;
+        let mut acc = PairSeeds::new(fold);
+        let mut instances = 0u64;
+        // First entry whose pair-index interval contains `lo`.
+        let mut e = prefix.partition_point(|&start| start <= lo).saturating_sub(1);
+        let mut cursor = lo;
+        while cursor < hi {
+            let end = prefix[e + 1];
+            if end <= cursor {
+                // Zero-pair entry (or one fully before the range) — skip.
+                e += 1;
+                continue;
+            }
+            let occs = self.entries[e];
+            let stop = end.min(hi);
+            let (mut i, mut j) = pair_at(occs.len(), cursor - prefix[e]);
+            for _ in cursor..stop {
+                let (oi, oj) = (&occs[i], &occs[j]);
+                if oi.read != oj.read {
+                    instances += 1;
+                    // Normalize so the receiving side sees a < b.
+                    let (a, b) = if oi.read < oj.read { (oi, oj) } else { (oj, oi) };
+                    let reverse = oi.strand != oj.strand;
+                    let seed = SharedSeed { a_pos: a.pos, b_pos: b.pos, reverse };
+                    acc.extend(ReadPair { a: a.read, b: b.read }, [seed]);
+                }
+                j += 1;
+                if j >= occs.len() {
+                    i += 1;
+                    j = i + 1;
+                }
+            }
+            cursor = stop;
+            e += 1;
+        }
+        (acc, instances)
+    }
+}
+
+/// Work counters for the cost model and the figure harness. The module
+/// docs state the ledger that ties them together.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverlapCounters {
     /// Retained k-mers traversed in this rank's partition (the rate unit
     /// of Figure 6).
     pub retained_kmers: u64,
-    /// Shared-seed instances emitted into the exchange (before any
-    /// consolidation) — engine-invariant: the `spgemm` engine counts every
-    /// seed its consolidated records carry.
+    /// Shared-seed instances enumerated — every cross-read occurrence
+    /// pair of every retained k-mer, before any fold. Engine-invariant.
     pub pairs_emitted: u64,
-    /// Wire records emitted. Equals `pairs_emitted` for the `pairs`
-    /// engine (one record per seed); for `spgemm` it is the number of
-    /// source-consolidated `(pair, source rank)` records.
+    /// Wire records emitted: one per (pair, round) this rank found the
+    /// pair in for the `pairs` engine, one per pair for `spgemm`.
     pub candidate_pairs_emitted: u64,
-    /// Seed instances the `spgemm` engine merged away at the source
-    /// (`pairs_emitted − candidate_pairs_emitted`; 0 for `pairs`).
-    pub pairs_deduped_at_source: u64,
-    /// Shared-seed instances received in the exchange (engine-invariant;
-    /// world-summed it always equals `pairs_emitted`).
-    pub tasks_received: u64,
+    /// Seeds those records carry — what the source fold kept.
+    pub seeds_shipped: u64,
+    /// Seeds received in the exchange (world-summed it equals
+    /// `seeds_shipped`).
+    pub seeds_received: u64,
     /// Distinct pairs after consolidation on this rank.
     pub pairs_consolidated: u64,
     /// Seeds kept after policy filtering.
     pub seeds_kept: u64,
-    /// Seeds dropped by the policy (and, when chaining is on, by the
-    /// chain filter — off-chain seeds of kept pairs and all seeds of
-    /// dropped pairs).
-    pub seeds_dropped: u64,
     /// Pairs dropped because their best colinear chain was below
     /// `ChainConfig::min_chain_seeds` (0 when chaining is off).
     pub pairs_chain_dropped: u64,
     /// Bulk-synchronous exchange rounds executed (equals the stage's
     /// `alltoallv` call count; 1 unless a round cap forces streaming).
     /// Physical, not logical: the two engines plan rounds over different
-    /// record streams, so this counter may legitimately differ between
-    /// them under a byte cap.
+    /// record streams, so this counter, the record count and — under
+    /// `SeedFold::Smallest` — the shipped and received seeds may
+    /// legitimately differ between them under a byte cap.
     pub rounds: u64,
+}
+
+impl OverlapCounters {
+    /// Instances the source fold absorbed instead of shipping.
+    pub fn seeds_folded_at_source(&self) -> u64 {
+        self.pairs_emitted - self.seeds_shipped
+    }
+
+    /// Received seeds that did not reach a task: folded away on arrival,
+    /// duplicates, off-chain seeds, all seeds of chain-dropped pairs, and
+    /// what the policy cut.
+    pub fn seeds_dropped(&self) -> u64 {
+        self.seeds_received - self.seeds_kept
+    }
+
+    /// Seeds this rank merged into a per-pair list, at either end of the
+    /// exchange — the unit of the cost model's merge term. World-summed it
+    /// equals `pairs_emitted`.
+    pub fn seeds_merged(&self) -> u64 {
+        self.seeds_folded_at_source() + self.seeds_received
+    }
 }
 
 /// Result of the overlap stage on one rank.
@@ -261,27 +354,6 @@ pub struct OverlapOutput {
     pub tasks: Vec<OverlapTask>,
     /// Work counters.
     pub counters: OverlapCounters,
-}
-
-/// Task wire record: `(ra, rb, (a_pos, b_pos, reverse))` — 20 bytes.
-type TaskMsg = (u32, u32, (u32, u32, u32));
-
-/// What an engine's exchange half hands to the shared epilogue: the
-/// consolidated per-pair seed multisets plus the emission counters. Both
-/// engines produce the same logical multiset; only the record geometry
-/// (and hence `emitted_records` and the physical round count) differs.
-pub(crate) struct ExchangeOut {
-    /// Per-pair seed lists as received (pre-canonicalization).
-    pub pairs: MultisetUnion<ReadPair, SharedSeed>,
-    /// Shared-seed instances emitted (engine-invariant).
-    pub emitted_seeds: u64,
-    /// Shared-seed instances received (engine-invariant).
-    pub received_seeds: u64,
-    /// Wire records emitted (engine-dependent; = `emitted_seeds` for the
-    /// pairs engine).
-    pub emitted_records: u64,
-    /// Executed exchange rounds.
-    pub rounds: u64,
 }
 
 /// Run the overlap stage.
@@ -298,37 +370,30 @@ pub fn overlap_stage_with_lengths(
     lengths: Option<&[u32]>,
     exec: &BatchedExecutor,
 ) -> OverlapOutput {
-    let exch = match cfg.engine {
-        OverlapEngine::Pairs => pairs_exchange(comm, table, read_part, cfg, lengths, exec),
-        OverlapEngine::Spgemm => spgemm_exchange(comm, table, read_part, cfg, lengths, exec),
+    let fold = cfg.policy.source_keep(cfg.chain.is_some());
+    // Each engine returns the per-pair lists as folded on arrival and the
+    // counters of both halves of its exchange.
+    let (pairs, mut counters) = match cfg.engine {
+        OverlapEngine::Pairs => pairs_exchange(comm, table, read_part, cfg, lengths, exec, fold),
+        OverlapEngine::Spgemm => spgemm_exchange(comm, table, read_part, cfg, lengths, exec, fold),
     };
-    let mut counters = OverlapCounters {
-        retained_kmers: table.len() as u64,
-        pairs_emitted: exch.emitted_seeds,
-        candidate_pairs_emitted: exch.emitted_records,
-        pairs_deduped_at_source: exch.emitted_seeds - exch.emitted_records,
-        tasks_received: exch.received_seeds,
-        rounds: exch.rounds,
-        ..Default::default()
-    };
+    counters.retained_kmers = table.len() as u64;
 
     // ---- chain, filter seeds, emit deterministic task list ---------------
-    // Shared epilogue: both engines deliver the same per-pair seed
-    // multisets, so everything from here on is engine-independent. Sorting
-    // the pairs first makes the batches — fixed cuts of the sorted list —
-    // a pure function of the input, and concatenating batch results in
+    // Shared epilogue: both engines deliver per-pair lists the policy
+    // cannot tell apart, so everything from here on is engine-independent.
+    // The batches are fixed cuts of the pairs sorted by `ReadPair` — a
+    // pure function of the input — and concatenating batch results in
     // batch order leaves the tasks sorted by pair.
-    let mut pairs: Vec<(ReadPair, Vec<SharedSeed>)> = exch.pairs.into_map().into_iter().collect();
-    pairs.sort_unstable_by_key(|&(pair, _)| pair);
+    let mut pairs = pairs.into_sorted();
     let parts =
         exec.map_batches_mut(&mut pairs, EPILOGUE_BATCH_PAIRS, |batch| finish_pairs(batch, cfg));
     let mut tasks: Vec<OverlapTask> = Vec::with_capacity(pairs.len());
-    for (batch_tasks, c) in parts {
+    for (batch_tasks, chain_dropped) in parts {
+        counters.pairs_consolidated += batch_tasks.len() as u64;
+        counters.seeds_kept += batch_tasks.iter().map(|t| t.seeds.len() as u64).sum::<u64>();
+        counters.pairs_chain_dropped += chain_dropped;
         tasks.extend(batch_tasks);
-        counters.pairs_chain_dropped += c.pairs_chain_dropped;
-        counters.seeds_dropped += c.seeds_dropped;
-        counters.pairs_consolidated += c.pairs_consolidated;
-        counters.seeds_kept += c.seeds_kept;
     }
 
     OverlapOutput { tasks, counters }
@@ -340,37 +405,55 @@ const EPILOGUE_BATCH_PAIRS: usize = 64;
 
 /// One epilogue batch: canonicalize, chain and policy-filter each pair's
 /// seed list, taking the lists out of `batch` rather than copying them.
-/// Returns the surviving tasks in `batch` order and the four counters the
-/// epilogue owns (every other field stays zero).
+/// Returns the surviving tasks in `batch` order and the number of pairs
+/// the chain filter dropped.
 fn finish_pairs(
     batch: &mut [(ReadPair, Vec<SharedSeed>)],
     cfg: &OverlapConfig,
-) -> (Vec<OverlapTask>, OverlapCounters) {
-    let mut counters = OverlapCounters::default();
+) -> (Vec<OverlapTask>, u64) {
+    let mut chain_dropped = 0u64;
     let mut tasks = Vec::with_capacity(batch.len());
     for (pair, seeds) in batch {
         let mut seeds = std::mem::take(seeds);
         seeds.sort_unstable();
         seeds.dedup();
         if let Some(chain_cfg) = &cfg.chain {
-            let before = seeds.len() as u64;
             if !chain_seeds(&mut seeds, chain_cfg) {
-                counters.pairs_chain_dropped += 1;
-                counters.seeds_dropped += before;
+                chain_dropped += 1;
                 continue;
             }
-            counters.seeds_dropped += before - seeds.len() as u64;
         }
-        counters.pairs_consolidated += 1;
-        let dropped = cfg.policy.apply(&mut seeds, cfg.max_seeds_per_pair);
-        counters.seeds_dropped += dropped as u64;
-        counters.seeds_kept += seeds.len() as u64;
+        cfg.policy.apply(&mut seeds, cfg.max_seeds_per_pair);
         tasks.push(OverlapTask { pair: *pair, seeds });
     }
-    (tasks, counters)
+    (tasks, chain_dropped)
 }
 
-/// The `pairs` engine's exchange half — Algorithm 1 verbatim.
+/// The destination half both engines share: ship `pack`'s pair records
+/// through [`RoundExchange`] and fold each round's arrivals, per pair, with
+/// the fold the sources used. Returns the folded lists, the seeds received
+/// and the executed round count.
+pub(crate) fn exchange_records(
+    comm: &Comm,
+    plan: RoundPlan,
+    fold: SeedFold,
+    pack: impl FnMut(u64) -> Vec<Vec<u8>>,
+) -> (PairSeeds, u64, u64) {
+    let mut pairs = PairSeeds::new(fold);
+    let mut received = 0u64;
+    let rounds = RoundExchange::run(comm, plan, pack, |_round, recv| {
+        for buf in recv {
+            decode_pair_records(&buf, |pair, seeds| {
+                received += seeds.len() as u64;
+                pairs.extend(pair, seeds);
+            });
+        }
+    });
+    (pairs, received, rounds)
+}
+
+/// The `pairs` engine's source half — Algorithm 1's enumeration, folded
+/// per round.
 fn pairs_exchange(
     comm: &Comm,
     table: &KmerHashTable,
@@ -378,81 +461,56 @@ fn pairs_exchange(
     cfg: &OverlapConfig,
     lengths: Option<&[u32]>,
     exec: &BatchedExecutor,
-) -> ExchangeOut {
-    let p = comm.size();
+    fold: SeedFold,
+) -> (PairSeeds, OverlapCounters) {
+    // Rounds and executor batches are cuts of the pair-index space, so the
+    // decomposition is a pure function of the table — identical at any
+    // thread count. A round takes as many indices as would fit the cap if
+    // every one shipped alone: folding only ever shrinks a round, and the
+    // same-read pairs the enumeration skips make it lighter still.
+    let space = PairIndexSpace::new(table);
+    let per_round =
+        records_per_round(INSTANCE_BYTES, usize::MAX, cfg.max_exchange_bytes_per_round) as u64;
+    let (mut pairs_emitted, mut candidate_pairs_emitted, mut seeds_shipped) = (0u64, 0u64, 0u64);
 
-    // ---- Algorithm 1, batched over the pair-index space ------------------
-    // Prefix sums over each entry's occurrence-pair bound `n(n−1)/2` give
-    // every pair of Algorithm 1's nested loop a global index. Rounds and
-    // executor batches are cuts of that index space, so the decomposition
-    // is a pure function of the table — identical at any thread count. The
-    // round budget counts the same-read pairs the enumeration skips, so a
-    // rank whose entries yield nothing simply ships lighter (or empty)
-    // rounds.
-    let entries: Vec<&[Occurrence]> = table.iter().map(|(_, e)| e.occurrences.as_slice()).collect();
-    let mut prefix: Vec<u64> = Vec::with_capacity(entries.len() + 1);
-    prefix.push(0);
-    for occs in &entries {
-        let n = occs.len() as u64;
-        prefix.push(prefix.last().unwrap() + n * n.saturating_sub(1) / 2);
-    }
-    let pair_bound = *prefix.last().unwrap();
-    let per_round = records_per_round(
-        <TaskMsg as Wire>::SIZE,
-        usize::MAX,
-        cfg.max_exchange_bytes_per_round,
-    );
-    let batch = cfg.pair_batch.max(1) as u64;
-    let mut emitted = 0u64;
-    let mut received = 0u64;
-    let mut pairs: MultisetUnion<ReadPair, SharedSeed> = MultisetUnion::new();
-
-    let rounds = RoundExchange::run(
-        comm,
-        RoundPlan::for_records(pair_bound, per_round),
-        |round| {
-            let lo = (round * per_round as u64).min(pair_bound);
-            let hi = lo.saturating_add(per_round as u64).min(pair_bound);
-            let n_batches = (hi - lo).div_ceil(batch) as usize;
-            let parts = exec.map_indexed(n_batches, |b| {
+    let plan = RoundPlan::for_records(space.n_pairs(), per_round as usize);
+    let (pairs, seeds_received, rounds) = exchange_records(comm, plan, fold, |round| {
+        let lo = round.saturating_mul(per_round).min(space.n_pairs());
+        let hi = lo.saturating_add(per_round).min(space.n_pairs());
+        let batch = (cfg.pair_batch.max(1) as u64).max((hi - lo).div_ceil(FOLD_BATCHES_PER_ROUND));
+        // Merging the batches' partial folds in batch order equals folding
+        // the round sequentially, whatever the batch size.
+        let mut round_pairs = PairSeeds::new(fold);
+        exec.map_indexed_into(
+            (hi - lo).div_ceil(batch) as usize,
+            |b| {
                 let blo = lo + b as u64 * batch;
-                let bhi = blo.saturating_add(batch).min(hi);
-                pack_pair_range(&entries, &prefix, blo, bhi, read_part, cfg, lengths, p)
-            });
-            // Merge in batch order: concatenating each destination's encoded
-            // slices equals encoding the concatenated record stream, so the
-            // wire bytes match the sequential enumeration exactly.
-            let mut merged: Vec<Vec<u8>> = vec![Vec::new(); p];
-            for (wire, n) in parts {
-                emitted += n;
-                for (dest, bytes) in merged.iter_mut().zip(wire) {
-                    if dest.is_empty() {
-                        *dest = bytes;
-                    } else {
-                        dest.extend_from_slice(&bytes);
-                    }
-                }
-            }
-            merged
-        },
-        // ---- consolidate per-pair seed lists, as rounds arrive ----------
-        |_round, recv| {
-            for buf in recv {
-                for (a, b, (a_pos, b_pos, rev)) in decode_iter::<TaskMsg>(&buf) {
-                    received += 1;
-                    pairs.push(ReadPair { a, b }, SharedSeed { a_pos, b_pos, reverse: rev != 0 });
-                }
-            }
-        },
-    );
-    ExchangeOut {
-        pairs,
-        emitted_seeds: emitted,
-        received_seeds: received,
-        // One wire record per seed instance: nothing dedups at the source.
-        emitted_records: emitted,
+                space.fold_range(blo, blo.saturating_add(batch).min(hi), fold)
+            },
+            |(part, n)| {
+                pairs_emitted += n;
+                part.map.into_iter().for_each(|(pair, seeds)| round_pairs.extend(pair, seeds));
+            },
+        );
+        // One record per pair, routed once, in pair order.
+        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
+        for (pair, seeds) in round_pairs.into_sorted() {
+            let home = cfg.placement.home(pair.a, pair.b, lengths);
+            write_pair_record(&mut bufs[read_part.owner_of(home)], pair, &seeds);
+            candidate_pairs_emitted += 1;
+            seeds_shipped += seeds.len() as u64;
+        }
+        bufs
+    });
+    let counters = OverlapCounters {
+        pairs_emitted,
+        candidate_pairs_emitted,
+        seeds_shipped,
+        seeds_received,
         rounds,
-    }
+        ..Default::default()
+    };
+    (pairs, counters)
 }
 
 /// Serial reference for tests and the single-node baseline: all pairs of
@@ -488,11 +546,6 @@ pub fn reference_pairs(tables: &[&KmerHashTable]) -> HashMap<ReadPair, Vec<Share
         seeds.dedup();
     }
     out
-}
-
-/// Convenience for tests: was this occurrence pair orientation-flipped?
-pub fn relative_orientation(a: Strand, b: Strand) -> bool {
-    a != b
 }
 
 #[cfg(test)]
@@ -645,28 +698,64 @@ mod tests {
         assert!(tasks.iter().all(|t| t.seeds.len() == 1));
     }
 
+    /// The counter ledger: every enumerated instance is either shipped or
+    /// folded at its source, what is shipped arrives, and what arrives is
+    /// kept or dropped — under both folds, both engines, capped and not.
     #[test]
     fn counters_add_up() {
         let reads = overlapping_reads(10, 50, 10);
         let kc = kc_cfg(9, 24);
-        let oc = OverlapConfig { policy: SeedPolicy::MinDistance(9), max_seeds_per_pair: 64, ..Default::default() };
         let (part, chunks) = partition_reads(&reads, 3);
-        let outs = CommWorld::run(3, |comm| {
-            let exec = BatchedExecutor::sequential();
-            let local = chunks[comm.rank()].reads();
-            let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
-            let mut table = bloom.table;
-            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
-            overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec).counters
-        });
-        let emitted: u64 = outs.iter().map(|c| c.pairs_emitted).sum();
-        let received: u64 = outs.iter().map(|c| c.tasks_received).sum();
-        assert_eq!(emitted, received, "task records lost in exchange");
-        let kept: u64 = outs.iter().map(|c| c.seeds_kept).sum();
-        let dropped: u64 = outs.iter().map(|c| c.seeds_dropped).sum();
-        // kept + dropped ≤ received (dedup may shrink before filtering).
-        assert!(kept + dropped <= received);
-        assert!(kept > 0);
+        for policy in [SeedPolicy::Single, SeedPolicy::MinDistance(9)] {
+            for engine in [OverlapEngine::Pairs, OverlapEngine::Spgemm] {
+                for cap in [usize::MAX, 600] {
+                    let oc = OverlapConfig {
+                        policy,
+                        max_seeds_per_pair: 64,
+                        engine,
+                        max_exchange_bytes_per_round: cap,
+                        ..Default::default()
+                    };
+                    let outs = CommWorld::run(3, |comm| {
+                        let exec = BatchedExecutor::sequential();
+                        let local = chunks[comm.rank()].reads();
+                        let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+                        let mut table = bloom.table;
+                        let _ =
+                            hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                        overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
+                    });
+                    let at = format!("{policy:?} {engine} cap={cap}");
+                    let sum = |f: fn(&OverlapCounters) -> u64| -> u64 {
+                        outs.iter().map(|o| f(&o.counters)).sum()
+                    };
+                    let emitted = sum(|c| c.pairs_emitted);
+                    assert_eq!(sum(|c| c.seeds_shipped), sum(|c| c.seeds_received), "{at}");
+                    assert_eq!(sum(|c| c.seeds_merged()), emitted, "{at}");
+                    for o in &outs {
+                        let c = o.counters;
+                        assert!(c.seeds_shipped <= c.pairs_emitted, "{at}");
+                        let kept: usize = o.tasks.iter().map(|t| t.seeds.len()).sum();
+                        assert_eq!(c.seeds_kept, kept as u64, "{at}");
+                        assert!(c.seeds_kept <= c.seeds_received, "{at}");
+                        match policy {
+                            // One seed per record; the rest folded at the source.
+                            SeedPolicy::Single => {
+                                assert_eq!(c.seeds_shipped, c.candidate_pairs_emitted, "{at}")
+                            }
+                            SeedPolicy::MinDistance(_) => {
+                                assert_eq!(c.seeds_folded_at_source(), 0, "{at}")
+                            }
+                        }
+                    }
+                    assert!(sum(|c| c.seeds_kept) > 0, "{at}");
+                    if policy == SeedPolicy::Single {
+                        assert!(sum(|c| c.seeds_folded_at_source()) > 0, "{at}");
+                        assert!(sum(|c| c.seeds_dropped()) > 0, "a pair found on two ranks: {at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -764,8 +853,8 @@ mod tests {
     }
 
     /// The SpGEMM engine produces the pairs engine's exact tasks and
-    /// logical counters, per rank, and dedups shipped records at the
-    /// source whenever pairs share seeds.
+    /// counters, per rank, and both merge a pair's instances into one
+    /// record at the source whenever pairs share seeds.
     #[test]
     fn spgemm_engine_is_bit_identical_and_dedups_at_source() {
         let reads = overlapping_reads(12, 60, 12);
@@ -794,65 +883,64 @@ mod tests {
         });
         for (p_rank, s_rank) in pairs_out.iter().zip(&spgemm_out) {
             assert_eq!(p_rank.tasks, s_rank.tasks, "tasks diverge between engines");
-            // Logical counters are engine-invariant...
-            let (p, s) = (p_rank.counters, s_rank.counters);
-            assert_eq!(p.retained_kmers, s.retained_kmers);
-            assert_eq!(p.pairs_emitted, s.pairs_emitted);
-            assert_eq!(p.pairs_consolidated, s.pairs_consolidated);
-            assert_eq!(p.seeds_kept, s.seeds_kept);
-            assert_eq!(p.seeds_dropped, s.seeds_dropped);
-            // ...and the pairs engine never dedups at the source.
-            assert_eq!(p.candidate_pairs_emitted, p.pairs_emitted);
-            assert_eq!(p.pairs_deduped_at_source, 0);
-            assert_eq!(
-                s.pairs_deduped_at_source,
-                s.pairs_emitted - s.candidate_pairs_emitted
-            );
+            // Unbounded rounds: both engines fold a pair's local seeds
+            // into one record, so every counter matches.
+            assert_eq!(p_rank.counters, s_rank.counters);
         }
-        // Overlapping synthetic reads share many k-mers per pair, so the
-        // SpGEMM engine must merge records at the source.
-        let deduped: u64 = spgemm_out.iter().map(|o| o.counters.pairs_deduped_at_source).sum();
-        assert!(deduped > 0, "expected source-side dedup on seed-rich pairs");
-        // Received seeds balance across the world for both engines.
+        // Overlapping synthetic reads share many k-mers per pair, so both
+        // engines must merge instances into records at the source.
         for outs in [&pairs_out, &spgemm_out] {
             let emitted: u64 = outs.iter().map(|o| o.counters.pairs_emitted).sum();
-            let received: u64 = outs.iter().map(|o| o.counters.tasks_received).sum();
-            assert_eq!(emitted, received);
+            let records: u64 = outs.iter().map(|o| o.counters.candidate_pairs_emitted).sum();
+            assert!(records < emitted, "expected source-side merging on seed-rich pairs");
+            let shipped: u64 = outs.iter().map(|o| o.counters.seeds_shipped).sum();
+            let received: u64 = outs.iter().map(|o| o.counters.seeds_received).sum();
+            assert_eq!(shipped, received);
         }
     }
 
-    /// Tentpole invariant: threaded pair enumeration with a tiny batch size
-    /// (forcing many batches per round) produces the exact tasks and
-    /// counters of the sequential run, per rank, with and without a round
-    /// cap.
+    /// Tentpole invariant: the source fold cut into many small batches
+    /// (`pair_batch 7`) at any thread count produces the exact tasks,
+    /// counters and wire volume of the default sequential run, per rank —
+    /// under both folds (`MinDistance` ships every seed, `Single` the
+    /// minimum per pair), with and without a round cap.
     #[test]
     fn threaded_enumeration_is_bit_identical_to_sequential() {
         let reads = overlapping_reads(14, 60, 12);
         let kc = kc_cfg(9, 24);
-        for cap in [usize::MAX, 600] {
-            let oc_seq = OverlapConfig {
-                policy: SeedPolicy::MinDistance(9),
-                max_seeds_per_pair: 64,
-                max_exchange_bytes_per_round: cap,
-                ..Default::default()
-            };
-            let (part, chunks) = partition_reads(&reads, 3);
-            let run = |threads: usize, oc: OverlapConfig| {
-                CommWorld::run(3, |comm| {
-                    let exec = BatchedExecutor::new(threads);
-                    let local = chunks[comm.rank()].reads();
-                    let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
-                    let mut table = bloom.table;
-                    let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
-                    let out = overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec);
-                    (out.tasks, out.counters)
-                })
-            };
-            let baseline = run(1, oc_seq);
-            for threads in [2usize, 4] {
-                let oc_par = OverlapConfig { pair_batch: 7, ..oc_seq };
-                let got = run(threads, oc_par);
-                assert_eq!(got, baseline, "threads={threads} cap={cap}");
+        let (part, chunks) = partition_reads(&reads, 3);
+        let run = |threads: usize, oc: OverlapConfig| {
+            CommWorld::run(3, |comm| {
+                let exec = BatchedExecutor::new(threads);
+                let local = chunks[comm.rank()].reads();
+                let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+                let mut table = bloom.table;
+                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                comm.take_stats();
+                let out = overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec);
+                let stats = comm.take_stats();
+                (out.tasks, out.counters, stats.dest_bytes, stats.peak_round_bytes)
+            })
+        };
+        for policy in [SeedPolicy::MinDistance(9), SeedPolicy::Single] {
+            for cap in [usize::MAX, 600] {
+                let oc_seq = OverlapConfig {
+                    policy,
+                    max_seeds_per_pair: 64,
+                    max_exchange_bytes_per_round: cap,
+                    ..Default::default()
+                };
+                let baseline = run(1, oc_seq);
+                for (_, c, _, peak) in &baseline {
+                    assert!(c.pairs_emitted > 7 * 8, "too few instances to force many batches");
+                    assert_eq!(c.rounds > 1, cap != usize::MAX);
+                    assert!(cap == usize::MAX || *peak <= cap as u64, "peak {peak} over cap {cap}");
+                }
+                for threads in [1usize, 2, 4] {
+                    let oc_par = OverlapConfig { pair_batch: 7, ..oc_seq };
+                    let got = run(threads, oc_par);
+                    assert_eq!(got, baseline, "threads={threads} cap={cap} policy={policy:?}");
+                }
             }
         }
     }

@@ -1,10 +1,15 @@
 //! Property tests for the overlap stage: Algorithm 1's output is a
-//! partition-independent, exactly-once, seed-complete task set.
+//! partition-independent, exactly-once, seed-complete task set, and the
+//! seed fold the sources and destinations apply is one the seed policy
+//! cannot observe.
 
 use dibella_comm::{BatchedExecutor, CommWorld};
 use dibella_io::{partition_reads, Read, ReadSet};
-use dibella_kcount::{bloom_stage_overlapping, hash_stage_prepacked, KcountConfig};
-use dibella_overlap::{overlap_stage_with_lengths, task_home, OverlapConfig, OverlapTask, SeedPolicy};
+use dibella_kcount::{bloom_stage_overlapping, hash_stage_prepacked, KcountConfig, KmerHashTable};
+use dibella_overlap::{
+    chain_seeds, overlap_stage_with_lengths, reference_pairs, task_home, ChainConfig,
+    OverlapConfig, OverlapEngine, OverlapTask, SeedFold, SeedPolicy, SharedSeed,
+};
 use proptest::prelude::*;
 
 fn genome_reads() -> impl Strategy<Value = ReadSet> {
@@ -29,6 +34,13 @@ fn genome_reads() -> impl Strategy<Value = ReadSet> {
 }
 
 fn run_to_overlap(reads: &ReadSet, p: usize, policy: SeedPolicy) -> Vec<OverlapTask> {
+    let oc = OverlapConfig { policy, max_seeds_per_pair: 64, ..Default::default() };
+    run_stages(reads, p, &oc).0
+}
+
+/// Stages 1–3 on `p` ranks: every rank's tasks merged and sorted by pair,
+/// and the table partitions stage 3 ran on.
+fn run_stages(reads: &ReadSet, p: usize, oc: &OverlapConfig) -> (Vec<OverlapTask>, Vec<KmerHashTable>) {
     let kc = KcountConfig {
         k: 9,
         max_multiplicity: 32,
@@ -38,7 +50,6 @@ fn run_to_overlap(reads: &ReadSet, p: usize, policy: SeedPolicy) -> Vec<OverlapT
         max_exchange_bytes_per_round: usize::MAX,
         extract_batch: 16,
     };
-    let oc = OverlapConfig { policy, max_seeds_per_pair: 64, ..Default::default() };
     let (part, chunks) = partition_reads(reads, p);
     let outs = CommWorld::run(p, |comm| {
         let exec = BatchedExecutor::sequential();
@@ -46,11 +57,39 @@ fn run_to_overlap(reads: &ReadSet, p: usize, policy: SeedPolicy) -> Vec<OverlapT
         let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
         let mut table = bloom.table;
         let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
-        overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
+        (overlap_stage_with_lengths(comm, &table, &part, oc, None, &exec).tasks, table)
     });
-    let mut all: Vec<OverlapTask> = outs.into_iter().flat_map(|o| o.tasks).collect();
+    let (tasks, tables): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
+    let mut all: Vec<OverlapTask> = tasks.into_iter().flatten().collect();
     all.sort_unstable_by_key(|t| t.pair);
-    all
+    (all, tables)
+}
+
+/// What the stage's epilogue makes of one pair's seeds: canonicalize,
+/// chain (when on), apply the policy. `None` = the chain filter dropped
+/// the pair.
+fn finish(mut seeds: Vec<SharedSeed>, oc: &OverlapConfig) -> Option<Vec<SharedSeed>> {
+    seeds.sort_unstable();
+    seeds.dedup();
+    if let Some(chain) = &oc.chain {
+        if !chain_seeds(&mut seeds, chain) {
+            return None;
+        }
+    }
+    oc.policy.apply(&mut seeds, oc.max_seeds_per_pair);
+    Some(seeds)
+}
+
+/// Seed policies × chain filter × cap, as a stage configuration: a third
+/// of the spacings stand for `Single`, `min_chain_seeds` 0 for no chain
+/// filter.
+fn seed_configs() -> impl Strategy<Value = OverlapConfig> {
+    (0u32..60, 0usize..4, 0usize..6).prop_map(|(d, min_chain_seeds, max_seeds_per_pair)| OverlapConfig {
+        policy: if d % 3 == 0 { SeedPolicy::Single } else { SeedPolicy::MinDistance(d) },
+        chain: (min_chain_seeds > 0).then_some(ChainConfig { min_chain_seeds }),
+        max_seeds_per_pair,
+        ..Default::default()
+    })
 }
 
 proptest! {
@@ -104,6 +143,87 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Fold sufficiency: for any multiset of a pair's seeds split over 1–4
+    /// sources, what the epilogue keeps from all of them equals what it
+    /// keeps from the union of the per-source folds — and from that union
+    /// folded once more on arrival, which is what a destination holds.
+    #[test]
+    fn per_source_folds_are_invisible_to_the_policy(
+        seeds in prop::collection::vec(
+            ((0u32..40, 0u32..40, any::<bool>()), 0usize..4),
+            0..60,
+        ),
+        oc in seed_configs(),
+    ) {
+        let fold = oc.policy.source_keep(oc.chain.is_some());
+        let mut sources: [Vec<SharedSeed>; 4] = Default::default();
+        let mut all = Vec::new();
+        for ((a_pos, b_pos, reverse), source) in seeds {
+            let seed = SharedSeed { a_pos, b_pos, reverse };
+            all.push(seed);
+            fold.add(&mut sources[source], seed);
+        }
+        let union: Vec<SharedSeed> = sources.concat();
+        let mut arrived = Vec::new();
+        for &seed in &union {
+            fold.add(&mut arrived, seed);
+        }
+        let want = finish(all, &oc);
+        prop_assert_eq!(finish(union, &oc), want.clone(), "union of folds, {:?}", fold);
+        prop_assert_eq!(finish(arrived, &oc), want, "folded on arrival, {:?}", fold);
+    }
+
+    /// `Smallest(n)` is a semiring add for every `n`: folding the parts and
+    /// then their union keeps exactly the `n` least distinct seeds.
+    #[test]
+    fn smallest_n_of_parts_is_smallest_n_of_the_whole(
+        seeds in prop::collection::vec(((0u32..20, 0u32..20, any::<bool>()), 0usize..4), 0..60),
+        n in 0usize..5,
+    ) {
+        let fold = SeedFold::Smallest(n);
+        let mut sources: [Vec<SharedSeed>; 4] = Default::default();
+        let mut want = Vec::new();
+        for ((a_pos, b_pos, reverse), source) in seeds {
+            let seed = SharedSeed { a_pos, b_pos, reverse };
+            want.push(seed);
+            fold.add(&mut sources[source], seed);
+        }
+        want.sort_unstable();
+        want.dedup();
+        want.truncate(n);
+        let mut got = Vec::new();
+        for seed in sources.concat() {
+            fold.add(&mut got, seed);
+        }
+        prop_assert_eq!(got, want);
+    }
+
+    /// The stage-level form: with sources and destinations folding, both
+    /// engines, any world size and round cap, every policy with the chain
+    /// filter on or off, the tasks are exactly what the epilogue makes of
+    /// Algorithm 1's unfolded per-pair seed lists.
+    #[test]
+    fn folded_stage_matches_the_unfolded_reference(
+        reads in genome_reads(),
+        p in 1usize..5,
+        oc in seed_configs(),
+        spgemm in any::<bool>(),
+        capped in any::<bool>(),
+    ) {
+        let oc = OverlapConfig {
+            engine: if spgemm { OverlapEngine::Spgemm } else { OverlapEngine::Pairs },
+            max_exchange_bytes_per_round: if capped { 400 } else { usize::MAX },
+            ..oc
+        };
+        let (tasks, tables) = run_stages(&reads, p, &oc);
+        let mut want: Vec<OverlapTask> = reference_pairs(&tables.iter().collect::<Vec<_>>())
+            .into_iter()
+            .filter_map(|(pair, seeds)| Some(OverlapTask { pair, seeds: finish(seeds, &oc)? }))
+            .collect();
+        want.sort_unstable_by_key(|t| t.pair);
+        prop_assert_eq!(tasks, want);
     }
 
     /// The home heuristic is symmetric, total and roughly balanced over a

@@ -8,7 +8,8 @@ use dibella_io::ReadPartition;
 use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence, ReadKmerCsr};
 use dibella_kmer::{Kmer1, Strand};
 use dibella_overlap::{
-    decode_pair_records, pack_row_block, ReadPair, SharedSeed, SpgemmAccumulator, TaskPlacement,
+    decode_pair_records, pack_row_block, ReadPair, SeedFold, SharedSeed, SpgemmAccumulator,
+    TaskPlacement,
 };
 use proptest::prelude::*;
 
@@ -97,7 +98,16 @@ fn spgemm_multiset(
     let mut seeds = Vec::new();
     for lo in (0..csr.n_rows()).step_by(block.max(1)) {
         let hi = (lo + block.max(1)).min(csr.n_rows());
-        let out = pack_row_block(&csr, lo..hi, &part, TaskPlacement::Parity, None, ranks, acc);
+        let out = pack_row_block(
+            &csr,
+            lo..hi,
+            &part,
+            TaskPlacement::Parity,
+            None,
+            ranks,
+            acc,
+            SeedFold::All,
+        );
         assert_eq!(out.lens.iter().flatten().sum::<usize>(), out.bufs.iter().map(Vec::len).sum());
         for (d, b) in bufs.iter_mut().zip(out.bufs) {
             d.extend_from_slice(&b);

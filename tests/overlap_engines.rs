@@ -1,10 +1,14 @@
 //! Overlap-engine equivalence: the SpGEMM `A·Aᵀ` engine must produce the
-//! pairs engine's exact alignments — across seed modes, world sizes,
-//! transports, round caps, thread counts, and block sizes — while
-//! strictly cutting the overlap stage's wire bytes on seed-rich
-//! workloads by consolidating shared-seed records at the source.
+//! pairs engine's exact alignments — across seed policies, seed modes,
+//! world sizes, transports, round caps, thread counts, and block sizes —
+//! and both must ship what the seed policy keeps, folded per pair at the
+//! source, never one record per shared k-mer.
 
-use dibella::datagen::ecoli_30x_sample_like;
+use dibella::datagen::{
+    ecoli_30x_sample_like, simulate_reads, ErrorModel, GenomeSpec, ReadSimSpec,
+};
+use dibella::overlap::OverlapCounters;
+use dibella::pipeline::RankReport;
 use dibella::prelude::*;
 
 /// Overlapping error-free reads off one deterministic genome (the
@@ -27,6 +31,7 @@ fn dense_reads() -> ReadSet {
 
 fn cfg(
     engine: OverlapEngine,
+    seed_policy: SeedPolicy,
     seed_mode: SeedMode,
     threads: usize,
     transport: TransportKind,
@@ -34,7 +39,7 @@ fn cfg(
 ) -> PipelineConfig {
     PipelineConfig {
         k: 11,
-        seed_policy: SeedPolicy::MinDistance(11),
+        seed_policy,
         max_seeds_per_pair: 32,
         max_multiplicity: Some(24),
         seed_mode,
@@ -47,9 +52,11 @@ fn cfg(
     }
 }
 
-/// Per-rank engine-invariant overlap counters (everything logical; the
-/// physical `rounds` and the wire-record counters legitimately differ).
-fn logical_counters(res: &dibella::pipeline::PipelineResult) -> Vec<[u64; 7]> {
+/// Per-rank engine-invariant overlap counters: what was enumerated and
+/// what came out. How many records and seeds crossed the wire in between
+/// is physical — the pairs engine folds per round, SpGEMM per row — and
+/// is held to the ledger by [`assert_ledger`] instead.
+fn logical_counters(res: &dibella::pipeline::PipelineResult) -> Vec<[u64; 5]> {
     res.reports
         .iter()
         .map(|r| {
@@ -57,77 +64,89 @@ fn logical_counters(res: &dibella::pipeline::PipelineResult) -> Vec<[u64; 7]> {
             [
                 c.retained_kmers,
                 c.pairs_emitted,
-                c.tasks_received,
                 c.pairs_consolidated,
                 c.seeds_kept,
-                c.seeds_dropped,
                 c.pairs_chain_dropped,
             ]
         })
         .collect()
 }
 
-/// The tentpole sweep: both engines, both seed modes, worlds {1, 2, 4},
+/// The counter ledger: each enumerated instance is counted once at its
+/// source (shipped or folded), what is shipped arrives somewhere, and the
+/// world's merge work is one operation per instance.
+fn assert_ledger(res: &dibella::pipeline::PipelineResult, at: &str) {
+    let sum = |f: fn(&OverlapCounters) -> u64| -> u64 { res.reports.iter().map(|r| f(&r.overlap)).sum() };
+    assert_eq!(sum(|c| c.seeds_shipped), sum(|c| c.seeds_received), "shipped ≠ received at {at}");
+    assert_eq!(sum(|c| c.seeds_merged()), sum(|c| c.pairs_emitted), "merge work at {at}");
+    for r in &res.reports {
+        let c = r.overlap;
+        assert!(c.candidate_pairs_emitted <= c.seeds_shipped, "empty record at {at}");
+        assert!(c.seeds_shipped <= c.pairs_emitted, "shipped > enumerated at {at}");
+        assert!(c.seeds_kept <= c.seeds_received, "kept > received at {at}");
+    }
+}
+
+/// The tentpole sweep: both engines, both folds (`MinDistance` ships every
+/// seed, `Single` the minimum per pair), both seed modes, worlds {1, 2, 4},
 /// transports {shared, sim:cori:2}, round caps {unbounded, 4 KiB} — the
 /// final alignments and every logical overlap counter are bit-identical,
-/// and the exchange accounting (alltoallv calls == executed rounds, peak
-/// round ≤ cap + one record) holds for the SpGEMM record stream too.
+/// the ledger balances, and the exchange accounting (alltoallv calls ==
+/// executed rounds, peak round ≤ cap + one record) holds for both record
+/// streams.
 #[test]
 fn spgemm_matches_pairs_across_the_sweep() {
     let reads = dense_reads();
-    for seed_mode in [SeedMode::Reliable, SeedMode::Minimizer] {
-        for p in [1usize, 2, 4] {
-            for transport in
-                [TransportKind::SharedMem, "sim:cori:2".parse().expect("transport spec")]
-            {
-                for cap in [usize::MAX, 4096] {
-                    let at = format!("mode={seed_mode} p={p} transport={transport} cap={cap}");
-                    let pairs_res = run_pipeline(
-                        &reads,
-                        p,
-                        &cfg(OverlapEngine::Pairs, seed_mode, 1, transport, cap),
-                    );
-                    let spgemm_res = run_pipeline(
-                        &reads,
-                        p,
-                        &cfg(OverlapEngine::Spgemm, seed_mode, 1, transport, cap),
-                    );
-                    assert!(!pairs_res.alignments.is_empty(), "dead workload at {at}");
-                    assert_eq!(
-                        pairs_res.alignments, spgemm_res.alignments,
-                        "alignments diverge at {at}"
-                    );
-                    assert_eq!(
-                        logical_counters(&pairs_res),
-                        logical_counters(&spgemm_res),
-                        "logical counters diverge at {at}"
-                    );
-                    for r in &spgemm_res.reports {
-                        assert_eq!(
-                            r.overlap_comm.alltoallv_calls, r.overlap.rounds,
-                            "rounds accounting at {at}"
+    for policy in [SeedPolicy::MinDistance(11), SeedPolicy::Single] {
+        for seed_mode in [SeedMode::Reliable, SeedMode::Minimizer] {
+            for p in [1usize, 2, 4] {
+                for transport in
+                    [TransportKind::SharedMem, "sim:cori:2".parse().expect("transport spec")]
+                {
+                    for cap in [usize::MAX, 4096] {
+                        let at = format!(
+                            "policy={policy:?} mode={seed_mode} p={p} transport={transport} cap={cap}"
                         );
-                        let c = r.overlap;
+                        let run = |engine| {
+                            run_pipeline(&reads, p, &cfg(engine, policy, seed_mode, 1, transport, cap))
+                        };
+                        let pairs_res = run(OverlapEngine::Pairs);
+                        let spgemm_res = run(OverlapEngine::Spgemm);
+                        assert!(!pairs_res.alignments.is_empty(), "dead workload at {at}");
                         assert_eq!(
-                            c.pairs_deduped_at_source,
-                            c.pairs_emitted - c.candidate_pairs_emitted,
-                            "dedup bookkeeping at {at}"
+                            pairs_res.alignments, spgemm_res.alignments,
+                            "alignments diverge at {at}"
                         );
-                        if cap != usize::MAX {
-                            // Records never split: one consolidated pair
-                            // record of slack at most (this workload's
-                            // records stay well under 2 KiB).
-                            assert!(
-                                r.overlap_comm.peak_round_bytes <= cap as u64 + 2048,
-                                "peak {} over cap at {at}",
-                                r.overlap_comm.peak_round_bytes
-                            );
+                        assert_eq!(
+                            logical_counters(&pairs_res),
+                            logical_counters(&spgemm_res),
+                            "logical counters diverge at {at}"
+                        );
+                        for res in [&pairs_res, &spgemm_res] {
+                            assert_ledger(res, &at);
+                            for r in &res.reports {
+                                assert_eq!(
+                                    r.overlap_comm.alltoallv_calls, r.overlap.rounds,
+                                    "rounds accounting at {at}"
+                                );
+                                // Records never split: one pair record of
+                                // slack at most (this workload's records
+                                // stay well under 2 KiB).
+                                assert!(
+                                    cap == usize::MAX
+                                        || r.overlap_comm.peak_round_bytes <= cap as u64 + 2048,
+                                    "peak {} over cap at {at}",
+                                    r.overlap_comm.peak_round_bytes
+                                );
+                            }
                         }
-                    }
-                    for r in &pairs_res.reports {
-                        // The pairs engine ships one record per seed.
-                        assert_eq!(r.overlap.candidate_pairs_emitted, r.overlap.pairs_emitted);
-                        assert_eq!(r.overlap.pairs_deduped_at_source, 0);
+                        if cap == usize::MAX {
+                            // One round: both engines fold a pair's local
+                            // seeds into the same single record.
+                            for (a, b) in pairs_res.reports.iter().zip(&spgemm_res.reports) {
+                                assert_eq!(a.overlap, b.overlap, "rank {} counters at {at}", a.rank);
+                            }
+                        }
                     }
                 }
             }
@@ -143,6 +162,7 @@ fn spgemm_bit_identical_across_threads_and_blocks() {
     let reads = dense_reads();
     let base = cfg(
         OverlapEngine::Spgemm,
+        SeedPolicy::MinDistance(11),
         SeedMode::Reliable,
         1,
         TransportKind::SharedMem,
@@ -166,37 +186,72 @@ fn spgemm_bit_identical_across_threads_and_blocks() {
     }
 }
 
-/// The perf claim, asserted: on the committed sample workload the SpGEMM
-/// engine ships strictly fewer overlap-stage bytes than the pairs engine
-/// (identical alignments), with a source dedup factor > 1.
+/// A 1 %-error HiFi-like read set: nearly every k-mer of an overlap is
+/// shared, so a pair meets in thousands of instances — the regime where
+/// shipping per instance costs two orders of magnitude over the fold.
+fn hifi_like() -> ReadSet {
+    let genome = GenomeSpec {
+        size: 24_000,
+        repeat_fraction: 0.03,
+        repeat_unit_len: 700,
+        repeat_families: 5,
+        seed: 7,
+    }
+    .generate();
+    let spec = ReadSimSpec {
+        depth: 12.0,
+        mean_len: 4_000,
+        len_sigma: 0.35,
+        min_len: 400,
+        errors: ErrorModel::pacbio(0.01),
+        seed: 7,
+    };
+    simulate_reads(&genome, &spec).reads
+}
+
+/// The byte claim, asserted for both engines on the committed sample
+/// workload and on HiFi-like reads: under `Single` a source ships at most
+/// one 20-byte record per pair it found, so the stage's bytes and its
+/// largest round are bounded by `20 · pairs · ranks` — a return to one
+/// record per shared k-mer fails here, not only in the repo benchmark.
 #[test]
-fn spgemm_cuts_overlap_bytes_on_the_sample_workload() {
-    let ds = ecoli_30x_sample_like(0.01, 42);
-    let sample = |engine| PipelineConfig {
+fn folded_records_bound_overlap_bytes_for_both_engines() {
+    const RANKS: usize = 4;
+    let sample = PipelineConfig {
         k: 17,
         depth: 30.0,
         error_rate: 0.15,
         seed_policy: SeedPolicy::Single,
         max_seeds_per_pair: 4,
-        overlap_engine: engine,
         ..Default::default()
     };
-    let pairs_res = run_pipeline(&ds.reads, 4, &sample(OverlapEngine::Pairs));
-    let spgemm_res = run_pipeline(&ds.reads, 4, &sample(OverlapEngine::Spgemm));
-    assert_eq!(pairs_res.alignments, spgemm_res.alignments);
-
-    let overlap_bytes = |res: &dibella::pipeline::PipelineResult| -> u64 {
-        res.reports.iter().map(|r| r.overlap_comm.total_bytes()).sum()
-    };
-    let (pb, sb) = (overlap_bytes(&pairs_res), overlap_bytes(&spgemm_res));
-    let emitted: u64 = spgemm_res.reports.iter().map(|r| r.overlap.pairs_emitted).sum();
-    let records: u64 =
-        spgemm_res.reports.iter().map(|r| r.overlap.candidate_pairs_emitted).sum();
-    let dup_factor = emitted as f64 / records as f64;
-    eprintln!(
-        "overlap bytes: pairs {pb}, spgemm {sb} ({:.2}x); seed dup factor {dup_factor:.2}",
-        pb as f64 / sb as f64
-    );
-    assert!(sb < pb, "spgemm must ship strictly fewer overlap bytes ({sb} vs {pb})");
-    assert!(dup_factor > 1.0, "expected source dedup on the sample workload");
+    let hifi = PipelineConfig { k: 21, depth: 12.0, error_rate: 0.01, ..sample.clone() };
+    for (name, reads, base) in [
+        ("sample", ecoli_30x_sample_like(0.01, 42).reads, sample),
+        ("hifi-like", hifi_like(), hifi),
+    ] {
+        let run = |engine| {
+            run_pipeline(&reads, RANKS, &PipelineConfig { overlap_engine: engine, ..base.clone() })
+        };
+        let pairs_res = run(OverlapEngine::Pairs);
+        let spgemm_res = run(OverlapEngine::Spgemm);
+        assert!(!pairs_res.alignments.is_empty(), "dead workload: {name}");
+        assert_eq!(pairs_res.alignments, spgemm_res.alignments, "{name}");
+        for (engine, res) in [("pairs", &pairs_res), ("spgemm", &spgemm_res)] {
+            let sum = |f: fn(&RankReport) -> u64| -> u64 { res.reports.iter().map(f).sum() };
+            let pairs = sum(|r| r.overlap.pairs_consolidated);
+            let bound = 20 * pairs * RANKS as u64;
+            let bytes = sum(|r| r.overlap_comm.total_bytes());
+            let peak = res.reports.iter().map(|r| r.overlap_comm.peak_round_bytes).max().unwrap();
+            let emitted = sum(|r| r.overlap.pairs_emitted);
+            let dup_factor = emitted as f64 / sum(|r| r.overlap.candidate_pairs_emitted) as f64;
+            eprintln!(
+                "{name}/{engine}: {bytes} overlap bytes for {pairs} pairs from {emitted} instances \
+                 (bound {bound}, peak round {peak}, seed dup factor {dup_factor:.1})"
+            );
+            assert!(bytes <= bound, "{name}/{engine}: {bytes} bytes over 20·pairs·ranks = {bound}");
+            assert!(peak <= bound, "{name}/{engine}: peak round {peak} over {bound}");
+            assert!(dup_factor > 1.0, "{name}/{engine}: expected source-side folding");
+        }
+    }
 }

@@ -51,6 +51,9 @@ const TINY_CAP: usize = 256;
 /// header + full read).
 const MAX_RECORD: u64 = 8 + READ_LEN as u64;
 
+/// Index of the overlap stage in [`stage_comms`].
+const OVERLAP: usize = 2;
+
 fn stage_comms(r: &dibella::pipeline::RankReport) -> [&dibella::comm::CommStats; 4] {
     [&r.bloom_comm, &r.hash_comm, &r.overlap_comm, &r.align_comm]
 }
@@ -82,13 +85,30 @@ fn round_cap_sweep_is_bit_identical() {
                     for (si, (cg, cw)) in
                         stage_comms(got).iter().zip(stage_comms(want)).enumerate()
                     {
-                        // Per-destination byte totals are independent of
-                        // the round split and of the transport.
-                        assert_eq!(
-                            cg.dest_bytes, cw.dest_bytes,
+                        let at = format!(
                             "P={p} cap={cap} transport={transport} rank {} stage {si}",
                             got.rank
                         );
+                        if si == OVERLAP && got.overlap.rounds > 1 {
+                            // The overlap stage folds a pair's seeds per
+                            // round, so a pair met in several rounds ships
+                            // its 12-byte header in each: the seeds on the
+                            // wire are those of the one-round run, only
+                            // the record count grows with the split.
+                            let (cap_c, ref_c) = (got.overlap, want.overlap);
+                            assert_eq!(cap_c.seeds_shipped, ref_c.seeds_shipped, "{at}");
+                            assert!(cap_c.candidate_pairs_emitted >= ref_c.candidate_pairs_emitted, "{at}");
+                            assert_eq!(
+                                cg.total_bytes(),
+                                12 * cap_c.candidate_pairs_emitted + 8 * cap_c.seeds_shipped,
+                                "{at}"
+                            );
+                            assert!(cg.dest_bytes.iter().zip(&cw.dest_bytes).all(|(g, w)| g >= w), "{at}");
+                        } else {
+                            // Per-destination byte totals are independent
+                            // of the round split and of the transport.
+                            assert_eq!(cg.dest_bytes, cw.dest_bytes, "{at}");
+                        }
                         // Rounds (= irregular calls) are what the cap moves;
                         // the peak round volume must respect it.
                         if cap != usize::MAX {

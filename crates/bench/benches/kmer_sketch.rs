@@ -1,12 +1,12 @@
 //! k-mer machinery microbenchmarks: extraction throughput, owner hashing,
-//! the stage packer, Bloom filter insert/query, HyperLogLog insert, and
+//! the stage packers and the owner-side roll, Bloom filter insert/query, HyperLogLog insert, and
 //! hash-table occurrence recording — the per-op costs behind the
 //! `dibella_netmodel::op_costs` calibration constants.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dibella_bench::{bloom_record, hash_record, kmer_fixture};
+use dibella_bench::{kmer_fixture, supermer_fixture, supermer_roll_kmers};
 use dibella_comm::BatchedExecutor;
-use dibella_kcount::{pack_windows, KcountConfig, KmerHashTable, Occurrence};
+use dibella_kcount::{pack_supermers, pack_windows, KcountConfig, KmerHashTable, Occurrence};
 use dibella_kmer::{extract_kmers, kmer_count, KmerIter, Strand, WindowIndex};
 use dibella_sketch::{BloomFilter, HyperLogLog};
 use rand::rngs::StdRng;
@@ -65,9 +65,13 @@ fn bench_extract_rate(c: &mut Criterion) {
     g.finish();
 }
 
-/// k-mers/s of the stage packer — extract, hash once for the owner, write
-/// the wire record — for the Bloom pass's 8-byte and the hash pass's
-/// 20-byte record, to 2 destinations in default-size batches.
+/// k-mers/s of the three per-k-mer loops the front ends add around the
+/// filter and the table: the reliable sender (`supermer_pack`: minimizer
+/// scan, owner-run cut, 2-bit write — to 2 and to 64 destinations, where
+/// runs are shorter), the reliable owner (`supermer_roll`: decode the
+/// records, roll the k-mers from the 2-bit bases) and the minimizer
+/// front end's packer (select, hash once for the owner, write the
+/// 20-byte record), all in default-size batches.
 fn bench_pack_rate(c: &mut Criterion) {
     let reads = kmer_fixture(20, 10_000, 0x9AC4_0001);
     let k = 21usize;
@@ -78,21 +82,20 @@ fn bench_pack_rate(c: &mut Criterion) {
     let mut g = c.benchmark_group("kmer_pack_per_sec");
     g.sample_size(20);
     g.throughput(Throughput::Elements(total));
+    for ranks in [2usize, 64] {
+        g.bench_with_input(BenchmarkId::new("supermer_pack", ranks), &ranks, |b, &ranks| {
+            b.iter(|| black_box(pack_supermers(&reads, &idx, 0, total, ranks, batch, &exec).1))
+        });
+    }
+    let (bufs, kmers) = supermer_fixture(&reads, k, 2);
+    assert_eq!(kmers, total, "clean fixture: every window is a k-mer");
+    g.bench_function("supermer_roll", |b| b.iter(|| black_box(supermer_roll_kmers(&bufs, k))));
     // As in a streamed pass, each pack writes into the buffers of the one
     // before it.
     let mut spare = Vec::new();
-    g.bench_function("record_8B", |b| {
+    g.bench_function("minimizer_20B", |b| {
         b.iter(|| {
-            let (bufs, n) =
-                pack_windows(&reads, &idx, 0, total, 2, None, batch, &exec, &bloom_record, &mut spare);
-            spare.extend(bufs);
-            black_box(n)
-        })
-    });
-    g.bench_function("record_20B", |b| {
-        b.iter(|| {
-            let (bufs, n) =
-                pack_windows(&reads, &idx, 0, total, 2, None, batch, &exec, &hash_record, &mut spare);
+            let (bufs, n) = pack_windows(&reads, &idx, 0, total, 2, 7, batch, &exec, &mut spare);
             spare.extend(bufs);
             black_box(n)
         })

@@ -41,26 +41,34 @@
 //!   per-seed cost is linear in `n` would keep 1/32, and
 //!   [`CHAIN_MIN_RATE_RATIO`] (asserted here and in CI) tells them apart
 //!   on any host;
-//! * **k-mer pass rates** (schema `/6`) — k-mers/s of the rolling
-//!   extractor at k = 15 and k = 31, of the stage packer for the 8-byte
-//!   and 20-byte records to 2 destinations, and of the minimizer
-//!   selection, all on the shared [`dibella_bench::kmer_fixture`]. The
-//!   figure that matters is again a *ratio*: the extractor's per-window
-//!   cost must not grow with k, so its k = 31 rate stays within
+//! * **k-mer pass rates** (schema `/6`, supermer rows since `/9`) —
+//!   k-mers/s of the rolling extractor at k = 15 and k = 31, of the
+//!   reliable front end's owner-run packer to 2 and to 64 destinations
+//!   (with the wire bytes per k-mer it wrote) and of the owner-side roll
+//!   of those records, and of the minimizer selection, all on the shared
+//!   [`dibella_bench::kmer_fixture`]. `op_costs::NS_PER_KMER_PACK` and
+//!   `NS_PER_KMER_ROLL` are fitted from the pack and roll rows. The
+//!   figure that matters for the extractor is again a *ratio*: its
+//!   per-window cost must not grow with k, so its k = 31 rate stays within
 //!   [`KMER_MIN_RATE_RATIO`] of its k = 15 rate (asserted here and in
 //!   CI); the O(k)-per-window extractor this replaced measured 0.4–0.6.
+//!   The packer's bytes per k-mer must stay under 4 (asserted in CI): a
+//!   stand-alone k-mer record costs 8.
 //!
 //! Perf PRs diff this file to leave a measurable trajectory; the numbers
 //! are machine-dependent, so compare ratios, not absolutes, across hosts.
 
 use dibella_align::{extend_seed, AlignWorkspace, Scoring, SeedHit, SimdMode};
-use dibella_bench::{bloom_record, chain_fixture, hash_record, kmer_fixture, spgemm_fixture};
+use dibella_bench::{
+    chain_fixture, kmer_fixture, spgemm_fixture, supermer_fixture, supermer_roll_kmers,
+};
 use dibella_comm::BatchedExecutor;
 use dibella_core::{run_pipeline, PipelineConfig};
 use dibella_datagen::{ecoli_30x_sample_like, ErrorModel};
 use dibella_io::ReadPartition;
-use dibella_kcount::{pack_windows, KcountConfig, ReadKmerCsr};
+use dibella_kcount::{pack_supermers, KcountConfig, ReadKmerCsr};
 use dibella_kmer::{extract_kmers, kmer_count, minimizers, WindowIndex};
+use dibella_netmodel::op_costs;
 use dibella_overlap::{
     chain_seeds, pack_row_block, ChainConfig, PairIndexSpace, SeedFold, SpgemmAccumulator,
     TaskPlacement,
@@ -127,6 +135,18 @@ const KMER_READ_LEN: usize = 10_000;
 const KMER_ITERS: u32 = 10;
 const KMER_EXTRACT_KS: [usize; 2] = [15, 31];
 const KMER_PACK_K: usize = 21;
+const KMER_PACK_DESTINATIONS: [usize; 2] = [2, 64];
+/// Reference-core cost of one `extract_kmers` window at k = 15, the unit
+/// the k-mer op costs are fitted in: `NS_PER_KMER_PACK` was 14.0 ns for
+/// the 8-byte-record packer that `BENCH_kernels.json` (schema `/8`)
+/// measured at 62.06 M k-mers/s next to an extractor at 76.74 M/s, which
+/// puts the extractor at 14.0 × 62.06 / 76.74 ns.
+const EXTRACT_REFERENCE_NS: f64 = 11.32;
+/// `op_costs::NS_PER_KMER_PACK` / `NS_PER_KMER_ROLL` must stay within
+/// this factor of what the run fits — single-shot rates on a shared host
+/// spread by ~1.5×, so this catches a constant left behind by a change
+/// of algorithm, not a noisy afternoon.
+const OP_COST_FIT_FACTOR: f64 = 2.0;
 const KMER_MINIMIZER_W: usize = 7;
 /// Floor on `extract_rate(k = 31) / extract_rate(k = 15)`: both run the
 /// same two register updates per base, so the ratio sits near 1; an
@@ -319,21 +339,46 @@ fn main() {
     let kmer_exec = BatchedExecutor::sequential();
     let batch = KcountConfig::DEFAULT_EXTRACT_BATCH;
     let total = kmer_idx.total_windows();
-    // As in a streamed pass, each pack writes into the buffers of the one
-    // before it.
-    let mut spare = Vec::new();
-    let pack_8b_rate = per_sec(total, &mut || {
-        let (bufs, n) =
-            pack_windows(&kmer_reads, &kmer_idx, 0, total, 2, None, batch, &kmer_exec, &bloom_record, &mut spare);
-        assert_eq!(n, total, "clean fixture: every window is a hit");
-        spare.extend(bufs);
+    // The reliable front end's two per-k-mer loops: the sender's pack (to
+    // 2 and to 64 destinations — more owners, shorter runs, more header
+    // bytes per k-mer) and the owner's roll of what arrived.
+    let mut supermer_bytes_per_kmer = [0f64; 2];
+    let supermer_pack_rates: [f64; 2] = std::array::from_fn(|slot| {
+        per_sec(total, &mut || {
+            let ranks = KMER_PACK_DESTINATIONS[slot];
+            let (bufs, n) = pack_supermers(&kmer_reads, &kmer_idx, 0, total, ranks, batch, &kmer_exec);
+            assert_eq!(n, total, "clean fixture: every window is a k-mer");
+            supermer_bytes_per_kmer[slot] = bufs.iter().map(Vec::len).sum::<usize>() as f64 / total as f64;
+        })
     });
-    let pack_20b_rate = per_sec(total, &mut || {
-        let (bufs, n) =
-            pack_windows(&kmer_reads, &kmer_idx, 0, total, 2, None, batch, &kmer_exec, &hash_record, &mut spare);
-        assert_eq!(n, total, "clean fixture: every window is a hit");
-        spare.extend(bufs);
+    let (arrived, _) = supermer_fixture(&kmer_reads, KMER_PACK_K, KMER_PACK_DESTINATIONS[0]);
+    let supermer_roll_rate = per_sec(total, &mut || {
+        black_box(supermer_roll_kmers(&arrived, KMER_PACK_K));
     });
+    // The cost model's two constants for these loops are fitted from this
+    // block, not set by hand: a rate relative to the k = 15 extractor of
+    // the same run (so the host's speed cancels), times the extractor's
+    // reference-core cost.
+    let fitted = |rate: f64| EXTRACT_REFERENCE_NS * extract_rates[0] / rate;
+    let (fit_pack, fit_roll) = (fitted(supermer_pack_rates[0]), fitted(supermer_roll_rate));
+    eprintln!(
+        "k-mer front end: pack {:.1} ns, roll {:.1} ns per k-mer on this host; fitted to the reference core: \
+         NS_PER_KMER_PACK {fit_pack:.1} (is {}), NS_PER_KMER_ROLL {fit_roll:.1} (is {})",
+        1e9 / supermer_pack_rates[0],
+        1e9 / supermer_roll_rate,
+        op_costs::NS_PER_KMER_PACK,
+        op_costs::NS_PER_KMER_ROLL,
+    );
+    for (name, constant, fit) in [
+        ("NS_PER_KMER_PACK", op_costs::NS_PER_KMER_PACK, fit_pack),
+        ("NS_PER_KMER_ROLL", op_costs::NS_PER_KMER_ROLL, fit_roll),
+    ] {
+        assert!(
+            (1.0 / OP_COST_FIT_FACTOR..=OP_COST_FIT_FACTOR).contains(&(constant / fit)),
+            "op_costs::{name} = {constant} is not within {OP_COST_FIT_FACTOR}x of the {fit:.1} ns this \
+             bench fits: re-fit it (see the constant's docs)"
+        );
+    }
 
     // ---- 4-rank end-to-end pipeline ----------------------------------------
     let ds = ecoli_30x_sample_like(0.004, 42);
@@ -367,7 +412,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/8\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"pairs_instances_per_sec\": {fold_instances_per_sec:.0}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"pack_destinations\": 2, \"pack_kmers_per_sec\": {{ \"record_8B\": {pack_8b_rate:.0}, \"record_20B\": {pack_20b_rate:.0} }}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/9\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"pairs_instances_per_sec\": {fold_instances_per_sec:.0}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         seed_simd.0 / seed_scalar.0,
@@ -383,6 +428,10 @@ fn main() {
         chain_rates[1],
         extract_rates[0],
         extract_rates[1],
+        supermer_pack_rates[0],
+        supermer_pack_rates[1],
+        supermer_bytes_per_kmer[0],
+        supermer_bytes_per_kmer[1],
         seed_simd.0,
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));

@@ -19,8 +19,11 @@ fn components(cache: &mut ReportCache, nodes: usize) -> (f64, f64, f64, f64) {
             r.bloom_bytes as f64 + r.table_keys as f64 * 32.0,
             AWS.cache_per_core,
         );
+        // As `dibella_core::rank_load` charges them: the sender's minimizer
+        // scan + owner-run pack, the owner's roll + filter probe.
         let pack = r.bloom.kmers_parsed as f64 * op_costs::NS_PER_KMER_PACK * 1e-9 / AWS.core_perf * pen;
-        let proc = r.bloom.kmers_received as f64 * op_costs::NS_PER_KMER_BLOOM * 1e-9 / AWS.core_perf * pen;
+        let per_received = op_costs::NS_PER_KMER_ROLL + op_costs::NS_PER_KMER_BLOOM;
+        let proc = r.bloom.kmers_received as f64 * per_received * 1e-9 / AWS.core_perf * pen;
         packing = packing.max(pack);
         processing = processing.max(proc);
     }

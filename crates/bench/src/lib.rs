@@ -33,12 +33,13 @@
 
 #![warn(missing_docs)]
 
-use dibella_comm::TransportKind;
+use dibella_comm::{BatchedExecutor, TransportKind};
 use dibella_core::{run_pipeline, PipelineConfig, RankReport, SeedMode};
 use dibella_datagen::{ecoli_100x_like, ecoli_30x_like, ecoli_30x_sample_like, SyntheticDataset};
 use dibella_io::{Read, ReadPartition};
-use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence};
-use dibella_kmer::{Kmer1, KmerHit, Strand};
+use dibella_kcount::{pack_supermers, KcountConfig, KmerHashTable, Occurrence};
+use dibella_kmer::supermer::supermers;
+use dibella_kmer::{Kmer1, Strand, WindowIndex};
 use dibella_netmodel::{NodeMapping, Platform, Series};
 use dibella_overlap::{OverlapConfig, OverlapEngine, SeedPolicy, SharedSeed};
 use std::collections::HashMap;
@@ -244,8 +245,8 @@ pub fn chain_fixture(n: usize, seed: u64) -> Vec<SharedSeed> {
 
 /// Deterministic uniform-random reads for the k-mer pass benches. The
 /// `kmer_extract_per_sec` / `kmer_pack_per_sec` Criterion groups and the
-/// `bench_kernels_json` baseline writer share this fixture (and the two
-/// record layouts below), so both measure the same workload.
+/// `bench_kernels_json` baseline writer share this fixture, so both
+/// measure the same workload.
 pub fn kmer_fixture(n_reads: u32, read_len: usize, seed: u64) -> Vec<Read> {
     let mut state = seed | 1;
     (0..n_reads)
@@ -263,15 +264,30 @@ pub fn kmer_fixture(n_reads: u32, read_len: usize, seed: u64) -> Vec<Read> {
         .collect()
 }
 
-/// The Bloom pass's 8-byte wire record, for [`dibella_kcount::pack_windows`].
-pub fn bloom_record(_read: &Read, hit: &KmerHit<1>) -> u64 {
-    hit.kmer.words()[0]
+/// The owner-run buffers of `reads` packed to `ranks` destinations, with
+/// the k-mers they hold — what an owner rolls in
+/// [`supermer_roll_kmers`]. Shared by the `supermer_roll` rows of the
+/// Criterion bench and the baseline writer.
+pub fn supermer_fixture(reads: &[Read], k: usize, ranks: usize) -> (Vec<Vec<u8>>, u64) {
+    let idx = WindowIndex::new(reads.iter().map(|r| r.len()), k);
+    let batch = KcountConfig::DEFAULT_EXTRACT_BATCH;
+    pack_supermers(reads, &idx, 0, idx.total_windows(), ranks, batch, &BatchedExecutor::sequential())
 }
 
-/// The hash and minimizer passes' 20-byte wire record, for
-/// [`dibella_kcount::pack_windows`].
-pub fn hash_record(read: &Read, hit: &KmerHit<1>) -> (u64, u32, u32, u32) {
-    (hit.kmer.words()[0], read.id, hit.pos, hit.strand.as_u8() as u32)
+/// The owner side of the reliable front end without the filter or the
+/// table: decode every record of `bufs` and roll its k-mers from the 2-bit
+/// bases. Returns a checksum over the hits so the work cannot be elided.
+pub fn supermer_roll_kmers(bufs: &[Vec<u8>], k: usize) -> u64 {
+    let mut acc = 0u64;
+    for buf in bufs {
+        for record in supermers(buf, k) {
+            let record = record.expect("fixture buffers decode");
+            for hit in record.hits::<1>() {
+                acc = acc.wrapping_add(hit.kmer.words()[0] ^ hit.pos as u64);
+            }
+        }
+    }
+    acc
 }
 
 /// Construct a workload's synthetic dataset at the bench scale.

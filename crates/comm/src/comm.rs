@@ -197,7 +197,7 @@ impl Comm {
     /// closures; packing happens outside collective calls but is part of
     /// the streaming-exchange engine's work, so it is accounted here
     /// rather than left to disappear into the stage's residual compute.
-    pub fn add_pack_wall(&self, d: Duration) {
+    pub(crate) fn add_pack_wall(&self, d: Duration) {
         self.stats.borrow_mut().pack_wall += d;
     }
 

@@ -210,41 +210,10 @@ impl RoundExchange {
     /// rank's local need and must then return empty (or exhausted-stream)
     /// buffers. Time spent in `pack` is credited to
     /// `CommStats::pack_wall`.
-    pub fn run<P, C>(comm: &Comm, planner: RoundPlan, pack: P, consume: C) -> u64
+    pub fn run<P, C>(comm: &Comm, planner: RoundPlan, mut pack: P, mut consume: C) -> u64
     where
         P: FnMut(u64) -> Vec<Vec<u8>>,
         C: FnMut(u64, Vec<Vec<u8>>),
-    {
-        Self::run_with_tail(comm, planner, pack, consume, || {}).0
-    }
-
-    /// [`Self::run`] with cross-stage overlap: `tail` runs on the rank
-    /// thread while the **last** round is in flight on the transport's
-    /// exchange helper — the window in which `run` has nothing left to
-    /// pack. A stage uses it to start the *next* stage's local work (e.g.
-    /// pre-packing that stage's first round from data it already owns)
-    /// under the final exchange instead of after it. Returns the round
-    /// count and what `tail` returned.
-    ///
-    /// `tail`'s duration is host time like any other compute between two
-    /// collectives: no transport is told about it, and it is *not*
-    /// credited to `pack_wall` here, because the engine cannot know that
-    /// the tail packs anything. A tail that does pack (the Bloom pass
-    /// pre-packing the hash pass's round 0) times itself and calls
-    /// `Comm::add_pack_wall` before it returns, so the pack wall lands in
-    /// the stats window it elapsed in and every stage keeps `pack_wall ≤`
-    /// its own wall time.
-    pub fn run_with_tail<P, C, T, R>(
-        comm: &Comm,
-        planner: RoundPlan,
-        mut pack: P,
-        mut consume: C,
-        tail: T,
-    ) -> (u64, R)
-    where
-        P: FnMut(u64) -> Vec<Vec<u8>>,
-        C: FnMut(u64, Vec<Vec<u8>>),
-        T: FnOnce() -> R,
     {
         let rounds = comm.allreduce_max_u64(planner.local_rounds().max(1));
         let t0 = Instant::now();
@@ -257,11 +226,10 @@ impl RoundExchange {
             comm.add_pack_wall(packing.elapsed());
             consume(round, comm.exchange_wait(pending));
         }
-        // The last round: nothing is left to pack, so the tail runs under it.
+        // The last round: nothing is left to pack under it.
         let pending = comm.exchange_start(next);
-        let tail_out = tail();
         consume(rounds - 1, comm.exchange_wait(pending));
-        (rounds, tail_out)
+        rounds
     }
 }
 
@@ -395,31 +363,6 @@ mod tests {
             )
         });
         assert_eq!(rounds, vec![3, 3, 3]);
-    }
-
-    #[test]
-    fn tail_runs_exactly_once_during_the_last_round() {
-        // The tail must fire once per rank, after the last round's
-        // exchange_start but before its consume — consume(last) must be
-        // able to see the tail's side effects.
-        let outs = CommWorld::run(3, |comm| {
-            let tail_ran = std::cell::Cell::new(0u32);
-            let mut seen = Vec::new();
-            let plan = RoundPlan::from_rounds(if comm.rank() == 0 { 3 } else { 1 });
-            let (rounds, ()) = RoundExchange::run_with_tail(
-                comm,
-                plan,
-                |_r| vec![Vec::new(); comm.size()],
-                |_r, _recv| seen.push(tail_ran.get()),
-                || tail_ran.set(tail_ran.get() + 1),
-            );
-            (rounds, tail_ran.get(), seen)
-        });
-        for (rounds, ran, seen) in outs {
-            assert_eq!(rounds, 3);
-            assert_eq!(ran, 1, "tail must run exactly once");
-            assert_eq!(seen, vec![0, 0, 1], "tail fires during the last round");
-        }
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub struct CommStats {
     /// instead).
     pub exchange_wall: Duration,
     /// Wall-clock time spent packing per-destination send buffers for the
-    /// streaming exchanges (`RoundExchange` reports it via
-    /// [`crate::Comm::add_pack_wall`]). Packing of round `i + 1` runs while
+    /// streaming exchanges (`RoundExchange` times its pack closures).
+    /// Packing of round `i + 1` runs while
     /// round `i` is in flight, so `pack_wall` and `exchange_wall` measure
     /// *concurrent* intervals — their sum can exceed the stage wall, which
     /// is precisely the overlap the engine buys.

@@ -12,10 +12,11 @@
 //! within each rank **all four stages** fan their compute out over one
 //! shared `BatchedExecutor` of [`PipelineConfig::threads`] workers with
 //! deterministic batching — results are bit-identical at every thread
-//! count. Across the stage-1/stage-2 boundary the driver additionally
-//! overlaps: while the Bloom pass's last exchange round is in flight, the
-//! hash pass's first round is already being packed
-//! ([`dibella_kcount::bloom_stage_overlapping`]).
+//! count. The reliable front end exchanges once: the Bloom pass ships
+//! every k-mer inside owner-run records and each owner keeps what it
+//! received, which the hash pass then sweeps locally
+//! ([`dibella_kcount::bloom_stage_overlapping`] →
+//! [`dibella_kcount::hash_stage_prepacked`]).
 //!
 //! The communication substrate is pluggable via
 //! [`PipelineConfig::transport`]: the same run can execute over real
@@ -255,8 +256,8 @@ pub fn pipeline_rank(
     comm.take_stats(); // reset counters; setup traffic is not charged to a stage
 
     // ---- stages 1 + 2: seed-source front end ------------------------------
-    // Reliable mode runs the paper's two passes (Bloom, then hash, with
-    // the cross-stage pack overlap). Minimizer mode replaces both with
+    // Reliable mode runs the paper's two passes (Bloom, then hash over
+    // the records the Bloom pass kept). Minimizer mode replaces both with
     // one sketch pass that fills the stage-2 slot of the report; the
     // stage-1 slot stays zeroed — no Bloom pass runs, nothing is timed
     // or exchanged there.
@@ -297,12 +298,11 @@ pub fn pipeline_rank(
             )
         } else { match cfg.seed_mode {
             SeedMode::Reliable => {
-                // Cross-stage overlap: the hash pass's first round is
-                // packed while the Bloom pass's last exchange is still in
-                // flight (the pre-pack reads only local data, which
-                // nothing in flight can change).
+                // The Bloom pass is the front end's one exchange; the
+                // owner-run records it received stay with this rank for
+                // the hash pass to sweep.
                 let t = Instant::now();
-                let (bloom_out, prepacked) = bloom_stage_overlapping(comm, &local, &kc, &exec);
+                let (bloom_out, retained) = bloom_stage_overlapping(comm, &local, &kc, &exec);
                 let bloom_comm = comm.take_stats();
                 let bloom_wall = StageTiming {
                     total: t.elapsed(),
@@ -314,7 +314,7 @@ pub fn pipeline_rank(
 
                 let t = Instant::now();
                 let hash_out =
-                    hash_stage_prepacked(comm, &local, &mut table, &kc, &exec, Some(prepacked));
+                    hash_stage_prepacked(comm, &local, &mut table, &kc, &exec, Some(retained));
                 let hash_comm = comm.take_stats();
                 let hash_wall = StageTiming {
                     total: t.elapsed(),
@@ -618,14 +618,24 @@ mod tests {
         assert_eq!(res.reports.len(), 4);
         let total_reads: u64 = res.reports.iter().map(|r| r.local_reads).sum();
         assert_eq!(total_reads, 10);
-        // k-mers parsed in both passes match.
-        let b: u64 = res.reports.iter().map(|r| r.bloom.kmers_parsed).sum();
-        let h: u64 = res.reports.iter().map(|r| r.hash.kmers_parsed).sum();
-        assert_eq!(b, h);
-        // Hash pass moves 2.5x the bytes of the bloom pass.
-        let bb: u64 = res.reports.iter().map(|r| r.bloom_comm.total_bytes()).sum();
-        let hb: u64 = res.reports.iter().map(|r| r.hash_comm.total_bytes()).sum();
-        assert_eq!(hb, bb * 20 / 8, "wire ratio should be exactly 2.5x");
+        // The front end's ledger: every k-mer is packed once, arrives once
+        // (Bloom pass) and is swept once (hash pass) — from the records the
+        // owners kept, which are exactly the bytes the Bloom pass shipped;
+        // the hash pass parses and exchanges nothing.
+        let sum = |f: &dyn Fn(&RankReport) -> u64| res.reports.iter().map(f).sum::<u64>();
+        let kmers: u64 = reads.iter().map(|r| (r.len() - 11 + 1) as u64).sum();
+        assert_eq!(sum(&|r| r.bloom.kmers_parsed), kmers);
+        assert_eq!(sum(&|r| r.bloom.kmers_received), kmers);
+        assert_eq!(sum(&|r| r.hash.kmers_received), kmers);
+        assert_eq!(sum(&|r| r.hash.kmers_parsed), 0);
+        assert_eq!(sum(&|r| r.bloom.retained_bytes), sum(&|r| r.bloom_comm.total_bytes()));
+        assert_eq!(sum(&|r| r.hash_comm.total_bytes()), 0);
+        // At k = 11 the owner map's m-mer is the whole k-mer, so runs are
+        // only as long as chance makes them (~1.3 k-mers at P = 4) and a
+        // k-mer costs ~9 B — a third of the 8 B + 20 B the two stand-alone
+        // records cost, and under the 12 B of a run of one.
+        let shipped = sum(&|r| r.bloom_comm.total_bytes());
+        assert!(shipped < 10 * kmers, "{shipped} B for {kmers} k-mers");
         // Alignments computed equal the accepted ones here (threshold 0).
         let computed: u64 = res.reports.iter().map(|r| r.align.alignments).sum();
         assert_eq!(computed, res.n_alignments_computed());
@@ -636,7 +646,7 @@ mod tests {
         // round cap, not just the monolithic default.
         for r in &res.reports {
             assert!(r.bloom.rounds >= 1);
-            assert!(r.hash.rounds >= 1);
+            assert_eq!(r.hash.rounds, 0, "the hash pass is a local sweep");
             assert!(r.overlap.rounds >= 1);
             assert!(r.align.rounds >= 2, "ID requests + sequence replies");
             assert_eq!(r.bloom_comm.alltoallv_calls, r.bloom.rounds);
@@ -677,9 +687,10 @@ mod tests {
     #[test]
     fn no_stage_reports_more_pack_time_than_wall_time() {
         // Pack walls are intervals of the rank thread inside the stage's
-        // own timing window — including the hash pass's round 0, which is
-        // packed (and credited) inside the Bloom pass. With one round per
-        // pass that pre-pack is all the hash pass ships.
+        // own timing window. The reliable hash pass packs nothing at all —
+        // it sweeps what the Bloom pass received — so the exchanging
+        // k-mer pass is the Bloom slot there and the hash slot under
+        // minimizer mode.
         let reads = dataset(12, 400, 120, 17);
         let one_round = PipelineConfig { max_kmers_per_round: 1 << 20, ..small_cfg() };
         let streamed = PipelineConfig { max_exchange_bytes_per_round: 2_000, ..small_cfg() };
@@ -692,7 +703,14 @@ mod tests {
             let res = run_pipeline(&reads, 2, &cfg);
             assert!(!res.alignments.is_empty(), "{mode}: nothing aligned");
             for r in &res.reports {
-                assert_eq!(r.hash.rounds.min(2), rounds, "{mode}: k-mer pass rounds");
+                let exchanging = match cfg.seed_mode {
+                    SeedMode::Reliable => {
+                        assert_eq!((r.hash.rounds, r.hash_wall.pack), (0, Duration::ZERO), "{mode}");
+                        &r.bloom
+                    }
+                    SeedMode::Minimizer => &r.hash,
+                };
+                assert_eq!(exchanging.rounds.min(2), rounds, "{mode}: k-mer pass rounds");
                 for (stage, t) in ["bloom", "hash", "overlap", "align"].iter().zip(r.stage_timings()) {
                     assert!(
                         t.pack <= t.total,
@@ -746,18 +764,27 @@ mod tests {
             assert!(r.hash.rounds >= 1);
             assert_eq!(r.hash_comm.alltoallv_calls, r.hash.rounds);
         }
-        // The sketch samples a subset of windows, so it must ship strictly
-        // fewer seed-stage bytes than the two-pass reliable front end.
+        // The sketch samples ~2/(w + 1) of the windows but ships each as a
+        // stand-alone 20-byte record, while the reliable front end ships
+        // *every* k-mer inside owner-run records of 2-bit bases — so the
+        // sketch no longer cuts seed-stage bytes by the ≥ 2x it did when
+        // reliable k-mers travelled twice as 8 + 20 bytes. Measured here
+        // (k = 11, where runs are shortest): 0.84x; at k = 17 it ships
+        // more than the reliable path (`tests/seed_modes.rs`). What it
+        // still cuts is the k-mers an owner has to process.
         let reliable = run_pipeline(&reads, 3, &small_cfg());
-        let sketch_bytes: u64 = res.reports.iter().map(|r| r.hash_comm.total_bytes()).sum();
-        let two_pass_bytes: u64 = reliable
-            .reports
-            .iter()
-            .map(|r| r.bloom_comm.total_bytes() + r.hash_comm.total_bytes())
-            .sum();
+        let sum = |res: &PipelineResult, f: &dyn Fn(&RankReport) -> u64| {
+            res.reports.iter().map(f).sum::<u64>()
+        };
+        let sketch_bytes = sum(&res, &|r| r.hash_comm.total_bytes());
+        let reliable_bytes = sum(&reliable, &|r| r.bloom_comm.total_bytes() + r.hash_comm.total_bytes());
         assert!(
-            sketch_bytes * 2 < two_pass_bytes,
-            "sketch {sketch_bytes} B vs reliable {two_pass_bytes} B"
+            2 * sketch_bytes > reliable_bytes && sketch_bytes < 2 * reliable_bytes,
+            "sketch {sketch_bytes} B vs reliable {reliable_bytes} B"
+        );
+        assert!(
+            3 * sum(&res, &|r| r.hash.kmers_received) < sum(&reliable, &|r| r.bloom.kmers_received),
+            "the sketch should hand its owners under a third of the k-mers"
         );
     }
 

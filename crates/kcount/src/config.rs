@@ -16,14 +16,16 @@ pub struct KcountConfig {
     /// distinct ratio) used to size the distributed Bloom filter without a
     /// counting pass.
     pub expected_distinct: u64,
-    /// Memory cap per rank and round: at most this many k-mer records are
-    /// buffered before an exchange is forced. The paper streams "a subset
+    /// Memory cap per rank and round: at most this many k-mer windows are
+    /// packed before an exchange is forced. The paper streams "a subset
     /// of input data at a time to limit the memory consumption" (§4).
     pub max_kmers_per_round: usize,
     /// Byte cap per rank and exchange round (`usize::MAX` = unbounded).
     /// Whichever of this and [`KcountConfig::max_kmers_per_round`] is
     /// tighter bounds a round — the `--round-mb` knob every stage of the
-    /// pipeline shares.
+    /// pipeline shares. A round is planned on the most a window can cost
+    /// (a 20-byte minimizer record; an owner-run record of one k-mer), so
+    /// the cap is an upper bound, usually a loose one.
     pub max_exchange_bytes_per_round: usize,
     /// Windows per executor batch when extraction is threaded: each
     /// exchange round's window range is cut into fixed batches of this

@@ -1,29 +1,40 @@
-//! The two distributed k-mer passes (paper §6 and §7).
+//! The distributed k-mer passes (paper §6 and §7).
 //!
-//! Both passes stream the local reads in bounded *rounds* so that no rank
-//! ever materializes its whole k-mer bag (paper §4: "diBELLA executes in a
-//! streaming fashion with a subset of input data at a time to limit the
-//! memory consumption"). Each pass is one
-//! [`dibella_comm::RoundExchange`] drive: a shared packer
-//! ([`pack_windows`]) extracts and routes the rank's k-mers to their
-//! owners, the engine agrees the world-wide round count and overlaps each
-//! round's exchange with the packing of the next, and the pass's consumer
-//! folds received records into its Bloom/hash partition.
+//! **Reliable front end.** The Bloom pass streams the local reads in
+//! bounded *rounds* (paper §4: "diBELLA executes in a streaming fashion
+//! with a subset of input data at a time to limit the memory
+//! consumption") through one [`dibella_comm::RoundExchange`] drive, and it
+//! is the only exchange of the two passes: what travels is not one record
+//! per k-mer but **owner-run records** ([`dibella_kmer::supermer`]) — a
+//! k-mer is owned by the rank its minimizer hashes to, so neighbouring
+//! k-mers mostly share an owner, and a maximal run of them ships as
+//! `read id | start | n | 2-bit bases`, about 1.4 B per input base at
+//! P = 2 and 2.6 B at P = 64 instead of 8 B + 20 B per k-mer. The owner
+//! rolls each arriving run back into canonical k-mers for its Bloom
+//! partition and **keeps the received buffers** ([`RetainedRuns`], moved
+//! out of the exchange, never copied). The hash pass is then a local sweep
+//! over what the rank already holds — roll again, record occurrences for
+//! resident keys, free each buffer as it is consumed — with no second
+//! parse of the reads and no second exchange. That departs from the
+//! paper's §7, which re-parses and re-sends every k-mer with its
+//! location: it trades the whole second exchange (2.5× the first one's
+//! volume there) for holding a rank's share of the records between the
+//! two passes — the counter [`KmerStageCounters::retained_bytes`], in
+//! total exactly the bytes the Bloom pass put on the wire.
 //!
-//! Extraction is *threaded* through the shared
-//! [`BatchedExecutor`]: a round's window range (a cut of the rank-global
+//! **Minimizer front end.** [`minimizer_stage`] is one streamed pass of
+//! fixed 20-byte `(k-mer, read, position, strand)` records for the
+//! selected (w, k) minimizers only.
+//!
+//! Packing is *threaded* through the shared [`BatchedExecutor`] the same
+//! way for both: a round's window range (a cut of the rank-global
 //! [`WindowIndex`] space) is sharded into fixed `extract_batch`-window
-//! batches, each batch extracts and routes into its own per-destination
-//! byte buffers (hashed once, written once), and buffers are concatenated
-//! in batch order — wire bytes are bit-identical at any thread count.
-//! Cross-stage overlap: while the Bloom pass's **last** round is in
-//! flight, [`bloom_stage_overlapping`] pre-packs the hash pass's first
-//! round (the reads are local, so it depends on nothing in flight), which
-//! [`hash_stage_prepacked`] then ships as its round 0.
-//!
-//! Wire sizes mirror the paper's volumes: a Bloom-pass record is the
-//! 8-byte packed k-mer, a hash-pass record adds read ID, position and
-//! strand for 20 bytes — the 2.5× volume ratio called out in §7.
+//! batches, each batch packs into its own per-destination byte buffers,
+//! and buffers are concatenated in batch order — wire bytes are a pure
+//! function of the input, `extract_batch` and the round cap, never of the
+//! thread count. A batch or round boundary inside a read cuts an
+//! owner-run in two (so a tighter cap ships a few more header bytes); it
+//! never changes which rank a k-mer goes to or what the owner decodes.
 
 use crate::config::KcountConfig;
 use crate::table::{KmerHashTable, Occurrence};
@@ -31,23 +42,20 @@ use dibella_comm::{
     decode_iter, records_per_round, BatchedExecutor, Comm, RoundExchange, RoundPlan, Wire,
 };
 use dibella_io::Read;
-use dibella_kmer::{minimizer_window_hits, window_hits, Kmer1, KmerHit, Strand, WindowIndex};
+use dibella_kmer::supermer::{self, supermers};
+use dibella_kmer::{minimizer_window_hits, Kmer1, KmerHit, Strand, WindowIndex};
 use dibella_sketch::BloomFilter;
 use std::cell::RefCell;
-use std::time::Instant;
 
-/// Bloom-pass record: the packed canonical k-mer word.
-type BloomMsg = u64;
-
-/// Hash-pass record: `(kmer word, read id, position, strand)`.
+/// Minimizer-pass record: `(kmer word, read id, position, strand)`.
 type HashMsg = (u64, u32, u32, u32);
 
-/// Work counters shared by both passes, consumed by the cost model.
+/// Work counters shared by the k-mer passes, consumed by the cost model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KmerStageCounters {
     /// k-mers parsed and packed on the sending side.
     pub kmers_parsed: u64,
-    /// k-mer records processed on the owning side.
+    /// k-mers processed on the owning side.
     pub kmers_received: u64,
     /// Bulk-synchronous exchange rounds executed.
     pub rounds: u64,
@@ -55,6 +63,10 @@ pub struct KmerStageCounters {
     pub promoted_keys: u64,
     /// Hash pass: occurrences recorded into resident keys.
     pub recorded_occurrences: u64,
+    /// Bloom pass: bytes of received owner-run records this rank holds
+    /// when the pass returns, for the hash pass to sweep and free — the
+    /// memory price of not exchanging twice. Zero for every other pass.
+    pub retained_bytes: u64,
 }
 
 /// Result of the Bloom-filter pass.
@@ -71,75 +83,37 @@ pub struct BloomOutput {
     pub counters: KmerStageCounters,
 }
 
-/// The Bloom-pass record for one k-mer hit.
-fn bloom_msg(_read: &Read, hit: &KmerHit<1>) -> BloomMsg {
-    hit.kmer.words()[0]
-}
-
-/// The hash-pass record for one k-mer hit.
-fn hash_msg(read: &Read, hit: &KmerHit<1>) -> HashMsg {
-    (
-        hit.kmer.words()[0],
-        read.id,
-        hit.pos,
-        hit.strand.as_u8() as u32,
-    )
-}
-
-/// Pack the global window range `[lo, hi)` of a k-mer pass — the one
-/// packer behind the Bloom, hash and minimizer passes. The range is
-/// sharded into fixed `batch_windows`-window executor batches; each batch
-/// walks its [`WindowIndex`] pieces with the rolling extractor
-/// ([`window_hits`], or [`minimizer_window_hits`] when `minimizer_w` is
-/// set — that re-derives a piece with `w − 1` windows of context on each
-/// side, so a cut never changes which k-mers are selected), hashes every
-/// hit once for its owner rank and appends the record's wire bytes
-/// straight to that destination's batch buffer. Batch buffers are appended
+/// The batching skeleton both packers share: shard the global window
+/// range `[lo, hi)` into fixed `batch_windows`-window executor batches,
+/// let `pack_piece(read index, pos_lo, pos_hi, bufs)` append each
+/// [`WindowIndex`] piece of a batch to that batch's per-destination
+/// buffers (returning the k-mers it packed), and append the batch buffers
 /// to the round's in batch order
 /// ([`BatchedExecutor::map_indexed_into`]) — the order a sequential
 /// single-pass pack writes them in, so the result is byte-identical at any
-/// thread count — and freed at once, so a round is never held twice.
-/// Returns the round's buffers and the number of hits packed (ambiguous
-/// bases and minimizer selection make hits < windows).
+/// thread count — freeing each at once, so a round is never held twice.
 ///
-/// `to_msg` is what differs between the passes — the bare packed word for
-/// the Bloom pass, the word plus `(read, position, strand)` for the hash
-/// and minimizer passes. `spare` holds buffers the caller is done with
-/// (a consumed round's receive buffers); the round is written into those
-/// that are large enough, so a streamed pass stops allocating — and
-/// page-faulting — its rounds afresh after the first two.
+/// `reserve(windows)` is one destination's expected bytes for that many
+/// windows. Reserving it up front, a buffer is allocated once instead of
+/// grown: no thousands of small reallocations per round for the batches,
+/// no doubling — which holds a touched copy of the buffer while it
+/// moves — for the round. `spare` holds buffers the caller is done with;
+/// the round is written into those that are large enough.
 #[allow(clippy::too_many_arguments)]
-pub fn pack_windows<M, F>(
-    reads: &[Read],
+fn pack_batched(
     idx: &WindowIndex,
     lo: u64,
     hi: u64,
     ranks: usize,
-    minimizer_w: Option<usize>,
     batch_windows: usize,
     exec: &BatchedExecutor,
-    to_msg: &F,
+    reserve: impl Fn(u64) -> usize + Sync,
     spare: &mut Vec<Vec<u8>>,
-) -> (Vec<Vec<u8>>, u64)
-where
-    M: Wire,
-    F: Fn(&Read, &KmerHit<1>) -> M + Sync,
-{
-    let k = idx.k();
+    pack_piece: impl Fn(usize, usize, usize, &mut [Vec<u8>]) -> u64 + Sync,
+) -> (Vec<Vec<u8>>, u64) {
     let hi = hi.max(lo);
     let batch_windows = batch_windows.max(1) as u64;
     let n_batches = (hi - lo).div_ceil(batch_windows) as usize;
-    // One destination's expected bytes for `windows` windows (uniform
-    // owner hash; minimizers keep ~2/(w + 1) of the windows) plus an
-    // eighth. Reserving that up front, a buffer is allocated once instead
-    // of grown: no thousands of small reallocations per round for the
-    // batches, no doubling — which holds a touched copy of the buffer
-    // while it moves — for the round.
-    let reserve = |windows: u64| {
-        let hits = minimizer_w.map_or(windows, |w| 2 * windows / (w as u64 + 1));
-        let share = (hits / ranks as u64) as usize;
-        (share + share / 8 + 16) * M::SIZE
-    };
     let mut round: Vec<Vec<u8>> = (0..ranks)
         .map(|_| match spare.pop() {
             Some(mut buf) if buf.capacity() >= reserve(hi - lo) => {
@@ -159,17 +133,7 @@ where
                 (0..ranks).map(|_| Vec::with_capacity(reserve(bhi - blo))).collect();
             let mut hits = 0u64;
             for (ri, plo, phi) in idx.pieces(blo, bhi) {
-                let read = &reads[ri];
-                let mut route = |hit: KmerHit<1>| {
-                    hits += 1;
-                    to_msg(read, &hit).write(&mut bufs[hit.kmer.owner(ranks)]);
-                };
-                match minimizer_w {
-                    None => window_hits::<1>(&read.seq, k, plo, phi).for_each(&mut route),
-                    Some(w) => minimizer_window_hits(&read.seq, k, w, plo, phi)
-                        .into_iter()
-                        .for_each(&mut route),
-                }
+                hits += pack_piece(ri, plo, phi, &mut bufs);
             }
             (bufs, hits)
         },
@@ -183,13 +147,81 @@ where
     (round, parsed)
 }
 
-/// The per-round k-mer budget of a pass: the record cap and the byte cap,
-/// whichever is tighter.
-fn kmers_per_round<M: Wire>(cfg: &KcountConfig) -> usize {
-    records_per_round(
-        <M as Wire>::SIZE,
-        cfg.max_kmers_per_round,
-        cfg.max_exchange_bytes_per_round,
+/// Pack the (w, k) minimizers of the global window range `[lo, hi)` as
+/// 20-byte records routed by canonical k-mer hash — the minimizer front
+/// end's packer. Batched like [`pack_supermers`] (fixed
+/// `batch_windows`-window executor batches, merged in batch order, so the
+/// bytes are the same at any thread count); a piece is selected by
+/// [`minimizer_window_hits`], which re-derives it with `w − 1` windows of
+/// context on each side, so a cut never changes which k-mers are
+/// selected. `spare` holds buffers the caller is done with; the round is
+/// written into those that are large enough. Returns the round's
+/// per-destination buffers and the number of minimizers packed.
+#[allow(clippy::too_many_arguments)]
+pub fn pack_windows(
+    reads: &[Read],
+    idx: &WindowIndex,
+    lo: u64,
+    hi: u64,
+    ranks: usize,
+    w: usize,
+    batch_windows: usize,
+    exec: &BatchedExecutor,
+    spare: &mut Vec<Vec<u8>>,
+) -> (Vec<Vec<u8>>, u64) {
+    let k = idx.k();
+    // Uniform owner hash; minimizers keep ~2/(w + 1) of the windows.
+    let reserve = |windows: u64| {
+        let share = (2 * windows / (w as u64 + 1) / ranks as u64) as usize;
+        (share + share / 8 + 16) * <HashMsg as Wire>::SIZE
+    };
+    pack_batched(idx, lo, hi, ranks, batch_windows, exec, reserve, spare, |ri, plo, phi, bufs| {
+        let read = &reads[ri];
+        let hits = minimizer_window_hits(&read.seq, k, w, plo, phi);
+        for hit in &hits {
+            let msg: HashMsg = (hit.kmer.words()[0], read.id, hit.pos, hit.strand.as_u8() as u32);
+            msg.write(&mut bufs[hit.kmer.owner(ranks)]);
+        }
+        hits.len() as u64
+    })
+}
+
+/// Pack every k-mer of the global window range `[lo, hi)` as owner-run
+/// records routed by minimizer ([`supermer::pack_runs`]) — the reliable
+/// front end's packer. The range is sharded into fixed
+/// `batch_windows`-window executor batches, each batch packs its
+/// [`WindowIndex`] pieces into its own per-destination buffers, and those
+/// are appended to the round's in batch order: bytes are a pure function
+/// of the input and `batch_windows` (a batch boundary inside a read cuts
+/// a run in two), never of the thread count. Returns the round's
+/// per-destination buffers and the number of k-mers packed (ambiguous
+/// bases make that fewer than windows). Takes no spare buffers: the
+/// owners keep what they receive, so none come back.
+pub fn pack_supermers(
+    reads: &[Read],
+    idx: &WindowIndex,
+    lo: u64,
+    hi: u64,
+    ranks: usize,
+    batch_windows: usize,
+    exec: &BatchedExecutor,
+) -> (Vec<Vec<u8>>, u64) {
+    let k = idx.k();
+    let per_kmer = supermer::expected_bytes_per_kmer(k, ranks);
+    let reserve = |windows: u64| {
+        let share = (windows as f64 * per_kmer / ranks as f64) as usize;
+        share + share / 8 + supermer::record_bytes(supermer::MAX_RUN, k)
+    };
+    pack_batched(
+        idx,
+        lo,
+        hi,
+        ranks,
+        batch_windows,
+        exec,
+        reserve,
+        &mut Vec::new(),
+        |ri, plo, phi, bufs| supermer::pack_runs(&reads[ri].seq, reads[ri].id, k, plo, phi, bufs),
     )
 }
 
@@ -201,140 +233,157 @@ fn reusable(round: u64, local_packs: u64) -> bool {
     round + 2 < local_packs
 }
 
-/// The hash pass's first round, packed ahead of time by
-/// [`bloom_stage_overlapping`] while the Bloom pass's last exchange is in
-/// flight, and shipped by [`hash_stage_prepacked`] as its round 0. Opaque:
-/// its buffers are byte-identical to what the hash pass would pack itself,
-/// it just packs them under communication the rank is waiting on anyway.
+/// The owner-run records a rank received in the Bloom pass, held for the
+/// hash pass: returned by [`bloom_stage_overlapping`], swept and freed by
+/// [`hash_stage_prepacked`]. Opaque — the buffers are the exchange's
+/// receive buffers themselves, in arrival order.
 #[derive(Debug)]
-pub struct PrepackedKmerRound {
-    /// Per-destination wire buffers of hash-pass records.
-    bufs: Vec<Vec<u8>>,
-    /// Hits parsed while packing (the hash pass's round-0 `kmers_parsed`).
-    parsed: u64,
-    /// Window range covered, for cross-checking against the hash plan.
-    windows: u64,
-    /// k it was packed for.
+pub struct RetainedRuns {
+    /// `(round, source rank, records)` per non-empty received buffer.
+    bufs: Vec<(u64, usize, Vec<u8>)>,
+    /// k the records were packed for.
     k: usize,
+}
+
+impl RetainedRuns {
+    /// Bytes of records held.
+    pub fn bytes(&self) -> u64 {
+        self.bufs.iter().map(|(_, _, buf)| buf.len() as u64).sum()
+    }
+}
+
+/// Where a received buffer came from, for error messages.
+#[derive(Clone, Copy)]
+struct Arrival<'a> {
+    pass: &'a str,
+    rank: usize,
+    round: u64,
+    source: usize,
+}
+
+/// Roll every k-mer of one received buffer through `f(read id, hit)` and
+/// return how many there were.
+///
+/// # Panics
+/// Panics, naming the rank, pass, round, source and byte offset, if the
+/// buffer is not a sequence of owner-run records. The stages have no error
+/// channel (a rank that stopped would deadlock the world's next
+/// collective); on a hardened transport damaged bytes never get here —
+/// the frame CRC rejects and retransmits them.
+fn roll_buffer(at: Arrival<'_>, buf: &[u8], k: usize, mut f: impl FnMut(u32, KmerHit<1>)) -> u64 {
+    let mut kmers = 0u64;
+    for record in supermers(buf, k) {
+        let record = record.unwrap_or_else(|e| {
+            let Arrival { pass, rank, round, source } = at;
+            panic!("rank {rank}: {pass} pass, round {round}, buffer from rank {source}: {e}")
+        });
+        kmers += record.len() as u64;
+        for hit in record.hits::<1>() {
+            f(record.read, hit);
+        }
+    }
+    kmers
+}
+
+/// The one exchange of the reliable front end: pack the local reads into
+/// owner-run records round by round, ship them, hand every received
+/// buffer to `on_arrival(round, source, records)` and keep it. Returns the
+/// kept buffers, the k-mers packed here and the rounds executed.
+fn exchange_runs(
+    comm: &Comm,
+    reads: &[Read],
+    cfg: &KcountConfig,
+    exec: &BatchedExecutor,
+    mut on_arrival: impl FnMut(u64, usize, &[u8]),
+) -> (RetainedRuns, u64, u64) {
+    let p = comm.size();
+    let idx = WindowIndex::new(reads.iter().map(|r| r.len()), cfg.k);
+    let total = idx.total_windows();
+    // Planned on the most one window can cost — a record of its own — so
+    // the byte cap stays an upper bound on a round.
+    let per_round = records_per_round(
+        supermer::record_bytes(1, cfg.k),
+        cfg.max_kmers_per_round,
+        cfg.max_exchange_bytes_per_round,
+    ) as u64;
+    let mut parsed = 0u64;
+    let mut kept = RetainedRuns { bufs: Vec::new(), k: cfg.k };
+    let rounds = RoundExchange::run(
+        comm,
+        RoundPlan::for_records(total, per_round as usize),
+        |round| {
+            let lo = (round * per_round).min(total);
+            let hi = ((round + 1) * per_round).min(total);
+            let (bufs, n) = pack_supermers(reads, &idx, lo, hi, p, cfg.extract_batch, exec);
+            parsed += n;
+            bufs
+        },
+        |round, recv| {
+            for (source, buf) in recv.into_iter().enumerate() {
+                if !buf.is_empty() {
+                    on_arrival(round, source, &buf);
+                    kept.bufs.push((round, source, buf));
+                }
+            }
+        },
+    );
+    (kept, parsed, rounds)
 }
 
 /// Stage 1 — distributed Bloom filter construction (paper §6).
 ///
-/// Every rank parses its reads into canonical k-mers (threaded through
-/// `exec`, deterministically — see [`pack_windows`]), routes each to
-/// its owner by hash, and the owner inserts it into its Bloom partition; a
-/// k-mer already present is promoted into the hash-table partition. The
-/// filter is dropped on return ("After the hash table is initialized with
-/// k-mer keys, the Bloom filter is freed").
+/// Every rank packs its reads' canonical k-mers into owner-run records
+/// (threaded through `exec`, deterministically — see [`pack_supermers`])
+/// routed by minimizer; the owner rolls each arriving run back into
+/// k-mers and inserts them into its Bloom partition, and a k-mer already
+/// present is promoted into the hash-table partition. The filter is
+/// dropped on return ("After the hash table is initialized with k-mer
+/// keys, the Bloom filter is freed").
 ///
-/// Cross-stage overlap: while the pass's final exchange round is in
-/// flight, the rank thread pre-packs the **hash** pass's first round from
-/// its local reads (which depend on nothing in flight). Feed the token to
-/// [`hash_stage_prepacked`]; the table it builds is bit-identical to the
-/// one it builds when it packs that round itself.
+/// The received records are *not* dropped: they come back as
+/// [`RetainedRuns`] for [`hash_stage_prepacked`] to sweep, so the hash
+/// pass needs no exchange of its own.
+/// [`KmerStageCounters::retained_bytes`] reports what that holds.
 pub fn bloom_stage_overlapping(
     comm: &Comm,
     reads: &[Read],
     cfg: &KcountConfig,
     exec: &BatchedExecutor,
-) -> (BloomOutput, PrepackedKmerRound) {
+) -> (BloomOutput, RetainedRuns) {
     let p = comm.size();
+    let rank = comm.rank();
     let mut bloom = BloomFilter::for_items(
         cfg.expected_distinct_per_rank(p),
         cfg.bloom_fp_rate,
     );
     let mut table = KmerHashTable::with_capacity(1024);
-    let mut counters = KmerStageCounters::default();
-
-    let idx = WindowIndex::new(reads.iter().map(|r| r.len()), cfg.k);
-    let total = idx.total_windows();
-    let per_round = kmers_per_round::<BloomMsg>(cfg) as u64;
-    let mut parsed = 0u64;
     let mut received = 0u64;
     let mut promoted = 0u64;
-    // Consumed receive buffers, handed back to the packer (see `pack_windows`).
-    let spare: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
 
-    let plan = RoundPlan::for_records(total, per_round as usize);
-    // The pre-packed hash round is one more pack for the buffers to serve.
-    let packs = plan.local_rounds() + 1;
-    let (rounds, prepacked) = RoundExchange::run_with_tail(
-        comm,
-        plan,
-        |round| {
-            let lo = (round * per_round).min(total);
-            let hi = ((round + 1) * per_round).min(total);
-            let (bufs, n) = pack_windows(
-                reads,
-                &idx,
-                lo,
-                hi,
-                p,
-                None,
-                cfg.extract_batch,
-                exec,
-                &bloom_msg,
-                &mut spare.borrow_mut(),
-            );
-            parsed += n;
-            bufs
-        },
-        |round, recv| {
-            for buf in recv {
-                for word in decode_iter::<BloomMsg>(&buf) {
-                    received += 1;
-                    let kmer = Kmer1::from_words([word], cfg.k as u16);
-                    debug_assert_eq!(kmer.owner(p), comm.rank(), "misrouted k-mer");
-                    if bloom.insert(kmer.hash64()) {
-                        // Second (apparent) sighting → promote to hash table.
-                        if !table.contains(&kmer) {
-                            promoted += 1;
-                            table.insert_key(kmer);
-                        }
-                    }
-                }
-                if reusable(round, packs) {
-                    spare.borrow_mut().push(buf);
-                }
+    let (retained, parsed, rounds) = exchange_runs(comm, reads, cfg, exec, |round, source, buf| {
+        let at = Arrival { pass: "Bloom", rank, round, source };
+        received += roll_buffer(at, buf, cfg.k, |_, hit| {
+            debug_assert_eq!(supermer::owner(&hit.kmer, p), rank, "misrouted k-mer");
+            if bloom.insert(hit.kmer.hash64()) && !table.contains(&hit.kmer) {
+                // Second (apparent) sighting → promote to hash table.
+                promoted += 1;
+                table.insert_key(hit.kmer);
             }
-        },
-        || {
-            // The pack's wall elapses inside this stage's `total`, so it
-            // is this stage's stats window that must carry it — crediting
-            // it to the stage that ships the bytes reported a hash pass
-            // with more pack time than wall time.
-            let t = Instant::now();
-            let round0 = prepack_hash_round0(reads, &idx, cfg, p, exec, &mut spare.borrow_mut());
-            comm.add_pack_wall(t.elapsed());
-            round0
-        },
-    );
-    counters.kmers_parsed = parsed;
-    counters.kmers_received = received;
-    counters.promoted_keys = promoted;
-    counters.rounds = rounds;
+        });
+    });
+    let counters = KmerStageCounters {
+        kmers_parsed: parsed,
+        kmers_received: received,
+        rounds,
+        promoted_keys: promoted,
+        retained_bytes: retained.bytes(),
+        ..Default::default()
+    };
 
     let bloom_bytes = bloom.memory_bytes();
     let bloom_fill = bloom.fill_ratio();
     bloom.clear_and_shrink();
-    (BloomOutput { table, bloom_bytes, bloom_fill, counters }, prepacked)
-}
-
-/// Pack the hash pass's round 0 — byte-identical to what
-/// [`hash_stage_prepacked`] would pack itself on its first round.
-fn prepack_hash_round0(
-    reads: &[Read],
-    idx: &WindowIndex,
-    cfg: &KcountConfig,
-    ranks: usize,
-    exec: &BatchedExecutor,
-    spare: &mut Vec<Vec<u8>>,
-) -> PrepackedKmerRound {
-    let per_round = kmers_per_round::<HashMsg>(cfg) as u64;
-    let hi = per_round.min(idx.total_windows());
-    let (bufs, parsed) =
-        pack_windows(reads, idx, 0, hi, ranks, None, cfg.extract_batch, exec, &hash_msg, spare);
-    PrepackedKmerRound { bufs, parsed, windows: hi, k: cfg.k }
+    (BloomOutput { table, bloom_bytes, bloom_fill, counters }, retained)
 }
 
 /// Result of the hash-table pass.
@@ -349,89 +398,49 @@ pub struct HashOutput {
 
 /// Stage 2 — hash table construction (paper §7).
 ///
-/// The reads are parsed *again* (threaded through `exec`); this time each
-/// k-mer instance carries its (read, position, strand) metadata. Owners
-/// record occurrences only for resident keys, then scan their partition to
-/// drop false-positive singletons and k-mers over the threshold `m`.
+/// A local sweep over `retained`, the owner-run records this rank
+/// received in [`bloom_stage_overlapping`]: each run is rolled into its
+/// k-mer instances again — this time for their (read, position, strand) —
+/// occurrences are recorded for resident keys only, and each buffer is
+/// freed as soon as it is consumed. Then the partition is scanned to drop
+/// false-positive singletons and k-mers over the threshold `m`. Nothing
+/// is parsed (`kmers_parsed = 0`) and nothing is exchanged.
 ///
-/// `prepacked` is the round 0 that [`bloom_stage_overlapping`] packed
-/// under the Bloom pass's last exchange, shipped instead of packing it
-/// afresh. `None` packs it here; results are identical either way.
+/// `None` rebuilds the records by running the Bloom pass's exchange again
+/// (the paper's resend; `reads` and `exec` are used only then) — the
+/// tables are identical either way, which is what the tests use it for.
 pub fn hash_stage_prepacked(
     comm: &Comm,
     reads: &[Read],
     table: &mut KmerHashTable,
     cfg: &KcountConfig,
     exec: &BatchedExecutor,
-    prepacked: Option<PrepackedKmerRound>,
+    retained: Option<RetainedRuns>,
 ) -> HashOutput {
-    let p = comm.size();
-    let mut counters = KmerStageCounters::default();
-
-    let idx = WindowIndex::new(reads.iter().map(|r| r.len()), cfg.k);
-    let total = idx.total_windows();
-    let per_round = kmers_per_round::<HashMsg>(cfg) as u64;
-    debug_assert_eq!(<HashMsg as Wire>::SIZE, 20, "2.5x the 8-byte Bloom record");
-    let mut prepacked = prepacked;
-    let mut parsed = 0u64;
+    let rank = comm.rank();
+    let (retained, parsed, rounds) = match retained {
+        Some(runs) => (runs, 0, 0),
+        None => exchange_runs(comm, reads, cfg, exec, |_, _, _| {}),
+    };
+    assert_eq!(retained.k, cfg.k, "records retained for a different k");
     let mut received = 0u64;
     let mut recorded = 0u64;
-    let spare: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
-
-    let plan = RoundPlan::for_records(total, per_round as usize);
-    let rounds = RoundExchange::run(
-        comm,
-        plan,
-        |round| {
-            let lo = (round * per_round).min(total);
-            let hi = ((round + 1) * per_round).min(total);
-            if round == 0 {
-                if let Some(pp) = prepacked.take() {
-                    debug_assert_eq!(pp.k, cfg.k, "prepacked round for a different k");
-                    debug_assert_eq!(pp.windows, hi, "prepacked round for a different cap");
-                    parsed += pp.parsed;
-                    return pp.bufs;
-                }
+    for (round, source, buf) in retained.bufs {
+        let at = Arrival { pass: "hash", rank, round, source };
+        received += roll_buffer(at, &buf, cfg.k, |read, hit| {
+            let occ = Occurrence { read, pos: hit.pos, strand: hit.strand };
+            if table.record_occurrence(&hit.kmer, occ, cfg) {
+                recorded += 1;
             }
-            let (bufs, n) = pack_windows(
-                reads,
-                &idx,
-                lo,
-                hi,
-                p,
-                None,
-                cfg.extract_batch,
-                exec,
-                &hash_msg,
-                &mut spare.borrow_mut(),
-            );
-            parsed += n;
-            bufs
-        },
-        |round, recv| {
-            for buf in recv {
-                for (word, rid, pos, strand) in decode_iter::<HashMsg>(&buf) {
-                    received += 1;
-                    let kmer = Kmer1::from_words([word], cfg.k as u16);
-                    let occ = Occurrence {
-                        read: rid,
-                        pos,
-                        strand: Strand::from_u8(strand as u8),
-                    };
-                    if table.record_occurrence(&kmer, occ, cfg) {
-                        recorded += 1;
-                    }
-                }
-                if reusable(round, plan.local_rounds()) {
-                    spare.borrow_mut().push(buf);
-                }
-            }
-        },
-    );
-    counters.kmers_parsed = parsed;
-    counters.kmers_received = received;
-    counters.recorded_occurrences = recorded;
-    counters.rounds = rounds;
+        });
+    }
+    let counters = KmerStageCounters {
+        kmers_parsed: parsed,
+        kmers_received: received,
+        rounds,
+        recorded_occurrences: recorded,
+        ..Default::default()
+    };
 
     let filter = table.retain_reliable(cfg.max_multiplicity);
     HashOutput { filter, counters }
@@ -455,15 +464,14 @@ pub struct MinimizerOutput {
 /// front end that replaces stages 1 + 2 under `--seed-mode minimizer`.
 ///
 /// Each rank extracts the (w, k) minimizers of its reads
-/// ([`minimizer_window_hits`], threaded over `exec` with the same
-/// fixed-batch window sharding as the reliable passes) and routes each
-/// selected k-mer, with its occurrence metadata, to its owner by
-/// canonical hash — the identical 20-byte wire record and
-/// [`RoundExchange`] drive as the hash pass. Owners insert-or-record
-/// (no Bloom pre-pass: the sketch keeps only ~`2/(w+1)` of k-mer
-/// instances, so the key set is already bounded), then apply the same
-/// reliable filter — singletons witness no read pairs, and keys over
-/// `m` occurrences are repeat-masked exactly as in the reliable path.
+/// ([`pack_windows`], threaded over `exec` with the same fixed-batch
+/// window sharding as the reliable pass) and routes each selected k-mer,
+/// with its occurrence metadata, to its owner by canonical hash as one
+/// 20-byte record. Owners insert-or-record (no Bloom pre-pass: the
+/// sketch keeps only ~`2/(w+1)` of k-mer instances, so the key set is
+/// already bounded), then apply the same reliable filter — singletons
+/// witness no read pairs, and keys over `m` occurrences are
+/// repeat-masked exactly as in the reliable path.
 ///
 /// Rounds are planned over the full window index space (selected
 /// minimizers are a subset of windows), so the per-round record and
@@ -483,11 +491,16 @@ pub fn minimizer_stage(
 
     let idx = WindowIndex::new(reads.iter().map(|r| r.len()), cfg.k);
     let total = idx.total_windows();
-    let per_round = kmers_per_round::<HashMsg>(cfg) as u64;
+    let per_round = records_per_round(
+        <HashMsg as Wire>::SIZE,
+        cfg.max_kmers_per_round,
+        cfg.max_exchange_bytes_per_round,
+    ) as u64;
     let mut parsed = 0u64;
     let mut received = 0u64;
     let mut promoted = 0u64;
     let mut recorded = 0u64;
+    // Consumed receive buffers, handed back to the packer.
     let spare: RefCell<Vec<Vec<u8>>> = RefCell::new(Vec::new());
 
     let plan = RoundPlan::for_records(total, per_round as usize);
@@ -503,10 +516,9 @@ pub fn minimizer_stage(
                 lo,
                 hi,
                 p,
-                Some(w),
+                w,
                 cfg.extract_batch,
                 exec,
-                &hash_msg,
                 &mut spare.borrow_mut(),
             );
             parsed += n;
@@ -550,8 +562,8 @@ mod tests {
     use dibella_comm::CommWorld;
     use dibella_io::partition_reads;
     use dibella_io::ReadSet;
-    use dibella_kmer::{kmer_count, KmerIter};
-    use std::collections::HashMap;
+    use dibella_kmer::{kmer_count, window_hits, KmerIter};
+    use std::collections::{BTreeMap, HashMap};
 
     fn test_cfg(k: usize, m: u32) -> KcountConfig {
         KcountConfig {
@@ -563,17 +575,6 @@ mod tests {
             max_exchange_bytes_per_round: usize::MAX,
             extract_batch: 16, // tiny batch → many executor batches per round
         }
-    }
-
-    /// Serial reference: canonical k-mer → (count, occurrences).
-    fn reference_counts(reads: &ReadSet, k: usize) -> HashMap<Kmer1, u32> {
-        let mut out: HashMap<Kmer1, u32> = HashMap::new();
-        for r in reads {
-            for h in KmerIter::<1>::new(&r.seq, k) {
-                *out.entry(h.kmer).or_default() += 1;
-            }
-        }
-        out
     }
 
     fn make_reads(n: usize, len: usize, seed: u64) -> ReadSet {
@@ -628,9 +629,9 @@ mod tests {
         let results = CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let (bloom, round0) = bloom_stage_overlapping(comm, local, cfg, &exec);
+            let (bloom, retained) = bloom_stage_overlapping(comm, local, cfg, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage_prepacked(comm, local, &mut table, cfg, &exec, Some(round0));
+            let _ = hash_stage_prepacked(comm, local, &mut table, cfg, &exec, Some(retained));
             table
                 .iter()
                 .map(|(k, e)| (*k, e.occurrences.clone()))
@@ -645,20 +646,46 @@ mod tests {
         merged
     }
 
+    /// Serial reference of the retained table: canonical k-mer → sorted
+    /// `(read, pos, strand)` set, for k-mers seen 2..=m times.
+    fn reference_table(reads: &ReadSet, k: usize, m: u32) -> BTreeMap<Kmer1, Vec<Occurrence>> {
+        let mut all: BTreeMap<Kmer1, Vec<Occurrence>> = BTreeMap::new();
+        for r in reads {
+            for h in KmerIter::<1>::new(&r.seq, k) {
+                all.entry(h.kmer).or_default().push(Occurrence {
+                    read: r.id,
+                    pos: h.pos,
+                    strand: h.strand,
+                });
+            }
+        }
+        all.retain(|_, occs| (2..=m as usize).contains(&occs.len()));
+        all
+    }
+
     #[test]
     fn retained_set_matches_serial_reference() {
+        // The contract: keys and occurrence *sets*, unioned over ranks,
+        // whatever the rank count, thread count or round cap. (Bloom false
+        // positives land on different ranks at different P; the reliable
+        // filter removes them wherever they land.)
         let reads = make_reads(24, 120, 99);
-        let cfg = test_cfg(9, 20);
-        let reference: HashMap<Kmer1, u32> = reference_counts(&reads, 9)
-            .into_iter()
-            .filter(|&(_, c)| (2..=20).contains(&c))
-            .collect();
+        let reference = reference_table(&reads, 9, 20);
+        assert!(reference.len() > 20, "weak test: {} reliable k-mers", reference.len());
         for p in [1usize, 2, 4, 7] {
-            let dist = run_distributed(&reads, p, &cfg);
-            assert_eq!(dist.len(), reference.len(), "p={p}");
-            for (k, occs) in &dist {
-                let want = reference.get(k).copied().unwrap_or(0);
-                assert_eq!(occs.len() as u32, want, "p={p} kmer={k}");
+            for threads in [1usize, 2, 4] {
+                for cap in [usize::MAX, 64] {
+                    let mut cfg = test_cfg(9, 20);
+                    cfg.max_kmers_per_round = cap;
+                    let mut merged = BTreeMap::new();
+                    for (entries, _, _) in run_for_identity(&reads, p, &cfg, threads, false) {
+                        for (kmer, mut occs) in entries {
+                            occs.sort_unstable_by_key(|o| (o.read, o.pos));
+                            assert!(merged.insert(kmer, occs).is_none(), "key on two ranks");
+                        }
+                    }
+                    assert_eq!(merged, reference, "p={p} threads={threads} cap={cap}");
+                }
             }
         }
     }
@@ -701,29 +728,43 @@ mod tests {
 
     #[test]
     fn counters_are_consistent() {
-        let reads = make_reads(12, 100, 3);
+        // The ledger of the reliable front end: every clean window is
+        // packed once, arrives once and is swept once; the hash pass
+        // parses and exchanges nothing; what the owners hold between the
+        // passes is exactly what the Bloom pass put on the wire.
+        let reads = make_dirty_reads(12, 100, 3);
         let cfg = test_cfg(9, 20);
         let (_, chunks) = partition_reads(&reads, 3);
         let outs = CommWorld::run(3, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let (b, round0) = bloom_stage_overlapping(comm, local, &cfg, &exec);
+            comm.take_stats();
+            let (b, retained) = bloom_stage_overlapping(comm, local, &cfg, &exec);
+            let bloom_comm = comm.take_stats();
+            assert_eq!(retained.bytes(), b.counters.retained_bytes);
             let mut table = b.table;
-            let h = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(round0));
-            (b.counters, h.counters)
+            let h = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(retained));
+            (b.counters, bloom_comm, h.counters, comm.take_stats())
         });
-        let total_kmers: u64 = reads
+        let clean_windows: u64 = reads
             .iter()
-            .map(|r| kmer_count(r.len(), 9) as u64)
+            .map(|r| KmerIter::<1>::new(&r.seq, 9).count() as u64)
             .sum();
-        let parsed_b: u64 = outs.iter().map(|(b, _)| b.kmers_parsed).sum();
-        let recv_b: u64 = outs.iter().map(|(b, _)| b.kmers_received).sum();
-        let parsed_h: u64 = outs.iter().map(|(_, h)| h.kmers_parsed).sum();
-        assert_eq!(parsed_b, total_kmers);
-        assert_eq!(recv_b, total_kmers, "k-mers lost in the exchange");
-        assert_eq!(parsed_h, total_kmers);
-        // Multi-round: the tiny cap forces > 1 round for these sizes.
-        assert!(outs.iter().all(|(b, _)| b.rounds > 1));
+        let windows: u64 = reads.iter().map(|r| kmer_count(r.len(), 9) as u64).sum();
+        assert!(clean_windows > 0 && clean_windows < windows, "want dirty reads");
+        let sum = |f: &dyn Fn(&(KmerStageCounters, _, KmerStageCounters, _)) -> u64| {
+            outs.iter().map(f).sum::<u64>()
+        };
+        assert_eq!(sum(&|o| o.0.kmers_parsed), clean_windows);
+        assert_eq!(sum(&|o| o.0.kmers_received), clean_windows, "k-mers lost in the exchange");
+        assert_eq!(sum(&|o| o.2.kmers_received), clean_windows, "k-mers lost between the passes");
+        assert_eq!(sum(&|o| o.0.retained_bytes), sum(&|o| o.1.total_bytes()));
+        for (bloom, _, hash, hash_comm) in &outs {
+            // Multi-round: the tiny cap forces > 1 round for these sizes.
+            assert!(bloom.rounds > 1);
+            assert_eq!((hash.kmers_parsed, hash.rounds, hash.retained_bytes), (0, 0, 0));
+            assert_eq!((hash_comm.total_bytes(), hash_comm.alltoallv_calls), (0, 0));
+        }
     }
 
     /// Full distributed run of both passes returning everything
@@ -734,17 +775,17 @@ mod tests {
         p: usize,
         cfg: &KcountConfig,
         threads: usize,
-        ship_prepacked: bool,
+        resend: bool,
     ) -> Vec<(Vec<(Kmer1, Vec<Occurrence>)>, KmerStageCounters, KmerStageCounters)> {
         let (_, chunks) = partition_reads(reads, p);
         CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::new(threads);
             let local = chunks[comm.rank()].reads();
-            let (b, round0) = bloom_stage_overlapping(comm, local, cfg, &exec);
+            let (b, retained) = bloom_stage_overlapping(comm, local, cfg, &exec);
             let mut table = b.table;
-            // Dropping the token makes the hash pass pack its own round 0.
-            let round0 = ship_prepacked.then_some(round0);
-            let h = hash_stage_prepacked(comm, local, &mut table, cfg, &exec, round0);
+            // Dropping the token makes the hash pass run the exchange again.
+            let retained = (!resend).then_some(retained);
+            let h = hash_stage_prepacked(comm, local, &mut table, cfg, &exec, retained);
             let mut entries: Vec<(Kmer1, Vec<Occurrence>)> = table
                 .iter()
                 .map(|(k, e)| (*k, e.occurrences.clone()))
@@ -762,37 +803,50 @@ mod tests {
         // on every rank.
         let reads = make_reads(24, 120, 77);
         let cfg = test_cfg(9, 20);
-        let baseline = run_for_identity(&reads, 4, &cfg, 1, true);
+        let baseline = run_for_identity(&reads, 4, &cfg, 1, false);
         for threads in [2usize, 4] {
-            let got = run_for_identity(&reads, 4, &cfg, threads, true);
+            let got = run_for_identity(&reads, 4, &cfg, threads, false);
             assert_eq!(got, baseline, "threads = {threads}");
         }
     }
 
+    /// The dirty fixture of the two packer tests, with a window range cut
+    /// mid-read at both ends next to the full one.
+    fn packer_fixture(k: usize) -> (ReadSet, WindowIndex, [(u64, u64); 2]) {
+        let reads = make_dirty_reads(16, 130, 2024);
+        let idx = WindowIndex::new(reads.iter().map(|r| r.len()), k);
+        let per_read = kmer_count(130, k) as u64;
+        let cut = (3 * per_read + per_read / 2, 11 * per_read + 7);
+        assert!(
+            !cut.0.is_multiple_of(per_read) && !cut.1.is_multiple_of(per_read),
+            "cut must fall inside reads"
+        );
+        let full = (0, idx.total_windows());
+        (reads, idx, [full, cut])
+    }
+
     /// The route [`pack_windows`] replaced, kept as its oracle: one
     /// sequential pass over the whole range (no batches) that stages each
-    /// destination's records as a `Vec<M>` and encodes them afterwards.
-    fn oracle_pack<M: Wire>(
+    /// destination's records as a `Vec<HashMsg>` and encodes them afterwards.
+    fn oracle_pack_minimizers(
         reads: &[Read],
         idx: &WindowIndex,
-        lo: u64,
-        hi: u64,
+        (lo, hi): (u64, u64),
         ranks: usize,
-        minimizer_w: Option<usize>,
-        to_msg: impl Fn(&Read, &KmerHit<1>) -> M,
+        w: usize,
     ) -> (Vec<Vec<u8>>, u64) {
-        let k = idx.k();
-        let mut staged: Vec<Vec<M>> = (0..ranks).map(|_| Vec::new()).collect();
+        let mut staged: Vec<Vec<HashMsg>> = (0..ranks).map(|_| Vec::new()).collect();
         let mut parsed = 0u64;
         for (ri, plo, phi) in idx.pieces(lo, hi) {
             let read = &reads[ri];
-            let hits: Vec<KmerHit<1>> = match minimizer_w {
-                None => window_hits::<1>(&read.seq, k, plo, phi).collect(),
-                Some(w) => minimizer_window_hits(&read.seq, k, w, plo, phi),
-            };
-            for hit in &hits {
+            for hit in minimizer_window_hits(&read.seq, idx.k(), w, plo, phi) {
                 parsed += 1;
-                staged[hit.kmer.owner(ranks)].push(to_msg(read, hit));
+                staged[hit.kmer.owner(ranks)].push((
+                    hit.kmer.words()[0],
+                    read.id,
+                    hit.pos,
+                    hit.strand.as_u8() as u32,
+                ));
             }
         }
         (staged.iter().map(|m| dibella_comm::encode_slice(m)).collect(), parsed)
@@ -803,42 +857,22 @@ mod tests {
         // Dirty reads, so hits < windows; every rank count, thread count
         // and batch size must write the bytes of the sequential staged
         // pack, over the full range and over a range cut mid-read at both
-        // ends.
-        let reads = make_dirty_reads(16, 130, 2024);
+        // ends — the selection's cut context makes batches invisible.
+        let (reads, idx, ranges) = packer_fixture(9);
         let reads = reads.reads();
-        let k = 9usize;
-        let idx = WindowIndex::new(reads.iter().map(|r| r.len()), k);
-        let total = idx.total_windows();
-        let per_read = kmer_count(130, k) as u64;
-        let cut = (3 * per_read + per_read / 2, 11 * per_read + 7);
-        assert!(
-            !cut.0.is_multiple_of(per_read) && !cut.1.is_multiple_of(per_read),
-            "cut must fall inside reads"
-        );
         let mut spare: Vec<Vec<u8>> = Vec::new();
         for ranks in [1usize, 2, 3, 7] {
-            for (lo, hi) in [(0, total), cut] {
-                let bloom = oracle_pack(reads, &idx, lo, hi, ranks, None, bloom_msg);
-                let hash = oracle_pack(reads, &idx, lo, hi, ranks, None, hash_msg);
-                let mini = oracle_pack(reads, &idx, lo, hi, ranks, Some(4), hash_msg);
-                assert!(bloom.1 > 0 && bloom.1 < hi - lo, "want dirty, non-empty input");
-                assert!(mini.1 > 0 && mini.1 < bloom.1);
-                assert_eq!(bloom.0.iter().map(Vec::len).sum::<usize>() as u64, 8 * bloom.1);
-                assert_eq!(hash.0.iter().map(Vec::len).sum::<usize>() as u64, 20 * hash.1);
+            for (lo, hi) in ranges {
+                let mini = oracle_pack_minimizers(reads, &idx, (lo, hi), ranks, 4);
+                assert!(mini.1 > 0 && mini.1 < (hi - lo) / 2);
+                assert_eq!(mini.0.iter().map(Vec::len).sum::<usize>() as u64, 20 * mini.1);
                 for threads in [1usize, 2, 4] {
                     let exec = BatchedExecutor::new(threads);
                     for batch in [1usize, 16, 1024] {
-                        let at = format!("ranks={ranks} range={lo}..{hi} threads={threads} batch={batch}");
                         // Every pack is handed the previous pack's buffers
                         // (other sizes, other contents) to write into.
-                        let got = pack_windows(reads, &idx, lo, hi, ranks, None, batch, &exec, &bloom_msg, &mut spare);
-                        assert_eq!(got, bloom, "bloom record, {at}");
-                        spare.extend(got.0);
-                        let got = pack_windows(reads, &idx, lo, hi, ranks, None, batch, &exec, &hash_msg, &mut spare);
-                        assert_eq!(got, hash, "hash record, {at}");
-                        spare.extend(got.0);
-                        let got = pack_windows(reads, &idx, lo, hi, ranks, Some(4), batch, &exec, &hash_msg, &mut spare);
-                        assert_eq!(got, mini, "minimizer selection, {at}");
+                        let got = pack_windows(reads, &idx, lo, hi, ranks, 4, batch, &exec, &mut spare);
+                        assert_eq!(got, mini, "ranks={ranks} range={lo}..{hi} threads={threads} batch={batch}");
                         spare.extend(got.0);
                     }
                 }
@@ -847,18 +881,95 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_bloom_to_hash_path_matches_plain_path() {
-        // Shipping the hash round 0 packed under the Bloom pass's last
-        // exchange must change nothing observable: tables, counters, and
-        // (via the engine's invariants) rounds all equal those of a hash
-        // pass that packs its round 0 itself.
+    fn supermer_packer_bytes_equal_the_sequential_oracle() {
+        // The owner-run packer against a sequential pack with no executor
+        // and no per-batch buffers: every batch range in order, every
+        // piece of it straight into the round's buffers. Bytes depend on
+        // the batch size (a batch boundary cuts a run in two) and on
+        // nothing else; what the buffers *decode to* does not even depend
+        // on that — it is the plain extractor's stream.
+        let k = 9usize;
+        let (reads, idx, ranges) = packer_fixture(k);
+        let reads = reads.reads();
+        for ranks in [1usize, 2, 3, 7] {
+            for (lo, hi) in ranges {
+                let mut instances: Vec<(u32, KmerHit<1>)> = idx
+                    .pieces(lo, hi)
+                    .flat_map(|(ri, plo, phi)| {
+                        window_hits::<1>(&reads[ri].seq, k, plo, phi).map(move |h| (reads[ri].id, h))
+                    })
+                    .collect();
+                instances.sort_unstable_by_key(|&(read, h)| (read, h.pos));
+                assert!(
+                    !instances.is_empty() && (instances.len() as u64) < hi - lo,
+                    "want dirty, non-empty input"
+                );
+                for batch in [1usize, 16, 1024] {
+                    let mut oracle = (vec![Vec::new(); ranks], 0u64);
+                    let mut blo = lo;
+                    while blo < hi {
+                        let bhi = (blo + batch as u64).min(hi);
+                        for (ri, plo, phi) in idx.pieces(blo, bhi) {
+                            oracle.1 +=
+                                supermer::pack_runs(&reads[ri].seq, reads[ri].id, k, plo, phi, &mut oracle.0);
+                        }
+                        blo = bhi;
+                    }
+                    assert_eq!(oracle.1, instances.len() as u64);
+                    let mut decoded: Vec<(u32, KmerHit<1>)> = Vec::new();
+                    for (dest, buf) in oracle.0.iter().enumerate() {
+                        let at = Arrival { pass: "test", rank: dest, round: 0, source: 0 };
+                        roll_buffer(at, buf, k, |read, hit| {
+                            assert_eq!(supermer::owner(&hit.kmer, ranks), dest);
+                            decoded.push((read, hit));
+                        });
+                    }
+                    decoded.sort_unstable_by_key(|&(read, h)| (read, h.pos));
+                    assert_eq!(decoded, instances, "ranks={ranks} batch={batch}");
+                    for threads in [1usize, 2, 4] {
+                        let exec = BatchedExecutor::new(threads);
+                        let got = pack_supermers(reads, &idx, lo, hi, ranks, batch, &exec);
+                        assert_eq!(got, oracle, "ranks={ranks} range={lo}..{hi} threads={threads} batch={batch}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn retained_path_matches_resend_path() {
+        // Sweeping the records kept from the Bloom pass must build the
+        // table a second exchange of the same records builds: entries and
+        // the owner-side counters equal; only the resend parses and
+        // exchanges anything in the hash pass.
         let reads = make_reads(20, 110, 123);
         let cfg = test_cfg(9, 20);
         for threads in [1usize, 4] {
-            let plain = run_for_identity(&reads, 3, &cfg, threads, false);
-            let overlapped = run_for_identity(&reads, 3, &cfg, threads, true);
-            assert_eq!(overlapped, plain, "threads = {threads}");
+            let resent = run_for_identity(&reads, 3, &cfg, threads, true);
+            let kept = run_for_identity(&reads, 3, &cfg, threads, false);
+            for ((kept_table, kept_bloom, kept_hash), (table, bloom, hash)) in kept.iter().zip(&resent) {
+                assert_eq!(kept_table, table, "threads = {threads}");
+                assert_eq!(kept_bloom, bloom);
+                assert_eq!(
+                    (kept_hash.kmers_received, kept_hash.recorded_occurrences),
+                    (hash.kmers_received, hash.recorded_occurrences)
+                );
+                assert_eq!((kept_hash.kmers_parsed, kept_hash.rounds), (0, 0));
+                assert_eq!((hash.kmers_parsed, hash.rounds), (bloom.kmers_parsed, bloom.rounds));
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 3: hash pass, round 2, buffer from rank 1: record at byte 12: run of 0 k-mers")]
+    fn a_malformed_record_is_named_where_it_arrived() {
+        let mut bufs = vec![Vec::new()];
+        supermer::pack_runs(b"ACGTTGCAGGTA", 0, 9, 0, 4, &mut bufs);
+        let mut buf = bufs.pop().unwrap();
+        assert_eq!(buf.len(), 12);
+        buf.extend_from_slice(&[0; 12]);
+        let at = Arrival { pass: "hash", rank: 3, round: 2, source: 1 };
+        roll_buffer(at, &buf, 9, |_, _| {});
     }
 
     #[test]
@@ -867,7 +978,7 @@ mod tests {
         // still agree with the serial reference at any thread count.
         let reads = make_dirty_reads(12, 90, 9);
         let cfg = test_cfg(7, 30);
-        let baseline = run_for_identity(&reads, 3, &cfg, 1, true);
+        let baseline = run_for_identity(&reads, 3, &cfg, 1, false);
         let total_hits: u64 = reads
             .iter()
             .flat_map(|r| KmerIter::<1>::new(&r.seq, 7))
@@ -875,7 +986,7 @@ mod tests {
         let parsed: u64 = baseline.iter().map(|(_, b, _)| b.kmers_parsed).sum();
         assert_eq!(parsed, total_hits, "parsed must count hits, not windows");
         for threads in [2usize, 4] {
-            assert_eq!(run_for_identity(&reads, 3, &cfg, threads, true), baseline);
+            assert_eq!(run_for_identity(&reads, 3, &cfg, threads, false), baseline);
         }
     }
 
@@ -1022,7 +1133,7 @@ mod tests {
                 &BatchedExecutor::sequential(),
             )
         });
-        for (o, _round0) in outs {
+        for (o, _retained) in outs {
             assert!(o.bloom_bytes > 0);
             assert!(o.bloom_fill > 0.0 && o.bloom_fill < 0.9);
         }

@@ -76,9 +76,9 @@ proptest! {
         let parts = CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let (bloom, round0) = bloom_stage_overlapping(comm, local, &cfg, &exec);
+            let (bloom, retained) = bloom_stage_overlapping(comm, local, &cfg, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(round0));
+            let _ = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(retained));
             table.iter().map(|(k, e)| (*k, e.count)).collect::<Vec<_>>()
         });
         let mut got: HashMap<Kmer1, u32> = HashMap::new();
@@ -106,10 +106,10 @@ proptest! {
         let outs = CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let (bloom, round0) = bloom_stage_overlapping(comm, local, &cfg, &exec);
+            let (bloom, retained) = bloom_stage_overlapping(comm, local, &cfg, &exec);
             let keys_before = bloom.table.len() as u64;
             let mut table = bloom.table;
-            let h = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(round0));
+            let h = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(retained));
             (keys_before, h.filter, table.len() as u64)
         });
         for (before, stats, after) in outs {

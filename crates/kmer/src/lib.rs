@@ -24,6 +24,7 @@ pub mod hash;
 pub mod minimizer;
 pub mod packed;
 pub mod params;
+pub mod supermer;
 
 pub use extract::{extract_kmers, kmer_count, window_hits, KmerHit, KmerIter, WindowIndex};
 pub use minimizer::{minimizer_density, minimizer_window_hits, minimizers};

@@ -175,13 +175,51 @@ impl<const W: usize> Kmer<W> {
         self.words[0] |= (code as u64) << 62;
     }
 
-    /// The reverse complement of this k-mer.
+    /// The reverse complement of this k-mer, in O(W) word operations:
+    /// complement every bit (base codes complement as `code ^ 3`), reverse
+    /// the 2-bit groups of the whole `W`-word register — which moves the
+    /// k bases from its top to its bottom, under the complemented padding
+    /// — and shift them back up to the top.
     pub fn reverse_complement(&self) -> Self {
-        let mut out = Self::zero(self.k);
-        for i in 0..self.k() {
-            out.set_base(self.k() - 1 - i, base::complement(self.get_base(i)));
-        }
-        out
+        const PAIRS: u64 = 0x3333_3333_3333_3333;
+        const NIBBLES: u64 = 0x0F0F_0F0F_0F0F_0F0F;
+        let reversed: [u64; W] = std::array::from_fn(|w| {
+            let x = !self.words[W - 1 - w];
+            let x = ((x >> 2) & PAIRS) | ((x & PAIRS) << 2);
+            let x = ((x >> 4) & NIBBLES) | ((x & NIBBLES) << 4);
+            x.swap_bytes()
+        });
+        let shift = 64 * W - 2 * self.k();
+        let (skip, bits) = (shift / 64, (shift % 64) as u32);
+        let words = std::array::from_fn(|w| {
+            let hi = reversed.get(w + skip).map_or(0, |&x| x << bits);
+            let lo = match bits {
+                0 => 0,
+                _ => reversed.get(w + skip + 1).map_or(0, |&x| x >> (64 - bits)),
+            };
+            hi | lo
+        });
+        Self { words, k: self.k }
+    }
+
+    /// The k-mer spelled by the first `k` bases of `bytes`, packed four
+    /// to a byte most-significant-first (the layout of a word, so a word
+    /// is eight bytes read big-endian).
+    ///
+    /// # Panics
+    /// Panics if `k` is out of range or `bytes` holds fewer than `k` bases.
+    pub(crate) fn from_packed_bases(bytes: &[u8], k: usize) -> Self {
+        let _ = Self::zero(k as u16); // validates k
+        assert!(4 * bytes.len() >= k, "{} bytes hold fewer than {k} bases", bytes.len());
+        let mask = Self::slot_mask(k);
+        let words = std::array::from_fn(|w| {
+            let mut word = [0u8; 8];
+            let chunk = bytes.get(8 * w..).unwrap_or_default();
+            let n = chunk.len().min(8);
+            word[..n].copy_from_slice(&chunk[..n]);
+            u64::from_be_bytes(word) & mask[w]
+        });
+        Self { words, k: k as u16 }
     }
 
     /// The canonical form: the lexicographic minimum of the k-mer and its
@@ -307,6 +345,24 @@ mod tests {
             crate::base::reverse_complement_ascii(b"AACGTTGCA")
         );
         assert_eq!(rc.reverse_complement(), k);
+    }
+
+    #[test]
+    fn reverse_complement_crosses_word_boundaries() {
+        // Both ends of each width, a lone base in the second word, and
+        // the packed-base loader the supermer decoder starts a run with.
+        let seq: Vec<u8> = (0..64).map(|i| b"ACGT"[(i * 11 + i / 5 + 2) % 4]).collect();
+        for k in [1usize, 2, 31, 32, 33, 40, 63, 64] {
+            let kmer = Kmer2::from_ascii(&seq[..k]).unwrap();
+            let rc = kmer.reverse_complement();
+            assert_eq!(rc.to_ascii(), crate::base::reverse_complement_ascii(&seq[..k]), "k={k}");
+            assert_eq!(rc.reverse_complement(), kmer, "k={k}");
+            let packed: Vec<u8> = seq
+                .chunks(4)
+                .map(|q| q.iter().fold(0, |b, &c| b << 2 | crate::base::encode(c).unwrap()))
+                .collect();
+            assert_eq!(Kmer2::from_packed_bases(&packed, k), kmer, "k={k}");
+        }
     }
 
     #[test]

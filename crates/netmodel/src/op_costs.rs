@@ -12,9 +12,28 @@
 //! the paper highlights hold (hash-table stage processes k-mers roughly 2×
 //! faster than the Bloom stage; alignment dominates compute-heavy runs).
 
-/// Packing one k-mer record into a per-destination send buffer
-/// (extraction + owner hash + copy). Applies in both k-mer passes.
-pub const NS_PER_KMER_PACK: f64 = 14.0;
+/// Sender-side cost of one k-mer in a k-mer pass: the reliable front
+/// end's minimizer scan, owner-run cut and 2-bit write
+/// (`dibella_kmer::supermer::pack_runs`).
+///
+/// Fitted, not hand-set: `bench_kernels_json` measures
+/// `supermer_pack_kmers_per_sec` (2 destinations) and
+/// `supermer_roll_kmers_per_sec` next to `extract_kmers_per_sec` at
+/// k = 15 in one run, and both constants are that run's rate relative to
+/// the extractor — so the bench host's speed cancels — times the
+/// extractor's reference-core cost of 11.32 ns (what the 14.0 ns this
+/// constant held for the per-k-mer 8-byte packer implied, at the rates
+/// `BENCH_kernels.json` schema `/8` recorded for the two). From the
+/// committed `BENCH_kernels.json`: 88.35 M extractions/s, 70.54 M packs/s
+/// → 14.2 ns; 247.0 M rolls/s → 4.0 ns. The writer prints the fit and
+/// refuses to run if either constant is more than 2× off it.
+pub const NS_PER_KMER_PACK: f64 = 14.2;
+
+/// Owner-side cost of rolling one k-mer out of an owner-run record's
+/// 2-bit bases (`Supermer::hits`): paid once per arriving k-mer in the
+/// Bloom pass and once more in the hash pass's sweep of the retained
+/// records. Fitted with [`NS_PER_KMER_PACK`].
+pub const NS_PER_KMER_ROLL: f64 = 4.0;
 
 /// Bloom-stage processing of one received k-mer: multi-probe Bloom insert
 /// plus (on second sighting) a hash-table key insert.
@@ -65,6 +84,7 @@ mod tests {
         // Everything is positive.
         for c in [
             NS_PER_KMER_PACK,
+            NS_PER_KMER_ROLL,
             NS_PER_KMER_BLOOM,
             NS_PER_KMER_HT,
             NS_PER_HT_SCAN,

@@ -600,9 +600,9 @@ mod tests {
         let results = CommWorld::run(p, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let (bloom, round0) = bloom_stage_overlapping(comm, local, kc, &exec);
+            let (bloom, retained) = bloom_stage_overlapping(comm, local, kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage_prepacked(comm, local, &mut table, kc, &exec, Some(round0));
+            let _ = hash_stage_prepacked(comm, local, &mut table, kc, &exec, Some(retained));
             overlap_stage_with_lengths(comm, &table, &part, oc, None, &exec)
         });
         let mut all: Vec<OverlapTask> = results.into_iter().flat_map(|o| o.tasks).collect();
@@ -649,9 +649,9 @@ mod tests {
         let results = CommWorld::run(4, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+            let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
             overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
         });
         let mut seen = std::collections::HashSet::new();
@@ -672,9 +672,9 @@ mod tests {
         let results = CommWorld::run(4, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+            let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
             (comm.rank(), overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec))
         });
         for (rank, out) in &results {
@@ -719,10 +719,10 @@ mod tests {
                     let outs = CommWorld::run(3, |comm| {
                         let exec = BatchedExecutor::sequential();
                         let local = chunks[comm.rank()].reads();
-                        let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+                        let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
                         let mut table = bloom.table;
                         let _ =
-                            hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                            hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
                         overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
                     });
                     let at = format!("{policy:?} {engine} cap={cap}");
@@ -818,9 +818,9 @@ mod tests {
         let outs = CommWorld::run(3, |comm| {
             let exec = BatchedExecutor::sequential();
             let local = chunks[comm.rank()].reads();
-            let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+            let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
             let mut table = bloom.table;
-            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+            let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
             overlap_stage_with_lengths(comm, &table, &part, &strict, None, &exec)
         });
         let dropped: u64 = outs.iter().map(|o| o.counters.pairs_chain_dropped).sum();
@@ -869,9 +869,9 @@ mod tests {
             CommWorld::run(3, |comm| {
                 let exec = BatchedExecutor::sequential();
                 let local = chunks[comm.rank()].reads();
-                let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+                let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
                 let mut table = bloom.table;
-                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
                 overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
             })
         };
@@ -913,9 +913,9 @@ mod tests {
             CommWorld::run(3, |comm| {
                 let exec = BatchedExecutor::new(threads);
                 let local = chunks[comm.rank()].reads();
-                let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+                let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
                 let mut table = bloom.table;
-                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
                 comm.take_stats();
                 let out = overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec);
                 let stats = comm.take_stats();
@@ -960,9 +960,9 @@ mod tests {
             CommWorld::run(3, |comm| {
                 let exec = BatchedExecutor::new(threads);
                 let local = chunks[comm.rank()].reads();
-                let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+                let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
                 let mut table = bloom.table;
-                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
                 let out = overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec);
                 (out.tasks, out.counters)
             })

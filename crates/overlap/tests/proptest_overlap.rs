@@ -54,9 +54,9 @@ fn run_stages(reads: &ReadSet, p: usize, oc: &OverlapConfig) -> (Vec<OverlapTask
     let outs = CommWorld::run(p, |comm| {
         let exec = BatchedExecutor::sequential();
         let local = chunks[comm.rank()].reads();
-        let (bloom, round0) = bloom_stage_overlapping(comm, local, &kc, &exec);
+        let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
         let mut table = bloom.table;
-        let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(round0));
+        let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
         (overlap_stage_with_lengths(comm, &table, &part, oc, None, &exec).tasks, table)
     });
     let (tasks, tables): (Vec<_>, Vec<_>) = outs.into_iter().unzip();

@@ -198,7 +198,12 @@ fn chaos_checkpoints_resume_bit_identically() {
         .join(format!("dibella-chaos-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let chaos_transport: TransportKind = "faulty:shared:11:mixed".parse().unwrap();
+    // Mixed faults plus a stall on *every* exchange that outlasts the
+    // wait timeout: each call counts at least one `wait_timeouts`, so the
+    // leg survives faults by construction — not because a seeded rate
+    // happened to fire within however many calls the stages make.
+    let chaos_transport: TransportKind =
+        "faulty:shared:11:mixed,stall=1,stall_ms=12,timeout_ms=5".parse().unwrap();
     let with_ckpt = |t: TransportKind| PipelineConfig {
         checkpoint_dir: Some(dir.clone()),
         ..cfg(t, true)

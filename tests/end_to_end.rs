@@ -216,6 +216,20 @@ fn ecoli_preset_statistics() {
     let retained: u64 = res.reports.iter().map(|r| r.filter.retained).sum();
     let highf: u64 = res.reports.iter().map(|r| r.filter.high_freq_removed).sum();
     let kmers: u64 = res.reports.iter().map(|r| r.bloom.kmers_received).sum();
+    // The front end's ledger: every clean window is packed once, arrives
+    // once and is swept once from the owner-run records the owners kept —
+    // exactly the bytes the Bloom pass shipped; the hash pass parses and
+    // exchanges nothing.
+    let sum = |f: &dyn Fn(&dibella::pipeline::RankReport) -> u64| res.reports.iter().map(f).sum::<u64>();
+    let clean_windows: u64 =
+        ds.reads.iter().map(|r| dibella::kmer::KmerIter::<1>::new(&r.seq, 17).count() as u64).sum();
+    assert_eq!(kmers, clean_windows);
+    assert_eq!(sum(&|r| r.bloom.kmers_parsed), clean_windows);
+    assert_eq!(sum(&|r| r.hash.kmers_received), clean_windows);
+    assert_eq!(sum(&|r| r.hash.kmers_parsed), 0);
+    assert_eq!(sum(&|r| r.hash_comm.total_bytes()), 0);
+    assert_eq!(sum(&|r| r.hash_comm.alltoallv_calls), 0);
+    assert_eq!(sum(&|r| r.bloom.retained_bytes), sum(&|r| r.bloom_comm.total_bytes()));
     // §6: up to 98% of long-read k-mers are singletons. At 15% error and
     // k=17 the singleton fraction of the distinct set is overwhelming.
     // The Bloom filter already absorbed most singletons: table keys ≪ bag.

@@ -3,8 +3,10 @@
 //! projected through the cost model.
 
 use dibella::datagen::ecoli_30x_like;
-use dibella::netmodel::{NodeMapping, AWS, CORI, EDISON, TITAN};
-use dibella::pipeline::{project, run_pipeline, Stage};
+use dibella::netmodel::{
+    first_alltoallv_setup_s, stage_cost, NodeMapping, AWS, CORI, EDISON, TITAN,
+};
+use dibella::pipeline::{project, rank_load, run_pipeline, Stage};
 use dibella::prelude::*;
 
 fn reports_for(ranks: usize) -> std::sync::Arc<Vec<dibella::pipeline::RankReport>> {
@@ -74,20 +76,29 @@ fn aws_exchange_degrades_fastest() {
     );
 }
 
-/// §6/§10: the first-Alltoallv anomaly — the Bloom stage's exchange costs
-/// more than the hash stage's despite 2.5× less volume.
+/// §6/§10: the first-Alltoallv anomaly — the job's first irregular
+/// exchange pays the set-up cost, and that is the Bloom stage's. (The
+/// paper saw it as a Bloom exchange dearer than the hash exchange despite
+/// 2.5× less volume; here the hash stage sweeps the records the Bloom
+/// pass left with each owner and exchanges nothing at all.)
 #[test]
 fn first_alltoallv_anomaly_reproduced() {
     let mapping = NodeMapping::for_platform(&CORI, 1);
     let reports = reports_for(mapping.ranks());
-    // Sanity: the hash stage really moves 2.5x the bytes.
-    let bb: u64 = reports.iter().map(|r| r.bloom_comm.total_bytes()).sum();
-    let hb: u64 = reports.iter().map(|r| r.hash_comm.total_bytes()).sum();
-    assert_eq!(hb, bb * 20 / 8);
+    for r in reports.iter() {
+        assert!(r.bloom_comm.total_bytes() > 0 && r.bloom_comm.alltoallv_calls > 0);
+        assert_eq!((r.hash_comm.total_bytes(), r.hash_comm.alltoallv_calls), (0, 0));
+    }
     let proj = project(&CORI, mapping, &reports);
+    assert_eq!(proj.stage(Stage::Hash).max_exchange(), 0.0, "the hash stage exchanges nothing");
+    // The same Bloom loads costed as a steady-state stage: what is left is
+    // the set-up, at least its per-peer connection term.
+    let loads: Vec<_> = reports.iter().map(|r| rank_load(r, Stage::Bloom)).collect();
+    let steady = stage_cost(&CORI, mapping, &loads, false).max_exchange();
+    let setup = proj.stage(Stage::Bloom).max_exchange() - steady;
     assert!(
-        proj.stage(Stage::Bloom).max_exchange() > proj.stage(Stage::Hash).max_exchange(),
-        "Bloom exchange should absorb the first-call setup cost"
+        setup >= first_alltoallv_setup_s(&CORI, mapping.ranks(), 0.0),
+        "Bloom exchange should absorb the first-call setup cost, carries {setup:.6} s over steady state"
     );
 }
 

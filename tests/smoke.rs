@@ -113,6 +113,10 @@ fn two_rank_pipeline_smoke() {
         assert_eq!(survived, 0, "clean transport recorded fault counters");
     }
 
+    // A cap under one record turns every k-mer window into a round of
+    // its own — thousands of rank-to-rank hand-offs whose cost is the
+    // host's scheduler, not the pipeline — so that leg gets a wider budget.
+    let budget = if round_bytes < 1024 { 60.0 } else { 5.0 };
     let elapsed = t0.elapsed();
-    assert!(elapsed.as_secs_f64() < 5.0, "smoke test too slow: {elapsed:?}");
+    assert!(elapsed.as_secs_f64() < budget, "smoke test too slow: {elapsed:?}");
 }

@@ -60,6 +60,10 @@ pub struct Extension {
     pub t_ext: usize,
     /// DP cells computed.
     pub cells: u64,
+    /// Antidiagonals those cells lie on (the trivial antidiagonal 0 is not
+    /// counted, as in `cells`): the length of the kernel's serial
+    /// dependency chain, which `cells / antidiagonals` cells share.
+    pub antidiagonals: u64,
 }
 
 /// The x-drop scan over antidiagonals, generic over walk direction.
@@ -84,7 +88,7 @@ fn xdrop_core<const REV: bool>(
     let n = s.len();
     let m = t.len();
     if n == 0 || m == 0 {
-        return Extension { score: 0, s_ext: 0, t_ext: 0, cells: 0 };
+        return Extension { score: 0, s_ext: 0, t_ext: 0, cells: 0, antidiagonals: 0 };
     }
 
     // Rows indexed by i (chars of s consumed); row d covers antidiagonal
@@ -117,8 +121,9 @@ fn xdrop_core<const REV: bool>(
     // Prune row 1 (gap = −1 survives any positive x, but keep the check
     // for exotic scoring schemes).
     if prev.iter().all(|&v| v < best - x) {
-        return Extension { score: best, s_ext: best_i, t_ext: best_j, cells };
+        return Extension { score: best, s_ext: best_i, t_ext: best_j, cells, antidiagonals: 1 };
     }
+    let mut antidiagonals = 1u64;
     let mut prev_base = 0usize;
     let mut prev_lo = 0usize;
     let mut prev_hi = 1usize;
@@ -137,6 +142,7 @@ fn xdrop_core<const REV: bool>(
         if lo > hi {
             break;
         }
+        antidiagonals += 1;
         cur.clear();
         cur.resize(hi - lo + 1, NEG_INF);
         let mut any = false;
@@ -206,7 +212,7 @@ fn xdrop_core<const REV: bool>(
         prev_hi = lo + last;
     }
 
-    Extension { score: best, s_ext: best_i, t_ext: best_j, cells }
+    Extension { score: best, s_ext: best_i, t_ext: best_j, cells, antidiagonals }
 }
 
 /// [`xdrop_core`] in walk direction `dir`.
@@ -304,7 +310,7 @@ fn xdrop_core_lanes(
 ) -> Option<Extension> {
     assert!(x > 0, "x-drop threshold must be positive");
     if n == 0 || m == 0 {
-        return Some(Extension { score: 0, s_ext: 0, t_ext: 0, cells: 0 });
+        return Some(Extension { score: 0, s_ext: 0, t_ext: 0, cells: 0, antidiagonals: 0 });
     }
     let (gap, match_score, mismatch) =
         (scoring.gap as i16, scoring.match_score as i16, scoring.mismatch as i16);
@@ -338,9 +344,9 @@ fn xdrop_core_lanes(
     prev[1] = gap;
     prev[2] = gap;
     prev[3..3 + LANES16].fill(NEG);
-    let mut cells = 2u64;
+    let (mut cells, mut antidiagonals) = (2u64, 1u64);
     if scoring.gap < -x {
-        return Some(Extension { score: 0, s_ext: 0, t_ext: 0, cells });
+        return Some(Extension { score: 0, s_ext: 0, t_ext: 0, cells, antidiagonals: 1 });
     }
     let mut prev_base = 0usize;
     let mut prev_lo = 0usize;
@@ -369,6 +375,7 @@ fn xdrop_core_lanes(
         // j = d − i ≤ m and hi ≤ min(d, n) keeps i ≤ n, j ≥ 0 — the
         // scalar kernel's skip guard never fires.
         cells += len as u64;
+        antidiagonals += 1;
 
         // The row's source, base and output windows, whole chunks long:
         // `left` starts at the slot of cell `lo − 1` of row d−1, `up` one
@@ -456,7 +463,7 @@ fn xdrop_core_lanes(
     if all_min.hmin() <= FLOOR {
         return None;
     }
-    Some(Extension { score: offset + best_rel as i32, s_ext: best_i, t_ext: best_j, cells })
+    Some(Extension { score: offset + best_rel as i32, s_ext: best_i, t_ext: best_j, cells, antidiagonals })
 }
 
 /// A shared-seed alignment task between two oriented sequences.
@@ -489,6 +496,9 @@ pub struct SeedAlignment {
     pub b_end: usize,
     /// Total DP cells computed (both directions).
     pub cells: u64,
+    /// Antidiagonals walked (both directions); see
+    /// [`Extension::antidiagonals`].
+    pub antidiagonals: u64,
 }
 
 /// Extend an alignment from the start of `s` against the start of `t`
@@ -642,6 +652,7 @@ impl<'a> SeedExtender<'a> {
             b_start: seed.b_pos - left.t_ext,
             b_end: b_end + right.t_ext,
             cells: left.cells + right.cells,
+            antidiagonals: left.antidiagonals + right.antidiagonals,
         }
     }
 
@@ -706,6 +717,21 @@ mod tests {
         assert_eq!(e.score, 10);
         assert_eq!(e.s_ext, 10);
         assert_eq!(e.t_ext, 10);
+    }
+
+    /// Identical reads walk every antidiagonal of the matrix, the last
+    /// one a single cell; an extension the drop-off stops walks X of them
+    /// past its best cell, and each holds at least one cell.
+    #[test]
+    fn antidiagonals_count_the_rows_the_cells_lie_on() {
+        let e = fwd(b"ACGTACGTGG", b"ACGTACGTGG", 10);
+        assert_eq!(e.antidiagonals, 20);
+        assert!(e.cells > e.antidiagonals);
+        let e = fwd(b"AAAAGGGG", b"AAAACCCC", 3);
+        assert!((8..=16).contains(&e.antidiagonals), "{}", e.antidiagonals);
+        assert_eq!(fwd(b"ACGT", b"", 5).antidiagonals, 0);
+        let a = seeded(b"TTACGTACGTGG", b"TTACGTACGTGG", SeedHit { a_pos: 4, b_pos: 4, k: 4 }, 10);
+        assert_eq!(a.antidiagonals, 8 + 8);
     }
 
     #[test]

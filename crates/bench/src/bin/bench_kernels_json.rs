@@ -24,10 +24,20 @@
 //!   [`RECONCILE_FACTOR`] either way (asserted here and in CI), so a gap
 //!   between them says whether the next stage-4 speedup is in the kernel
 //!   or in the task loop around it;
+//! * **x-drop ns per antidiagonal** (schema `/10`) — the lane kernel on
+//!   the same pair at X = 8, 25 and 60, as nanoseconds per antidiagonal
+//!   walked next to the live cells an antidiagonal holds. The kernel's
+//!   antidiagonals are a serial chain (row maximum → threshold → two
+//!   scans → the next row's bounds), so this is the number that says
+//!   whether "fewer cells" can buy time: a cost that barely moves while
+//!   the cells per antidiagonal grow sixfold is a fixed cost per
+//!   antidiagonal, not per cell (see ROADMAP direction 1);
 //! * **spgemm rows/s** (schema `/3`) — the SpGEMM overlap engine's
 //!   row-block accumulator variants (dense, hash, and the auto selector)
 //!   packing the shared [`dibella_bench::spgemm_fixture`] table, with
-//!   their byte-identity asserted before timing;
+//!   their byte-identity asserted before timing, and (schema `/10`) the
+//!   rows/s of the engine's count-only symbolic pass over the same rows,
+//!   with its record lengths asserted equal to the packed ones;
 //! * **overlap fold** (schema `/8`) — stage 3's seed fold under
 //!   `SeedFold::Smallest(1)` on the same fixture, through each engine's
 //!   source: instances/s of the pairs engine's `PairIndexSpace::fold_range`
@@ -58,7 +68,7 @@
 //! Perf PRs diff this file to leave a measurable trajectory; the numbers
 //! are machine-dependent, so compare ratios, not absolutes, across hosts.
 
-use dibella_align::{extend_seed, AlignWorkspace, Scoring, SeedHit, SimdMode};
+use dibella_align::{extend_seed, AlignWorkspace, Scoring, SeedExtender, SeedHit, SimdMode};
 use dibella_bench::{
     chain_fixture, kmer_fixture, spgemm_fixture, supermer_fixture, supermer_roll_kmers,
 };
@@ -70,8 +80,8 @@ use dibella_kcount::{pack_supermers, KcountConfig, ReadKmerCsr};
 use dibella_kmer::{extract_kmers, kmer_count, minimizers, WindowIndex};
 use dibella_netmodel::op_costs;
 use dibella_overlap::{
-    chain_seeds, pack_row_block, ChainConfig, PairIndexSpace, SeedFold, SpgemmAccumulator,
-    TaskPlacement,
+    chain_seeds, count_row_block, pack_row_block, ChainConfig, PairIndexSpace, SeedFold,
+    SpgemmAccumulator, TaskPlacement,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,6 +117,11 @@ const PAIR_LEN: usize = 2_000;
 const ERROR_RATE: f64 = 0.15;
 const XDROP_X: i32 = 25;
 const KERNEL_ITERS: u32 = 60;
+/// Drop-offs the per-antidiagonal cost is read at: BELLA's default region,
+/// the pipeline's, and one wide enough to hold ~6x the cells of the first.
+const ANTIDIAGONAL_XS: [i32; 3] = [8, 25, 60];
+/// Antidiagonals timed per drop-off (iterations = this / the pair's).
+const ANTIDIAGONALS_TIMED: u64 = 1 << 21;
 
 /// Stage-4 compute must lie within this factor of `dp_cells / kernel
 /// cells/s`, either way. The kernel rate comes from one 2 kb pair, the
@@ -230,6 +245,29 @@ fn main() {
     assert_eq!(seed_scalar.1, 0.0, "warmed scalar core must not allocate");
     assert_eq!(seed_simd.1, 0.0, "warmed lane kernel must not allocate");
 
+    // ---- x-drop: cost per antidiagonal at three drop-offs ------------------
+    // One staged extender per drop-off, so a short extension (X = 8 stops
+    // within a few hundred antidiagonals at 15 % error) is not timed
+    // against the copies `extend_seed` stages per call.
+    let per_antidiagonal = ANTIDIAGONAL_XS.map(|x| {
+        let mut pair = SeedExtender::new(&a, sc, x, &mut ws, SimdMode::Auto);
+        pair.set_b(&b);
+        let out = pair.extend(seed);
+        assert!(out.antidiagonals > 0 && out.cells >= out.antidiagonals, "{out:?}");
+        let iters = ANTIDIAGONALS_TIMED.div_ceil(out.antidiagonals);
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            black_box(pair.extend(black_box(seed)));
+        }
+        let ns = t0.elapsed().as_secs_f64() * 1e9 / (iters * out.antidiagonals) as f64;
+        (ns, out.cells as f64 / out.antidiagonals as f64)
+    });
+    eprintln!(
+        "x-drop: {} ns per antidiagonal at {} live cells (X = {ANTIDIAGONAL_XS:?})",
+        per_antidiagonal.map(|(ns, _)| format!("{ns:.1}")).join(" / "),
+        per_antidiagonal.map(|(_, cells)| format!("{cells:.1}")).join(" / "),
+    );
+
     // ---- SpGEMM row-block accumulators -------------------------------------
     let (table, part) = spgemm_fixture(SPGEMM_READS, SPGEMM_KMERS, SPGEMM_RANKS, 0x0D1B_E11A);
     let csr = ReadKmerCsr::from_table(&table);
@@ -249,6 +287,24 @@ fn main() {
         spgemm_rows_per_sec[i] =
             (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
     }
+
+    // The engine's symbolic pass: the same rows, counted instead of packed.
+    let symbolic_all = || {
+        (0..csr.n_rows()).step_by(SPGEMM_BLOCK).fold(vec![Vec::new(); SPGEMM_RANKS], |mut lens, lo| {
+            let rows = lo..(lo + SPGEMM_BLOCK).min(csr.n_rows());
+            let placement = TaskPlacement::Parity;
+            let out = count_row_block(&csr, rows, &part, placement, None, SPGEMM_RANKS, SeedFold::All);
+            lens.iter_mut().zip(out.lens).for_each(|(all, block)| all.extend(block));
+            lens
+        })
+    };
+    let counted: Vec<usize> = symbolic_all().iter().map(|lens| lens.iter().sum()).collect();
+    assert_eq!(counted, dense_bytes.iter().map(Vec::len).collect::<Vec<_>>(), "symbolic pass miscounts the fixture");
+    let t0 = Instant::now();
+    for _ in 0..SPGEMM_ITERS {
+        black_box(symbolic_all());
+    }
+    let symbolic_rows_per_sec = (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
 
     // ---- the seed fold through each engine's source -------------------------
     let fold = SeedFold::Smallest(1);
@@ -412,10 +468,16 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/9\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"pairs_instances_per_sec\": {fold_instances_per_sec:.0}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/10\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"pairs_instances_per_sec\": {fold_instances_per_sec:.0}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         seed_simd.0 / seed_scalar.0,
+        per_antidiagonal[0].0,
+        per_antidiagonal[1].0,
+        per_antidiagonal[2].0,
+        per_antidiagonal[0].1,
+        per_antidiagonal[1].1,
+        per_antidiagonal[2].1,
         ws.scratch_bytes(),
         csr.n_rows(),
         csr.nnz(),

@@ -179,17 +179,23 @@ impl ByteRounds {
         RoundPlan::from_rounds(self.rounds.len() as u64)
     }
 
+    /// Round `round`'s `(destination, byte range)` segments, ascending by
+    /// destination, each range an offset into that destination's unsplit
+    /// record stream — what a packer that produces its records lazily, a
+    /// round at a time, needs to know. Rounds past the plan — the tail a
+    /// rank ships when the world agreed on more rounds than it needs —
+    /// have none.
+    pub fn segments(&self, round: u64) -> &[(usize, Range<usize>)] {
+        usize::try_from(round).ok().and_then(|r| self.rounds.get(r)).map_or(&[], Vec::as_slice)
+    }
+
     /// Materialize round `round`'s per-destination buffers by slicing the
     /// unsplit source buffers (the same `record_lens` geometry given to
-    /// [`ByteRounds::plan`]). Rounds past the plan — the tail a rank ships
-    /// when the world agreed on more rounds than it needs — come out
-    /// empty.
+    /// [`ByteRounds::plan`]). Rounds past the plan come out empty.
     pub fn pack(&self, round: u64, source: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); source.len()];
-        if let Some(segments) = self.rounds.get(round as usize) {
-            for (d, range) in segments {
-                out[*d] = source[*d][range.clone()].to_vec();
-            }
+        for (d, range) in self.segments(round) {
+            out[*d] = source[*d][range.clone()].to_vec();
         }
         out
     }

@@ -26,11 +26,12 @@ pub mod task;
 pub use chain::{chain_seeds, ChainConfig};
 pub use policy::{SeedFold, SeedPolicy};
 pub use spgemm::{
-    decode_pair_records, pack_row_block, write_pair_record, RecordSeeds, SpgemmAccumulator,
+    count_row_block, decode_pair_records, pack_row_block, write_pair_record, RecordSeeds,
+    SpgemmAccumulator,
     SpgemmBlockOut,
 };
 pub use stage::{
     overlap_stage_with_lengths, reference_pairs, OverlapConfig, OverlapCounters,
-    OverlapEngine, OverlapOutput, PairIndexSpace, PairSeeds,
+    OverlapEngine, OverlapOutput, PairIndexSpace, PairSeeds, SortedPairs,
 };
 pub use task::{task_home, OverlapTask, ReadPair, SharedSeed, TaskPlacement};

@@ -115,6 +115,19 @@ impl SeedFold {
         }
     }
 
+    /// Length of the list folding `n` seeds leaves — what the SpGEMM
+    /// engine's symbolic pass counts records with, without holding a seed.
+    /// Exact under `All` and `Smallest(1)`; under `Smallest(k > 1)` only
+    /// when the `n` seeds are distinct, which the numeric pass checks
+    /// against its plan.
+    #[inline]
+    pub fn kept_len(self, n: usize) -> usize {
+        match self {
+            SeedFold::All => n,
+            SeedFold::Smallest(k) => n.min(k),
+        }
+    }
+
     /// Fold one `seed` into a pair's kept list.
     #[inline]
     pub fn add(self, kept: &mut Vec<SharedSeed>, seed: SharedSeed) {

@@ -1,6 +1,7 @@
 //! SpGEMM overlap engine: blocked `A·Aᵀ` pair discovery (the BELLA /
-//! diBELLA-2D formulation), and the **pair record** — stage 3's one wire
-//! format, which both engines emit and every destination decodes.
+//! diBELLA-2D formulation), streamed in two phases, and the **pair
+//! record** — stage 3's one wire format, which both engines emit and every
+//! destination decodes.
 //!
 //! The paper's Algorithm 1 (the `pairs` engine in [`crate::stage`])
 //! enumerates every occurrence pair of every retained k-mer in table
@@ -9,16 +10,14 @@
 //! ([`dibella_kcount::ReadKmerCsr`]), so that all of a pair's local seeds
 //! meet in one row accumulator:
 //!
-//! 1. rows (local reads) are cut into fixed `spgemm_block`-row blocks —
-//!    the parallel decomposition, fanned out on the shared
-//!    [`BatchedExecutor`] and merged in block order;
-//! 2. each row `i` runs a Gustavson accumulation: for every row entry
-//!    `(c, pos, strand)` and every occurrence `(j, pos_j, strand_j)` of
-//!    column `c` with `read_j > read_i`, fold the seed into the list kept
-//!    under key `read_j` with the run's [`SeedFold`] — the semiring "add"
-//!    (strictly upper triangular, so each unordered occurrence pair is
-//!    produced by exactly one row — the smaller read's);
-//! 3. per pair `(a, b)` one variable-length wire record carries the seeds
+//! 1. each row `i` (a local read) runs a Gustavson accumulation: for every
+//!    row entry `(c, pos, strand)` and every occurrence `(j, pos_j,
+//!    strand_j)` of column `c` with `read_j > read_i`, fold the seed into
+//!    the list kept under key `read_j` with the run's [`SeedFold`] — the
+//!    semiring "add" (strictly upper triangular, so each unordered
+//!    occurrence pair is produced by exactly one row — the smaller
+//!    read's);
+//! 2. per pair `(a, b)` one variable-length wire record carries the seeds
 //!    the fold kept:
 //!
 //!    ```text
@@ -32,30 +31,70 @@
 //!    pair's seeds ship together, and 20 per *pair* under
 //!    `SeedFold::Smallest(1)`. Bit 31 of `b_pos` is the orientation, so a
 //!    position must stay below 2³¹ — [`write_pair_record`] refuses one
-//!    that does not;
-//! 4. the per-destination record streams ship through the standard
-//!    [`ByteRounds`]-planned [`RoundExchange`](dibella_comm::RoundExchange),
-//!    so the engine stays memory-bounded under `--round-mb`, and the
-//!    destination folds arrivals exactly as it does for the pairs engine
-//!    (`exchange_records` in [`crate::stage`]).
+//!    that does not.
+//!
+//! # Two phases, one round at a time
+//!
+//! The product is never materialized. As in the SpGEMM literature the
+//! engine runs a *symbolic* pass before the *numeric* one:
+//!
+//! * **Symbolic** ([`count_row_block`]): one count-only Gustavson pass — a
+//!   dense `u32` counter per global read and a touched list, no seed
+//!   lists, no bytes — yields the length of every record each row will
+//!   emit, per destination, in send order. [`ByteRounds::plan`] over
+//!   those lengths cuts the rounds, so the round count, every round's
+//!   bytes and each destination's concatenated stream are exactly those
+//!   of planning over the fully packed product (which is what
+//!   [`pack_row_block`] over all rows, the test oracle, still produces).
+//! * **Numeric**: packing round *r* expands only the rows whose records
+//!   the round's byte ranges cover, in executor batches merged in row
+//!   order. A row whose records straddle a round boundary is expanded
+//!   once; what the round does not ship is carried to the next. A source
+//!   therefore holds the round in flight, the round being packed and at
+//!   most one row's leftover per destination. The plan is greedy in
+//!   destination order, so under a cap a source works through
+//!   destination 0's stream before destination 1's: a row is walked once
+//!   for every round-disjoint group of destinations that needs it (once in
+//!   all with a single round or a single rank, at most once per rank) —
+//!   the price of holding rounds instead of the product.
+//!
+//! # Finishing early: the watermark rule
+//!
+//! Only row `a` produces pair `(a, b)` and every source walks its rows in
+//! ascending read order, so each destination's stream is ascending in `a`.
+//! From its plan a source knows, for every destination and round, the
+//! smallest `a` it may still send afterwards — its *watermark*, `u32::MAX`
+//! once the stream is exhausted. The ranks swap these tables in one small
+//! collective before round 0 (a few entries per round; the record bytes
+//! are untouched, and there is no per-round collective). After round *r*
+//! a destination takes the minimum watermark over its sources: no pair
+//! with a smaller `a` can receive another seed, so those pairs go through
+//! the chain → policy epilogue at once and their seed lists are freed
+//! (`exchange_records` in [`crate::stage`]). Watermarks only rise, so the
+//! tasks still come out in pair order. What a destination holds
+//! unfinished is reported as
+//! [`OverlapCounters::peak_seeds_pending`](crate::OverlapCounters):
+//! with one rank, at most one round plus the straddling row.
 //!
 //! Determinism: column order is the CSR's canonical k-mer sort, row order
-//! is ascending read ID, blocks are a pure function of the row count, and
-//! both accumulator variants ([`SpgemmAccumulator::Dense`] /
-//! [`SpgemmAccumulator::Hash`]) emit candidate reads in ascending-`b`
-//! order with seeds folded in row-entry (column) order — so the wire bytes
-//! are bit-identical across thread counts, accumulator choices, and round
-//! caps, and the shared chain/policy epilogue in [`crate::stage`] produces
-//! bit-identical alignments.
+//! is ascending read ID, executor batches are a pure function of the
+//! round's row span, and both accumulator variants
+//! ([`SpgemmAccumulator::Dense`] / [`SpgemmAccumulator::Hash`]) emit
+//! candidate reads in ascending-`b` order with seeds folded in row-entry
+//! (column) order — so the wire bytes are bit-identical across thread
+//! counts, accumulator choices, block sizes and round caps, and the shared
+//! chain/policy epilogue in [`crate::stage`] produces bit-identical
+//! alignments.
 
 use crate::policy::SeedFold;
-use crate::stage::{exchange_records, OverlapConfig, OverlapCounters, PairSeeds};
+use crate::stage::{exchange_records, OverlapConfig, OverlapCounters, SortedPairs};
 use crate::task::{ReadPair, SharedSeed, TaskPlacement};
 use dibella_comm::{BatchedExecutor, ByteRounds, Comm};
 use dibella_io::ReadPartition;
 use dibella_kcount::{KmerHashTable, ReadKmerCsr};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Bytes of a pair record's `(a, b, n)` header.
 pub const RECORD_HEADER_BYTES: usize = 12;
@@ -63,30 +102,40 @@ pub const RECORD_HEADER_BYTES: usize = 12;
 pub const SEED_BYTES: usize = 8;
 
 /// Gustavson row-accumulator variant. The two implementations traverse
-/// identically and emit identical bytes — only the `b → seeds` lookup
-/// structure differs, which is what the `spgemm_rows_per_sec` bench
-/// compares.
+/// identically and emit identical bytes — only the `b → seed list` index
+/// differs, which is what the `spgemm_rows_per_sec` bench compares.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpgemmAccumulator {
-    /// Per block, pick [`Self::Dense`] when the block's flop bound is at
-    /// least a quarter of the global read count (the dense array's
-    /// O(reads) touch cost is amortized), else [`Self::Hash`]. A pure
-    /// function of the input — never of the thread count.
+    /// Per executor batch, pick [`Self::Dense`] when the batch's flop
+    /// bound is at least a quarter of the global read count, else
+    /// [`Self::Hash`]. A pure function of the input — never of the thread
+    /// count.
     #[default]
     Auto,
-    /// Dense: a `Vec` slot per global read plus a touched list — O(1)
-    /// accumulation, best for dense row blocks.
+    /// Dense: a `u32` slot per global read (allocated once per executor
+    /// worker, not per batch) plus a touched list — O(1) accumulation.
     Dense,
     /// Hash: a `HashMap` keyed by candidate read — O(touched) memory,
-    /// best for sparse row blocks.
+    /// for row batches that are sparse next to the read count.
     Hash,
 }
 
-/// One row block's packed output: per-destination wire bytes, the record
-/// geometry [`ByteRounds`] plans with, and the emission counters.
+impl SpgemmAccumulator {
+    fn is_dense(self, csr: &ReadKmerCsr, rows: &Range<usize>, n_reads: usize) -> bool {
+        match self {
+            Self::Auto => csr.block_flops(rows.start, rows.end) >= n_reads as u64 / 4,
+            Self::Dense => true,
+            Self::Hash => false,
+        }
+    }
+}
+
+/// One row block's output: the record geometry [`ByteRounds`] plans with,
+/// the emission counters, and — from the numeric pass — the wire bytes.
 #[derive(Debug, Default)]
 pub struct SpgemmBlockOut {
-    /// Per-destination encoded pair records.
+    /// Per-destination encoded pair records ([`pack_row_block`]; left
+    /// empty by [`count_row_block`]).
     pub bufs: Vec<Vec<u8>>,
     /// Per-destination record lengths, in send order.
     pub lens: Vec<Vec<usize>>,
@@ -97,6 +146,18 @@ pub struct SpgemmBlockOut {
     /// Shared-seed instances enumerated (`≥ seeds`; equal under
     /// [`SeedFold::All`]).
     pub instances: u64,
+}
+
+impl SpgemmBlockOut {
+    fn for_ranks(ranks: usize) -> Self {
+        Self { bufs: vec![Vec::new(); ranks], lens: vec![Vec::new(); ranks], ..Default::default() }
+    }
+
+    fn count(&mut self, dest: usize, len: usize) {
+        self.lens[dest].push(len);
+        self.records += 1;
+        self.seeds += ((len - RECORD_HEADER_BYTES) / SEED_BYTES) as u64;
+    }
 }
 
 /// Append one pair record to `buf`; returns its length in bytes.
@@ -117,77 +178,152 @@ pub fn write_pair_record(buf: &mut Vec<u8>, pair: ReadPair, seeds: &[SharedSeed]
     RECORD_HEADER_BYTES + SEED_BYTES * seeds.len()
 }
 
-/// Per-row accumulator: `b → folded seeds`, drained in ascending `b`.
-enum Acc {
-    Dense { slots: Vec<Vec<SharedSeed>>, touched: Vec<u32> },
-    Hash { map: HashMap<u32, Vec<SharedSeed>> },
+/// Where a pair's record goes: the rank that owns the pair's home read.
+#[derive(Clone, Copy)]
+struct Route<'a> {
+    read_part: &'a ReadPartition,
+    placement: TaskPlacement,
+    lengths: Option<&'a [u32]>,
 }
 
-impl Acc {
-    fn new(kind: SpgemmAccumulator, csr: &ReadKmerCsr, rows: &Range<usize>, n_reads: usize) -> Self {
-        let kind = match kind {
-            SpgemmAccumulator::Auto => {
-                if csr.block_flops(rows.start, rows.end) >= n_reads as u64 / 4 {
-                    SpgemmAccumulator::Dense
-                } else {
-                    SpgemmAccumulator::Hash
-                }
-            }
-            pinned => pinned,
-        };
-        match kind {
-            SpgemmAccumulator::Dense => Acc::Dense {
-                slots: vec![Vec::new(); n_reads],
-                touched: Vec::new(),
-            },
-            _ => Acc::Hash { map: HashMap::new() },
-        }
-    }
-
+impl Route<'_> {
     #[inline]
-    fn add(&mut self, fold: SeedFold, b: u32, seed: SharedSeed) {
-        match self {
-            Acc::Dense { slots, touched } => {
-                let slot = &mut slots[b as usize];
-                if slot.is_empty() {
-                    touched.push(b);
-                }
-                fold.add(slot, seed);
-            }
-            Acc::Hash { map } => fold.add(map.entry(b).or_default(), seed),
-        }
+    fn dest(&self, a: u32, b: u32) -> usize {
+        self.read_part.owner_of(self.placement.home(a, b, self.lengths))
     }
+}
 
-    /// Emit `(b, seeds)` in ascending `b`, then reset for the next row.
-    fn drain(&mut self, mut f: impl FnMut(u32, &[SharedSeed])) {
-        match self {
-            Acc::Dense { slots, touched } => {
-                touched.sort_unstable();
-                for &b in touched.iter() {
-                    f(b, &slots[b as usize]);
-                }
-                for &b in touched.iter() {
-                    slots[b as usize].clear();
-                }
-                touched.clear();
-            }
-            Acc::Hash { map } => {
-                let mut keys: Vec<u32> = map.keys().copied().collect();
-                keys.sort_unstable();
-                for b in keys {
-                    f(b, &map[&b]);
-                }
-                map.clear();
+/// Scratch of the Gustavson row passes. The engine makes one per executor
+/// worker and reuses it for every batch of both phases, so neither the
+/// O(reads) dense index nor the seed lists are allocated per block.
+#[derive(Debug, Default)]
+struct RowScratch {
+    /// Dense index, one slot per global read, all zero between rows: a
+    /// candidate's instance count while a row is counted, 1 + its
+    /// position in `touched` while one is expanded.
+    slot: Vec<u32>,
+    /// The hash accumulator's index: candidate → position in `touched`.
+    map: HashMap<u32, u32>,
+    /// The current row's candidates with the index of their seed list,
+    /// in first-touch order until the row is drained in ascending `b`.
+    touched: Vec<(u32, u32)>,
+    /// The current row's seed lists; their capacity outlives the row.
+    lists: Vec<Vec<SharedSeed>>,
+}
+
+impl RowScratch {
+    fn with_dense_index(&mut self, n_reads: usize) -> &mut Self {
+        if self.slot.len() < n_reads {
+            self.slot.resize(n_reads, 0);
+        }
+        self
+    }
+}
+
+/// Every cross-read instance of row `r` as `(b, seed)`, in row-entry
+/// (column) order.
+#[inline]
+fn for_each_instance(csr: &ReadKmerCsr, r: usize, mut f: impl FnMut(u32, SharedSeed)) {
+    let a = csr.row_read(r);
+    for e in csr.row(r) {
+        for occ in csr.col(e.col) {
+            // Strictly upper triangular: the smaller read's row owns the
+            // pair, so each cross-read occurrence pair is produced exactly
+            // once (same-read occurrence pairs witness no overlap and are
+            // skipped by `occ.read == a`).
+            if occ.read > a {
+                f(occ.read, SharedSeed { a_pos: e.pos, b_pos: occ.pos, reverse: e.strand != occ.strand });
             }
         }
     }
+}
+
+/// The symbolic pass over `rows`: `record(row, dest, len)` for every record
+/// the numeric pass will write, in its order. Returns the instances
+/// enumerated.
+fn count_rows(
+    csr: &ReadKmerCsr,
+    rows: Range<usize>,
+    route: Route<'_>,
+    fold: SeedFold,
+    scratch: &mut RowScratch,
+    mut record: impl FnMut(usize, usize, usize),
+) -> u64 {
+    let RowScratch { slot, touched, .. } = scratch.with_dense_index(route.read_part.n_reads());
+    let mut instances = 0u64;
+    for r in rows {
+        for_each_instance(csr, r, |b, _| {
+            let n = &mut slot[b as usize];
+            if *n == 0 {
+                touched.push((b, 0));
+            }
+            *n += 1;
+        });
+        touched.sort_unstable();
+        for (b, _) in touched.drain(..) {
+            let n = std::mem::take(&mut slot[b as usize]) as usize;
+            instances += n as u64;
+            let len = RECORD_HEADER_BYTES + SEED_BYTES * fold.kept_len(n);
+            record(r, route.dest(csr.row_read(r), b), len);
+        }
+    }
+    instances
+}
+
+/// The numeric pass over `rows`: `record(row, pair, seeds)` for every pair
+/// of each row in ascending `b`, the seeds accumulated under `fold`.
+/// Returns the instances enumerated.
+fn expand_rows(
+    csr: &ReadKmerCsr,
+    rows: impl Iterator<Item = usize>,
+    dense: bool,
+    fold: SeedFold,
+    scratch: &mut RowScratch,
+    mut record: impl FnMut(usize, ReadPair, &[SharedSeed]),
+) -> u64 {
+    let RowScratch { slot, map, touched, lists } = scratch;
+    let mut instances = 0u64;
+    for r in rows {
+        for_each_instance(csr, r, |b, seed| {
+            instances += 1;
+            let new = touched.len() as u32;
+            let at = if dense {
+                let s = &mut slot[b as usize];
+                if *s == 0 {
+                    touched.push((b, new));
+                    *s = new + 1;
+                }
+                *s - 1
+            } else {
+                *map.entry(b).or_insert_with(|| {
+                    touched.push((b, new));
+                    new
+                })
+            } as usize;
+            if at == lists.len() {
+                lists.push(Vec::new());
+            }
+            fold.add(&mut lists[at], seed);
+        });
+        touched.sort_unstable();
+        for (b, at) in touched.drain(..) {
+            let seeds = &mut lists[at as usize];
+            record(r, ReadPair { a: csr.row_read(r), b }, seeds);
+            seeds.clear();
+            if dense {
+                slot[b as usize] = 0;
+            }
+        }
+        map.clear();
+    }
+    instances
 }
 
 /// Expand row range `rows` of the `A·Aᵀ` product into per-destination
-/// pair records, each pair's seeds accumulated under `fold` — one executor
-/// batch of the SpGEMM engine, also driven directly by the
-/// `spgemm_rows_per_sec` bench. Deterministic: identical bytes for every
-/// accumulator variant and thread count.
+/// pair records, each pair's seeds accumulated under `fold`. Packing every
+/// row this way yields the whole product — the oracle the streamed engine
+/// is tested against, and what the `spgemm_rows_per_sec` bench drives.
+/// Deterministic: identical bytes for every accumulator variant.
 #[allow(clippy::too_many_arguments)]
 pub fn pack_row_block(
     csr: &ReadKmerCsr,
@@ -199,38 +335,37 @@ pub fn pack_row_block(
     acc_kind: SpgemmAccumulator,
     fold: SeedFold,
 ) -> SpgemmBlockOut {
-    let mut out = SpgemmBlockOut {
-        bufs: vec![Vec::new(); ranks],
-        lens: vec![Vec::new(); ranks],
-        ..Default::default()
-    };
-    let mut acc = Acc::new(acc_kind, csr, &rows, read_part.n_reads());
-    for r in rows {
-        let a = csr.row_read(r);
-        for e in csr.row(r) {
-            for occ in csr.col(e.col) {
-                // Strictly upper triangular: the smaller read's row owns
-                // the pair, so each cross-read occurrence pair is produced
-                // exactly once (same-read occurrence pairs witness no
-                // overlap and are skipped by `occ.read == a`).
-                if occ.read > a {
-                    out.instances += 1;
-                    acc.add(
-                        fold,
-                        occ.read,
-                        SharedSeed { a_pos: e.pos, b_pos: occ.pos, reverse: e.strand != occ.strand },
-                    );
-                }
-            }
-        }
-        acc.drain(|b, seeds| {
-            let dest = read_part.owner_of(placement.home(a, b, lengths));
-            let len = write_pair_record(&mut out.bufs[dest], ReadPair { a, b }, seeds);
-            out.lens[dest].push(len);
-            out.records += 1;
-            out.seeds += seeds.len() as u64;
-        });
-    }
+    let route = Route { read_part, placement, lengths };
+    let mut out = SpgemmBlockOut::for_ranks(ranks);
+    let dense = acc_kind.is_dense(csr, &rows, read_part.n_reads());
+    let mut scratch = RowScratch::default();
+    let scratch = scratch.with_dense_index(read_part.n_reads());
+    let instances = expand_rows(csr, rows, dense, fold, scratch, |_, pair, seeds| {
+        let dest = route.dest(pair.a, pair.b);
+        let len = write_pair_record(&mut out.bufs[dest], pair, seeds);
+        out.count(dest, len);
+    });
+    out.instances = instances;
+    out
+}
+
+/// The symbolic twin of [`pack_row_block`]: the same record lengths and
+/// counters from a count-only pass — no seed lists, no bytes (`bufs` stays
+/// empty). Exact for [`SeedFold::All`] and `Smallest(1)`; see
+/// [`SeedFold::kept_len`].
+pub fn count_row_block(
+    csr: &ReadKmerCsr,
+    rows: Range<usize>,
+    read_part: &ReadPartition,
+    placement: TaskPlacement,
+    lengths: Option<&[u32]>,
+    ranks: usize,
+    fold: SeedFold,
+) -> SpgemmBlockOut {
+    let route = Route { read_part, placement, lengths };
+    let mut out = SpgemmBlockOut::for_ranks(ranks);
+    let mut scratch = RowScratch::default();
+    out.instances = count_rows(csr, rows, route, fold, &mut scratch, |_, dest, len| out.count(dest, len));
     out
 }
 
@@ -283,9 +418,251 @@ pub fn decode_pair_records(buf: &[u8], mut f: impl FnMut(ReadPair, RecordSeeds<'
     records
 }
 
-/// The SpGEMM engine's source half: build the CSR, expand row blocks on
-/// the executor, plan the variable-length record stream with
-/// [`ByteRounds`] and hand it to the exchange both engines share.
+/// Most executor batches one round's row span is cut into (and the whole
+/// matrix, for the symbolic pass) — the pairs engine's
+/// [`FOLD_BATCHES_PER_ROUND`](crate::stage::FOLD_BATCHES_PER_ROUND), for
+/// the same reason: when a round is a handful of heavy rows, cutting it
+/// by `spgemm_block` alone would leave one batch and one busy worker.
+const BATCHES_PER_ROUND: usize = 64;
+
+/// Batches of a round expanded between two merges into the round's
+/// buffers. A wave's records exist twice until they are merged, so with
+/// [`BATCHES_PER_ROUND`] batches to a round this holds an eighth of a round
+/// extra, not a whole one.
+const WAVE_BATCHES: usize = 8;
+
+/// Rows per executor batch over a span of `span` rows: at most `block`,
+/// fewer once that would leave under [`BATCHES_PER_ROUND`] batches. A pure
+/// function of the input — never of the thread count.
+fn batch_rows(span: usize, block: usize) -> usize {
+    block.min(span.div_ceil(BATCHES_PER_ROUND)).max(1)
+}
+
+/// Row scratch checked out by executor batches and returned when they
+/// finish: no more are ever made than batches run at once, one per worker.
+#[derive(Default)]
+struct ScratchPool(Mutex<Vec<RowScratch>>);
+
+impl ScratchPool {
+    fn with<R>(&self, f: impl FnOnce(&mut RowScratch) -> R) -> R {
+        // The lock is never held while a batch runs, so a panicking batch
+        // cannot poison it.
+        let mut scratch = self.0.lock().expect("pool lock").pop().unwrap_or_default();
+        let out = f(&mut scratch);
+        self.0.lock().expect("pool lock").push(scratch);
+        out
+    }
+}
+
+/// What the engine's passes share.
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    csr: &'a ReadKmerCsr,
+    route: Route<'a>,
+    fold: SeedFold,
+    /// `OverlapConfig::spgemm_block`, the most rows per executor batch.
+    block: usize,
+    exec: &'a BatchedExecutor,
+    pool: &'a ScratchPool,
+}
+
+/// The symbolic pass's product: everything the numeric pass and the
+/// watermarks need to know about the record streams, at a few words per
+/// *record* — never per seed.
+struct RowPlan {
+    /// Per destination, the length of every record in send order.
+    lens: Vec<Vec<usize>>,
+    /// Per destination, `(row, end)` for each row that sends it anything:
+    /// the offset within the destination's stream at which that row's
+    /// records end. Ascending in both fields.
+    row_ends: Vec<Vec<(usize, usize)>>,
+}
+
+impl Product<'_> {
+    /// Count the whole product: the record geometry and the source-side
+    /// counters, which the numeric pass then has no need to keep.
+    fn count(&self, ranks: usize) -> (RowPlan, OverlapCounters) {
+        let mut plan = RowPlan { lens: vec![Vec::new(); ranks], row_ends: vec![Vec::new(); ranks] };
+        let mut counters = OverlapCounters::default();
+        let n_rows = self.csr.n_rows();
+        let batch = batch_rows(n_rows, self.block);
+        self.exec.map_indexed_into(
+            n_rows.div_ceil(batch),
+            |i| {
+                let rows = i * batch..((i + 1) * batch).min(n_rows);
+                let mut records = Vec::new();
+                let instances = self.pool.with(|scratch| {
+                    count_rows(self.csr, rows, self.route, self.fold, scratch, |r, dest, len| {
+                        records.push((r, dest, len))
+                    })
+                });
+                (records, instances)
+            },
+            |(records, instances)| {
+                counters.pairs_emitted += instances;
+                counters.candidate_pairs_emitted += records.len() as u64;
+                for (r, dest, len) in records {
+                    counters.seeds_shipped += ((len - RECORD_HEADER_BYTES) / SEED_BYTES) as u64;
+                    plan.lens[dest].push(len);
+                    let ends = &mut plan.row_ends[dest];
+                    match ends.last_mut() {
+                        Some((row, end)) if *row == r => *end += len,
+                        last => {
+                            let start = last.map_or(0, |&mut (_, end)| end);
+                            ends.push((r, start + len));
+                        }
+                    }
+                }
+            },
+        );
+        (plan, counters)
+    }
+}
+
+/// The numeric pass as a stream: the planned rounds and, per destination,
+/// how far the rows have been expanded and shipped.
+struct RowStream<'a> {
+    product: Product<'a>,
+    split: ByteRounds,
+    row_ends: Vec<Vec<(usize, usize)>>,
+    /// Per destination, the first row not yet expanded for it and the
+    /// offset in its stream at which the expanded rows' records end.
+    expanded: Vec<(usize, usize)>,
+    /// Per destination, bytes expanded but not yet shipped: what the last
+    /// expanded row emitted past the end of the last packed round.
+    carry: Vec<Vec<u8>>,
+}
+
+impl<'a> RowStream<'a> {
+    /// Count the product and cut its record streams into rounds of at
+    /// most `cap` bytes. Returns the stream, positioned before round 0,
+    /// and the source-side counters.
+    fn plan(product: Product<'a>, ranks: usize, cap: usize) -> (Self, OverlapCounters) {
+        let (RowPlan { lens, row_ends }, counters) = product.count(ranks);
+        let split = ByteRounds::plan(&lens, cap);
+        let stream = Self {
+            product,
+            split,
+            row_ends,
+            expanded: vec![(0, 0); ranks],
+            carry: vec![Vec::new(); ranks],
+        };
+        (stream, counters)
+    }
+
+    /// Read ID of the row holding the record at `offset` of `dest`'s
+    /// stream — the smallest `a` still to come once everything before
+    /// `offset` is shipped; `u32::MAX` (no pair has `a = u32::MAX < b`)
+    /// past the end.
+    fn read_at(&self, dest: usize, offset: usize) -> u32 {
+        let ends = &self.row_ends[dest];
+        let at = ends.partition_point(|&(_, end)| end <= offset);
+        ends.get(at).map_or(u32::MAX, |&(row, _)| self.product.csr.row_read(row))
+    }
+
+    /// Per destination, this source's watermark steps: `(round, a)` says
+    /// that every record shipped to it in `round` or later has a first
+    /// read `≥ a`. One step at round 0 and one after each round that
+    /// ships the destination anything.
+    fn watermarks(&self) -> Vec<Vec<(u64, u32)>> {
+        let mut steps: Vec<Vec<(u64, u32)>> =
+            (0..self.carry.len()).map(|dest| vec![(0, self.read_at(dest, 0))]).collect();
+        for round in 0..self.split.len() as u64 {
+            for (dest, range) in self.split.segments(round) {
+                steps[*dest].push((round + 1, self.read_at(*dest, range.end)));
+            }
+        }
+        steps
+    }
+
+    /// Pack round `round`: expand the rows its byte ranges reach past what
+    /// is carried, ship exactly the planned bytes, carry the rest.
+    fn pack(&mut self, round: u64) -> Vec<Vec<u8>> {
+        let Product { csr, route, fold, block, exec, pool } = self.product;
+        let ranks = self.carry.len();
+        let segments = self.split.segments(round);
+
+        // Rows each destination needs expanded: from where it stopped
+        // through the row in which this round's range ends.
+        let mut wants: Vec<Range<usize>> = vec![0..0; ranks];
+        for (dest, range) in segments {
+            let carry = &mut self.carry[*dest];
+            if range.start + carry.len() < range.end {
+                let ends = &self.row_ends[*dest];
+                let (last, end) = ends[ends.partition_point(|&(_, end)| end < range.end)];
+                wants[*dest] = self.expanded[*dest].0..last + 1;
+                self.expanded[*dest] = (last + 1, end);
+                carry.reserve_exact(end - range.start - carry.len());
+            }
+        }
+        let wanted = |r: &usize| wants.iter().any(|w| w.contains(r));
+        let lo = wants.iter().filter(|w| !w.is_empty()).map(|w| w.start).min().unwrap_or(0);
+        let hi = wants.iter().map(|w| w.end).max().unwrap_or(0).max(lo);
+        let batch = batch_rows(hi - lo, block);
+        let n_reads = route.read_part.n_reads();
+        let n_batches = (hi - lo).div_ceil(batch);
+        let expand = |i: usize| {
+            let rows = lo + i * batch..(lo + (i + 1) * batch).min(hi);
+            let dense = SpgemmAccumulator::Auto.is_dense(csr, &rows, n_reads);
+            let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); ranks];
+            pool.with(|scratch| {
+                let scratch = scratch.with_dense_index(n_reads);
+                expand_rows(csr, rows.filter(wanted), dense, fold, scratch, |r, pair, seeds| {
+                    let dest = route.dest(pair.a, pair.b);
+                    if wants[dest].contains(&r) {
+                        write_pair_record(&mut bufs[dest], pair, seeds);
+                    }
+                });
+            });
+            bufs
+        };
+        for wave in (0..n_batches).step_by(WAVE_BATCHES) {
+            for bufs in exec.map_indexed(WAVE_BATCHES.min(n_batches - wave), |i| expand(wave + i)) {
+                for (carry, bytes) in self.carry.iter_mut().zip(bufs) {
+                    carry.extend_from_slice(&bytes);
+                }
+            }
+        }
+
+        let mut out: Vec<Vec<u8>> = vec![Vec::new(); ranks];
+        for (dest, range) in segments {
+            let carry = &mut self.carry[*dest];
+            // The plan was cut from counted lengths; the rows must have
+            // produced exactly those bytes, in every build profile.
+            assert_eq!(
+                range.start + carry.len(),
+                self.expanded[*dest].1,
+                "destination {dest}, round {round}: the expanded rows disagree with the symbolic pass"
+            );
+            let rest = carry.split_off(range.len());
+            out[*dest] = std::mem::replace(carry, rest);
+        }
+        out
+    }
+}
+
+/// One source's watermark toward this rank, advanced round by round.
+struct Watermark {
+    steps: Vec<(u64, u32)>,
+    at: usize,
+}
+
+impl Watermark {
+    /// The smallest `a` the source may still send once `round` is consumed.
+    fn after(&mut self, round: u64) -> u32 {
+        while self.steps.get(self.at + 1).is_some_and(|&(from, _)| from <= round + 1) {
+            self.at += 1;
+        }
+        self.steps[self.at].1
+    }
+}
+
+/// The SpGEMM engine: build the CSR, count the product, plan the rounds,
+/// swap watermarks, then stream — expanding a round of rows while the
+/// previous one is in flight and finishing every pair below the minimum
+/// watermark as soon as the round is consumed. Finished pairs go to
+/// `finish` in pair order; the source-side and exchange counters come back.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn spgemm_exchange(
     comm: &Comm,
     table: &KmerHashTable,
@@ -294,45 +671,42 @@ pub(crate) fn spgemm_exchange(
     lengths: Option<&[u32]>,
     exec: &BatchedExecutor,
     fold: SeedFold,
-) -> (PairSeeds, OverlapCounters) {
-    let p = comm.size();
+    finish: &mut dyn FnMut(SortedPairs),
+) -> OverlapCounters {
+    let ranks = comm.size();
     let csr = ReadKmerCsr::from_table(table);
-    let block = cfg.spgemm_block.max(1);
-    let n_blocks = csr.n_rows().div_ceil(block);
+    let pool = ScratchPool::default();
+    let product = Product {
+        csr: &csr,
+        route: Route { read_part, placement: cfg.placement, lengths },
+        fold,
+        block: cfg.spgemm_block.max(1),
+        exec,
+        pool: &pool,
+    };
+    let (mut stream, mut counters) = RowStream::plan(product, ranks, cfg.max_exchange_bytes_per_round);
 
-    // Row blocks are the parallel decomposition: fixed-size cuts of the
-    // row axis, expanded independently and merged in block order — the
-    // record stream is bit-identical at any thread count.
-    let parts = exec.map_indexed(n_blocks, |bi| {
-        let lo = bi * block;
-        let hi = (lo + block).min(csr.n_rows());
-        let acc = SpgemmAccumulator::Auto;
-        pack_row_block(&csr, lo..hi, read_part, cfg.placement, lengths, p, acc, fold)
-    });
-    let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); p];
-    let mut lens: Vec<Vec<usize>> = vec![Vec::new(); p];
-    let mut counters = OverlapCounters::default();
-    for part in parts {
-        counters.pairs_emitted += part.instances;
-        counters.candidate_pairs_emitted += part.records;
-        counters.seeds_shipped += part.seeds;
-        for (dest, bytes) in bufs.iter_mut().zip(part.bufs) {
-            if dest.is_empty() {
-                *dest = bytes;
-            } else {
-                dest.extend_from_slice(&bytes);
-            }
-        }
-        for (dest, l) in lens.iter_mut().zip(part.lens) {
-            dest.extend_from_slice(&l);
-        }
-    }
-
-    let split = ByteRounds::plan(&lens, cfg.max_exchange_bytes_per_round);
-    let pairs;
-    (pairs, counters.seeds_received, counters.rounds) =
-        exchange_records(comm, split.round_plan(), fold, |round| split.pack(round, &bufs));
-    (pairs, counters)
+    // Every source tells every destination, once, how its stream to that
+    // destination will advance; nothing more is agreed per round.
+    let mut sources: Vec<Watermark> = comm
+        .alltoall(stream.watermarks())
+        .into_iter()
+        .map(|steps| Watermark { steps, at: 0 })
+        .collect();
+    let plan = stream.split.round_plan();
+    let got = exchange_records(
+        comm,
+        plan,
+        fold,
+        |round| stream.pack(round),
+        |round| sources.iter_mut().map(|s| s.after(round)).min().expect("a world has a rank"),
+        finish,
+    );
+    assert!(stream.carry.iter().all(Vec::is_empty), "rows expanded past the last planned round");
+    counters.seeds_received = got.seeds;
+    counters.rounds = got.rounds;
+    counters.peak_seeds_pending = got.peak_pending;
+    counters
 }
 
 #[cfg(test)]
@@ -567,5 +941,138 @@ mod tests {
         let mut buf = one_record();
         buf[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         decode_pair_records(&buf, |_, _| {});
+    }
+
+    /// A table dense enough to stream: `n_kmers` distinct 9-mers, each
+    /// at 2–8 pseudo-random (read, position, strand) occurrences.
+    fn random_table(n_reads: u32, n_kmers: usize, seed: u64) -> KmerHashTable {
+        let mut state = seed | 1;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let c = KcountConfig { k: 9, max_multiplicity: 64, ..kc() };
+        let mut t = KmerHashTable::with_capacity(n_kmers);
+        while t.len() < n_kmers {
+            let ascii: Vec<u8> = (0..9).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
+            let km = Kmer1::from_ascii(&ascii).unwrap();
+            if t.contains(&km) {
+                continue;
+            }
+            t.insert_key(km);
+            for _ in 0..2 + rnd() % 7 {
+                let strand = if rnd() % 2 == 0 { Strand::Forward } else { Strand::Reverse };
+                let o = occ((rnd() % n_reads as u64) as u32, (rnd() % 5_000) as u32, strand);
+                assert!(t.record_occurrence(&km, o, &c));
+            }
+        }
+        t
+    }
+
+    /// Tentpole invariant, at the source: for every rank count, thread
+    /// count, block size, fold and cap — down to one record per round —
+    /// the streamed engine's round `r` is byte for byte round `r` of
+    /// `ByteRounds::plan` over the fully packed product, its counters are
+    /// the product's, and nothing is left over after the last round.
+    #[test]
+    fn streamed_rounds_equal_the_rounds_of_the_packed_product() {
+        const N_READS: u32 = 60;
+        let table = random_table(N_READS, 1_500, 0x5EED_0F57);
+        let csr = ReadKmerCsr::from_table(&table);
+        let pool = ScratchPool::default();
+        for ranks in [1usize, 2, 4] {
+            let per = N_READS as usize / ranks;
+            let part = ReadPartition::from_counts(&vec![per; ranks]);
+            for fold in [SeedFold::All, SeedFold::Smallest(1)] {
+                let placement = TaskPlacement::Parity;
+                let acc = SpgemmAccumulator::Auto;
+                let oracle = pack_row_block(&csr, 0..csr.n_rows(), &part, placement, None, ranks, acc, fold);
+                assert!(oracle.records > 1_000, "{} records", oracle.records);
+                for cap in [usize::MAX, 64 << 10, 4 << 10, 8] {
+                    let want = ByteRounds::plan(&oracle.lens, cap);
+                    let total: usize = oracle.bufs.iter().map(Vec::len).sum();
+                    match cap {
+                        usize::MAX => assert_eq!(want.len(), 1),
+                        8 => assert_eq!(want.len() as u64, oracle.records, "one record per round"),
+                        cap => assert!(want.len() >= total / cap, "{} rounds", want.len()),
+                    }
+                    for (threads, block) in [(1usize, 64usize), (2, 64), (4, 64), (1, 1), (4, 7)] {
+                        let at = format!("ranks={ranks} {fold:?} cap={cap} threads={threads} block={block}");
+                        let exec = BatchedExecutor::new(threads);
+                        let product = Product {
+                            csr: &csr,
+                            route: Route { read_part: &part, placement, lengths: None },
+                            fold,
+                            block,
+                            exec: &exec,
+                            pool: &pool,
+                        };
+                        let (mut stream, counters) = RowStream::plan(product, ranks, cap);
+                        assert_eq!(stream.split.len(), want.len(), "{at}");
+                        assert_eq!(
+                            (counters.pairs_emitted, counters.candidate_pairs_emitted, counters.seeds_shipped),
+                            (oracle.instances, oracle.records, oracle.seeds),
+                            "{at}"
+                        );
+                        // Two rounds past the plan: the tail a rank ships
+                        // when the world agreed on more rounds than it needs.
+                        for round in 0..want.len() as u64 + 2 {
+                            assert_eq!(stream.pack(round), want.pack(round, &oracle.bufs), "round {round} {at}");
+                        }
+                        assert!(stream.carry.iter().all(Vec::is_empty), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The watermark a source publishes is exact: after every round, to
+    /// every destination, it is the `a` of the next record that destination
+    /// will be sent (`u32::MAX` when there is none) — so it never falls, no
+    /// later record undercuts it, and the straddling row is all that stays
+    /// pending.
+    #[test]
+    fn watermarks_name_the_next_record_of_every_stream() {
+        let table = random_table(40, 600, 0xAA7E_12A2);
+        let csr = ReadKmerCsr::from_table(&table);
+        let (ranks, pool, exec) = (3usize, ScratchPool::default(), BatchedExecutor::sequential());
+        let part = ReadPartition::from_counts(&[14, 13, 13]);
+        for cap in [usize::MAX, 2 << 10, 8] {
+            let product = Product {
+                csr: &csr,
+                route: Route { read_part: &part, placement: TaskPlacement::Parity, lengths: None },
+                fold: SeedFold::All,
+                block: 4,
+                exec: &exec,
+                pool: &pool,
+            };
+            let (mut stream, _) = RowStream::plan(product, ranks, cap);
+            let rounds = stream.split.len() as u64;
+            let mut marks: Vec<Watermark> =
+                stream.watermarks().into_iter().map(|steps| Watermark { steps, at: 0 }).collect();
+            // first_a[dest][round]: the first read of each record shipped.
+            let mut shipped: Vec<Vec<Vec<u32>>> = vec![Vec::new(); ranks];
+            for round in 0..rounds {
+                for (dest, buf) in stream.pack(round).iter().enumerate() {
+                    let mut firsts = Vec::new();
+                    decode_pair_records(buf, |pair, _| firsts.push(pair.a));
+                    shipped[dest].push(firsts);
+                }
+            }
+            for dest in 0..ranks {
+                assert!(shipped[dest].iter().flatten().is_sorted(), "stream {dest} ascends in a");
+                let mut last = 0u32;
+                for round in 0..rounds {
+                    let mark = marks[dest].after(round);
+                    assert!(mark >= last, "watermark fell: cap={cap} dest={dest} round={round}");
+                    last = mark;
+                    let next = shipped[dest][round as usize + 1..].iter().flatten().next();
+                    assert_eq!(mark, next.copied().unwrap_or(u32::MAX), "cap={cap} dest={dest} round={round}");
+                }
+                assert_eq!(marks[dest].after(rounds + 5), u32::MAX);
+            }
+        }
     }
 }

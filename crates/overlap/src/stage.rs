@@ -23,6 +23,22 @@
 //! ship through the one exchange (`exchange_records`) and feed the one
 //! chain → policy epilogue, and both produce bit-identical alignments.
 //!
+//! The order decides **what a destination must hold**. `exchange_records`
+//! folds each round's arrivals into per-pair lists and, after every
+//! round, asks the engine below which `a` every later record's pair
+//! `(a, b)` is guaranteed to start; pairs under that bound are complete,
+//! go through the epilogue at once — in pair order, because the bound
+//! only rises — and their lists are freed. Rows of `A·Aᵀ` leave every
+//! source in ascending `a`, so the SpGEMM engine can promise a bound after
+//! each round (its watermark rule, [`crate::spgemm`]) and a destination
+//! holds about one round of seeds per source. Algorithm 1 meets a pair's
+//! k-mers in table order, scattered over all rounds, so the pairs engine
+//! can promise nothing before the last round: under `SeedFold::All` it
+//! holds every seed it receives until then (under `Smallest(1)` one seed
+//! per pair, which is why that engine is cheap exactly where the fold
+//! collapses the lists). [`OverlapCounters::peak_seeds_pending`] reports
+//! the figure for either engine.
+//!
 //! | policy | chain filter | fold | a pair sharing *m* k-mers leaves a source as |
 //! |---|---|---|---|
 //! | `Single` | off | `Smallest(1)` | one 20-byte record per round it occurs in (`pairs`) or one in all (`spgemm`) |
@@ -45,10 +61,11 @@
 //! equals one sequential fold of the round, so the record stream is a pure
 //! function of the table at any thread count (and downstream sort/dedup
 //! makes the *output* independent even of the table's iteration order).
-//! The shared epilogue runs on the same executor: the consolidated pairs,
-//! sorted by [`ReadPair`], are cut into fixed batches whose seed lists are
-//! canonicalized, chained and policy-filtered in place, and tasks and
-//! counters merge in batch order.
+//! The shared epilogue runs on the same executor: each run of completed
+//! pairs, sorted by [`ReadPair`], is cut into fixed batches whose seed
+//! lists are canonicalized, chained and policy-filtered in place, and
+//! tasks and counters merge in batch order — every pair is finished on
+//! its own, so how the pairs were split into runs changes nothing.
 
 use crate::chain::{chain_seeds, ChainConfig};
 use crate::policy::{SeedFold, SeedPolicy};
@@ -204,18 +221,35 @@ impl PairSeeds {
         Self { fold, map: HashMap::default() }
     }
 
-    /// Fold `seeds` into `pair`'s list, in order.
+    /// Fold `seeds` into `pair`'s list, in order. Returns how much the list
+    /// grew — a fold never shrinks one.
     #[inline]
-    pub fn extend(&mut self, pair: ReadPair, seeds: impl IntoIterator<Item = SharedSeed>) {
-        self.fold.extend(self.map.entry(pair).or_default(), seeds);
+    pub fn extend(&mut self, pair: ReadPair, seeds: impl IntoIterator<Item = SharedSeed>) -> usize {
+        let kept = self.map.entry(pair).or_default();
+        let before = kept.len();
+        self.fold.extend(kept, seeds);
+        kept.len() - before
+    }
+
+    /// Remove the lists of every pair with `a < bound`; sorted by pair.
+    /// One pass over the whole map, so callers ask only when `bound` moved.
+    pub fn take_below(&mut self, bound: u32) -> SortedPairs {
+        sorted(self.map.extract_if(|pair, _| pair.a < bound).collect())
     }
 
     /// The folded lists, sorted by pair.
-    pub fn into_sorted(self) -> Vec<(ReadPair, Vec<SharedSeed>)> {
-        let mut pairs: Vec<_> = self.map.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(pair, _)| pair);
-        pairs
+    pub fn into_sorted(self) -> SortedPairs {
+        sorted(self.map.into_iter().collect())
     }
+}
+
+/// Pairs with their folded seed lists, ascending by pair — what the
+/// epilogue consumes.
+pub type SortedPairs = Vec<(ReadPair, Vec<SharedSeed>)>;
+
+fn sorted(mut pairs: SortedPairs) -> SortedPairs {
+    pairs.sort_unstable_by_key(|&(pair, _)| pair);
+    pairs
 }
 
 /// Algorithm 1's nested loop as an index space: the table's entries in
@@ -323,6 +357,14 @@ pub struct OverlapCounters {
     /// `SeedFold::Smallest` — the shipped and received seeds may
     /// legitimately differ between them under a byte cap.
     pub rounds: u64,
+    /// Most seeds this rank held in unfinished per-pair lists, measured
+    /// after each round's arrivals are folded and before the pairs that
+    /// round completed are finished. The SpGEMM engine finishes pairs
+    /// round by round, so under a cap this is about one round of seeds
+    /// per source; the pairs engine's table order completes nothing before
+    /// the last round, so it is every seed the fold kept. Physical, like
+    /// `rounds`; with one round the engines agree.
+    pub peak_seeds_pending: u64,
 }
 
 impl OverlapCounters {
@@ -371,37 +413,58 @@ pub fn overlap_stage_with_lengths(
     exec: &BatchedExecutor,
 ) -> OverlapOutput {
     let fold = cfg.policy.source_keep(cfg.chain.is_some());
-    // Each engine returns the per-pair lists as folded on arrival and the
-    // counters of both halves of its exchange.
-    let (pairs, mut counters) = match cfg.engine {
-        OverlapEngine::Pairs => pairs_exchange(comm, table, read_part, cfg, lengths, exec, fold),
-        OverlapEngine::Spgemm => spgemm_exchange(comm, table, read_part, cfg, lengths, exec, fold),
-    };
-    counters.retained_kmers = table.len() as u64;
-
-    // ---- chain, filter seeds, emit deterministic task list ---------------
     // Shared epilogue: both engines deliver per-pair lists the policy
-    // cannot tell apart, so everything from here on is engine-independent.
-    // The batches are fixed cuts of the pairs sorted by `ReadPair` — a
-    // pure function of the input — and concatenating batch results in
-    // batch order leaves the tasks sorted by pair.
-    let mut pairs = pairs.into_sorted();
-    let parts =
-        exec.map_batches_mut(&mut pairs, EPILOGUE_BATCH_PAIRS, |batch| finish_pairs(batch, cfg));
-    let mut tasks: Vec<OverlapTask> = Vec::with_capacity(pairs.len());
-    for (batch_tasks, chain_dropped) in parts {
-        counters.pairs_consolidated += batch_tasks.len() as u64;
-        counters.seeds_kept += batch_tasks.iter().map(|t| t.seeds.len() as u64).sum::<u64>();
-        counters.pairs_chain_dropped += chain_dropped;
-        tasks.extend(batch_tasks);
-    }
-
+    // cannot tell apart, in pair order, as they complete — the SpGEMM
+    // engine round by round, the pairs engine all at the end — so
+    // everything behind `finish` is engine-independent.
+    let mut epilogue = Epilogue { cfg, exec, tasks: Vec::new(), counters: OverlapCounters::default() };
+    let finish = &mut |pairs: SortedPairs| epilogue.finish(pairs);
+    let source = match cfg.engine {
+        OverlapEngine::Pairs => pairs_exchange(comm, table, read_part, cfg, lengths, exec, fold, finish),
+        OverlapEngine::Spgemm => spgemm_exchange(comm, table, read_part, cfg, lengths, exec, fold, finish),
+    };
+    let Epilogue { tasks, counters: finished, .. } = epilogue;
+    let counters = OverlapCounters {
+        retained_kmers: table.len() as u64,
+        pairs_consolidated: finished.pairs_consolidated,
+        seeds_kept: finished.seeds_kept,
+        pairs_chain_dropped: finished.pairs_chain_dropped,
+        ..source
+    };
     OverlapOutput { tasks, counters }
 }
 
 /// Consolidated pairs per executor batch of the shared epilogue. A pure
 /// function of the input — never of the thread count.
 const EPILOGUE_BATCH_PAIRS: usize = 64;
+
+/// The chain → policy epilogue, fed completed pairs in pair order — in one
+/// call or many — and accumulating the task list and its three counters.
+struct Epilogue<'a> {
+    cfg: &'a OverlapConfig,
+    exec: &'a BatchedExecutor,
+    tasks: Vec<OverlapTask>,
+    counters: OverlapCounters,
+}
+
+impl Epilogue<'_> {
+    /// Finish `pairs` — each one's seed list is complete — on the
+    /// executor. The batches are fixed cuts of the sorted pairs and every
+    /// pair is finished on its own, so concatenating batch results in
+    /// batch order leaves the tasks sorted by pair however the pairs were
+    /// split over calls.
+    fn finish(&mut self, mut pairs: SortedPairs) {
+        let parts = self
+            .exec
+            .map_batches_mut(&mut pairs, EPILOGUE_BATCH_PAIRS, |batch| finish_pairs(batch, self.cfg));
+        for (batch_tasks, chain_dropped) in parts {
+            self.counters.pairs_consolidated += batch_tasks.len() as u64;
+            self.counters.seeds_kept += batch_tasks.iter().map(|t| t.seeds.len() as u64).sum::<u64>();
+            self.counters.pairs_chain_dropped += chain_dropped;
+            self.tasks.extend(batch_tasks);
+        }
+    }
+}
 
 /// One epilogue batch: canonicalize, chain and policy-filter each pair's
 /// seed list, taking the lists out of `batch` rather than copying them.
@@ -424,36 +487,69 @@ fn finish_pairs(
             }
         }
         cfg.policy.apply(&mut seeds, cfg.max_seeds_per_pair);
+        // A task outlives the stage; the list it was cut from must not.
+        // Copying the survivors out frees that block whole, where shrinking
+        // it in place would pin its head under the task until stage 4 ends.
+        let seeds = if seeds.capacity() > seeds.len() { seeds.as_slice().into() } else { seeds };
         tasks.push(OverlapTask { pair: *pair, seeds });
     }
     (tasks, chain_dropped)
 }
 
+/// What the destination half of an exchange counted.
+pub(crate) struct Received {
+    /// Seeds received.
+    pub seeds: u64,
+    /// Rounds executed.
+    pub rounds: u64,
+    /// See [`OverlapCounters::peak_seeds_pending`].
+    pub peak_pending: u64,
+}
+
 /// The destination half both engines share: ship `pack`'s pair records
-/// through [`RoundExchange`] and fold each round's arrivals, per pair, with
-/// the fold the sources used. Returns the folded lists, the seeds received
-/// and the executed round count.
+/// through [`RoundExchange`], fold each round's arrivals, per pair, with
+/// the fold the sources used, and hand pairs to `finish` in pair order as
+/// soon as they are complete. `complete_below(round)` is the engine's
+/// promise, once `round` is consumed, that no record of a later round
+/// names a pair with `a` below the value it returns (never falling; 0
+/// promises nothing, which is all the pairs engine's table order can say).
+/// Whatever is left after the last round is complete by definition.
 pub(crate) fn exchange_records(
     comm: &Comm,
     plan: RoundPlan,
     fold: SeedFold,
     pack: impl FnMut(u64) -> Vec<Vec<u8>>,
-) -> (PairSeeds, u64, u64) {
+    mut complete_below: impl FnMut(u64) -> u32,
+    finish: &mut dyn FnMut(SortedPairs),
+) -> Received {
     let mut pairs = PairSeeds::new(fold);
-    let mut received = 0u64;
-    let rounds = RoundExchange::run(comm, plan, pack, |_round, recv| {
+    let (mut seeds, mut pending, mut peak_pending) = (0u64, 0u64, 0u64);
+    let mut finished_below = 0u32;
+    let rounds = RoundExchange::run(comm, plan, pack, |round, recv| {
         for buf in recv {
-            decode_pair_records(&buf, |pair, seeds| {
-                received += seeds.len() as u64;
-                pairs.extend(pair, seeds);
+            decode_pair_records(&buf, |pair, record| {
+                seeds += record.len() as u64;
+                pending += pairs.extend(pair, record) as u64;
             });
         }
+        peak_pending = peak_pending.max(pending);
+        let bound = complete_below(round);
+        if bound > finished_below {
+            finished_below = bound;
+            let done = pairs.take_below(bound);
+            pending -= done.iter().map(|(_, seeds)| seeds.len() as u64).sum::<u64>();
+            finish(done);
+        }
     });
-    (pairs, received, rounds)
+    finish(pairs.into_sorted());
+    Received { seeds, rounds, peak_pending }
 }
 
-/// The `pairs` engine's source half — Algorithm 1's enumeration, folded
-/// per round.
+/// The `pairs` engine — Algorithm 1's enumeration, folded per round. A
+/// pair's k-mers are scattered over the table's iteration order, so no pair
+/// is known complete before the last round and `finish` sees every pair
+/// at the end.
+#[allow(clippy::too_many_arguments)]
 fn pairs_exchange(
     comm: &Comm,
     table: &KmerHashTable,
@@ -462,7 +558,8 @@ fn pairs_exchange(
     lengths: Option<&[u32]>,
     exec: &BatchedExecutor,
     fold: SeedFold,
-) -> (PairSeeds, OverlapCounters) {
+    finish: &mut dyn FnMut(SortedPairs),
+) -> OverlapCounters {
     // Rounds and executor batches are cuts of the pair-index space, so the
     // decomposition is a pure function of the table — identical at any
     // thread count. A round takes as many indices as would fit the cap if
@@ -474,7 +571,7 @@ fn pairs_exchange(
     let (mut pairs_emitted, mut candidate_pairs_emitted, mut seeds_shipped) = (0u64, 0u64, 0u64);
 
     let plan = RoundPlan::for_records(space.n_pairs(), per_round as usize);
-    let (pairs, seeds_received, rounds) = exchange_records(comm, plan, fold, |round| {
+    let pack = |round: u64| {
         let lo = round.saturating_mul(per_round).min(space.n_pairs());
         let hi = lo.saturating_add(per_round).min(space.n_pairs());
         let batch = (cfg.pair_batch.max(1) as u64).max((hi - lo).div_ceil(FOLD_BATCHES_PER_ROUND));
@@ -489,7 +586,9 @@ fn pairs_exchange(
             },
             |(part, n)| {
                 pairs_emitted += n;
-                part.map.into_iter().for_each(|(pair, seeds)| round_pairs.extend(pair, seeds));
+                part.map.into_iter().for_each(|(pair, seeds)| {
+                    round_pairs.extend(pair, seeds);
+                });
             },
         );
         // One record per pair, routed once, in pair order.
@@ -501,16 +600,17 @@ fn pairs_exchange(
             seeds_shipped += seeds.len() as u64;
         }
         bufs
-    });
-    let counters = OverlapCounters {
+    };
+    let got = exchange_records(comm, plan, fold, pack, |_| 0, finish);
+    OverlapCounters {
         pairs_emitted,
         candidate_pairs_emitted,
         seeds_shipped,
-        seeds_received,
-        rounds,
+        seeds_received: got.seeds,
+        rounds: got.rounds,
+        peak_seeds_pending: got.peak_pending,
         ..Default::default()
-    };
-    (pairs, counters)
+    }
 }
 
 /// Serial reference for tests and the single-node baseline: all pairs of
@@ -992,6 +1092,186 @@ mod tests {
                             "threads={threads} engine={engine} cap={cap} chain={chain:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// `take_below` removes exactly the pairs under the bound, sorted, and
+    /// `extend` reports what a list grew by under either fold.
+    #[test]
+    fn pair_seeds_report_growth_and_release_pairs_below_a_bound() {
+        let seed = |a_pos| SharedSeed { a_pos, b_pos: 7, reverse: false };
+        let mut all = PairSeeds::new(SeedFold::All);
+        assert_eq!(all.extend(ReadPair::new(5, 9), [seed(3), seed(1)]), 2);
+        assert_eq!(all.extend(ReadPair::new(2, 4), [seed(8)]), 1);
+        assert_eq!(all.extend(ReadPair::new(2, 3), [seed(6)]), 1);
+        assert_eq!(all.extend(ReadPair::new(5, 9), [seed(3)]), 1, "`All` keeps duplicates");
+        assert!(all.take_below(2).is_empty());
+        assert_eq!(
+            all.take_below(5),
+            vec![(ReadPair::new(2, 3), vec![seed(6)]), (ReadPair::new(2, 4), vec![seed(8)])]
+        );
+        assert_eq!(all.into_sorted(), vec![(ReadPair::new(5, 9), vec![seed(3), seed(1), seed(3)])]);
+        let mut least = PairSeeds::new(SeedFold::Smallest(1));
+        assert_eq!(least.extend(ReadPair::new(0, 1), [seed(4), seed(2)]), 1);
+        assert_eq!(least.extend(ReadPair::new(0, 1), [seed(1), seed(9)]), 0, "replaced, not grown");
+        assert_eq!(least.take_below(u32::MAX), vec![(ReadPair::new(0, 1), vec![seed(1)])]);
+    }
+
+    /// What one configuration of the streamed-engine sweep left on a rank.
+    struct Streamed {
+        out: OverlapOutput,
+        dest_bytes: Vec<u64>,
+        peak_round_bytes: u64,
+        /// `ByteRounds::plan` over the fully packed product of this rank's
+        /// table under the run's fold and cap: rounds and largest round.
+        plan_rounds: u64,
+        plan_peak: u64,
+        /// Per-destination bytes of that product, and its heaviest row.
+        product_bytes: Vec<u64>,
+        max_row_bytes: u64,
+    }
+
+    /// Tentpole invariant, end to end: P {1, 2, 4} x threads {1, 2, 4} x
+    /// cap {unbounded, 64 KiB, 4 KiB, 8 B} x fold {`All`, `Smallest(1)`} x
+    /// chain {off, on}. The streamed SpGEMM engine produces the one-round
+    /// run's tasks and counters on every rank; executes exactly the rounds
+    /// and the largest round that `ByteRounds::plan` cuts from the fully
+    /// packed product (`pack_row_block` over all rows, the oracle) and
+    /// ships each destination that product's bytes; and holds what the
+    /// watermark rule says it may: one round plus one row of seeds on one
+    /// rank, under half of what it receives on several once the cap forces
+    /// eight rounds. The pairs engine, for contrast, holds everything.
+    #[test]
+    fn streamed_spgemm_equals_its_one_round_run_and_bounds_what_is_pending() {
+        use crate::spgemm::{pack_row_block, SpgemmAccumulator};
+        use dibella_comm::ByteRounds;
+        use dibella_kcount::ReadKmerCsr;
+
+        let reads = overlapping_reads(200, 60, 4);
+        let kc = kc_cfg(9, 32);
+        let mut configs = Vec::new();
+        for policy in [SeedPolicy::MinDistance(9), SeedPolicy::Single] {
+            for chain in [None, Some(ChainConfig { min_chain_seeds: 2 })] {
+                // The reference comes first: one thread, one round.
+                for cap in [usize::MAX, 64 << 10, 4 << 10, 8] {
+                    for threads in [1usize, 2, 4] {
+                        let oc = OverlapConfig {
+                            policy,
+                            max_seeds_per_pair: 64,
+                            chain,
+                            engine: OverlapEngine::Spgemm,
+                            max_exchange_bytes_per_round: cap,
+                            // Thread count and block size are both free.
+                            spgemm_block: [64, 5, 1][threads / 2],
+                            ..Default::default()
+                        };
+                        configs.push((threads, oc));
+                    }
+                }
+            }
+        }
+        for p in [1usize, 2, 4] {
+            let (part, chunks) = partition_reads(&reads, p);
+            // One world per P: the table is built once, every configuration
+            // runs on it in the same order on every rank.
+            let per_rank = CommWorld::run(p, |comm| {
+                let local = chunks[comm.rank()].reads();
+                let seq = BatchedExecutor::sequential();
+                let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &seq);
+                let mut table = bloom.table;
+                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &seq, Some(retained));
+                let csr = ReadKmerCsr::from_table(&table);
+                let pack = |rows, fold| {
+                    let acc = SpgemmAccumulator::Auto;
+                    pack_row_block(&csr, rows, &part, TaskPlacement::Parity, None, p, acc, fold)
+                };
+                let mut runs = Vec::new();
+                for (threads, oc) in &configs {
+                    let exec = BatchedExecutor::new(*threads);
+                    comm.take_stats();
+                    let out = overlap_stage_with_lengths(comm, &table, &part, oc, None, &exec);
+                    let stats = comm.take_stats();
+                    let fold = oc.policy.source_keep(oc.chain.is_some());
+                    let product = pack(0..csr.n_rows(), fold);
+                    let plan = ByteRounds::plan(&product.lens, oc.max_exchange_bytes_per_round);
+                    let round_bytes = |r| plan.segments(r).iter().map(|(_, range)| range.len() as u64).sum::<u64>();
+                    runs.push(Streamed {
+                        out,
+                        dest_bytes: stats.dest_bytes,
+                        peak_round_bytes: stats.peak_round_bytes,
+                        plan_rounds: plan.len() as u64,
+                        plan_peak: (0..plan.len() as u64).map(round_bytes).max().unwrap_or(0),
+                        product_bytes: product.bufs.iter().map(|b| b.len() as u64).collect(),
+                        max_row_bytes: (0..csr.n_rows())
+                            .map(|r| pack(r..r + 1, fold).bufs.iter().map(|b| b.len() as u64).sum())
+                            .max()
+                            .unwrap_or(0),
+                    });
+                }
+                // The pairs engine under `All`: nothing completes early.
+                let oc = OverlapConfig {
+                    policy: SeedPolicy::MinDistance(9),
+                    max_exchange_bytes_per_round: 4 << 10,
+                    ..Default::default()
+                };
+                let pairs = overlap_stage_with_lengths(comm, &table, &part, &oc, None, &seq).counters;
+                assert!(pairs.rounds >= 8, "{} rounds", pairs.rounds);
+                assert_eq!(pairs.peak_seeds_pending, pairs.seeds_received, "pairs engine, P={p}");
+                runs
+            });
+            for (ci, (threads, oc)) in configs.iter().enumerate() {
+                // Each (policy, chain) group of 12 opens with its reference.
+                let reference = ci - ci % 12;
+                let cap = oc.max_exchange_bytes_per_round;
+                let world_rounds = per_rank.iter().map(|runs| runs[ci].plan_rounds).max().unwrap().max(1);
+                for (rank, runs) in per_rank.iter().enumerate() {
+                    let (got, want) = (&runs[ci], &runs[reference]);
+                    let at = format!(
+                        "P={p} rank={rank} threads={threads} block={} cap={cap} {:?} chain={:?}",
+                        oc.spgemm_block,
+                        oc.policy,
+                        oc.chain
+                    );
+                    assert_eq!(got.out.tasks, want.out.tasks, "{at}");
+                    assert!(!got.out.tasks.is_empty(), "{at}");
+                    let c = got.out.counters;
+                    // Rounds and the pending peak are what the cap moves.
+                    let logical = OverlapCounters {
+                        rounds: want.out.counters.rounds,
+                        peak_seeds_pending: want.out.counters.peak_seeds_pending,
+                        ..c
+                    };
+                    assert_eq!(logical, want.out.counters, "{at}");
+                    assert_eq!(c.pairs_emitted, c.seeds_shipped + c.seeds_folded_at_source(), "{at}");
+                    assert_eq!(c.rounds, world_rounds, "{at}");
+                    assert_eq!(got.peak_round_bytes, got.plan_peak, "{at}");
+                    assert_eq!(got.dest_bytes, got.product_bytes, "{at}");
+                    assert!(c.peak_seeds_pending <= c.seeds_received, "{at}");
+                    if cap == usize::MAX {
+                        assert_eq!(c.rounds, 1, "{at}");
+                        continue;
+                    }
+                    if p == 1 {
+                        let bound = (cap as u64).max(got.max_row_bytes) + got.max_row_bytes;
+                        assert!(
+                            8 * c.peak_seeds_pending <= bound,
+                            "{} seeds pending over a {bound}-byte round and row: {at}",
+                            c.peak_seeds_pending
+                        );
+                    } else if c.rounds >= 8 {
+                        assert!(
+                            2 * c.peak_seeds_pending < c.seeds_received,
+                            "{} of {} seeds pending in {} rounds: {at}",
+                            c.peak_seeds_pending,
+                            c.seeds_received,
+                            c.rounds
+                        );
+                    }
+                }
+                if cap <= 4 << 10 {
+                    assert!(world_rounds >= 8, "P={p} cap={cap}: {world_rounds} rounds");
                 }
             }
         }

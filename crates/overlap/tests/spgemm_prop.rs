@@ -2,14 +2,15 @@
 //! tables, the blocked `A·Aᵀ` expansion emits exactly Algorithm 1's
 //! cross-read (pair, seed) multiset — no duplicates, no losses — and the
 //! dense/hash accumulator variants are byte-identical at every block
-//! size and rank count.
+//! size and rank count; and the symbolic (count-only) pass predicts every
+//! record the numeric pass writes.
 
 use dibella_io::ReadPartition;
 use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence, ReadKmerCsr};
 use dibella_kmer::{Kmer1, Strand};
 use dibella_overlap::{
-    decode_pair_records, pack_row_block, ReadPair, SeedFold, SharedSeed, SpgemmAccumulator,
-    TaskPlacement,
+    count_row_block, decode_pair_records, pack_row_block, ReadPair, SeedFold, SharedSeed,
+    SpgemmAccumulator, TaskPlacement,
 };
 use proptest::prelude::*;
 
@@ -80,6 +81,15 @@ fn reference_multiset(table: &KmerHashTable) -> Vec<(ReadPair, SharedSeed)> {
     out
 }
 
+/// A block partition of the 12 reads over `ranks` ranks.
+fn partition(ranks: usize) -> ReadPartition {
+    let per = (N_READS as usize).div_ceil(ranks);
+    let counts: Vec<usize> = (0..ranks)
+        .map(|r| per.min((N_READS as usize).saturating_sub(r * per)))
+        .collect();
+    ReadPartition::from_counts(&counts)
+}
+
 /// Pack every row block and decode everything that would ship, as a
 /// sorted multiset, plus the per-destination raw bytes.
 fn spgemm_multiset(
@@ -89,11 +99,7 @@ fn spgemm_multiset(
     acc: SpgemmAccumulator,
 ) -> (Vec<(ReadPair, SharedSeed)>, Vec<Vec<u8>>) {
     let csr = ReadKmerCsr::from_table(table);
-    let per = (N_READS as usize).div_ceil(ranks);
-    let counts: Vec<usize> = (0..ranks)
-        .map(|r| per.min((N_READS as usize).saturating_sub(r * per)))
-        .collect();
-    let part = ReadPartition::from_counts(&counts);
+    let part = partition(ranks);
     let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); ranks];
     let mut seeds = Vec::new();
     for lo in (0..csr.n_rows()).step_by(block.max(1)) {
@@ -147,5 +153,37 @@ proptest! {
         let (_, whole) = spgemm_multiset(&table, 3, usize::MAX >> 1, SpgemmAccumulator::Auto);
         let (_, blocked) = spgemm_multiset(&table, 3, block, SpgemmAccumulator::Auto);
         prop_assert_eq!(whole, blocked);
+    }
+
+    /// The symbolic pass is the numeric pass without the bytes: the same
+    /// record lengths per destination in the same order, the same
+    /// counters — under both folds the pipeline runs, for any rank count
+    /// and row range (random tables repeat a read position across k-mers,
+    /// so pairs with duplicate seeds are covered).
+    #[test]
+    fn symbolic_lengths_equal_numeric_lengths(
+        table in tables(),
+        ranks in 1usize..4,
+        lo in 0usize..6,
+        len in 0usize..12,
+    ) {
+        let csr = ReadKmerCsr::from_table(&table);
+        let part = partition(ranks);
+        let rows = lo.min(csr.n_rows())..(lo + len).min(csr.n_rows());
+        for fold in [SeedFold::All, SeedFold::Smallest(1)] {
+            let placement = TaskPlacement::Parity;
+            let counted = count_row_block(&csr, rows.clone(), &part, placement, None, ranks, fold);
+            let acc = SpgemmAccumulator::Auto;
+            let packed = pack_row_block(&csr, rows.clone(), &part, placement, None, ranks, acc, fold);
+            prop_assert_eq!(&counted.lens, &packed.lens);
+            prop_assert_eq!(
+                (counted.records, counted.seeds, counted.instances),
+                (packed.records, packed.seeds, packed.instances)
+            );
+            prop_assert!(counted.bufs.iter().all(Vec::is_empty));
+            for (lens, buf) in packed.lens.iter().zip(&packed.bufs) {
+                prop_assert_eq!(lens.iter().sum::<usize>(), buf.len());
+            }
+        }
     }
 }

@@ -73,12 +73,6 @@ impl BloomFilter {
         self.bits.len() * 8
     }
 
-    #[inline]
-    fn bit_index(&self, hash: u64, i: u32) -> (usize, u64) {
-        let idx = dibella_hash_double(hash, i as u64) & self.mask;
-        ((idx / 64) as usize, 1u64 << (idx % 64))
-    }
-
     /// Insert a key; returns `true` if the key was (apparently) already
     /// present — i.e. every probed bit was set before this insert.
     ///
@@ -86,15 +80,22 @@ impl BloomFilter {
     /// second sighting hits the Bloom filter is inserted into the hash
     /// table (§6: "If a k-mer was already present, it is also inserted into
     /// the local hash table partition").
+    ///
+    /// The probe step is mixed once and added per probe, and each probed
+    /// word is read, tested and written back unconditionally: at the design
+    /// fill of ½ a "set it only if clear" branch is a coin flip per probe.
     #[inline]
     pub fn insert(&mut self, hash: u64) -> bool {
+        let step = probe_step(hash);
+        let mut idx = hash;
         let mut already = true;
-        for i in 0..self.n_hashes {
-            let (word, bit) = self.bit_index(hash, i);
-            if self.bits[word] & bit == 0 {
-                already = false;
-                self.bits[word] |= bit;
-            }
+        for _ in 0..self.n_hashes {
+            let at = idx & self.mask;
+            let (word, bit) = ((at / 64) as usize, 1u64 << (at % 64));
+            let old = self.bits[word];
+            already &= old & bit != 0;
+            self.bits[word] = old | bit;
+            idx = idx.wrapping_add(step);
         }
         self.n_inserted += 1;
         already
@@ -105,9 +106,12 @@ impl BloomFilter {
     /// with probability ≈ the design false-positive rate.
     #[inline]
     pub fn contains(&self, hash: u64) -> bool {
-        (0..self.n_hashes).all(|i| {
-            let (word, bit) = self.bit_index(hash, i);
-            self.bits[word] & bit != 0
+        let step = probe_step(hash);
+        let mut idx = hash;
+        (0..self.n_hashes).all(|_| {
+            let at = idx & self.mask;
+            idx = idx.wrapping_add(step);
+            self.bits[(at / 64) as usize] & (1u64 << (at % 64)) != 0
         })
     }
 
@@ -126,16 +130,16 @@ impl BloomFilter {
     }
 }
 
-/// Double-hashing probe family (re-exported logic; kept local so the crate
-/// stands alone). Matches `dibella_kmer::hash::double_hash`.
+/// The odd step `h2(x)` of the double-hashing probe family: probe `i` of a
+/// key is `hash + i·h2`. Matches `dibella_kmer::hash::double_hash` (kept
+/// local so the crate stands alone).
 #[inline]
-fn dibella_hash_double(hash: u64, i: u64) -> u64 {
+fn probe_step(hash: u64) -> u64 {
     let mut x = hash ^ 0xA076_1D64_78BD_642F;
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    let h2 = (x ^ (x >> 31)) | 1;
-    hash.wrapping_add(i.wrapping_mul(h2))
+    (x ^ (x >> 31)) | 1
 }
 
 #[cfg(test)]
@@ -148,6 +152,43 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// The insert this filter shipped with: the step re-mixed for every
+    /// probe, the bit written only when clear. Kept as the oracle.
+    fn insert_reference(bits: &mut [u64], mask: u64, n_hashes: u32, hash: u64) -> bool {
+        let mut already = true;
+        for i in 0..n_hashes as u64 {
+            let idx = hash.wrapping_add(i.wrapping_mul(probe_step(hash))) & mask;
+            let (word, bit) = ((idx / 64) as usize, 1u64 << (idx % 64));
+            if bits[word] & bit == 0 {
+                already = false;
+                bits[word] |= bit;
+            }
+        }
+        already
+    }
+
+    /// Same bits, same return values as the reference loop — on a filter
+    /// driven well past its design load (so both answers occur) and on one
+    /// that stays sparse, with repeats among the keys.
+    #[test]
+    fn insert_matches_the_reference_loop() {
+        for (min_bits, n_hashes) in [(1usize << 16, 7u32), (1 << 22, 4)] {
+            let mut bf = BloomFilter::with_bits(min_bits, n_hashes);
+            let mut bits = vec![0u64; bf.bits.len()];
+            let (mut seen, mut fresh) = (0u32, 0u32);
+            for x in 0..120_000u64 {
+                let key = mix(x % 90_000);
+                let want = insert_reference(&mut bits, bf.mask, n_hashes, key);
+                assert_eq!(bf.insert(key), want, "key {x} in a {min_bits}-bit filter");
+                assert!(bf.contains(key));
+                seen += want as u32;
+                fresh += !want as u32;
+            }
+            assert_eq!(bf.bits, bits, "{min_bits}-bit filter");
+            assert!(seen >= 30_000 && fresh > 0, "{seen} hits, {fresh} misses");
+        }
     }
 
     #[test]

@@ -43,14 +43,14 @@ pub enum SimdMode {
     Auto,
 }
 
-/// `FIRST_N[n]`: all-ones in the first `n` lanes, zero in the rest.
-static FIRST_N: [[i16; LANES16]; LANES16 + 1] = {
-    let mut table = [[0i16; LANES16]; LANES16 + 1];
+/// `PAST_N[n]`: zero in the first `n` lanes, `i16::MIN` in the rest.
+static PAST_N: [[i16; LANES16]; LANES16 + 1] = {
+    let mut table = [[i16::MIN; LANES16]; LANES16 + 1];
     let mut n = 0;
     while n <= LANES16 {
         let mut k = 0;
         while k < n {
-            table[n][k] = -1;
+            table[n][k] = 0;
             k += 1;
         }
         n += 1;
@@ -106,6 +106,16 @@ impl I16x16 {
         Self(a)
     }
 
+    /// Lane-wise saturating subtraction.
+    #[inline(always)]
+    pub fn sat_sub(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, &y) in a.iter_mut().zip(&o.0) {
+            *x = x.saturating_sub(y);
+        }
+        Self(a)
+    }
+
     /// Lane-wise signed maximum.
     #[inline(always)]
     pub fn max(self, o: Self) -> Self {
@@ -126,17 +136,14 @@ impl I16x16 {
         Self(a)
     }
 
-    /// The first `n` lanes of `self`, `fill` in the rest.
+    /// Zero in the first `n ≤` [`LANES16`] lanes and `i16::MIN` in the
+    /// rest: added with saturation it pins the lanes past `n` at or below
+    /// −1, subtracted at or above 0, and leaves the first `n` as they are.
     #[inline(always)]
-    pub fn first_n_or(self, n: usize, fill: i16) -> Self {
-        // A table row per `n`: computing the mask from `n` in the lane
+    pub fn past(n: usize) -> Self {
+        // A table row per `n`: computing the lanes from `n` in the chunk
         // loop defeats the vectorizer.
-        let keep = &FIRST_N[n.min(LANES16)];
-        let mut a = self.0;
-        for (x, &m) in a.iter_mut().zip(keep) {
-            *x = (*x & m) | (fill & !m);
-        }
-        Self(a)
+        Self(PAST_N[n])
     }
 
     /// Horizontal maximum over all lanes.
@@ -172,10 +179,15 @@ mod tests {
         assert_eq!(low, I16x16::splat(i16::MIN));
         assert_eq!(I16x16::splat(i16::MAX).sat_add(b), I16x16::splat(i16::MAX));
         assert_eq!(a.sat_add(b).0[0], -14);
-        let cut = b.first_n_or(2, -9);
-        assert_eq!(&cut.0[..3], &[3, 4, -9]);
-        assert_eq!(b.first_n_or(0, 7), I16x16::splat(7));
-        assert_eq!(b.first_n_or(LANES16, 7), b);
+        assert_eq!(a.sat_sub(b).0[0], -20);
+        assert_eq!(I16x16::splat(i16::MIN).sat_sub(b), I16x16::splat(i16::MIN));
+        // `past(n)` keeps the first n lanes and pins the rest below 0
+        // (added) or at or above 0 (subtracted).
+        let past = I16x16::past(2);
+        assert_eq!(&b.sat_add(past).0[..3], &[3, 4, i16::MIN + 5]);
+        assert_eq!(&a.sat_sub(past).0[..3], &[-17, -16, i16::MAX - 14]);
+        assert_eq!(I16x16::splat(i16::MAX).sat_add(I16x16::past(0)), I16x16::splat(-1));
+        assert_eq!(b.sat_add(I16x16::past(LANES16)), b);
         let sub = I16x16::select_eq_bytes(b"ACGTACGTACGTACGTA", b"ACGAACGTACGTTCGTyy", 2, -3);
         assert_eq!(&sub.0[..5], &[2, 2, 2, -3, 2]);
         assert_eq!(sub.0[12], -3);

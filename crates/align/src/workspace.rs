@@ -73,11 +73,13 @@ pub struct AlignWorkspace {
     /// rotated in place instead of cloned per antidiagonal and sized
     /// exactly per row.
     pub(crate) xdrop: [Vec<i32>; 3],
-    /// The lane x-drop kernel's three rows: scores relative to a running
-    /// offset, with a sentinel slot and lane padding (see
-    /// `docs/ARCHITECTURE.md` § "SIMD kernels"). They only ever grow, and
-    /// are not re-initialized per call.
-    pub(crate) xdrop_lanes: [Vec<i16>; 3],
+    /// The lane x-drop kernel's rows: three rotating (antidiagonals d−2,
+    /// d−1 and d) and one holding the row of the best score so far. Scores
+    /// relative to a running offset, slot `1 + i` for cell `i`, so each is
+    /// as long as the ascending sequence plus a sentinel and lane padding
+    /// (see `docs/ARCHITECTURE.md` § "SIMD kernels"). They only ever grow,
+    /// and are not re-initialized per call.
+    pub(crate) xdrop_lanes: [Vec<i16>; 4],
     /// Staged copies of the sequence whose index ascends along an
     /// antidiagonal (`s` / read `a`) for the lane x-drop kernel.
     pub(crate) lane_a: LaneSeq,

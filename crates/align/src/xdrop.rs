@@ -266,10 +266,11 @@ fn runs_on_lanes(mode: SimdMode, scoring: Scoring, x: i32) -> bool {
 /// [`xdrop_core`] with the recurrence computed [`LANES16`] cells at a time
 /// in 16-bit lanes. Returns `None` when a cell fell out of the `i16`
 /// range (the caller then runs the scalar kernel); otherwise the result
-/// is bit-identical to [`xdrop_core`] — score, extents *and* `cells` —
-/// which `tests/simd_identity.rs` and `tests/kernel_golden.rs` enforce.
-/// That holds for score magnitudes up to [`LANE_MAX_PENALTY`] and any
-/// `x ≤ i16::MAX`; the dispatcher passes `x ≤` [`LANE_MAX_X`].
+/// is bit-identical to [`xdrop_core`] — score, extents, `cells` *and*
+/// `antidiagonals` — which `tests/simd_identity.rs` and
+/// `tests/kernel_golden.rs` enforce. That holds for score magnitudes up
+/// to [`LANE_MAX_PENALTY`] and any `x ≤ i16::MAX`; the dispatcher passes
+/// `x ≤` [`LANE_MAX_X`].
 ///
 /// `a_side[k]` is the walk-order base `k − 1` of the ascending sequence
 /// (`n` bases), `b_side[p]` the walk-order base `m − 1 − p` of the
@@ -282,23 +283,39 @@ fn runs_on_lanes(mode: SimdMode, scoring: Scoring, x: i32) -> bool {
 ///
 /// A row stores `score − offset` as `i16`; `offset` absorbs the best
 /// score whenever it passes [`REBASE_AT`], so read length is unbounded.
-/// Slot 0 is a [`NEG`] sentinel and slot `1 + (i − base)` holds cell `i`.
+/// Rows are indexed by absolute cell: slot `1 + i` holds cell `i` of every
+/// row, so a row's windows follow from its `lo` alone, with no per-row
+/// base offset to carry or subtract. The price is length: a row has a
+/// slot for every `i ≤ n` plus the guards, `n + 2 + LANES16` in all, where
+/// a window the width of the band would do — O(n) per row instead of
+/// O(min(n, m)), about 40 KiB per row on a 20 kb read.
+///
 /// The invariant that removes every validity mask: **each slot a later
 /// row can read that lies outside the row's logical (surviving) range
-/// holds `NEG`**. Later rows read from cell `lo − 1` to cell `hi +
+/// holds `NEG`**. Later rows read from cell `first − 1` to cell `last +
 /// LANES16`, so pruning a row to `[first, last]` stores `NEG` at cell
-/// `first − 1` (slot 0 when nothing was pruned in front) and over the
-/// `LANES16` cells after `last`. Every recurrence source is then either a
-/// live cell or `NEG`, saturating adds keep `NEG`-fed terms at or below
-/// [`FLOOR`], and every cell in `[lo, hi]` has a live horizontal source,
-/// so its true value wins the `max` — unless that true value is itself at
-/// or below [`FLOOR`], which is the one thing checked (once, on the
-/// minimum of every cell computed, after the scan).
+/// `first − 1` (slot 0, the sentinel, when that is cell −1) and over the
+/// `LANES16` cells after `last`. Slots below cell `first − 1` keep
+/// whatever an earlier row or call left there: a later row's `lo` is at
+/// least this row's `first`, so nothing reads them, and rows are never
+/// re-initialized. Every recurrence source is then either a live cell or
+/// `NEG`, saturating adds keep `NEG`-fed terms at or below [`FLOOR`], and
+/// every cell in `[lo, hi]` has a live horizontal source, so its true
+/// value wins the `max` — unless that true value is itself at or below
+/// [`FLOOR`], which is the one thing checked (once, on the minimum of
+/// every cell computed, after the scan).
 ///
-/// Only the row's last chunk is masked (for the row maximum and minimum):
-/// a lane past `hi` can see a live diagonal source, because row `d−2` may
-/// survive beyond `prev_hi + 1`, and the scalar kernel never computes
-/// that cell.
+/// Lanes past `hi` in a row's last chunk are kept out of the row maximum
+/// and that minimum: such a lane can see a live diagonal source, because
+/// row `d−2` may survive beyond `prev_hi + 1`, and the scalar kernel
+/// never computes that cell.
+///
+/// The best cell is not located row by row. The row that raised the best
+/// score is noted (`best_d`, its `lo ..= hi`); when the rotation would
+/// recycle it, it is set aside in the fourth buffer instead, and its first
+/// maximum — the cell the scalar scan's `v > best` updates land on — is
+/// found once, when the walk ends (or just before a rebase moves the
+/// scores of the rows it touches).
 fn xdrop_core_lanes(
     a_side: &[u8],
     b_side: &[u8],
@@ -306,7 +323,7 @@ fn xdrop_core_lanes(
     m: usize,
     scoring: Scoring,
     x: i32,
-    rows: &mut [Vec<i16>; 3],
+    rows: &mut [Vec<i16>; 4],
 ) -> Option<Extension> {
     assert!(x > 0, "x-drop threshold must be positive");
     if n == 0 || m == 0 {
@@ -315,155 +332,187 @@ fn xdrop_core_lanes(
     let (gap, match_score, mismatch) =
         (scoring.gap as i16, scoring.match_score as i16, scoring.mismatch as i16);
 
-    // A row never exceeds min(n, m) + 1 cells; round that up to whole
-    // chunks, add the sentinel and the tail guard. Rows only grow: no slot
-    // is read before this call has written it.
-    let phys = 1 + (n.min(m) + 1).next_multiple_of(LANES16) + LANES16;
+    // The deepest slot touched is the last tail guard's, cell n + LANES16.
+    // Rows only grow: no slot is read before this call has written it.
+    let phys = n + 2 + LANES16;
     for row in rows.iter_mut() {
         if row.len() < phys {
             row.resize(phys, NEG);
         }
-        row[0] = NEG;
     }
-    // Rotate slices, not the `Vec`s: the swaps stay in registers.
-    let [prev2, prev, cur] = rows;
-    let (mut prev2, mut prev, mut cur) = (&mut prev2[..], &mut prev[..], &mut cur[..]);
+    // Rotate slices, not the `Vec`s: the swaps stay in registers. All cut
+    // to one length, and the sequences to theirs, so the bounds checks are
+    // against `n` and `m`.
+    let [prev2, prev, cur, kept] = rows;
+    let (mut prev2, mut prev) = (&mut prev2[..phys], &mut prev[..phys]);
+    let (mut cur, mut kept) = (&mut cur[..phys], &mut kept[..phys]);
+    let (a_side, b_side) = (&a_side[..n + LANES16], &b_side[..m + LANES16]);
 
-    // Absolute best = offset + best_rel.
+    // Absolute best = offset + best_rel, the first maximum of cells
+    // `best_cells` of row `best_d` (see "Rows").
     let mut offset = 0i32;
     let mut best_rel = 0i16;
-    let mut best_i = 0usize;
-    let mut best_j = 0usize;
+    let mut best_d = 0usize;
+    let mut best_cells = (0usize, 0usize);
 
     // d = 0: the single cell (0, 0) = 0.
+    prev2[0] = NEG;
     prev2[1] = 0;
     prev2[2..2 + LANES16].fill(NEG);
-    let mut prev2_base = 0usize;
 
     // d = 1: cells (0,1) and (1,0), both pure gap (n, m ≥ 1 here).
+    prev[0] = NEG;
     prev[1] = gap;
     prev[2] = gap;
     prev[3..3 + LANES16].fill(NEG);
-    let (mut cells, mut antidiagonals) = (2u64, 1u64);
+    let mut cells = 2u64;
     if scoring.gap < -x {
         return Some(Extension { score: 0, s_ext: 0, t_ext: 0, cells, antidiagonals: 1 });
     }
-    let mut prev_base = 0usize;
     let mut prev_lo = 0usize;
     let mut prev_hi = 1usize;
 
     let gap_v = I16x16::splat(gap);
-    let neg_v = I16x16::splat(NEG);
     // Minimum over every cell computed so far, checked against FLOOR
     // once, after the scan: a cell at or below it makes what follows
     // inexact but cannot make it loop or index out of bounds.
     let mut all_min = I16x16::splat(i16::MAX);
 
+    // The loop yields the antidiagonals walked: rows 1 ..= d − 1 when the
+    // matrix ends before row d, 1 ..= d when row d is pruned whole.
     let mut d = 1usize;
-    loop {
+    let antidiagonals = loop {
         d += 1;
-        if d > n + m {
-            break;
-        }
+        // An empty range is the walk's end: a surviving cell of row d − 1
+        // has i ≥ d − 1 − m, so lo ≤ hi until d > n + m.
         let lo = prev_lo.max(d.saturating_sub(m));
-        let hi = (prev_hi + 1).min(d).min(n);
+        let hi = (prev_hi + 1).min(n);
         if lo > hi {
-            break;
+            break d as u64 - 1;
         }
         let len = hi - lo + 1;
         // Every i in [lo, hi] is a computed cell: lo ≥ d − m keeps
-        // j = d − i ≤ m and hi ≤ min(d, n) keeps i ≤ n, j ≥ 0 — the
-        // scalar kernel's skip guard never fires.
+        // j = d − i ≤ m and hi ≤ min(d, n) keeps i ≤ n, j ≥ 0 (prev_hi ≤
+        // d − 1) — the scalar kernel's skip guard never fires.
         cells += len as u64;
-        antidiagonals += 1;
 
-        // The row's source, base and output windows, whole chunks long:
-        // `left` starts at the slot of cell `lo − 1` of row d−1, `up` one
-        // further, `diag` at cell `lo − 1` of row d−2.
-        let span = len.next_multiple_of(LANES16);
-        let left = &prev[lo - prev_base..][..span + 1];
+        // The row's source, base and output windows: `left` starts at the
+        // slot of cell `lo − 1` of row d−1, `up` one further, `diag` at
+        // cell `lo − 1` of row d−2. They run LANES16 − 1 lanes past `hi`,
+        // so `chunks_exact` walks ⌈len / LANES16⌉ whole chunks.
+        let span = len + LANES16 - 1;
+        let left = &prev[lo..][..span + 1];
         let (left, up) = (&left[..span], &left[1..]);
-        let diag = &prev2[lo - prev2_base..][..span];
+        let diag = &prev2[lo..][..span];
         let a = &a_side[lo..][..span];
         let b = &b_side[lo + m - d..][..span];
-        let out = &mut cur[1..][..span];
+        let out = &mut cur[lo + 1..][..span];
         let chunks = out
             .chunks_exact_mut(LANES16)
             .zip(up.chunks_exact(LANES16).zip(left.chunks_exact(LANES16)))
             .zip(diag.chunks_exact(LANES16))
             .zip(a.chunks_exact(LANES16).zip(b.chunks_exact(LANES16)));
-        let mut row_max = neg_v;
-        let mut live = len;
+        // Each chunk enters the row maximum and the floor check one
+        // iteration late, so that the last can be cut after the loop. The
+        // zeros they start from change neither: `best_rel ≥ 0` and
+        // FLOOR < 0.
+        let mut pending = I16x16::splat(0);
+        let mut row_max = pending;
         for (((out, (up, left)), diag), (a, b)) in chunks {
+            row_max = row_max.max(pending);
+            all_min = all_min.min(pending);
             let horiz = I16x16::load(up, 0).max(I16x16::load(left, 0)).sat_add(gap_v);
             let sub = I16x16::select_eq_bytes(a, b, match_score, mismatch);
             let v = horiz.max(I16x16::load(diag, 0).sat_add(sub));
             v.store(out, 0);
-            if live >= LANES16 {
-                row_max = row_max.max(v);
-                all_min = all_min.min(v);
-                live -= LANES16;
-            } else {
-                // Lanes past `hi` may hold a score (see "Rows" above); keep
-                // them out of the row maximum and the floor check.
-                row_max = row_max.max(v.first_n_or(live, NEG));
-                all_min = all_min.min(v.first_n_or(live, i16::MAX));
-            }
+            pending = v;
         }
+        // The last chunk's lanes past `hi` (see "Rows"): pinned below 0
+        // they cannot beat `best_rel`, at or above 0 they cannot reach
+        // FLOOR.
+        let past = I16x16::past((len - 1) % LANES16 + 1);
+        row_max = row_max.max(pending.sat_add(past));
+        all_min = all_min.min(pending.sat_sub(past));
         let rm = row_max.hmax();
-
-        let live = &cur[1..1 + len];
         if rm > best_rel {
-            // The scalar scan's incremental `v > best` updates land on the
-            // first cell achieving the row maximum; recover it by rescan.
-            let at = live.iter().position(|&v| v == rm).expect("row maximum must be present");
             best_rel = rm;
-            best_i = lo + at;
-            best_j = d - best_i;
+            best_d = d;
+            best_cells = (lo, hi);
         }
+
         // X-drop pruning on the logical range, exactly as the scalar scan.
         let threshold = best_rel - x as i16;
-        let first = live.iter().position(|&v| v >= threshold);
-        let last = live.iter().rposition(|&v| v >= threshold);
-        let (first, last) = match (first, last) {
-            (Some(f), Some(l)) => (f, l),
-            _ => break, // every cell pruned → extension terminates
+        let live = &cur[lo + 1..=hi + 1];
+        let Some(first) = live.iter().position(|&v| v >= threshold) else {
+            break d as u64; // every cell pruned → extension terminates
         };
+        let last = live.iter().rposition(|&v| v >= threshold).expect("a cell survived");
+        let (first, last) = (lo + first, lo + last);
         // Restore the row invariant: NEG just outside the surviving range.
         cur[first] = NEG;
         cur[last + 2..last + 2 + LANES16].fill(NEG);
 
         if best_rel > REBASE_AT {
-            // Move the best score into the offset, on the two rows the
-            // next antidiagonal reads. Only live cells carry a score; the
-            // NEG guards around them stay NEG.
-            let live = cur[1 + first..=1 + last]
-                .iter_mut()
-                .chain(&mut prev[1 + prev_lo - prev_base..=1 + prev_hi - prev_base]);
-            let mut floor_hit = false;
-            for v in live {
-                *v = v.saturating_sub(best_rel);
-                floor_hit |= *v <= FLOOR;
-            }
-            if floor_hit {
+            // A rebase moves the surviving cells of the two rows it
+            // touches and not the pruned ones: pin the best cell first.
+            // Only a new best passes REBASE_AT, so it is on this row.
+            let at = first_max(cur, best_cells);
+            best_cells = (at, at);
+            if rebase(&mut cur[first + 1..=last + 1], &mut prev[prev_lo + 1..=prev_hi + 1], best_rel) {
                 return None;
             }
             offset += best_rel as i32;
             best_rel = 0;
         }
 
+        // Rotate. Row d − 2 is recycled unless it is the best row, which
+        // is set aside in `kept` instead.
+        if best_d + 2 == d {
+            std::mem::swap(&mut prev2, &mut kept);
+        }
         std::mem::swap(&mut prev2, &mut prev);
         std::mem::swap(&mut prev, &mut cur);
-        prev2_base = prev_base;
-        prev_base = lo;
-        prev_lo = lo + first;
-        prev_hi = lo + last;
-    }
+        prev_lo = first;
+        prev_hi = last;
+    };
 
     if all_min.hmin() <= FLOOR {
         return None;
     }
-    Some(Extension { score: offset + best_rel as i32, s_ext: best_i, t_ext: best_j, cells, antidiagonals })
+    // A row that raised the best score survived its own pruning, so the
+    // best row is one of the two the last rotation left, or `kept` (row 0,
+    // the empty extension's, when nothing scored above 0).
+    let best_row = match d - best_d {
+        1 => prev,
+        2 => prev2,
+        _ => kept,
+    };
+    let best_i = first_max(best_row, best_cells);
+    let score = offset + best_rel as i32;
+    Some(Extension { score, s_ext: best_i, t_ext: best_d - best_i, cells, antidiagonals })
+}
+
+/// The first of cells `lo ..= hi` of `row` holding their maximum.
+fn first_max(row: &[i16], (lo, hi): (usize, usize)) -> usize {
+    let cells = &row[lo + 1..=hi + 1];
+    let top = cells.iter().max().expect("a row has a cell");
+    lo + cells.iter().position(|v| v == top).expect("the maximum is a cell")
+}
+
+/// Move `by`, the best relative score, into the offset on the live cells
+/// of the two rows the next antidiagonal reads (the `NEG` guards around
+/// them stay `NEG`). Returns whether a cell reached [`FLOOR`]. Out of line:
+/// it runs once per ~16 000 of score, and inlined its loop state would
+/// crowd the antidiagonal loop's registers.
+#[cold]
+#[inline(never)]
+fn rebase(cur: &mut [i16], prev: &mut [i16], by: i16) -> bool {
+    let mut floor_hit = false;
+    for v in cur.iter_mut().chain(prev) {
+        *v = v.saturating_sub(by);
+        floor_hit |= *v <= FLOOR;
+    }
+    floor_hit
 }
 
 /// A shared-seed alignment task between two oriented sequences.
@@ -892,7 +941,7 @@ mod tests {
         ws.lane_a.set_fwd(&s);
         ws.lane_b.set_rev(&t);
         let AlignWorkspace { xdrop_lanes, lane_a, lane_b, .. } = &mut ws;
-        let run = |x: i32, rows: &mut [Vec<i16>; 3]| {
+        let run = |x: i32, rows: &mut [Vec<i16>; 4]| {
             xdrop_core_lanes(&lane_a.fwd, &lane_b.rev[1..], 600, 600, sc, x, rows)
         };
         assert_eq!(run(i16::MAX as i32, xdrop_lanes), None);

@@ -131,4 +131,24 @@ fn warmed_workspace_kernels_do_not_allocate() {
     });
     assert_eq!(n, 0, "SeedExtender allocated {n}x over a warm workspace");
     assert_eq!(got.as_slice(), expect.as_slice());
+
+    // Lane rows are sized from the ascending side alone: once an `a` of
+    // the largest length has been seen — here against a 20-base `b`, so
+    // no row was ever as wide as a long-by-long band — every pair at most
+    // that long runs without allocating, whatever `b` it is paired with.
+    let mut ws = AlignWorkspace::new();
+    let short = &b[..20];
+    for dir in [Dir::Fwd, Dir::Rev] {
+        let _ = extend_xdrop(short, &b, dir, sc, 25, &mut ws, SimdMode::Auto); // stage a long `t`
+        let _ = extend_xdrop(&a, short, dir, sc, 25, &mut ws, SimdMode::Auto); // the longest `s`
+    }
+    let (n, got) = allocs_during(|| {
+        let long = extend_xdrop(&a, &b, Dir::Fwd, sc, 25, &mut ws, SimdMode::Auto);
+        let rev = extend_xdrop(&a[..900], &b, Dir::Rev, sc, 25, &mut ws, SimdMode::Auto);
+        let seeded = extend_seed(&a, &b, seed, sc, 25, &mut ws, SimdMode::Auto);
+        (long, rev, seeded)
+    });
+    assert_eq!(n, 0, "lane rows grown for the longest `a` allocated {n}x on a long `b`");
+    assert_eq!(got.0, oracle_x);
+    assert_eq!(got.2, extend_seed(&a, &b, seed, sc, 25, &mut AlignWorkspace::new(), SimdMode::Scalar));
 }

@@ -15,7 +15,9 @@
 //! either side of its eligibility bounds. Two more properties pin the
 //! workspace itself: a [`Dir::Rev`] walk equals a forward walk over
 //! reversed copies, and a result does not depend on which calls dirtied
-//! the workspace before it.
+//! the workspace before it. Two deterministic cases pin the lane rows'
+//! absolute-cell layout: 4 000 against 20 bases (and the reverse), and
+//! long → short → long reads through one workspace that is never reset.
 
 use dibella_align::{
     extend_seed, extend_xdrop, AlignWorkspace, Dir, Extension, Scoring, SeedAlignment, SeedHit,
@@ -333,5 +335,90 @@ fn eligibility_boundary_is_invisible() {
             assert_eq!(simd, scalar, "{sc:?} x {x} {dir:?}");
             assert!(scalar.cells > 500, "{sc:?} x {x}: extension too small to be probative");
         }
+    }
+}
+
+/// Rows are indexed by absolute cell and sized from the ascending side
+/// alone, so a side of 4 000 bases against one of 20 (and the reverse)
+/// gives the longest rows a short band ever sits in: the band runs along
+/// the short side's end far from cell 0 in one case, and covers a whole
+/// 20-slot row in the other. Related and unrelated pairs, both walk
+/// directions, unit and non-unit scoring.
+#[test]
+fn strongly_asymmetric_lengths_identical() {
+    let mut state = 0xA5A5_0000_4000_0020u64;
+    let long = random_dna(4_000, &mut state);
+    let related = noisy_copy(&long[..20], 0.05, &mut state);
+    let unrelated = random_dna(20, &mut state);
+    for short in [&related, &unrelated] {
+        for (s, t) in [(&long, short), (short, &long)] {
+            for sc in [Scoring::bella(), Scoring::new(3, -2, -2)] {
+                for x in [1, 25, 400] {
+                    for dir in [Dir::Fwd, Dir::Rev] {
+                        let (scalar, simd) = xdrop_both(s, t, dir, sc, x);
+                        let (n, m) = (s.len(), t.len());
+                        assert_eq!(simd, scalar, "n {n} m {m} {sc:?} x {x} {dir:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One workspace, never reset, driven long → short → long read `a`: the
+/// short read's rows are windows into rows grown for the long one, and
+/// the second long read walks over the slots both earlier reads left —
+/// rows are never re-initialized, so a guard slot the kernel failed to
+/// write would show here as a difference from a fresh workspace.
+#[test]
+fn long_short_long_reads_over_one_dirty_workspace() {
+    let mut state = 0x0D1B_0000_1000_5000u64;
+    let template = random_dna(3_000, &mut state);
+    let reads = [
+        (noisy_copy(&template, 0.15, &mut state), noisy_copy(&template, 0.15, &mut state)),
+        (random_dna(60, &mut state), random_dna(60, &mut state)),
+        (noisy_copy(&template[500..], 0.02, &mut state), noisy_copy(&template[500..], 0.02, &mut state)),
+    ];
+    let mut dirty = AlignWorkspace::new();
+    for (a, b) in &reads {
+        let (len_a, len_b) = (a.len(), b.len());
+        let seeds = [
+            SeedHit { a_pos: 0, b_pos: 0, k: 1 },
+            SeedHit { a_pos: len_a / 2, b_pos: len_b / 2, k: 12 },
+            SeedHit { a_pos: len_a - 12, b_pos: len_b - 12, k: 12 },
+        ];
+        for seed in seeds {
+            for x in [8, 25, 60] {
+                let fresh = extend_seed(a, b, seed, Scoring::bella(), x, &mut AlignWorkspace::new(), SimdMode::Scalar);
+                let lanes = extend_seed(a, b, seed, Scoring::bella(), x, &mut dirty, SimdMode::Auto);
+                assert_eq!(lanes, fresh, "a {len_a} b {len_b} {seed:?} x {x}");
+            }
+        }
+    }
+}
+
+/// The lane kernel finds the best cell of the best row only when the walk
+/// ends, except on a row whose new best passes the rebase point: the
+/// rebase moves that row's surviving cells and leaves its pruned front,
+/// so the cell is pinned before it. Here that row is the last to raise
+/// the best. 800 shared bases score 16 000 (+20 each, not yet past the
+/// point); 30 unmatched bases in `s` spread a front of equal gap-only
+/// scores; two more matches reach 16 010, which prunes that whole front in
+/// one step and is never beaten after.
+#[test]
+fn best_row_rebased_with_a_pruned_front_keeps_its_cell() {
+    let mut state = 0x0000_5EED_0001_0001u64;
+    let shared = random_dna(800, &mut state);
+    let s = [&shared[..], &[b'N'; 30], b"GG", &[b'A'; 20]].concat();
+    let t = [&shared[..], b"GG", &[b'C'; 20]].concat();
+    let sc = Scoring { match_score: 20, mismatch: -64, gap: -1 };
+    for x in [34, 40, 43] {
+        let (scalar, simd) = xdrop_both(&s, &t, Dir::Fwd, sc, x);
+        assert_eq!((scalar.score, scalar.s_ext, scalar.t_ext), (16_010, 832, 802), "x {x}");
+        assert_eq!(simd, scalar, "x {x}");
+        let s_rev: Vec<u8> = s.iter().rev().copied().collect();
+        let t_rev: Vec<u8> = t.iter().rev().copied().collect();
+        let (scalar, simd) = xdrop_both(&s_rev, &t_rev, Dir::Rev, sc, x);
+        assert_eq!(simd, scalar, "x {x} reversed");
     }
 }

@@ -31,7 +31,10 @@
 //!   scans → the next row's bounds), so this is the number that says
 //!   whether "fewer cells" can buy time: a cost that barely moves while
 //!   the cells per antidiagonal grow sixfold is a fixed cost per
-//!   antidiagonal, not per cell (see ROADMAP direction 1);
+//!   antidiagonal, not per cell (see ROADMAP direction 1). Schema `/11`
+//!   commits that split as `xdrop_fit`: the least-squares line through
+//!   the three points, `fixed_ns` per antidiagonal plus `ns_per_cell` per
+//!   live cell;
 //! * **spgemm rows/s** (schema `/3`) — the SpGEMM overlap engine's
 //!   row-block accumulator variants (dense, hash, and the auto selector)
 //!   packing the shared [`dibella_bench::spgemm_fixture`] table, with
@@ -120,8 +123,10 @@ const KERNEL_ITERS: u32 = 60;
 /// Drop-offs the per-antidiagonal cost is read at: BELLA's default region,
 /// the pipeline's, and one wide enough to hold ~6x the cells of the first.
 const ANTIDIAGONAL_XS: [i32; 3] = [8, 25, 60];
-/// Antidiagonals timed per drop-off (iterations = this / the pair's).
-const ANTIDIAGONALS_TIMED: u64 = 1 << 21;
+/// Antidiagonals timed per drop-off (iterations = this / the pair's),
+/// split into this many interleaved slices.
+const ANTIDIAGONALS_TIMED: u64 = 1 << 22;
+const ANTIDIAGONAL_ROUNDS: u64 = 8;
 
 /// Stage-4 compute must lie within this factor of `dp_cells / kernel
 /// cells/s`, either way. The kernel rate comes from one 2 kb pair, the
@@ -209,6 +214,17 @@ fn measure(iters: u32, cells_per_call: u64, mut call: impl FnMut()) -> (f64, f64
     (cells_per_sec, allocs as f64 / iters as f64, cells_per_call)
 }
 
+/// Intercept and slope of the least-squares line through `(x, y)` points.
+fn least_squares<const N: usize>(points: [(f64, f64); N]) -> (f64, f64) {
+    let n = N as f64;
+    let mx = points.iter().map(|&(x, _)| x).sum::<f64>() / n;
+    let my = points.iter().map(|&(_, y)| y).sum::<f64>() / n;
+    let sxy: f64 = points.iter().map(|&(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = points.iter().map(|&(x, _)| (x - mx) * (x - mx)).sum();
+    let slope = sxy / sxx;
+    (my - slope * mx, slope)
+}
+
 fn kernel_json(name: &str, (cells_per_sec, allocs_per_call, cells_per_call): (f64, f64, u64)) -> String {
     format!(
         "    \"{name}\": {{ \"cells_per_call\": {cells_per_call}, \"cells_per_sec\": {cells_per_sec:.0}, \"allocs_per_call\": {allocs_per_call:.2} }}"
@@ -248,22 +264,41 @@ fn main() {
     // ---- x-drop: cost per antidiagonal at three drop-offs ------------------
     // One staged extender per drop-off, so a short extension (X = 8 stops
     // within a few hundred antidiagonals at 15 % error) is not timed
-    // against the copies `extend_seed` stages per call.
-    let per_antidiagonal = ANTIDIAGONAL_XS.map(|x| {
-        let mut pair = SeedExtender::new(&a, sc, x, &mut ws, SimdMode::Auto);
-        pair.set_b(&b);
-        let out = pair.extend(seed);
-        assert!(out.antidiagonals > 0 && out.cells >= out.antidiagonals, "{out:?}");
-        let iters = ANTIDIAGONALS_TIMED.div_ceil(out.antidiagonals);
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(pair.extend(black_box(seed)));
+    // against the copies `extend_seed` stages per call. The drop-offs take
+    // turns, one slice each per round, and each keeps its fastest slice: a
+    // host that drifts or stalls mid-run then slows all three or none,
+    // rather than tilting the fit below.
+    let mut x_ws = ANTIDIAGONAL_XS.map(|_| AlignWorkspace::new());
+    let mut pairs: Vec<_> = x_ws
+        .iter_mut()
+        .zip(ANTIDIAGONAL_XS)
+        .map(|(ws, x)| {
+            let mut pair = SeedExtender::new(&a, sc, x, ws, SimdMode::Auto);
+            pair.set_b(&b);
+            let out = pair.extend(seed);
+            assert!(out.antidiagonals > 0 && out.cells >= out.antidiagonals, "{out:?}");
+            (pair, out)
+        })
+        .collect();
+    let mut fastest = [f64::INFINITY; ANTIDIAGONAL_XS.len()];
+    for _ in 0..ANTIDIAGONAL_ROUNDS {
+        for ((pair, out), best) in pairs.iter_mut().zip(&mut fastest) {
+            let iters = (ANTIDIAGONALS_TIMED / ANTIDIAGONAL_ROUNDS).div_ceil(out.antidiagonals);
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                black_box(pair.extend(black_box(seed)));
+            }
+            *best = best.min(t0.elapsed().as_secs_f64() * 1e9 / (iters * out.antidiagonals) as f64);
         }
-        let ns = t0.elapsed().as_secs_f64() * 1e9 / (iters * out.antidiagonals) as f64;
-        (ns, out.cells as f64 / out.antidiagonals as f64)
+    }
+    let per_antidiagonal: [(f64, f64); ANTIDIAGONAL_XS.len()] = std::array::from_fn(|k| {
+        let out = pairs[k].1;
+        (fastest[k], out.cells as f64 / out.antidiagonals as f64)
     });
+    let (fixed_ns, ns_per_cell) = least_squares(per_antidiagonal.map(|(ns, cells)| (cells, ns)));
     eprintln!(
-        "x-drop: {} ns per antidiagonal at {} live cells (X = {ANTIDIAGONAL_XS:?})",
+        "x-drop: {} ns per antidiagonal at {} live cells (X = {ANTIDIAGONAL_XS:?}): \
+         {fixed_ns:.1} ns fixed + {ns_per_cell:.3} ns per cell",
         per_antidiagonal.map(|(ns, _)| format!("{ns:.1}")).join(" / "),
         per_antidiagonal.map(|(_, cells)| format!("{cells:.1}")).join(" / "),
     );
@@ -468,7 +503,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/10\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"pairs_instances_per_sec\": {fold_instances_per_sec:.0}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/11\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"pairs_instances_per_sec\": {fold_instances_per_sec:.0}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         seed_simd.0 / seed_scalar.0,

@@ -9,9 +9,8 @@
 //! provides the happens-before edges; each slot is written and read by
 //! exactly one rank per operation, so the mutexes are uncontended.
 
-use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, PoisonError};
 
 type Slot = Mutex<Option<Box<dyn Any + Send>>>;
 
@@ -43,7 +42,10 @@ impl Hub {
 
     /// Deposit `value` for `(src → dst)`. Must be empty (enforced).
     pub(crate) fn put(&self, src: usize, dst: usize, value: Box<dyn Any + Send>) {
-        let prev = self.slots[src * self.p + dst].lock().replace(value);
+        let prev = self.slots[src * self.p + dst]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .replace(value);
         debug_assert!(prev.is_none(), "slot ({src},{dst}) already occupied");
     }
 
@@ -57,6 +59,7 @@ impl Hub {
     pub(crate) fn take(&self, src: usize, dst: usize) -> Box<dyn Any + Send> {
         self.slots[src * self.p + dst]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .take()
             .unwrap_or_else(|| panic!("slot ({src},{dst}) empty: mismatched collectives"))
     }

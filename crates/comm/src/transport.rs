@@ -24,11 +24,10 @@ use crate::hub::Hub;
 use dibella_netmodel::{
     collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s, Platform, PlatformId,
 };
-use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One completed collective, as described to a transport backend when the
@@ -322,12 +321,13 @@ impl SimModel {
     fn alltoallv_wall(&self, hub: &Hub, rank: usize, dest_bytes: &[u64]) -> Duration {
         let p = hub.size();
         let latency = collective_latency_s(self.platform, p);
-        *self.rows[rank].lock() = dest_bytes.to_vec();
+        *self.rows[rank].lock().unwrap_or_else(PoisonError::into_inner) = dest_bytes.to_vec();
         hub.wait();
         let home = self.node_of(rank);
         let (mut on, mut off) = (0u64, 0u64);
         for src in (0..p).filter(|&r| self.node_of(r) == home) {
-            for (dst, &b) in self.rows[src].lock().iter().enumerate() {
+            let row = self.rows[src].lock().unwrap_or_else(PoisonError::into_inner);
+            for (dst, &b) in row.iter().enumerate() {
                 if self.node_of(dst) == home {
                     on += b;
                 } else {
@@ -704,7 +704,7 @@ impl FaultyNet {
     /// Apply the per-lane fault schedule to one round's send buffers;
     /// returns the mangled buffers and whether this exchange stalls.
     fn mangle(&self, rank: usize, send: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, bool) {
-        let mut lane = self.lanes[rank].lock();
+        let mut lane = self.lanes[rank].lock().unwrap_or_else(PoisonError::into_inner);
         let call = lane.calls;
         lane.calls += 1;
         let stall = self.fires(self.spec.stall_per_mille, rank, rank, call, 0);

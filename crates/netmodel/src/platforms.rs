@@ -11,10 +11,8 @@
 //! (§5) while its commodity Ethernet has order-of-magnitude higher latency
 //! and lower effective injection bandwidth.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier for one of the paper's four platforms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PlatformId {
     /// Cori Phase I, Cray XC40, Intel Haswell, Aries dragonfly.
     CoriXC40,
@@ -61,7 +59,7 @@ impl PlatformId {
 }
 
 /// Architectural description + calibrated model constants for a platform.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Platform {
     /// Which machine this is.
     pub id: PlatformId,

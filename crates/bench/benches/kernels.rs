@@ -10,9 +10,7 @@ use dibella_align::{
 use dibella_bench::{chain_fixture, spgemm_fixture};
 use dibella_datagen::ErrorModel;
 use dibella_kcount::ReadKmerCsr;
-use dibella_overlap::{
-    chain_seeds, pack_row_block, ChainConfig, SeedFold, SpgemmAccumulator, TaskPlacement,
-};
+use dibella_overlap::{chain_seeds, pack_row_block, ChainConfig, SeedFold, TaskPlacement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -81,11 +79,10 @@ fn bench_xdrop_cores(c: &mut Criterion) {
     g.finish();
 }
 
-/// SpGEMM overlap engine: row-block accumulator variants packing the
-/// shared fixture table, in rows/s (one element = one CSR row — a read's
-/// whole `A·Aᵀ` expansion). Dense, hash and the auto selector are
-/// byte-identical (asserted by `bench_kernels_json`, which tracks the
-/// same numbers in `BENCH_kernels.json`); only the throughput may move.
+/// SpGEMM overlap engine: the row accumulator packing the shared fixture
+/// table, in rows/s (one element = one CSR row — a read's whole `A·Aᵀ`
+/// expansion). `bench_kernels_json` tracks the same number in
+/// `BENCH_kernels.json`.
 fn bench_spgemm_rows(c: &mut Criterion) {
     const RANKS: usize = 4;
     const BLOCK: usize = 64;
@@ -95,29 +92,15 @@ fn bench_spgemm_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("spgemm_rows_per_sec");
     g.sample_size(10);
     g.throughput(Throughput::Elements(csr.n_rows() as u64));
-    for (name, acc) in [
-        ("dense", SpgemmAccumulator::Dense),
-        ("hash", SpgemmAccumulator::Hash),
-        ("auto", SpgemmAccumulator::Auto),
-    ] {
-        g.bench_function(name, |bench| {
-            bench.iter(|| {
-                for lo in (0..csr.n_rows()).step_by(BLOCK) {
-                    let hi = (lo + BLOCK).min(csr.n_rows());
-                    black_box(pack_row_block(
-                        &csr,
-                        lo..hi,
-                        &part,
-                        TaskPlacement::Parity,
-                        None,
-                        RANKS,
-                        acc,
-                        SeedFold::All,
-                    ));
-                }
-            })
-        });
-    }
+    g.bench_function("pack", |bench| {
+        bench.iter(|| {
+            for lo in (0..csr.n_rows()).step_by(BLOCK) {
+                let hi = (lo + BLOCK).min(csr.n_rows());
+                let placement = TaskPlacement::Parity;
+                black_box(pack_row_block(&csr, lo..hi, &part, placement, None, RANKS, SeedFold::All));
+            }
+        })
+    });
     g.finish();
 }
 

@@ -35,18 +35,16 @@
 //!   commits that split as `xdrop_fit`: the least-squares line through
 //!   the three points, `fixed_ns` per antidiagonal plus `ns_per_cell` per
 //!   live cell;
-//! * **spgemm rows/s** (schema `/3`) — the SpGEMM overlap engine's
-//!   row-block accumulator variants (dense, hash, and the auto selector)
-//!   packing the shared [`dibella_bench::spgemm_fixture`] table, with
-//!   their byte-identity asserted before timing, and (schema `/10`) the
+//! * **spgemm rows/s** (schema `/3`; one accumulator since `/12`) — the
+//!   overlap engine's row accumulator packing the shared
+//!   [`dibella_bench::spgemm_fixture`] table, and (schema `/10`) the
 //!   rows/s of the engine's count-only symbolic pass over the same rows,
 //!   with its record lengths asserted equal to the packed ones;
 //! * **overlap fold** (schema `/8`) — stage 3's seed fold under
-//!   `SeedFold::Smallest(1)` on the same fixture, through each engine's
-//!   source: instances/s of the pairs engine's `PairIndexSpace::fold_range`
-//!   and rows/s of the folded `pack_row_block`, plus the records the fold
-//!   leaves per enumerated instance (both engines must count the same
-//!   instances and leave the same records — asserted);
+//!   `SeedFold::Smallest(1)` on the same fixture: rows/s of the folded
+//!   `pack_row_block`, plus the records the fold leaves per enumerated
+//!   instance (the fold must count the unfolded pass's instances and leave
+//!   its records, one seed each — asserted);
 //! * **chain seeds/s** (schema `/5`) — `chain_seeds` on the shared
 //!   [`dibella_bench::chain_fixture`] at 256 and 8 192 seeds. The figure
 //!   that matters is the *ratio* of the two rates: a linearithmic chain
@@ -83,8 +81,7 @@ use dibella_kcount::{pack_supermers, KcountConfig, ReadKmerCsr};
 use dibella_kmer::{extract_kmers, kmer_count, minimizers, WindowIndex};
 use dibella_netmodel::op_costs;
 use dibella_overlap::{
-    chain_seeds, count_row_block, pack_row_block, ChainConfig, PairIndexSpace, SeedFold,
-    SpgemmAccumulator, TaskPlacement,
+    chain_seeds, count_row_block, pack_row_block, ChainConfig, SeedFold, TaskPlacement,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,20 +171,15 @@ const KMER_MINIMIZER_W: usize = 7;
 /// third or more of its rate over that k range.
 const KMER_MIN_RATE_RATIO: f64 = 0.7;
 
-/// Pack the whole fixture CSR through one accumulator variant and fold:
-/// per-destination byte streams plus record/seed/instance totals.
-fn spgemm_pack_all(
-    csr: &ReadKmerCsr,
-    part: &ReadPartition,
-    acc: SpgemmAccumulator,
-    fold: SeedFold,
-) -> (Vec<Vec<u8>>, u64, u64, u64) {
+/// Pack the whole fixture CSR under `fold`: per-destination byte streams
+/// plus record/seed/instance totals.
+fn spgemm_pack_all(csr: &ReadKmerCsr<'_>, part: &ReadPartition, fold: SeedFold) -> (Vec<Vec<u8>>, u64, u64, u64) {
     let mut bufs = vec![Vec::new(); SPGEMM_RANKS];
     let (mut records, mut seeds, mut instances) = (0u64, 0u64, 0u64);
     for lo in (0..csr.n_rows()).step_by(SPGEMM_BLOCK) {
         let hi = (lo + SPGEMM_BLOCK).min(csr.n_rows());
         let placement = TaskPlacement::Parity;
-        let out = pack_row_block(csr, lo..hi, part, placement, None, SPGEMM_RANKS, acc, fold);
+        let out = pack_row_block(csr, lo..hi, part, placement, None, SPGEMM_RANKS, fold);
         records += out.records;
         seeds += out.seeds;
         instances += out.instances;
@@ -303,25 +295,16 @@ fn main() {
         per_antidiagonal.map(|(_, cells)| format!("{cells:.1}")).join(" / "),
     );
 
-    // ---- SpGEMM row-block accumulators -------------------------------------
+    // ---- SpGEMM row accumulator -------------------------------------------
     let (table, part) = spgemm_fixture(SPGEMM_READS, SPGEMM_KMERS, SPGEMM_RANKS, 0x0D1B_E11A);
     let csr = ReadKmerCsr::from_table(&table);
-    let (dense_bytes, sp_records, sp_seeds, sp_instances) =
-        spgemm_pack_all(&csr, &part, SpgemmAccumulator::Dense, SeedFold::All);
-    let (hash_bytes, ..) = spgemm_pack_all(&csr, &part, SpgemmAccumulator::Hash, SeedFold::All);
-    assert_eq!(dense_bytes, hash_bytes, "accumulator variants disagree on the bench fixture");
+    let (sp_bytes, sp_records, sp_seeds, sp_instances) = spgemm_pack_all(&csr, &part, SeedFold::All);
     assert!(sp_records > 0, "fixture produced no pair records");
-    let mut spgemm_rows_per_sec = [0f64; 3];
-    let variants = [SpgemmAccumulator::Dense, SpgemmAccumulator::Hash, SpgemmAccumulator::Auto];
-    for (i, acc) in variants.into_iter().enumerate() {
-        black_box(spgemm_pack_all(&csr, &part, acc, SeedFold::All)); // warm-up, untimed
-        let t0 = Instant::now();
-        for _ in 0..SPGEMM_ITERS {
-            black_box(spgemm_pack_all(&csr, &part, acc, SeedFold::All));
-        }
-        spgemm_rows_per_sec[i] =
-            (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    for _ in 0..SPGEMM_ITERS {
+        black_box(spgemm_pack_all(&csr, &part, SeedFold::All));
     }
+    let spgemm_rows_per_sec = (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
 
     // The engine's symbolic pass: the same rows, counted instead of packed.
     let symbolic_all = || {
@@ -334,32 +317,22 @@ fn main() {
         })
     };
     let counted: Vec<usize> = symbolic_all().iter().map(|lens| lens.iter().sum()).collect();
-    assert_eq!(counted, dense_bytes.iter().map(Vec::len).collect::<Vec<_>>(), "symbolic pass miscounts the fixture");
+    assert_eq!(counted, sp_bytes.iter().map(Vec::len).collect::<Vec<_>>(), "symbolic pass miscounts the fixture");
     let t0 = Instant::now();
     for _ in 0..SPGEMM_ITERS {
         black_box(symbolic_all());
     }
     let symbolic_rows_per_sec = (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
 
-    // ---- the seed fold through each engine's source -------------------------
+    // ---- the seed fold at the source --------------------------------------
     let fold = SeedFold::Smallest(1);
-    let space = PairIndexSpace::new(&table);
-    let (folded, fold_instances) = space.fold_range(0, space.n_pairs(), fold);
-    let fold_records = folded.into_sorted().len() as u64;
-    let (_, sp_fold_records, sp_fold_seeds, sp_fold_instances) =
-        spgemm_pack_all(&csr, &part, SpgemmAccumulator::Auto, fold);
-    assert_eq!(fold_instances, sp_instances, "engines enumerate different instances");
-    assert_eq!(sp_fold_instances, sp_instances, "the fold changed what is enumerated");
-    assert_eq!((sp_fold_records, sp_fold_seeds), (fold_records, fold_records), "engines fold differently");
+    let (_, fold_records, fold_seeds, fold_instances) = spgemm_pack_all(&csr, &part, fold);
+    assert_eq!(fold_instances, sp_instances, "the fold changed what is enumerated");
+    assert_eq!(fold_seeds, fold_records, "the fold kept more than one seed per pair");
     assert_eq!(fold_records, sp_records, "folding changed the pair set");
     let t0 = Instant::now();
     for _ in 0..SPGEMM_ITERS {
-        black_box(space.fold_range(0, space.n_pairs(), fold));
-    }
-    let fold_instances_per_sec = (fold_instances * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    for _ in 0..SPGEMM_ITERS {
-        black_box(spgemm_pack_all(&csr, &part, SpgemmAccumulator::Auto, fold));
+        black_box(spgemm_pack_all(&csr, &part, fold));
     }
     let fold_rows_per_sec = (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
 
@@ -503,7 +476,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/11\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {{ \"dense\": {:.0}, \"hash\": {:.0}, \"auto\": {:.0} }}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"pairs_instances_per_sec\": {fold_instances_per_sec:.0}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/12\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {spgemm_rows_per_sec:.0}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         seed_simd.0 / seed_scalar.0,
@@ -517,9 +490,6 @@ fn main() {
         csr.n_rows(),
         csr.nnz(),
         sp_seeds as f64 / sp_records as f64,
-        spgemm_rows_per_sec[0],
-        spgemm_rows_per_sec[1],
-        spgemm_rows_per_sec[2],
         fold_records as f64 / fold_instances as f64,
         chain_rates[0],
         chain_rates[1],

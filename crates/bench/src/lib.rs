@@ -25,11 +25,8 @@
 //! selects the seed front end: the paper's two-pass reliable-k-mer
 //! counter, or the single-pass minimizer sketch (fewer wire bytes, seeds
 //! filtered by colinear chaining).
-//! `DIBELLA_OVERLAP_ENGINE` (`pairs` | `spgemm`, default `pairs`)
-//! selects the overlap-stage exchange engine (bit-identical alignments;
-//! the SpGEMM engine dedups shared-seed records at the source), and
-//! `DIBELLA_PAIR_BATCH` / `DIBELLA_SPGEMM_BLOCK` tune each engine's
-//! executor batch unit.
+//! `DIBELLA_SPGEMM_BLOCK` sets the overlap stage's executor batch unit
+//! (rows of `A·Aᵀ`).
 
 #![warn(missing_docs)]
 
@@ -41,7 +38,7 @@ use dibella_kcount::{pack_supermers, KcountConfig, KmerHashTable, Occurrence};
 use dibella_kmer::supermer::supermers;
 use dibella_kmer::{Kmer1, Strand, WindowIndex};
 use dibella_netmodel::{NodeMapping, Platform, Series};
-use dibella_overlap::{OverlapConfig, OverlapEngine, SeedPolicy, SharedSeed};
+use dibella_overlap::{OverlapConfig, SeedPolicy, SharedSeed};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -131,30 +128,8 @@ pub fn env_round_bytes() -> usize {
     }
 }
 
-/// The `DIBELLA_OVERLAP_ENGINE` environment knob: which overlap-stage
-/// exchange engine pipeline runs use (`pairs` | `spgemm`; see
-/// [`dibella_core::PipelineConfig::overlap_engine`]). Invalid values
-/// abort loudly rather than silently benchmarking the wrong engine.
-pub fn env_overlap_engine() -> OverlapEngine {
-    PipelineConfig::env_overlap_engine()
-}
-
-/// The `DIBELLA_PAIR_BATCH` environment knob: pair indices per executor
-/// batch in the `pairs` engine (default
-/// [`OverlapConfig::DEFAULT_PAIR_BATCH`]).
-pub fn env_pair_batch() -> usize {
-    match std::env::var("DIBELLA_PAIR_BATCH") {
-        Err(_) => OverlapConfig::DEFAULT_PAIR_BATCH,
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("DIBELLA_PAIR_BATCH must be a batch size, got {v:?}")),
-    }
-}
-
 /// The `DIBELLA_SPGEMM_BLOCK` environment knob: rows per SpGEMM block in
-/// the `spgemm` engine (default
-/// [`OverlapConfig::DEFAULT_SPGEMM_BLOCK`]).
+/// the overlap stage (default [`OverlapConfig::DEFAULT_SPGEMM_BLOCK`]).
 pub fn env_spgemm_block() -> usize {
     match std::env::var("DIBELLA_SPGEMM_BLOCK") {
         Err(_) => OverlapConfig::DEFAULT_SPGEMM_BLOCK,
@@ -166,7 +141,7 @@ pub fn env_spgemm_block() -> usize {
 }
 
 /// Deterministic synthetic k-mer table (plus an even read partition over
-/// `ranks` owners) for the SpGEMM accumulator benches: `n_kmers` random
+/// `ranks` owners) for the SpGEMM row benches: `n_kmers` random
 /// k-mers, each occurring 2–8 times across `n_reads` reads. The
 /// `spgemm_rows_per_sec` Criterion group and the `bench_kernels_json`
 /// baseline writer share this fixture so both measure the same workload.
@@ -315,8 +290,6 @@ pub fn config_for(w: Workload, policy: SeedPolicy) -> PipelineConfig {
         transport: env_transport(),
         max_exchange_bytes_per_round: env_round_bytes(),
         seed_mode: env_seed_mode(),
-        overlap_engine: env_overlap_engine(),
-        pair_batch: env_pair_batch(),
         spgemm_block: env_spgemm_block(),
         ..Default::default()
     }
@@ -498,19 +471,9 @@ mod tests {
     #[test]
     fn overlap_engine_env_knobs() {
         let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_OVERLAP_ENGINE", "spgemm");
-        std::env::set_var("DIBELLA_PAIR_BATCH", "33");
         std::env::set_var("DIBELLA_SPGEMM_BLOCK", "9");
-        assert_eq!(env_overlap_engine(), OverlapEngine::Spgemm);
-        let cfg = config_for(Workload::E30, SeedPolicy::Single);
-        assert_eq!(cfg.overlap_engine, OverlapEngine::Spgemm);
-        assert_eq!(cfg.pair_batch, 33);
-        assert_eq!(cfg.spgemm_block, 9);
-        std::env::remove_var("DIBELLA_OVERLAP_ENGINE");
-        std::env::remove_var("DIBELLA_PAIR_BATCH");
+        assert_eq!(config_for(Workload::E30, SeedPolicy::Single).spgemm_block, 9);
         std::env::remove_var("DIBELLA_SPGEMM_BLOCK");
-        assert_eq!(env_overlap_engine(), OverlapEngine::Pairs);
-        assert_eq!(env_pair_batch(), OverlapConfig::DEFAULT_PAIR_BATCH);
         assert_eq!(env_spgemm_block(), OverlapConfig::DEFAULT_SPGEMM_BLOCK);
     }
 

@@ -73,16 +73,15 @@ pub struct PipelineConfig {
     pub seed_policy: SeedPolicy,
     /// Cap on seeds explored per pair.
     pub max_seeds_per_pair: usize,
-    /// Overlap-stage exchange engine (`--overlap-engine`,
-    /// `DIBELLA_OVERLAP_ENGINE`): the paper's Algorithm-1 enumeration
-    /// (`pairs`, folded per exchange round) or the `spgemm` reformulation
-    /// (folded per matrix row). Bit-identical alignments either way.
+    /// Accepted and ignored: stage 3 has one engine. Kept, with
+    /// [`PipelineConfig::pair_batch`], only so configurations that spell
+    /// out every field keep compiling; both go when the repo benchmark
+    /// stops constructing this struct field by field.
     pub overlap_engine: OverlapEngine,
-    /// Least pair indices per executor batch of the `pairs` engine's
-    /// source fold (`--pair-batch`, `DIBELLA_PAIR_BATCH`).
+    /// Accepted and ignored, like [`PipelineConfig::overlap_engine`].
     pub pair_batch: usize,
-    /// Rows per SpGEMM block in the `spgemm` engine (`--spgemm-block`,
-    /// `DIBELLA_SPGEMM_BLOCK`).
+    /// Most rows of `A·Aᵀ` per executor batch of the overlap stage
+    /// (`--spgemm-block`, `DIBELLA_SPGEMM_BLOCK`).
     pub spgemm_block: usize,
     /// x-drop termination parameter `X` of the alignment kernel.
     pub xdrop: i32,
@@ -160,8 +159,8 @@ impl Default for PipelineConfig {
             min_chain_seeds: 2,
             seed_policy: SeedPolicy::Single,
             max_seeds_per_pair: 16,
-            overlap_engine: OverlapEngine::Pairs,
-            pair_batch: OverlapConfig::DEFAULT_PAIR_BATCH,
+            overlap_engine: OverlapEngine::Spgemm,
+            pair_batch: 1024,
             spgemm_block: OverlapConfig::DEFAULT_SPGEMM_BLOCK,
             xdrop: 25,
             scoring: Scoring::bella(),
@@ -244,21 +243,6 @@ impl PipelineConfig {
         }
     }
 
-    /// The overlap engine requested via the environment
-    /// (`DIBELLA_OVERLAP_ENGINE`), defaulting to [`OverlapEngine::Pairs`]
-    /// when unset. Panics on an unparsable value — a silently ignored
-    /// engine switch is worse than a crash. Feed the result to
-    /// [`PipelineConfig::overlap_engine`].
-    pub fn env_overlap_engine() -> OverlapEngine {
-        match std::env::var("DIBELLA_OVERLAP_ENGINE") {
-            Err(_) => OverlapEngine::Pairs,
-            Ok(v) => v
-                .trim()
-                .parse()
-                .unwrap_or_else(|e| panic!("DIBELLA_OVERLAP_ENGINE: {e}")),
-        }
-    }
-
     /// Derive the overlap-stage configuration. The chain filter is
     /// enabled exactly when the minimizer front end feeds the stage.
     pub fn overlap(&self) -> OverlapConfig {
@@ -267,14 +251,12 @@ impl PipelineConfig {
             max_seeds_per_pair: self.max_seeds_per_pair,
             placement: self.placement,
             max_exchange_bytes_per_round: self.max_exchange_bytes_per_round,
-            pair_batch: self.pair_batch,
             chain: match self.seed_mode {
                 SeedMode::Reliable => None,
                 SeedMode::Minimizer => {
                     Some(ChainConfig { min_chain_seeds: self.min_chain_seeds })
                 }
             },
-            engine: self.overlap_engine,
             spgemm_block: self.spgemm_block,
         }
     }
@@ -357,20 +339,12 @@ mod tests {
     #[test]
     fn overlap_engine_knobs_reach_the_stage_config() {
         let cfg = PipelineConfig::default();
-        assert_eq!(cfg.overlap_engine, OverlapEngine::Pairs);
-        assert_eq!(cfg.overlap().engine, OverlapEngine::Pairs);
-        assert_eq!(cfg.overlap().pair_batch, OverlapConfig::DEFAULT_PAIR_BATCH);
         assert_eq!(cfg.overlap().spgemm_block, OverlapConfig::DEFAULT_SPGEMM_BLOCK);
-        let cfg = PipelineConfig {
-            overlap_engine: OverlapEngine::Spgemm,
-            pair_batch: 17,
-            spgemm_block: 5,
-            ..Default::default()
-        };
-        let oc = cfg.overlap();
-        assert_eq!(oc.engine, OverlapEngine::Spgemm);
-        assert_eq!(oc.pair_batch, 17);
-        assert_eq!(oc.spgemm_block, 5);
+        let cfg = PipelineConfig { spgemm_block: 5, ..Default::default() };
+        assert_eq!(cfg.overlap().spgemm_block, 5);
+        // The retired engine spellings reach nothing.
+        let ignored = PipelineConfig { overlap_engine: OverlapEngine::Pairs, pair_batch: 17, ..cfg.clone() };
+        assert_eq!(format!("{:?}", ignored.overlap()), format!("{:?}", cfg.overlap()));
     }
 
     #[test]

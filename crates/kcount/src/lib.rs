@@ -25,7 +25,7 @@ pub mod table;
 
 pub use cardinality::hll_cardinality;
 pub use config::KcountConfig;
-pub use csr::{CsrEntry, ReadKmerCsr};
+pub use csr::ReadKmerCsr;
 pub use stages::{
     bloom_stage_overlapping, hash_stage_prepacked, minimizer_stage, pack_supermers, pack_windows,
     BloomOutput, HashOutput, KmerStageCounters, MinimizerOutput, RetainedRuns,

@@ -1,22 +1,21 @@
-//! SpGEMM overlap engine: blocked `A·Aᵀ` pair discovery (the BELLA /
+//! Stage 3's discovery engine: blocked `A·Aᵀ` pair discovery (the BELLA /
 //! diBELLA-2D formulation), streamed in two phases, and the **pair
-//! record** — stage 3's one wire format, which both engines emit and every
-//! destination decodes.
+//! record** — stage 3's one wire format.
 //!
-//! The paper's Algorithm 1 (the `pairs` engine in [`crate::stage`])
-//! enumerates every occurrence pair of every retained k-mer in table
-//! order. This engine reformulates the same enumeration as the sparse
-//! matrix product `A·Aᵀ` of the read-by-k-mer matrix
-//! ([`dibella_kcount::ReadKmerCsr`]), so that all of a pair's local seeds
-//! meet in one row accumulator:
+//! The paper's Algorithm 1 enumerates every occurrence pair of every
+//! retained k-mer in table order; [`crate::reference_pairs`] keeps that
+//! loop as the oracle the tests compare against. This engine computes the
+//! same pair multiset as the sparse matrix product `A·Aᵀ` of the
+//! read-by-k-mer matrix ([`dibella_kcount::ReadKmerCsr`]), so that all of
+//! a pair's local seeds meet in one row accumulator:
 //!
 //! 1. each row `i` (a local read) runs a Gustavson accumulation: for every
-//!    row entry `(c, pos, strand)` and every occurrence `(j, pos_j,
-//!    strand_j)` of column `c` with `read_j > read_i`, fold the seed into
-//!    the list kept under key `read_j` with the run's [`SeedFold`] — the
-//!    semiring "add" (strictly upper triangular, so each unordered
-//!    occurrence pair is produced by exactly one row — the smaller
-//!    read's);
+//!    column `c` of the row, every occurrence `(i, pos, strand)` of `c` in
+//!    read `i` (in column order) and every occurrence `(j, pos_j,
+//!    strand_j)` of `c` with `j > i`, fold the seed into the list kept
+//!    under key `j` with the run's [`SeedFold`] — the semiring "add"
+//!    (strictly upper triangular, so each unordered occurrence pair is
+//!    produced by exactly one row — the smaller read's);
 //! 2. per pair `(a, b)` one variable-length wire record carries the seeds
 //!    the fold kept:
 //!
@@ -58,6 +57,10 @@
 //!   all with a single round or a single rank, at most once per rank) —
 //!   the price of holding rounds instead of the product.
 //!
+//! Both passes index a row's candidates with the same dense `u32` slot
+//! per global read, allocated once per executor worker and zeroed as each
+//! row drains.
+//!
 //! # Finishing early: the watermark rule
 //!
 //! Only row `a` produces pair `(a, b)` and every source walks its rows in
@@ -78,12 +81,10 @@
 //!
 //! Determinism: column order is the CSR's canonical k-mer sort, row order
 //! is ascending read ID, executor batches are a pure function of the
-//! round's row span, and both accumulator variants
-//! ([`SpgemmAccumulator::Dense`] / [`SpgemmAccumulator::Hash`]) emit
-//! candidate reads in ascending-`b` order with seeds folded in row-entry
-//! (column) order — so the wire bytes are bit-identical across thread
-//! counts, accumulator choices, block sizes and round caps, and the shared
-//! chain/policy epilogue in [`crate::stage`] produces bit-identical
+//! round's row span, and a row emits its candidate reads in ascending-`b`
+//! order with seeds folded in column order — so the wire bytes are
+//! bit-identical across thread counts, block sizes and round caps, and
+//! the chain/policy epilogue in [`crate::stage`] produces bit-identical
 //! alignments.
 
 use crate::policy::SeedFold;
@@ -92,7 +93,6 @@ use crate::task::{ReadPair, SharedSeed, TaskPlacement};
 use dibella_comm::{BatchedExecutor, ByteRounds, Comm};
 use dibella_io::ReadPartition;
 use dibella_kcount::{KmerHashTable, ReadKmerCsr};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -100,35 +100,6 @@ use std::sync::Mutex;
 pub const RECORD_HEADER_BYTES: usize = 12;
 /// Bytes per seed within a pair record.
 pub const SEED_BYTES: usize = 8;
-
-/// Gustavson row-accumulator variant. The two implementations traverse
-/// identically and emit identical bytes — only the `b → seed list` index
-/// differs, which is what the `spgemm_rows_per_sec` bench compares.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpgemmAccumulator {
-    /// Per executor batch, pick [`Self::Dense`] when the batch's flop
-    /// bound is at least a quarter of the global read count, else
-    /// [`Self::Hash`]. A pure function of the input — never of the thread
-    /// count.
-    #[default]
-    Auto,
-    /// Dense: a `u32` slot per global read (allocated once per executor
-    /// worker, not per batch) plus a touched list — O(1) accumulation.
-    Dense,
-    /// Hash: a `HashMap` keyed by candidate read — O(touched) memory,
-    /// for row batches that are sparse next to the read count.
-    Hash,
-}
-
-impl SpgemmAccumulator {
-    fn is_dense(self, csr: &ReadKmerCsr, rows: &Range<usize>, n_reads: usize) -> bool {
-        match self {
-            Self::Auto => csr.block_flops(rows.start, rows.end) >= n_reads as u64 / 4,
-            Self::Dense => true,
-            Self::Hash => false,
-        }
-    }
-}
 
 /// One row block's output: the record geometry [`ByteRounds`] plans with,
 /// the emission counters, and — from the numeric pass — the wire bytes.
@@ -202,8 +173,6 @@ struct RowScratch {
     /// candidate's instance count while a row is counted, 1 + its
     /// position in `touched` while one is expanded.
     slot: Vec<u32>,
-    /// The hash accumulator's index: candidate → position in `touched`.
-    map: HashMap<u32, u32>,
     /// The current row's candidates with the index of their seed list,
     /// in first-touch order until the row is drained in ascending `b`.
     touched: Vec<(u32, u32)>,
@@ -220,19 +189,23 @@ impl RowScratch {
     }
 }
 
-/// Every cross-read instance of row `r` as `(b, seed)`, in row-entry
-/// (column) order.
+/// Every cross-read instance of row `r` as `(b, seed)`: column by column,
+/// each of the row's own occurrences of the column (in column order)
+/// against every occurrence of a later read.
 #[inline]
-fn for_each_instance(csr: &ReadKmerCsr, r: usize, mut f: impl FnMut(u32, SharedSeed)) {
+fn for_each_instance(csr: &ReadKmerCsr<'_>, r: usize, mut f: impl FnMut(u32, SharedSeed)) {
     let a = csr.row_read(r);
-    for e in csr.row(r) {
-        for occ in csr.col(e.col) {
-            // Strictly upper triangular: the smaller read's row owns the
-            // pair, so each cross-read occurrence pair is produced exactly
-            // once (same-read occurrence pairs witness no overlap and are
-            // skipped by `occ.read == a`).
-            if occ.read > a {
-                f(occ.read, SharedSeed { a_pos: e.pos, b_pos: occ.pos, reverse: e.strand != occ.strand });
+    for &c in csr.row(r) {
+        let occs = csr.col(c);
+        for own in occs.iter().filter(|o| o.read == a) {
+            for occ in occs {
+                // Strictly upper triangular: the smaller read's row owns
+                // the pair, so each cross-read occurrence pair is produced
+                // exactly once (same-read occurrence pairs witness no
+                // overlap and are skipped too).
+                if occ.read > a {
+                    f(occ.read, SharedSeed { a_pos: own.pos, b_pos: occ.pos, reverse: own.strand != occ.strand });
+                }
             }
         }
     }
@@ -242,7 +215,7 @@ fn for_each_instance(csr: &ReadKmerCsr, r: usize, mut f: impl FnMut(u32, SharedS
 /// the numeric pass will write, in its order. Returns the instances
 /// enumerated.
 fn count_rows(
-    csr: &ReadKmerCsr,
+    csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
     route: Route<'_>,
     fold: SeedFold,
@@ -274,32 +247,23 @@ fn count_rows(
 /// of each row in ascending `b`, the seeds accumulated under `fold`.
 /// Returns the instances enumerated.
 fn expand_rows(
-    csr: &ReadKmerCsr,
+    csr: &ReadKmerCsr<'_>,
     rows: impl Iterator<Item = usize>,
-    dense: bool,
     fold: SeedFold,
     scratch: &mut RowScratch,
     mut record: impl FnMut(usize, ReadPair, &[SharedSeed]),
 ) -> u64 {
-    let RowScratch { slot, map, touched, lists } = scratch;
+    let RowScratch { slot, touched, lists } = scratch;
     let mut instances = 0u64;
     for r in rows {
         for_each_instance(csr, r, |b, seed| {
             instances += 1;
-            let new = touched.len() as u32;
-            let at = if dense {
-                let s = &mut slot[b as usize];
-                if *s == 0 {
-                    touched.push((b, new));
-                    *s = new + 1;
-                }
-                *s - 1
-            } else {
-                *map.entry(b).or_insert_with(|| {
-                    touched.push((b, new));
-                    new
-                })
-            } as usize;
+            let s = &mut slot[b as usize];
+            if *s == 0 {
+                touched.push((b, touched.len() as u32));
+                *s = touched.len() as u32;
+            }
+            let at = *s as usize - 1;
             if at == lists.len() {
                 lists.push(Vec::new());
             }
@@ -310,11 +274,8 @@ fn expand_rows(
             let seeds = &mut lists[at as usize];
             record(r, ReadPair { a: csr.row_read(r), b }, seeds);
             seeds.clear();
-            if dense {
-                slot[b as usize] = 0;
-            }
+            slot[b as usize] = 0;
         }
-        map.clear();
     }
     instances
 }
@@ -323,24 +284,20 @@ fn expand_rows(
 /// pair records, each pair's seeds accumulated under `fold`. Packing every
 /// row this way yields the whole product — the oracle the streamed engine
 /// is tested against, and what the `spgemm_rows_per_sec` bench drives.
-/// Deterministic: identical bytes for every accumulator variant.
-#[allow(clippy::too_many_arguments)]
 pub fn pack_row_block(
-    csr: &ReadKmerCsr,
+    csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
     read_part: &ReadPartition,
     placement: TaskPlacement,
     lengths: Option<&[u32]>,
     ranks: usize,
-    acc_kind: SpgemmAccumulator,
     fold: SeedFold,
 ) -> SpgemmBlockOut {
     let route = Route { read_part, placement, lengths };
     let mut out = SpgemmBlockOut::for_ranks(ranks);
-    let dense = acc_kind.is_dense(csr, &rows, read_part.n_reads());
     let mut scratch = RowScratch::default();
     let scratch = scratch.with_dense_index(read_part.n_reads());
-    let instances = expand_rows(csr, rows, dense, fold, scratch, |_, pair, seeds| {
+    let instances = expand_rows(csr, rows, fold, scratch, |_, pair, seeds| {
         let dest = route.dest(pair.a, pair.b);
         let len = write_pair_record(&mut out.bufs[dest], pair, seeds);
         out.count(dest, len);
@@ -354,7 +311,7 @@ pub fn pack_row_block(
 /// empty). Exact for [`SeedFold::All`] and `Smallest(1)`; see
 /// [`SeedFold::kept_len`].
 pub fn count_row_block(
-    csr: &ReadKmerCsr,
+    csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
     read_part: &ReadPartition,
     placement: TaskPlacement,
@@ -419,10 +376,9 @@ pub fn decode_pair_records(buf: &[u8], mut f: impl FnMut(ReadPair, RecordSeeds<'
 }
 
 /// Most executor batches one round's row span is cut into (and the whole
-/// matrix, for the symbolic pass) — the pairs engine's
-/// [`FOLD_BATCHES_PER_ROUND`](crate::stage::FOLD_BATCHES_PER_ROUND), for
-/// the same reason: when a round is a handful of heavy rows, cutting it
-/// by `spgemm_block` alone would leave one batch and one busy worker.
+/// matrix, for the symbolic pass): when a round is a handful of heavy
+/// rows, cutting it by `spgemm_block` alone would leave one batch and one
+/// busy worker.
 const BATCHES_PER_ROUND: usize = 64;
 
 /// Batches of a round expanded between two merges into the round's
@@ -457,7 +413,7 @@ impl ScratchPool {
 /// What the engine's passes share.
 #[derive(Clone, Copy)]
 struct Product<'a> {
-    csr: &'a ReadKmerCsr,
+    csr: &'a ReadKmerCsr<'a>,
     route: Route<'a>,
     fold: SeedFold,
     /// `OverlapConfig::spgemm_block`, the most rows per executor batch.
@@ -603,11 +559,10 @@ impl<'a> RowStream<'a> {
         let n_batches = (hi - lo).div_ceil(batch);
         let expand = |i: usize| {
             let rows = lo + i * batch..(lo + (i + 1) * batch).min(hi);
-            let dense = SpgemmAccumulator::Auto.is_dense(csr, &rows, n_reads);
             let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); ranks];
             pool.with(|scratch| {
                 let scratch = scratch.with_dense_index(n_reads);
-                expand_rows(csr, rows.filter(wanted), dense, fold, scratch, |r, pair, seeds| {
+                expand_rows(csr, rows.filter(wanted), fold, scratch, |r, pair, seeds| {
                     let dest = route.dest(pair.a, pair.b);
                     if wants[dest].contains(&r) {
                         write_pair_record(&mut bufs[dest], pair, seeds);
@@ -657,11 +612,12 @@ impl Watermark {
     }
 }
 
-/// The SpGEMM engine: build the CSR, count the product, plan the rounds,
-/// swap watermarks, then stream — expanding a round of rows while the
-/// previous one is in flight and finishing every pair below the minimum
-/// watermark as soon as the round is consumed. Finished pairs go to
-/// `finish` in pair order; the source-side and exchange counters come back.
+/// Stage 3's discovery and exchange: build the CSR, count the product,
+/// plan the rounds, swap watermarks, then stream — expanding a round of
+/// rows while the previous one is in flight and finishing every pair below
+/// the minimum watermark as soon as the round is consumed. Finished pairs
+/// go to `finish` in pair order; the source-side and exchange counters
+/// come back.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spgemm_exchange(
     comm: &Comm,
@@ -763,7 +719,6 @@ mod tests {
             TaskPlacement::Parity,
             None,
             1,
-            SpgemmAccumulator::Auto,
             SeedFold::All,
         );
         assert_eq!(out.records, 2, "one record per pair");
@@ -788,10 +743,9 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// Dense and hash accumulators emit byte-identical streams, and block
-    /// size never changes the concatenated bytes.
+    /// Block size never changes the concatenated bytes.
     #[test]
-    fn accumulator_variants_and_blocking_are_byte_identical() {
+    fn row_blocking_is_byte_identical() {
         let t = table_with(&[
             (
                 b"ACGTA",
@@ -809,12 +763,11 @@ mod tests {
         ]);
         let csr = ReadKmerCsr::from_table(&t);
         let part = ReadPartition::from_counts(&[3, 3]);
-        let run = |acc: SpgemmAccumulator, block: usize, fold: SeedFold| {
+        let run = |block: usize, fold: SeedFold| {
             let mut merged: Vec<Vec<u8>> = vec![Vec::new(); 2];
             for lo in (0..csr.n_rows()).step_by(block) {
                 let hi = (lo + block).min(csr.n_rows());
-                let out =
-                    pack_row_block(&csr, lo..hi, &part, TaskPlacement::Parity, None, 2, acc, fold);
+                let out = pack_row_block(&csr, lo..hi, &part, TaskPlacement::Parity, None, 2, fold);
                 for (d, b) in merged.iter_mut().zip(out.bufs) {
                     d.extend_from_slice(&b);
                 }
@@ -822,11 +775,10 @@ mod tests {
             merged
         };
         for fold in [SeedFold::All, SeedFold::Smallest(1)] {
-            let baseline = run(SpgemmAccumulator::Dense, csr.n_rows(), fold);
-            for acc in [SpgemmAccumulator::Hash, SpgemmAccumulator::Auto] {
-                for block in [1usize, 2, 3, 64] {
-                    assert_eq!(run(acc, block, fold), baseline, "acc={acc:?} block={block} {fold:?}");
-                }
+            let baseline = run(csr.n_rows(), fold);
+            assert!(baseline.iter().all(|b| !b.is_empty()), "{fold:?}");
+            for block in [1usize, 2, 3, 64] {
+                assert_eq!(run(block, fold), baseline, "block={block} {fold:?}");
             }
         }
     }
@@ -849,7 +801,6 @@ mod tests {
             TaskPlacement::Parity,
             None,
             1,
-            SpgemmAccumulator::Auto,
             SeedFold::Smallest(1),
         );
         assert_eq!((out.instances, out.records, out.seeds), (3, 1, 1));
@@ -857,6 +808,42 @@ mod tests {
         let mut got = Vec::new();
         decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
         assert_eq!(got, vec![(ReadPair::new(0, 1), SharedSeed { a_pos: 3, b_pos: 0, reverse: false })]);
+    }
+
+    /// A k-mer repeated inside one read: the row names the column once, and
+    /// each of the read's occurrences still pairs with every later read's —
+    /// the emitted instances are Algorithm 1's, same-read pairs excluded.
+    #[test]
+    fn a_kmer_repeated_in_one_read_emits_algorithm_ones_instances() {
+        let t = table_with(&[
+            (
+                b"ACGTA",
+                vec![
+                    occ(1, 4, Strand::Forward),
+                    occ(0, 2, Strand::Forward),
+                    occ(1, 30, Strand::Reverse),
+                    occ(2, 8, Strand::Forward),
+                    occ(0, 17, Strand::Reverse),
+                ],
+            ),
+            (b"CATCA", vec![occ(2, 3, Strand::Forward), occ(2, 11, Strand::Forward), occ(0, 6, Strand::Forward)]),
+        ]);
+        let csr = ReadKmerCsr::from_table(&t);
+        assert_eq!((0..csr.n_rows()).map(|r| csr.row(r).len()).collect::<Vec<_>>(), [2, 1, 2]);
+        let part = ReadPartition::from_counts(&[3]);
+        let out = pack_row_block(&csr, 0..csr.n_rows(), &part, TaskPlacement::Parity, None, 1, SeedFold::All);
+        let mut got: Vec<(ReadPair, SharedSeed)> = Vec::new();
+        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
+        got.sort_unstable();
+        // `reference_pairs` dedups each pair's list; these instances are
+        // distinct, so the multiset must equal it as it stands.
+        let mut want: Vec<(ReadPair, SharedSeed)> = crate::reference_pairs(&[&t])
+            .into_iter()
+            .flat_map(|(pair, seeds)| seeds.into_iter().map(move |s| (pair, s)))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(out.instances, 10, "2·2 + 2·1 + 2·1 in ACGTA, 1·2 in CATCA");
+        assert_eq!(got, want);
     }
 
     /// The orientation bit survives packing next to a large position.
@@ -875,7 +862,6 @@ mod tests {
             TaskPlacement::Parity,
             None,
             1,
-            SpgemmAccumulator::Hash,
             SeedFold::All,
         );
         let mut got = Vec::new();
@@ -987,8 +973,7 @@ mod tests {
             let part = ReadPartition::from_counts(&vec![per; ranks]);
             for fold in [SeedFold::All, SeedFold::Smallest(1)] {
                 let placement = TaskPlacement::Parity;
-                let acc = SpgemmAccumulator::Auto;
-                let oracle = pack_row_block(&csr, 0..csr.n_rows(), &part, placement, None, ranks, acc, fold);
+                let oracle = pack_row_block(&csr, 0..csr.n_rows(), &part, placement, None, ranks, fold);
                 assert!(oracle.records > 1_000, "{} records", oracle.records);
                 for cap in [usize::MAX, 64 << 10, 4 << 10, 8] {
                     let want = ByteRounds::plan(&oracle.lens, cap);

@@ -1,11 +1,14 @@
 //! Stage 3 — distributed overlap detection (paper §8, Algorithm 1).
 //!
-//! Each rank walks its hash-table partition, forms every pair of reads
-//! sharing a retained k-mer, **folds** each pair's seeds as they are found
-//! (the semiring "add": [`SeedPolicy::source_keep`] says what the run's
-//! seed policy lets a partial list forget), routes one *pair record* per
-//! pair to the home of one of its reads via the odd/even heuristic,
-//! streams the records out in byte-bounded
+//! Each rank finds every pair of reads sharing a retained k-mer in its
+//! hash-table partition as the sparse product `A·Aᵀ` of the read-by-k-mer
+//! matrix ([`crate::spgemm`]; the paper's Algorithm 1 enumerates the same
+//! pair multiset in table order and stays as the oracle
+//! [`reference_pairs`]), **folds** each pair's seeds as they meet in the
+//! row accumulator (the semiring "add": [`SeedPolicy::source_keep`] says
+//! what the run's seed policy lets a partial list forget), routes one
+//! *pair record* per pair to the home of one of its reads via the
+//! odd/even heuristic, streams the records out in byte-bounded
 //! [`dibella_comm::RoundExchange`] rounds (packing each round while the
 //! previous one is in flight), and folds arrivals into per-pair seed lists
 //! with the same rule; the lists are then chained and filtered by the
@@ -13,36 +16,21 @@
 //! the single monolithic all-to-all of the paper's Algorithm 1; the
 //! results are bit-identical either way.
 //!
-//! Two interchangeable **engines** implement the source half
-//! ([`OverlapEngine`], `--overlap-engine`). They differ in enumeration
-//! order only: the default `pairs` engine below walks Algorithm 1's nested
-//! loop in table order and folds per exchange round, the `spgemm` engine
-//! ([`crate::spgemm`]) walks the sparse product `A·Aᵀ` row by row and
-//! folds per row. Both write the one wire format
-//! ([`write_pair_record`], `12 + 8n` bytes for a pair's `n` kept seeds),
-//! ship through the one exchange (`exchange_records`) and feed the one
-//! chain → policy epilogue, and both produce bit-identical alignments.
-//!
-//! The order decides **what a destination must hold**. `exchange_records`
-//! folds each round's arrivals into per-pair lists and, after every
-//! round, asks the engine below which `a` every later record's pair
-//! `(a, b)` is guaranteed to start; pairs under that bound are complete,
-//! go through the epilogue at once — in pair order, because the bound
-//! only rises — and their lists are freed. Rows of `A·Aᵀ` leave every
-//! source in ascending `a`, so the SpGEMM engine can promise a bound after
-//! each round (its watermark rule, [`crate::spgemm`]) and a destination
-//! holds about one round of seeds per source. Algorithm 1 meets a pair's
-//! k-mers in table order, scattered over all rounds, so the pairs engine
-//! can promise nothing before the last round: under `SeedFold::All` it
-//! holds every seed it receives until then (under `Smallest(1)` one seed
-//! per pair, which is why that engine is cheap exactly where the fold
-//! collapses the lists). [`OverlapCounters::peak_seeds_pending`] reports
-//! the figure for either engine.
+//! The record ([`write_pair_record`](crate::write_pair_record),
+//! `12 + 8n` bytes for a pair's `n` kept seeds) leaves every source in
+//! ascending `a`, because rows of `A·Aᵀ` do. `exchange_records` folds each
+//! round's arrivals into per-pair lists and, after every round, asks the
+//! engine which `a` every later record's pair `(a, b)` is guaranteed to
+//! start (its watermark rule, [`crate::spgemm`]); pairs under that bound
+//! are complete, go through the epilogue at once — in pair order, because
+//! the bound only rises — and their lists are freed, so a destination
+//! holds about one round of seeds per source
+//! ([`OverlapCounters::peak_seeds_pending`]).
 //!
 //! | policy | chain filter | fold | a pair sharing *m* k-mers leaves a source as |
 //! |---|---|---|---|
-//! | `Single` | off | `Smallest(1)` | one 20-byte record per round it occurs in (`pairs`) or one in all (`spgemm`) |
-//! | `Single` | on | `All` | `12 + 8m` bytes in all (split over the rounds it occurs in for `pairs`) |
+//! | `Single` | off | `Smallest(1)` | one 20-byte record |
+//! | `Single` | on | `All` | one `12 + 8m`-byte record |
 //! | `MinDistance` | either | `All` | the same |
 //!
 //! **Counter ledger** ([`OverlapCounters`]): every enumerated instance is
@@ -51,70 +39,37 @@
 //! Σ seeds_received`; and `seeds_received = seeds_kept +
 //! seeds_dropped()`.
 //!
-//! Pair enumeration is threaded through the shared
-//! [`BatchedExecutor`]: prefix sums over each entry's occurrence-pair
-//! bound `n(n−1)/2` form a global *pair-index* space, a round is a cut of
-//! that space sized as if every instance shipped alone (so the folded
-//! round never exceeds the cap), each round is cut into at most
-//! [`FOLD_BATCHES_PER_ROUND`] batches of at least `pair_batch` indices
-//! folded in parallel, and the partial folds merge in batch order — which
-//! equals one sequential fold of the round, so the record stream is a pure
-//! function of the table at any thread count (and downstream sort/dedup
-//! makes the *output* independent even of the table's iteration order).
-//! The shared epilogue runs on the same executor: each run of completed
-//! pairs, sorted by [`ReadPair`], is cut into fixed batches whose seed
-//! lists are canonicalized, chained and policy-filtered in place, and
-//! tasks and counters merge in batch order — every pair is finished on
-//! its own, so how the pairs were split into runs changes nothing.
+//! Both halves are threaded through the shared [`BatchedExecutor`]: the
+//! product's rows are expanded in executor batches that are a pure
+//! function of the input and merged in row order, so the record stream is
+//! the same at any thread count. The epilogue runs on the same executor:
+//! each run of completed pairs, sorted by [`ReadPair`], is cut into fixed
+//! batches whose seed lists are canonicalized, chained and
+//! policy-filtered in place, and tasks and counters merge in batch order —
+//! every pair is finished on its own, so how the pairs were split into
+//! runs changes nothing.
 
 use crate::chain::{chain_seeds, ChainConfig};
 use crate::policy::{SeedFold, SeedPolicy};
-use crate::spgemm::{
-    decode_pair_records, spgemm_exchange, write_pair_record, RECORD_HEADER_BYTES, SEED_BYTES,
-};
+use crate::spgemm::{decode_pair_records, spgemm_exchange};
 use crate::task::{OverlapTask, ReadPair, SharedSeed, TaskPlacement};
-use dibella_comm::{records_per_round, BatchedExecutor, Comm, RoundExchange, RoundPlan};
+use dibella_comm::{BatchedExecutor, Comm, RoundExchange, RoundPlan};
 use dibella_io::ReadPartition;
-use dibella_kcount::{KmerHashTable, KmerKeyHasher, Occurrence};
+use dibella_kcount::{KmerHashTable, KmerKeyHasher};
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::BuildHasherDefault;
-use std::str::FromStr;
 
-/// Which engine enumerates the shared seeds (`--overlap-engine`). Final
-/// alignments are bit-identical across engines; the choice trades pack
-/// time against how much of a pair a source folds before shipping (see
-/// [`crate::spgemm`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The spelling of a stage-3 engine choice that no longer exists: stage 3
+/// has one engine ([`crate::spgemm`]). `PipelineConfig::overlap_engine`
+/// still accepts either variant and ignores it, so configurations written
+/// against the two-engine API keep compiling; the field and this enum are
+/// deleted together with the benchmark's copy of the stage sequence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverlapEngine {
-    /// Algorithm 1's nested loop in table order, streamed: each exchange
-    /// round folds and ships its own cut of the pair-index space.
-    #[default]
+    /// Formerly Algorithm 1's table-order enumeration. Ignored.
     Pairs,
-    /// Blocked `A·Aᵀ` SpGEMM: a pair's local seeds meet in one row
-    /// accumulator, so a source ships one record per pair in all.
+    /// Formerly the `A·Aᵀ` enumeration, now the only one. Ignored.
     Spgemm,
-}
-
-impl FromStr for OverlapEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "pairs" => Ok(Self::Pairs),
-            "spgemm" => Ok(Self::Spgemm),
-            other => Err(format!("unknown overlap engine '{other}' (expected pairs|spgemm)")),
-        }
-    }
-}
-
-impl fmt::Display for OverlapEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Pairs => "pairs",
-            Self::Spgemm => "spgemm",
-        })
-    }
 }
 
 /// Overlap-stage configuration.
@@ -132,28 +87,18 @@ pub struct OverlapConfig {
     /// i.e. one monolithic exchange). The pipeline plumbs `--round-mb`
     /// through here.
     pub max_exchange_bytes_per_round: usize,
-    /// Least pair indices per executor batch of the pairs engine's source
-    /// fold (a round is cut into at most [`FOLD_BATCHES_PER_ROUND`]
-    /// batches). Batches are a pure function of the input — never of the
-    /// thread count — so any value is deterministic; tests shrink it to
-    /// force many batches.
-    pub pair_batch: usize,
     /// Colinear chain filter applied between consolidation and the seed
     /// policy (`None` = off). The minimizer seed mode turns it on: sparse
     /// sketch hits need a consistency check that dense reliable k-mers
     /// get for free from their sheer count.
     pub chain: Option<ChainConfig>,
-    /// Which exchange engine runs the discovery half (`--overlap-engine`).
-    pub engine: OverlapEngine,
-    /// Rows per SpGEMM block when `engine == Spgemm` — the executor batch
-    /// unit (`--spgemm-block`). Pure function of the input, so any value
-    /// is deterministic; tests shrink it to force many blocks.
+    /// Most rows of `A·Aᵀ` per executor batch (`--spgemm-block`). Batches
+    /// are a pure function of the input — never of the thread count — so
+    /// any value is deterministic; tests shrink it to force many blocks.
     pub spgemm_block: usize,
 }
 
 impl OverlapConfig {
-    /// Default executor batch size for threaded pair enumeration.
-    pub const DEFAULT_PAIR_BATCH: usize = 1024;
     /// Default rows per SpGEMM row block.
     pub const DEFAULT_SPGEMM_BLOCK: usize = 64;
 }
@@ -165,52 +110,21 @@ impl Default for OverlapConfig {
             max_seeds_per_pair: 16,
             placement: TaskPlacement::Parity,
             max_exchange_bytes_per_round: usize::MAX,
-            pair_batch: Self::DEFAULT_PAIR_BATCH,
             chain: None,
-            engine: OverlapEngine::Pairs,
             spgemm_block: Self::DEFAULT_SPGEMM_BLOCK,
         }
     }
 }
 
-/// `(i, j)` of the `t`-th pair in the nested-loop order over `n`
-/// occurrences (`i < j`, row-major: all `(0, _)` pairs, then `(1, _)`, …).
-/// Rows shrink by one each step, so a short walk recovers the row; batch
-/// starts pay O(n), every following pair is O(1) via the `j += 1` advance
-/// in the caller.
-fn pair_at(n: usize, mut t: u64) -> (usize, usize) {
-    let mut i = 0usize;
-    loop {
-        let row = (n - 1 - i) as u64;
-        if t < row {
-            return (i, i + 1 + t as usize);
-        }
-        t -= row;
-        i += 1;
-    }
-}
-
-/// Most executor batches one round of the pairs engine's source fold is
-/// cut into. Merging a batch's partial fold costs one map operation per
-/// pair it saw, on the rank thread; capping the batch count keeps that
-/// merge small next to the fold itself wherever pairs share many seeds.
-pub const FOLD_BATCHES_PER_ROUND: u64 = 64;
-
-/// Wire bytes of one seed instance shipped alone — a one-seed pair record,
-/// the most an instance can cost. The pairs engine sizes its rounds by it.
-const INSTANCE_BYTES: usize = RECORD_HEADER_BYTES + SEED_BYTES;
-
-/// `pair → folded seeds`: the accumulator wherever a pair's seeds meet —
-/// a batch and a round of the pairs engine's source, and every
-/// destination. Every insertion goes through the run's [`SeedFold`].
+/// `pair → folded seeds`: a destination's accumulator of the pairs it was
+/// sent. Every insertion goes through the run's [`SeedFold`].
 ///
 /// The map hashes with the k-mer table's splitmix64 word folder rather
 /// than SipHash: read IDs are dense integers the pipeline assigns itself,
-/// so there is no crafted-collision exposure to pay for on what is the
-/// stage's one per-instance operation (it halves `overlap.stage_s` on
-/// the repo benchmark's `hifi30x`).
+/// so there is no crafted-collision exposure to pay for on an operation
+/// made once per arriving record.
 #[derive(Debug)]
-pub struct PairSeeds {
+pub(crate) struct PairSeeds {
     fold: SeedFold,
     map: HashMap<ReadPair, Vec<SharedSeed>, BuildHasherDefault<KmerKeyHasher>>,
 }
@@ -245,84 +159,11 @@ impl PairSeeds {
 
 /// Pairs with their folded seed lists, ascending by pair — what the
 /// epilogue consumes.
-pub type SortedPairs = Vec<(ReadPair, Vec<SharedSeed>)>;
+pub(crate) type SortedPairs = Vec<(ReadPair, Vec<SharedSeed>)>;
 
 fn sorted(mut pairs: SortedPairs) -> SortedPairs {
     pairs.sort_unstable_by_key(|&(pair, _)| pair);
     pairs
-}
-
-/// Algorithm 1's nested loop as an index space: the table's entries in
-/// iteration order and the prefix sums of their occurrence-pair bounds
-/// `n(n−1)/2`, so every occurrence pair has a global index and rounds and
-/// executor batches are plain cuts of `0..n_pairs()`.
-#[derive(Debug)]
-pub struct PairIndexSpace<'t> {
-    entries: Vec<&'t [Occurrence]>,
-    prefix: Vec<u64>,
-}
-
-impl<'t> PairIndexSpace<'t> {
-    /// Index the occurrence pairs of `table`.
-    pub fn new(table: &'t KmerHashTable) -> Self {
-        let entries: Vec<&[Occurrence]> =
-            table.iter().map(|(_, e)| e.occurrences.as_slice()).collect();
-        let mut prefix = vec![0u64];
-        for occs in &entries {
-            let n = occs.len() as u64;
-            prefix.push(prefix[prefix.len() - 1] + n * n.saturating_sub(1) / 2);
-        }
-        Self { entries, prefix }
-    }
-
-    /// Occurrence pairs in the table, same-read ones included.
-    pub fn n_pairs(&self) -> u64 {
-        self.prefix[self.entries.len()]
-    }
-
-    /// Fold the index range `[lo, hi)` — one executor batch of the pairs
-    /// engine's source, also driven directly by the kernel baseline.
-    /// Same-read pairs (a k-mer repeated within one read witnesses no
-    /// overlap) occupy indices but contribute nothing. Returns the folded
-    /// pairs and the cross-read instances enumerated.
-    pub fn fold_range(&self, lo: u64, hi: u64, fold: SeedFold) -> (PairSeeds, u64) {
-        let prefix = &self.prefix;
-        let mut acc = PairSeeds::new(fold);
-        let mut instances = 0u64;
-        // First entry whose pair-index interval contains `lo`.
-        let mut e = prefix.partition_point(|&start| start <= lo).saturating_sub(1);
-        let mut cursor = lo;
-        while cursor < hi {
-            let end = prefix[e + 1];
-            if end <= cursor {
-                // Zero-pair entry (or one fully before the range) — skip.
-                e += 1;
-                continue;
-            }
-            let occs = self.entries[e];
-            let stop = end.min(hi);
-            let (mut i, mut j) = pair_at(occs.len(), cursor - prefix[e]);
-            for _ in cursor..stop {
-                let (oi, oj) = (&occs[i], &occs[j]);
-                if oi.read != oj.read {
-                    instances += 1;
-                    // Normalize so the receiving side sees a < b.
-                    let (a, b) = if oi.read < oj.read { (oi, oj) } else { (oj, oi) };
-                    let reverse = oi.strand != oj.strand;
-                    let seed = SharedSeed { a_pos: a.pos, b_pos: b.pos, reverse };
-                    acc.extend(ReadPair { a: a.read, b: b.read }, [seed]);
-                }
-                j += 1;
-                if j >= occs.len() {
-                    i += 1;
-                    j = i + 1;
-                }
-            }
-            cursor = stop;
-            e += 1;
-        }
-        (acc, instances)
-    }
 }
 
 /// Work counters for the cost model and the figure harness. The module
@@ -333,10 +174,9 @@ pub struct OverlapCounters {
     /// of Figure 6).
     pub retained_kmers: u64,
     /// Shared-seed instances enumerated — every cross-read occurrence
-    /// pair of every retained k-mer, before any fold. Engine-invariant.
+    /// pair of every retained k-mer, before any fold.
     pub pairs_emitted: u64,
-    /// Wire records emitted: one per (pair, round) this rank found the
-    /// pair in for the `pairs` engine, one per pair for `spgemm`.
+    /// Wire records emitted: one per pair this rank found.
     pub candidate_pairs_emitted: u64,
     /// Seeds those records carry — what the source fold kept.
     pub seeds_shipped: u64,
@@ -352,18 +192,14 @@ pub struct OverlapCounters {
     pub pairs_chain_dropped: u64,
     /// Bulk-synchronous exchange rounds executed (equals the stage's
     /// `alltoallv` call count; 1 unless a round cap forces streaming).
-    /// Physical, not logical: the two engines plan rounds over different
-    /// record streams, so this counter, the record count and — under
-    /// `SeedFold::Smallest` — the shipped and received seeds may
-    /// legitimately differ between them under a byte cap.
+    /// Physical, not logical: the cap moves it, the tasks stay the same.
     pub rounds: u64,
     /// Most seeds this rank held in unfinished per-pair lists, measured
     /// after each round's arrivals are folded and before the pairs that
-    /// round completed are finished. The SpGEMM engine finishes pairs
-    /// round by round, so under a cap this is about one round of seeds
-    /// per source; the pairs engine's table order completes nothing before
-    /// the last round, so it is every seed the fold kept. Physical, like
-    /// `rounds`; with one round the engines agree.
+    /// round completed are finished. Pairs finish round by round (the
+    /// watermark rule of [`crate::spgemm`]), so under a cap this is about
+    /// one round of seeds per source. Physical, like `rounds`: with one
+    /// round it is every seed the arrivals' fold kept.
     pub peak_seeds_pending: u64,
 }
 
@@ -413,16 +249,11 @@ pub fn overlap_stage_with_lengths(
     exec: &BatchedExecutor,
 ) -> OverlapOutput {
     let fold = cfg.policy.source_keep(cfg.chain.is_some());
-    // Shared epilogue: both engines deliver per-pair lists the policy
-    // cannot tell apart, in pair order, as they complete — the SpGEMM
-    // engine round by round, the pairs engine all at the end — so
-    // everything behind `finish` is engine-independent.
+    // The exchange delivers per-pair lists in pair order, round by round,
+    // as they complete; the epilogue finishes them as they come.
     let mut epilogue = Epilogue { cfg, exec, tasks: Vec::new(), counters: OverlapCounters::default() };
     let finish = &mut |pairs: SortedPairs| epilogue.finish(pairs);
-    let source = match cfg.engine {
-        OverlapEngine::Pairs => pairs_exchange(comm, table, read_part, cfg, lengths, exec, fold, finish),
-        OverlapEngine::Spgemm => spgemm_exchange(comm, table, read_part, cfg, lengths, exec, fold, finish),
-    };
+    let source = spgemm_exchange(comm, table, read_part, cfg, lengths, exec, fold, finish);
     let Epilogue { tasks, counters: finished, .. } = epilogue;
     let counters = OverlapCounters {
         retained_kmers: table.len() as u64,
@@ -506,13 +337,12 @@ pub(crate) struct Received {
     pub peak_pending: u64,
 }
 
-/// The destination half both engines share: ship `pack`'s pair records
+/// The destination half of the exchange: ship `pack`'s pair records
 /// through [`RoundExchange`], fold each round's arrivals, per pair, with
 /// the fold the sources used, and hand pairs to `finish` in pair order as
-/// soon as they are complete. `complete_below(round)` is the engine's
+/// soon as they are complete. `complete_below(round)` is the sources'
 /// promise, once `round` is consumed, that no record of a later round
-/// names a pair with `a` below the value it returns (never falling; 0
-/// promises nothing, which is all the pairs engine's table order can say).
+/// names a pair with `a` below the value it returns (never falling).
 /// Whatever is left after the last round is complete by definition.
 pub(crate) fn exchange_records(
     comm: &Comm,
@@ -545,77 +375,10 @@ pub(crate) fn exchange_records(
     Received { seeds, rounds, peak_pending }
 }
 
-/// The `pairs` engine — Algorithm 1's enumeration, folded per round. A
-/// pair's k-mers are scattered over the table's iteration order, so no pair
-/// is known complete before the last round and `finish` sees every pair
-/// at the end.
-#[allow(clippy::too_many_arguments)]
-fn pairs_exchange(
-    comm: &Comm,
-    table: &KmerHashTable,
-    read_part: &ReadPartition,
-    cfg: &OverlapConfig,
-    lengths: Option<&[u32]>,
-    exec: &BatchedExecutor,
-    fold: SeedFold,
-    finish: &mut dyn FnMut(SortedPairs),
-) -> OverlapCounters {
-    // Rounds and executor batches are cuts of the pair-index space, so the
-    // decomposition is a pure function of the table — identical at any
-    // thread count. A round takes as many indices as would fit the cap if
-    // every one shipped alone: folding only ever shrinks a round, and the
-    // same-read pairs the enumeration skips make it lighter still.
-    let space = PairIndexSpace::new(table);
-    let per_round =
-        records_per_round(INSTANCE_BYTES, usize::MAX, cfg.max_exchange_bytes_per_round) as u64;
-    let (mut pairs_emitted, mut candidate_pairs_emitted, mut seeds_shipped) = (0u64, 0u64, 0u64);
-
-    let plan = RoundPlan::for_records(space.n_pairs(), per_round as usize);
-    let pack = |round: u64| {
-        let lo = round.saturating_mul(per_round).min(space.n_pairs());
-        let hi = lo.saturating_add(per_round).min(space.n_pairs());
-        let batch = (cfg.pair_batch.max(1) as u64).max((hi - lo).div_ceil(FOLD_BATCHES_PER_ROUND));
-        // Merging the batches' partial folds in batch order equals folding
-        // the round sequentially, whatever the batch size.
-        let mut round_pairs = PairSeeds::new(fold);
-        exec.map_indexed_into(
-            (hi - lo).div_ceil(batch) as usize,
-            |b| {
-                let blo = lo + b as u64 * batch;
-                space.fold_range(blo, blo.saturating_add(batch).min(hi), fold)
-            },
-            |(part, n)| {
-                pairs_emitted += n;
-                part.map.into_iter().for_each(|(pair, seeds)| {
-                    round_pairs.extend(pair, seeds);
-                });
-            },
-        );
-        // One record per pair, routed once, in pair order.
-        let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
-        for (pair, seeds) in round_pairs.into_sorted() {
-            let home = cfg.placement.home(pair.a, pair.b, lengths);
-            write_pair_record(&mut bufs[read_part.owner_of(home)], pair, &seeds);
-            candidate_pairs_emitted += 1;
-            seeds_shipped += seeds.len() as u64;
-        }
-        bufs
-    };
-    let got = exchange_records(comm, plan, fold, pack, |_| 0, finish);
-    OverlapCounters {
-        pairs_emitted,
-        candidate_pairs_emitted,
-        seeds_shipped,
-        seeds_received: got.seeds,
-        rounds: got.rounds,
-        peak_seeds_pending: got.peak_pending,
-        ..Default::default()
-    }
-}
-
-/// Serial reference for tests and the single-node baseline: all pairs of
-/// reads sharing a retained k-mer, with unfiltered seed lists, computed
-/// from merged table partitions.
+/// Algorithm 1 as a serial reference for tests and the single-node
+/// baseline: all pairs of reads sharing a retained k-mer, with unfiltered
+/// seed lists, computed from merged table partitions by the paper's
+/// nested loop over each k-mer's occurrence list.
 pub fn reference_pairs(tables: &[&KmerHashTable]) -> HashMap<ReadPair, Vec<SharedSeed>> {
     let mut out: HashMap<ReadPair, Vec<SharedSeed>> = HashMap::new();
     for table in tables {
@@ -800,59 +563,55 @@ mod tests {
 
     /// The counter ledger: every enumerated instance is either shipped or
     /// folded at its source, what is shipped arrives, and what arrives is
-    /// kept or dropped — under both folds, both engines, capped and not.
+    /// kept or dropped — under both folds, capped and not.
     #[test]
     fn counters_add_up() {
         let reads = overlapping_reads(10, 50, 10);
         let kc = kc_cfg(9, 24);
         let (part, chunks) = partition_reads(&reads, 3);
         for policy in [SeedPolicy::Single, SeedPolicy::MinDistance(9)] {
-            for engine in [OverlapEngine::Pairs, OverlapEngine::Spgemm] {
-                for cap in [usize::MAX, 600] {
-                    let oc = OverlapConfig {
-                        policy,
-                        max_seeds_per_pair: 64,
-                        engine,
-                        max_exchange_bytes_per_round: cap,
-                        ..Default::default()
-                    };
-                    let outs = CommWorld::run(3, |comm| {
-                        let exec = BatchedExecutor::sequential();
-                        let local = chunks[comm.rank()].reads();
-                        let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
-                        let mut table = bloom.table;
-                        let _ =
-                            hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
-                        overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
-                    });
-                    let at = format!("{policy:?} {engine} cap={cap}");
-                    let sum = |f: fn(&OverlapCounters) -> u64| -> u64 {
-                        outs.iter().map(|o| f(&o.counters)).sum()
-                    };
-                    let emitted = sum(|c| c.pairs_emitted);
-                    assert_eq!(sum(|c| c.seeds_shipped), sum(|c| c.seeds_received), "{at}");
-                    assert_eq!(sum(|c| c.seeds_merged()), emitted, "{at}");
-                    for o in &outs {
-                        let c = o.counters;
-                        assert!(c.seeds_shipped <= c.pairs_emitted, "{at}");
-                        let kept: usize = o.tasks.iter().map(|t| t.seeds.len()).sum();
-                        assert_eq!(c.seeds_kept, kept as u64, "{at}");
-                        assert!(c.seeds_kept <= c.seeds_received, "{at}");
-                        match policy {
-                            // One seed per record; the rest folded at the source.
-                            SeedPolicy::Single => {
-                                assert_eq!(c.seeds_shipped, c.candidate_pairs_emitted, "{at}")
-                            }
-                            SeedPolicy::MinDistance(_) => {
-                                assert_eq!(c.seeds_folded_at_source(), 0, "{at}")
-                            }
+            for cap in [usize::MAX, 600] {
+                let oc = OverlapConfig {
+                    policy,
+                    max_seeds_per_pair: 64,
+                    max_exchange_bytes_per_round: cap,
+                    ..Default::default()
+                };
+                let outs = CommWorld::run(3, |comm| {
+                    let exec = BatchedExecutor::sequential();
+                    let local = chunks[comm.rank()].reads();
+                    let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
+                    let mut table = bloom.table;
+                    let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
+                    overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
+                });
+                let at = format!("{policy:?} cap={cap}");
+                let sum = |f: fn(&OverlapCounters) -> u64| -> u64 {
+                    outs.iter().map(|o| f(&o.counters)).sum()
+                };
+                let emitted = sum(|c| c.pairs_emitted);
+                assert_eq!(sum(|c| c.seeds_shipped), sum(|c| c.seeds_received), "{at}");
+                assert_eq!(sum(|c| c.seeds_merged()), emitted, "{at}");
+                for o in &outs {
+                    let c = o.counters;
+                    assert!(c.seeds_shipped <= c.pairs_emitted, "{at}");
+                    let kept: usize = o.tasks.iter().map(|t| t.seeds.len()).sum();
+                    assert_eq!(c.seeds_kept, kept as u64, "{at}");
+                    assert!(c.seeds_kept <= c.seeds_received, "{at}");
+                    match policy {
+                        // One seed per record; the rest folded at the source.
+                        SeedPolicy::Single => {
+                            assert_eq!(c.seeds_shipped, c.candidate_pairs_emitted, "{at}")
+                        }
+                        SeedPolicy::MinDistance(_) => {
+                            assert_eq!(c.seeds_folded_at_source(), 0, "{at}")
                         }
                     }
-                    assert!(sum(|c| c.seeds_kept) > 0, "{at}");
-                    if policy == SeedPolicy::Single {
-                        assert!(sum(|c| c.seeds_folded_at_source()) > 0, "{at}");
-                        assert!(sum(|c| c.seeds_dropped()) > 0, "a pair found on two ranks: {at}");
-                    }
+                }
+                assert!(sum(|c| c.seeds_kept) > 0, "{at}");
+                if policy == SeedPolicy::Single {
+                    assert!(sum(|c| c.seeds_folded_at_source()) > 0, "{at}");
+                    assert!(sum(|c| c.seeds_dropped()) > 0, "a pair found on two ranks: {at}");
                 }
             }
         }
@@ -929,81 +688,11 @@ mod tests {
         assert!(outs.iter().all(|o| o.counters.seeds_kept == 0));
     }
 
-    #[test]
-    fn pair_at_matches_nested_loop_order() {
-        for n in 2..=7usize {
-            let mut t = 0u64;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    assert_eq!(pair_at(n, t), (i, j), "n={n} t={t}");
-                    t += 1;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engine_flag_parses_and_displays() {
-        assert_eq!("pairs".parse::<OverlapEngine>().unwrap(), OverlapEngine::Pairs);
-        assert_eq!("spgemm".parse::<OverlapEngine>().unwrap(), OverlapEngine::Spgemm);
-        assert_eq!(OverlapEngine::Pairs.to_string(), "pairs");
-        assert_eq!(OverlapEngine::Spgemm.to_string(), "spgemm");
-        assert!("bella".parse::<OverlapEngine>().is_err());
-        assert_eq!(OverlapEngine::default(), OverlapEngine::Pairs);
-    }
-
-    /// The SpGEMM engine produces the pairs engine's exact tasks and
-    /// counters, per rank, and both merge a pair's instances into one
-    /// record at the source whenever pairs share seeds.
-    #[test]
-    fn spgemm_engine_is_bit_identical_and_dedups_at_source() {
-        let reads = overlapping_reads(12, 60, 12);
-        let kc = kc_cfg(9, 24);
-        let base = OverlapConfig {
-            policy: SeedPolicy::MinDistance(9),
-            max_seeds_per_pair: 64,
-            ..Default::default()
-        };
-        let (part, chunks) = partition_reads(&reads, 3);
-        let run = |oc: OverlapConfig| {
-            CommWorld::run(3, |comm| {
-                let exec = BatchedExecutor::sequential();
-                let local = chunks[comm.rank()].reads();
-                let (bloom, retained) = bloom_stage_overlapping(comm, local, &kc, &exec);
-                let mut table = bloom.table;
-                let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained));
-                overlap_stage_with_lengths(comm, &table, &part, &oc, None, &exec)
-            })
-        };
-        let pairs_out = run(base);
-        let spgemm_out = run(OverlapConfig {
-            engine: OverlapEngine::Spgemm,
-            spgemm_block: 2, // force several row blocks
-            ..base
-        });
-        for (p_rank, s_rank) in pairs_out.iter().zip(&spgemm_out) {
-            assert_eq!(p_rank.tasks, s_rank.tasks, "tasks diverge between engines");
-            // Unbounded rounds: both engines fold a pair's local seeds
-            // into one record, so every counter matches.
-            assert_eq!(p_rank.counters, s_rank.counters);
-        }
-        // Overlapping synthetic reads share many k-mers per pair, so both
-        // engines must merge instances into records at the source.
-        for outs in [&pairs_out, &spgemm_out] {
-            let emitted: u64 = outs.iter().map(|o| o.counters.pairs_emitted).sum();
-            let records: u64 = outs.iter().map(|o| o.counters.candidate_pairs_emitted).sum();
-            assert!(records < emitted, "expected source-side merging on seed-rich pairs");
-            let shipped: u64 = outs.iter().map(|o| o.counters.seeds_shipped).sum();
-            let received: u64 = outs.iter().map(|o| o.counters.seeds_received).sum();
-            assert_eq!(shipped, received);
-        }
-    }
-
-    /// Tentpole invariant: the source fold cut into many small batches
-    /// (`pair_batch 7`) at any thread count produces the exact tasks,
-    /// counters and wire volume of the default sequential run, per rank —
-    /// under both folds (`MinDistance` ships every seed, `Single` the
-    /// minimum per pair), with and without a round cap.
+    /// The source fold cut into one-row batches (`spgemm_block 1`) at any
+    /// thread count produces the exact tasks, counters and wire volume of
+    /// the default sequential run, per rank — under both folds
+    /// (`MinDistance` ships every seed, `Single` the minimum per pair),
+    /// with and without a round cap.
     #[test]
     fn threaded_enumeration_is_bit_identical_to_sequential() {
         let reads = overlapping_reads(14, 60, 12);
@@ -1032,12 +721,12 @@ mod tests {
                 };
                 let baseline = run(1, oc_seq);
                 for (_, c, _, peak) in &baseline {
-                    assert!(c.pairs_emitted > 7 * 8, "too few instances to force many batches");
+                    assert!(c.pairs_emitted > 7 * 8, "too few instances to be probative");
                     assert_eq!(c.rounds > 1, cap != usize::MAX);
                     assert!(cap == usize::MAX || *peak <= cap as u64, "peak {peak} over cap {cap}");
                 }
                 for threads in [1usize, 2, 4] {
-                    let oc_par = OverlapConfig { pair_batch: 7, ..oc_seq };
+                    let oc_par = OverlapConfig { spgemm_block: 1, ..oc_seq };
                     let got = run(threads, oc_par);
                     assert_eq!(got, baseline, "threads={threads} cap={cap} policy={policy:?}");
                 }
@@ -1045,9 +734,9 @@ mod tests {
         }
     }
 
-    /// The shared epilogue cut into executor batches produces, per rank,
-    /// the sequential run's exact tasks and its *whole* counter set — for
-    /// both engines, with the chain filter on and off, capped and not.
+    /// The epilogue cut into executor batches produces, per rank, the
+    /// sequential run's exact tasks and its *whole* counter set — with the
+    /// chain filter on and off, capped and not.
     #[test]
     fn threaded_epilogue_is_bit_identical_to_sequential() {
         // Stride 4 under 60-base reads: every read overlaps a dozen
@@ -1068,30 +757,23 @@ mod tests {
             })
         };
         for chain in [None, Some(ChainConfig { min_chain_seeds: 2 })] {
-            for engine in [OverlapEngine::Pairs, OverlapEngine::Spgemm] {
-                for cap in [usize::MAX, 600] {
-                    let oc = OverlapConfig {
-                        policy: SeedPolicy::MinDistance(9),
-                        max_seeds_per_pair: 64,
-                        max_exchange_bytes_per_round: cap,
-                        chain,
-                        engine,
-                        ..Default::default()
-                    };
-                    let baseline = run(1, oc);
-                    for (tasks, c) in &baseline {
-                        let pairs = (c.pairs_consolidated + c.pairs_chain_dropped) as usize;
-                        assert!(pairs >= 10 * EPILOGUE_BATCH_PAIRS, "only {pairs} pairs on a rank");
-                        assert!(tasks.windows(2).all(|w| w[0].pair < w[1].pair));
-                        assert_eq!(c.pairs_chain_dropped > 0, chain.is_some());
-                    }
-                    for threads in [2usize, 4] {
-                        assert_eq!(
-                            run(threads, oc),
-                            baseline,
-                            "threads={threads} engine={engine} cap={cap} chain={chain:?}"
-                        );
-                    }
+            for cap in [usize::MAX, 600] {
+                let oc = OverlapConfig {
+                    policy: SeedPolicy::MinDistance(9),
+                    max_seeds_per_pair: 64,
+                    max_exchange_bytes_per_round: cap,
+                    chain,
+                    ..Default::default()
+                };
+                let baseline = run(1, oc);
+                for (tasks, c) in &baseline {
+                    let pairs = (c.pairs_consolidated + c.pairs_chain_dropped) as usize;
+                    assert!(pairs >= 10 * EPILOGUE_BATCH_PAIRS, "only {pairs} pairs on a rank");
+                    assert!(tasks.windows(2).all(|w| w[0].pair < w[1].pair));
+                    assert_eq!(c.pairs_chain_dropped > 0, chain.is_some());
+                }
+                for threads in [2usize, 4] {
+                    assert_eq!(run(threads, oc), baseline, "threads={threads} cap={cap} chain={chain:?}");
                 }
             }
         }
@@ -1142,10 +824,10 @@ mod tests {
     /// ships each destination that product's bytes; and holds what the
     /// watermark rule says it may: one round plus one row of seeds on one
     /// rank, under half of what it receives on several once the cap forces
-    /// eight rounds. The pairs engine, for contrast, holds everything.
+    /// eight rounds.
     #[test]
     fn streamed_spgemm_equals_its_one_round_run_and_bounds_what_is_pending() {
-        use crate::spgemm::{pack_row_block, SpgemmAccumulator};
+        use crate::spgemm::pack_row_block;
         use dibella_comm::ByteRounds;
         use dibella_kcount::ReadKmerCsr;
 
@@ -1161,7 +843,6 @@ mod tests {
                             policy,
                             max_seeds_per_pair: 64,
                             chain,
-                            engine: OverlapEngine::Spgemm,
                             max_exchange_bytes_per_round: cap,
                             // Thread count and block size are both free.
                             spgemm_block: [64, 5, 1][threads / 2],
@@ -1183,10 +864,7 @@ mod tests {
                 let mut table = bloom.table;
                 let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &seq, Some(retained));
                 let csr = ReadKmerCsr::from_table(&table);
-                let pack = |rows, fold| {
-                    let acc = SpgemmAccumulator::Auto;
-                    pack_row_block(&csr, rows, &part, TaskPlacement::Parity, None, p, acc, fold)
-                };
+                let pack = |rows, fold| pack_row_block(&csr, rows, &part, TaskPlacement::Parity, None, p, fold);
                 let mut runs = Vec::new();
                 for (threads, oc) in &configs {
                     let exec = BatchedExecutor::new(*threads);
@@ -1210,15 +888,6 @@ mod tests {
                             .unwrap_or(0),
                     });
                 }
-                // The pairs engine under `All`: nothing completes early.
-                let oc = OverlapConfig {
-                    policy: SeedPolicy::MinDistance(9),
-                    max_exchange_bytes_per_round: 4 << 10,
-                    ..Default::default()
-                };
-                let pairs = overlap_stage_with_lengths(comm, &table, &part, &oc, None, &seq).counters;
-                assert!(pairs.rounds >= 8, "{} rounds", pairs.rounds);
-                assert_eq!(pairs.peak_seeds_pending, pairs.seeds_received, "pairs engine, P={p}");
                 runs
             });
             for (ci, (threads, oc)) in configs.iter().enumerate() {

@@ -1,14 +1,15 @@
-//! Property tests for the overlap stage: Algorithm 1's output is a
-//! partition-independent, exactly-once, seed-complete task set, and the
-//! seed fold the sources and destinations apply is one the seed policy
-//! cannot observe.
+//! Property tests for the overlap stage: its output is a
+//! partition-independent, exactly-once, seed-complete task set — what the
+//! epilogue makes of Algorithm 1's unfolded seed lists — and the seed fold
+//! the sources and destinations apply is one the seed policy cannot
+//! observe.
 
 use dibella_comm::{BatchedExecutor, CommWorld};
 use dibella_io::{partition_reads, Read, ReadSet};
 use dibella_kcount::{bloom_stage_overlapping, hash_stage_prepacked, KcountConfig, KmerHashTable};
 use dibella_overlap::{
     chain_seeds, overlap_stage_with_lengths, reference_pairs, task_home, ChainConfig,
-    OverlapConfig, OverlapEngine, OverlapTask, SeedFold, SeedPolicy, SharedSeed,
+    OverlapConfig, OverlapTask, SeedFold, SeedPolicy, SharedSeed,
 };
 use proptest::prelude::*;
 
@@ -200,20 +201,18 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The stage-level form: with sources and destinations folding, both
-    /// engines, any world size and round cap, every policy with the chain
-    /// filter on or off, the tasks are exactly what the epilogue makes of
-    /// Algorithm 1's unfolded per-pair seed lists.
+    /// The stage-level form: with sources and destinations folding, any
+    /// world size and round cap, every policy with the chain filter on or
+    /// off, the tasks are exactly what the epilogue makes of Algorithm 1's
+    /// unfolded per-pair seed lists.
     #[test]
     fn folded_stage_matches_the_unfolded_reference(
         reads in genome_reads(),
         p in 1usize..5,
         oc in seed_configs(),
-        spgemm in any::<bool>(),
         capped in any::<bool>(),
     ) {
         let oc = OverlapConfig {
-            engine: if spgemm { OverlapEngine::Spgemm } else { OverlapEngine::Pairs },
             max_exchange_bytes_per_round: if capped { 400 } else { usize::MAX },
             ..oc
         };

@@ -1,16 +1,16 @@
 //! Property tests for the SpGEMM overlap engine: on arbitrary k-mer
-//! tables, the blocked `A·Aᵀ` expansion emits exactly Algorithm 1's
-//! cross-read (pair, seed) multiset — no duplicates, no losses — and the
-//! dense/hash accumulator variants are byte-identical at every block
-//! size and rank count; and the symbolic (count-only) pass predicts every
-//! record the numeric pass writes.
+//! tables — reads repeating a k-mer included — the blocked `A·Aᵀ`
+//! expansion emits exactly Algorithm 1's cross-read (pair, seed) multiset
+//! — no duplicates, no losses — its bytes do not depend on the block size,
+//! and the symbolic (count-only) pass predicts every record the numeric
+//! pass writes.
 
 use dibella_io::ReadPartition;
 use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence, ReadKmerCsr};
 use dibella_kmer::{Kmer1, Strand};
 use dibella_overlap::{
     count_row_block, decode_pair_records, pack_row_block, ReadPair, SeedFold, SharedSeed,
-    SpgemmAccumulator, TaskPlacement,
+    TaskPlacement,
 };
 use proptest::prelude::*;
 
@@ -96,7 +96,6 @@ fn spgemm_multiset(
     table: &KmerHashTable,
     ranks: usize,
     block: usize,
-    acc: SpgemmAccumulator,
 ) -> (Vec<(ReadPair, SharedSeed)>, Vec<Vec<u8>>) {
     let csr = ReadKmerCsr::from_table(table);
     let part = partition(ranks);
@@ -104,16 +103,7 @@ fn spgemm_multiset(
     let mut seeds = Vec::new();
     for lo in (0..csr.n_rows()).step_by(block.max(1)) {
         let hi = (lo + block.max(1)).min(csr.n_rows());
-        let out = pack_row_block(
-            &csr,
-            lo..hi,
-            &part,
-            TaskPlacement::Parity,
-            None,
-            ranks,
-            acc,
-            SeedFold::All,
-        );
+        let out = pack_row_block(&csr, lo..hi, &part, TaskPlacement::Parity, None, ranks, SeedFold::All);
         assert_eq!(out.lens.iter().flatten().sum::<usize>(), out.bufs.iter().map(Vec::len).sum());
         for (d, b) in bufs.iter_mut().zip(out.bufs) {
             d.extend_from_slice(&b);
@@ -138,20 +128,15 @@ proptest! {
         block in 1usize..6,
     ) {
         let want = reference_multiset(&table);
-        let (got, _) = spgemm_multiset(&table, ranks, block, SpgemmAccumulator::Auto);
+        let (got, _) = spgemm_multiset(&table, ranks, block);
         prop_assert_eq!(got, want);
     }
 
-    /// Dense and hash accumulators produce byte-identical streams at
-    /// every block size.
+    /// Blocking never changes the concatenated stream.
     #[test]
-    fn accumulators_byte_identical(table in tables(), block in 1usize..6) {
-        let (_, dense) = spgemm_multiset(&table, 3, block, SpgemmAccumulator::Dense);
-        let (_, hash) = spgemm_multiset(&table, 3, block, SpgemmAccumulator::Hash);
-        prop_assert_eq!(dense, hash);
-        // Blocking never changes the concatenated stream either.
-        let (_, whole) = spgemm_multiset(&table, 3, usize::MAX >> 1, SpgemmAccumulator::Auto);
-        let (_, blocked) = spgemm_multiset(&table, 3, block, SpgemmAccumulator::Auto);
+    fn blocking_is_byte_identical(table in tables(), block in 1usize..6) {
+        let (_, whole) = spgemm_multiset(&table, 3, usize::MAX >> 1);
+        let (_, blocked) = spgemm_multiset(&table, 3, block);
         prop_assert_eq!(whole, blocked);
     }
 
@@ -173,8 +158,7 @@ proptest! {
         for fold in [SeedFold::All, SeedFold::Smallest(1)] {
             let placement = TaskPlacement::Parity;
             let counted = count_row_block(&csr, rows.clone(), &part, placement, None, ranks, fold);
-            let acc = SpgemmAccumulator::Auto;
-            let packed = pack_row_block(&csr, rows.clone(), &part, placement, None, ranks, acc, fold);
+            let packed = pack_row_block(&csr, rows.clone(), &part, placement, None, ranks, fold);
             prop_assert_eq!(&counted.lens, &packed.lens);
             prop_assert_eq!(
                 (counted.records, counted.seeds, counted.instances),

@@ -45,7 +45,6 @@ USAGE:
                   [--checkpoint-dir DIR] [--round-mb MB]
                   [--policy one|1000|k] [-e ERR] [-d DEPTH]
                   [--seed-mode reliable|minimizer] [--minimizer-w W]
-                  [--overlap-engine pairs|spgemm] [--pair-batch N]
                   [--spgemm-block ROWS]
                   [-x XDROP] [--min-score S]
                   [-o out.paf] [--gfa out.gfa]
@@ -56,8 +55,7 @@ USAGE:
 /// The named flags each command takes, dashes stripped.
 const OVERLAP_FLAGS: &[&str] = &[
     "k", "p", "t", "threads", "transport", "checkpoint-dir", "round-mb", "policy", "e", "d",
-    "seed-mode", "minimizer-w", "overlap-engine", "pair-batch", "spgemm-block", "x", "min-score",
-    "o", "gfa",
+    "seed-mode", "minimizer-w", "spgemm-block", "x", "min-score", "o", "gfa",
 ];
 const SIMULATE_FLAGS: &[&str] = &["g", "d", "l", "e", "s"];
 const STATS_FLAGS: &[&str] = &["k", "e", "d"];
@@ -172,15 +170,6 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         Some(v) => v.parse()?,
     };
     let minimizer_w: usize = flags.get("minimizer-w", 7)?;
-    // Overlap exchange engine: the paper's per-seed task records, or the
-    // source-deduplicating SpGEMM reformulation (bit-identical output).
-    // Unset defers to DIBELLA_OVERLAP_ENGINE.
-    let overlap_engine: OverlapEngine = match flags.named.get("overlap-engine") {
-        None => PipelineConfig::env_overlap_engine(),
-        Some(v) => v.parse()?,
-    };
-    let pair_batch: usize =
-        flags.get("pair-batch", dibella::overlap::OverlapConfig::DEFAULT_PAIR_BATCH)?;
     let spgemm_block: usize =
         flags.get("spgemm-block", dibella::overlap::OverlapConfig::DEFAULT_SPGEMM_BLOCK)?;
 
@@ -196,8 +185,6 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         max_exchange_bytes_per_round: round_bytes,
         seed_mode,
         minimizer_w,
-        overlap_engine,
-        pair_batch,
         spgemm_block,
         checkpoint_dir,
         ..Default::default()
@@ -208,7 +195,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         format!("{:.2} MiB", round_bytes as f64 / (1 << 20) as f64)
     };
     eprintln!(
-        "dibella: {} reads ({:.1} Mb), k={k}, m={}, seeds {seed_mode}, engine {overlap_engine}, {ranks} ranks x {} thread(s), transport {}, round cap {round_cap}",
+        "dibella: {} reads ({:.1} Mb), k={k}, m={}, seeds {seed_mode}, {ranks} ranks x {} thread(s), transport {}, round cap {round_cap}",
         reads.len(),
         reads.total_bases() as f64 / 1e6,
         cfg.multiplicity_threshold(),
@@ -392,6 +379,18 @@ mod tests {
     fn removed_flag_is_rejected_not_ignored() {
         let msg = error(&["reads.fastq", "-p", "2", "--simd", "scalar"], OVERLAP_FLAGS);
         assert!(msg.starts_with("unknown flag --simd"), "{msg}");
+    }
+
+    #[test]
+    fn retired_engine_flags_are_rejected_by_name() {
+        // Assembled from parts: the retired flags are named nowhere else.
+        for flag in [["overlap", "engine"], ["pair", "batch"]].map(|w| format!("--{}", w.join("-"))) {
+            let msg = error(&["x.fastq", &flag, "pairs"], OVERLAP_FLAGS);
+            assert!(msg.starts_with(&format!("unknown flag {flag}")), "{msg}");
+            // The command fails on the flag before it opens the input.
+            let msg = cmd_overlap(&args(&["/nonexistent/x.fastq", &flag, "pairs"])).unwrap_err();
+            assert!(msg.starts_with(&format!("unknown flag {flag}")), "{msg}");
+        }
     }
 
     #[test]

@@ -71,5 +71,5 @@ pub mod prelude {
     };
     pub use dibella_io::{Read, ReadId, ReadSet};
     pub use dibella_netmodel::{NodeMapping, Platform, PlatformId};
-    pub use dibella_overlap::{OverlapEngine, ReadPair, SeedPolicy};
+    pub use dibella_overlap::{ReadPair, SeedPolicy};
 }

@@ -1,7 +1,7 @@
-//! Overlap-engine equivalence: the SpGEMM `A·Aᵀ` engine must produce the
-//! pairs engine's exact alignments — across seed policies, seed modes,
-//! world sizes, transports, round caps, thread counts, and block sizes —
-//! and both must ship what the seed policy keeps, folded per pair at the
+//! The overlap engine end to end: the streamed `A·Aᵀ` stage must produce
+//! its one-round run's exact alignments — across seed policies, seed
+//! modes, world sizes, transports, round caps, thread counts and block
+//! sizes — and ship what the seed policy keeps, folded per pair at the
 //! source, never one record per shared k-mer.
 
 use dibella::datagen::{
@@ -30,7 +30,6 @@ fn dense_reads() -> ReadSet {
 }
 
 fn cfg(
-    engine: OverlapEngine,
     seed_policy: SeedPolicy,
     seed_mode: SeedMode,
     threads: usize,
@@ -44,7 +43,6 @@ fn cfg(
         max_multiplicity: Some(24),
         seed_mode,
         minimizer_w: 5,
-        overlap_engine: engine,
         threads: Some(threads),
         transport,
         max_exchange_bytes_per_round: cap,
@@ -52,23 +50,14 @@ fn cfg(
     }
 }
 
-/// Per-rank engine-invariant overlap counters: what was enumerated and
-/// what came out. How many records and seeds crossed the wire in between
-/// is physical — the pairs engine folds per round, SpGEMM per row — and
-/// is held to the ledger by [`assert_ledger`] instead.
-fn logical_counters(res: &dibella::pipeline::PipelineResult) -> Vec<[u64; 5]> {
+/// Per-rank overlap counters a round cap cannot move: what was enumerated,
+/// what was shipped and what came out. Rounds and the seeds pending
+/// between them are physical and are held to the exchange accounting
+/// instead.
+fn logical_counters(res: &dibella::pipeline::PipelineResult) -> Vec<OverlapCounters> {
     res.reports
         .iter()
-        .map(|r| {
-            let c = r.overlap;
-            [
-                c.retained_kmers,
-                c.pairs_emitted,
-                c.pairs_consolidated,
-                c.seeds_kept,
-                c.pairs_chain_dropped,
-            ]
-        })
+        .map(|r| OverlapCounters { rounds: 0, peak_seeds_pending: 0, ..r.overlap })
         .collect()
 }
 
@@ -87,65 +76,48 @@ fn assert_ledger(res: &dibella::pipeline::PipelineResult, at: &str) {
     }
 }
 
-/// The tentpole sweep: both engines, both folds (`MinDistance` ships every
-/// seed, `Single` the minimum per pair), both seed modes, worlds {1, 2, 4},
-/// transports {shared, sim:cori:2}, round caps {unbounded, 4 KiB} — the
-/// final alignments and every logical overlap counter are bit-identical,
-/// the ledger balances, and the exchange accounting (alltoallv calls ==
-/// executed rounds, peak round ≤ cap + one record) holds for both record
-/// streams.
+/// The sweep: both folds (`MinDistance` ships every seed, `Single` the
+/// minimum per pair), both seed modes, worlds {1, 2, 4}, transports
+/// {shared, sim:cori:2}, round caps {unbounded, 4 KiB} — the final
+/// alignments are those of the one-rank, one-round run, every counter a
+/// cap cannot move equals the one-round run's on the same world, the
+/// ledger balances, and the exchange accounting (alltoallv calls ==
+/// executed rounds, peak round ≤ cap + one record) holds.
 #[test]
-fn spgemm_matches_pairs_across_the_sweep() {
+fn capped_rounds_match_the_one_round_run_across_the_sweep() {
     let reads = dense_reads();
     for policy in [SeedPolicy::MinDistance(11), SeedPolicy::Single] {
         for seed_mode in [SeedMode::Reliable, SeedMode::Minimizer] {
+            let run = |p, transport, cap| run_pipeline(&reads, p, &cfg(policy, seed_mode, 1, transport, cap));
+            let reference = run(1, TransportKind::SharedMem, usize::MAX);
+            assert!(!reference.alignments.is_empty(), "dead workload at {policy:?} {seed_mode}");
             for p in [1usize, 2, 4] {
                 for transport in
                     [TransportKind::SharedMem, "sim:cori:2".parse().expect("transport spec")]
                 {
-                    for cap in [usize::MAX, 4096] {
+                    let one_round = run(p, transport, usize::MAX);
+                    let capped = run(p, transport, 4096);
+                    for (cap, res) in [(usize::MAX, &one_round), (4096, &capped)] {
                         let at = format!(
                             "policy={policy:?} mode={seed_mode} p={p} transport={transport} cap={cap}"
                         );
-                        let run = |engine| {
-                            run_pipeline(&reads, p, &cfg(engine, policy, seed_mode, 1, transport, cap))
-                        };
-                        let pairs_res = run(OverlapEngine::Pairs);
-                        let spgemm_res = run(OverlapEngine::Spgemm);
-                        assert!(!pairs_res.alignments.is_empty(), "dead workload at {at}");
+                        assert_eq!(res.alignments, reference.alignments, "alignments diverge at {at}");
                         assert_eq!(
-                            pairs_res.alignments, spgemm_res.alignments,
-                            "alignments diverge at {at}"
-                        );
-                        assert_eq!(
-                            logical_counters(&pairs_res),
-                            logical_counters(&spgemm_res),
+                            logical_counters(res),
+                            logical_counters(&one_round),
                             "logical counters diverge at {at}"
                         );
-                        for res in [&pairs_res, &spgemm_res] {
-                            assert_ledger(res, &at);
-                            for r in &res.reports {
-                                assert_eq!(
-                                    r.overlap_comm.alltoallv_calls, r.overlap.rounds,
-                                    "rounds accounting at {at}"
-                                );
-                                // Records never split: one pair record of
-                                // slack at most (this workload's records
-                                // stay well under 2 KiB).
-                                assert!(
-                                    cap == usize::MAX
-                                        || r.overlap_comm.peak_round_bytes <= cap as u64 + 2048,
-                                    "peak {} over cap at {at}",
-                                    r.overlap_comm.peak_round_bytes
-                                );
-                            }
-                        }
-                        if cap == usize::MAX {
-                            // One round: both engines fold a pair's local
-                            // seeds into the same single record.
-                            for (a, b) in pairs_res.reports.iter().zip(&spgemm_res.reports) {
-                                assert_eq!(a.overlap, b.overlap, "rank {} counters at {at}", a.rank);
-                            }
+                        assert_ledger(res, &at);
+                        for r in &res.reports {
+                            assert_eq!(r.overlap_comm.alltoallv_calls, r.overlap.rounds, "rounds accounting at {at}");
+                            // Records never split: one pair record of slack
+                            // at most (this workload's records stay well
+                            // under 2 KiB).
+                            assert!(
+                                cap == usize::MAX || r.overlap_comm.peak_round_bytes <= cap as u64 + 2048,
+                                "peak {} over cap at {at}",
+                                r.overlap_comm.peak_round_bytes
+                            );
                         }
                     }
                 }
@@ -154,14 +126,13 @@ fn spgemm_matches_pairs_across_the_sweep() {
     }
 }
 
-/// SpGEMM-specific determinism: thread counts and row-block sizes never
-/// change alignments or any overlap counter (including the wire-record
-/// counters — the record stream itself is invariant).
+/// Thread counts and row-block sizes never change alignments or any
+/// overlap counter (including the wire-record counters — the record
+/// stream itself is invariant).
 #[test]
 fn spgemm_bit_identical_across_threads_and_blocks() {
     let reads = dense_reads();
     let base = cfg(
-        OverlapEngine::Spgemm,
         SeedPolicy::MinDistance(11),
         SeedMode::Reliable,
         1,
@@ -209,13 +180,13 @@ fn hifi_like() -> ReadSet {
     simulate_reads(&genome, &spec).reads
 }
 
-/// The byte claim, asserted for both engines on the committed sample
-/// workload and on HiFi-like reads: under `Single` a source ships at most
-/// one 20-byte record per pair it found, so the stage's bytes and its
-/// largest round are bounded by `20 · pairs · ranks` — a return to one
-/// record per shared k-mer fails here, not only in the repo benchmark.
+/// The byte claim, asserted on the committed sample workload and on
+/// HiFi-like reads: under `Single` a source ships at most one 20-byte
+/// record per pair it found, so the stage's bytes and its largest round
+/// are bounded by `20 · pairs · ranks` — a return to one record per shared
+/// k-mer fails here, not only in the repo benchmark.
 #[test]
-fn folded_records_bound_overlap_bytes_for_both_engines() {
+fn folded_records_bound_overlap_bytes() {
     const RANKS: usize = 4;
     let sample = PipelineConfig {
         k: 17,
@@ -230,28 +201,22 @@ fn folded_records_bound_overlap_bytes_for_both_engines() {
         ("sample", ecoli_30x_sample_like(0.01, 42).reads, sample),
         ("hifi-like", hifi_like(), hifi),
     ] {
-        let run = |engine| {
-            run_pipeline(&reads, RANKS, &PipelineConfig { overlap_engine: engine, ..base.clone() })
-        };
-        let pairs_res = run(OverlapEngine::Pairs);
-        let spgemm_res = run(OverlapEngine::Spgemm);
-        assert!(!pairs_res.alignments.is_empty(), "dead workload: {name}");
-        assert_eq!(pairs_res.alignments, spgemm_res.alignments, "{name}");
-        for (engine, res) in [("pairs", &pairs_res), ("spgemm", &spgemm_res)] {
-            let sum = |f: fn(&RankReport) -> u64| -> u64 { res.reports.iter().map(f).sum() };
-            let pairs = sum(|r| r.overlap.pairs_consolidated);
-            let bound = 20 * pairs * RANKS as u64;
-            let bytes = sum(|r| r.overlap_comm.total_bytes());
-            let peak = res.reports.iter().map(|r| r.overlap_comm.peak_round_bytes).max().unwrap();
-            let emitted = sum(|r| r.overlap.pairs_emitted);
-            let dup_factor = emitted as f64 / sum(|r| r.overlap.candidate_pairs_emitted) as f64;
-            eprintln!(
-                "{name}/{engine}: {bytes} overlap bytes for {pairs} pairs from {emitted} instances \
-                 (bound {bound}, peak round {peak}, seed dup factor {dup_factor:.1})"
-            );
-            assert!(bytes <= bound, "{name}/{engine}: {bytes} bytes over 20·pairs·ranks = {bound}");
-            assert!(peak <= bound, "{name}/{engine}: peak round {peak} over {bound}");
-            assert!(dup_factor > 1.0, "{name}/{engine}: expected source-side folding");
-        }
+        let res = run_pipeline(&reads, RANKS, &base);
+        assert!(!res.alignments.is_empty(), "dead workload: {name}");
+        assert_ledger(&res, name);
+        let sum = |f: fn(&RankReport) -> u64| -> u64 { res.reports.iter().map(f).sum() };
+        let pairs = sum(|r| r.overlap.pairs_consolidated);
+        let bound = 20 * pairs * RANKS as u64;
+        let bytes = sum(|r| r.overlap_comm.total_bytes());
+        let peak = res.reports.iter().map(|r| r.overlap_comm.peak_round_bytes).max().unwrap();
+        let emitted = sum(|r| r.overlap.pairs_emitted);
+        let dup_factor = emitted as f64 / sum(|r| r.overlap.candidate_pairs_emitted) as f64;
+        eprintln!(
+            "{name}: {bytes} overlap bytes for {pairs} pairs from {emitted} instances \
+             (bound {bound}, peak round {peak}, seed dup factor {dup_factor:.1})"
+        );
+        assert!(bytes <= bound, "{name}: {bytes} bytes over 20·pairs·ranks = {bound}");
+        assert!(peak <= bound, "{name}: peak round {peak} over {bound}");
+        assert!(dup_factor > 1.0, "{name}: expected source-side folding");
     }
 }

@@ -8,10 +8,8 @@
 //! thread count of every stage, so CI smokes the real and simulated
 //! transports, the multi-round exchange path *and* the threaded stage
 //! executor with the same assertions. `DIBELLA_SEED_MODE`
-//! (`reliable` | `minimizer`) selects the seed front end and
-//! `DIBELLA_OVERLAP_ENGINE` (`pairs` | `spgemm`) the overlap exchange
-//! engine, so the same smoke also covers the minimizer sketch path and
-//! the SpGEMM overlap path. A `faulty:...` transport
+//! (`reliable` | `minimizer`) selects the seed front end, so the same
+//! smoke also covers the minimizer sketch path. A `faulty:...` transport
 //! runs the same assertions under injected faults — the hardened
 //! exchange layer must make chaos invisible to all of them — and
 //! `DIBELLA_EXPECT_FAULTS=1` additionally requires that the fault
@@ -64,7 +62,6 @@ fn two_rank_pipeline_smoke() {
         max_exchange_bytes_per_round: round_bytes,
         threads: Some(PipelineConfig::env_threads()),
         seed_mode: PipelineConfig::env_seed_mode(),
-        overlap_engine: PipelineConfig::env_overlap_engine(),
         ..Default::default()
     };
     let res = run_pipeline(&reads, 2, &cfg);

@@ -10,7 +10,7 @@ use dibella_align::{
 use dibella_bench::{chain_fixture, spgemm_fixture};
 use dibella_datagen::ErrorModel;
 use dibella_kcount::ReadKmerCsr;
-use dibella_overlap::{chain_seeds, pack_row_block, ChainConfig, SeedFold, TaskPlacement};
+use dibella_overlap::{chain_seeds, pack_row_block, ChainConfig, SeedFold};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -96,8 +96,7 @@ fn bench_spgemm_rows(c: &mut Criterion) {
         bench.iter(|| {
             for lo in (0..csr.n_rows()).step_by(BLOCK) {
                 let hi = (lo + BLOCK).min(csr.n_rows());
-                let placement = TaskPlacement::Parity;
-                black_box(pack_row_block(&csr, lo..hi, &part, placement, None, RANKS, SeedFold::All));
+                black_box(pack_row_block(&csr, lo..hi, &part, RANKS, SeedFold::All));
             }
         })
     });

@@ -1,5 +1,5 @@
 //! k-mer machinery microbenchmarks: extraction throughput, owner hashing,
-//! the stage packers and the owner-side roll, Bloom filter insert/query, HyperLogLog insert, and
+//! the stage packers and the owner-side roll, Bloom filter insert/query, and
 //! hash-table occurrence recording — the per-op costs behind the
 //! `dibella_netmodel::op_costs` calibration constants.
 
@@ -8,7 +8,7 @@ use dibella_bench::{kmer_fixture, supermer_fixture, supermer_roll_kmers};
 use dibella_comm::BatchedExecutor;
 use dibella_kcount::{pack_supermers, pack_windows, KcountConfig, KmerHashTable, Occurrence};
 use dibella_kmer::{extract_kmers, kmer_count, KmerIter, Strand, WindowIndex};
-use dibella_sketch::{BloomFilter, HyperLogLog};
+use dibella_sketch::BloomFilter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -132,15 +132,6 @@ fn bench_sketches(c: &mut Criterion) {
                 hits += bf.contains(h) as u64;
             }
             black_box(hits)
-        })
-    });
-    g.bench_function("hll_insert", |b| {
-        b.iter(|| {
-            let mut hll = HyperLogLog::new(12);
-            for &h in &hashes {
-                hll.insert(h);
-            }
-            black_box(hll.estimate())
         })
     });
     g.finish();

@@ -81,7 +81,7 @@ use dibella_kcount::{pack_supermers, KcountConfig, ReadKmerCsr};
 use dibella_kmer::{extract_kmers, kmer_count, minimizers, WindowIndex};
 use dibella_netmodel::op_costs;
 use dibella_overlap::{
-    chain_seeds, count_row_block, pack_row_block, ChainConfig, SeedFold, TaskPlacement,
+    chain_seeds, count_row_block, pack_row_block, ChainConfig, SeedFold,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,7 +135,7 @@ const RECONCILE_FACTOR: f64 = 2.0;
 const SPGEMM_READS: u32 = 256;
 const SPGEMM_KMERS: usize = 2_000;
 const SPGEMM_RANKS: usize = 4;
-const SPGEMM_BLOCK: usize = 64;
+const SPGEMM_BATCH_ROWS: usize = 64;
 const SPGEMM_ITERS: u32 = 40;
 
 const CHAIN_SIZES: [usize; 2] = [256, 8_192];
@@ -176,10 +176,9 @@ const KMER_MIN_RATE_RATIO: f64 = 0.7;
 fn spgemm_pack_all(csr: &ReadKmerCsr<'_>, part: &ReadPartition, fold: SeedFold) -> (Vec<Vec<u8>>, u64, u64, u64) {
     let mut bufs = vec![Vec::new(); SPGEMM_RANKS];
     let (mut records, mut seeds, mut instances) = (0u64, 0u64, 0u64);
-    for lo in (0..csr.n_rows()).step_by(SPGEMM_BLOCK) {
-        let hi = (lo + SPGEMM_BLOCK).min(csr.n_rows());
-        let placement = TaskPlacement::Parity;
-        let out = pack_row_block(csr, lo..hi, part, placement, None, SPGEMM_RANKS, fold);
+    for lo in (0..csr.n_rows()).step_by(SPGEMM_BATCH_ROWS) {
+        let hi = (lo + SPGEMM_BATCH_ROWS).min(csr.n_rows());
+        let out = pack_row_block(csr, lo..hi, part, SPGEMM_RANKS, fold);
         records += out.records;
         seeds += out.seeds;
         instances += out.instances;
@@ -308,10 +307,9 @@ fn main() {
 
     // The engine's symbolic pass: the same rows, counted instead of packed.
     let symbolic_all = || {
-        (0..csr.n_rows()).step_by(SPGEMM_BLOCK).fold(vec![Vec::new(); SPGEMM_RANKS], |mut lens, lo| {
-            let rows = lo..(lo + SPGEMM_BLOCK).min(csr.n_rows());
-            let placement = TaskPlacement::Parity;
-            let out = count_row_block(&csr, rows, &part, placement, None, SPGEMM_RANKS, SeedFold::All);
+        (0..csr.n_rows()).step_by(SPGEMM_BATCH_ROWS).fold(vec![Vec::new(); SPGEMM_RANKS], |mut lens, lo| {
+            let rows = lo..(lo + SPGEMM_BATCH_ROWS).min(csr.n_rows());
+            let out = count_row_block(&csr, rows, &part, SPGEMM_RANKS, SeedFold::All);
             lens.iter_mut().zip(out.lens).for_each(|(all, block)| all.extend(block));
             lens
         })

@@ -23,10 +23,8 @@
 //! totals are bit-identical at every cap.
 //! `DIBELLA_SEED_MODE` (`reliable` | `minimizer`, default `reliable`)
 //! selects the seed front end: the paper's two-pass reliable-k-mer
-//! counter, or the single-pass minimizer sketch (fewer wire bytes, seeds
-//! filtered by colinear chaining).
-//! `DIBELLA_SPGEMM_BLOCK` sets the overlap stage's executor batch unit
-//! (rows of `A·Aᵀ`).
+//! counter, or the single-pass minimizer sketch (seeds filtered by
+//! colinear chaining).
 
 #![warn(missing_docs)]
 
@@ -38,7 +36,7 @@ use dibella_kcount::{pack_supermers, KcountConfig, KmerHashTable, Occurrence};
 use dibella_kmer::supermer::supermers;
 use dibella_kmer::{Kmer1, Strand, WindowIndex};
 use dibella_netmodel::{NodeMapping, Platform, Series};
-use dibella_overlap::{OverlapConfig, SeedPolicy, SharedSeed};
+use dibella_overlap::{SeedPolicy, SharedSeed};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -125,18 +123,6 @@ pub fn env_round_bytes() -> usize {
                 .unwrap_or_else(|| panic!("DIBELLA_ROUND_MB: invalid value {v:?} (positive MiB)"));
             (mb * (1 << 20) as f64) as usize
         }
-    }
-}
-
-/// The `DIBELLA_SPGEMM_BLOCK` environment knob: rows per SpGEMM block in
-/// the overlap stage (default [`OverlapConfig::DEFAULT_SPGEMM_BLOCK`]).
-pub fn env_spgemm_block() -> usize {
-    match std::env::var("DIBELLA_SPGEMM_BLOCK") {
-        Err(_) => OverlapConfig::DEFAULT_SPGEMM_BLOCK,
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("DIBELLA_SPGEMM_BLOCK must be a row count, got {v:?}")),
     }
 }
 
@@ -290,7 +276,6 @@ pub fn config_for(w: Workload, policy: SeedPolicy) -> PipelineConfig {
         transport: env_transport(),
         max_exchange_bytes_per_round: env_round_bytes(),
         seed_mode: env_seed_mode(),
-        spgemm_block: env_spgemm_block(),
         ..Default::default()
     }
 }
@@ -470,11 +455,16 @@ mod tests {
 
     #[test]
     fn overlap_engine_env_knobs() {
+        // Stage 3 reads no environment knob: its retired spellings,
+        // assembled from parts so they are named nowhere else, change
+        // nothing.
         let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_SPGEMM_BLOCK", "9");
-        assert_eq!(config_for(Workload::E30, SeedPolicy::Single).spgemm_block, 9);
-        std::env::remove_var("DIBELLA_SPGEMM_BLOCK");
-        assert_eq!(env_spgemm_block(), OverlapConfig::DEFAULT_SPGEMM_BLOCK);
+        let want = format!("{:?}", config_for(Workload::E30, SeedPolicy::Single));
+        for name in [["SPGEMM", "BLOCK"], ["PAIR", "BATCH"], ["OVERLAP", "ENGINE"]].map(|w| format!("DIBELLA_{}", w.join("_"))) {
+            std::env::set_var(&name, "9");
+            assert_eq!(format!("{:?}", config_for(Workload::E30, SeedPolicy::Single)), want, "{name}");
+            std::env::remove_var(&name);
+        }
     }
 
     #[test]

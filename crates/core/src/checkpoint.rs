@@ -29,7 +29,7 @@ use crate::config::{PipelineConfig, SeedMode};
 use dibella_comm::{encode_slice, try_decode_vec, Wire};
 use dibella_kcount::{FilterStats, KmerEntry, KmerHashTable, Occurrence};
 use dibella_kmer::{Kmer1, Strand};
-use dibella_overlap::{OverlapTask, ReadPair, SharedSeed};
+use dibella_overlap::{OverlapTask, ReadPair, SeedPolicy, SharedSeed};
 
 /// Stage name of the post-stage-2 snapshot (see [`crate::checkpoint`]).
 pub const TABLE_STAGE: &str = "table";
@@ -47,9 +47,12 @@ fn mix(mut x: u64) -> u64 {
 
 /// Fingerprint of everything a checkpoint's contents depend on: the
 /// dataset (read and base totals) and every config knob that shapes the
-/// table or the task list. A run whose fingerprint differs silently
-/// ignores the other run's checkpoints ([`dibella_io::CheckpointStore`]
-/// rejects the file with a typed mismatch, and the rank recomputes).
+/// table or the task list — `k`, the seed mode, the minimizer window, the
+/// chain minimum, the multiplicity threshold `m` (the override, or the
+/// value derived from depth and error rate), the seed policy and the
+/// per-pair seed cap. A run whose fingerprint differs silently ignores
+/// the other run's checkpoints ([`dibella_io::CheckpointStore`] rejects
+/// the file with a typed mismatch, and the rank recomputes).
 pub fn run_fingerprint(cfg: &PipelineConfig, total_reads: u64, total_bases: u64) -> u64 {
     let mut h = 0xD1BE_11A5u64;
     for word in [
@@ -60,7 +63,12 @@ pub fn run_fingerprint(cfg: &PipelineConfig, total_reads: u64, total_bases: u64)
         },
         cfg.minimizer_w as u64,
         cfg.min_chain_seeds as u64,
-        cfg.max_multiplicity.map_or(u64::MAX, |m| m as u64),
+        cfg.multiplicity_threshold() as u64,
+        match cfg.seed_policy {
+            SeedPolicy::Single => u64::MAX,
+            SeedPolicy::MinDistance(d) => d as u64,
+        },
+        cfg.max_seeds_per_pair as u64,
         total_reads,
         total_bases,
     ] {
@@ -424,5 +432,36 @@ mod tests {
         assert_ne!(base, run_fingerprint(&other_k, 100, 50_000));
         let sketch = PipelineConfig { seed_mode: SeedMode::Minimizer, ..cfg };
         assert_ne!(base, run_fingerprint(&sketch, 100, 50_000));
+    }
+
+    /// Each knob that changes the table or the task list changes the
+    /// fingerprint — including `m` when it is derived, not overridden.
+    #[test]
+    fn fingerprint_tracks_every_knob_that_shapes_the_contents() {
+        let cfg = PipelineConfig::default();
+        let fp = |c: &PipelineConfig| run_fingerprint(c, 100, 50_000);
+        let base = fp(&cfg);
+        let shallow = PipelineConfig { depth: 4.0, ..cfg.clone() };
+        assert_ne!(shallow.multiplicity_threshold(), cfg.multiplicity_threshold());
+        let cleaner = PipelineConfig { error_rate: 0.01, ..cfg.clone() };
+        assert_ne!(cleaner.multiplicity_threshold(), cfg.multiplicity_threshold());
+        let changed = [
+            ("depth", shallow),
+            ("error_rate", cleaner),
+            ("max_multiplicity", PipelineConfig { max_multiplicity: Some(77), ..cfg.clone() }),
+            ("seed_policy", PipelineConfig { seed_policy: SeedPolicy::MinDistance(17), ..cfg.clone() }),
+            ("seed_policy distance", PipelineConfig { seed_policy: SeedPolicy::MinDistance(1000), ..cfg.clone() }),
+            ("max_seeds_per_pair", PipelineConfig { max_seeds_per_pair: 3, ..cfg.clone() }),
+            ("minimizer_w", PipelineConfig { minimizer_w: 9, ..cfg.clone() }),
+            ("min_chain_seeds", PipelineConfig { min_chain_seeds: 3, ..cfg.clone() }),
+        ];
+        let mut seen = vec![base];
+        for (knob, c) in &changed {
+            let f = fp(c);
+            assert!(!seen.contains(&f), "{knob} does not change the fingerprint");
+            seen.push(f);
+        }
+        // A knob that shapes neither leaves it alone.
+        assert_eq!(fp(&PipelineConfig { xdrop: 7, threads: Some(4), ..cfg }), base);
     }
 }

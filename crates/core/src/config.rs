@@ -57,8 +57,8 @@ pub struct PipelineConfig {
     /// Override the derived high-occurrence threshold `m`.
     pub max_multiplicity: Option<u32>,
     /// Seed source for the overlap stage: the paper's reliable-k-mer
-    /// passes, or the minimizer sketch (`--seed-mode`,
-    /// `DIBELLA_SEED_MODE`).
+    /// passes, or the minimizer sketch (`--seed-mode`; the bench harness
+    /// reads `DIBELLA_SEED_MODE`).
     pub seed_mode: SeedMode,
     /// Minimizer window width `w` (number of consecutive k-mer windows a
     /// selected k-mer must win; only used under
@@ -73,15 +73,29 @@ pub struct PipelineConfig {
     pub seed_policy: SeedPolicy,
     /// Cap on seeds explored per pair.
     pub max_seeds_per_pair: usize,
-    /// Accepted and ignored: stage 3 has one engine. Kept, with
-    /// [`PipelineConfig::pair_batch`], only so configurations that spell
-    /// out every field keep compiling; both go when the repo benchmark
-    /// stops constructing this struct field by field.
+    /// **Inert spellings.** This field and the four after it name choices
+    /// that no longer exist. They stay only so configurations that spell
+    /// out every field (the repo benchmark's) keep compiling, and go when
+    /// it stops constructing this struct field by field (ROADMAP 5(ii)).
+    ///
+    /// Accepted and ignored: stage 3 has one engine.
     pub overlap_engine: OverlapEngine,
-    /// Accepted and ignored, like [`PipelineConfig::overlap_engine`].
+    /// Inert: accepted and ignored, like [`PipelineConfig::overlap_engine`].
     pub pair_batch: usize,
-    /// Most rows of `A·Aᵀ` per executor batch of the overlap stage
-    /// (`--spgemm-block`, `DIBELLA_SPGEMM_BLOCK`).
+    /// Inert: stage 1 sizes its Bloom filter from the Eq.-2 estimate
+    /// alone; the cardinality (HLL) pre-pass this once selected is gone.
+    /// `None` is the only accepted value — [`PipelineConfig::kcount`]
+    /// panics on `Some`, which asks for a pass that no longer runs.
+    pub hll_precision: Option<u8>,
+    /// Inert: every task is homed by the parity heuristic, the one
+    /// variant [`TaskPlacement`] has left.
+    pub placement: TaskPlacement,
+    /// Inert: the alias [`PipelineConfig::threads`] once fell back to.
+    /// Ignored; an unset `threads` means one thread.
+    pub align_threads: usize,
+    /// Most rows of `A·Aᵀ` per executor batch of the overlap stage. Every
+    /// caller runs [`OverlapConfig::DEFAULT_BLOCK_ROWS`]; tests shrink it
+    /// to force many batches. Any value gives the same output.
     pub spgemm_block: usize,
     /// x-drop termination parameter `X` of the alignment kernel.
     pub xdrop: i32,
@@ -103,22 +117,10 @@ pub struct PipelineConfig {
     pub max_exchange_bytes_per_round: usize,
     /// Bloom filter false-positive target.
     pub bloom_fp_rate: f64,
-    /// When set, run a distributed HyperLogLog pre-pass of this precision
-    /// to size the Bloom filter instead of the Eq.-2 estimate (paper §6:
-    /// HipMer's fallback for extremely large / repetitive genomes).
-    pub hll_precision: Option<u8>,
-    /// Alignment-task placement: the paper's parity heuristic, or the §9
-    /// future-work longer-read placement that minimizes read movement.
-    pub placement: TaskPlacement,
-    /// **Deprecated alias** for [`PipelineConfig::threads`], only
-    /// consulted when `threads` is `None`. Historically this knob threaded
-    /// the alignment stage alone; the whole pipeline now runs on one
-    /// executor.
-    pub align_threads: usize,
     /// Intra-rank threads for **all four stages** (hybrid parallelism,
     /// paper §9 / diBELLA 2D lineage): `1` = sequential, `0` = one thread
     /// per hardware core, `n` = exactly `n` threads. `None` (the default)
-    /// falls back to the deprecated [`PipelineConfig::align_threads`].
+    /// means `1`.
     /// Every stage shards its work into fixed-size batches on the shared
     /// `BatchedExecutor` and merges in batch order, so results are
     /// bit-identical for every value.
@@ -161,7 +163,7 @@ impl Default for PipelineConfig {
             max_seeds_per_pair: 16,
             overlap_engine: OverlapEngine::Spgemm,
             pair_batch: 1024,
-            spgemm_block: OverlapConfig::DEFAULT_SPGEMM_BLOCK,
+            spgemm_block: OverlapConfig::DEFAULT_BLOCK_ROWS,
             xdrop: 25,
             scoring: Scoring::bella(),
             min_align_score: 0,
@@ -194,7 +196,16 @@ impl PipelineConfig {
     }
 
     /// Derive the k-mer-analysis configuration for a given input size.
+    /// The Bloom filter is sized from the Eq.-2 estimate.
+    ///
+    /// # Panics
+    /// Panics if [`PipelineConfig::hll_precision`] is `Some`: the
+    /// cardinality pre-pass it asked for was removed.
     pub fn kcount(&self, total_bases: u64) -> KcountConfig {
+        assert!(
+            self.hll_precision.is_none(),
+            "hll_precision: the cardinality pre-pass that sized the Bloom filter was removed; it is sized from the Eq.-2 estimate"
+        );
         let mut kc = KcountConfig::from_dataset(total_bases.max(1), self.depth, self.error_rate, self.k);
         kc.max_multiplicity = self.multiplicity_threshold();
         kc.bloom_fp_rate = self.bloom_fp_rate;
@@ -204,11 +215,10 @@ impl PipelineConfig {
     }
 
     /// The intra-rank thread count every stage actually runs with — the
-    /// single resolution point for the `threads` knob: `threads` if set
-    /// (falling back to the deprecated `align_threads`), with `0` resolved
-    /// to the hardware parallelism.
+    /// single resolution point for the `threads` knob: `threads` if set,
+    /// else `1`, with `0` resolved to the hardware parallelism.
     pub fn effective_threads(&self) -> usize {
-        let n = self.threads.unwrap_or(self.align_threads);
+        let n = self.threads.unwrap_or(1);
         if n == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -249,7 +259,6 @@ impl PipelineConfig {
         OverlapConfig {
             policy: self.seed_policy,
             max_seeds_per_pair: self.max_seeds_per_pair,
-            placement: self.placement,
             max_exchange_bytes_per_round: self.max_exchange_bytes_per_round,
             chain: match self.seed_mode {
                 SeedMode::Reliable => None,
@@ -339,26 +348,28 @@ mod tests {
     #[test]
     fn overlap_engine_knobs_reach_the_stage_config() {
         let cfg = PipelineConfig::default();
-        assert_eq!(cfg.overlap().spgemm_block, OverlapConfig::DEFAULT_SPGEMM_BLOCK);
+        assert_eq!(cfg.overlap().spgemm_block, OverlapConfig::DEFAULT_BLOCK_ROWS);
         let cfg = PipelineConfig { spgemm_block: 5, ..Default::default() };
         assert_eq!(cfg.overlap().spgemm_block, 5);
-        // The retired engine spellings reach nothing.
-        let ignored = PipelineConfig { overlap_engine: OverlapEngine::Pairs, pair_batch: 17, ..cfg.clone() };
+        // The inert spellings reach nothing.
+        let ignored =
+            PipelineConfig { overlap_engine: OverlapEngine::Pairs, pair_batch: 17, align_threads: 5, ..cfg.clone() };
         assert_eq!(format!("{:?}", ignored.overlap()), format!("{:?}", cfg.overlap()));
+        assert_eq!(ignored.effective_threads(), 1);
     }
 
     #[test]
     fn threads_knob_resolution() {
-        // Default: sequential via the deprecated alias.
+        // Default: sequential.
         assert_eq!(PipelineConfig::default().effective_threads(), 1);
-        // threads wins over align_threads when set.
-        let cfg = PipelineConfig { threads: Some(3), align_threads: 7, ..Default::default() };
-        assert_eq!(cfg.effective_threads(), 3);
-        // Unset threads falls back to the alias.
-        let cfg = PipelineConfig { align_threads: 5, ..Default::default() };
-        assert_eq!(cfg.effective_threads(), 5);
-        // 0 means hardware parallelism, through either spelling.
+        assert_eq!(PipelineConfig { threads: Some(3), ..Default::default() }.effective_threads(), 3);
+        // 0 means hardware parallelism.
         assert!(PipelineConfig { threads: Some(0), ..Default::default() }.effective_threads() >= 1);
-        assert!(PipelineConfig { align_threads: 0, ..Default::default() }.effective_threads() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cardinality pre-pass that sized the Bloom filter was removed")]
+    fn hll_precision_is_refused_not_ignored() {
+        PipelineConfig { hll_precision: Some(12), ..Default::default() }.kcount(1_000);
     }
 }

@@ -40,9 +40,7 @@ use dibella_kcount::{
     bloom_stage_overlapping, hash_stage_prepacked, minimizer_stage, FilterStats, KmerHashTable,
     KmerStageCounters,
 };
-use dibella_overlap::{
-    overlap_stage_with_lengths, OverlapCounters, OverlapOutput, OverlapTask, TaskPlacement,
-};
+use dibella_overlap::{overlap_stage_with_lengths, OverlapCounters, OverlapOutput, OverlapTask};
 use std::time::{Duration, Instant};
 
 /// Wall-clock split of one stage on one rank.
@@ -217,13 +215,7 @@ pub fn pipeline_rank(
     // Agree on dataset-wide parameters before timing the stages.
     let total_bases = comm.allreduce_sum_u64(local_bases);
     let total_reads = comm.allreduce_sum_u64(local_reads);
-    let mut kc = cfg.kcount(total_bases);
-    if let Some(precision) = cfg.hll_precision {
-        // Optional HyperLogLog cardinality pre-pass for Bloom sizing
-        // (paper §6; one extra streaming pass, O(2^precision) traffic).
-        kc.expected_distinct =
-            dibella_kcount::hll_cardinality(comm, &local, cfg.k, precision).max(1024);
-    }
+    let kc = cfg.kcount(total_bases);
     let oc = cfg.overlap();
     let exec = BatchedExecutor::new(cfg.effective_threads());
 
@@ -377,15 +369,8 @@ pub fn pipeline_rank(
             StageTiming::default(),
         ),
         None => {
-            // Length-aware placement needs every read's length; one dense
-            // allgather of u32s (id order equals rank-concatenation order).
-            let lengths: Option<Vec<u32>> = (oc.placement == TaskPlacement::LongerRead).then(|| {
-                let local_lens: Vec<u32> = local.iter().map(|r| r.len() as u32).collect();
-                comm.allgather(local_lens).into_iter().flatten().collect()
-            });
             let t = Instant::now();
-            let out =
-                overlap_stage_with_lengths(comm, &table, part, &oc, lengths.as_deref(), &exec);
+            let out = overlap_stage_with_lengths(comm, &table, part, &oc, None, &exec);
             let overlap_comm = comm.take_stats();
             let overlap_wall = StageTiming {
                 total: t.elapsed(),

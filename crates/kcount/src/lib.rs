@@ -17,13 +17,11 @@
 
 #![warn(missing_docs)]
 
-pub mod cardinality;
 pub mod config;
 pub mod csr;
 pub mod stages;
 pub mod table;
 
-pub use cardinality::hll_cardinality;
 pub use config::KcountConfig;
 pub use csr::ReadKmerCsr;
 pub use stages::{

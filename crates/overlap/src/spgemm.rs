@@ -89,7 +89,7 @@
 
 use crate::policy::SeedFold;
 use crate::stage::{exchange_records, OverlapConfig, OverlapCounters, SortedPairs};
-use crate::task::{ReadPair, SharedSeed, TaskPlacement};
+use crate::task::{task_home, ReadPair, SharedSeed};
 use dibella_comm::{BatchedExecutor, ByteRounds, Comm};
 use dibella_io::ReadPartition;
 use dibella_kcount::{KmerHashTable, ReadKmerCsr};
@@ -150,18 +150,9 @@ pub fn write_pair_record(buf: &mut Vec<u8>, pair: ReadPair, seeds: &[SharedSeed]
 }
 
 /// Where a pair's record goes: the rank that owns the pair's home read.
-#[derive(Clone, Copy)]
-struct Route<'a> {
-    read_part: &'a ReadPartition,
-    placement: TaskPlacement,
-    lengths: Option<&'a [u32]>,
-}
-
-impl Route<'_> {
-    #[inline]
-    fn dest(&self, a: u32, b: u32) -> usize {
-        self.read_part.owner_of(self.placement.home(a, b, self.lengths))
-    }
+#[inline]
+fn dest(read_part: &ReadPartition, a: u32, b: u32) -> usize {
+    read_part.owner_of(task_home(a, b))
 }
 
 /// Scratch of the Gustavson row passes. The engine makes one per executor
@@ -217,12 +208,12 @@ fn for_each_instance(csr: &ReadKmerCsr<'_>, r: usize, mut f: impl FnMut(u32, Sha
 fn count_rows(
     csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
-    route: Route<'_>,
+    read_part: &ReadPartition,
     fold: SeedFold,
     scratch: &mut RowScratch,
     mut record: impl FnMut(usize, usize, usize),
 ) -> u64 {
-    let RowScratch { slot, touched, .. } = scratch.with_dense_index(route.read_part.n_reads());
+    let RowScratch { slot, touched, .. } = scratch.with_dense_index(read_part.n_reads());
     let mut instances = 0u64;
     for r in rows {
         for_each_instance(csr, r, |b, _| {
@@ -237,7 +228,7 @@ fn count_rows(
             let n = std::mem::take(&mut slot[b as usize]) as usize;
             instances += n as u64;
             let len = RECORD_HEADER_BYTES + SEED_BYTES * fold.kept_len(n);
-            record(r, route.dest(csr.row_read(r), b), len);
+            record(r, dest(read_part, csr.row_read(r), b), len);
         }
     }
     instances
@@ -288,17 +279,14 @@ pub fn pack_row_block(
     csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
     read_part: &ReadPartition,
-    placement: TaskPlacement,
-    lengths: Option<&[u32]>,
     ranks: usize,
     fold: SeedFold,
 ) -> SpgemmBlockOut {
-    let route = Route { read_part, placement, lengths };
     let mut out = SpgemmBlockOut::for_ranks(ranks);
     let mut scratch = RowScratch::default();
     let scratch = scratch.with_dense_index(read_part.n_reads());
     let instances = expand_rows(csr, rows, fold, scratch, |_, pair, seeds| {
-        let dest = route.dest(pair.a, pair.b);
+        let dest = dest(read_part, pair.a, pair.b);
         let len = write_pair_record(&mut out.bufs[dest], pair, seeds);
         out.count(dest, len);
     });
@@ -314,15 +302,12 @@ pub fn count_row_block(
     csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
     read_part: &ReadPartition,
-    placement: TaskPlacement,
-    lengths: Option<&[u32]>,
     ranks: usize,
     fold: SeedFold,
 ) -> SpgemmBlockOut {
-    let route = Route { read_part, placement, lengths };
     let mut out = SpgemmBlockOut::for_ranks(ranks);
     let mut scratch = RowScratch::default();
-    out.instances = count_rows(csr, rows, route, fold, &mut scratch, |_, dest, len| out.count(dest, len));
+    out.instances = count_rows(csr, rows, read_part, fold, &mut scratch, |_, dest, len| out.count(dest, len));
     out
 }
 
@@ -414,7 +399,7 @@ impl ScratchPool {
 #[derive(Clone, Copy)]
 struct Product<'a> {
     csr: &'a ReadKmerCsr<'a>,
-    route: Route<'a>,
+    read_part: &'a ReadPartition,
     fold: SeedFold,
     /// `OverlapConfig::spgemm_block`, the most rows per executor batch.
     block: usize,
@@ -448,7 +433,7 @@ impl Product<'_> {
                 let rows = i * batch..((i + 1) * batch).min(n_rows);
                 let mut records = Vec::new();
                 let instances = self.pool.with(|scratch| {
-                    count_rows(self.csr, rows, self.route, self.fold, scratch, |r, dest, len| {
+                    count_rows(self.csr, rows, self.read_part, self.fold, scratch, |r, dest, len| {
                         records.push((r, dest, len))
                     })
                 });
@@ -534,7 +519,7 @@ impl<'a> RowStream<'a> {
     /// Pack round `round`: expand the rows its byte ranges reach past what
     /// is carried, ship exactly the planned bytes, carry the rest.
     fn pack(&mut self, round: u64) -> Vec<Vec<u8>> {
-        let Product { csr, route, fold, block, exec, pool } = self.product;
+        let Product { csr, read_part, fold, block, exec, pool } = self.product;
         let ranks = self.carry.len();
         let segments = self.split.segments(round);
 
@@ -555,7 +540,7 @@ impl<'a> RowStream<'a> {
         let lo = wants.iter().filter(|w| !w.is_empty()).map(|w| w.start).min().unwrap_or(0);
         let hi = wants.iter().map(|w| w.end).max().unwrap_or(0).max(lo);
         let batch = batch_rows(hi - lo, block);
-        let n_reads = route.read_part.n_reads();
+        let n_reads = read_part.n_reads();
         let n_batches = (hi - lo).div_ceil(batch);
         let expand = |i: usize| {
             let rows = lo + i * batch..(lo + (i + 1) * batch).min(hi);
@@ -563,7 +548,7 @@ impl<'a> RowStream<'a> {
             pool.with(|scratch| {
                 let scratch = scratch.with_dense_index(n_reads);
                 expand_rows(csr, rows.filter(wanted), fold, scratch, |r, pair, seeds| {
-                    let dest = route.dest(pair.a, pair.b);
+                    let dest = dest(read_part, pair.a, pair.b);
                     if wants[dest].contains(&r) {
                         write_pair_record(&mut bufs[dest], pair, seeds);
                     }
@@ -618,13 +603,11 @@ impl Watermark {
 /// the minimum watermark as soon as the round is consumed. Finished pairs
 /// go to `finish` in pair order; the source-side and exchange counters
 /// come back.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn spgemm_exchange(
     comm: &Comm,
     table: &KmerHashTable,
     read_part: &ReadPartition,
     cfg: &OverlapConfig,
-    lengths: Option<&[u32]>,
     exec: &BatchedExecutor,
     fold: SeedFold,
     finish: &mut dyn FnMut(SortedPairs),
@@ -634,7 +617,7 @@ pub(crate) fn spgemm_exchange(
     let pool = ScratchPool::default();
     let product = Product {
         csr: &csr,
-        route: Route { read_part, placement: cfg.placement, lengths },
+        read_part,
         fold,
         block: cfg.spgemm_block.max(1),
         exec,
@@ -712,15 +695,7 @@ mod tests {
         ]);
         let csr = ReadKmerCsr::from_table(&t);
         let part = ReadPartition::from_counts(&[3]);
-        let out = pack_row_block(
-            &csr,
-            0..csr.n_rows(),
-            &part,
-            TaskPlacement::Parity,
-            None,
-            1,
-            SeedFold::All,
-        );
+        let out = pack_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::All);
         assert_eq!(out.records, 2, "one record per pair");
         assert_eq!(out.seeds, 3, "three seed contributions");
         assert_eq!(out.instances, 3);
@@ -767,7 +742,7 @@ mod tests {
             let mut merged: Vec<Vec<u8>> = vec![Vec::new(); 2];
             for lo in (0..csr.n_rows()).step_by(block) {
                 let hi = (lo + block).min(csr.n_rows());
-                let out = pack_row_block(&csr, lo..hi, &part, TaskPlacement::Parity, None, 2, fold);
+                let out = pack_row_block(&csr, lo..hi, &part, 2, fold);
                 for (d, b) in merged.iter_mut().zip(out.bufs) {
                     d.extend_from_slice(&b);
                 }
@@ -794,15 +769,7 @@ mod tests {
         ]);
         let csr = ReadKmerCsr::from_table(&t);
         let part = ReadPartition::from_counts(&[2]);
-        let out = pack_row_block(
-            &csr,
-            0..csr.n_rows(),
-            &part,
-            TaskPlacement::Parity,
-            None,
-            1,
-            SeedFold::Smallest(1),
-        );
+        let out = pack_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::Smallest(1));
         assert_eq!((out.instances, out.records, out.seeds), (3, 1, 1));
         assert_eq!(out.bufs[0].len(), RECORD_HEADER_BYTES + SEED_BYTES);
         let mut got = Vec::new();
@@ -831,7 +798,7 @@ mod tests {
         let csr = ReadKmerCsr::from_table(&t);
         assert_eq!((0..csr.n_rows()).map(|r| csr.row(r).len()).collect::<Vec<_>>(), [2, 1, 2]);
         let part = ReadPartition::from_counts(&[3]);
-        let out = pack_row_block(&csr, 0..csr.n_rows(), &part, TaskPlacement::Parity, None, 1, SeedFold::All);
+        let out = pack_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::All);
         let mut got: Vec<(ReadPair, SharedSeed)> = Vec::new();
         decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
         got.sort_unstable();
@@ -855,15 +822,7 @@ mod tests {
         )]);
         let csr = ReadKmerCsr::from_table(&t);
         let part = ReadPartition::from_counts(&[2]);
-        let out = pack_row_block(
-            &csr,
-            0..csr.n_rows(),
-            &part,
-            TaskPlacement::Parity,
-            None,
-            1,
-            SeedFold::All,
-        );
+        let out = pack_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::All);
         let mut got = Vec::new();
         decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
         assert_eq!(
@@ -972,8 +931,7 @@ mod tests {
             let per = N_READS as usize / ranks;
             let part = ReadPartition::from_counts(&vec![per; ranks]);
             for fold in [SeedFold::All, SeedFold::Smallest(1)] {
-                let placement = TaskPlacement::Parity;
-                let oracle = pack_row_block(&csr, 0..csr.n_rows(), &part, placement, None, ranks, fold);
+                let oracle = pack_row_block(&csr, 0..csr.n_rows(), &part, ranks, fold);
                 assert!(oracle.records > 1_000, "{} records", oracle.records);
                 for cap in [usize::MAX, 64 << 10, 4 << 10, 8] {
                     let want = ByteRounds::plan(&oracle.lens, cap);
@@ -988,7 +946,7 @@ mod tests {
                         let exec = BatchedExecutor::new(threads);
                         let product = Product {
                             csr: &csr,
-                            route: Route { read_part: &part, placement, lengths: None },
+                            read_part: &part,
                             fold,
                             block,
                             exec: &exec,
@@ -1027,7 +985,7 @@ mod tests {
         for cap in [usize::MAX, 2 << 10, 8] {
             let product = Product {
                 csr: &csr,
-                route: Route { read_part: &part, placement: TaskPlacement::Parity, lengths: None },
+                read_part: &part,
                 fold: SeedFold::All,
                 block: 4,
                 exec: &exec,

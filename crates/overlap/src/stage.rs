@@ -52,7 +52,7 @@
 use crate::chain::{chain_seeds, ChainConfig};
 use crate::policy::{SeedFold, SeedPolicy};
 use crate::spgemm::{decode_pair_records, spgemm_exchange};
-use crate::task::{OverlapTask, ReadPair, SharedSeed, TaskPlacement};
+use crate::task::{OverlapTask, ReadPair, SharedSeed};
 use dibella_comm::{BatchedExecutor, Comm, RoundExchange, RoundPlan};
 use dibella_io::ReadPartition;
 use dibella_kcount::{KmerHashTable, KmerKeyHasher};
@@ -80,9 +80,6 @@ pub struct OverlapConfig {
     /// Hard cap on seeds explored per pair ("maximum number of seeds to
     /// explore per overlap", §8).
     pub max_seeds_per_pair: usize,
-    /// Task placement strategy (parity heuristic, or the §9 future-work
-    /// longer-read placement).
-    pub placement: TaskPlacement,
     /// Byte cap per rank and exchange round (`usize::MAX` = unbounded,
     /// i.e. one monolithic exchange). The pipeline plumbs `--round-mb`
     /// through here.
@@ -92,15 +89,16 @@ pub struct OverlapConfig {
     /// sketch hits need a consistency check that dense reliable k-mers
     /// get for free from their sheer count.
     pub chain: Option<ChainConfig>,
-    /// Most rows of `A·Aᵀ` per executor batch (`--spgemm-block`). Batches
-    /// are a pure function of the input — never of the thread count — so
-    /// any value is deterministic; tests shrink it to force many blocks.
+    /// Most rows of `A·Aᵀ` per executor batch. Batches are a pure
+    /// function of the input — never of the thread count — so any value
+    /// is deterministic; tests shrink it to force many blocks.
     pub spgemm_block: usize,
 }
 
 impl OverlapConfig {
-    /// Default rows per SpGEMM row block.
-    pub const DEFAULT_SPGEMM_BLOCK: usize = 64;
+    /// Default rows per SpGEMM row block — the only value the pipeline
+    /// runs with; tests set others.
+    pub const DEFAULT_BLOCK_ROWS: usize = 64;
 }
 
 impl Default for OverlapConfig {
@@ -108,10 +106,9 @@ impl Default for OverlapConfig {
         Self {
             policy: SeedPolicy::Single,
             max_seeds_per_pair: 16,
-            placement: TaskPlacement::Parity,
             max_exchange_bytes_per_round: usize::MAX,
             chain: None,
-            spgemm_block: Self::DEFAULT_SPGEMM_BLOCK,
+            spgemm_block: Self::DEFAULT_BLOCK_ROWS,
         }
     }
 }
@@ -237,9 +234,18 @@ pub struct OverlapOutput {
 /// Run the overlap stage.
 ///
 /// `table` is this rank's reliable-k-mer partition (after
-/// `retain_reliable`); `read_part` maps read IDs to their owning ranks;
-/// `lengths`, when given, are the global read lengths that length-aware
-/// task placement (`TaskPlacement::LongerRead`) needs.
+/// `retain_reliable`); `read_part` maps read IDs to their owning ranks.
+/// Every pair goes to the owner of its [`task_home`](crate::task_home).
+///
+/// `lengths` is an inert spelling: it once fed longer-read task
+/// placement, which is gone. It stays only because the repo benchmark
+/// calls this function with `None`, and goes with that copy of the stage
+/// sequence (ROADMAP 5(ii)).
+///
+/// # Panics
+/// Panics if `lengths` is `Some`: the placement that read them no longer
+/// exists, and ignoring them would run a different configuration than
+/// the one asked for.
 pub fn overlap_stage_with_lengths(
     comm: &Comm,
     table: &KmerHashTable,
@@ -248,12 +254,13 @@ pub fn overlap_stage_with_lengths(
     lengths: Option<&[u32]>,
     exec: &BatchedExecutor,
 ) -> OverlapOutput {
+    assert!(lengths.is_none(), "read lengths fed longer-read task placement, which was removed; pass None");
     let fold = cfg.policy.source_keep(cfg.chain.is_some());
     // The exchange delivers per-pair lists in pair order, round by round,
     // as they complete; the epilogue finishes them as they come.
     let mut epilogue = Epilogue { cfg, exec, tasks: Vec::new(), counters: OverlapCounters::default() };
     let finish = &mut |pairs: SortedPairs| epilogue.finish(pairs);
-    let source = spgemm_exchange(comm, table, read_part, cfg, lengths, exec, fold, finish);
+    let source = spgemm_exchange(comm, table, read_part, cfg, exec, fold, finish);
     let Epilogue { tasks, counters: finished, .. } = epilogue;
     let counters = OverlapCounters {
         retained_kmers: table.len() as u64,
@@ -471,6 +478,16 @@ mod tests {
         let mut all: Vec<OverlapTask> = results.into_iter().flat_map(|o| o.tasks).collect();
         all.sort_unstable_by_key(|t| t.pair);
         all
+    }
+
+    #[test]
+    #[should_panic(expected = "longer-read task placement, which was removed")]
+    fn read_lengths_are_refused_not_ignored() {
+        let part = ReadPartition::from_counts(&[2]);
+        CommWorld::run(1, |comm| {
+            let (table, oc, exec) = (KmerHashTable::default(), OverlapConfig::default(), BatchedExecutor::sequential());
+            overlap_stage_with_lengths(comm, &table, &part, &oc, Some(&[10, 20]), &exec)
+        });
     }
 
     #[test]
@@ -846,7 +863,6 @@ mod tests {
                             max_exchange_bytes_per_round: cap,
                             // Thread count and block size are both free.
                             spgemm_block: [64, 5, 1][threads / 2],
-                            ..Default::default()
                         };
                         configs.push((threads, oc));
                     }
@@ -864,7 +880,7 @@ mod tests {
                 let mut table = bloom.table;
                 let _ = hash_stage_prepacked(comm, local, &mut table, &kc, &seq, Some(retained));
                 let csr = ReadKmerCsr::from_table(&table);
-                let pack = |rows, fold| pack_row_block(&csr, rows, &part, TaskPlacement::Parity, None, p, fold);
+                let pack = |rows, fold| pack_row_block(&csr, rows, &part, p, fold);
                 let mut runs = Vec::new();
                 for (threads, oc) in &configs {
                     let exec = BatchedExecutor::new(*threads);

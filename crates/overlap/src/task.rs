@@ -1,4 +1,10 @@
 //! Overlap pairs, shared seeds, and the task-owner heuristic.
+//!
+//! Every alignment task is homed by one rule, [`task_home`] (the parity
+//! heuristic): stage 3 sends each pair to the owner of the read it names.
+//! It balances task counts across ranks, which is what stage 4 — most of
+//! the wall — needs; a length-aware home (the paper's §9 future work)
+//! saves read bytes but leaves stage 4 up to 1.56× imbalanced at 8 ranks.
 
 use dibella_io::ReadId;
 
@@ -77,38 +83,15 @@ pub fn task_home(ra: ReadId, rb: ReadId) -> ReadId {
     }
 }
 
-/// Task placement strategies for the overlap → alignment hand-off.
+/// The one task placement: every task is homed by the parity heuristic
+/// ([`task_home`]), the paper's production choice. A single-variant
+/// spelling kept only because the repo benchmark's configuration names
+/// `PipelineConfig::placement`; it goes with that field (ROADMAP 5(ii)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TaskPlacement {
-    /// The parity heuristic ([`task_home`]): near-perfect *count* balance,
-    /// indifferent to read length — the paper's production choice.
+    /// The parity heuristic ([`task_home`]).
     #[default]
     Parity,
-    /// Paper §9 future work ("a smarter read-to-processor assignment
-    /// could optimize for variable read lengths, eliminating the exchange
-    /// imbalance"): home the task with the *longer* read's owner, so only
-    /// the shorter sequence is ever fetched. Trades task-count balance
-    /// for minimum read-exchange volume.
-    LongerRead,
-}
-
-impl TaskPlacement {
-    /// Choose the home read of a task. `lengths` maps read ID → length
-    /// and is required by [`TaskPlacement::LongerRead`].
-    pub fn home(self, ra: ReadId, rb: ReadId, lengths: Option<&[u32]>) -> ReadId {
-        match self {
-            TaskPlacement::Parity => task_home(ra, rb),
-            TaskPlacement::LongerRead => {
-                let lens = lengths.expect("LongerRead placement needs read lengths");
-                let (la, lb) = (lens[ra as usize], lens[rb as usize]);
-                match la.cmp(&lb) {
-                    std::cmp::Ordering::Greater => ra,
-                    std::cmp::Ordering::Less => rb,
-                    std::cmp::Ordering::Equal => task_home(ra, rb),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@ use dibella_kcount::{KcountConfig, KmerHashTable, Occurrence, ReadKmerCsr};
 use dibella_kmer::{Kmer1, Strand};
 use dibella_overlap::{
     count_row_block, decode_pair_records, pack_row_block, ReadPair, SeedFold, SharedSeed,
-    TaskPlacement,
 };
 use proptest::prelude::*;
 
@@ -103,7 +102,7 @@ fn spgemm_multiset(
     let mut seeds = Vec::new();
     for lo in (0..csr.n_rows()).step_by(block.max(1)) {
         let hi = (lo + block.max(1)).min(csr.n_rows());
-        let out = pack_row_block(&csr, lo..hi, &part, TaskPlacement::Parity, None, ranks, SeedFold::All);
+        let out = pack_row_block(&csr, lo..hi, &part, ranks, SeedFold::All);
         assert_eq!(out.lens.iter().flatten().sum::<usize>(), out.bufs.iter().map(Vec::len).sum());
         for (d, b) in bufs.iter_mut().zip(out.bufs) {
             d.extend_from_slice(&b);
@@ -156,9 +155,8 @@ proptest! {
         let part = partition(ranks);
         let rows = lo.min(csr.n_rows())..(lo + len).min(csr.n_rows());
         for fold in [SeedFold::All, SeedFold::Smallest(1)] {
-            let placement = TaskPlacement::Parity;
-            let counted = count_row_block(&csr, rows.clone(), &part, placement, None, ranks, fold);
-            let packed = pack_row_block(&csr, rows.clone(), &part, placement, None, ranks, fold);
+            let counted = count_row_block(&csr, rows.clone(), &part, ranks, fold);
+            let packed = pack_row_block(&csr, rows.clone(), &part, ranks, fold);
             prop_assert_eq!(&counted.lens, &packed.lens);
             prop_assert_eq!(
                 (counted.records, counted.seeds, counted.instances),

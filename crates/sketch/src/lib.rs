@@ -1,18 +1,16 @@
 //! # dibella-sketch
 //!
-//! Probabilistic data structures for the k-mer analysis stages of diBELLA:
-//! the [`BloomFilter`] that eliminates singleton k-mers before hash-table
-//! construction (paper §6) and the [`HyperLogLog`] cardinality estimator
-//! HipMer-style pipelines use to size the filter for extreme inputs.
+//! The probabilistic filter of diBELLA's k-mer analysis: the
+//! [`BloomFilter`] that eliminates singleton k-mers before hash-table
+//! construction (paper §6). Stage 1 sizes it from the Eq.-2 estimate of
+//! the distinct k-mers (`dibella_kmer::params`); no cardinality pass runs.
 //!
-//! Both operate on pre-hashed 64-bit keys: routing a k-mer to its owner
-//! rank and probing these sketches share one strong hash
+//! It operates on pre-hashed 64-bit keys: routing a k-mer to its owner
+//! rank and probing the filter share one strong hash
 //! (`dibella_kmer::hash`).
 
 #![warn(missing_docs)]
 
 pub mod bloom;
-pub mod hll;
 
 pub use bloom::BloomFilter;
-pub use hll::HyperLogLog;

@@ -45,7 +45,6 @@ USAGE:
                   [--checkpoint-dir DIR] [--round-mb MB]
                   [--policy one|1000|k] [-e ERR] [-d DEPTH]
                   [--seed-mode reliable|minimizer] [--minimizer-w W]
-                  [--spgemm-block ROWS]
                   [-x XDROP] [--min-score S]
                   [-o out.paf] [--gfa out.gfa]
   dibella simulate <out.fastq> [-g GENOME_BP] [-d DEPTH] [-l MEAN_LEN]
@@ -55,7 +54,7 @@ USAGE:
 /// The named flags each command takes, dashes stripped.
 const OVERLAP_FLAGS: &[&str] = &[
     "k", "p", "t", "threads", "transport", "checkpoint-dir", "round-mb", "policy", "e", "d",
-    "seed-mode", "minimizer-w", "spgemm-block", "x", "min-score", "o", "gfa",
+    "seed-mode", "minimizer-w", "x", "min-score", "o", "gfa",
 ];
 const SIMULATE_FLAGS: &[&str] = &["g", "d", "l", "e", "s"];
 const STATS_FLAGS: &[&str] = &["k", "e", "d"];
@@ -115,6 +114,17 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         .positional
         .first()
         .ok_or("overlap: missing <reads.fastq>")?;
+    // Stage-boundary checkpoints: persist per-rank stage outputs under DIR
+    // and resume from the last completed stage on the next run whose
+    // fingerprinted knobs and dataset match. The directory is created and
+    // checked here, before the input is read, so an unusable one is a
+    // usage error rather than a failure inside a rank.
+    let checkpoint_dir: Option<std::path::PathBuf> =
+        flags.named.get("checkpoint-dir").map(Into::into);
+    if let Some(dir) = &checkpoint_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot use --checkpoint-dir {}: {e}", dir.display()))?;
+    }
     let reads = load_fastq(path)?;
     if reads.is_empty() {
         return Err("no reads in input".into());
@@ -140,10 +150,6 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         None => TransportKind::SharedMem,
         Some(v) => v.parse()?,
     };
-    // Stage-boundary checkpoints: persist per-rank stage outputs under DIR
-    // and resume from the last completed stage on the next identical run.
-    let checkpoint_dir: Option<std::path::PathBuf> =
-        flags.named.get("checkpoint-dir").map(Into::into);
     // Streaming-exchange byte cap per rank and round, in MiB (fractions
     // allowed); unset = unbounded, i.e. one monolithic exchange per stage.
     let round_bytes: usize = match flags.named.get("round-mb") {
@@ -164,14 +170,12 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         Some(other) => return Err(format!("unknown --policy {other:?} (one|1000|k)")),
     };
     // Seed front end: the paper's two-pass reliable-k-mer counter, or the
-    // single-pass (w,k) minimizer sketch. Unset defers to DIBELLA_SEED_MODE.
+    // single-pass (w,k) minimizer sketch.
     let seed_mode: SeedMode = match flags.named.get("seed-mode") {
-        None => PipelineConfig::env_seed_mode(),
+        None => SeedMode::Reliable,
         Some(v) => v.parse()?,
     };
     let minimizer_w: usize = flags.get("minimizer-w", 7)?;
-    let spgemm_block: usize =
-        flags.get("spgemm-block", dibella::overlap::OverlapConfig::DEFAULT_SPGEMM_BLOCK)?;
 
     let cfg = PipelineConfig {
         k,
@@ -185,7 +189,6 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         max_exchange_bytes_per_round: round_bytes,
         seed_mode,
         minimizer_w,
-        spgemm_block,
         checkpoint_dir,
         ..Default::default()
     };
@@ -384,13 +387,25 @@ mod tests {
     #[test]
     fn retired_engine_flags_are_rejected_by_name() {
         // Assembled from parts: the retired flags are named nowhere else.
-        for flag in [["overlap", "engine"], ["pair", "batch"]].map(|w| format!("--{}", w.join("-"))) {
+        for flag in [["overlap", "engine"], ["pair", "batch"], ["spgemm", "block"]].map(|w| format!("--{}", w.join("-"))) {
             let msg = error(&["x.fastq", &flag, "pairs"], OVERLAP_FLAGS);
             assert!(msg.starts_with(&format!("unknown flag {flag}")), "{msg}");
             // The command fails on the flag before it opens the input.
             let msg = cmd_overlap(&args(&["/nonexistent/x.fastq", &flag, "pairs"])).unwrap_err();
             assert!(msg.starts_with(&format!("unknown flag {flag}")), "{msg}");
         }
+    }
+
+    #[test]
+    fn unusable_checkpoint_dir_is_an_error_before_the_input_is_read() {
+        // A directory cannot be created under a regular file.
+        let file = std::env::temp_dir().join(format!("dibella-ckpt-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let dir = file.join("ckpt");
+        let msg = cmd_overlap(&args(&["/nonexistent/x.fastq", "--checkpoint-dir", dir.to_str().unwrap()]))
+            .unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(msg.starts_with(&format!("cannot use --checkpoint-dir {}", dir.display())), "{msg}");
     }
 
     #[test]

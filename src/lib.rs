@@ -11,11 +11,11 @@
 //! |---|---|---|
 //! | [`kmer`] | `dibella-kmer` | packed k-mers, extraction, hashing, BELLA's k/m selection |
 //! | [`io`] | `dibella-io` | FASTQ/FASTA, block-parallel input, distributed read store |
-//! | [`sketch`] | `dibella-sketch` | Bloom filter, HyperLogLog |
+//! | [`sketch`] | `dibella-sketch` | Bloom filter (sized from the Eq.-2 estimate) |
 //! | [`comm`] | `dibella-comm` | SPMD thread-per-rank world with MPI-style collectives and pluggable transports (shared-mem / simulated network) |
 //! | [`netmodel`] | `dibella-netmodel` | Table-1 platform models + LogGP cost projection |
 //! | [`kcount`] | `dibella-kcount` | stages 1–2: distributed k-mer analysis |
-//! | [`overlap`] | `dibella-overlap` | stage 3: Algorithm 1 pair generation + seed policies |
+//! | [`overlap`] | `dibella-overlap` | stage 3: Algorithm 1 pair generation, parity task placement, seed policies |
 //! | [`align`] | `dibella-align` | stage 4 kernel: gapped x-drop seed extension (16-bit lanes, scalar fallback) + the full SW oracle |
 //! | [`pipeline`] | `dibella-core` | the four-stage pipeline, reports, cost-model bridge |
 //! | [`baseline`] | `dibella-baseline` | DALIGNER-style single-node comparator (Table 2) |

@@ -225,3 +225,34 @@ fn chaos_checkpoints_resume_bit_identically() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A checkpoint is only resumed by a run it answers: a changed seed
+/// policy (which reshapes the task list) or a changed depth (which moves
+/// the derived multiplicity threshold `m`, and so the table) recomputes
+/// and writes what a run without checkpoints writes.
+#[test]
+fn resume_under_a_changed_policy_or_depth_equals_a_fresh_run() {
+    let reads = dataset();
+    let dir = std::env::temp_dir().join(format!("dibella-changed-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // `m` derived from depth, not overridden: at e = 0 it is ~depth (52
+    // at depth 30), and at depth 0.01 it is 2, which drops the k-mers
+    // three reads share.
+    let base = PipelineConfig { max_multiplicity: None, depth: 30.0, ..cfg(TransportKind::SharedMem, false) };
+    let all_seeds = PipelineConfig { seed_policy: SeedPolicy::MinDistance(15), ..base.clone() };
+    let shallow = PipelineConfig { depth: 0.01, ..all_seeds.clone() };
+    assert_ne!(shallow.multiplicity_threshold(), all_seeds.multiplicity_threshold());
+
+    let with_ckpt = |c: &PipelineConfig| PipelineConfig { checkpoint_dir: Some(dir.clone()), ..c.clone() };
+    // Each leg resumes from the checkpoints the leg before it wrote.
+    let mut written = run_pipeline(&reads, 2, &with_ckpt(&base)).alignments;
+    for (label, changed) in [("policy", &all_seeds), ("depth", &shallow)] {
+        let fresh = run_pipeline(&reads, 2, changed);
+        assert_ne!(fresh.alignments, written, "{label}: the change must matter");
+        let resumed = run_pipeline(&reads, 2, &with_ckpt(changed));
+        assert_eq!(resumed.alignments, fresh.alignments, "{label}: resumed a stale checkpoint");
+        assert!(resumed.reports.iter().any(|r| r.overlap.rounds > 0), "{label}: stage 3 was skipped");
+        written = resumed.alignments;
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -145,29 +145,3 @@ fn everyone_speeds_up_with_nodes() {
         assert!(t8 < t1, "{}: {t1:.4} → {t8:.4}", p.name);
     }
 }
-
-/// §9 future work: homing tasks with the longer read's owner cuts the
-/// alignment-stage read-exchange volume versus the parity heuristic (the
-/// shorter sequence is the one fetched), at some cost in task balance.
-#[test]
-fn longer_read_placement_moves_fewer_bytes() {
-    use dibella::overlap::TaskPlacement;
-    let ds = ecoli_30x_like(0.004, 42);
-    let base = PipelineConfig { k: 17, depth: 30.0, error_rate: 0.15, ..Default::default() };
-    let parity = run_pipeline(&ds.reads, 8, &base);
-    let longer = run_pipeline(
-        &ds.reads,
-        8,
-        &PipelineConfig { placement: TaskPlacement::LongerRead, ..base },
-    );
-    // Same science: identical pair sets.
-    assert_eq!(parity.n_pairs(), longer.n_pairs());
-    let fetched = |r: &dibella::pipeline::PipelineResult| -> u64 {
-        r.reports.iter().map(|x| x.align.read_bytes_fetched).sum()
-    };
-    let (fp, fl) = (fetched(&parity), fetched(&longer));
-    assert!(
-        fl < fp,
-        "longer-read placement fetched {fl} bytes vs parity {fp}"
-    );
-}

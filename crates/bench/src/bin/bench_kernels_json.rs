@@ -31,7 +31,7 @@
 //!   scans → the next row's bounds), so this is the number that says
 //!   whether "fewer cells" can buy time: a cost that barely moves while
 //!   the cells per antidiagonal grow sixfold is a fixed cost per
-//!   antidiagonal, not per cell (see ROADMAP direction 1). Schema `/11`
+//!   antidiagonal, not per cell (see ROADMAP, "Measured and not kept"). Schema `/11`
 //!   commits that split as `xdrop_fit`: the least-squares line through
 //!   the three points, `fixed_ns` per antidiagonal plus `ns_per_cell` per
 //!   live cell;
@@ -64,7 +64,16 @@
 //!   [`KMER_MIN_RATE_RATIO`] of its k = 15 rate (asserted here and in
 //!   CI); the O(k)-per-window extractor this replaced measured 0.4–0.6.
 //!   The packer's bytes per k-mer must stay under 4 (asserted in CI): a
-//!   stand-alone k-mer record costs 8.
+//!   stand-alone k-mer record costs 8;
+//! * **hash pass** (schema `/13`, `kmer.hash_pass`) — a one-rank Bloom +
+//!   hash pass over 1× coverage of a simulated genome at 15 % error, the
+//!   shape where almost no swept k-mer is resident: the hash pass's ns per
+//!   k-mer next to the roll alone on the same records, the share of swept
+//!   k-mers that are resident and the share the screen of resident keys
+//!   lets through to a table probe. The screen has no false negatives and
+//!   about 1 % false positives, so the pass share lies between the
+//!   resident share and 2 points above it (asserted here and in CI —
+//!   counts, not timings).
 //!
 //! Perf PRs diff this file to leave a measurable trajectory; the numbers
 //! are machine-dependent, so compare ratios, not absolutes, across hosts.
@@ -73,11 +82,13 @@ use dibella_align::{extend_seed, AlignWorkspace, Scoring, SeedExtender, SeedHit,
 use dibella_bench::{
     chain_fixture, kmer_fixture, spgemm_fixture, supermer_fixture, supermer_roll_kmers,
 };
-use dibella_comm::BatchedExecutor;
+use dibella_comm::{BatchedExecutor, CommWorld};
 use dibella_core::{run_pipeline, PipelineConfig};
-use dibella_datagen::{ecoli_30x_sample_like, ErrorModel};
+use dibella_datagen::{ecoli_30x_sample_like, simulate_reads, ErrorModel, GenomeSpec, ReadSimSpec};
 use dibella_io::ReadPartition;
-use dibella_kcount::{pack_supermers, KcountConfig, ReadKmerCsr};
+use dibella_kcount::{
+    bloom_stage_overlapping, hash_stage_prepacked, pack_supermers, KcountConfig, ReadKmerCsr,
+};
 use dibella_kmer::{extract_kmers, kmer_count, minimizers, WindowIndex};
 use dibella_netmodel::op_costs;
 use dibella_overlap::{
@@ -170,6 +181,13 @@ const KMER_MINIMIZER_W: usize = 7;
 /// extractor that rebuilds or re-masks the window per position loses a
 /// third or more of its rate over that k range.
 const KMER_MIN_RATE_RATIO: f64 = 0.7;
+/// The hash-pass fixture: 1× coverage of a genome this long.
+const HASH_PASS_GENOME: usize = 2_000_000;
+/// Bloom + hash passes run; the hash pass keeps its fastest.
+const HASH_PASS_RUNS: u32 = 5;
+/// The screen may let through at most this share of the swept k-mers
+/// beyond the resident ones.
+const SCREEN_MAX_EXCESS: f64 = 0.02;
 
 /// Pack the whole fixture CSR under `fold`: per-destination byte streams
 /// plus record/seed/instance totals.
@@ -442,6 +460,48 @@ fn main() {
         );
     }
 
+    // ---- the hash pass where almost nothing is resident --------------------
+    // One rank, so a pass is one thread's time. The Bloom pass runs again
+    // before each hash pass: the hash pass consumes what it kept.
+    let genome = GenomeSpec { size: HASH_PASS_GENOME, seed: 0x1C0F, ..Default::default() }.generate();
+    let flood = simulate_reads(&genome, &ReadSimSpec { depth: 1.0, ..Default::default() }).reads;
+    let flood_cfg = KcountConfig::from_dataset(flood.total_bases() as u64, 1.0, ERROR_RATE, KMER_PACK_K);
+    let hash_runs: Vec<_> = (0..HASH_PASS_RUNS)
+        .map(|_| {
+            CommWorld::run(1, |comm| {
+                let exec = BatchedExecutor::sequential();
+                let (bloom, retained) = bloom_stage_overlapping(comm, flood.reads(), &flood_cfg, &exec);
+                let mut table = bloom.table;
+                let t0 = Instant::now();
+                let out = hash_stage_prepacked(comm, flood.reads(), &mut table, &flood_cfg, &exec, Some(retained));
+                (t0.elapsed().as_secs_f64(), out.counters)
+            })
+            .remove(0)
+        })
+        .collect();
+    let hash_counters = hash_runs[0].1;
+    assert!(hash_runs.iter().all(|run| run.1 == hash_counters), "hash pass counters differ between runs");
+    let hash_s = hash_runs.iter().map(|run| run.0).fold(f64::INFINITY, f64::min);
+    let swept = hash_counters.kmers_received;
+    let (flood_runs, flood_kmers) = supermer_fixture(flood.reads(), KMER_PACK_K, 1);
+    assert_eq!(flood_kmers, swept, "the hash pass swept other k-mers than were packed");
+    let roll_ns = 1e9 / per_sec(swept, &mut || {
+        black_box(supermer_roll_kmers(&flood_runs, KMER_PACK_K));
+    });
+    let hash_ns = hash_s * 1e9 / swept as f64;
+    let resident_share = hash_counters.recorded_occurrences as f64 / swept as f64;
+    let pass_share = hash_counters.screen_passes as f64 / swept as f64;
+    eprintln!(
+        "hash pass: {hash_ns:.1} ns per k-mer (roll alone {roll_ns:.1} ns); {:.1} % of {swept} swept k-mers \
+         resident, {:.1} % through the screen",
+        100.0 * resident_share,
+        100.0 * pass_share,
+    );
+    assert!(
+        resident_share <= pass_share && pass_share <= resident_share + SCREEN_MAX_EXCESS,
+        "the screen let {pass_share:.4} of the swept k-mers through to the table, {resident_share:.4} resident"
+    );
+
     // ---- 4-rank end-to-end pipeline ----------------------------------------
     let ds = ecoli_30x_sample_like(0.004, 42);
     let cfg = PipelineConfig { k: 17, max_seeds_per_pair: 4, ..Default::default() };
@@ -474,7 +534,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/12\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {spgemm_rows_per_sec:.0}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/13\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {spgemm_rows_per_sec:.0}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0}, \"hash_pass\": {{ \"fixture\": \"1x of {HASH_PASS_GENOME} bp, 15% error\", \"k\": {KMER_PACK_K}, \"kmers\": {swept}, \"hash_ns_per_kmer\": {hash_ns:.2}, \"roll_ns_per_kmer\": {roll_ns:.2}, \"resident_share\": {resident_share:.4}, \"screen_pass_share\": {pass_share:.4}, \"max_excess\": {SCREEN_MAX_EXCESS} }} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         seed_simd.0 / seed_scalar.0,

@@ -63,6 +63,10 @@ pub struct KmerStageCounters {
     pub promoted_keys: u64,
     /// Hash pass: occurrences recorded into resident keys.
     pub recorded_occurrences: u64,
+    /// Hash pass: k-mers the screen of resident keys let through to a
+    /// table probe — `recorded_occurrences` plus the screen's false
+    /// positives.
+    pub screen_passes: u64,
     /// Bloom pass: bytes of received owner-run records this rank holds
     /// when the pass returns, for the hash pass to sweep and free — the
     /// memory price of not exchanging twice. Zero for every other pass.
@@ -406,6 +410,12 @@ pub struct HashOutput {
 /// false-positive singletons and k-mers over the threshold `m`. Nothing
 /// is parsed (`kmers_parsed = 0`) and nothing is exchanged.
 ///
+/// Most rolled k-mers are not resident (98 % at 1× coverage), so a k-mer
+/// probes the table only if a screen of the resident keys, built before
+/// the sweep and dropped after it, lets it through
+/// ([`KmerStageCounters::screen_passes`]). The screen has no false
+/// negatives: the table records what probing every k-mer records.
+///
 /// `None` rebuilds the records by running the Bloom pass's exchange again
 /// (the paper's resend; `reads` and `exec` are used only then) — the
 /// tables are identical either way, which is what the tests use it for.
@@ -423,22 +433,30 @@ pub fn hash_stage_prepacked(
         None => exchange_runs(comm, reads, cfg, exec, |_, _, _| {}),
     };
     assert_eq!(retained.k, cfg.k, "records retained for a different k");
+    let screen = table.screen();
     let mut received = 0u64;
+    let mut passes = 0u64;
     let mut recorded = 0u64;
     for (round, source, buf) in retained.bufs {
         let at = Arrival { pass: "hash", rank, round, source };
         received += roll_buffer(at, &buf, cfg.k, |read, hit| {
+            if !screen.admits(hit.kmer.hash64()) {
+                return;
+            }
+            passes += 1;
             let occ = Occurrence { read, pos: hit.pos, strand: hit.strand };
             if table.record_occurrence(&hit.kmer, occ, cfg) {
                 recorded += 1;
             }
         });
     }
+    drop(screen);
     let counters = KmerStageCounters {
         kmers_parsed: parsed,
         kmers_received: received,
         rounds,
         recorded_occurrences: recorded,
+        screen_passes: passes,
         ..Default::default()
     };
 
@@ -1118,6 +1136,69 @@ mod tests {
             (parsed as f64) < 0.4 * windows as f64,
             "sketch too dense: {parsed} of {windows} windows"
         );
+    }
+
+    #[test]
+    fn screened_sweep_records_every_instance_of_a_resident_key() {
+        // 1x coverage of a 30 kb genome at 15 % substitutions: nearly every
+        // k-mer is a singleton, so nearly every swept k-mer is screened
+        // out. The table must still record each instance whose key the
+        // Bloom pass made resident, and the retained table must be the
+        // brute-force count of those instances.
+        let mut state = 0xC0FF_EE15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let genome: Vec<u8> = (0..30_000).map(|_| b"ACGT"[(next() % 4) as usize]).collect();
+        let reads: ReadSet = (0..30u32)
+            .map(|i| {
+                let at = (next() % (genome.len() as u64 - 1_000)) as usize;
+                let seq: Vec<u8> = genome[at..at + 1_000]
+                    .iter()
+                    .map(|&b| if next() % 100 < 15 { b"ACGT"[(next() % 4) as usize] } else { b })
+                    .collect();
+                dibella_io::Read::new(i, format!("r{i}"), seq)
+            })
+            .collect();
+        let (k, m) = (15usize, 8u32);
+        let cfg = test_cfg(k, m);
+        let (_, chunks) = partition_reads(&reads, 2);
+        let outs = CommWorld::run(2, |comm| {
+            let exec = BatchedExecutor::sequential();
+            let local = chunks[comm.rank()].reads();
+            let (b, retained) = bloom_stage_overlapping(comm, local, &cfg, &exec);
+            let mut table = b.table;
+            let resident: Vec<Kmer1> = table.iter().map(|(key, _)| *key).collect();
+            let h = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(retained));
+            let mut entries: BTreeMap<Kmer1, Vec<Occurrence>> =
+                table.iter().map(|(key, e)| (*key, e.occurrences.clone())).collect();
+            entries.values_mut().for_each(|occs| occs.sort_unstable_by_key(|o| (o.read, o.pos)));
+            (resident, h.counters, entries)
+        });
+        let mut swept = 0u64;
+        for (resident, counters, entries) in outs {
+            let mut brute: BTreeMap<Kmer1, Vec<Occurrence>> =
+                resident.iter().map(|&key| (key, Vec::new())).collect();
+            for r in &reads {
+                for hit in KmerIter::<1>::new(&r.seq, k) {
+                    if let Some(occs) = brute.get_mut(&hit.kmer) {
+                        occs.push(Occurrence { read: r.id, pos: hit.pos, strand: hit.strand });
+                    }
+                }
+            }
+            let instances: usize = brute.values().map(Vec::len).sum();
+            assert_eq!(counters.recorded_occurrences, instances as u64);
+            assert!(counters.recorded_occurrences <= counters.screen_passes);
+            assert!(counters.screen_passes < counters.kmers_received / 10, "{counters:?}");
+            brute.retain(|_, occs| (2..=m as usize).contains(&occs.len()));
+            assert!(!brute.is_empty(), "weak test: nothing retained");
+            assert_eq!(entries, brute);
+            swept += counters.kmers_received;
+        }
+        assert_eq!(swept, reads.iter().map(|r| kmer_count(r.len(), k) as u64).sum::<u64>());
     }
 
     #[test]

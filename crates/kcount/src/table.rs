@@ -36,10 +36,11 @@ pub struct KmerEntry {
     pub occurrences: Vec<Occurrence>,
 }
 
-/// Word-folding hasher: k-mer keys are pre-mixed by
-/// `dibella_kmer::hash::kmer_hash_words`, so the map hasher only needs to
-/// fold the word stream — through the splitmix64 finalizer, which also
-/// makes it sound for the overlap stage's raw read-ID pair keys.
+/// Word-folding hasher. A `Kmer`'s derived `Hash` feeds it a length
+/// prefix, the raw packed word and `k`; each is folded into the state
+/// through the splitmix64 finalizer [`dibella_kmer::mix64`], so no input
+/// needs to be pre-mixed — which also makes it sound for the overlap
+/// stage's raw read-ID pair keys.
 #[derive(Default)]
 pub struct KmerKeyHasher(u64);
 
@@ -79,6 +80,51 @@ pub struct FilterStats {
     pub high_freq_removed: u64,
     /// Keys retained (the *reliable* k-mers).
     pub retained: u64,
+}
+
+/// A filter of a table's keys with no false negatives, for the hash pass
+/// to ask before it probes the table: most k-mers it rolls are not
+/// resident, and a miss here costs one word load where a table miss costs
+/// a probe sequence. Each key sets three bits, taken from its
+/// [`Kmer1::hash64`], in one 64-bit word picked by that hash's high half;
+/// at [`KeyScreen::BITS_PER_KEY`] or more bits per key about 1 % of
+/// absent k-mers get through.
+pub(crate) struct KeyScreen {
+    words: Vec<u64>,
+    mask: usize,
+}
+
+impl KeyScreen {
+    /// Least density; the word count is rounded up to a power of two.
+    const BITS_PER_KEY: usize = 16;
+
+    fn new<'a>(keys: impl ExactSizeIterator<Item = &'a Kmer1>) -> Self {
+        let n_words = (keys.len() * Self::BITS_PER_KEY).div_ceil(64).next_power_of_two();
+        let mut screen = Self { words: vec![0; n_words], mask: n_words - 1 };
+        for key in keys {
+            let h = key.hash64();
+            let slot = screen.slot(h);
+            screen.words[slot] |= Self::bits(h);
+        }
+        screen
+    }
+
+    #[inline]
+    fn slot(&self, h: u64) -> usize {
+        (h >> 32) as usize & self.mask
+    }
+
+    #[inline]
+    fn bits(h: u64) -> u64 {
+        1 << (h & 63) | 1 << ((h >> 6) & 63) | 1 << ((h >> 12) & 63)
+    }
+
+    /// `false` only if no key with hash `h` was screened.
+    #[inline]
+    pub(crate) fn admits(&self, h: u64) -> bool {
+        let bits = Self::bits(h);
+        self.words[self.slot(h)] & bits == bits
+    }
 }
 
 /// One rank's partition of the distributed k-mer hash table.
@@ -179,6 +225,11 @@ impl KmerHashTable {
     /// Iterate over resident entries.
     pub fn iter(&self) -> impl Iterator<Item = (&Kmer1, &KmerEntry)> {
         self.map.iter()
+    }
+
+    /// A [`KeyScreen`] of the keys resident now.
+    pub(crate) fn screen(&self) -> KeyScreen {
+        KeyScreen::new(self.map.keys())
     }
 
     /// Insert a fully-formed entry under `kmer`, replacing any resident
@@ -302,6 +353,30 @@ mod tests {
         let entry = t.iter().next().unwrap().1;
         assert_eq!(entry.count, 100);
         assert_eq!(entry.occurrences.len(), 4); // m + 1
+    }
+
+    #[test]
+    fn screen_admits_every_resident_key_and_few_absent_ones() {
+        // 2^16 keys fill the screen at exactly its least density: the word
+        // count needs no rounding up.
+        let mut state = 0x5EED_u64;
+        let mut random_key = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            Kmer1::from_words([state], 32)
+        };
+        let empty = KmerHashTable::default().screen();
+        assert!((0..10_000).all(|_| !empty.admits(random_key().hash64())));
+        let mut t = KmerHashTable::with_capacity(1 << 16);
+        while t.len() < 1 << 16 {
+            t.insert_key(random_key());
+        }
+        let screen = t.screen();
+        assert!(t.iter().all(|(key, _)| screen.admits(key.hash64())), "a false negative");
+        let absent: Vec<Kmer1> = (0..100_000).map(|_| random_key()).filter(|key| !t.contains(key)).collect();
+        let passed = absent.iter().filter(|key| screen.admits(key.hash64())).count();
+        assert!(passed * 50 < absent.len(), "{passed} of {} absent keys passed", absent.len());
     }
 
     #[test]

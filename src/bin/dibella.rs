@@ -92,15 +92,54 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
     Ok(Flags { positional, named })
 }
 
+/// A flag as it is spelled on the command line: `-k`, `--round-mb`.
+fn spelled(name: &str) -> String {
+    format!("{}{name}", if name.len() == 1 { "-" } else { "--" })
+}
+
 impl Flags {
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.named.get(name) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("invalid value {v:?} for -{name}")),
+                .map_err(|_| format!("invalid value {v:?} for {}", spelled(name))),
         }
     }
+
+    /// [`Self::get`], then `ok` must hold of the value; `range` says in
+    /// words which values it takes. Commands check every numeric flag this
+    /// way before they read their input, so a value the pipeline cannot
+    /// run with is a usage error naming the flag, not a panic in a rank.
+    fn get_in<T: std::str::FromStr + std::fmt::Display>(
+        &self,
+        name: &str,
+        default: T,
+        range: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<T, String> {
+        let v = self.get(name, default)?;
+        if ok(&v) {
+            Ok(v)
+        } else {
+            Err(format!("invalid value {v} for {} (must be {range})", spelled(name)))
+        }
+    }
+}
+
+/// `-e`: a per-base error rate.
+fn error_rate_flag(flags: &Flags) -> Result<f64, String> {
+    flags.get_in("e", 0.15, "in [0, 1)", |e| (0.0..1.0).contains(e))
+}
+
+/// `-d`: a depth of coverage.
+fn depth_flag(flags: &Flags) -> Result<f64, String> {
+    flags.get_in("d", 30.0, "finite and positive", |d: &f64| d.is_finite() && *d > 0.0)
+}
+
+/// `-k`: a k-mer length.
+fn k_flag(flags: &Flags) -> Result<usize, String> {
+    flags.get_in("k", 17, "in 4..=32", |k| (4..=32).contains(k))
 }
 
 fn load_fastq(path: &str) -> Result<ReadSet, String> {
@@ -114,30 +153,16 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         .positional
         .first()
         .ok_or("overlap: missing <reads.fastq>")?;
-    // Stage-boundary checkpoints: persist per-rank stage outputs under DIR
-    // and resume from the last completed stage on the next run whose
-    // fingerprinted knobs and dataset match. The directory is created and
-    // checked here, before the input is read, so an unusable one is a
-    // usage error rather than a failure inside a rank.
-    let checkpoint_dir: Option<std::path::PathBuf> =
-        flags.named.get("checkpoint-dir").map(Into::into);
-    if let Some(dir) = &checkpoint_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot use --checkpoint-dir {}: {e}", dir.display()))?;
-    }
-    let reads = load_fastq(path)?;
-    if reads.is_empty() {
-        return Err("no reads in input".into());
-    }
-
-    let k: usize = flags.get("k", 17)?;
-    let ranks: usize = flags.get(
+    let k = k_flag(&flags)?;
+    let ranks: usize = flags.get_in(
         "p",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+        "at least 1",
+        |&p| p >= 1,
     )?;
-    let error_rate: f64 = flags.get("e", 0.15)?;
-    let depth: f64 = flags.get("d", 30.0)?;
-    let xdrop: i32 = flags.get("x", 25)?;
+    let error_rate = error_rate_flag(&flags)?;
+    let depth = depth_flag(&flags)?;
+    let xdrop: i32 = flags.get_in("x", 25, "at least 1", |&x| x >= 1)?;
     let min_score: i32 = flags.get("min-score", 0)?;
     // Intra-rank threads for all four stages (hybrid parallelism; 0 = all
     // cores).
@@ -159,7 +184,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
                 .parse()
                 .ok()
                 .filter(|&m| m > 0.0)
-                .ok_or_else(|| format!("invalid --round-mb {v:?} (positive MiB)"))?;
+                .ok_or_else(|| format!("invalid value {v} for --round-mb (must be positive MiB)"))?;
             (mb * (1 << 20) as f64) as usize
         }
     };
@@ -175,7 +200,22 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         None => SeedMode::Reliable,
         Some(v) => v.parse()?,
     };
-    let minimizer_w: usize = flags.get("minimizer-w", 7)?;
+    let minimizer_w: usize = flags.get_in("minimizer-w", 7, "at least 1", |&w| w >= 1)?;
+    // Stage-boundary checkpoints: persist per-rank stage outputs under DIR
+    // and resume from the last completed stage on the next run whose
+    // fingerprinted knobs and dataset match. The directory is created and
+    // checked here, before the input is read, so an unusable one is a
+    // usage error rather than a failure inside a rank.
+    let checkpoint_dir: Option<std::path::PathBuf> =
+        flags.named.get("checkpoint-dir").map(Into::into);
+    if let Some(dir) = &checkpoint_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot use --checkpoint-dir {}: {e}", dir.display()))?;
+    }
+    let reads = load_fastq(path)?;
+    if reads.is_empty() {
+        return Err("no reads in input".into());
+    }
 
     let cfg = PipelineConfig {
         k,
@@ -299,10 +339,16 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         .positional
         .first()
         .ok_or("simulate: missing <out.fastq>")?;
-    let genome_bp: usize = flags.get("g", 100_000)?;
-    let depth: f64 = flags.get("d", 30.0)?;
-    let mean_len: usize = flags.get("l", 10_000)?;
-    let error: f64 = flags.get("e", 0.15)?;
+    let mean_len: usize = flags.get_in("l", 10_000, "at least 1", |&l| l >= 1)?;
+    let min_len = (mean_len / 10).max(100);
+    let genome_bp: usize = flags.get_in(
+        "g",
+        100_000,
+        &format!("more than {min_len}, the shortest read simulated at -l {mean_len}"),
+        |&g| g > min_len,
+    )?;
+    let depth = depth_flag(&flags)?;
+    let error: f64 = flags.get_in("e", 0.15, "in [0, 0.6)", |e| (0.0..0.6).contains(e))?;
     let seed: u64 = flags.get("s", 42)?;
 
     let genome = GenomeSpec { size: genome_bp, seed, ..Default::default() }.generate();
@@ -311,7 +357,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         &ReadSimSpec {
             depth,
             mean_len: mean_len.min(genome_bp / 2),
-            min_len: (mean_len / 10).max(100),
+            min_len,
             errors: ErrorModel::pacbio(error),
             seed: seed ^ 0x0D1B_E11A,
             ..Default::default()
@@ -331,10 +377,11 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, STATS_FLAGS)?;
     let path = flags.positional.first().ok_or("stats: missing <reads.fastq>")?;
+    let k = k_flag(&flags)?;
+    let error = error_rate_flag(&flags)?;
+    let depth_flag: f64 =
+        flags.get_in("d", 0.0, "finite and positive, or 0 for unknown", |d: &f64| d.is_finite() && *d >= 0.0)?;
     let reads = load_fastq(path)?;
-    let k: usize = flags.get("k", 17)?;
-    let error: f64 = flags.get("e", 0.15)?;
-    let depth_flag: f64 = flags.get("d", 0.0)?;
 
     let total = reads.total_bases();
     println!("reads:          {}", reads.len());
@@ -409,6 +456,38 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_numeric_flags_are_errors_before_the_input_is_read() {
+        type Command = fn(&[String]) -> Result<(), String>;
+        let cases: &[(Command, &str, &str, &str)] = &[
+            (cmd_overlap, "-p", "0", "at least 1"),
+            (cmd_overlap, "-k", "3", "in 4..=32"),
+            (cmd_overlap, "-k", "40", "in 4..=32"),
+            (cmd_overlap, "-x", "0", "at least 1"),
+            (cmd_overlap, "-x", "-5", "at least 1"),
+            (cmd_overlap, "-e", "1", "in [0, 1)"),
+            (cmd_overlap, "-e", "-0.1", "in [0, 1)"),
+            (cmd_overlap, "-d", "0", "finite and positive"),
+            (cmd_overlap, "-d", "inf", "finite and positive"),
+            (cmd_overlap, "--minimizer-w", "0", "at least 1"),
+            (cmd_overlap, "--round-mb", "0", "positive MiB"),
+            (cmd_simulate, "-g", "0", "more than 1000, the shortest read simulated at -l 10000"),
+            (cmd_simulate, "-l", "0", "at least 1"),
+            (cmd_simulate, "-d", "0", "finite and positive"),
+            (cmd_simulate, "-e", "0.6", "in [0, 0.6)"),
+            (cmd_simulate, "-e", "NaN", "in [0, 0.6)"),
+            (cmd_stats, "-k", "40", "in 4..=32"),
+            (cmd_stats, "-e", "1", "in [0, 1)"),
+            (cmd_stats, "-d", "-1", "finite and positive, or 0 for unknown"),
+        ];
+        for &(cmd, flag, value, range) in cases {
+            // The input (or output) path does not exist: a command that
+            // got as far as opening it would fail on that instead.
+            let msg = cmd(&args(&["/nonexistent/x.fastq", flag, value])).unwrap_err();
+            assert_eq!(msg, format!("invalid value {value} for {flag} (must be {range})"));
+        }
+    }
+
+    #[test]
     fn flag_missing_its_value_is_rejected() {
         let msg = error(&["reads.fastq", "-p", "4", "--round-mb"], OVERLAP_FLAGS);
         assert_eq!(msg, "flag -round-mb expects a value");
@@ -420,8 +499,6 @@ mod tests {
             [(OVERLAP_FLAGS, "reads.fastq"), (SIMULATE_FLAGS, "out.fastq"), (STATS_FLAGS, "reads.fastq")]
         {
             // Single-letter flags in their short spelling, the rest long.
-            let spelled =
-                |name: &str| format!("{}{name}", if name.len() == 1 { "-" } else { "--" });
             let mut words = vec![positional.to_owned()];
             for name in known {
                 words.push(spelled(name));

@@ -1,18 +1,11 @@
 //! Figure 7 — alignment stage cross-architecture strong scaling,
 //! millions of alignments per second, E. coli 30× one-seed.
-//!
-//! Set `DIBELLA_THREADS` to run each rank's stage compute on a thread
-//! pool (hybrid distributed+shared-memory, paper §9). The printed table
-//! is identical at every thread count — the executor's deterministic
-//! batching guarantees bit-identical records and counters — so diffing
-//! two runs is a direct determinism check.
 use dibella_bench::*;
 use dibella_core::Stage;
 use dibella_netmodel::mrate;
 use dibella_overlap::SeedPolicy;
 
 fn main() {
-    println!("# threads = {} (DIBELLA_THREADS)", env_threads());
     let mut cache = ReportCache::new();
     let series = platform_series(&mut cache, Workload::E30, SeedPolicy::Single, |reports, proj, _| {
         mrate(total_alignments(reports), proj.stage(Stage::Align).stage_seconds())

@@ -13,10 +13,10 @@ use std::time::Instant;
 fn main() {
     // The paper uses 64 threads on a Cori Haswell node; this host is
     // smaller, so choose a world size near its parallelism.
-    let ranks: usize = std::env::var("DIBELLA_TABLE2_RANKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get() * 2).unwrap_or(4));
+    let ranks: usize = env_knob(
+        "DIBELLA_TABLE2_RANKS",
+        std::thread::available_parallelism().map(|n| n.get() * 2).unwrap_or(4),
+    );
     println!("# Table 2: single node runtime (s), I/O excluded, {ranks} ranks / rayon threads");
     println!("workload\tdiBELLA(s)\tDALIGNER-style(s)\tdiBELLA pairs\tbaseline pairs");
     for w in [Workload::E30Sample, Workload::E30, Workload::E100] {

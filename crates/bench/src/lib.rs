@@ -9,27 +9,17 @@
 //!
 //! Scale knobs (environment): `DIBELLA_SCALE` (E. coli 30×-like genome
 //! scale, default 0.01 ≈ 46 kb) and `DIBELLA_SCALE_100X` (100×-like,
-//! default 0.006). `scale = 1.0` reproduces paper-sized inputs.
-//! `DIBELLA_THREADS` sets the intra-rank thread count of all four stages
-//! (default 1; `0` = all hardware threads) — results are bit-identical
-//! at every setting, only wall time changes.
-//! `DIBELLA_TRANSPORT`
-//! (`shared` | `sim:<platform>[:<ranks_per_node>]`) selects the
-//! communication backend: under `sim:*` the pipeline executes on a
-//! modeled interconnect — counters and alignments are unchanged, but the
-//! recorded `exchange_wall` is the virtual platform's.
-//! `DIBELLA_ROUND_MB` caps every stage's streaming-exchange rounds at
-//! that many MiB per rank (unset = unbounded); alignments and byte
-//! totals are bit-identical at every cap.
-//! `DIBELLA_SEED_MODE` (`reliable` | `minimizer`, default `reliable`)
-//! selects the seed front end: the paper's two-pass reliable-k-mer
-//! counter, or the single-pass minimizer sketch (seeds filtered by
-//! colinear chaining).
+//! default 0.006). `scale = 1.0` reproduces paper-sized inputs. A value
+//! that is not a positive number stops the run with a message naming the
+//! knob ([`positive_knob`]). Every run is configured by [`config_for`]:
+//! one thread per rank, shared memory, unbounded rounds and the reliable
+//! front end — the figures' setting; `tests/invariant.rs` shows that no
+//! other setting changes the output.
 
 #![warn(missing_docs)]
 
-use dibella_comm::{BatchedExecutor, TransportKind};
-use dibella_core::{run_pipeline, PipelineConfig, RankReport, SeedMode};
+use dibella_comm::BatchedExecutor;
+use dibella_core::{run_pipeline, PipelineConfig, RankReport};
 use dibella_datagen::{ecoli_100x_like, ecoli_30x_like, ecoli_30x_sample_like, SyntheticDataset};
 use dibella_io::{Read, ReadPartition};
 use dibella_kcount::{pack_supermers, KcountConfig, KmerHashTable, Occurrence};
@@ -73,57 +63,32 @@ impl Workload {
     }
 }
 
-fn env_scale(var: &str, default: f64) -> f64 {
-    std::env::var(var)
+/// The value of the environment knob `var`, given what the environment
+/// holds for it (`raw`, `None` when unset): `default` when unset, else
+/// the value parsed as a positive number, or an error naming the knob.
+pub fn positive_knob<T>(var: &str, raw: Option<&str>, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + Default,
+{
+    let Some(raw) = raw else { return Ok(default) };
+    raw.trim()
+        .parse()
         .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .filter(|v| *v > T::default())
+        .ok_or_else(|| format!("{var}: expected a positive number, got {raw:?}"))
 }
 
-/// The `DIBELLA_THREADS` environment knob: intra-rank threads for every
-/// pipeline stage (see [`dibella_core::PipelineConfig::threads`]).
-pub fn env_threads() -> usize {
-    PipelineConfig::env_threads()
-}
-
-/// The `DIBELLA_SEED_MODE` environment knob: which seed front end the
-/// pipeline runs (`reliable` | `minimizer`; see
-/// [`dibella_core::PipelineConfig::seed_mode`]). Invalid values abort
-/// loudly rather than silently benchmarking the wrong mode.
-pub fn env_seed_mode() -> SeedMode {
-    PipelineConfig::env_seed_mode()
-}
-
-/// The `DIBELLA_TRANSPORT` environment knob: which communication backend
-/// pipeline runs execute on (see
-/// [`dibella_core::PipelineConfig::transport`]). Invalid values abort
-/// loudly rather than silently benchmarking the wrong backend.
-pub fn env_transport() -> TransportKind {
-    match std::env::var("DIBELLA_TRANSPORT") {
-        Err(_) => TransportKind::default(),
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("DIBELLA_TRANSPORT: {e}")),
-    }
-}
-
-/// The `DIBELLA_ROUND_MB` environment knob: the per-rank, per-round byte
-/// cap of the streaming exchange engine, in MiB (fractions allowed; see
-/// [`dibella_core::PipelineConfig::max_exchange_bytes_per_round`]).
-/// Unset = unbounded (one monolithic exchange per stage). Invalid values
-/// abort loudly rather than silently benchmarking the wrong rounds.
-pub fn env_round_bytes() -> usize {
-    match std::env::var("DIBELLA_ROUND_MB") {
-        Err(_) => usize::MAX,
-        Ok(v) => {
-            let mb: f64 = v
-                .parse()
-                .ok()
-                .filter(|&m| m > 0.0)
-                .unwrap_or_else(|| panic!("DIBELLA_ROUND_MB: invalid value {v:?} (positive MiB)"));
-            (mb * (1 << 20) as f64) as usize
-        }
-    }
+/// [`positive_knob`] read from the process environment. A value it
+/// rejects stops the process with exit status 1 and the message.
+pub fn env_knob<T>(var: &str, default: T) -> T
+where
+    T: std::str::FromStr + PartialOrd + Default,
+{
+    let raw = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    positive_knob(var, raw.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// Deterministic synthetic k-mer table (plus an even read partition over
@@ -254,16 +219,18 @@ pub fn supermer_roll_kmers(bufs: &[Vec<u8>], k: usize) -> u64 {
 /// Construct a workload's synthetic dataset at the bench scale.
 pub fn dataset(w: Workload) -> SyntheticDataset {
     match w {
-        Workload::E30 => ecoli_30x_like(env_scale("DIBELLA_SCALE", 0.01), 42),
-        Workload::E100 => ecoli_100x_like(env_scale("DIBELLA_SCALE_100X", 0.006), 42),
-        Workload::E30Sample => ecoli_30x_sample_like(env_scale("DIBELLA_SCALE", 0.01), 42),
+        Workload::E30 => ecoli_30x_like(env_knob("DIBELLA_SCALE", 0.01), 42),
+        Workload::E100 => ecoli_100x_like(env_knob("DIBELLA_SCALE_100X", 0.006), 42),
+        Workload::E30Sample => ecoli_30x_sample_like(env_knob("DIBELLA_SCALE", 0.01), 42),
     }
 }
 
 /// Pipeline configuration for a workload and seed policy. The per-pair
 /// seed cap is 4 at bench scale: the scaled genome makes average true
 /// overlaps long relative to reads, so uncapped `d = k` exploration would
-/// inflate intensity beyond the paper's regime.
+/// inflate intensity beyond the paper's regime. Everything else is the
+/// default: one thread per rank, shared memory, unbounded rounds and the
+/// reliable front end.
 pub fn config_for(w: Workload, policy: SeedPolicy) -> PipelineConfig {
     let (depth, error_rate) = w.shape();
     PipelineConfig {
@@ -272,10 +239,6 @@ pub fn config_for(w: Workload, policy: SeedPolicy) -> PipelineConfig {
         error_rate,
         seed_policy: policy,
         max_seeds_per_pair: 4,
-        threads: Some(env_threads()),
-        transport: env_transport(),
-        max_exchange_bytes_per_round: env_round_bytes(),
-        seed_mode: env_seed_mode(),
         ..Default::default()
     }
 }
@@ -372,9 +335,9 @@ mod tests {
     use std::sync::Mutex;
 
     /// Serializes tests that mutate process-global environment variables
-    /// (`DIBELLA_SCALE`, `DIBELLA_TRANSPORT`): the test harness runs on
-    /// parallel threads, and a sibling test reading the env mid-mutation
-    /// would nondeterministically pick up the wrong knob.
+    /// (`DIBELLA_SCALE` and the retired spellings): the test harness runs
+    /// on parallel threads, and a sibling test reading the env
+    /// mid-mutation would nondeterministically pick up the wrong knob.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -393,64 +356,17 @@ mod tests {
     }
 
     #[test]
-    fn transport_env_knob() {
-        use dibella_comm::SimNetConfig;
-        use dibella_netmodel::PlatformId;
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_TRANSPORT", "sim:edison:4");
-        let kind = env_transport();
-        assert_eq!(
-            kind,
-            TransportKind::SimNet(SimNetConfig {
-                platform: PlatformId::EdisonXC30,
-                ranks_per_node: 4
-            })
-        );
-        assert_eq!(config_for(Workload::E30, SeedPolicy::Single).transport, kind);
-        std::env::remove_var("DIBELLA_TRANSPORT");
-        assert_eq!(env_transport(), TransportKind::SharedMem);
-    }
-
-    #[test]
-    fn round_mb_env_knob() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_ROUND_MB", "2");
-        assert_eq!(env_round_bytes(), 2 << 20);
-        assert_eq!(
-            config_for(Workload::E30, SeedPolicy::Single).max_exchange_bytes_per_round,
-            2 << 20
-        );
-        // Fractional MiB are allowed (tiny caps for the multi-round path).
-        std::env::set_var("DIBELLA_ROUND_MB", "0.5");
-        assert_eq!(env_round_bytes(), 1 << 19);
-        std::env::remove_var("DIBELLA_ROUND_MB");
-        assert_eq!(env_round_bytes(), usize::MAX);
-    }
-
-    #[test]
-    fn threads_env_knob() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_THREADS", "3");
-        assert_eq!(env_threads(), 3);
-        assert_eq!(
-            config_for(Workload::E30, SeedPolicy::Single).effective_threads(),
-            3
-        );
-        std::env::remove_var("DIBELLA_THREADS");
-        assert_eq!(env_threads(), 1);
-    }
-
-    #[test]
-    fn seed_mode_env_knob() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("DIBELLA_SEED_MODE", "minimizer");
-        assert_eq!(env_seed_mode(), SeedMode::Minimizer);
-        assert_eq!(
-            config_for(Workload::E30, SeedPolicy::Single).seed_mode,
-            SeedMode::Minimizer
-        );
-        std::env::remove_var("DIBELLA_SEED_MODE");
-        assert_eq!(env_seed_mode(), SeedMode::Reliable);
+    fn positive_knob_rejects_what_it_cannot_use() {
+        assert_eq!(positive_knob("DIBELLA_SCALE", None, 0.01), Ok(0.01));
+        assert_eq!(positive_knob("DIBELLA_SCALE", Some("0.05"), 0.01), Ok(0.05));
+        assert_eq!(positive_knob("DIBELLA_TABLE2_RANKS", Some(" 8 "), 4usize), Ok(8));
+        for bad in ["0,05", "", "x", "0", "-1", "NaN"] {
+            let err = positive_knob("DIBELLA_SCALE", Some(bad), 0.01).unwrap_err();
+            assert!(err.starts_with("DIBELLA_SCALE: "), "{err}");
+        }
+        for bad in ["0", "2.5", "-3"] {
+            assert!(positive_knob("DIBELLA_TABLE2_RANKS", Some(bad), 4usize).is_err(), "{bad}");
+        }
     }
 
     #[test]

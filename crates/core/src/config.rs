@@ -57,8 +57,7 @@ pub struct PipelineConfig {
     /// Override the derived high-occurrence threshold `m`.
     pub max_multiplicity: Option<u32>,
     /// Seed source for the overlap stage: the paper's reliable-k-mer
-    /// passes, or the minimizer sketch (`--seed-mode`; the bench harness
-    /// reads `DIBELLA_SEED_MODE`).
+    /// passes, or the minimizer sketch (`--seed-mode`).
     pub seed_mode: SeedMode,
     /// Minimizer window width `w` (number of consecutive k-mer windows a
     /// selected k-mer must win; only used under
@@ -111,9 +110,9 @@ pub struct PipelineConfig {
     /// exchange through the `RoundExchange` engine in rounds of at most
     /// this many send bytes (plus at most one record of slack — records
     /// never split across rounds), packing each round while the previous
-    /// one is in flight. The CLI exposes this as `--round-mb`, the bench
-    /// harness as `DIBELLA_ROUND_MB`. Results are bit-identical at every
-    /// setting; only memory footprint and comm/compute overlap change.
+    /// one is in flight. The CLI exposes this as `--round-mb`. Results are
+    /// bit-identical at every setting; only memory footprint and
+    /// comm/compute overlap change.
     pub max_exchange_bytes_per_round: usize,
     /// Bloom filter false-positive target.
     pub bloom_fp_rate: f64,
@@ -223,33 +222,6 @@ impl PipelineConfig {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
             n
-        }
-    }
-
-    /// The thread count requested via the environment (`DIBELLA_THREADS`),
-    /// defaulting to `1` (sequential) when unset. Panics on an unparsable
-    /// value — a silently ignored perf knob is worse than a crash. Feed
-    /// the result to [`PipelineConfig::threads`].
-    pub fn env_threads() -> usize {
-        match std::env::var("DIBELLA_THREADS") {
-            Err(_) => 1,
-            Ok(v) => v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("DIBELLA_THREADS must be a thread count, got {v:?}")),
-        }
-    }
-
-    /// The seed mode requested via the environment (`DIBELLA_SEED_MODE`),
-    /// defaulting to [`SeedMode::Reliable`] when unset. Panics on an
-    /// unparsable value — a silently ignored mode switch is worse than a
-    /// crash. Feed the result to [`PipelineConfig::seed_mode`].
-    pub fn env_seed_mode() -> SeedMode {
-        match std::env::var("DIBELLA_SEED_MODE") {
-            Err(_) => SeedMode::Reliable,
-            Ok(v) => v
-                .parse()
-                .unwrap_or_else(|e| panic!("DIBELLA_SEED_MODE: {e}")),
         }
     }
 

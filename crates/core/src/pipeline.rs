@@ -40,7 +40,7 @@ use dibella_kcount::{
     bloom_stage_overlapping, hash_stage_prepacked, minimizer_stage, FilterStats, KmerHashTable,
     KmerStageCounters,
 };
-use dibella_overlap::{overlap_stage_with_lengths, OverlapCounters, OverlapOutput, OverlapTask};
+use dibella_overlap::{overlap_stage_with_lengths, OverlapCounters, OverlapTask};
 use std::time::{Duration, Instant};
 
 /// Wall-clock split of one stage on one rank.
@@ -67,6 +67,12 @@ pub struct StageTiming {
 }
 
 impl StageTiming {
+    /// The timing of a stage that ran for `total` and made the traffic
+    /// in `comm`.
+    pub fn new(total: Duration, comm: &CommStats) -> Self {
+        Self { total, exchange: comm.exchange_wall, pack: comm.pack_wall }
+    }
+
     /// Local compute portion (`total − exchange`).
     pub fn local(&self) -> Duration {
         self.total.saturating_sub(self.exchange)
@@ -247,186 +253,120 @@ pub fn pipeline_rank(
 
     comm.take_stats(); // reset counters; setup traffic is not charged to a stage
 
+    // Every slot of a stage that does not run (a skipped or resumed stage,
+    // the Bloom slot under minimizer mode) stays zeroed.
+    let mut report = RankReport {
+        rank,
+        ranks: comm.size(),
+        local_reads,
+        local_bases,
+        bloom: KmerStageCounters::default(),
+        bloom_comm: CommStats::new(comm.size()),
+        bloom_wall: StageTiming::default(),
+        bloom_bytes: 0,
+        table_keys: 0,
+        hash: KmerStageCounters::default(),
+        hash_comm: CommStats::new(comm.size()),
+        hash_wall: StageTiming::default(),
+        filter: FilterStats::default(),
+        table_bytes: 0,
+        overlap: OverlapCounters::default(),
+        overlap_comm: CommStats::new(comm.size()),
+        overlap_wall: StageTiming::default(),
+        align: AlignCounters::default(),
+        align_comm: CommStats::new(comm.size()),
+        align_wall: StageTiming::default(),
+    };
+
     // ---- stages 1 + 2: seed-source front end ------------------------------
     // Reliable mode runs the paper's two passes (Bloom, then hash over
     // the records the Bloom pass kept). Minimizer mode replaces both with
-    // one sketch pass that fills the stage-2 slot of the report; the
-    // stage-1 slot stays zeroed — no Bloom pass runs, nothing is timed
-    // or exchanged there.
-    #[allow(clippy::type_complexity)]
-    let (table, bloom_counters, bloom_comm, bloom_wall, bloom_bytes, table_keys, hash_counters, hash_comm, hash_wall, filter) =
-        if resume_tasks.is_some() {
-            // Stages 1–3 are skipped wholesale; their report slots stay
-            // zeroed, like the Bloom slot under minimizer mode. The table
-            // is not rebuilt — stage 4 only needs the task list.
-            (
-                KmerHashTable::default(),
-                KmerStageCounters::default(),
-                CommStats::new(comm.size()),
-                StageTiming::default(),
-                0,
-                0,
-                KmerStageCounters::default(),
-                CommStats::new(comm.size()),
-                StageTiming::default(),
-                FilterStats::default(),
-            )
-        } else if let Some(restored) = resume_table {
-            // Resume from the post-stage-2 snapshot: stages 1–2 are
-            // skipped; the filter statistics and pre-filter key count are
-            // restored so those report fields survive the restart. The
-            // work/traffic/timing slots of the skipped passes stay zeroed.
-            (
-                restored.table,
-                KmerStageCounters::default(),
-                CommStats::new(comm.size()),
-                StageTiming::default(),
-                0,
-                restored.table_keys,
-                KmerStageCounters::default(),
-                CommStats::new(comm.size()),
-                StageTiming::default(),
-                restored.filter,
-            )
-        } else { match cfg.seed_mode {
+    // one sketch pass that fills the stage-2 slot of the report.
+    let table = if resume_tasks.is_some() {
+        // Stages 1–3 are skipped wholesale. The table is not rebuilt —
+        // stage 4 only needs the task list.
+        KmerHashTable::default()
+    } else if let Some(restored) = resume_table {
+        // Resume from the post-stage-2 snapshot: stages 1–2 are skipped;
+        // the filter statistics and pre-filter key count are restored so
+        // those report fields survive the restart.
+        report.table_keys = restored.table_keys;
+        report.filter = restored.filter;
+        restored.table
+    } else {
+        match cfg.seed_mode {
             SeedMode::Reliable => {
                 // The Bloom pass is the front end's one exchange; the
                 // owner-run records it received stay with this rank for
                 // the hash pass to sweep.
-                let t = Instant::now();
-                let (bloom_out, retained) = bloom_stage_overlapping(comm, &local, &kc, &exec);
-                let bloom_comm = comm.take_stats();
-                let bloom_wall = StageTiming {
-                    total: t.elapsed(),
-                    exchange: bloom_comm.exchange_wall,
-                    pack: bloom_comm.pack_wall,
-                };
+                let ((bloom_out, retained), bloom_comm, bloom_wall) =
+                    timed(comm, || bloom_stage_overlapping(comm, &local, &kc, &exec));
                 let mut table = bloom_out.table;
-                let table_keys = table.len() as u64;
-
-                let t = Instant::now();
-                let hash_out =
-                    hash_stage_prepacked(comm, &local, &mut table, &kc, &exec, Some(retained));
-                let hash_comm = comm.take_stats();
-                let hash_wall = StageTiming {
-                    total: t.elapsed(),
-                    exchange: hash_comm.exchange_wall,
-                    pack: hash_comm.pack_wall,
-                };
-                (
-                    table,
-                    bloom_out.counters,
-                    bloom_comm,
-                    bloom_wall,
-                    bloom_out.bloom_bytes as u64,
-                    table_keys,
-                    hash_out.counters,
-                    hash_comm,
-                    hash_wall,
-                    hash_out.filter,
-                )
+                report.bloom = bloom_out.counters;
+                (report.bloom_comm, report.bloom_wall) = (bloom_comm, bloom_wall);
+                report.bloom_bytes = bloom_out.bloom_bytes as u64;
+                report.table_keys = table.len() as u64;
+                let (hash_out, hash_comm, hash_wall) = timed(comm, || {
+                    hash_stage_prepacked(comm, &local, &mut table, &kc, &exec, Some(retained))
+                });
+                (report.hash, report.filter) = (hash_out.counters, hash_out.filter);
+                (report.hash_comm, report.hash_wall) = (hash_comm, hash_wall);
+                table
             }
             SeedMode::Minimizer => {
-                let t = Instant::now();
-                let mo = minimizer_stage(comm, &local, cfg.minimizer_w, &kc, &exec);
-                let hash_comm = comm.take_stats();
-                let hash_wall = StageTiming {
-                    total: t.elapsed(),
-                    exchange: hash_comm.exchange_wall,
-                    pack: hash_comm.pack_wall,
-                };
-                let table_keys = mo.counters.promoted_keys;
-                (
-                    mo.table,
-                    KmerStageCounters::default(),
-                    CommStats::new(comm.size()),
-                    StageTiming::default(),
-                    0,
-                    table_keys,
-                    mo.counters,
-                    hash_comm,
-                    hash_wall,
-                    mo.filter,
-                )
+                let (mo, hash_comm, hash_wall) =
+                    timed(comm, || minimizer_stage(comm, &local, cfg.minimizer_w, &kc, &exec));
+                report.table_keys = mo.counters.promoted_keys;
+                (report.hash, report.filter) = (mo.counters, mo.filter);
+                (report.hash_comm, report.hash_wall) = (hash_comm, hash_wall);
+                mo.table
             }
-        } };
-    let table_bytes = table.memory_bytes();
+        }
+    };
+    report.table_bytes = table.memory_bytes();
     if let Some(store) = checkpoint.as_ref().filter(|_| !resumed_front_end) {
         // Persist the stage-2 output (outside the stage's timing window;
         // checkpoint I/O is not pipeline work).
-        save_stage(store, TABLE_STAGE, rank, &encode_table(&table, table_keys, &filter));
+        save_stage(store, TABLE_STAGE, rank, &encode_table(&table, report.table_keys, &report.filter));
     }
 
     // ---- stage 3: overlap ---------------------------------------------------
-    let (overlap_out, overlap_comm, overlap_wall) = match resume_tasks {
-        // Stage 3 skipped: tasks come from the snapshot; the work,
-        // traffic, and timing slots stay zeroed like the other skipped
-        // stages'. (The skip is safe precisely because it is unanimous —
-        // no rank enters the stage's collectives.)
-        Some(tasks) => (
-            OverlapOutput { tasks, counters: OverlapCounters::default() },
-            CommStats::new(comm.size()),
-            StageTiming::default(),
-        ),
+    let tasks = match resume_tasks {
+        // Stage 3 skipped: tasks come from the snapshot. (The skip is safe
+        // precisely because it is unanimous — no rank enters the stage's
+        // collectives.)
+        Some(tasks) => tasks,
         None => {
-            let t = Instant::now();
-            let out = overlap_stage_with_lengths(comm, &table, part, &oc, None, &exec);
-            let overlap_comm = comm.take_stats();
-            let overlap_wall = StageTiming {
-                total: t.elapsed(),
-                exchange: overlap_comm.exchange_wall,
-                pack: overlap_comm.pack_wall,
-            };
+            let (out, overlap_comm, overlap_wall) =
+                timed(comm, || overlap_stage_with_lengths(comm, &table, part, &oc, None, &exec));
             if let Some(store) = &checkpoint {
                 save_stage(store, TASKS_STAGE, rank, &encode_tasks(&out.tasks));
             }
-            (out, overlap_comm, overlap_wall)
+            report.overlap = out.counters;
+            (report.overlap_comm, report.overlap_wall) = (overlap_comm, overlap_wall);
+            out.tasks
         }
     };
     drop(table); // the hash table is no longer needed once tasks exist
 
     // ---- stage 4: read redistribution + alignment ---------------------------
-    let t = Instant::now();
-    let mut align_counters = AlignCounters::default();
-    let mut store = ReadStore::new(rank, part.clone(), local);
-    fetch_remote_reads(
-        comm,
-        &mut store,
-        &overlap_out.tasks,
-        cfg.max_exchange_bytes_per_round,
-        &mut align_counters,
-    );
-    let alignments = align_tasks(&store, &overlap_out.tasks, cfg, &mut align_counters, &exec);
-    let align_comm = comm.take_stats();
-    let align_wall = StageTiming {
-        total: t.elapsed(),
-        exchange: align_comm.exchange_wall,
-        pack: align_comm.pack_wall,
-    };
-
-    let report = RankReport {
-        rank,
-        ranks: comm.size(),
-        local_reads,
-        local_bases,
-        bloom: bloom_counters,
-        bloom_comm,
-        bloom_wall,
-        bloom_bytes,
-        table_keys,
-        hash: hash_counters,
-        hash_comm,
-        hash_wall,
-        filter,
-        table_bytes,
-        overlap: overlap_out.counters,
-        overlap_comm,
-        overlap_wall,
-        align: align_counters,
-        align_comm,
-        align_wall,
-    };
+    let (alignments, align_comm, align_wall) = timed(comm, || {
+        let mut store = ReadStore::new(rank, part.clone(), local);
+        fetch_remote_reads(comm, &mut store, &tasks, cfg.max_exchange_bytes_per_round, &mut report.align);
+        align_tasks(&store, &tasks, cfg, &mut report.align, &exec)
+    });
+    (report.align_comm, report.align_wall) = (align_comm, align_wall);
     (alignments, report)
+}
+
+/// Run one stage: its output, the traffic it made (taken from `comm`) and
+/// its timing.
+fn timed<T>(comm: &Comm, stage: impl FnOnce() -> T) -> (T, CommStats, StageTiming) {
+    let t = Instant::now();
+    let out = stage();
+    let stats = comm.take_stats();
+    let timing = StageTiming::new(t.elapsed(), &stats);
+    (out, stats, timing)
 }
 
 /// Load and decode one stage snapshot, degrading *every* failure — a

@@ -3,47 +3,23 @@
 //! recall against ground truth, and the reliable-k-mer statistics of §2.
 //!
 //! ```sh
-//! cargo run --release --example ecoli_pipeline           # default 1% scale
-//! DIBELLA_SCALE=0.05 cargo run --release --example ecoli_pipeline
-//! # hybrid-parallel: 8 ranks × 4 threads per rank, all four stages
-//! DIBELLA_THREADS=4 cargo run --release --example ecoli_pipeline
-//! # run "on" a virtual AWS cluster (modeled exchange times, same results)
-//! DIBELLA_TRANSPORT=sim:aws:16 cargo run --release --example ecoli_pipeline
-//! # stream every stage's exchange in 1 MiB rounds (same results, bounded memory)
-//! DIBELLA_ROUND_MB=1 cargo run --release --example ecoli_pipeline
+//! cargo run --release --example ecoli_pipeline           # default 1% scale, 8 ranks
+//! DIBELLA_SCALE=0.05 DIBELLA_RANKS=16 cargo run --release --example ecoli_pipeline
 //! ```
+//!
+//! Threads per rank, the transport and the round cap are the CLI's
+//! (`dibella overlap -t`, `--transport`, `--round-mb`); none of them
+//! changes the output.
 
 use dibella::datagen::ecoli_30x_like;
 use dibella::prelude::*;
 
 fn main() {
-    let scale: f64 = std::env::var("DIBELLA_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
-    let ranks: usize = std::env::var("DIBELLA_RANKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let threads: usize = PipelineConfig::env_threads();
-    let transport: TransportKind = std::env::var("DIBELLA_TRANSPORT")
-        .ok()
-        .map(|v| v.parse().expect("DIBELLA_TRANSPORT"))
-        .unwrap_or_default();
-    let round_bytes: usize = std::env::var("DIBELLA_ROUND_MB")
-        .ok()
-        .map(|v| {
-            let mb: f64 = v
-                .parse()
-                .ok()
-                .filter(|&m| m > 0.0)
-                .expect("DIBELLA_ROUND_MB: positive MiB");
-            (mb * (1 << 20) as f64) as usize
-        })
-        .unwrap_or(usize::MAX);
+    let scale: f64 = positive_env("DIBELLA_SCALE", 0.01);
+    let ranks: usize = positive_env("DIBELLA_RANKS", 8);
 
     println!("== E. coli 30x-like workload at scale {scale} ==");
-    println!("{ranks} ranks x {threads} thread(s) per rank, transport {transport}");
+    println!("{ranks} ranks");
     let ds = ecoli_30x_like(scale, 42);
     println!(
         "genome {:.0} kb | {} reads | {:.1} Mb | depth {:.1}x | mean read {:.0} bp",
@@ -63,9 +39,6 @@ fn main() {
             error_rate: 0.15,
             seed_policy: policy,
             max_seeds_per_pair: 8,
-            threads: Some(threads),
-            transport,
-            max_exchange_bytes_per_round: round_bytes,
             ..Default::default()
         };
         let t = std::time::Instant::now();
@@ -107,9 +80,19 @@ fn main() {
         println!("  exchanged {:.2} MB total", bytes as f64 / 1e6);
         let slowest = result.wall();
         println!("  slowest rank wall {slowest:.2?}");
-        if transport != TransportKind::SharedMem {
-            let exch = result.reports.iter().map(|r| r.total_exchange()).max().unwrap();
-            println!("  modeled exchange ({transport}): slowest rank {exch:.3?}");
+    }
+}
+
+/// The environment knob `var` as a positive number, `default` when unset;
+/// any other value stops the run with exit status 1.
+fn positive_env<T: std::str::FromStr + PartialOrd + Default>(var: &str, default: T) -> T {
+    let Some(raw) = std::env::var_os(var) else { return default };
+    let raw = raw.to_string_lossy();
+    match raw.trim().parse() {
+        Ok(v) if v > T::default() => v,
+        _ => {
+            eprintln!("error: {var}: expected a positive number, got {raw:?}");
+            std::process::exit(1)
         }
     }
 }

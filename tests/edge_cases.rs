@@ -1,6 +1,9 @@
 //! Edge-case and failure-injection tests across the public API surface:
 //! degenerate inputs the pipeline must survive (or reject loudly).
 
+mod common;
+
+use common::genome_slice;
 use dibella::prelude::*;
 
 fn cfg_k(k: usize) -> PipelineConfig {
@@ -39,17 +42,7 @@ fn single_read_dataset() {
 /// match.
 #[test]
 fn more_ranks_than_reads() {
-    let mut state = 0x5EEDu64;
-    let mut rnd = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let genome: Vec<u8> = (0..400).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
-    let reads: ReadSet = (0..3u32)
-        .map(|i| Read::new(i, format!("r{i}"), genome[i as usize * 100..][..200].to_vec()))
-        .collect();
+    let reads = genome_slice(3, 200, 100, 0x5EED);
     let res = run_pipeline(&reads, 16, &cfg_k(11));
     assert!(res.n_pairs() >= 2, "adjacent overlaps missed");
     assert_eq!(res.reports.len(), 16);
@@ -71,14 +64,7 @@ fn all_ambiguous_reads() {
 /// n everything is filtered, with m above n every pair aligns full-length.
 #[test]
 fn duplicate_reads_follow_m() {
-    let mut state = 0xFEEDu64;
-    let mut rnd = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let seq: Vec<u8> = (0..300).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
+    let seq = genome_slice(1, 300, 0, 0xFEED).into_reads().remove(0).seq;
     let reads: ReadSet = (0..6u32)
         .map(|i| Read::new(i, format!("dup{i}"), seq.clone()))
         .collect();
@@ -124,21 +110,12 @@ fn zero_xdrop_rejected() {
 /// not produce self-pairs.
 #[test]
 fn no_self_pairs_ever() {
-    let mut state = 0xABCu64;
-    let mut rnd = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let genome: Vec<u8> = (0..2_000).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
     // Reads with internal repeat structure (same k-mer twice per read).
-    let reads: ReadSet = (0..8u32)
-        .map(|i| {
-            let mut seq = genome[i as usize * 150..][..400].to_vec();
-            let dup: Vec<u8> = seq[..40].to_vec();
-            seq.extend_from_slice(&dup);
-            Read::new(i, format!("r{i}"), seq)
+    let reads: ReadSet = genome_slice(8, 400, 150, 0xABC)
+        .into_iter()
+        .map(|mut r| {
+            r.seq.extend_from_within(..40);
+            r
         })
         .collect();
     let res = run_pipeline(&reads, 3, &cfg_k(11));

@@ -1,36 +1,16 @@
 //! End-to-end integration tests over the whole workspace: synthetic
 //! PacBio-like data → full distributed pipeline → ground-truth recall,
-//! world-size invariance, baseline agreement and the parallel-input path.
+//! precision, baseline agreement and strand invariance; and the
+//! determinism matrix's rows on noisy reads (the matrix lives in
+//! `tests/common/matrix.rs`): world size, round cap and input path.
 
-use dibella::datagen::{ecoli_30x_like, simulate_reads, ErrorModel, GenomeSpec, ReadSimSpec};
+mod common;
+
+use common::matrix::{check, Row, NOISY};
+use common::{toy_cfg, toy_dataset};
+use dibella::datagen::ecoli_30x_like;
 use dibella::prelude::*;
 use std::collections::HashSet;
-
-fn toy_dataset(seed: u64) -> dibella::datagen::SyntheticDataset {
-    let genome = GenomeSpec { size: 15_000, seed, ..Default::default() }.generate();
-    simulate_reads(
-        &genome,
-        &ReadSimSpec {
-            depth: 10.0,
-            mean_len: 2_000,
-            min_len: 400,
-            errors: ErrorModel::pacbio(0.12),
-            seed: seed ^ 0xABCD,
-            ..Default::default()
-        },
-    )
-}
-
-fn toy_cfg() -> PipelineConfig {
-    PipelineConfig {
-        k: 15,
-        depth: 10.0,
-        error_rate: 0.12,
-        seed_policy: SeedPolicy::Single,
-        max_kmers_per_round: 4096, // force multi-round exchanges
-        ..Default::default()
-    }
-}
 
 /// The headline scientific claim: overlapping noisy long reads are found
 /// via shared reliable k-mers with high recall.
@@ -66,32 +46,6 @@ fn precision_of_confident_alignments() {
         bad.len(),
         res.alignments.len()
     );
-}
-
-/// Distributed-equals-serial: the pipeline's output is identical for any
-/// world size (the paper's correctness invariant for its parallelization).
-#[test]
-fn world_size_invariance_on_noisy_data() {
-    let ds = toy_dataset(3);
-    let cfg = toy_cfg();
-    let serial = run_pipeline(&ds.reads, 1, &cfg);
-    for p in [2usize, 5, 16] {
-        let par = run_pipeline(&ds.reads, p, &cfg);
-        assert_eq!(par.alignments, serial.alignments, "P={p}");
-    }
-}
-
-/// The FASTQ parallel-input path (block partitioning + exscan ID
-/// assignment) produces the same result as the in-memory path.
-#[test]
-fn fastq_round_trip_pipeline() {
-    let ds = toy_dataset(4);
-    let mut fastq = Vec::new();
-    dibella::io::write_fastq(&mut fastq, &ds.reads).unwrap();
-    let cfg = toy_cfg();
-    let a = run_pipeline(&ds.reads, 4, &cfg);
-    let b = run_pipeline_fastq(&fastq, 4, &cfg);
-    assert_eq!(a.alignments, b.alignments);
 }
 
 /// The DALIGNER-style baseline and the distributed pipeline implement the
@@ -249,18 +203,20 @@ fn ecoli_preset_statistics() {
     assert!(res.n_pairs() > 100);
 }
 
-/// Memory-bound streaming: shrinking the per-round cap changes rounds,
-/// traffic chunking and nothing else.
+/// Noisy reads on worlds of 1, 2, 5 and 16 ranks.
+#[test]
+fn world_size_invariance_on_noisy_data() {
+    check(&[Row { ranks: &[1, 2, 5, 16], ..NOISY }]);
+}
+
+/// Noisy reads read off FASTQ bytes.
+#[test]
+fn fastq_round_trip_pipeline() {
+    check(&[Row { ranks: &[4], fastq: &[true], ..NOISY }]);
+}
+
+/// Noisy reads under k-mer budgets of 512 and 4 Mi per round.
 #[test]
 fn round_cap_invariance() {
-    let ds = toy_dataset(7);
-    let base_cfg = toy_cfg();
-    let small_rounds = PipelineConfig { max_kmers_per_round: 512, ..base_cfg.clone() };
-    let big_rounds = PipelineConfig { max_kmers_per_round: 1 << 22, ..base_cfg };
-    let a = run_pipeline(&ds.reads, 3, &small_rounds);
-    let b = run_pipeline(&ds.reads, 3, &big_rounds);
-    assert_eq!(a.alignments, b.alignments);
-    let rounds_a: u64 = a.reports.iter().map(|r| r.bloom.rounds).max().unwrap();
-    let rounds_b: u64 = b.reports.iter().map(|r| r.bloom.rounds).max().unwrap();
-    assert!(rounds_a > rounds_b, "cap did not change round count");
+    check(&[Row { ranks: &[3], kmers_per_round: &[512, 1 << 22], ..NOISY }]);
 }

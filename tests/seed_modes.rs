@@ -8,9 +8,14 @@
 //! every k-mer inside owner-run records (~2.8 B per k-mer at k = 17 on 4
 //! ranks) and exchanges once, the sketch ships a quarter of the k-mers as
 //! stand-alone 20-byte records — 1.80× the reliable bytes here, recorded
-//! by the test. A second test sweeps the determinism matrix — threads ×
-//! transports × round caps — in minimizer mode.
+//! by the test. The minimizer front end's determinism across threads and
+//! round caps is a row of the determinism matrix
+//! (`tests/common/matrix.rs`), run here; across world sizes and
+//! transports it is a row of `tests/invariant.rs`.
 
+mod common;
+
+use common::matrix::{check, Row, KIB4, SLICE, UNBOUNDED};
 use dibella::datagen::ecoli_30x_sample_like;
 use dibella::prelude::*;
 use std::collections::BTreeSet;
@@ -30,8 +35,8 @@ fn seed_bytes(res: &dibella::pipeline::PipelineResult) -> u64 {
         .sum()
 }
 
-/// The bench harness's sample-workload configuration (`config_for` with
-/// the default environment), pinned here so the test is deterministic.
+/// The bench harness's sample-workload configuration (`config_for`),
+/// pinned here so the test is deterministic.
 fn sample_cfg(seed_mode: SeedMode) -> PipelineConfig {
     PipelineConfig {
         k: 17,
@@ -92,66 +97,9 @@ fn minimizer_mode_keeps_recall_and_cuts_owner_kmers() {
     assert!(recall >= 0.95, "minimizer recall {recall:.3} below 0.95");
 }
 
-/// Minimizer-mode determinism matrix: merged alignment records are
-/// bit-identical across threads {1, 2, 4} × transports {shared,
-/// sim:cori:2} × round caps {unbounded, 4 KiB}, and per-rank counters
-/// match the sequential run within each (transport, cap) cell.
+/// The minimizer front end on 2 and 4 threads, in one round and in 4 KiB
+/// rounds.
 #[test]
 fn minimizer_mode_bit_identical_across_threads_transports_and_caps() {
-    // Overlapping error-free reads off one deterministic genome (the
-    // stage_threads dataset shape).
-    let mut state = 0x5EED_0D1Bu64 | 1;
-    let mut rnd = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let genome: Vec<u8> = (0..(24 * 60 + 200)).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
-    let reads: ReadSet = (0..24u32)
-        .map(|i| Read::new(i, format!("r{i}"), genome[i as usize * 60..][..200].to_vec()))
-        .collect();
-    let cfg = |threads: usize, transport: TransportKind, cap: usize| PipelineConfig {
-        k: 11,
-        seed_policy: SeedPolicy::MinDistance(11),
-        max_seeds_per_pair: 32,
-        max_multiplicity: Some(24),
-        seed_mode: SeedMode::Minimizer,
-        minimizer_w: 5,
-        threads: Some(threads),
-        transport,
-        max_exchange_bytes_per_round: cap,
-        ..Default::default()
-    };
-
-    let ranks = 4;
-    let global = run_pipeline(&reads, ranks, &cfg(1, TransportKind::SharedMem, usize::MAX));
-    assert!(!global.alignments.is_empty(), "workload must exercise all stages");
-    for transport in [TransportKind::SharedMem, "sim:cori:2".parse().expect("transport spec")] {
-        for cap in [usize::MAX, 4096] {
-            let baseline = run_pipeline(&reads, ranks, &cfg(1, transport, cap));
-            assert_eq!(
-                baseline.alignments, global.alignments,
-                "records diverge across transport={transport} cap={cap}"
-            );
-            for threads in [2usize, 4] {
-                let run = run_pipeline(&reads, ranks, &cfg(threads, transport, cap));
-                let at = format!("threads={threads} transport={transport} cap={cap}");
-                assert_eq!(run.alignments, baseline.alignments, "records diverge at {at}");
-                for (par, seq) in run.reports.iter().zip(&baseline.reports) {
-                    let rank = par.rank;
-                    assert_eq!(par.hash, seq.hash, "rank {rank} sketch counters, {at}");
-                    assert_eq!(par.table_keys, seq.table_keys, "rank {rank} table keys, {at}");
-                    assert_eq!(par.filter, seq.filter, "rank {rank} filter stats, {at}");
-                    assert_eq!(par.overlap, seq.overlap, "rank {rank} overlap counters, {at}");
-                    assert_eq!(par.align, seq.align, "rank {rank} align counters, {at}");
-                    assert_eq!(
-                        par.hash_comm.total_bytes(),
-                        seq.hash_comm.total_bytes(),
-                        "rank {rank} sketch bytes, {at}"
-                    );
-                }
-            }
-        }
-    }
+    check(&[Row { modes: &[SeedMode::Minimizer], threads: &[2, 4], caps: &[UNBOUNDED, KIB4], ..SLICE }]);
 }

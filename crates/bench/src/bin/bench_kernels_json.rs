@@ -40,11 +40,13 @@
 //!   [`dibella_bench::spgemm_fixture`] table, and (schema `/10`) the
 //!   rows/s of the engine's count-only symbolic pass over the same rows,
 //!   with its record lengths asserted equal to the packed ones;
-//! * **overlap fold** (schema `/8`) — stage 3's seed fold under
-//!   `SeedFold::Smallest(1)` on the same fixture: rows/s of the folded
-//!   `pack_row_block`, plus the records the fold leaves per enumerated
-//!   instance (the fold must count the unfolded pass's instances and leave
-//!   its records, one seed each — asserted);
+//! * **overlap fold** (schema `/8`; the count pass since `/14`) — stage
+//!   3's seed fold under `SeedFold::Min` on the same fixture: rows/s of the
+//!   pass the stage runs for it, `count_row_block` folding each pair's
+//!   least seed as it counts, plus the records the fold leaves per
+//!   enumerated instance (the fold must count the unfolded pass's
+//!   instances and write the folded `pack_row_block`'s bytes, one seed a
+//!   record — asserted);
 //! * **chain seeds/s** (schema `/5`) — `chain_seeds` on the shared
 //!   [`dibella_bench::chain_fixture`] at 256 and 8 192 seeds. The figure
 //!   that matters is the *ratio* of the two rates: a linearithmic chain
@@ -92,12 +94,13 @@ use dibella_kcount::{
 use dibella_kmer::{extract_kmers, kmer_count, minimizers, WindowIndex};
 use dibella_netmodel::op_costs;
 use dibella_overlap::{
-    chain_seeds, count_row_block, pack_row_block, ChainConfig, SeedFold,
+    chain_seeds, count_row_block, pack_row_block, ChainConfig, SeedFold, SpgemmBlockOut,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -189,14 +192,22 @@ const HASH_PASS_RUNS: u32 = 5;
 /// beyond the resident ones.
 const SCREEN_MAX_EXCESS: f64 = 0.02;
 
-/// Pack the whole fixture CSR under `fold`: per-destination byte streams
-/// plus record/seed/instance totals.
-fn spgemm_pack_all(csr: &ReadKmerCsr<'_>, part: &ReadPartition, fold: SeedFold) -> (Vec<Vec<u8>>, u64, u64, u64) {
+/// One row pass of the overlap engine: `pack_row_block` or `count_row_block`.
+type RowPass = fn(&ReadKmerCsr<'_>, Range<usize>, &ReadPartition, usize, SeedFold) -> SpgemmBlockOut;
+
+/// Run `pass` over the whole fixture CSR under `fold`: per-destination
+/// byte streams plus record/seed/instance totals.
+fn spgemm_pack_all(
+    csr: &ReadKmerCsr<'_>,
+    part: &ReadPartition,
+    pass: RowPass,
+    fold: SeedFold,
+) -> (Vec<Vec<u8>>, u64, u64, u64) {
     let mut bufs = vec![Vec::new(); SPGEMM_RANKS];
     let (mut records, mut seeds, mut instances) = (0u64, 0u64, 0u64);
     for lo in (0..csr.n_rows()).step_by(SPGEMM_BATCH_ROWS) {
         let hi = (lo + SPGEMM_BATCH_ROWS).min(csr.n_rows());
-        let out = pack_row_block(csr, lo..hi, part, SPGEMM_RANKS, fold);
+        let out = pass(csr, lo..hi, part, SPGEMM_RANKS, fold);
         records += out.records;
         seeds += out.seeds;
         instances += out.instances;
@@ -315,11 +326,11 @@ fn main() {
     // ---- SpGEMM row accumulator -------------------------------------------
     let (table, part) = spgemm_fixture(SPGEMM_READS, SPGEMM_KMERS, SPGEMM_RANKS, 0x0D1B_E11A);
     let csr = ReadKmerCsr::from_table(&table);
-    let (sp_bytes, sp_records, sp_seeds, sp_instances) = spgemm_pack_all(&csr, &part, SeedFold::All);
+    let (sp_bytes, sp_records, sp_seeds, sp_instances) = spgemm_pack_all(&csr, &part, pack_row_block, SeedFold::All);
     assert!(sp_records > 0, "fixture produced no pair records");
     let t0 = Instant::now();
     for _ in 0..SPGEMM_ITERS {
-        black_box(spgemm_pack_all(&csr, &part, SeedFold::All));
+        black_box(spgemm_pack_all(&csr, &part, pack_row_block, SeedFold::All));
     }
     let spgemm_rows_per_sec = (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
 
@@ -341,14 +352,22 @@ fn main() {
     let symbolic_rows_per_sec = (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
 
     // ---- the seed fold at the source --------------------------------------
-    let fold = SeedFold::Smallest(1);
-    let (_, fold_records, fold_seeds, fold_instances) = spgemm_pack_all(&csr, &part, fold);
+    // Under `Min` the stage runs no numeric pass: the count pass folds each
+    // pair's least seed and writes its record, which must be the folded
+    // numeric pass's.
+    let fold = SeedFold::Min;
+    let (fold_bytes, fold_records, fold_seeds, fold_instances) = spgemm_pack_all(&csr, &part, count_row_block, fold);
     assert_eq!(fold_instances, sp_instances, "the fold changed what is enumerated");
     assert_eq!(fold_seeds, fold_records, "the fold kept more than one seed per pair");
     assert_eq!(fold_records, sp_records, "folding changed the pair set");
+    assert_eq!(
+        fold_bytes,
+        spgemm_pack_all(&csr, &part, pack_row_block, fold).0,
+        "the count pass wrote other records than the folded numeric pass"
+    );
     let t0 = Instant::now();
     for _ in 0..SPGEMM_ITERS {
-        black_box(spgemm_pack_all(&csr, &part, fold));
+        black_box(spgemm_pack_all(&csr, &part, count_row_block, fold));
     }
     let fold_rows_per_sec = (csr.n_rows() as u64 * SPGEMM_ITERS as u64) as f64 / t0.elapsed().as_secs_f64();
 
@@ -534,7 +553,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/13\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {spgemm_rows_per_sec:.0}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"smallest(1)\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"spgemm_rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0}, \"hash_pass\": {{ \"fixture\": \"1x of {HASH_PASS_GENOME} bp, 15% error\", \"k\": {KMER_PACK_K}, \"kmers\": {swept}, \"hash_ns_per_kmer\": {hash_ns:.2}, \"roll_ns_per_kmer\": {roll_ns:.2}, \"resident_share\": {resident_share:.4}, \"screen_pass_share\": {pass_share:.4}, \"max_excess\": {SCREEN_MAX_EXCESS} }} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/14\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {spgemm_rows_per_sec:.0}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"min\", \"pass\": \"count_row_block\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0}, \"hash_pass\": {{ \"fixture\": \"1x of {HASH_PASS_GENOME} bp, 15% error\", \"k\": {KMER_PACK_K}, \"kmers\": {swept}, \"hash_ns_per_kmer\": {hash_ns:.2}, \"roll_ns_per_kmer\": {roll_ns:.2}, \"resident_share\": {resident_share:.4}, \"screen_pass_share\": {pass_share:.4}, \"max_excess\": {SCREEN_MAX_EXCESS} }} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         seed_simd.0 / seed_scalar.0,

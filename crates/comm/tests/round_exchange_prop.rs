@@ -2,7 +2,8 @@
 //! per-destination record geometries and round caps, the byte-planned
 //! rounds (a) lose and reorder nothing relative to a monolithic exchange
 //! and (b) keep every rank's per-round send volume within
-//! `cap + max_record_size` — the memory bound `--round-mb` promises.
+//! `cap + max_record_size` — the memory bound `--round-mb` promises — and
+//! (c) the uniform-record planner cuts exactly the general planner's rounds.
 
 use dibella_comm::{ByteRounds, CommWorld, RoundExchange};
 use proptest::prelude::*;
@@ -81,6 +82,31 @@ proptest! {
                 "rank {}: peak {} vs cap {} + record {}",
                 rank, stats.peak_round_bytes, cap, world_max_record
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The uniform planner is the general one over equal lengths: the same
+    /// rounds, each with the same `(destination, byte range)` segments —
+    /// destinations with no records and caps below one record included. A
+    /// stream of one-seed records may therefore be planned from its counts.
+    #[test]
+    fn plan_uniform_cuts_the_segments_of_plan(
+        // About a third of the destinations get no records.
+        counts in prop::collection::vec((0usize..16).prop_map(|n| n.saturating_sub(5)), 0..6),
+        size in 1usize..24,
+        // Below one record, a few records, and unbounded.
+        cap in (0usize..240).prop_map(|c| if c >= 220 { usize::MAX } else { c % 110 + 1 }),
+    ) {
+        let lens: Vec<Vec<usize>> = counts.iter().map(|&n| vec![size; n]).collect();
+        let general = ByteRounds::plan(&lens, cap);
+        let uniform = ByteRounds::plan_uniform(&counts, size, cap);
+        prop_assert_eq!(uniform.len(), general.len());
+        for round in 0..general.len() as u64 + 1 {
+            prop_assert_eq!(uniform.segments(round), general.segments(round), "round {}", round);
         }
     }
 }

@@ -41,6 +41,34 @@ impl From<io::Error> for ParseError {
     }
 }
 
+/// Reads must be shorter than this many bases: the overlap stage's seed
+/// records keep a seed's orientation in bit 31 of its position.
+pub const MAX_READ_BASES: usize = 1 << 31;
+
+/// Check a sequence of `bases` bases, read at `line`, against
+/// [`MAX_READ_BASES`].
+fn check_read_len(bases: usize, line: usize) -> Result<(), ParseError> {
+    if bases < MAX_READ_BASES {
+        return Ok(());
+    }
+    Err(ParseError::Malformed {
+        line,
+        msg: format!("read of {bases} bases: reads must be shorter than 2^31 bases"),
+    })
+}
+
+/// The ID of a file's `index`-th record when the first is `first_id`, or
+/// an error at `line` once that passes `u32::MAX`.
+fn read_id(first_id: ReadId, index: usize, line: usize) -> Result<ReadId, ParseError> {
+    u32::try_from(index)
+        .ok()
+        .and_then(|index| first_id.checked_add(index))
+        .ok_or_else(|| ParseError::Malformed {
+            line,
+            msg: format!("record {index} from read ID {first_id} passes the largest read ID, {}", ReadId::MAX),
+        })
+}
+
 /// One raw FASTQ record (before read-ID assignment).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FastqRecord {
@@ -111,6 +139,7 @@ impl<R: BufRead> FastqReader<R> {
             }
         };
         let line = self.line_no;
+        check_read_len(seq.len(), line)?;
         let sep = self.read_line()?.map(str::to_owned);
         match sep.as_deref() {
             Some(l) if l.starts_with('+') => {}
@@ -155,8 +184,9 @@ impl<R: BufRead> Iterator for FastqReader<R> {
 /// starting from `first_id`.
 pub fn read_fastq<R: BufRead>(reader: R, first_id: ReadId) -> Result<ReadSet, ParseError> {
     let mut set = ReadSet::new();
-    for (id, rec) in (first_id..).zip(FastqReader::new(reader)) {
-        let rec = rec?;
+    let mut records = FastqReader::new(reader);
+    while let Some(rec) = records.next_record()? {
+        let id = read_id(first_id, set.len(), records.line_no)?;
         set.push(Read::new(id, rec.name, rec.seq));
     }
     Ok(set)
@@ -165,9 +195,15 @@ pub fn read_fastq<R: BufRead>(reader: R, first_id: ReadId) -> Result<ReadSet, Pa
 /// Parse a FASTA stream (headers `>`; sequences may span multiple lines).
 pub fn read_fasta<R: BufRead>(reader: R, first_id: ReadId) -> Result<ReadSet, ParseError> {
     let mut set = ReadSet::new();
-    let mut id = first_id;
-    let mut name: Option<String> = None;
+    // The current record's name and header line.
+    let mut name: Option<(String, usize)> = None;
     let mut seq: Vec<u8> = Vec::new();
+    let push = |set: &mut ReadSet, (name, line): (String, usize), seq: Vec<u8>| {
+        check_read_len(seq.len(), line)?;
+        let id = read_id(first_id, set.len(), line)?;
+        set.push(Read::new(id, name, seq));
+        Ok::<_, ParseError>(())
+    };
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let line_no = idx + 1;
@@ -176,11 +212,10 @@ pub fn read_fasta<R: BufRead>(reader: R, first_id: ReadId) -> Result<ReadSet, Pa
             continue;
         }
         if let Some(h) = line.strip_prefix('>') {
-            if let Some(n) = name.take() {
-                set.push(Read::new(id, n, std::mem::take(&mut seq)));
-                id += 1;
+            if let Some(record) = name.take() {
+                push(&mut set, record, std::mem::take(&mut seq))?;
             }
-            name = Some(h.split_whitespace().next().unwrap_or("").to_owned());
+            name = Some((h.split_whitespace().next().unwrap_or("").to_owned(), line_no));
         } else {
             if name.is_none() {
                 return Err(ParseError::Malformed {
@@ -191,8 +226,8 @@ pub fn read_fasta<R: BufRead>(reader: R, first_id: ReadId) -> Result<ReadSet, Pa
             seq.extend_from_slice(line.as_bytes());
         }
     }
-    if let Some(n) = name {
-        set.push(Read::new(id, n, seq));
+    if let Some(record) = name {
+        push(&mut set, record, seq)?;
     }
     Ok(set)
 }
@@ -319,6 +354,31 @@ mod tests {
     #[test]
     fn fasta_rejects_headerless_sequence() {
         assert!(read_fasta(Cursor::new("ACGT\n"), 0).is_err());
+    }
+
+    /// Sequences must leave bit 31 of a position free, and IDs must fit
+    /// a `u32`; both come back as a typed error, never a panic or a wrap.
+    #[test]
+    fn bounds_of_the_32_bit_fields_are_parse_errors() {
+        assert!(check_read_len(MAX_READ_BASES - 1, 1).is_ok());
+        let err = check_read_len(MAX_READ_BASES, 7).unwrap_err();
+        assert!(matches!(err, ParseError::Malformed { line: 7, .. }), "{err}");
+        assert!(err.to_string().contains("shorter than 2^31 bases"), "{err}");
+        assert_eq!(read_id(ReadId::MAX, 0, 1).unwrap(), ReadId::MAX);
+        assert_eq!(read_id(5, 10, 1).unwrap(), 15);
+        assert!(read_id(ReadId::MAX, 1, 1).is_err());
+        assert!(read_id(0, ReadId::MAX as usize + 1, 1).is_err());
+    }
+
+    #[test]
+    fn ids_past_u32_max_are_refused() {
+        assert_eq!(read_fastq(Cursor::new(SAMPLE), ReadId::MAX - 1).unwrap().len(), 2);
+        let err = read_fastq(Cursor::new(SAMPLE), ReadId::MAX).unwrap_err();
+        assert!(matches!(err, ParseError::Malformed { line: 8, .. }), "{err}");
+        let fasta = ">a\nACGT\n>b\nAC\nGT\n";
+        let err = read_fasta(Cursor::new(fasta), ReadId::MAX).unwrap_err();
+        assert!(matches!(err, ParseError::Malformed { line: 3, .. }), "{err}");
+        assert_eq!(read_fasta(Cursor::new(fasta), ReadId::MAX - 1).unwrap().len(), 2);
     }
 
     #[test]

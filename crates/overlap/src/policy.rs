@@ -80,12 +80,12 @@ impl SeedPolicy {
     ///
     /// | policy | chain filter | fold |
     /// |---|---|---|
-    /// | `Single` | off | `Smallest(1)` — `apply` keeps the minimum of the sorted list, and the minimum of a union is the minimum of the parts' minima |
+    /// | `Single` | off | `Min` — `apply` keeps the minimum of the sorted list, and the minimum of a union is the minimum of the parts' minima |
     /// | `Single` | on | `All` — the best chain is a property of the whole list |
     /// | `MinDistance(_)` | either | `All` — greedy spacing is not closed under truncating the parts: a seed a part drops can be the one the union keeps |
     pub fn source_keep(&self, chain_on: bool) -> SeedFold {
         match self {
-            SeedPolicy::Single if !chain_on => SeedFold::Smallest(1),
+            SeedPolicy::Single if !chain_on => SeedFold::Min,
             _ => SeedFold::All,
         }
     }
@@ -98,10 +98,11 @@ impl SeedPolicy {
 pub enum SeedFold {
     /// Keep every seed, in arrival order.
     All,
-    /// Keep the `n` smallest distinct seeds under [`SharedSeed`]'s order,
-    /// sorted. Associative, commutative and idempotent, so folding per
-    /// source and again at the destination equals folding once.
-    Smallest(usize),
+    /// Keep the least seed under [`SharedSeed`]'s order — a plain `min`:
+    /// associative, commutative and idempotent, so folding per source and
+    /// again at the destination equals folding once, and a pair's record
+    /// is one seed long whatever it folded.
+    Min,
 }
 
 impl SeedFold {
@@ -111,20 +112,7 @@ impl SeedFold {
     pub fn extend(self, kept: &mut Vec<SharedSeed>, seeds: impl IntoIterator<Item = SharedSeed>) {
         match self {
             SeedFold::All => kept.extend(seeds),
-            fold => seeds.into_iter().for_each(|seed| fold.add(kept, seed)),
-        }
-    }
-
-    /// Length of the list folding `n` seeds leaves — what the SpGEMM
-    /// engine's symbolic pass counts records with, without holding a seed.
-    /// Exact under `All` and `Smallest(1)`; under `Smallest(k > 1)` only
-    /// when the `n` seeds are distinct, which the numeric pass checks
-    /// against its plan.
-    #[inline]
-    pub fn kept_len(self, n: usize) -> usize {
-        match self {
-            SeedFold::All => n,
-            SeedFold::Smallest(k) => n.min(k),
+            SeedFold::Min => seeds.into_iter().for_each(|seed| self.add(kept, seed)),
         }
     }
 
@@ -133,14 +121,10 @@ impl SeedFold {
     pub fn add(self, kept: &mut Vec<SharedSeed>, seed: SharedSeed) {
         match self {
             SeedFold::All => kept.push(seed),
-            SeedFold::Smallest(n) => {
-                if let Err(at) = kept.binary_search(&seed) {
-                    if at < n {
-                        kept.truncate(n - 1);
-                        kept.insert(at, seed);
-                    }
-                }
-            }
+            SeedFold::Min => match kept.first_mut() {
+                Some(least) => *least = seed.min(*least),
+                None => kept.push(seed),
+            },
         }
     }
 }
@@ -257,7 +241,7 @@ mod tests {
 
     #[test]
     fn source_keep_folds_only_where_apply_keeps_the_minimum() {
-        assert_eq!(SeedPolicy::Single.source_keep(false), SeedFold::Smallest(1));
+        assert_eq!(SeedPolicy::Single.source_keep(false), SeedFold::Min);
         assert_eq!(SeedPolicy::Single.source_keep(true), SeedFold::All);
         for chain_on in [false, true] {
             assert_eq!(SeedPolicy::MinDistance(1000).source_keep(chain_on), SeedFold::All);
@@ -265,12 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn smallest_keeps_the_n_least_distinct_seeds_sorted() {
-        let mut kept = Vec::new();
+    fn min_keeps_the_least_seed_and_all_keeps_every_one() {
+        let mut least = Vec::new();
         for a in [40, 10, 30, 10, 50, 20, 5] {
-            SeedFold::Smallest(3).add(&mut kept, seed(a, false));
+            SeedFold::Min.add(&mut least, seed(a, false));
         }
-        assert_eq!(kept, vec![seed(5, false), seed(10, false), seed(20, false)]);
+        assert_eq!(least, vec![seed(5, false)]);
+        SeedFold::Min.add(&mut least, seed(5, true));
+        assert_eq!(least, vec![seed(5, false)], "forward orders before reverse at equal positions");
         let mut all = Vec::new();
         for a in [40, 10, 10] {
             SeedFold::All.add(&mut all, seed(a, false));

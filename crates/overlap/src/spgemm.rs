@@ -28,38 +28,47 @@
 //!
 //!    at most 20 bytes per seed instance (a one-seed record), 8 when a
 //!    pair's seeds ship together, and 20 per *pair* under
-//!    `SeedFold::Smallest(1)`. Bit 31 of `b_pos` is the orientation, so a
+//!    [`SeedFold::Min`]. Bit 31 of `b_pos` is the orientation, so a
 //!    position must stay below 2³¹ — [`write_pair_record`] refuses one
-//!    that does not.
+//!    that does not, and ingest refuses a read of 2³¹ bases before any
+//!    position is taken from it.
 //!
 //! # Two phases, one round at a time
 //!
-//! The product is never materialized. As in the SpGEMM literature the
-//! engine runs a *symbolic* pass before the *numeric* one:
+//! As in the SpGEMM literature the engine runs a *symbolic* pass before
+//! the *numeric* one; the fold decides whether the numeric pass runs:
 //!
-//! * **Symbolic** ([`count_row_block`]): one count-only Gustavson pass — a
-//!   dense `u32` counter per global read and a touched list, no seed
-//!   lists, no bytes — yields the length of every record each row will
-//!   emit, per destination, in send order. [`ByteRounds::plan`] over
-//!   those lengths cuts the rounds, so the round count, every round's
-//!   bytes and each destination's concatenated stream are exactly those
-//!   of planning over the fully packed product (which is what
-//!   [`pack_row_block`] over all rows, the test oracle, still produces).
-//! * **Numeric**: packing round *r* expands only the rows whose records
-//!   the round's byte ranges cover, in executor batches merged in row
-//!   order. A row whose records straddle a round boundary is expanded
-//!   once; what the round does not ship is carried to the next. A source
-//!   therefore holds the round in flight, the round being packed and at
-//!   most one row's leftover per destination. The plan is greedy in
-//!   destination order, so under a cap a source works through
+//! * **Symbolic** ([`count_row_block`]): one Gustavson count pass over
+//!   every row, with a dense accumulator per global read and a touched
+//!   list, yields every record each row will emit, per destination, in
+//!   send order.
+//!   - Under [`SeedFold::All`] the accumulator is a `u32` counter — no
+//!     seed lists, no bytes — and the pass yields each record's length.
+//!     [`ByteRounds::plan`] over those lengths cuts the rounds, so the
+//!     round count, every round's bytes and each destination's
+//!     concatenated stream are exactly those of planning over the fully
+//!     packed product (which is what [`pack_row_block`] over all rows,
+//!     the test oracle, still produces).
+//!   - Under [`SeedFold::Min`] the accumulator keeps the least seed
+//!     beside the counter. A record is 20 bytes whatever it folded, so the
+//!     pass writes the records themselves: it *is* the product, held at
+//!     20 bytes per pair. [`ByteRounds::plan_uniform`] cuts the rounds
+//!     `ByteRounds::plan` would from the record counts, and each round is
+//!     a slice of the held product ([`ByteRounds::pack`]).
+//! * **Numeric** (`All` only): packing round *r* expands only the rows
+//!   whose records the round's byte ranges cover, in executor batches
+//!   merged in row order. A row whose records straddle a round boundary
+//!   is expanded once; what the round does not ship is carried to the
+//!   next. A source therefore holds the round in flight, the round being
+//!   packed and at most one row's leftover per destination. The plan is
+//!   greedy in destination order, so under a cap a source works through
 //!   destination 0's stream before destination 1's: a row is walked once
 //!   for every round-disjoint group of destinations that needs it (once in
 //!   all with a single round or a single rank, at most once per rank) —
 //!   the price of holding rounds instead of the product.
 //!
-//! Both passes index a row's candidates with the same dense `u32` slot
-//! per global read, allocated once per executor worker and zeroed as each
-//! row drains.
+//! Both passes index a row's candidates with a dense slot per global
+//! read, allocated once per executor worker and reset as each row drains.
 //!
 //! # Finishing early: the watermark rule
 //!
@@ -102,11 +111,12 @@ pub const RECORD_HEADER_BYTES: usize = 12;
 pub const SEED_BYTES: usize = 8;
 
 /// One row block's output: the record geometry [`ByteRounds`] plans with,
-/// the emission counters, and — from the numeric pass — the wire bytes.
+/// the emission counters, and — from the numeric pass, or the count pass
+/// under [`SeedFold::Min`] — the wire bytes.
 #[derive(Debug, Default)]
 pub struct SpgemmBlockOut {
     /// Per-destination encoded pair records ([`pack_row_block`]; left
-    /// empty by [`count_row_block`]).
+    /// empty by [`count_row_block`] under [`SeedFold::All`]).
     pub bufs: Vec<Vec<u8>>,
     /// Per-destination record lengths, in send order.
     pub lens: Vec<Vec<usize>>,
@@ -157,13 +167,17 @@ fn dest(read_part: &ReadPartition, a: u32, b: u32) -> usize {
 
 /// Scratch of the Gustavson row passes. The engine makes one per executor
 /// worker and reuses it for every batch of both phases, so neither the
-/// O(reads) dense index nor the seed lists are allocated per block.
+/// O(reads) dense indexes nor the seed lists are allocated per block.
 #[derive(Debug, Default)]
 struct RowScratch {
     /// Dense index, one slot per global read, all zero between rows: a
-    /// candidate's instance count while a row is counted, 1 + its
-    /// position in `touched` while one is expanded.
+    /// candidate's instance count while a row is counted under
+    /// [`SeedFold::All`], 1 + its position in `touched` while one is
+    /// expanded.
     slot: Vec<u32>,
+    /// Dense index of the count pass under [`SeedFold::Min`]: a
+    /// candidate's instance count next to its least seed so far.
+    least: Vec<Least>,
     /// The current row's candidates with the index of their seed list,
     /// in first-touch order until the row is drained in ascending `b`.
     touched: Vec<(u32, u32)>,
@@ -177,6 +191,70 @@ impl RowScratch {
             self.slot.resize(n_reads, 0);
         }
         self
+    }
+}
+
+/// What the count pass keeps per candidate of a row, chosen by the fold:
+/// under `All` an instance count and nothing more, under `Min` the least
+/// seed beside it — all that fold ever ships.
+trait Tally: Copy + Default {
+    /// Fold in one more instance.
+    fn add(&mut self, seed: SharedSeed);
+    /// Instances folded in; zero until the candidate is touched.
+    fn instances(self) -> u32;
+    /// This tally's dense index in `scratch`, sized to `n_reads`, and the
+    /// touched list.
+    fn index(scratch: &mut RowScratch, n_reads: usize) -> (&mut [Self], &mut Vec<(u32, u32)>);
+}
+
+impl Tally for u32 {
+    #[inline]
+    fn add(&mut self, _: SharedSeed) {
+        *self += 1;
+    }
+
+    #[inline]
+    fn instances(self) -> u32 {
+        self
+    }
+
+    fn index(scratch: &mut RowScratch, n_reads: usize) -> (&mut [Self], &mut Vec<(u32, u32)>) {
+        let RowScratch { slot, touched, .. } = scratch.with_dense_index(n_reads);
+        (slot, touched)
+    }
+}
+
+/// [`SeedFold::Min`]'s tally: instances and the least seed folded.
+#[derive(Clone, Copy, Debug)]
+struct Least {
+    n: u32,
+    seed: SharedSeed,
+}
+
+impl Default for Least {
+    /// No instance yet, and a seed every real one orders below.
+    fn default() -> Self {
+        Self { n: 0, seed: SharedSeed { a_pos: u32::MAX, b_pos: u32::MAX, reverse: true } }
+    }
+}
+
+impl Tally for Least {
+    #[inline]
+    fn add(&mut self, seed: SharedSeed) {
+        self.n += 1;
+        self.seed = seed.min(self.seed);
+    }
+
+    #[inline]
+    fn instances(self) -> u32 {
+        self.n
+    }
+
+    fn index(scratch: &mut RowScratch, n_reads: usize) -> (&mut [Self], &mut Vec<(u32, u32)>) {
+        if scratch.least.len() < n_reads {
+            scratch.least.resize(n_reads, Least::default());
+        }
+        (&mut scratch.least, &mut scratch.touched)
     }
 }
 
@@ -202,36 +280,59 @@ fn for_each_instance(csr: &ReadKmerCsr<'_>, r: usize, mut f: impl FnMut(u32, Sha
     }
 }
 
+/// One Gustavson pass over `rows` that keeps a [`Tally`] per candidate:
+/// `record(row, dest, b, tally)` for every pair of each row, in ascending
+/// `b`. Returns the instances enumerated.
+fn tally_rows<T: Tally>(
+    csr: &ReadKmerCsr<'_>,
+    rows: Range<usize>,
+    read_part: &ReadPartition,
+    scratch: &mut RowScratch,
+    mut record: impl FnMut(usize, usize, u32, T),
+) -> u64 {
+    let (slot, touched) = T::index(scratch, read_part.n_reads());
+    let mut instances = 0u64;
+    for r in rows {
+        for_each_instance(csr, r, |b, seed| {
+            let tally = &mut slot[b as usize];
+            if tally.instances() == 0 {
+                touched.push((b, 0));
+            }
+            tally.add(seed);
+        });
+        touched.sort_unstable();
+        for (b, _) in touched.drain(..) {
+            let tally = std::mem::take(&mut slot[b as usize]);
+            instances += u64::from(tally.instances());
+            record(r, dest(read_part, csr.row_read(r), b), b, tally);
+        }
+    }
+    instances
+}
+
 /// The symbolic pass over `rows`: `record(row, dest, len)` for every record
-/// the numeric pass will write, in its order. Returns the instances
-/// enumerated.
+/// the numeric pass would write, in its order. Under [`SeedFold::Min`] the
+/// count folds each pair's least seed as it goes — everything the numeric
+/// pass would do — and appends the records themselves to `bufs`. Returns
+/// the instances enumerated.
 fn count_rows(
     csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
     read_part: &ReadPartition,
     fold: SeedFold,
     scratch: &mut RowScratch,
+    bufs: &mut [Vec<u8>],
     mut record: impl FnMut(usize, usize, usize),
 ) -> u64 {
-    let RowScratch { slot, touched, .. } = scratch.with_dense_index(read_part.n_reads());
-    let mut instances = 0u64;
-    for r in rows {
-        for_each_instance(csr, r, |b, _| {
-            let n = &mut slot[b as usize];
-            if *n == 0 {
-                touched.push((b, 0));
-            }
-            *n += 1;
-        });
-        touched.sort_unstable();
-        for (b, _) in touched.drain(..) {
-            let n = std::mem::take(&mut slot[b as usize]) as usize;
-            instances += n as u64;
-            let len = RECORD_HEADER_BYTES + SEED_BYTES * fold.kept_len(n);
-            record(r, dest(read_part, csr.row_read(r), b), len);
-        }
+    match fold {
+        SeedFold::All => tally_rows(csr, rows, read_part, scratch, |r, dest, _, n: u32| {
+            record(r, dest, RECORD_HEADER_BYTES + SEED_BYTES * n as usize)
+        }),
+        SeedFold::Min => tally_rows(csr, rows, read_part, scratch, |r, dest, b, least: Least| {
+            let pair = ReadPair { a: csr.row_read(r), b };
+            record(r, dest, write_pair_record(&mut bufs[dest], pair, &[least.seed]))
+        }),
     }
-    instances
 }
 
 /// The numeric pass over `rows`: `record(row, pair, seeds)` for every pair
@@ -244,7 +345,7 @@ fn expand_rows(
     scratch: &mut RowScratch,
     mut record: impl FnMut(usize, ReadPair, &[SharedSeed]),
 ) -> u64 {
-    let RowScratch { slot, touched, lists } = scratch;
+    let RowScratch { slot, touched, lists, .. } = scratch;
     let mut instances = 0u64;
     for r in rows {
         for_each_instance(csr, r, |b, seed| {
@@ -295,9 +396,9 @@ pub fn pack_row_block(
 }
 
 /// The symbolic twin of [`pack_row_block`]: the same record lengths and
-/// counters from a count-only pass — no seed lists, no bytes (`bufs` stays
-/// empty). Exact for [`SeedFold::All`] and `Smallest(1)`; see
-/// [`SeedFold::kept_len`].
+/// counters from one count pass. Under [`SeedFold::All`] it holds no seed
+/// and writes no byte (`bufs` stays empty); under [`SeedFold::Min`] it
+/// folds as it counts and writes `pack_row_block`'s bytes as well.
 pub fn count_row_block(
     csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
@@ -306,8 +407,11 @@ pub fn count_row_block(
     fold: SeedFold,
 ) -> SpgemmBlockOut {
     let mut out = SpgemmBlockOut::for_ranks(ranks);
+    let mut bufs = std::mem::take(&mut out.bufs);
     let mut scratch = RowScratch::default();
-    out.instances = count_rows(csr, rows, read_part, fold, &mut scratch, |_, dest, len| out.count(dest, len));
+    out.instances =
+        count_rows(csr, rows, read_part, fold, &mut scratch, &mut bufs, |_, dest, len| out.count(dest, len));
+    out.bufs = bufs;
     out
 }
 
@@ -407,12 +511,24 @@ struct Product<'a> {
     pool: &'a ScratchPool,
 }
 
+/// Bytes of a one-seed record — every record under [`SeedFold::Min`].
+const ONE_SEED_RECORD_BYTES: usize = RECORD_HEADER_BYTES + SEED_BYTES;
+
+/// Per destination, what the round planner cuts.
+enum Streams {
+    /// The length of every record in send order (`All`): the numeric pass
+    /// writes the bytes a round at a time.
+    Lens(Vec<Vec<usize>>),
+    /// The records themselves (`Min`): the count pass folded and wrote
+    /// them, so the numeric pass has nothing left to do.
+    Held(Vec<Vec<u8>>),
+}
+
 /// The symbolic pass's product: everything the numeric pass and the
 /// watermarks need to know about the record streams, at a few words per
 /// *record* — never per seed.
 struct RowPlan {
-    /// Per destination, the length of every record in send order.
-    lens: Vec<Vec<usize>>,
+    streams: Streams,
     /// Per destination, `(row, end)` for each row that sends it anything:
     /// the offset within the destination's stream at which that row's
     /// records end. Ascending in both fields.
@@ -420,10 +536,15 @@ struct RowPlan {
 }
 
 impl Product<'_> {
-    /// Count the whole product: the record geometry and the source-side
-    /// counters, which the numeric pass then has no need to keep.
+    /// Count the whole product — under [`SeedFold::Min`], write it: the
+    /// record geometry and the source-side counters, which the numeric
+    /// pass then has no need to keep.
     fn count(&self, ranks: usize) -> (RowPlan, OverlapCounters) {
-        let mut plan = RowPlan { lens: vec![Vec::new(); ranks], row_ends: vec![Vec::new(); ranks] };
+        let mut streams = match self.fold {
+            SeedFold::All => Streams::Lens(vec![Vec::new(); ranks]),
+            SeedFold::Min => Streams::Held(vec![Vec::new(); ranks]),
+        };
+        let mut row_ends: Vec<Vec<(usize, usize)>> = vec![Vec::new(); ranks];
         let mut counters = OverlapCounters::default();
         let n_rows = self.csr.n_rows();
         let batch = batch_rows(n_rows, self.block);
@@ -431,21 +552,23 @@ impl Product<'_> {
             n_rows.div_ceil(batch),
             |i| {
                 let rows = i * batch..((i + 1) * batch).min(n_rows);
-                let mut records = Vec::new();
+                let (mut records, mut bufs) = (Vec::new(), vec![Vec::new(); ranks]);
                 let instances = self.pool.with(|scratch| {
-                    count_rows(self.csr, rows, self.read_part, self.fold, scratch, |r, dest, len| {
+                    count_rows(self.csr, rows, self.read_part, self.fold, scratch, &mut bufs, |r, dest, len| {
                         records.push((r, dest, len))
                     })
                 });
-                (records, instances)
+                (records, bufs, instances)
             },
-            |(records, instances)| {
+            |(records, bufs, instances)| {
                 counters.pairs_emitted += instances;
                 counters.candidate_pairs_emitted += records.len() as u64;
                 for (r, dest, len) in records {
                     counters.seeds_shipped += ((len - RECORD_HEADER_BYTES) / SEED_BYTES) as u64;
-                    plan.lens[dest].push(len);
-                    let ends = &mut plan.row_ends[dest];
+                    if let Streams::Lens(lens) = &mut streams {
+                        lens[dest].push(len);
+                    }
+                    let ends = &mut row_ends[dest];
                     match ends.last_mut() {
                         Some((row, end)) if *row == r => *end += len,
                         last => {
@@ -454,18 +577,28 @@ impl Product<'_> {
                         }
                     }
                 }
+                if let Streams::Held(held) = &mut streams {
+                    for (stream, block) in held.iter_mut().zip(bufs) {
+                        stream.extend_from_slice(&block);
+                    }
+                }
             },
         );
-        (plan, counters)
+        (RowPlan { streams, row_ends }, counters)
     }
 }
 
-/// The numeric pass as a stream: the planned rounds and, per destination,
-/// how far the rows have been expanded and shipped.
+/// The record streams, round by round: the planned rounds and either the
+/// held one-seed product or, per destination, how far the numeric pass has
+/// expanded and shipped the rows.
 struct RowStream<'a> {
     product: Product<'a>,
     split: ByteRounds,
     row_ends: Vec<Vec<(usize, usize)>>,
+    /// The one-seed product the count pass wrote, sliced round by round;
+    /// `None` under [`SeedFold::All`], whose rounds are expanded as they
+    /// are packed.
+    held: Option<Vec<Vec<u8>>>,
     /// Per destination, the first row not yet expanded for it and the
     /// offset in its stream at which the expanded rows' records end.
     expanded: Vec<(usize, usize)>,
@@ -479,12 +612,19 @@ impl<'a> RowStream<'a> {
     /// most `cap` bytes. Returns the stream, positioned before round 0,
     /// and the source-side counters.
     fn plan(product: Product<'a>, ranks: usize, cap: usize) -> (Self, OverlapCounters) {
-        let (RowPlan { lens, row_ends }, counters) = product.count(ranks);
-        let split = ByteRounds::plan(&lens, cap);
+        let (RowPlan { streams, row_ends }, counters) = product.count(ranks);
+        let (split, held) = match streams {
+            Streams::Lens(lens) => (ByteRounds::plan(&lens, cap), None),
+            Streams::Held(held) => {
+                let counts: Vec<usize> = held.iter().map(|buf| buf.len() / ONE_SEED_RECORD_BYTES).collect();
+                (ByteRounds::plan_uniform(&counts, ONE_SEED_RECORD_BYTES, cap), Some(held))
+            }
+        };
         let stream = Self {
             product,
             split,
             row_ends,
+            held,
             expanded: vec![(0, 0); ranks],
             carry: vec![Vec::new(); ranks],
         };
@@ -507,7 +647,7 @@ impl<'a> RowStream<'a> {
     /// ships the destination anything.
     fn watermarks(&self) -> Vec<Vec<(u64, u32)>> {
         let mut steps: Vec<Vec<(u64, u32)>> =
-            (0..self.carry.len()).map(|dest| vec![(0, self.read_at(dest, 0))]).collect();
+            (0..self.row_ends.len()).map(|dest| vec![(0, self.read_at(dest, 0))]).collect();
         for round in 0..self.split.len() as u64 {
             for (dest, range) in self.split.segments(round) {
                 steps[*dest].push((round + 1, self.read_at(*dest, range.end)));
@@ -516,9 +656,13 @@ impl<'a> RowStream<'a> {
         steps
     }
 
-    /// Pack round `round`: expand the rows its byte ranges reach past what
-    /// is carried, ship exactly the planned bytes, carry the rest.
+    /// Pack round `round`: slice it from the held product, or expand the
+    /// rows its byte ranges reach past what is carried, ship exactly the
+    /// planned bytes and carry the rest.
     fn pack(&mut self, round: u64) -> Vec<Vec<u8>> {
+        if let Some(held) = &self.held {
+            return self.split.pack(round, held);
+        }
         let Product { csr, read_part, fold, block, exec, pool } = self.product;
         let ranks = self.carry.len();
         let segments = self.split.segments(round);
@@ -749,7 +893,7 @@ mod tests {
             }
             merged
         };
-        for fold in [SeedFold::All, SeedFold::Smallest(1)] {
+        for fold in [SeedFold::All, SeedFold::Min] {
             let baseline = run(csr.n_rows(), fold);
             assert!(baseline.iter().all(|b| !b.is_empty()), "{fold:?}");
             for block in [1usize, 2, 3, 64] {
@@ -758,8 +902,9 @@ mod tests {
         }
     }
 
-    /// Under `Smallest(1)` a pair's record carries its minimum seed only,
-    /// and the instances it stood for are still counted.
+    /// Under `Min` a pair's record carries its minimum seed only, the
+    /// instances it stood for are still counted, and the count pass writes
+    /// the record the numeric pass writes.
     #[test]
     fn folded_rows_ship_the_minimum_seed_per_pair() {
         let t = table_with(&[
@@ -769,12 +914,14 @@ mod tests {
         ]);
         let csr = ReadKmerCsr::from_table(&t);
         let part = ReadPartition::from_counts(&[2]);
-        let out = pack_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::Smallest(1));
+        let out = pack_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::Min);
         assert_eq!((out.instances, out.records, out.seeds), (3, 1, 1));
         assert_eq!(out.bufs[0].len(), RECORD_HEADER_BYTES + SEED_BYTES);
         let mut got = Vec::new();
         decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
         assert_eq!(got, vec![(ReadPair::new(0, 1), SharedSeed { a_pos: 3, b_pos: 0, reverse: false })]);
+        let counted = count_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::Min);
+        assert_eq!((counted.bufs, counted.lens), (out.bufs, out.lens));
     }
 
     /// A k-mer repeated inside one read: the row names the column once, and
@@ -921,6 +1068,9 @@ mod tests {
     /// the streamed engine's round `r` is byte for byte round `r` of
     /// `ByteRounds::plan` over the fully packed product, its counters are
     /// the product's, and nothing is left over after the last round.
+    /// Under `All` the rounds are expanded as they are packed; under `Min`
+    /// they are sliced from the product the count pass wrote, which at
+    /// the 8-byte cap is one 20-byte record a round.
     #[test]
     fn streamed_rounds_equal_the_rounds_of_the_packed_product() {
         const N_READS: u32 = 60;
@@ -930,7 +1080,7 @@ mod tests {
         for ranks in [1usize, 2, 4] {
             let per = N_READS as usize / ranks;
             let part = ReadPartition::from_counts(&vec![per; ranks]);
-            for fold in [SeedFold::All, SeedFold::Smallest(1)] {
+            for fold in [SeedFold::All, SeedFold::Min] {
                 let oracle = pack_row_block(&csr, 0..csr.n_rows(), &part, ranks, fold);
                 assert!(oracle.records > 1_000, "{} records", oracle.records);
                 for cap in [usize::MAX, 64 << 10, 4 << 10, 8] {
@@ -953,6 +1103,7 @@ mod tests {
                             pool: &pool,
                         };
                         let (mut stream, counters) = RowStream::plan(product, ranks, cap);
+                        assert_eq!(stream.held.is_some(), fold == SeedFold::Min, "{at}");
                         assert_eq!(stream.split.len(), want.len(), "{at}");
                         assert_eq!(
                             (counters.pairs_emitted, counters.candidate_pairs_emitted, counters.seeds_shipped),

@@ -29,7 +29,7 @@
 //!
 //! | policy | chain filter | fold | a pair sharing *m* k-mers leaves a source as |
 //! |---|---|---|---|
-//! | `Single` | off | `Smallest(1)` | one 20-byte record |
+//! | `Single` | off | `Min` | one 20-byte record |
 //! | `Single` | on | `All` | one `12 + 8m`-byte record |
 //! | `MinDistance` | either | `All` | the same |
 //!
@@ -812,7 +812,7 @@ mod tests {
             vec![(ReadPair::new(2, 3), vec![seed(6)]), (ReadPair::new(2, 4), vec![seed(8)])]
         );
         assert_eq!(all.into_sorted(), vec![(ReadPair::new(5, 9), vec![seed(3), seed(1), seed(3)])]);
-        let mut least = PairSeeds::new(SeedFold::Smallest(1));
+        let mut least = PairSeeds::new(SeedFold::Min);
         assert_eq!(least.extend(ReadPair::new(0, 1), [seed(4), seed(2)]), 1);
         assert_eq!(least.extend(ReadPair::new(0, 1), [seed(1), seed(9)]), 0, "replaced, not grown");
         assert_eq!(least.take_below(u32::MAX), vec![(ReadPair::new(0, 1), vec![seed(1)])]);
@@ -833,8 +833,11 @@ mod tests {
     }
 
     /// Tentpole invariant, end to end: P {1, 2, 4} x threads {1, 2, 4} x
-    /// cap {unbounded, 64 KiB, 4 KiB, 8 B} x fold {`All`, `Smallest(1)`} x
-    /// chain {off, on}. The streamed SpGEMM engine produces the one-round
+    /// cap {unbounded, 64 KiB, 4 KiB, 8 B} x fold {`All`, `Min`} x chain
+    /// {off, on}; 8 B is below one record, so `Min` (`Single`, chain off)
+    /// slices one 20-byte record a round from the product its count pass
+    /// holds, and `All` expands one row's records a round at most. The
+    /// streamed SpGEMM engine produces the one-round
     /// run's tasks and counters on every rank; executes exactly the rounds
     /// and the largest round that `ByteRounds::plan` cuts from the fully
     /// packed product (`pack_row_block` over all rows, the oracle) and

@@ -8,7 +8,7 @@
 
 use crate::frame::{decode_frame, encode_frame, FrameError};
 use crate::stats::CommStats;
-use crate::transport::{Collective, InFlight, RetryPolicy, Transport};
+use crate::transport::{InFlight, RetryPolicy, Transport};
 use std::cell::{Cell, RefCell};
 use std::panic::resume_unwind;
 use std::sync::Arc;
@@ -40,9 +40,10 @@ struct ResendState {
 /// Communicator handle owned by one rank's thread.
 ///
 /// All collectives are written once against the [`Transport`] trait; which
-/// backend executes them (real shared memory, or the netmodel-driven
-/// simulated network) is decided by the launcher — see
-/// [`crate::CommWorld::run_with`].
+/// backend executes them (real shared memory, or shared memory under the
+/// fault-injecting wrapper) is decided by the launcher — see
+/// [`crate::CommWorld::run_with`]. Every collective charges the host time
+/// it took to `CommStats::exchange_wall`.
 pub struct Comm {
     rank: usize,
     size: usize,
@@ -103,52 +104,21 @@ impl Comm {
         std::mem::replace(&mut self.stats.borrow_mut(), CommStats::new(self.size))
     }
 
-    /// Peek at the counters without resetting.
-    pub fn stats(&self) -> CommStats {
-        self.stats.borrow().clone()
-    }
-
     /// Synchronize all ranks.
     pub fn barrier(&self) {
         self.stats.borrow_mut().barriers += 1;
         self.transport.wait();
     }
 
-    /// Irregular all-to-all: element `d` of `send` goes to rank `d`;
-    /// returns the buffers received from every source rank, indexed by
-    /// source. Per-source ordering is preserved (deterministic).
+    /// Irregular all-to-all of byte buffers: element `d` of `send` goes to
+    /// rank `d`; returns the buffers received from every source rank,
+    /// indexed by source. Per-source ordering is preserved
+    /// (deterministic). Implemented as an immediately-waited split
+    /// exchange, so blocking and streaming call sites share one code path
+    /// (and identical traffic accounting).
     ///
     /// # Panics
     /// Panics if `send.len() != size()`.
-    pub fn alltoallv<T: Send + 'static>(&self, send: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        assert_eq!(send.len(), self.size, "alltoallv needs one buffer per rank");
-        let t0 = Instant::now();
-        let sizes: Vec<u64> = send
-            .iter()
-            .map(|b| (b.len() * std::mem::size_of::<T>()) as u64)
-            .collect();
-        self.stats
-            .borrow_mut()
-            .record_exchange(sizes.iter().map(|&s| s as usize));
-        for (dst, buf) in send.into_iter().enumerate() {
-            self.transport.put(self.rank, dst, Box::new(buf));
-        }
-        self.transport.wait();
-        let recv: Vec<Vec<T>> = (0..self.size).map(|src| self.recv::<Vec<T>>(src)).collect();
-        self.transport.wait();
-        let wall = self.transport.collective_wall(
-            self.rank,
-            Collective::Alltoallv { dest_bytes: &sizes },
-            t0.elapsed(),
-        );
-        self.stats.borrow_mut().exchange_wall += wall;
-        recv
-    }
-
-    /// Byte-buffer variant of [`Self::alltoallv`] — the wire-level form the
-    /// pipeline's packed messages use. Implemented as an immediately-waited
-    /// split exchange, so blocking and streaming call sites share one code
-    /// path (and identical traffic accounting).
     pub fn alltoallv_bytes(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let pending = self.exchange_start(send);
         self.exchange_wait(pending)
@@ -202,11 +172,9 @@ impl Comm {
     }
 
     /// Finish an exchange begun by [`Self::exchange_start`] and charge the
-    /// backend's wall for it to `CommStats::exchange_wall`: the measured
-    /// time of the exchange helper on a real transport (it ran
-    /// concurrently with whatever this rank packed in the gap), the
-    /// modeled exchange alone on a simulated one. Packing done in the gap
-    /// is host time and lives in `CommStats::pack_wall`, never in the
+    /// exchange helper's measured time (it ran concurrently with whatever
+    /// this rank packed in the gap) to `CommStats::exchange_wall`. Packing
+    /// done in the gap lives in `CommStats::pack_wall`, never in the
     /// exchange wall.
     ///
     /// On a hardened transport (one advertising a
@@ -220,7 +188,7 @@ impl Comm {
     pub fn exchange_wait(&self, pending: PendingExchange) -> Vec<Vec<u8>> {
         let PendingExchange { inflight, resend } = pending;
         let Some(resend) = resend else {
-            let (recv, wall) = self.transport.exchange_wait(self.rank, inflight);
+            let (recv, wall) = inflight.finish();
             self.stats.borrow_mut().exchange_wall += wall;
             return recv;
         };
@@ -322,7 +290,7 @@ impl Comm {
     /// All-reduce a `bool` with AND over the transport's reliable slot
     /// matrix — the hardened layer's agreement handshake. Deliberately
     /// bypasses [`Self::allgather`] so protocol overhead never inflates
-    /// `dense_collectives` or modeled exchange walls.
+    /// `dense_collectives` or `exchange_wall`.
     fn agree(&self, ok: bool) -> bool {
         for dst in 0..self.size {
             self.transport.put(self.rank, dst, Box::new(ok));
@@ -348,32 +316,15 @@ impl Comm {
         self.transport.wait();
         let recv: Vec<T> = (0..self.size).map(|src| self.recv::<T>(src)).collect();
         self.transport.wait();
-        let wall = self
-            .transport
-            .collective_wall(self.rank, Collective::Dense, t0.elapsed());
-        self.stats.borrow_mut().exchange_wall += wall;
+        self.stats.borrow_mut().exchange_wall += t0.elapsed();
         recv
     }
 
-    /// Gather one value from every rank onto every rank (allgather).
+    /// Gather one value from every rank onto every rank (allgather): an
+    /// [`Self::alltoall`] of `value` to every destination — cloned `P − 1`
+    /// times, the cost MPI pays for the broadcast tree, flattened.
     pub fn allgather<T: Send + Clone + 'static>(&self, value: T) -> Vec<T> {
-        self.stats.borrow_mut().dense_collectives += 1;
-        let t0 = Instant::now();
-        // Deposit into our own row once per destination; cloning P−1 times
-        // is the cost MPI pays for the broadcast tree, flattened — the last
-        // destination takes the original by move.
-        for dst in 0..self.size - 1 {
-            self.transport.put(self.rank, dst, Box::new(value.clone()));
-        }
-        self.transport.put(self.rank, self.size - 1, Box::new(value));
-        self.transport.wait();
-        let out: Vec<T> = (0..self.size).map(|src| self.recv::<T>(src)).collect();
-        self.transport.wait();
-        let wall = self
-            .transport
-            .collective_wall(self.rank, Collective::Dense, t0.elapsed());
-        self.stats.borrow_mut().exchange_wall += wall;
-        out
+        self.alltoall(vec![value; self.size])
     }
 
     /// Reduce with `op` across all ranks; every rank receives the result.
@@ -398,11 +349,6 @@ impl Comm {
         self.allreduce(v, u64::max)
     }
 
-    /// Sum-allreduce over `f64`.
-    pub fn allreduce_sum_f64(&self, v: f64) -> f64 {
-        self.allreduce(v, |a, b| a + b)
-    }
-
     /// Exclusive prefix sum (`MPI_Exscan`): rank r receives the sum of the
     /// values of ranks `0..r`; rank 0 receives 0. Used to assign global
     /// read IDs after block-parallel input.
@@ -410,64 +356,24 @@ impl Comm {
         let all = self.allgather(v);
         all[..self.rank].iter().sum()
     }
-
-    /// Broadcast `value` from `root` to all ranks.
-    pub fn broadcast<T: Send + Clone + 'static>(&self, value: Option<T>, root: usize) -> T {
-        assert!(root < self.size);
-        self.stats.borrow_mut().dense_collectives += 1;
-        let t0 = Instant::now();
-        if self.rank == root {
-            let v = value.expect("root must supply the broadcast value");
-            // Clone for all but the last destination; move the original
-            // into the last — one fewer deep copy per broadcast.
-            for dst in 0..self.size - 1 {
-                self.transport.put(self.rank, dst, Box::new(v.clone()));
-            }
-            self.transport.put(self.rank, self.size - 1, Box::new(v));
-        }
-        self.transport.wait();
-        let out: T = self.recv(root);
-        self.transport.wait();
-        let wall = self
-            .transport
-            .collective_wall(self.rank, Collective::Dense, t0.elapsed());
-        self.stats.borrow_mut().exchange_wall += wall;
-        out
-    }
-
-    /// Gather every rank's value at `root`; others receive `None`.
-    pub fn gather<T: Send + 'static>(&self, value: T, root: usize) -> Option<Vec<T>> {
-        assert!(root < self.size);
-        self.stats.borrow_mut().dense_collectives += 1;
-        let t0 = Instant::now();
-        self.transport.put(self.rank, root, Box::new(value));
-        self.transport.wait();
-        let out =
-            (self.rank == root).then(|| (0..self.size).map(|src| self.recv::<T>(src)).collect());
-        self.transport.wait();
-        let wall = self
-            .transport
-            .collective_wall(self.rank, Collective::Dense, t0.elapsed());
-        self.stats.borrow_mut().exchange_wall += wall;
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::wire::{decode_vec, encode_slice};
     use crate::world::CommWorld;
 
     #[test]
     fn alltoallv_routes_correctly() {
         let results = CommWorld::run(4, |comm| {
-            let send: Vec<Vec<u32>> = (0..4)
-                .map(|dst| vec![(comm.rank() * 100 + dst) as u32])
+            let send: Vec<Vec<u8>> = (0..4)
+                .map(|dst| encode_slice(&[(comm.rank() * 100 + dst) as u32]))
                 .collect();
-            comm.alltoallv(send)
+            comm.alltoallv_bytes(send)
         });
         for (rank, recv) in results.iter().enumerate() {
             for (src, buf) in recv.iter().enumerate() {
-                assert_eq!(buf, &vec![(src * 100 + rank) as u32]);
+                assert_eq!(decode_vec::<u32>(buf), vec![(src * 100 + rank) as u32]);
             }
         }
     }
@@ -475,13 +381,18 @@ mod tests {
     #[test]
     fn alltoallv_preserves_order_and_counts() {
         let results = CommWorld::run(3, |comm| {
-            let send: Vec<Vec<u64>> = (0..3)
-                .map(|dst| (0..(comm.rank() + 1) as u64 * 2).map(|i| i + dst as u64).collect())
+            let send: Vec<Vec<u8>> = (0..3)
+                .map(|dst| {
+                    let run: Vec<u64> =
+                        (0..(comm.rank() + 1) as u64 * 2).map(|i| i + dst as u64).collect();
+                    encode_slice(&run)
+                })
                 .collect();
-            comm.alltoallv(send)
+            comm.alltoallv_bytes(send)
         });
         for recv in &results {
             for (src, buf) in recv.iter().enumerate() {
+                let buf = decode_vec::<u64>(buf);
                 assert_eq!(buf.len(), (src + 1) * 2);
                 // Order within a source preserved (strictly increasing).
                 assert!(buf.windows(2).all(|w| w[0] < w[1]));
@@ -497,42 +408,19 @@ mod tests {
                 comm.allreduce_sum_u64(r + 1),
                 comm.allreduce_max_u64(r),
                 comm.exscan_sum_u64(10),
-                comm.allreduce_sum_f64(0.5),
             )
         });
-        for (rank, &(sum, max, scan, fsum)) in results.iter().enumerate() {
+        for (rank, &(sum, max, scan)) in results.iter().enumerate() {
             assert_eq!(sum, 15);
             assert_eq!(max, 4);
             assert_eq!(scan, 10 * rank as u64);
-            assert!((fsum - 2.5).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn broadcast_and_gather() {
-        let results = CommWorld::run(4, |comm| {
-            let bc = comm.broadcast(
-                (comm.rank() == 2).then(|| vec![7u8, 8, 9]),
-                2,
-            );
-            let g = comm.gather(comm.rank() as u32, 0);
-            (bc, g)
-        });
-        for (rank, (bc, g)) in results.iter().enumerate() {
-            assert_eq!(bc, &vec![7u8, 8, 9]);
-            if rank == 0 {
-                assert_eq!(g.as_ref().unwrap(), &vec![0u32, 1, 2, 3]);
-            } else {
-                assert!(g.is_none());
-            }
         }
     }
 
     #[test]
     fn stats_count_bytes_and_msgs() {
         let results = CommWorld::run(2, |comm| {
-            let send: Vec<Vec<u32>> = vec![vec![1, 2], vec![]];
-            let _ = comm.alltoallv(send);
+            let _ = comm.alltoallv_bytes(vec![vec![1; 8], vec![]]);
             comm.take_stats()
         });
         let s0 = &results[0];
@@ -565,7 +453,7 @@ mod tests {
     #[test]
     fn single_rank_world() {
         let results = CommWorld::run(1, |comm| {
-            let recv = comm.alltoallv(vec![vec![42u8]]);
+            let recv = comm.alltoallv_bytes(vec![vec![42u8]]);
             (recv[0].clone(), comm.allreduce_sum_u64(9))
         });
         assert_eq!(results[0].0, vec![42]);
@@ -578,5 +466,11 @@ mod tests {
         for r in &results {
             assert_eq!(r, &vec![0u8, 3, 6]);
         }
+        // One dense collective, however it is built.
+        let stats = CommWorld::run(2, |comm| {
+            comm.allgather(1u8);
+            comm.take_stats()
+        });
+        assert!(stats.iter().all(|s| s.dense_collectives == 1));
     }
 }

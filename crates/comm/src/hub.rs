@@ -1,5 +1,5 @@
 //! The shared exchange hub behind the [`crate::SharedMem`] transport (and,
-//! via its inner `SharedMem`, the [`crate::SimNet`] one).
+//! via its inner `SharedMem`, the [`crate::FaultyNet`] one).
 //!
 //! A `P × P` matrix of type-erased deposit slots plus a cyclic barrier
 //! implements rendezvous collectives: in an exchange, rank `r` writes its

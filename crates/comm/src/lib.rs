@@ -3,18 +3,18 @@
 //! The distributed-memory substrate of this diBELLA reproduction: an SPMD
 //! world of thread-per-rank processes in one address space, exposing the
 //! MPI collectives the paper's pipeline is built on (`Alltoall`,
-//! `Alltoallv`, reductions, exclusive scan, gather, broadcast, barrier)
-//! with exact per-destination traffic accounting.
+//! `Alltoallv`, allgather, reductions, exclusive scan, barrier) with exact
+//! per-destination traffic accounting.
 //!
 //! The paper ran on MPI over Cray Aries/Gemini and AWS Ethernet; here the
 //! *code path* — pack per-destination buffers, irregular exchange, unpack —
 //! and the bytes/messages recorded are identical, which is what the
-//! `dibella-netmodel` projections consume. The backend executing that path
-//! is pluggable (see [`transport`]): [`SharedMem`] runs collectives through
-//! real shared memory, while [`SimNet`] additionally charges each
-//! collective the latency/bandwidth cost of a modeled platform, so a run
-//! can execute "on" a virtual Cori or AWS cluster. See DESIGN.md §2 for
-//! the substitution argument.
+//! `dibella-netmodel` projections consume: a modeled Cori or AWS time is a
+//! function of a run's counters, computed after the run
+//! (`dibella_core::project`). The backend executing the path (see
+//! [`transport`]) is [`SharedMem`], real shared memory, or [`FaultyNet`],
+//! which injects seeded faults into it for the hardened exchange layer to
+//! recover from. See `docs/ARCHITECTURE.md` for the substitution argument.
 //!
 //! ```
 //! use dibella_comm::CommWorld;
@@ -44,8 +44,7 @@ pub use frame::{crc32, decode_frame, encode_frame, FrameError, FRAME_HEADER_BYTE
 pub use round_exchange::{records_per_round, ByteRounds, RoundExchange, RoundPlan};
 pub use stats::CommStats;
 pub use transport::{
-    Collective, FaultSpec, FaultyConfig, FaultyInner, FaultyNet, InFlight, RetryPolicy, SharedMem,
-    SimNet, SimNetConfig, Transport, TransportKind,
+    FaultSpec, FaultyConfig, FaultyNet, InFlight, RetryPolicy, SharedMem, Transport, TransportKind,
 };
 pub use wire::{decode_iter, decode_vec, encode_slice, try_decode_vec, Wire, WireError};
 pub use world::CommWorld;

@@ -13,8 +13,7 @@
 //!    collectives stay matched across ranks,
 //! 2. pipelines the rounds: while round *i* is in flight on the
 //!    transport's exchange helper, the rank thread packs round *i + 1*
-//!    (double buffering — communication/computation overlap on the real
-//!    backend, `max(pack, modeled exchange)` accounting on `SimNet`),
+//!    (double buffering — genuine communication/computation overlap),
 //! 3. consumes each round's received buffers in round order, so results
 //!    are bit-identical to a monolithic exchange no matter the round cap.
 //!
@@ -24,10 +23,11 @@
 //!                 └── in flight on helper ─┘   ... then start(1), pack(2), ...
 //! ```
 //!
-//! Fixed-size record streams (the k-mer passes, overlap tasks) plan with
-//! [`RoundPlan::for_records`] + [`records_per_round`]; variable-length
-//! record buffers (the stage-4 read replies) pre-split with
-//! [`ByteRounds`], which never splits a record across rounds — hence the
+//! The k-mer passes plan with [`RoundPlan::for_records`] +
+//! [`records_per_round`] over the k-mer windows they pack; per-destination
+//! record buffers (the overlap stage's pair records, the stage-4 read
+//! requests and replies) pre-split with [`ByteRounds`], which never splits
+//! a record across rounds — hence the
 //! `CommStats::peak_round_bytes ≤ cap + max_record_size` guarantee.
 
 use crate::comm::Comm;

@@ -1,59 +1,35 @@
-//! The pluggable transport layer beneath [`crate::Comm`].
+//! The transport layer beneath [`crate::Comm`].
 //!
 //! The collective code path — pack per-destination buffers, irregular
 //! exchange, unpack — lives once in `comm.rs`, written against the
 //! [`Transport`] trait. Two backends implement it:
 //!
 //! * [`SharedMem`] — the real executor: the `P × P` slot matrix and cyclic
-//!   barrier of the crate-private `hub` module. Collective wall time is
+//!   barrier of the crate-private `hub` module. A collective's wall time is
 //!   whatever the host actually spent.
-//! * [`SimNet`] — a *simulated network*: it delegates every payload to an
-//!   inner [`SharedMem`] (so results are byte-identical), but reports the
-//!   wall time a `dibella_netmodel::Platform` would have charged for the
-//!   collective — `α + α_rank·P` latency per call, off-node bytes at the
-//!   node's injection bandwidth, on-node bytes at memory bandwidth, and
-//!   the paper's one-time first-`MPI_Alltoallv` setup (§6/§10). Ranks are
-//!   placed `ranks_per_node` to a virtual node, so the same run can be
-//!   executed "on" Cori Haswell or a commodity-Ethernet AWS cluster and
-//!   `CommStats::exchange_wall` reflects the modeled interconnect.
+//! * [`FaultyNet`] — a chaos wrapper around a [`SharedMem`]: it mangles
+//!   the irregular-exchange byte path with seeded, reproducible faults,
+//!   which the communicator's hardened layer must recover from.
 //!
 //! Backends are chosen via [`TransportKind`], which parses from the CLI
-//! syntax `shared` / `sim:<platform>[:<ranks_per_node>]`.
+//! syntax `shared` / `faulty:shared[:<seed>[:<spec>]]`. No backend models
+//! a machine's interconnect: modeled times come from projecting a run's
+//! traffic counters (`dibella_core::project`).
 
 use crate::hub::Hub;
-use dibella_netmodel::{
-    collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s, Platform, PlatformId,
-};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// One completed collective, as described to a transport backend when the
-/// communicator asks what wall time to charge for it.
-#[derive(Clone, Copy, Debug)]
-pub enum Collective<'a> {
-    /// An irregular exchange; `dest_bytes[d]` is the payload this rank
-    /// sent to destination `d` in this call.
-    Alltoallv {
-        /// Per-destination payload bytes of this rank's contribution.
-        dest_bytes: &'a [u64],
-    },
-    /// A dense collective (alltoall of counts, allgather, reduction,
-    /// scan) — small fixed-size values, modeled latency-only.
-    Dense,
-}
-
 /// Result a split exchange's helper delivers: either the received buffers
-/// plus the wall time the backend charges, or the helper's panic payload
+/// plus the wall time the exchange took, or the helper's panic payload
 /// (re-raised on the waiting rank thread so mismatched-collective bugs
 /// surface with their original message).
 pub(crate) type ExchangeResult = Result<(Vec<Vec<u8>>, Duration), Box<dyn Any + Send>>;
 
 /// Handle to an irregular byte exchange started with
-/// [`Transport::exchange_start`] and finished with
-/// [`Transport::exchange_wait`].
+/// [`Transport::exchange_start`] and finished with [`InFlight::finish`].
 ///
 /// Backend-agnostic: the backend's helper task (a thread off the rayon
 /// pool) performs the actual slot traffic and sends the result through
@@ -64,8 +40,13 @@ pub struct InFlight {
 }
 
 impl InFlight {
-    /// Block until the helper finishes; re-raise its panic if it died.
-    fn finish(self) -> (Vec<Vec<u8>>, Duration) {
+    /// Block until the helper finishes and return the buffers received
+    /// from every source rank (indexed by source) with the helper's
+    /// measured wall time for the exchange; re-raise the helper's panic if
+    /// it died. What the rank thread did while the exchange was in flight
+    /// is never part of that time: host packing is accounted in
+    /// `CommStats::pack_wall`.
+    pub fn finish(self) -> (Vec<Vec<u8>>, Duration) {
         match self
             .rx
             .recv()
@@ -98,9 +79,10 @@ impl InFlight {
 ///
 /// A transport advertises a policy via [`Transport::retry_policy`]; the
 /// communicator then frames every round payload (see [`crate::frame`])
-/// and replays damaged rounds. Transports that return `None` (the
-/// in-process [`SharedMem`] and [`SimNet`], whose medium cannot corrupt
-/// bytes) keep the exact unframed fast path.
+/// and replays damaged rounds. Only [`FaultyNet`] advertises one (its
+/// [`FaultSpec`] sets the retries and the wait timeout); [`SharedMem`],
+/// whose medium cannot corrupt bytes, returns `None` and keeps the exact
+/// unframed fast path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retransmit attempts per round before the rank fails the stage.
@@ -150,15 +132,33 @@ fn exchange_on_hub(hub: &Hub, rank: usize, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     recv
 }
 
+/// Start `rank`'s byte exchange over `hub` on a helper task off the rayon
+/// pool, after sleeping `stall` (a fault [`FaultyNet`] injects). The
+/// helper delivers the received buffers and the wall time since this call.
+fn spawn_exchange(hub: &Arc<Hub>, rank: usize, send: Vec<Vec<u8>>, stall: Duration) -> InFlight {
+    let hub = Arc::clone(hub);
+    let (tx, rx) = mpsc::channel();
+    let t0 = Instant::now();
+    rayon::spawn(move || {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::sleep(stall);
+            let recv = exchange_on_hub(&hub, rank, send);
+            (recv, t0.elapsed())
+        }));
+        // The receiver only disappears if the rank thread is already
+        // unwinding; dropping the result is then the right thing.
+        let _ = tx.send(result);
+    });
+    InFlight { rx }
+}
+
 /// A communication backend: the exchange primitives the collectives in
-/// [`crate::Comm`] are written against, plus a timing policy.
+/// [`crate::Comm`] are written against.
 ///
 /// Contract (the usual SPMD one): every rank of the world calls the same
-/// collectives in the same order, so backends may synchronize internally —
-/// [`Transport::collective_wall`] in particular is called by all ranks for
-/// the same operation and may itself use barriers. The split
-/// [`Transport::exchange_start`]/[`Transport::exchange_wait`] pair extends
-/// that contract: at most one exchange may be in flight per rank, and no
+/// collectives in the same order, so backends may synchronize internally.
+/// The split exchange, [`Transport::exchange_start`] then
+/// [`InFlight::finish`], extends that contract: at most one exchange may be in flight per rank, and no
 /// other collective may be issued by that rank between the start and the
 /// matching wait (packing local buffers is exactly what the gap is for).
 pub trait Transport: Send + Sync {
@@ -178,31 +178,11 @@ pub trait Transport: Send + Sync {
     /// ranks (the bug MPI reports as a message-truncation error).
     fn take(&self, src: usize, dst: usize) -> Box<dyn Any + Send>;
 
-    /// Wall time to charge `rank`'s `CommStats::exchange_wall` for one
-    /// completed collective. `elapsed` is the time the host really spent;
-    /// real backends return it, simulated ones replace it with the
-    /// modeled cost.
-    fn collective_wall(&self, rank: usize, op: Collective<'_>, elapsed: Duration) -> Duration;
-
     /// Begin a non-blocking irregular byte exchange: `send[d]` goes to
     /// rank `d`. The traffic moves on a helper task so the caller can
     /// keep computing (packing the next round) until the matching
-    /// [`Transport::exchange_wait`].
+    /// [`InFlight::finish`].
     fn exchange_start(&self, rank: usize, send: Vec<Vec<u8>>) -> InFlight;
-
-    /// Finish an exchange begun by [`Transport::exchange_start`]: return
-    /// the buffers received from every source rank (indexed by source)
-    /// and the wall time to charge for the exchange — the helper's
-    /// measured time on a real backend, the modeled exchange alone on a
-    /// simulated one. What the rank thread did while the exchange was in
-    /// flight is never part of it: host packing time is accounted in
-    /// `CommStats::pack_wall`, so a simulated platform's clock is a
-    /// function of traffic counters only. The default hands back what the
-    /// backend's helper delivered — every in-process backend computes its
-    /// charge there.
-    fn exchange_wait(&self, _rank: usize, pending: InFlight) -> (Vec<Vec<u8>>, Duration) {
-        pending.finish()
-    }
 
     /// The recovery policy the communicator should harden irregular
     /// exchanges with, or `None` for a reliable medium (the default):
@@ -249,165 +229,8 @@ impl Transport for SharedMem {
         self.hub.take(src, dst)
     }
 
-    fn collective_wall(&self, _rank: usize, _op: Collective<'_>, elapsed: Duration) -> Duration {
-        elapsed
-    }
-
     fn exchange_start(&self, rank: usize, send: Vec<Vec<u8>>) -> InFlight {
-        let hub = Arc::clone(&self.hub);
-        let (tx, rx) = mpsc::channel();
-        let t0 = Instant::now();
-        rayon::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let recv = exchange_on_hub(&hub, rank, send);
-                (recv, t0.elapsed())
-            }));
-            // The receiver only disappears if the rank thread is already
-            // unwinding; dropping the result is then the right thing.
-            let _ = tx.send(result);
-        });
-        InFlight { rx }
-    }
-}
-
-/// Configuration of the simulated-network backend: which platform's
-/// interconnect to model and how many ranks share a virtual node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SimNetConfig {
-    /// The modeled machine (Table 1 platform).
-    pub platform: PlatformId,
-    /// Ranks per virtual node (rank `r` lives on node `r / ranks_per_node`,
-    /// mirroring `dibella_netmodel::NodeMapping`).
-    pub ranks_per_node: usize,
-}
-
-/// The netmodel-driven simulated-network backend. Payloads move through an
-/// inner [`SharedMem`] — results are byte-identical to the real backend —
-/// but every collective's reported wall time is the modeled cost on the
-/// configured platform, so `CommStats::exchange_wall` behaves as if the
-/// run executed on that machine's interconnect.
-pub struct SimNet {
-    inner: SharedMem,
-    model: Arc<SimModel>,
-}
-
-/// The modeled-cost state of a [`SimNet`] world, shared with in-flight
-/// exchange helpers (hence the `Arc`).
-struct SimModel {
-    platform: &'static Platform,
-    ranks_per_node: usize,
-    /// Per-rank flag: has this rank charged the job's first-`Alltoallv`
-    /// setup yet? (Collectives are globally ordered, so every rank's
-    /// first irregular exchange is the same call.)
-    first_done: Vec<AtomicBool>,
-    /// Per-rank `dest_bytes` rows of the in-flight alltoallv, published so
-    /// each rank can aggregate its whole node's traffic — the NIC is a
-    /// per-node resource in the model.
-    rows: Vec<Mutex<Vec<u64>>>,
-}
-
-impl SimModel {
-    fn node_of(&self, rank: usize) -> usize {
-        rank / self.ranks_per_node
-    }
-
-    /// Modeled wall of one irregular exchange whose per-destination send
-    /// volumes on this rank are `dest_bytes`. Synchronizes twice on `hub`
-    /// (publish rows / rows-reusable) to aggregate the whole node's
-    /// traffic exactly as `dibella_netmodel::stage_cost` does, so it must
-    /// be reached by every rank of the world for the same call — either
-    /// on the rank threads (blocking collectives) or on the per-rank
-    /// exchange helpers (split collectives).
-    fn alltoallv_wall(&self, hub: &Hub, rank: usize, dest_bytes: &[u64]) -> Duration {
-        let p = hub.size();
-        let latency = collective_latency_s(self.platform, p);
-        *self.rows[rank].lock().unwrap_or_else(PoisonError::into_inner) = dest_bytes.to_vec();
-        hub.wait();
-        let home = self.node_of(rank);
-        let (mut on, mut off) = (0u64, 0u64);
-        for src in (0..p).filter(|&r| self.node_of(r) == home) {
-            let row = self.rows[src].lock().unwrap_or_else(PoisonError::into_inner);
-            for (dst, &b) in row.iter().enumerate() {
-                if self.node_of(dst) == home {
-                    on += b;
-                } else {
-                    off += b;
-                }
-            }
-        }
-        hub.wait(); // rows may be reused after this point
-        let base = latency + exchange_transfer_s(self.platform, on, off);
-        let setup = if !self.first_done[rank].swap(true, Ordering::Relaxed) {
-            first_alltoallv_setup_s(self.platform, p, base)
-        } else {
-            0.0
-        };
-        Duration::from_secs_f64(base + setup)
-    }
-}
-
-impl SimNet {
-    /// A simulated world of `p` ranks on `cfg.platform`.
-    ///
-    /// # Panics
-    /// Panics if `cfg.ranks_per_node` is zero.
-    pub fn new(p: usize, cfg: SimNetConfig) -> Self {
-        assert!(cfg.ranks_per_node > 0, "ranks_per_node must be positive");
-        Self {
-            inner: SharedMem::new(p),
-            model: Arc::new(SimModel {
-                platform: Platform::get(cfg.platform),
-                ranks_per_node: cfg.ranks_per_node,
-                first_done: (0..p).map(|_| AtomicBool::new(false)).collect(),
-                rows: (0..p).map(|_| Mutex::new(Vec::new())).collect(),
-            }),
-        }
-    }
-}
-
-impl Transport for SimNet {
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn wait(&self) {
-        self.inner.wait();
-    }
-
-    fn put(&self, src: usize, dst: usize, value: Box<dyn Any + Send>) {
-        self.inner.put(src, dst, value);
-    }
-
-    fn take(&self, src: usize, dst: usize) -> Box<dyn Any + Send> {
-        self.inner.take(src, dst)
-    }
-
-    fn collective_wall(&self, rank: usize, op: Collective<'_>, _elapsed: Duration) -> Duration {
-        match op {
-            Collective::Dense => Duration::from_secs_f64(collective_latency_s(
-                self.model.platform,
-                self.inner.size(),
-            )),
-            Collective::Alltoallv { dest_bytes } => {
-                self.model.alltoallv_wall(&self.inner.hub, rank, dest_bytes)
-            }
-        }
-    }
-
-    fn exchange_start(&self, rank: usize, send: Vec<Vec<u8>>) -> InFlight {
-        let hub = Arc::clone(&self.inner.hub);
-        let model = Arc::clone(&self.model);
-        let (tx, rx) = mpsc::channel();
-        rayon::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let sizes: Vec<u64> = send.iter().map(|b| b.len() as u64).collect();
-                let recv = exchange_on_hub(&hub, rank, send);
-                let modeled = model.alltoallv_wall(&hub, rank, &sizes);
-                (recv, modeled)
-            }));
-            let _ = tx.send(result);
-        });
-        InFlight { rx }
+        spawn_exchange(&self.hub, rank, send, Duration::ZERO)
     }
 }
 
@@ -597,39 +420,9 @@ impl std::fmt::Display for FaultSpec {
     }
 }
 
-/// The transport a [`FaultyNet`] wraps. A flat enum rather than a nested
-/// [`TransportKind`] so the kind stays `Copy` (and fault injection cannot
-/// be stacked on itself).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultyInner {
-    /// Wrap the real shared-memory backend.
-    SharedMem,
-    /// Wrap the simulated-network backend.
-    SimNet(SimNetConfig),
-}
-
-impl FaultyInner {
-    fn build(&self, p: usize) -> Arc<dyn Transport> {
-        match self {
-            FaultyInner::SharedMem => Arc::new(SharedMem::new(p)),
-            FaultyInner::SimNet(cfg) => Arc::new(SimNet::new(p, *cfg)),
-        }
-    }
-
-    fn as_kind(&self) -> TransportKind {
-        match self {
-            FaultyInner::SharedMem => TransportKind::SharedMem,
-            FaultyInner::SimNet(cfg) => TransportKind::SimNet(*cfg),
-        }
-    }
-}
-
-/// Configuration of a [`FaultyNet`]: what to wrap, the RNG seed, and the
-/// fault rates.
+/// Configuration of a [`FaultyNet`]: the RNG seed and the fault rates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultyConfig {
-    /// The wrapped transport.
-    pub inner: FaultyInner,
     /// Seed of the deterministic fault stream.
     pub seed: u64,
     /// Injection rates and recovery knobs.
@@ -649,8 +442,7 @@ struct LaneState {
     held: Vec<Option<Vec<u8>>>,
 }
 
-/// The fault-injecting chaos backend: wraps any inner transport and
-/// mangles the irregular-exchange byte path with seeded, reproducible
+/// The fault-injecting chaos backend: wraps a [`SharedMem`] and mangles the irregular-exchange byte path with seeded, reproducible
 /// faults — bit flips, drops, stale duplicates, out-of-order delivery,
 /// stalled exchanges. Everything else (dense collectives, barriers, the
 /// typed slot traffic, and the hardened layer's own agreement handshake)
@@ -661,17 +453,17 @@ struct LaneState {
 /// call index)`, so a chaos run is bit-reproducible regardless of thread
 /// scheduling — the property the chaos soak tests lean on.
 pub struct FaultyNet {
-    inner: Arc<dyn Transport>,
+    inner: SharedMem,
     seed: u64,
     spec: FaultSpec,
     lanes: Vec<Mutex<LaneState>>,
 }
 
 impl FaultyNet {
-    /// A chaos world of `p` ranks over `cfg.inner`.
+    /// A chaos world of `p` ranks.
     pub fn new(p: usize, cfg: FaultyConfig) -> Self {
         Self {
-            inner: cfg.inner.build(p),
+            inner: SharedMem::new(p),
             seed: cfg.seed,
             spec: cfg.spec,
             lanes: (0..p)
@@ -756,28 +548,11 @@ impl Transport for FaultyNet {
         self.inner.take(src, dst)
     }
 
-    fn collective_wall(&self, rank: usize, op: Collective<'_>, elapsed: Duration) -> Duration {
-        self.inner.collective_wall(rank, op, elapsed)
-    }
-
     fn exchange_start(&self, rank: usize, send: Vec<Vec<u8>>) -> InFlight {
         let (send, stall) = self.mangle(rank, send);
-        let stall_ms = self.spec.stall_ms;
-        let inner = Arc::clone(&self.inner);
-        let (tx, rx) = mpsc::channel();
-        // Run the whole inner exchange on our own helper so a stall can
-        // sleep without blocking the rank thread.
-        rayon::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if stall {
-                    std::thread::sleep(Duration::from_millis(stall_ms));
-                }
-                let pending = inner.exchange_start(rank, send);
-                inner.exchange_wait(rank, pending)
-            }));
-            let _ = tx.send(result);
-        });
-        InFlight { rx }
+        // The stall sleeps on the helper, not on the rank thread.
+        let stall = if stall { Duration::from_millis(self.spec.stall_ms) } else { Duration::ZERO };
+        spawn_exchange(&self.inner.hub, rank, send, stall)
     }
 
     fn retry_policy(&self) -> Option<RetryPolicy> {
@@ -793,9 +568,7 @@ pub enum TransportKind {
     /// Real shared-memory execution (the default).
     #[default]
     SharedMem,
-    /// Simulated network on a modeled platform.
-    SimNet(SimNetConfig),
-    /// Fault-injecting chaos wrapper around a real backend.
+    /// Fault-injecting chaos wrapper around shared memory.
     Faulty(FaultyConfig),
 }
 
@@ -804,7 +577,6 @@ impl TransportKind {
     pub fn build(&self, p: usize) -> Arc<dyn Transport> {
         match self {
             TransportKind::SharedMem => Arc::new(SharedMem::new(p)),
-            TransportKind::SimNet(cfg) => Arc::new(SimNet::new(p, *cfg)),
             TransportKind::Faulty(cfg) => Arc::new(FaultyNet::new(p, *cfg)),
         }
     }
@@ -813,20 +585,11 @@ impl TransportKind {
 /// Parse the trailing `[:<seed>[:<spec>]]` of a `faulty:` transport:
 /// an absent spec is the aggressive `mixed` preset, an absent seed is 0.
 fn parse_faulty_tail(tail: &[&str]) -> Result<(u64, FaultSpec), String> {
+    let seed = |s: &str| s.parse().map_err(|_| format!("invalid fault seed {s:?} (u64)"));
     match tail {
         [] => Ok((0, FaultSpec::mixed())),
-        [seed] => {
-            let seed = seed
-                .parse()
-                .map_err(|_| format!("invalid fault seed {seed:?} (u64)"))?;
-            Ok((seed, FaultSpec::mixed()))
-        }
-        [seed, spec] => {
-            let seed = seed
-                .parse()
-                .map_err(|_| format!("invalid fault seed {seed:?} (u64)"))?;
-            Ok((seed, spec.parse()?))
-        }
+        [s] => Ok((seed(s)?, FaultSpec::mixed())),
+        [s, spec] => Ok((seed(s)?, spec.parse()?)),
         more => Err(format!(
             "trailing faulty-transport fields {more:?} (expected `[:<seed>[:<spec>]]`)"
         )),
@@ -836,53 +599,29 @@ fn parse_faulty_tail(tail: &[&str]) -> Result<(u64, FaultSpec), String> {
 impl std::str::FromStr for TransportKind {
     type Err = String;
 
-    /// Parse the CLI syntax: `shared`,
-    /// `sim:<platform>[:<ranks_per_node>]` where `<platform>` is `cori`,
-    /// `edison`, `titan` or `aws` and `<ranks_per_node>` defaults to the
-    /// platform's cores per node, or `faulty:<inner>[:<seed>[:<spec>]]`
-    /// where `<inner>` is any non-faulty transport. The inner transport
-    /// is matched greedily (longest colon-prefix that parses), so
-    /// `faulty:sim:cori:2` wraps `sim:cori:2`; to pass a seed to a `sim`
-    /// inner, spell out its ranks-per-node (`faulty:sim:cori:2:42`).
-    /// An absent spec is the `mixed` preset, an absent seed is 0.
+    /// Parse the CLI syntax: `shared`, or
+    /// `faulty:shared[:<seed>[:<spec>]]` — shared memory under the chaos
+    /// wrapper, where an absent spec is the `mixed` preset and an absent
+    /// seed is 0.
     fn from_str(s: &str) -> Result<Self, String> {
         if s == "shared" {
             return Ok(TransportKind::SharedMem);
         }
-        if let Some(rest) = s.strip_prefix("faulty:") {
-            let parts: Vec<&str> = rest.split(':').collect();
-            for i in (1..=parts.len()).rev() {
-                let inner = match parts[..i].join(":").parse::<TransportKind>() {
-                    Ok(TransportKind::SharedMem) => FaultyInner::SharedMem,
-                    Ok(TransportKind::SimNet(cfg)) => FaultyInner::SimNet(cfg),
-                    Ok(TransportKind::Faulty(_)) | Err(_) => continue,
-                };
-                let (seed, spec) = parse_faulty_tail(&parts[i..])?;
-                return Ok(TransportKind::Faulty(FaultyConfig { inner, seed, spec }));
-            }
+        let Some(rest) = s.strip_prefix("faulty:") else {
             return Err(format!(
-                "no inner transport in {s:?} (expected `faulty:<inner>[:<seed>[:<spec>]]`)"
+                "unknown transport {s:?} (expected `shared` or `faulty:shared[:<seed>[:<spec>]]`)"
+            ));
+        };
+        let parts: Vec<&str> = rest.split(':').collect();
+        if parts[0] != "shared" {
+            return Err(format!(
+                "the faulty transport wraps only `shared`, not {:?} \
+                 (expected `faulty:shared[:<seed>[:<spec>]]`)",
+                parts[0]
             ));
         }
-        let Some(rest) = s.strip_prefix("sim:") else {
-            return Err(format!(
-                "unknown transport {s:?} (expected `shared`, \
-                 `sim:<platform>[:<ranks_per_node>]` or `faulty:<inner>[:<seed>[:<spec>]]`)"
-            ));
-        };
-        let mut parts = rest.splitn(2, ':');
-        let name = parts.next().unwrap_or_default();
-        let id = PlatformId::parse(name)
-            .ok_or_else(|| format!("unknown platform {name:?} (cori|edison|titan|aws)"))?;
-        let ranks_per_node = match parts.next() {
-            None => Platform::get(id).cores_per_node,
-            Some(v) => v
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("invalid ranks-per-node {v:?} (positive integer)"))?,
-        };
-        Ok(TransportKind::SimNet(SimNetConfig { platform: id, ranks_per_node }))
+        let (seed, spec) = parse_faulty_tail(&parts[1..])?;
+        Ok(TransportKind::Faulty(FaultyConfig { seed, spec }))
     }
 }
 
@@ -890,12 +629,7 @@ impl std::fmt::Display for TransportKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportKind::SharedMem => write!(f, "shared"),
-            TransportKind::SimNet(cfg) => {
-                write!(f, "sim:{}:{}", cfg.platform.cli_name(), cfg.ranks_per_node)
-            }
-            TransportKind::Faulty(cfg) => {
-                write!(f, "faulty:{}:{}:{}", cfg.inner.as_kind(), cfg.seed, cfg.spec)
-            }
+            TransportKind::Faulty(cfg) => write!(f, "faulty:shared:{}:{}", cfg.seed, cfg.spec),
         }
     }
 }
@@ -904,133 +638,22 @@ impl std::fmt::Display for TransportKind {
 mod tests {
     use super::*;
     use crate::world::CommWorld;
-    use dibella_netmodel::CORI;
 
-    fn sim(platform: PlatformId, ranks_per_node: usize) -> TransportKind {
-        TransportKind::SimNet(SimNetConfig { platform, ranks_per_node })
+    fn faulty(seed: u64, spec: FaultSpec) -> TransportKind {
+        TransportKind::Faulty(FaultyConfig { seed, spec })
     }
 
     #[test]
     fn parse_round_trip() {
         assert_eq!("shared".parse::<TransportKind>(), Ok(TransportKind::SharedMem));
-        assert_eq!(
-            "sim:aws:4".parse::<TransportKind>(),
-            Ok(sim(PlatformId::Aws, 4))
-        );
-        // Ranks-per-node defaults to the platform's cores per node.
-        assert_eq!(
-            "sim:cori".parse::<TransportKind>(),
-            Ok(sim(PlatformId::CoriXC40, CORI.cores_per_node))
-        );
-        for s in ["", "tcp", "sim:", "sim:summit", "sim:aws:0", "sim:aws:x"] {
+        // A modeled platform is a projection of the run's counters, not a
+        // transport: the CLI takes `sim:` itself.
+        for s in ["", "tcp", "sim:", "sim:aws:4", "sim:cori", "shared:1"] {
             assert!(s.parse::<TransportKind>().is_err(), "{s:?} should not parse");
         }
         // Display renders back to parseable syntax.
-        for k in [TransportKind::SharedMem, sim(PlatformId::TitanXK7, 8)] {
-            assert_eq!(k.to_string().parse::<TransportKind>(), Ok(k));
-        }
-    }
-
-    #[test]
-    fn simnet_payloads_identical_to_sharedmem() {
-        let body = |comm: &crate::Comm| {
-            let send: Vec<Vec<u32>> = (0..comm.size())
-                .map(|d| (0..(comm.rank() + d) as u32).collect())
-                .collect();
-            comm.alltoallv(send)
-        };
-        let real = CommWorld::run(4, body);
-        let simulated = CommWorld::run_with(4, &sim(PlatformId::Aws, 2), body);
-        assert_eq!(real, simulated);
-    }
-
-    #[test]
-    fn simnet_charges_modeled_alltoallv_time() {
-        // 2 ranks on one virtual Cori node: all traffic is on-node, so the
-        // second call (first-call setup already paid) must cost exactly
-        // latency + bytes / memory-bandwidth.
-        let stats = CommWorld::run_with(2, &sim(PlatformId::CoriXC40, 2), |comm| {
-            let _ = comm.alltoallv::<u8>(vec![vec![0u8; 500]; 2]);
-            comm.take_stats(); // discard the first call (setup-charged)
-            let _ = comm.alltoallv::<u8>(vec![vec![0u8; 500]; 2]);
-            comm.take_stats()
-        });
-        let expect = collective_latency_s(&CORI, 2) + exchange_transfer_s(&CORI, 2000, 0);
-        for s in &stats {
-            assert!(
-                (s.exchange_wall.as_secs_f64() - expect).abs() < 1e-9,
-                "wall {:?} vs modeled {expect}",
-                s.exchange_wall
-            );
-        }
-    }
-
-    #[test]
-    fn first_alltoallv_setup_charged_once() {
-        let walls = CommWorld::run_with(2, &sim(PlatformId::Aws, 1), |comm| {
-            let mut walls = Vec::new();
-            for _ in 0..3 {
-                let _ = comm.alltoallv::<u8>(vec![vec![7u8; 100]; 2]);
-                walls.push(comm.take_stats().exchange_wall);
-            }
-            walls
-        });
-        for w in &walls {
-            assert!(w[0] > w[1], "first call should carry the setup cost: {w:?}");
-            assert_eq!(w[1], w[2], "steady-state calls must cost the same");
-        }
-    }
-
-    #[test]
-    fn off_node_traffic_costs_more_than_on_node() {
-        let run = |ranks_per_node: usize| {
-            CommWorld::run_with(4, &sim(PlatformId::CoriXC40, ranks_per_node), |comm| {
-                let _ = comm.alltoallv::<u8>(vec![vec![1u8; 100_000]; 4]);
-                comm.take_stats().exchange_wall
-            })
-        };
-        let one_node = run(4); // everything on one virtual node
-        let four_nodes = run(1); // everything off-node
-        for (on, off) in one_node.iter().zip(&four_nodes) {
-            assert!(off > on, "off-node {off:?} should exceed on-node {on:?}");
-        }
-    }
-
-    #[test]
-    fn dense_collectives_charge_latency_only() {
-        let stats = CommWorld::run_with(3, &sim(PlatformId::EdisonXC30, 3), |comm| {
-            let _ = comm.allgather(comm.rank() as u64);
-            comm.take_stats()
-        });
-        let expect = collective_latency_s(Platform::get(PlatformId::EdisonXC30), 3);
-        for s in &stats {
-            assert!((s.exchange_wall.as_secs_f64() - expect).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn ethernet_slower_than_aries_same_traffic() {
-        let run = |kind: &TransportKind| {
-            CommWorld::run_with(4, kind, |comm| {
-                let _ = comm.alltoallv::<u8>(vec![vec![3u8; 10_000]; 4]);
-                comm.take_stats().exchange_wall
-            })
-        };
-        let aries = run(&sim(PlatformId::CoriXC40, 2));
-        let ethernet = run(&sim(PlatformId::Aws, 2));
-        for (a, e) in aries.iter().zip(&ethernet) {
-            assert!(e > a, "AWS {e:?} should exceed Cori {a:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "ranks_per_node must be positive")]
-    fn zero_ranks_per_node_rejected() {
-        let _ = SimNet::new(2, SimNetConfig { platform: PlatformId::Aws, ranks_per_node: 0 });
-    }
-
-    fn faulty(inner: FaultyInner, seed: u64, spec: FaultSpec) -> TransportKind {
-        TransportKind::Faulty(FaultyConfig { inner, seed, spec })
+        let k = TransportKind::SharedMem;
+        assert_eq!(k.to_string().parse::<TransportKind>(), Ok(k));
     }
 
     #[test]
@@ -1038,45 +661,15 @@ mod tests {
         // Explicit seed and spec.
         assert_eq!(
             "faulty:shared:7:corrupt=0.1,retries=3".parse::<TransportKind>(),
-            Ok(faulty(
-                FaultyInner::SharedMem,
-                7,
-                FaultSpec { corrupt_per_mille: 100, retries: 3, ..FaultSpec::default() }
-            ))
+            Ok(faulty(7, FaultSpec { corrupt_per_mille: 100, retries: 3, ..FaultSpec::default() }))
         );
-        // Seed only → mixed preset.
-        assert_eq!(
-            "faulty:shared:9".parse::<TransportKind>(),
-            Ok(faulty(FaultyInner::SharedMem, 9, FaultSpec::mixed()))
-        );
-        // The inner transport is matched greedily: `sim:cori:2` is all
-        // inner, so the chaos tail is empty.
-        assert_eq!(
-            "faulty:sim:cori:2".parse::<TransportKind>(),
-            Ok(faulty(
-                FaultyInner::SimNet(SimNetConfig {
-                    platform: PlatformId::CoriXC40,
-                    ranks_per_node: 2
-                }),
-                0,
-                FaultSpec::mixed()
-            ))
-        );
-        // With ranks-per-node spelled out, the next field is the seed.
-        assert_eq!(
-            "faulty:sim:cori:2:42:drop".parse::<TransportKind>(),
-            Ok(faulty(
-                FaultyInner::SimNet(SimNetConfig {
-                    platform: PlatformId::CoriXC40,
-                    ranks_per_node: 2
-                }),
-                42,
-                FaultSpec { drop_per_mille: 20, ..FaultSpec::default() }
-            ))
-        );
+        // Seed only → mixed preset; neither → seed 0 as well.
+        assert_eq!("faulty:shared:9".parse::<TransportKind>(), Ok(faulty(9, FaultSpec::mixed())));
+        assert_eq!("faulty:shared".parse::<TransportKind>(), Ok(faulty(0, FaultSpec::mixed())));
         for s in [
             "faulty:",
             "faulty:tcp",
+            "faulty:sim:cori:2",
             "faulty:faulty:shared",
             "faulty:shared:x",
             "faulty:shared:1:bogus",
@@ -1089,12 +682,8 @@ mod tests {
         }
         // Display renders back to parseable, equal syntax.
         for k in [
-            faulty(FaultyInner::SharedMem, 3, FaultSpec::mixed()),
-            faulty(
-                FaultyInner::SimNet(SimNetConfig { platform: PlatformId::Aws, ranks_per_node: 4 }),
-                11,
-                FaultSpec { stall_per_mille: 200, stall_ms: 5, timeout_ms: 2, ..FaultSpec::default() },
-            ),
+            faulty(3, FaultSpec::mixed()),
+            faulty(11, FaultSpec { stall_per_mille: 200, stall_ms: 5, timeout_ms: 2, ..FaultSpec::default() }),
         ] {
             assert_eq!(k.to_string().parse::<TransportKind>(), Ok(k), "{k}");
         }
@@ -1132,7 +721,7 @@ mod tests {
             ..FaultSpec::default()
         };
         let run = |seed: u64| {
-            let net = FaultyNet::new(1, FaultyConfig { inner: FaultyInner::SharedMem, seed, spec });
+            let net = FaultyNet::new(1, FaultyConfig { seed, spec });
             let mut out = Vec::new();
             for call in 0..50u8 {
                 let frames = vec![vec![call; 64]];
@@ -1172,11 +761,7 @@ mod tests {
             (out, comm.take_stats())
         };
         let clean = CommWorld::run(3, body);
-        let chaotic = CommWorld::run_with(
-            3,
-            &faulty(FaultyInner::SharedMem, 5, FaultSpec::mixed()),
-            body,
-        );
+        let chaotic = CommWorld::run_with(3, &faulty(5, FaultSpec::mixed()), body);
         let mut survived = 0u64;
         for ((clean_out, clean_stats), (chaos_out, chaos_stats)) in clean.iter().zip(&chaotic) {
             assert_eq!(clean_out, chaos_out, "recovered payloads must be bit-identical");
@@ -1194,7 +779,7 @@ mod tests {
 
     #[test]
     fn faulty_with_zero_rates_is_transparent() {
-        let kind = faulty(FaultyInner::SharedMem, 1, FaultSpec::default());
+        let kind = faulty(1, FaultSpec::default());
         let stats = CommWorld::run_with(2, &kind, |comm| {
             let send: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![4, 5]];
             let recv = comm.alltoallv_bytes(send);
@@ -1210,11 +795,7 @@ mod tests {
     fn exhausted_retries_fail_the_stage() {
         // Corrupt every frame and allow no retries: the hardened wait
         // must panic with the checkpoint hint rather than loop or hang.
-        let kind = faulty(
-            FaultyInner::SharedMem,
-            2,
-            FaultSpec { corrupt_per_mille: 1000, retries: 0, ..FaultSpec::default() },
-        );
+        let kind = faulty(2, FaultSpec { corrupt_per_mille: 1000, retries: 0, ..FaultSpec::default() });
         let err = std::panic::catch_unwind(|| {
             CommWorld::run_with(2, &kind, |comm| {
                 let send = vec![vec![9u8; 100], vec![7u8; 100]];
@@ -1235,7 +816,6 @@ mod tests {
         // hardened wait must record timeouts, keep polling, and still
         // deliver the round bit-identically.
         let kind = faulty(
-            FaultyInner::SharedMem,
             3,
             FaultSpec {
                 stall_per_mille: 1000,
@@ -1273,9 +853,9 @@ mod tests {
         let partner = Arc::clone(&shared);
         let t = std::thread::spawn(move || {
             let pending = partner.exchange_start(1, vec![vec![3u8], vec![4u8]]);
-            partner.exchange_wait(1, pending)
+            pending.finish()
         });
-        let (recv0, _) = shared.exchange_wait(0, pending);
+        let (recv0, _) = pending.finish();
         let (recv1, _) = t.join().unwrap();
         assert_eq!(recv0, vec![vec![1u8], vec![3u8]]);
         assert_eq!(recv1, vec![vec![2u8], vec![4u8]]);
@@ -1299,7 +879,7 @@ mod tests {
         });
         let pending = shared.exchange_start(0, vec![Vec::new(), Vec::new()]);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shared.exchange_wait(0, pending)
+            pending.finish()
         }))
         .expect_err("poisoned slot must panic at wait");
         t.join().unwrap();

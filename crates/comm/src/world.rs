@@ -1,7 +1,7 @@
 //! World launcher: run an SPMD closure on `P` rank threads.
 
 use crate::comm::Comm;
-use crate::transport::{Transport, TransportKind};
+use crate::transport::TransportKind;
 use std::sync::Arc;
 
 /// An SPMD execution context, analogous to `MPI_COMM_WORLD`.
@@ -11,8 +11,8 @@ use std::sync::Arc;
 /// Linux threads are cheap enough that worlds of 1024 virtual ranks run
 /// fine on a laptop-class host; collectives serialize ranks only at
 /// barrier points. [`CommWorld::run_with`] does the same on an explicit
-/// transport backend — real shared memory, or the netmodel-driven
-/// simulated network (see [`crate::transport`]).
+/// transport backend — real shared memory, or shared memory under the
+/// fault-injecting wrapper (see [`crate::transport`]).
 pub struct CommWorld;
 
 impl CommWorld {
@@ -33,10 +33,9 @@ impl CommWorld {
     }
 
     /// Like [`Self::run`] but on an explicit [`TransportKind`]: the same
-    /// SPMD body can execute over real shared memory or "on" a modeled
-    /// platform's network (`TransportKind::SimNet`), where collective
-    /// payloads are byte-identical and only the reported
-    /// `CommStats::exchange_wall` changes.
+    /// SPMD body can execute over real shared memory or under injected
+    /// faults (`TransportKind::Faulty`), which the hardened exchange layer
+    /// recovers from so payloads arrive byte-identical.
     ///
     /// # Panics
     /// As [`Self::run`].
@@ -46,67 +45,41 @@ impl CommWorld {
         T: Send,
     {
         assert!(p > 0, "world size must be positive");
-        launch(p, None, transport.build(p), &f)
-    }
-
-    /// Like [`Self::run`] but with a larger stack per rank thread (the
-    /// alignment stage's DP frontiers are heap-allocated, so the default
-    /// is normally fine; this exists for stress tests).
-    pub fn run_with_stack<F, T>(p: usize, stack_bytes: usize, f: F) -> Vec<T>
-    where
-        F: Fn(&Comm) -> T + Sync,
-        T: Send,
-    {
-        assert!(p > 0, "world size must be positive");
-        launch(p, Some(stack_bytes), TransportKind::SharedMem.build(p), &f)
-    }
-}
-
-/// Spawn one named thread per rank over `transport`, run `f`, and collect
-/// results in rank order, re-raising the first rank panic.
-fn launch<F, T>(p: usize, stack_bytes: Option<usize>, transport: Arc<dyn Transport>, f: &F) -> Vec<T>
-where
-    F: Fn(&Comm) -> T + Sync,
-    T: Send,
-{
-    let mut results: Vec<Option<T>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..p)
-            .map(|rank| {
-                let transport = Arc::clone(&transport);
-                let mut builder = std::thread::Builder::new().name(format!("rank-{rank}"));
-                if let Some(bytes) = stack_bytes {
-                    builder = builder.stack_size(bytes);
+        let (transport, f) = (transport.build(p), &f);
+        let mut results: Vec<Option<T>> = (0..p).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..p)
+                .map(|rank| {
+                    let transport = Arc::clone(&transport);
+                    std::thread::Builder::new()
+                        .name(format!("rank-{rank}"))
+                        .spawn_scoped(s, move || {
+                            let comm = Comm::new(rank, transport);
+                            f(&comm)
+                        })
+                        .expect("failed to spawn rank thread")
+                })
+                .collect();
+            for (slot, h) in results.iter_mut().zip(handles) {
+                match h.join() {
+                    Ok(v) => *slot = Some(v),
+                    // Re-raise the rank's own panic payload so callers see
+                    // the original failure (the analogue of MPI_Abort
+                    // carrying the faulting rank's error).
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
-                builder
-                    .spawn_scoped(s, move || {
-                        let comm = Comm::new(rank, transport);
-                        f(&comm)
-                    })
-                    .expect("failed to spawn rank thread")
-            })
-            .collect();
-        for (slot, h) in results.iter_mut().zip(handles) {
-            match h.join() {
-                Ok(v) => *slot = Some(v),
-                // Re-raise the rank's own panic payload so callers see
-                // the original failure (the analogue of MPI_Abort
-                // carrying the faulting rank's error).
-                Err(payload) => std::panic::resume_unwind(payload),
             }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("rank produced no result"))
-        .collect()
+        });
+        results
+            .into_iter()
+            .map(|r| r.expect("rank produced no result"))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::SimNetConfig;
-    use dibella_netmodel::PlatformId;
 
     #[test]
     fn results_are_rank_ordered() {
@@ -119,26 +92,10 @@ mod tests {
         // 128 ranks on a 2-core host: collectives must still complete.
         let out = CommWorld::run(128, |c| {
             let sum = c.allreduce_sum_u64(1);
-            let recv = c.alltoallv::<u8>((0..c.size()).map(|d| vec![d as u8]).collect());
+            let recv = c.alltoallv_bytes((0..c.size()).map(|d| vec![d as u8]).collect());
             (sum, recv.len())
         });
         assert!(out.iter().all(|&(s, l)| s == 128 && l == 128));
-    }
-
-    #[test]
-    fn custom_stack_size() {
-        let out = CommWorld::run_with_stack(4, 4 * 1024 * 1024, |c| c.size());
-        assert_eq!(out, vec![4; 4]);
-    }
-
-    #[test]
-    fn run_with_simulated_transport() {
-        let kind = TransportKind::SimNet(SimNetConfig {
-            platform: PlatformId::TitanXK7,
-            ranks_per_node: 2,
-        });
-        let out = CommWorld::run_with(4, &kind, |c| c.allreduce_sum_u64(c.rank() as u64));
-        assert_eq!(out, vec![6; 4]);
     }
 
     #[test]

@@ -18,14 +18,15 @@ proptest! {
         let count = |r: usize, d: usize| ((seed as usize + r * 7 + d * 13) % 5) as u32;
         let results = CommWorld::run(p, |comm| {
             let r = comm.rank();
-            let send: Vec<Vec<(u32, u32)>> = (0..p)
-                .map(|d| (0..count(r, d)).map(|i| (r as u32, i)).collect())
+            let send: Vec<Vec<u8>> = (0..p)
+                .map(|d| encode_slice(&(0..count(r, d)).map(|i| (r as u32, i)).collect::<Vec<_>>()))
                 .collect();
-            comm.alltoallv(send)
+            comm.alltoallv_bytes(send)
         });
         for (dst, recv) in results.iter().enumerate() {
             prop_assert_eq!(recv.len(), p);
             for (src, buf) in recv.iter().enumerate() {
+                let buf = decode_vec::<(u32, u32)>(buf);
                 prop_assert_eq!(buf.len() as u32, count(src, dst));
                 for (i, &(s, ix)) in buf.iter().enumerate() {
                     prop_assert_eq!(s, src as u32);
@@ -61,8 +62,8 @@ proptest! {
     #[test]
     fn stats_match_sent_volume(p in 1usize..6, n in 0usize..40) {
         let results = CommWorld::run(p, |comm| {
-            let send: Vec<Vec<u64>> = (0..p).map(|_| vec![0u64; n]).collect();
-            let _ = comm.alltoallv(send);
+            let send: Vec<Vec<u8>> = (0..p).map(|_| vec![0u8; n * 8]).collect();
+            let _ = comm.alltoallv_bytes(send);
             comm.take_stats()
         });
         for s in results {

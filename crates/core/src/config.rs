@@ -126,9 +126,10 @@ pub struct PipelineConfig {
     pub threads: Option<usize>,
     /// Communication backend the SPMD world runs on: `SharedMem` (the
     /// default) executes collectives through real shared memory;
-    /// `SimNet(platform, ranks_per_node)` runs the same byte-identical
-    /// exchanges but reports the `exchange_wall` a modeled interconnect
-    /// (virtual Cori, Edison, Titan or AWS) would have charged.
+    /// `Faulty` injects seeded faults into the same exchanges, which the
+    /// hardened layer recovers from bit-identically. Neither models a
+    /// machine: a modeled Cori, Edison, Titan or AWS time is
+    /// [`crate::project`] of the run's reports.
     pub transport: TransportKind,
     /// Which x-drop core stage 4 runs: `None` (the default) and
     /// `Some(SimdMode::Auto)` are the production dispatch — the lane

@@ -119,14 +119,19 @@ impl PipelineProjection {
 
 /// Project a measured run onto a platform at a node count.
 ///
-/// `reports.len()` must equal `mapping.ranks()` — i.e. the pipeline was
-/// executed with one rank per modeled core. The Bloom stage is charged the
+/// Each report is one modeled rank, so `P = reports.len()`; rank `r` lives
+/// on node `mapping.node_of(r)`. Every node of `mapping` must hold a rank
+/// and only the last may be partly filled — [`NodeMapping::for_ranks`]
+/// builds that mapping for any `P`. The Bloom stage is charged the
 /// platform's first-`Alltoallv` setup cost (paper §6/§10).
+///
+/// This is the only interconnect model: no transport changes what a run
+/// measures, so a modeled time is a function of the reports' counters.
 pub fn project(platform: &Platform, mapping: NodeMapping, reports: &[RankReport]) -> PipelineProjection {
     assert_eq!(
-        reports.len(),
-        mapping.ranks(),
-        "need one report per modeled rank"
+        mapping.nodes,
+        reports.len().div_ceil(mapping.ranks_per_node),
+        "need one report per modeled rank, only the last node partly filled"
     );
     let per_stage = |stage: Stage, first: bool| {
         let loads: Vec<RankLoad> = reports.iter().map(|r| rank_load(r, stage)).collect();

@@ -18,11 +18,10 @@
 //! ([`dibella_kcount::bloom_stage_overlapping`] →
 //! [`dibella_kcount::hash_stage_prepacked`]).
 //!
-//! The communication substrate is pluggable via
-//! [`PipelineConfig::transport`]: the same run can execute over real
-//! shared memory or "on" a modeled interconnect (`SimNet`), in which case
-//! each stage's `exchange` timing reflects the virtual platform while
-//! alignments and traffic counters stay byte-identical.
+//! The communication substrate is chosen by [`PipelineConfig::transport`]:
+//! real shared memory, or shared memory under injected faults — alignments
+//! and traffic counters are byte-identical on both. Timings are host
+//! time; a modeled platform's time is [`crate::project`] of the reports.
 
 use crate::alignment_stage::{align_tasks, fetch_remote_reads, AlignCounters};
 use crate::checkpoint::{
@@ -33,8 +32,8 @@ use crate::config::{PipelineConfig, SeedMode};
 use crate::record::AlignmentRecord;
 use dibella_comm::{BatchedExecutor, Comm, CommStats, CommWorld};
 use dibella_io::{
-    parse_block, partition_reads, byte_ranges, CheckpointStore, Read, ReadPartition, ReadSet,
-    ReadStore,
+    parse_block, partition_reads, byte_ranges, CheckpointStore, ParseError, Read, ReadPartition,
+    ReadSet, ReadStore,
 };
 use dibella_kcount::{
     bloom_stage_overlapping, hash_stage_prepacked, minimizer_stage, FilterStats, KmerHashTable,
@@ -49,11 +48,6 @@ use std::time::{Duration, Instant};
 /// *while* the previous exchange is in flight — so `exchange + pack` can
 /// legitimately exceed `total`; the excess is exactly the overlap the
 /// streaming engine bought.
-///
-/// Under a simulated transport `exchange` is *modeled* seconds (a function
-/// of traffic counters) while `total` and `pack` stay host seconds, so
-/// [`StageTiming::local`] and [`StageTiming::compute`] subtract unlike
-/// quantities there; read them only from runs on a real transport.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTiming {
     /// Total stage time on this rank.
@@ -437,11 +431,25 @@ pub fn run_pipeline(reads: &ReadSet, p: usize, cfg: &PipelineConfig) -> Pipeline
 /// world-wide exclusive scan assigns global read IDs, and the partition is
 /// built from the per-rank counts (paper §6: "the input reads are
 /// distributed roughly uniformly over the processors using parallel I/O").
-pub fn run_pipeline_fastq(fastq: &[u8], p: usize, cfg: &PipelineConfig) -> PipelineResult {
+///
+/// # Errors
+/// A block that does not parse fails the whole world: every rank learns
+/// of it in one reduction before any other collective, so all return, and
+/// the error is the lowest failing rank's.
+pub fn run_pipeline_fastq(
+    fastq: &[u8],
+    p: usize,
+    cfg: &PipelineConfig,
+) -> Result<PipelineResult, ParseError> {
     let ranges = byte_ranges(fastq.len(), p);
     let results = CommWorld::run_with(p, &cfg.transport, |comm| {
-        let mut local = parse_block(fastq, ranges[comm.rank()])
-            .expect("malformed FASTQ block");
+        // Every rank learns whether any block failed before the scan: a
+        // rank that returned alone would leave its peers blocked in it.
+        let parsed = parse_block(fastq, ranges[comm.rank()]);
+        if comm.allreduce_sum_u64(parsed.is_err() as u64) > 0 {
+            return parsed.map(|_| None);
+        }
+        let mut local = parsed?;
         // Global, input-order read IDs via exclusive scan of counts.
         let first = comm.exscan_sum_u64(local.len() as u64) as u32;
         for (i, r) in local.iter_mut().enumerate() {
@@ -449,9 +457,10 @@ pub fn run_pipeline_fastq(fastq: &[u8], p: usize, cfg: &PipelineConfig) -> Pipel
         }
         let counts = comm.allgather(local.len());
         let part = ReadPartition::from_counts(&counts);
-        pipeline_rank(comm, local, &part, cfg)
+        Ok(Some(pipeline_rank(comm, local, &part, cfg)))
     });
-    merge(results)
+    let results: Vec<_> = results.into_iter().collect::<Result<_, _>>()?;
+    Ok(merge(results.into_iter().flatten().collect()))
 }
 
 #[cfg(test)]
@@ -532,7 +541,7 @@ mod tests {
         write_fastq(&mut fastq, &reads).unwrap();
         let cfg = small_cfg();
         let mem = run_pipeline(&reads, 3, &cfg);
-        let via_fastq = run_pipeline_fastq(&fastq, 3, &cfg);
+        let via_fastq = run_pipeline_fastq(&fastq, 3, &cfg).unwrap();
         assert_eq!(mem.alignments, via_fastq.alignments);
     }
 

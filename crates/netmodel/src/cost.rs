@@ -21,6 +21,8 @@
 use crate::platforms::Platform;
 
 /// Placement of ranks onto nodes: rank `r` lives on node `r / ranks_per_node`.
+/// Every node is occupied; the last may hold fewer than `ranks_per_node`
+/// ranks (see [`NodeMapping::for_ranks`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeMapping {
     /// Number of nodes.
@@ -44,7 +46,19 @@ impl NodeMapping {
         Self::new(nodes, platform.cores_per_node)
     }
 
-    /// Total ranks.
+    /// `ranks` ranks placed `ranks_per_node` to a node: as many nodes as
+    /// that takes, the last one partly filled if `ranks_per_node` does not
+    /// divide `ranks`.
+    ///
+    /// # Panics
+    /// Panics if either argument is zero.
+    pub fn for_ranks(ranks: usize, ranks_per_node: usize) -> Self {
+        assert!(ranks_per_node > 0, "ranks_per_node must be positive");
+        Self::new(ranks.div_ceil(ranks_per_node), ranks_per_node)
+    }
+
+    /// Rank slots, `nodes × ranks_per_node`: the number of ranks when the
+    /// last node is full.
     pub fn ranks(&self) -> usize {
         self.nodes * self.ranks_per_node
     }
@@ -135,9 +149,7 @@ pub fn cache_penalty(working_set: f64, cache_per_core: f64) -> f64 {
 }
 
 /// Latency of one collective call on `platform` with `ranks` participants:
-/// `α + α_rank·P`, in seconds. The per-call term of both the analytic
-/// stage model below and the executable `SimNet` transport in
-/// `dibella-comm`, so the two charge identical latencies.
+/// `α + α_rank·P`, in seconds — the per-call term of [`stage_cost`].
 pub fn collective_latency_s(platform: &Platform, ranks: usize) -> f64 {
     (platform.coll_alpha_us + platform.coll_per_rank_us * ranks as f64) * 1e-6
 }
@@ -153,60 +165,17 @@ pub fn exchange_transfer_s(platform: &Platform, on_node_bytes: u64, off_node_byt
 /// One-time overhead of the job's *first* `MPI_Alltoallv` (paper §6/§10):
 /// per-peer connection/buffer establishment, linear in `ranks`, plus
 /// `first_alltoallv_factor` extra calls of cost `base_call_s` (one average
-/// call of the charged stage, or the first call itself when charged
-/// per-call by `SimNet`).
+/// call of the charged stage).
 pub fn first_alltoallv_setup_s(platform: &Platform, ranks: usize, base_call_s: f64) -> f64 {
     platform.setup_us_per_rank * ranks as f64 * 1e-6
         + platform.first_alltoallv_factor * base_call_s
 }
 
-/// Wall time of one streaming-exchange round when the packing of the next
-/// round overlaps the in-flight exchange (double buffering): the slower of
-/// the two hides the faster. This is the netmodel's *single* definition of
-/// an overlapped round; [`pipelined_rounds_s`] composes it into a
-/// whole-stage cost. Both sides must be modeled seconds: the executable
-/// `SimNet` transport charges the modeled exchange alone and leaves host
-/// packing time in `CommStats::pack_wall`, so a projection that wants the
-/// overlap supplies a modeled pack cost, never a measured one.
-pub fn overlapped_round_s(pack_s: f64, exchange_s: f64) -> f64 {
-    pack_s.max(exchange_s)
-}
-
-/// Total wall of an `R`-round streaming exchange with double buffering:
-/// round 0 is packed up front, then every round's exchange overlaps the
-/// packing of its successor —
-///
-/// ```text
-/// T = pack[0] + Σ_i max(exchange[i], pack[i+1])      (pack[R] ≡ 0)
-/// ```
-///
-/// With one round this degenerates to `pack[0] + exchange[0]` (nothing to
-/// overlap), and a perfectly balanced pipeline approaches
-/// `max(Σ pack, Σ exchange)` — the upside the streaming engine buys.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn pipelined_rounds_s(pack_s: &[f64], exchange_s: &[f64]) -> f64 {
-    assert_eq!(
-        pack_s.len(),
-        exchange_s.len(),
-        "need one pack and one exchange time per round"
-    );
-    let rounds = pack_s.len();
-    if rounds == 0 {
-        return 0.0;
-    }
-    let mut total = pack_s[0];
-    for (i, &ex) in exchange_s.iter().enumerate() {
-        let next_pack = if i + 1 < rounds { pack_s[i + 1] } else { 0.0 };
-        total += overlapped_round_s(next_pack, ex);
-    }
-    total
-}
-
 /// Model one stage.
 ///
-/// `loads.len()` must equal `mapping.ranks()`. `first_exchange` charges the
+/// `loads` holds one entry per rank, so `P = loads.len()`; rank `r` lives on
+/// node `mapping.node_of(r)`, and every node of `mapping` must be occupied
+/// (only the last may be partly filled). `first_exchange` charges the
 /// platform's one-time `MPI_Alltoallv` setup cost (give `true` only for the
 /// first exchanging stage of a job — the Bloom filter stage).
 pub fn stage_cost(
@@ -215,8 +184,12 @@ pub fn stage_cost(
     loads: &[RankLoad],
     first_exchange: bool,
 ) -> StageCost {
-    let p = mapping.ranks();
-    assert_eq!(loads.len(), p, "need one RankLoad per rank");
+    let p = loads.len();
+    assert_eq!(
+        mapping.nodes,
+        p.div_ceil(mapping.ranks_per_node),
+        "need one RankLoad per rank, only the last node partly filled"
+    );
 
     // ---- local compute ----------------------------------------------------
     let local_s: Vec<f64> = loads
@@ -288,6 +261,30 @@ mod tests {
         assert_eq!(m.node_of(31), 3);
         assert!(m.same_node(8, 15));
         assert!(!m.same_node(7, 8));
+    }
+
+    #[test]
+    fn partly_filled_last_node() {
+        let m = NodeMapping::for_ranks(3, 2);
+        assert_eq!((m.nodes, m.ranks_per_node, m.ranks()), (2, 2, 4));
+        assert_eq!(NodeMapping::for_ranks(8, 32), NodeMapping::new(1, 32));
+        assert_eq!(NodeMapping::for_ranks(64, 32), NodeMapping::new(2, 32));
+        // Rank 2 is alone on node 1: its own bytes to itself are on-node,
+        // everything else crosses the network.
+        let loads = uniform_loads(3, 0.0, 1_000, 1);
+        let cost = stage_cost(&CORI, m, &loads, false);
+        let latency = collective_latency_s(&CORI, 3);
+        let node0 = latency + exchange_transfer_s(&CORI, 4_000, 2_000);
+        let node1 = latency + exchange_transfer_s(&CORI, 1_000, 2_000);
+        for (e, want) in cost.exchange_s.iter().zip([node0, node0, node1]) {
+            assert!((e - want).abs() < 1e-15, "{e} vs {want}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only the last node partly filled")]
+    fn empty_node_rejected() {
+        let _ = stage_cost(&CORI, NodeMapping::new(2, 2), &uniform_loads(2, 0.0, 0, 0), false);
     }
 
     #[test]
@@ -388,41 +385,6 @@ mod tests {
         for &e in &cost.exchange_s {
             assert!((e - expect).abs() < 1e-15, "{e} vs {expect}");
         }
-    }
-
-    #[test]
-    fn overlapped_round_takes_the_slower_side() {
-        assert_eq!(overlapped_round_s(1.0, 3.0), 3.0);
-        assert_eq!(overlapped_round_s(3.0, 1.0), 3.0);
-        assert_eq!(overlapped_round_s(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn pipelined_rounds_closed_form() {
-        assert_eq!(pipelined_rounds_s(&[], &[]), 0.0);
-        // One round: nothing overlaps.
-        assert_eq!(pipelined_rounds_s(&[2.0], &[5.0]), 7.0);
-        // Three balanced rounds: pack(0) + 3 × round (exchange hides the
-        // packing of the successor exactly).
-        let t = pipelined_rounds_s(&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0]);
-        assert!((t - 4.0).abs() < 1e-12, "{t}");
-        // Exchange-bound pipeline: packing fully hidden after round 0.
-        let t = pipelined_rounds_s(&[1.0, 1.0, 1.0], &[4.0, 4.0, 4.0]);
-        assert!((t - 13.0).abs() < 1e-12, "{t}");
-        // Pipelining never beats the exchange total, never exceeds the
-        // unoverlapped sum.
-        let pack = [0.5, 2.0, 0.25, 1.0];
-        let exch = [1.5, 0.75, 3.0, 0.5];
-        let t = pipelined_rounds_s(&pack, &exch);
-        let serial: f64 = pack.iter().chain(&exch).sum();
-        let floor = exch.iter().sum::<f64>().max(pack.iter().sum());
-        assert!(t >= floor && t <= serial, "{floor} <= {t} <= {serial}");
-    }
-
-    #[test]
-    #[should_panic(expected = "one pack and one exchange time per round")]
-    fn pipelined_rounds_rejects_mismatched_lengths() {
-        let _ = pipelined_rounds_s(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub mod op_costs;
 pub mod platforms;
 
 pub use cost::{
-    cache_penalty, collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s,
-    overlapped_round_s, pipelined_rounds_s, stage_cost, NodeMapping, RankLoad, StageCost,
+    cache_penalty, collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s, stage_cost,
+    NodeMapping, RankLoad, StageCost,
 };
 pub use efficiency::{mrate, render_table, speedup, strong_efficiency, Series};
 pub use platforms::{table1, Platform, PlatformId, AWS, CORI, EDISON, TITAN};

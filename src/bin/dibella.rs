@@ -41,7 +41,7 @@ const USAGE: &str = "dibella — distributed long-read overlap and alignment (IC
 USAGE:
   dibella overlap <reads.fastq> [-k K] [-p RANKS] [-t|--threads N]
                   [--transport shared|sim:<platform>[:<ranks_per_node>]
-                              |faulty:<inner>:<seed>:<spec>]
+                              |faulty:shared:<seed>:<spec>]
                   [--checkpoint-dir DIR] [--round-mb MB]
                   [--policy one|1000|k] [-e ERR] [-d DEPTH]
                   [--seed-mode reliable|minimizer] [--minimizer-w W]
@@ -142,6 +142,28 @@ fn k_flag(flags: &Flags) -> Result<usize, String> {
     flags.get_in("k", 17, "in 4..=32", |k| (4..=32).contains(k))
 }
 
+/// The `<platform>[:<ranks_per_node>]` of `--transport sim:…`: the modeled
+/// machine and how many ranks share one of its nodes (by default, one per
+/// core).
+fn modeled_platform(spec: &str) -> Result<(&'static Platform, usize), String> {
+    let (name, ranks_per_node) = match spec.split_once(':') {
+        Some((name, n)) => (name, Some(n)),
+        None => (spec, None),
+    };
+    let platform = PlatformId::parse(name)
+        .map(Platform::get)
+        .ok_or_else(|| format!("unknown platform {name:?} (cori|edison|titan|aws)"))?;
+    let ranks_per_node = match ranks_per_node {
+        None => platform.cores_per_node,
+        Some(n) => n
+            .parse()
+            .ok()
+            .filter(|&n: &usize| n > 0)
+            .ok_or_else(|| format!("invalid ranks-per-node {n:?} (positive integer)"))?,
+    };
+    Ok((platform, ranks_per_node))
+}
+
 fn load_fastq(path: &str) -> Result<ReadSet, String> {
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     dibella::io::read_fastq(BufReader::new(file), 0).map_err(|e| format!("parse {path}: {e}"))
@@ -167,13 +189,17 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
     // Intra-rank threads for all four stages (hybrid parallelism; 0 = all
     // cores).
     let threads: usize = flags.get("threads", flags.get("t", 1)?)?;
-    // Communication backend: real shared memory, a simulated network
-    // ("sim:<platform>[:<ranks_per_node>]" — virtual cori|edison|titan|aws),
-    // or either of those wrapped in the fault-injecting chaos transport
-    // ("faulty:<inner>:<seed>:<spec>" — see ARCHITECTURE.md).
-    let transport: TransportKind = match flags.named.get("transport") {
-        None => TransportKind::SharedMem,
-        Some(v) => v.parse()?,
+    // Communication backend: real shared memory, or shared memory wrapped
+    // in the fault-injecting chaos transport ("faulty:shared:<seed>:<spec>"
+    // — see ARCHITECTURE.md). "sim:<platform>[:<ranks_per_node>]" runs on
+    // shared memory too, then projects the run's counters onto a virtual
+    // cori|edison|titan|aws.
+    let (transport, modeled) = match flags.named.get("transport") {
+        None => (TransportKind::SharedMem, None),
+        Some(v) => match v.strip_prefix("sim:") {
+            Some(spec) => (TransportKind::SharedMem, Some(modeled_platform(spec)?)),
+            None => (v.parse()?, None),
+        },
     };
     // Streaming-exchange byte cap per rank and round, in MiB (fractions
     // allowed); unset = unbounded, i.e. one monolithic exchange per stage.
@@ -286,18 +312,17 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
             all.retry_wall
         );
     }
-    if cfg.transport != TransportKind::SharedMem {
-        // Under a simulated network the recorded exchange time is the
-        // modeled platform's, not the host's — surface it.
-        let slowest = result
-            .reports
-            .iter()
-            .map(|r| r.total_exchange())
-            .max()
-            .unwrap_or_default();
+    if let Some((platform, ranks_per_node)) = modeled {
+        // The run on the modeled machine: rank r on node r / ranks_per_node.
+        let mapping = NodeMapping::for_ranks(ranks, ranks_per_node);
+        let proj = dibella::pipeline::project(platform, mapping, &result.reports);
+        let secs = std::time::Duration::from_secs_f64;
         eprintln!(
-            "dibella: modeled exchange on {}: slowest rank {:.3?}",
-            cfg.transport, slowest
+            "dibella: modeled on sim:{}:{ranks_per_node} ({} node(s)): exchange {:.3?}, total {:.3?}",
+            platform.id.cli_name(),
+            mapping.nodes,
+            secs(proj.exchange_seconds()),
+            secs(proj.total_seconds())
         );
     }
 
@@ -485,6 +510,19 @@ mod tests {
             let msg = cmd(&args(&["/nonexistent/x.fastq", flag, value])).unwrap_err();
             assert_eq!(msg, format!("invalid value {value} for {flag} (must be {range})"));
         }
+    }
+
+    #[test]
+    fn sim_transport_names_a_platform_to_project_onto() {
+        assert_eq!(modeled_platform("cori").map(|(p, n)| (p.id, n)), Ok((PlatformId::CoriXC40, 32)));
+        assert_eq!(modeled_platform("aws:2").map(|(p, n)| (p.id, n)), Ok((PlatformId::Aws, 2)));
+        for bad in ["", "summit", "aws:0", "aws:x", "aws:2:3"] {
+            assert!(modeled_platform(bad).is_err(), "{bad:?} should not parse");
+        }
+        // The chaos wrapper takes shared memory only, and the command
+        // fails on it before it opens the input.
+        let msg = cmd_overlap(&args(&["/nonexistent/x.fastq", "--transport", "faulty:sim:cori:2"])).unwrap_err();
+        assert!(msg.starts_with("the faulty transport wraps only `shared`"), "{msg}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | [`kmer`] | `dibella-kmer` | packed k-mers, extraction, hashing, BELLA's k/m selection |
 //! | [`io`] | `dibella-io` | FASTQ/FASTA, block-parallel input, distributed read store |
 //! | [`sketch`] | `dibella-sketch` | Bloom filter (sized from the Eq.-2 estimate) |
-//! | [`comm`] | `dibella-comm` | SPMD thread-per-rank world with MPI-style collectives and pluggable transports (shared-mem / simulated network) |
+//! | [`comm`] | `dibella-comm` | SPMD thread-per-rank world with MPI-style collectives and two transports (shared memory / fault-injecting chaos) |
 //! | [`netmodel`] | `dibella-netmodel` | Table-1 platform models + LogGP cost projection |
 //! | [`kcount`] | `dibella-kcount` | stages 1–2: distributed k-mer analysis |
 //! | [`overlap`] | `dibella-overlap` | stage 3: Algorithm 1 pair generation, parity task placement, seed policies |
@@ -64,7 +64,7 @@ pub use dibella_sketch as sketch;
 /// The most common imports in one place.
 pub mod prelude {
     pub use dibella_align::{Scoring, SeedHit};
-    pub use dibella_comm::{CommWorld, SimNetConfig, TransportKind};
+    pub use dibella_comm::{CommWorld, TransportKind};
     pub use dibella_core::{
         run_pipeline, run_pipeline_fastq, AlignmentRecord, PipelineConfig, PipelineResult,
         SeedMode,

@@ -5,7 +5,7 @@
 //! The determinism matrix's fault rows (the matrix lives in
 //! `tests/common/matrix.rs`) hold that a fault-injecting `FaultyNet`
 //! transport never changes alignments, work counters or logical traffic
-//! — across fault mixes, world sizes, inner transports and round caps —
+//! — across fault mixes, world sizes, thread counts and round caps —
 //! and that its fault counters are nonzero exactly when it injects. This
 //! suite also holds the recovery paths around it:
 //!
@@ -19,41 +19,25 @@ use common::matrix::{check, Fault, Net, Row, SLICE, STREAM, UNBOUNDED};
 use common::{faults_survived, genome_slice};
 use dibella::prelude::*;
 
-/// Corruption, drops and the mixed preset, in that order, around one
-/// inner transport: on 1, 2 and 4 ranks, in one round and streamed; mixed
-/// faults under threaded stages.
-fn sweep(faults: &'static [Net; 3]) {
+/// Corruption, drops and the mixed preset over shared memory: on 1, 2
+/// and 4 ranks, in one round and streamed; mixed faults under threaded
+/// stages.
+#[test]
+fn chaos_sweep_over_shared_memory() {
+    let faults = &[Net::Faulty(Fault::Corrupt), Net::Faulty(Fault::Drop), Net::Faulty(Fault::Mixed)];
     check(&[
         Row { ranks: &[1, 2, 4], nets: faults, caps: &[UNBOUNDED, STREAM], ..SLICE },
         Row { ranks: &[2], threads: &[4], nets: &faults[2..], caps: &[STREAM], ..SLICE },
     ]);
 }
 
-#[test]
-fn chaos_sweep_over_shared_memory() {
-    sweep(&[
-        Net::Faulty(Fault::Corrupt, "shared"),
-        Net::Faulty(Fault::Drop, "shared"),
-        Net::Faulty(Fault::Mixed, "shared"),
-    ]);
-}
-
-#[test]
-fn chaos_sweep_over_simulated_cori() {
-    sweep(&[
-        Net::Faulty(Fault::Corrupt, "sim:cori:2"),
-        Net::Faulty(Fault::Drop, "sim:cori:2"),
-        Net::Faulty(Fault::Mixed, "sim:cori:2"),
-    ]);
-}
-
-/// A faulty transport at zero rates is a transparent wrapper over both
-/// inner transports: same output, zero fault counters.
+/// A faulty transport at zero rates is a transparent wrapper: same
+/// output, zero fault counters.
 #[test]
 fn zero_rate_chaos_is_transparent() {
     check(&[Row {
         ranks: &[1, 2, 4],
-        nets: &[Net::Faulty(Fault::Quiet, "shared"), Net::Faulty(Fault::Quiet, "sim:cori:2")],
+        nets: &[Net::Faulty(Fault::Quiet)],
         caps: &[UNBOUNDED, STREAM],
         ..SLICE
     }]);

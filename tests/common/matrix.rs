@@ -1,8 +1,8 @@
 //! The determinism invariant, stated once: how the work is spread never
 //! changes what the pipeline computes. The axes are the fixture (the
 //! error-free genome slice and the noisy `toy_dataset` reads), ranks,
-//! threads, the transport (shared memory, `sim:cori:2`, `sim:aws:2` and
-//! `faulty:` wrappers of the first two), the round caps in bytes and in
+//! threads, the transport (shared memory, and shared memory under the
+//! `faulty:` chaos wrapper), the round caps in bytes and in
 //! k-mers, the seed front end and seed policy, the alignment kernel, the
 //! overlap stage's row block, and the input path (in memory or FASTQ).
 //!
@@ -10,7 +10,7 @@
 //! axis, expanded to every combination by [`check`]. The rows run from
 //! `tests/invariant.rs` and from the suites named for the axis they sweep
 //! (`stage_threads`, `round_exchange`, `chaos`, `overlap_engines`,
-//! `seed_modes`, `transport_sim`, `end_to_end`). Each cell is one
+//! `seed_modes`, `end_to_end`). Each cell is one
 //! pipeline run, checked two ways:
 //!
 //! * [`assert_equivalent`] holds it to its reference run, one step down
@@ -88,10 +88,8 @@ pub enum Fault {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Net {
     Shared,
-    Cori,
-    Aws,
-    /// The fault-injecting wrapper around `shared` or `sim:cori:2`.
-    Faulty(Fault, &'static str),
+    /// The fault-injecting wrapper around `shared`.
+    Faulty(Fault),
 }
 
 /// The fault seed. Any seed passes (0–15 are checked by hand): a faulty
@@ -142,9 +140,7 @@ impl Cell {
     fn transport(&self) -> TransportKind {
         let spec = match self.net {
             Net::Shared => "shared".to_string(),
-            Net::Cori => "sim:cori:2".to_string(),
-            Net::Aws => "sim:aws:2".to_string(),
-            Net::Faulty(fault, inner) => {
+            Net::Faulty(fault) => {
                 // Rates fall with P² so a round of P² frames clears in
                 // about 1.4 attempts at every world size.
                 let rate = |base: f64| base / (self.ranks * self.ranks) as f64;
@@ -166,7 +162,7 @@ impl Cell {
                     // exchange makes the injection certain.
                     spec.push_str(",stall=1,stall_ms=8,timeout_ms=5");
                 }
-                format!("faulty:{inner}:{FAULT_SEED}:{spec}")
+                format!("faulty:shared:{FAULT_SEED}:{spec}")
             }
         };
         spec.parse().expect("transport spec")
@@ -209,7 +205,7 @@ impl Cell {
     }
 
     fn injects_faults(&self) -> bool {
-        matches!(self.net, Net::Faulty(fault, _) if fault != Fault::Quiet)
+        matches!(self.net, Net::Faulty(fault) if fault != Fault::Quiet)
     }
 }
 
@@ -233,7 +229,7 @@ fn run(cell: &Cell) -> &'static PipelineResult {
             let res = if cell.fastq {
                 let mut fastq = Vec::new();
                 dibella::io::write_fastq(&mut fastq, reads).unwrap();
-                run_pipeline_fastq(&fastq, cell.ranks, &cell.config())
+                run_pipeline_fastq(&fastq, cell.ranks, &cell.config()).expect("written FASTQ parses")
             } else {
                 run_pipeline(reads, cell.ranks, &cell.config())
             };

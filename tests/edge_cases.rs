@@ -77,21 +77,37 @@ fn duplicate_reads_follow_m() {
     assert!(lax.alignments.iter().all(|a| a.score == 300));
 }
 
-/// Malformed FASTQ through the parallel-input path fails loudly, not
-/// silently. (Single rank: in a multi-rank world a rank panic leaves
-/// peers blocked at the barrier, like an aborted MPI job — the CommWorld
-/// docs call this hazard out.)
+/// Malformed FASTQ through the parallel-input path is a typed error on
+/// every world size, not a hang: the bad record sits in the middle rank's
+/// byte range of three, and the world returns the error that rank hit.
 #[test]
-#[should_panic(expected = "malformed FASTQ")]
-fn malformed_fastq_panics() {
-    let bad = b"@r0\nACGT\nOOPS\nIIII\n".to_vec();
-    let _ = run_pipeline_fastq(&bad, 1, &cfg_k(11));
+fn malformed_fastq_is_a_typed_error() {
+    let mut fastq = Vec::new();
+    dibella::io::write_fastq(&mut fastq, &genome_slice(8, 200, 60, 0xFA57)).unwrap();
+    // The bad record goes between the 4th and 5th good ones.
+    let half = fastq.len() / 2;
+    let cut = half + fastq[half..].windows(2).position(|w| w == b"\n@").unwrap() + 1;
+    let input = [&fastq[..cut], &b"@bad\nACGT\nOOPS\nIIII\n"[..], &fastq[cut..]].concat();
+    let middle = dibella::io::byte_ranges(input.len(), 3)[1];
+    assert!((middle.0..middle.1).contains(&cut), "bad record at byte {cut}, not in {middle:?}");
+    for p in [1, 3] {
+        let (done, result) = std::sync::mpsc::channel();
+        let (input, cfg) = (input.clone(), cfg_k(11));
+        std::thread::spawn(move || done.send(run_pipeline_fastq(&input, p, &cfg).map(|r| r.alignments.len())));
+        let err = result
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("P = {p}: no result within 60 s"))
+            .expect_err("a malformed record must fail the run");
+        let msg = err.to_string();
+        assert!(matches!(err, dibella::io::ParseError::Malformed { .. }), "P = {p}: {msg}");
+        assert!(msg.contains("malformed record"), "P = {p}: {msg}");
+    }
 }
 
 /// Empty FASTQ input: zero reads, zero output, no hangs.
 #[test]
 fn empty_fastq() {
-    let res = run_pipeline_fastq(b"", 3, &cfg_k(11));
+    let res = run_pipeline_fastq(b"", 3, &cfg_k(11)).unwrap();
     assert_eq!(res.alignments.len(), 0);
     assert_eq!(res.reports.len(), 3);
 }

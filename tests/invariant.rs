@@ -5,19 +5,18 @@
 
 mod common;
 
-use common::matrix::{check, Net, Row, BOTH_MODES, BOTH_POLICIES, KIB4, SLICE, SUB_RECORD, UNBOUNDED};
+use common::matrix::{check, Row, BOTH_MODES, BOTH_POLICIES, KIB4, SLICE, SUB_RECORD, UNBOUNDED};
 use dibella::prelude::*;
 
 /// Both seed front ends and both seed folds, on worlds of 1, 2 and 4
-/// ranks, over shared memory and a simulated Cori, in one round and in
-/// 4 KiB rounds.
+/// ranks, in one round and in 4 KiB rounds. (The faulty transport's rows
+/// are in `tests/chaos.rs`.)
 #[test]
 fn front_ends_across_worlds_transports_and_caps() {
     check(&[Row {
         modes: BOTH_MODES,
         policies: BOTH_POLICIES,
         ranks: &[1, 2, 4],
-        nets: &[Net::Shared, Net::Cori],
         caps: &[UNBOUNDED, KIB4],
         ..SLICE
     }]);

@@ -1,13 +1,108 @@
 //! Integration tests of the cross-architecture projection: the paper's
 //! qualitative cross-platform facts must hold when real pipeline runs are
-//! projected through the cost model.
+//! projected through the cost model, the only interconnect model there
+//! is — no transport changes what a run measures.
 
+mod common;
+
+use common::genome_slice;
 use dibella::datagen::ecoli_30x_like;
 use dibella::netmodel::{
-    first_alltoallv_setup_s, stage_cost, NodeMapping, AWS, CORI, EDISON, TITAN,
+    collective_latency_s, exchange_transfer_s, first_alltoallv_setup_s, stage_cost, NodeMapping,
+    Platform, AWS, CORI, EDISON, TITAN,
 };
-use dibella::pipeline::{project, rank_load, run_pipeline, Stage};
+use dibella::pipeline::{project, rank_load, run_pipeline, RankReport, Stage};
 use dibella::prelude::*;
+
+/// A small run of 12 overlapping error-free reads on `p` ranks.
+fn slice_reports(p: usize) -> Vec<RankReport> {
+    let cfg = PipelineConfig {
+        k: 11,
+        seed_policy: SeedPolicy::MinDistance(11),
+        max_seeds_per_pair: 32,
+        max_kmers_per_round: 1 << 20,
+        max_multiplicity: Some(24),
+        ..Default::default()
+    };
+    run_pipeline(&genome_slice(12, 150, 50, 7), p, &cfg).reports
+}
+
+/// The paper's Aries-vs-Ethernet argument on one run's counters: AWS's
+/// modeled exchange exceeds Cori's on every rank of every stage that
+/// exchanges — Bloom, overlap and alignment; the hash stage sweeps local
+/// records and exchanges nothing on either.
+#[test]
+fn aws_exchange_exceeds_cori_for_every_exchanging_stage() {
+    let reports = slice_reports(4);
+    let mapping = NodeMapping::for_ranks(4, 2);
+    let (cori, aws) = (project(&CORI, mapping, &reports), project(&AWS, mapping, &reports));
+    let mut exchanging = Vec::new();
+    for (si, stage) in Stage::ALL.into_iter().enumerate() {
+        let (c, a) = (&cori.stage(stage).exchange_s, &aws.stage(stage).exchange_s);
+        if reports.iter().all(|r| r.stage_comms()[si].alltoallv_calls == 0) {
+            assert_eq!((cori.stage(stage).max_exchange(), aws.stage(stage).max_exchange()), (0.0, 0.0));
+            continue;
+        }
+        exchanging.push(stage);
+        for r in 0..reports.len() {
+            assert!(a[r] > c[r], "{} rank {r}: AWS {:.3e} s should exceed Cori {:.3e} s", stage.name(), a[r], c[r]);
+        }
+    }
+    assert_eq!(exchanging, [Stage::Bloom, Stage::Overlap, Stage::Align]);
+    assert!(aws.exchange_seconds() > cori.exchange_seconds());
+}
+
+/// Each rank's modeled exchange in the stages after the Bloom pass, worked
+/// out by hand: `calls × latency(P)` with `P = reports.len()`, plus the
+/// transfer of its node's on- and off-node bytes, rank `r` on node
+/// `r / ranks_per_node`.
+fn assert_placed(platform: &Platform, ranks_per_node: usize, reports: &[RankReport]) {
+    let p = reports.len();
+    let proj = project(platform, NodeMapping::for_ranks(p, ranks_per_node), reports);
+    let node = |r: usize| r / ranks_per_node;
+    for stage in [Stage::Hash, Stage::Overlap, Stage::Align] {
+        let loads: Vec<_> = reports.iter().map(|r| rank_load(r, stage)).collect();
+        for (r, load) in loads.iter().enumerate() {
+            let (mut on, mut off) = (0, 0);
+            for (_, l) in loads.iter().enumerate().filter(|&(src, _)| node(src) == node(r)) {
+                for (dst, &b) in l.dest_bytes.iter().enumerate() {
+                    if node(dst) == node(r) {
+                        on += b;
+                    } else {
+                        off += b;
+                    }
+                }
+            }
+            let want = load.alltoallv_calls as f64 * collective_latency_s(platform, p)
+                + exchange_transfer_s(platform, on, off);
+            let got = proj.stage(stage).exchange_s[r];
+            assert!((got - want).abs() <= 1e-12 * want.max(1.0), "{} rank {r}: {got:e} vs {want:e}", stage.name());
+        }
+    }
+}
+
+/// A partly filled last node projects: three ranks two to a node, and
+/// eight ranks on one 32-core Cori node.
+#[test]
+fn partly_filled_last_node_projects() {
+    assert_placed(&AWS, 2, &slice_reports(3));
+    assert_placed(&CORI, CORI.cores_per_node, &slice_reports(8));
+}
+
+/// One rank pays latency for every exchange and moves no byte off its
+/// node.
+#[test]
+fn single_rank_projection_pays_latency_and_moves_nothing_off_node() {
+    let reports = slice_reports(1);
+    assert_placed(&TITAN, 1, &reports);
+    let proj = project(&TITAN, NodeMapping::for_ranks(1, 1), &reports);
+    let calls = reports[0].overlap_comm.alltoallv_calls;
+    let bytes = reports[0].overlap_comm.total_bytes();
+    assert!(calls > 0 && bytes > 0);
+    let want = calls as f64 * collective_latency_s(&TITAN, 1) + exchange_transfer_s(&TITAN, bytes, 0);
+    assert!((proj.stage(Stage::Overlap).exchange_s[0] - want).abs() <= 1e-12);
+    assert!(proj.stage(Stage::Bloom).max_exchange() >= collective_latency_s(&TITAN, 1));
+}
 
 fn reports_for(ranks: usize) -> std::sync::Arc<Vec<dibella::pipeline::RankReport>> {
     use std::collections::HashMap;

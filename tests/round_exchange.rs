@@ -4,15 +4,14 @@
 
 mod common;
 
-use common::matrix::{check, Net, Row, SLICE, TINY};
+use common::matrix::{check, Row, SLICE, TINY};
 
-/// Tiny rounds on every world size from one to four ranks, over shared
-/// memory and a simulated Cori: every exchanging stage streams. A k-mer
-/// budget per round on three ranks.
+/// Tiny rounds on every world size from one to four ranks: every
+/// exchanging stage streams. A k-mer budget per round on three ranks.
 #[test]
 fn round_cap_sweep_is_bit_identical() {
     check(&[
-        Row { ranks: &[1, 2, 3, 4], nets: &[Net::Shared, Net::Cori], caps: &[TINY], ..SLICE },
+        Row { ranks: &[1, 2, 3, 4], caps: &[TINY], ..SLICE },
         Row { ranks: &[3], kmers_per_round: &[512], ..SLICE },
     ]);
 }

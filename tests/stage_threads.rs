@@ -6,14 +6,14 @@
 
 mod common;
 
-use common::matrix::{check, Net, Row, KIB4, SLICE, TINY, UNBOUNDED};
+use common::matrix::{check, Row, KIB4, SLICE, TINY, UNBOUNDED};
 use dibella::align::SimdMode;
 
-/// Every stage's compute on 1, 2 and 4 threads, over shared memory and a
-/// simulated Cori, in one round and in 4 KiB rounds.
+/// Every stage's compute on 1, 2 and 4 threads, in one round and in
+/// 4 KiB rounds.
 #[test]
 fn all_stages_bit_identical_across_threads() {
-    check(&[Row { threads: &[1, 2, 4], nets: &[Net::Shared, Net::Cori], caps: &[UNBOUNDED, KIB4], ..SLICE }]);
+    check(&[Row { threads: &[1, 2, 4], caps: &[UNBOUNDED, KIB4], ..SLICE }]);
 }
 
 /// Stage 4's scalar core and lane kernel on 1, 2 and 4 threads.

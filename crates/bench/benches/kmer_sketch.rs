@@ -156,12 +156,12 @@ fn bench_hash_table(c: &mut Criterion) {
         b.iter(|| {
             let mut t = KmerHashTable::with_capacity(hits.len());
             for h in &hits {
-                t.insert_key(h.kmer);
+                t.promote(h.kmer);
             }
             for (i, h) in hits.iter().enumerate() {
                 t.record_occurrence(
                     &h.kmer,
-                    Occurrence { read: i as u32 % 64, pos: h.pos, strand: Strand::Forward },
+                    Occurrence::new(i as u32 % 64, h.pos, Strand::Forward),
                     &cfg,
                 );
             }

@@ -75,7 +75,13 @@
 //!   lets through to a table probe. The screen has no false negatives and
 //!   about 1 % false positives, so the pass share lies between the
 //!   resident share and 2 points above it (asserted here and in CI —
-//!   counts, not timings).
+//!   counts, not timings);
+//! * **footprint** (schema `/15`) — bytes per k-mer occurrence and per
+//!   shared seed (`size_of`, 8 each, asserted in CI), and the live-heap
+//!   high-water of the one-rank stage-4 reconciliation run above what was
+//!   live before it, per input base, read from the same counting
+//!   allocator. Byte counts, not timings: CI holds the ratio to within
+//!   1.1× of the committed value on any host.
 //!
 //! Perf PRs diff this file to leave a measurable trajectory; the numbers
 //! are machine-dependent, so compare ratios, not absolutes, across hosts.
@@ -89,12 +95,14 @@ use dibella_core::{run_pipeline, PipelineConfig};
 use dibella_datagen::{ecoli_30x_sample_like, simulate_reads, ErrorModel, GenomeSpec, ReadSimSpec};
 use dibella_io::ReadPartition;
 use dibella_kcount::{
-    bloom_stage_overlapping, hash_stage_prepacked, pack_supermers, KcountConfig, ReadKmerCsr,
+    bloom_stage_overlapping, hash_stage_prepacked, pack_supermers, KcountConfig, Occurrence,
+    ReadKmerCsr,
 };
 use dibella_kmer::{extract_kmers, kmer_count, minimizers, WindowIndex};
 use dibella_netmodel::op_costs;
 use dibella_overlap::{
-    chain_seeds, count_row_block, pack_row_block, ChainConfig, SeedFold, SpgemmBlockOut,
+    chain_seeds, count_row_block, pack_row_block, ChainConfig, SeedFold, SharedSeed,
+    SpgemmBlockOut,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,20 +114,44 @@ use std::time::Instant;
 
 struct CountingAlloc;
 
+/// Allocations made.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes live on the heap now, and the most that were live at once since
+/// [`reset_peak`].
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+/// Restart the high-water mark at the bytes live now; returns them.
+fn reset_peak() -> u64 {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grow(new_size - layout.size());
+        } else {
+            LIVE.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -534,7 +566,16 @@ fn main() {
     // ---- stage-4 reconciliation: pipeline cells/s vs kernel cells/s --------
     // One rank, so the stage's compute time is one thread's and not four
     // ranks' time-sliced over however many cores the host has.
-    let solo = &run_pipeline(&ds.reads, 1, &cfg).reports[0];
+    let live_before = reset_peak();
+    let solo_run = run_pipeline(&ds.reads, 1, &cfg);
+    let solo_peak_bytes = PEAK.load(Ordering::Relaxed) - live_before;
+    let solo = &solo_run.reports[0];
+    let solo_bases = ds.reads.total_bases();
+    let peak_bytes_per_base = solo_peak_bytes as f64 / solo_bases as f64;
+    eprintln!(
+        "footprint: {solo_peak_bytes} heap bytes at the one-rank run's high-water over {solo_bases} input \
+         bases ({peak_bytes_per_base:.2} per base)"
+    );
     let stage4_cells = solo.align.dp_cells;
     let stage4_s = solo.align_wall.compute().as_secs_f64();
     let stage4_rate = stage4_cells as f64 / stage4_s;
@@ -553,7 +594,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"dibella-bench-kernels/14\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {spgemm_rows_per_sec:.0}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"min\", \"pass\": \"count_row_block\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0}, \"hash_pass\": {{ \"fixture\": \"1x of {HASH_PASS_GENOME} bp, 15% error\", \"k\": {KMER_PACK_K}, \"kmers\": {swept}, \"hash_ns_per_kmer\": {hash_ns:.2}, \"roll_ns_per_kmer\": {roll_ns:.2}, \"resident_share\": {resident_share:.4}, \"screen_pass_share\": {pass_share:.4}, \"max_excess\": {SCREEN_MAX_EXCESS} }} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }}\n}}\n",
+        "{{\n  \"schema\": \"dibella-bench-kernels/15\",\n  \"pair_len\": {PAIR_LEN},\n  \"error_rate\": {ERROR_RATE},\n  \"xdrop_x\": {XDROP_X},\n  \"kernels\": {{\n{},\n{}\n  }},\n  \"simd_speedup\": {{ \"seed_xdrop\": {:.2} }},\n  \"xdrop_ns_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_cells_per_antidiagonal\": {{ \"8\": {:.1}, \"25\": {:.1}, \"60\": {:.1} }},\n  \"xdrop_fit\": {{ \"fixed_ns\": {fixed_ns:.2}, \"ns_per_cell\": {ns_per_cell:.4} }},\n  \"workspace_scratch_bytes\": {},\n  \"spgemm\": {{ \"n_rows\": {}, \"nnz\": {}, \"records\": {sp_records}, \"seeds\": {sp_seeds}, \"seed_dup_factor\": {:.3}, \"rows_per_sec\": {spgemm_rows_per_sec:.0}, \"symbolic_rows_per_sec\": {symbolic_rows_per_sec:.0} }},\n  \"overlap_fold\": {{ \"fold\": \"min\", \"pass\": \"count_row_block\", \"instances\": {fold_instances}, \"records\": {fold_records}, \"records_per_instance\": {:.3}, \"rows_per_sec\": {fold_rows_per_sec:.0} }},\n  \"chain\": {{ \"fixture\": \"colinear+noise\", \"seeds_per_sec\": {{ \"256\": {:.0}, \"8192\": {:.0} }}, \"rate_ratio_8192_over_256\": {chain_ratio:.3}, \"min_rate_ratio\": {CHAIN_MIN_RATE_RATIO} }},\n  \"kmer\": {{ \"fixture\": \"uniform {KMER_READS}x{KMER_READ_LEN}\", \"extract_kmers_per_sec\": {{ \"15\": {:.0}, \"31\": {:.0} }}, \"extract_rate_ratio_31_over_15\": {extract_ratio:.3}, \"min_rate_ratio\": {KMER_MIN_RATE_RATIO}, \"pack_k\": {KMER_PACK_K}, \"supermer_pack_kmers_per_sec\": {{ \"2\": {:.0}, \"64\": {:.0} }}, \"supermer_bytes_per_kmer\": {{ \"2\": {:.3}, \"64\": {:.3} }}, \"supermer_roll_kmers_per_sec\": {supermer_roll_rate:.0}, \"minimizer_w\": {KMER_MINIMIZER_W}, \"minimizer_windows_per_sec\": {minimizer_rate:.0}, \"hash_pass\": {{ \"fixture\": \"1x of {HASH_PASS_GENOME} bp, 15% error\", \"k\": {KMER_PACK_K}, \"kmers\": {swept}, \"hash_ns_per_kmer\": {hash_ns:.2}, \"roll_ns_per_kmer\": {roll_ns:.2}, \"resident_share\": {resident_share:.4}, \"screen_pass_share\": {pass_share:.4}, \"max_excess\": {SCREEN_MAX_EXCESS} }} }},\n  \"pipeline_4rank\": {{ \"ranks\": 4, \"tasks\": {tasks}, \"dp_cells\": {dp_cells}, \"wall_s\": {pipe_wall:.3}, \"tasks_per_sec\": {tasks_per_sec:.1} }},\n  \"stage4_reconciliation\": {{ \"ranks\": 1, \"dp_cells\": {stage4_cells}, \"compute_s\": {stage4_s:.3}, \"cells_per_sec\": {stage4_rate:.0}, \"kernel_cells_per_sec\": {:.0}, \"measured_over_predicted\": {measured_over_predicted:.2}, \"factor\": {RECONCILE_FACTOR:.1} }},\n  \"footprint\": {{ \"occurrence_bytes\": {}, \"seed_bytes\": {}, \"stage4_input_bases\": {solo_bases}, \"stage4_peak_live_bytes\": {solo_peak_bytes}, \"peak_live_bytes_per_base\": {peak_bytes_per_base:.3} }}\n}}\n",
         kernel_json("seed_xdrop_scalar", seed_scalar),
         kernel_json("seed_xdrop_simd", seed_simd),
         seed_simd.0 / seed_scalar.0,
@@ -577,6 +618,8 @@ fn main() {
         supermer_bytes_per_kmer[0],
         supermer_bytes_per_kmer[1],
         seed_simd.0,
+        std::mem::size_of::<Occurrence>(),
+        std::mem::size_of::<SharedSeed>(),
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     print!("{json}");

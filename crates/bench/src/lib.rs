@@ -118,10 +118,10 @@ pub fn spgemm_fixture(n_reads: u32, n_kmers: usize, ranks: usize, seed: u64) -> 
     for _ in 0..n_kmers {
         let ascii: Vec<u8> = (0..K).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
         let km = Kmer1::from_ascii(&ascii).expect("fixture k-mer");
-        table.insert_key(km);
+        table.promote(km);
         for _ in 0..(2 + rnd() % 7) {
             let strand = if rnd() % 2 == 0 { Strand::Forward } else { Strand::Reverse };
-            let occ = Occurrence { read: (rnd() % n_reads as u64) as u32, pos: (rnd() % 10_000) as u32, strand };
+            let occ = Occurrence::new((rnd() % n_reads as u64) as u32, (rnd() % 10_000) as u32, strand);
             // Random k-mers may collide (incl. reverse-complement hits);
             // the multiplicity cap then legitimately drops occurrences.
             let _ = table.record_occurrence(&km, occ, &kc);
@@ -154,13 +154,9 @@ pub fn chain_fixture(n: usize, seed: u64) -> Vec<SharedSeed> {
         .map(|i| {
             if rnd() % 4 != 0 {
                 let a = 16 * i + rnd() % 8;
-                SharedSeed { a_pos: a as u32, b_pos: (a + 500 + rnd() % 5) as u32, reverse: false }
+                SharedSeed::new(a as u32, (a + 500 + rnd() % 5) as u32, false)
             } else {
-                SharedSeed {
-                    a_pos: (rnd() % span) as u32,
-                    b_pos: (rnd() % span) as u32,
-                    reverse: rnd() % 2 == 0,
-                }
+                SharedSeed::new((rnd() % span) as u32, (rnd() % span) as u32, rnd() % 2 == 0)
             }
         })
         .collect();

@@ -268,7 +268,7 @@ fn align_batch(
                 .unwrap_or_else(|| panic!("read {} unavailable for alignment", task.pair.b));
             // Orientation of b, computed at most once per task, into the
             // reusable buffer.
-            if task.seeds.iter().any(|seed| seed.reverse) {
+            if task.seeds.iter().any(|seed| seed.reverse()) {
                 reverse_complement_ascii_into(b_seq, &mut rc);
             }
             // The extender stages `a` once per task and `b` once per run of
@@ -276,23 +276,23 @@ fn align_batch(
             let mut pair = SeedExtender::new(a_seq, cfg.scoring, cfg.xdrop, ws, mode);
             let mut staged: Option<bool> = None;
             for seed in &task.seeds {
-                if staged != Some(seed.reverse) {
-                    pair.set_b(if seed.reverse { &rc } else { b_seq });
-                    staged = Some(seed.reverse);
+                if staged != Some(seed.reverse()) {
+                    pair.set_b(if seed.reverse() { &rc } else { b_seq });
+                    staged = Some(seed.reverse());
                 }
-                let b_pos = if seed.reverse {
-                    b_seq.len() - k - seed.b_pos as usize
+                let b_pos = if seed.reverse() {
+                    b_seq.len() - k - seed.b_pos() as usize
                 } else {
-                    seed.b_pos as usize
+                    seed.b_pos() as usize
                 };
-                let al = pair.extend(SeedHit { a_pos: seed.a_pos as usize, b_pos, k });
+                let al = pair.extend(SeedHit { a_pos: seed.a_pos() as usize, b_pos, k });
                 counters.alignments += 1;
                 counters.dp_cells += al.cells;
                 if al.score >= cfg.min_align_score {
                     counters.accepted += 1;
                     out.push(AlignmentRecord {
                         pair: task.pair,
-                        reverse: seed.reverse,
+                        reverse: seed.reverse(),
                         score: al.score,
                         a_start: al.a_start as u32,
                         a_end: al.a_end as u32,
@@ -352,7 +352,7 @@ mod tests {
             // Every rank needs reads 0 and 5 (owners: rank 0 and rank 2).
             let tasks = vec![OverlapTask {
                 pair: ReadPair::new(0, 5),
-                seeds: vec![SharedSeed { a_pos: 0, b_pos: 0, reverse: false }],
+                seeds: vec![SharedSeed::new(0, 0, false)],
             }];
             let mut c = AlignCounters::default();
             fetch_remote_reads(comm, &mut store, &tasks, usize::MAX, &mut c);
@@ -382,7 +382,7 @@ mod tests {
         let tasks: Vec<OverlapTask> = (0..5u32)
             .map(|a| OverlapTask {
                 pair: ReadPair::new(a, a + 1),
-                seeds: vec![SharedSeed { a_pos: 0, b_pos: 0, reverse: false }],
+                seeds: vec![SharedSeed::new(0, 0, false)],
             })
             .collect();
         for cap in [usize::MAX, 100] {
@@ -439,7 +439,7 @@ mod tests {
         let cfg = PipelineConfig { k: 17, xdrop: 30, ..Default::default() };
         let tasks = vec![OverlapTask {
             pair: ReadPair::new(0, 1),
-            seeds: vec![SharedSeed { a_pos: 60, b_pos: 10, reverse: false }],
+            seeds: vec![SharedSeed::new(60, 10, false)],
         }];
         let mut c = AlignCounters::default();
         let recs = align_tasks(&store, &tasks, &cfg, &mut c, &BatchedExecutor::sequential());
@@ -475,7 +475,7 @@ mod tests {
         let cfg = PipelineConfig { k: 17, xdrop: 30, ..Default::default() };
         let tasks = vec![OverlapTask {
             pair: ReadPair::new(0, 1),
-            seeds: vec![SharedSeed { a_pos: 20, b_pos: 43, reverse: true }],
+            seeds: vec![SharedSeed::new(20, 43, true)],
         }];
         let mut c = AlignCounters::default();
         let recs = align_tasks(&store, &tasks, &cfg, &mut c, &BatchedExecutor::sequential());
@@ -512,8 +512,8 @@ mod tests {
                 tasks.push(OverlapTask {
                     pair: ReadPair::new(a, b),
                     seeds: vec![
-                        SharedSeed { a_pos: 5, b_pos: 9, reverse: false },
-                        SharedSeed { a_pos: 120, b_pos: 60, reverse: (a + b) % 2 == 0 },
+                        SharedSeed::new(5, 9, false),
+                        SharedSeed::new(120, 60, (a + b) % 2 == 0),
                     ],
                 });
             }
@@ -543,7 +543,7 @@ mod tests {
         let cfg = PipelineConfig { k: 8, min_align_score: 1_000, ..Default::default() };
         let tasks = vec![OverlapTask {
             pair: ReadPair::new(0, 1),
-            seeds: vec![SharedSeed { a_pos: 0, b_pos: 0, reverse: false }],
+            seeds: vec![SharedSeed::new(0, 0, false)],
         }];
         let mut c = AlignCounters::default();
         let recs = align_tasks(&store, &tasks, &cfg, &mut c, &BatchedExecutor::sequential());

@@ -124,7 +124,7 @@ pub fn encode_table(table: &KmerHashTable, table_keys: u64, filter: &FilterStats
         .flat_map(|(_, e)| {
             e.occurrences
                 .iter()
-                .map(|o| (o.read, o.pos, o.strand.as_u8() as u32))
+                .map(|o| (o.read(), o.pos(), o.strand().as_u8() as u32))
         })
         .collect();
 
@@ -198,6 +198,10 @@ pub fn decode_table(buf: &[u8]) -> Result<TableCheckpoint, String> {
         ));
     }
 
+    if let Some(&(_, pos, _)) = occs.iter().find(|&&(_, pos, _)| pos >= 1 << 31) {
+        return Err(format!("occurrence at position {pos} needs bit 31"));
+    }
+
     let mut table = KmerHashTable::with_capacity(metas.len());
     let mut occ_iter = occs.into_iter();
     for (word, (k, count, n_occ)) in metas {
@@ -208,11 +212,7 @@ pub fn decode_table(buf: &[u8]) -> Result<TableCheckpoint, String> {
         let occurrences = occ_iter
             .by_ref()
             .take(n_occ as usize)
-            .map(|(read, pos, strand)| Occurrence {
-                read,
-                pos,
-                strand: Strand::from_u8(strand as u8),
-            })
+            .map(|(read, pos, strand)| Occurrence::new(read, pos, Strand::from_u8(strand as u8)))
             .collect();
         table.insert_entry(kmer, KmerEntry { count, occurrences });
     }
@@ -241,7 +241,7 @@ pub fn encode_tasks(tasks: &[OverlapTask]) -> Vec<u8> {
         .collect();
     let seeds: Vec<SeedMsg> = tasks
         .iter()
-        .flat_map(|t| t.seeds.iter().map(|s| (s.a_pos, s.b_pos, s.reverse as u32)))
+        .flat_map(|t| t.seeds.iter().map(|s| (s.a_pos(), s.b_pos(), s.reverse() as u32)))
         .collect();
     let mut out = Vec::new();
     for word in [msgs.len() as u64, seeds.len() as u64, 0, 0, 0, 0] {
@@ -267,6 +267,9 @@ pub fn decode_tasks(buf: &[u8]) -> Result<Vec<OverlapTask>, String> {
     if claimed != n_seeds {
         return Err(format!("tasks claim {claimed} seeds but the payload holds {n_seeds}"));
     }
+    if let Some(&(_, b_pos, _)) = seeds.iter().find(|&&(_, b_pos, _)| b_pos >= 1 << 31) {
+        return Err(format!("seed at position {b_pos} needs bit 31"));
+    }
 
     let mut seed_iter = seeds.into_iter();
     let mut tasks = Vec::with_capacity(msgs.len());
@@ -277,11 +280,7 @@ pub fn decode_tasks(buf: &[u8]) -> Result<Vec<OverlapTask>, String> {
         let seeds: Vec<SharedSeed> = seed_iter
             .by_ref()
             .take(n as usize)
-            .map(|(a_pos, b_pos, reverse)| SharedSeed {
-                a_pos,
-                b_pos,
-                reverse: reverse != 0,
-            })
+            .map(|(a_pos, b_pos, reverse)| SharedSeed::new(a_pos, b_pos, reverse != 0))
             .collect();
         tasks.push(OverlapTask { pair: ReadPair::new(a, b), seeds });
     }
@@ -306,15 +305,11 @@ mod tests {
         let mut t = KmerHashTable::with_capacity(8);
         for (i, s) in [b"ACGTACG", b"TTTTAAA", b"GGGCCCA"].iter().enumerate() {
             let km = Kmer1::from_ascii(*s).unwrap();
-            t.insert_key(km);
+            t.promote(km);
             for j in 0..=i as u32 + 1 {
                 t.record_occurrence(
                     &km,
-                    Occurrence {
-                        read: j,
-                        pos: 3 * j + i as u32,
-                        strand: if j % 2 == 0 { Strand::Forward } else { Strand::Reverse },
-                    },
+                    Occurrence::new(j, 3 * j + i as u32, if j % 2 == 0 { Strand::Forward } else { Strand::Reverse }),
                     &cfg,
                 );
             }
@@ -371,6 +366,11 @@ mod tests {
         let entry0_nocc = 6 * 8 + 8 + 8; // counters + word + (k, count)
         lie[entry0_nocc] = lie[entry0_nocc].wrapping_add(1);
         assert!(decode_table(&lie).is_err());
+        // A position that needs the strand bit.
+        let mut far = buf.clone();
+        let occ0_pos = 6 * 8 + 3 * 20 + 4; // counters + three entries + read
+        far[occ0_pos + 3] |= 0x80;
+        assert!(decode_table(&far).unwrap_err().contains("bit 31"));
         // Retained-count mismatch.
         let mut bad_filter = buf;
         bad_filter[3 * 8] ^= 1;
@@ -382,14 +382,14 @@ mod tests {
             OverlapTask {
                 pair: ReadPair::new(0, 3),
                 seeds: vec![
-                    SharedSeed { a_pos: 5, b_pos: 40, reverse: false },
-                    SharedSeed { a_pos: 19, b_pos: 54, reverse: true },
+                    SharedSeed::new(5, 40, false),
+                    SharedSeed::new(19, 54, true),
                 ],
             },
             OverlapTask { pair: ReadPair::new(1, 2), seeds: vec![] },
             OverlapTask {
                 pair: ReadPair::new(2, 7),
-                seeds: vec![SharedSeed { a_pos: 0, b_pos: 0, reverse: false }],
+                seeds: vec![SharedSeed::new(0, 0, false)],
             },
         ]
     }
@@ -415,6 +415,11 @@ mod tests {
         let mut swap = buf.clone();
         swap[6 * 8] = 9; // task 0 becomes (9, 3)
         assert!(decode_tasks(&swap).is_err());
+        // A b_pos that needs the orientation bit.
+        let mut far = buf.clone();
+        let seed0_b_pos = 6 * 8 + 3 * 12 + 4; // counters + three tasks + a_pos
+        far[seed0_b_pos + 3] |= 0x80;
+        assert!(decode_tasks(&far).unwrap_err().contains("bit 31"));
         // Nonzero reserved header word.
         let mut reserved = buf;
         reserved[2 * 8] = 1;

@@ -32,7 +32,7 @@ use crate::config::{PipelineConfig, SeedMode};
 use crate::record::AlignmentRecord;
 use dibella_comm::{BatchedExecutor, Comm, CommStats, CommWorld};
 use dibella_io::{
-    parse_block, partition_reads, byte_ranges, CheckpointStore, ParseError, Read, ReadPartition,
+    parse_block, byte_ranges, CheckpointStore, ParseError, Read, ReadPartition,
     ReadSet, ReadStore,
 };
 use dibella_kcount::{
@@ -201,10 +201,10 @@ impl PipelineResult {
 /// SPMD pipeline body: run all four stages for one rank.
 ///
 /// `local` must be exactly the reads of `part.range_of(comm.rank())`, in
-/// ID order.
+/// ID order. The rank borrows them for the whole run: nothing is copied.
 pub fn pipeline_rank(
     comm: &Comm,
-    local: Vec<Read>,
+    local: &[Read],
     part: &ReadPartition,
     cfg: &PipelineConfig,
 ) -> (Vec<AlignmentRecord>, RankReport) {
@@ -294,14 +294,14 @@ pub fn pipeline_rank(
                 // owner-run records it received stay with this rank for
                 // the hash pass to sweep.
                 let ((bloom_out, retained), bloom_comm, bloom_wall) =
-                    timed(comm, || bloom_stage_overlapping(comm, &local, &kc, &exec));
+                    timed(comm, || bloom_stage_overlapping(comm, local, &kc, &exec));
                 let mut table = bloom_out.table;
                 report.bloom = bloom_out.counters;
                 (report.bloom_comm, report.bloom_wall) = (bloom_comm, bloom_wall);
                 report.bloom_bytes = bloom_out.bloom_bytes as u64;
                 report.table_keys = table.len() as u64;
                 let (hash_out, hash_comm, hash_wall) = timed(comm, || {
-                    hash_stage_prepacked(comm, &local, &mut table, &kc, &exec, Some(retained))
+                    hash_stage_prepacked(comm, local, &mut table, &kc, &exec, Some(retained))
                 });
                 (report.hash, report.filter) = (hash_out.counters, hash_out.filter);
                 (report.hash_comm, report.hash_wall) = (hash_comm, hash_wall);
@@ -309,7 +309,7 @@ pub fn pipeline_rank(
             }
             SeedMode::Minimizer => {
                 let (mo, hash_comm, hash_wall) =
-                    timed(comm, || minimizer_stage(comm, &local, cfg.minimizer_w, &kc, &exec));
+                    timed(comm, || minimizer_stage(comm, local, cfg.minimizer_w, &kc, &exec));
                 report.table_keys = mo.counters.promoted_keys;
                 (report.hash, report.filter) = (mo.counters, mo.filter);
                 (report.hash_comm, report.hash_wall) = (hash_comm, hash_wall);
@@ -413,15 +413,14 @@ fn merge(results: Vec<(Vec<AlignmentRecord>, RankReport)>) -> PipelineResult {
 
 /// Run the full pipeline on `p` ranks over an in-memory read set (IDs must
 /// be dense input-order, as produced by the loaders in `dibella-io`).
+///
+/// The input is held once: each rank borrows its size-balanced slice of
+/// `reads` for the whole run.
 pub fn run_pipeline(reads: &ReadSet, p: usize, cfg: &PipelineConfig) -> PipelineResult {
-    let (part, chunks) = partition_reads(reads, p);
+    let lengths: Vec<usize> = reads.iter().map(Read::len).collect();
+    let part = ReadPartition::balance_by_size(&lengths, p);
     let results = CommWorld::run_with(p, &cfg.transport, |comm| {
-        pipeline_rank(
-            comm,
-            chunks[comm.rank()].clone().into_reads(),
-            &part,
-            cfg,
-        )
+        pipeline_rank(comm, part.slice(comm.rank(), reads.reads()), &part, cfg)
     });
     merge(results)
 }
@@ -457,7 +456,7 @@ pub fn run_pipeline_fastq(
         }
         let counts = comm.allgather(local.len());
         let part = ReadPartition::from_counts(&counts);
-        Ok(Some(pipeline_rank(comm, local, &part, cfg)))
+        Ok(Some(pipeline_rank(comm, &local, &part, cfg)))
     });
     let results: Vec<_> = results.into_iter().collect::<Result<_, _>>()?;
     Ok(merge(results.into_iter().flatten().collect()))
@@ -827,5 +826,50 @@ mod tests {
                 "P={p} diverges from serial"
             );
         }
+    }
+
+    /// The table and task checkpoint payloads of a fixed toy run, pinned
+    /// byte for byte (length and FNV-1a per rank): occurrences and seeds
+    /// may change their in-memory layout, the encodings they are written
+    /// in may not.
+    #[test]
+    fn checkpoint_payloads_are_pinned() {
+        // Every third read reverse-complemented, so both strands and
+        // reverse seeds reach the payloads.
+        let reads: ReadSet = dataset(12, 150, 50, 21)
+            .into_reads()
+            .into_iter()
+            .map(|mut r| {
+                if r.id % 3 == 1 {
+                    r.seq = dibella_kmer::base::reverse_complement_ascii(&r.seq);
+                }
+                r
+            })
+            .collect();
+        let dir = ckpt_dir("golden");
+        let cfg = PipelineConfig { checkpoint_dir: Some(dir.clone()), ..small_cfg() };
+        let p = 2;
+        let res = run_pipeline(&reads, p, &cfg);
+        assert!(res.alignments.iter().any(|a| a.reverse), "no reverse seed in the fixture");
+        let fingerprint = run_fingerprint(&cfg, reads.len() as u64, reads.total_bases());
+        let store = CheckpointStore::new(&dir, p, fingerprint).unwrap();
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3))
+        };
+        let mut got = Vec::new();
+        for stage in [crate::checkpoint::TABLE_STAGE, crate::checkpoint::TASKS_STAGE] {
+            for rank in 0..p {
+                let payload = store.load(stage, rank).unwrap().unwrap();
+                got.push((payload.len(), fnv(&payload)));
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        let pinned = [
+            (15_268, 0xABE6_6653_4F66_32DC),
+            (15_588, 0x3E1D_E4AC_5EF0_5EC1),
+            (1_008, 0xF662_99DA_A325_AB95),
+            (1_008, 0x5DF8_4CDF_4844_D587),
+        ];
+        assert_eq!(got, pinned, "(len, FNV-1a) of table r0, r1 and tasks r0, r1");
     }
 }

@@ -8,15 +8,20 @@
 
 use crate::partition::ReadPartition;
 use crate::read::{Read, ReadId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Per-rank view of the distributed read set.
+///
+/// The owned reads are borrowed from the caller when it holds them
+/// already (an in-memory run slices one input for every rank, so no rank
+/// copies its share) or owned when the rank parsed them itself.
 #[derive(Clone, Debug)]
-pub struct ReadStore {
+pub struct ReadStore<'a> {
     rank: usize,
     partition: ReadPartition,
     /// Reads owned by this rank, indexed by `id - first_local_id`.
-    local: Vec<Read>,
+    local: Cow<'a, [Read]>,
     /// Remote read bytes replicated here for alignment, packed into one
     /// per-rank arena (one allocation pool instead of one `Vec` per
     /// fetched read — the alignment stage installs thousands of remote
@@ -26,14 +31,16 @@ pub struct ReadStore {
     replicated: HashMap<ReadId, (usize, usize)>,
 }
 
-impl ReadStore {
+impl<'a> ReadStore<'a> {
     /// Build the store for `rank` given the global partition and this
     /// rank's owned reads (must be exactly the partition's ID range, in
-    /// order).
+    /// order): a borrowed slice (`&[Read]`, nothing is copied) or a
+    /// `Vec<Read>` the store takes over.
     ///
     /// # Panics
     /// Panics if `local` disagrees with the partition's range for `rank`.
-    pub fn new(rank: usize, partition: ReadPartition, local: Vec<Read>) -> Self {
+    pub fn new(rank: usize, partition: ReadPartition, local: impl Into<Cow<'a, [Read]>>) -> Self {
+        let local = local.into();
         let range = partition.range_of(rank);
         assert_eq!(
             local.len(),
@@ -160,7 +167,7 @@ mod tests {
             .collect()
     }
 
-    fn build_stores(n: usize, p: usize) -> Vec<ReadStore> {
+    fn build_stores(n: usize, p: usize) -> Vec<ReadStore<'static>> {
         let set = sample_set(n);
         let (part, chunks) = partition_reads(&set, p);
         chunks
@@ -179,6 +186,29 @@ mod tests {
                 assert_eq!(store.local_seq(read.id).unwrap(), read.seq.as_slice());
                 assert_eq!(store.seq(read.id).unwrap(), read.seq.as_slice());
             }
+        }
+    }
+
+    #[test]
+    fn a_borrowed_store_points_into_the_callers_reads() {
+        let set = sample_set(20);
+        let lengths: Vec<usize> = set.iter().map(Read::len).collect();
+        let part = ReadPartition::balance_by_size(&lengths, 3);
+        for rank in 0..3 {
+            let mine = part.slice(rank, set.reads());
+            let store = ReadStore::new(rank, part.clone(), mine);
+            assert_eq!(store.n_local(), mine.len());
+            for read in mine {
+                assert!(std::ptr::eq(store.seq(read.id).unwrap(), read.seq.as_slice()), "read {} copied", read.id);
+            }
+        }
+        // A `Vec<Read>` still builds a store; that store owns its copy.
+        let copy = part.slice(1, set.reads()).to_vec();
+        let owned = ReadStore::new(1, part.clone(), copy);
+        for read in part.slice(1, set.reads()) {
+            let seq = owned.seq(read.id).unwrap();
+            assert_eq!(seq, read.seq.as_slice());
+            assert!(!std::ptr::eq(seq, read.seq.as_slice()));
         }
     }
 

@@ -53,7 +53,7 @@ pub struct ReadKmerCsr<'t> {
 fn for_each_entry(cols: &[&[Occurrence]], seen: &mut [u32], mut f: impl FnMut(usize, u32)) {
     for (c, occs) in (0u32..).zip(cols) {
         for occ in occs.iter() {
-            let read = occ.read as usize;
+            let read = occ.read() as usize;
             if seen[read] != c + 1 {
                 seen[read] = c + 1;
                 f(read, c);
@@ -78,7 +78,7 @@ impl<'t> ReadKmerCsr<'t> {
         let n_ids = cols
             .iter()
             .flat_map(|occs| occs.iter())
-            .map(|o| o.read as usize + 1)
+            .map(|o| o.read() as usize + 1)
             .max()
             .unwrap_or(0);
         let mut seen = vec![0u32; n_ids];
@@ -165,7 +165,7 @@ mod tests {
     }
 
     fn occ(read: ReadId, pos: u32, strand: Strand) -> Occurrence {
-        Occurrence { read, pos, strand }
+        Occurrence::new(read, pos, strand)
     }
 
     fn table_with(entries: &[(&[u8], Vec<Occurrence>)]) -> KmerHashTable {
@@ -173,7 +173,7 @@ mod tests {
         let mut t = KmerHashTable::with_capacity(entries.len());
         for (s, occs) in entries {
             let km = Kmer1::from_ascii(s).unwrap();
-            t.insert_key(km);
+            t.promote(km);
             for o in occs {
                 assert!(t.record_occurrence(&km, *o, &c));
             }
@@ -213,7 +213,7 @@ mod tests {
             let row = csr.row(r);
             assert!(row.windows(2).all(|w| w[0] < w[1]), "row {read} unsorted");
             for &c in row {
-                let own = csr.col(c).iter().filter(|o| o.read == read).count();
+                let own = csr.col(c).iter().filter(|o| o.read() == read).count();
                 assert!(own > 0, "row {read} names column {c} without an occurrence");
                 seen += own;
             }
@@ -243,7 +243,7 @@ mod tests {
         assert_eq!(csr.nnz(), 2);
         assert_eq!(csr.col(0).len(), 3);
         assert_eq!(
-            csr.col(0).iter().filter(|o| o.read == 2).count(),
+            csr.col(0).iter().filter(|o| o.read() == 2).count(),
             2,
             "both of read 2's entries"
         );

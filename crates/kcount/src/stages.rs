@@ -368,10 +368,9 @@ pub fn bloom_stage_overlapping(
         let at = Arrival { pass: "Bloom", rank, round, source };
         received += roll_buffer(at, buf, cfg.k, |_, hit| {
             debug_assert_eq!(supermer::owner(&hit.kmer, p), rank, "misrouted k-mer");
-            if bloom.insert(hit.kmer.hash64()) && !table.contains(&hit.kmer) {
-                // Second (apparent) sighting → promote to hash table.
+            // Second (apparent) sighting → promote to hash table.
+            if bloom.insert(hit.kmer.hash64()) && table.promote(hit.kmer) {
                 promoted += 1;
-                table.insert_key(hit.kmer);
             }
         });
     });
@@ -444,7 +443,7 @@ pub fn hash_stage_prepacked(
                 return;
             }
             passes += 1;
-            let occ = Occurrence { read, pos: hit.pos, strand: hit.strand };
+            let occ = Occurrence::new(read, hit.pos, hit.strand);
             if table.record_occurrence(&hit.kmer, occ, cfg) {
                 recorded += 1;
             }
@@ -548,11 +547,7 @@ pub fn minimizer_stage(
                     received += 1;
                     let kmer = Kmer1::from_words([word], cfg.k as u16);
                     debug_assert_eq!(kmer.owner(p), comm.rank(), "misrouted minimizer");
-                    let occ = Occurrence {
-                        read: rid,
-                        pos,
-                        strand: Strand::from_u8(strand as u8),
-                    };
+                    let occ = Occurrence::new(rid, pos, Strand::from_u8(strand as u8));
                     if table.record_or_insert(kmer, occ, cfg) {
                         promoted += 1;
                     }
@@ -670,11 +665,7 @@ mod tests {
         let mut all: BTreeMap<Kmer1, Vec<Occurrence>> = BTreeMap::new();
         for r in reads {
             for h in KmerIter::<1>::new(&r.seq, k) {
-                all.entry(h.kmer).or_default().push(Occurrence {
-                    read: r.id,
-                    pos: h.pos,
-                    strand: h.strand,
-                });
+                all.entry(h.kmer).or_default().push(Occurrence::new(r.id, h.pos, h.strand));
             }
         }
         all.retain(|_, occs| (2..=m as usize).contains(&occs.len()));
@@ -698,7 +689,7 @@ mod tests {
                     let mut merged = BTreeMap::new();
                     for (entries, _, _) in run_for_identity(&reads, p, &cfg, threads, false) {
                         for (kmer, mut occs) in entries {
-                            occs.sort_unstable_by_key(|o| (o.read, o.pos));
+                            occs.sort_unstable_by_key(|o| (o.read(), o.pos()));
                             assert!(merged.insert(kmer, occs).is_none(), "key on two ranks");
                         }
                     }
@@ -716,11 +707,11 @@ mod tests {
         assert!(!dist.is_empty());
         for (kmer, occs) in &dist {
             for o in occs {
-                let read = &reads.reads()[o.read as usize];
-                let window = &read.seq[o.pos as usize..o.pos as usize + 7];
+                let read = &reads.reads()[o.read() as usize];
+                let window = &read.seq[o.pos() as usize..o.pos() as usize + 7];
                 let (canon, strand) = Kmer1::from_ascii(window).unwrap().canonical();
                 assert_eq!(&canon, kmer, "occurrence does not spell the k-mer");
-                assert_eq!(strand, o.strand);
+                assert_eq!(strand, o.strand());
             }
         }
     }
@@ -1019,11 +1010,7 @@ mod tests {
         let mut all: HashMap<Kmer1, Vec<Occurrence>> = HashMap::new();
         for r in reads {
             for h in dibella_kmer::minimizers(&r.seq, k, w) {
-                all.entry(h.kmer).or_default().push(Occurrence {
-                    read: r.id,
-                    pos: h.pos,
-                    strand: h.strand,
-                });
+                all.entry(h.kmer).or_default().push(Occurrence::new(r.id, h.pos, h.strand));
             }
         }
         all.retain(|_, occs| (2..=m as usize).contains(&occs.len()));
@@ -1074,7 +1061,7 @@ mod tests {
             for (kmer, occs) in &merged {
                 let mut want = reference.get(kmer).cloned().unwrap_or_default();
                 let mut got = occs.clone();
-                let sort_key = |o: &Occurrence| (o.read, o.pos);
+                let sort_key = |o: &Occurrence| (o.read(), o.pos());
                 want.sort_unstable_by_key(sort_key);
                 got.sort_unstable_by_key(sort_key);
                 assert_eq!(got, want, "p={p} kmer={kmer}");
@@ -1107,7 +1094,7 @@ mod tests {
                     e.iter()
                         .map(|(k, occs)| {
                             let mut occs = occs.clone();
-                            occs.sort_unstable_by_key(|o| (o.read, o.pos));
+                            occs.sort_unstable_by_key(|o| (o.read(), o.pos()));
                             (*k, occs)
                         })
                         .collect::<Vec<_>>()
@@ -1175,7 +1162,7 @@ mod tests {
             let h = hash_stage_prepacked(comm, local, &mut table, &cfg, &exec, Some(retained));
             let mut entries: BTreeMap<Kmer1, Vec<Occurrence>> =
                 table.iter().map(|(key, e)| (*key, e.occurrences.clone())).collect();
-            entries.values_mut().for_each(|occs| occs.sort_unstable_by_key(|o| (o.read, o.pos)));
+            entries.values_mut().for_each(|occs| occs.sort_unstable_by_key(|o| (o.read(), o.pos())));
             (resident, h.counters, entries)
         });
         let mut swept = 0u64;
@@ -1185,7 +1172,7 @@ mod tests {
             for r in &reads {
                 for hit in KmerIter::<1>::new(&r.seq, k) {
                     if let Some(occs) = brute.get_mut(&hit.kmer) {
-                        occs.push(Occurrence { read: r.id, pos: hit.pos, strand: hit.strand });
+                        occs.push(Occurrence::new(r.id, hit.pos, hit.strand));
                     }
                 }
             }

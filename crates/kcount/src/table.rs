@@ -10,18 +10,64 @@
 use crate::config::KcountConfig;
 use dibella_io::ReadId;
 use dibella_kmer::{Kmer1, Strand};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// One observed k-mer instance: where it occurred.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One observed k-mer instance: where it occurred, in 8 bytes.
+///
+/// The read ID fills one word and `pos << 1 | strand` the other, the
+/// strand bit being [`Strand::as_u8`]: orientation rides in a position
+/// bit, as in the overlap stage's seeds and pair records, so a position
+/// must be below 2³¹.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Occurrence {
+    read: ReadId,
+    pos_strand: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Occurrence>() == 8);
+
+impl Occurrence {
+    /// The instance of a canonical k-mer at offset `pos` of read `read`,
+    /// observed on `strand`.
+    ///
+    /// # Panics
+    /// Panics if `pos ≥ 2³¹`: the position word keeps the strand in bit 0.
+    #[inline]
+    pub fn new(read: ReadId, pos: u32, strand: Strand) -> Self {
+        assert!(pos < 1 << 31, "position {pos} needs bit 31: reads must be shorter than 2^31 bases");
+        Self { read, pos_strand: pos << 1 | strand.as_u8() as u32 }
+    }
+
     /// Read in which the (canonical) k-mer appeared.
-    pub read: ReadId,
+    #[inline]
+    pub fn read(self) -> ReadId {
+        self.read
+    }
+
     /// Offset of the k-mer within the read.
-    pub pos: u32,
+    #[inline]
+    pub fn pos(self) -> u32 {
+        self.pos_strand >> 1
+    }
+
     /// Strand on which the canonical form was observed.
-    pub strand: Strand,
+    #[inline]
+    pub fn strand(self) -> Strand {
+        Strand::from_u8((self.pos_strand & 1) as u8)
+    }
+}
+
+impl fmt::Debug for Occurrence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Occurrence")
+            .field("read", &self.read())
+            .field("pos", &self.pos())
+            .field("strand", &self.strand())
+            .finish()
+    }
 }
 
 /// Value stored per k-mer key.
@@ -151,10 +197,17 @@ impl KmerHashTable {
         self.map.is_empty()
     }
 
-    /// Insert a key with an empty occurrence list (Bloom-pass promotion).
-    /// Idempotent.
-    pub fn insert_key(&mut self, kmer: Kmer1) {
-        self.map.entry(kmer).or_default();
+    /// Bloom-pass promotion: make `kmer` resident with an empty occurrence
+    /// list unless it is already. One table probe either way; `true` if
+    /// the key was newly inserted.
+    pub fn promote(&mut self, kmer: Kmer1) -> bool {
+        match self.map.entry(kmer) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(v) => {
+                v.insert(KmerEntry::default());
+                true
+            }
+        }
     }
 
     /// Whether `kmer` is resident.
@@ -189,7 +242,6 @@ impl KmerHashTable {
     /// if the key was newly created. The occurrence list obeys the same
     /// `m + 1` cap as [`Self::record_occurrence`].
     pub fn record_or_insert(&mut self, kmer: Kmer1, occ: Occurrence, cfg: &KcountConfig) -> bool {
-        use std::collections::hash_map::Entry;
         let (created, entry) = match self.map.entry(kmer) {
             Entry::Occupied(e) => (false, e.into_mut()),
             Entry::Vacant(v) => (true, v.insert(KmerEntry::default())),
@@ -241,16 +293,22 @@ impl KmerHashTable {
         self.map.insert(kmer, entry);
     }
 
-    /// Approximate resident bytes (keys + entries + occurrence lists) —
-    /// the per-rank working set fed to the cache model.
+    /// The table's real footprint: the bytes its allocations hold, the
+    /// hash buckets (one `(key, entry)` slot and one control byte each)
+    /// and every occurrence list's allocated capacity, not just the
+    /// entries in use. This is the per-rank working set fed to the cache
+    /// model. The bucket count is recovered from the map's capacity under
+    /// the standard map's 7/8 maximum load.
     pub fn memory_bytes(&self) -> u64 {
-        let fixed = std::mem::size_of::<(Kmer1, KmerEntry)>() as u64;
-        let occs: u64 = self
+        let cap = self.map.capacity();
+        let buckets = if cap == 0 { 0 } else { (cap * 8 / 7).next_power_of_two() };
+        let slot = std::mem::size_of::<(Kmer1, KmerEntry)>() + 1;
+        let occs: usize = self
             .map
             .values()
-            .map(|e| (e.occurrences.len() * std::mem::size_of::<Occurrence>()) as u64)
+            .map(|e| e.occurrences.capacity() * std::mem::size_of::<Occurrence>())
             .sum();
-        self.map.len() as u64 * fixed + occs
+        (buckets * slot + occs) as u64
     }
 }
 
@@ -275,7 +333,7 @@ mod tests {
     }
 
     fn occ(read: ReadId, pos: u32) -> Occurrence {
-        Occurrence { read, pos, strand: Strand::Forward }
+        Occurrence::new(read, pos, Strand::Forward)
     }
 
     #[test]
@@ -283,16 +341,16 @@ mod tests {
         let mut t = KmerHashTable::with_capacity(8);
         let c = cfg(4);
         assert!(!t.record_occurrence(&km(b"ACGTA"), occ(0, 0), &c));
-        t.insert_key(km(b"ACGTA"));
+        assert!(t.promote(km(b"ACGTA")));
         assert!(t.record_occurrence(&km(b"ACGTA"), occ(0, 0), &c));
         assert_eq!(t.len(), 1);
     }
 
     #[test]
-    fn insert_key_idempotent() {
+    fn promote_is_idempotent() {
         let mut t = KmerHashTable::with_capacity(8);
-        t.insert_key(km(b"ACGTA"));
-        t.insert_key(km(b"ACGTA"));
+        assert!(t.promote(km(b"ACGTA")), "first promotion inserts");
+        assert!(!t.promote(km(b"ACGTA")), "second finds it resident");
         assert_eq!(t.len(), 1);
     }
 
@@ -301,20 +359,20 @@ mod tests {
         let mut t = KmerHashTable::with_capacity(8);
         let c = cfg(3);
         // Singleton (bloom false positive scenario).
-        t.insert_key(km(b"AAAAA"));
+        t.promote(km(b"AAAAA"));
         t.record_occurrence(&km(b"AAAAA"), occ(0, 0), &c);
         // Reliable: 3 occurrences.
-        t.insert_key(km(b"CCCCC"));
+        t.promote(km(b"CCCCC"));
         for i in 0..3 {
             t.record_occurrence(&km(b"CCCCC"), occ(i, i), &c);
         }
         // Repeat: 6 occurrences > m = 3.
-        t.insert_key(km(b"GGGGG"));
+        t.promote(km(b"GGGGG"));
         for i in 0..6 {
             t.record_occurrence(&km(b"GGGGG"), occ(i, i), &c);
         }
         // Key that never saw an occurrence (pure FP promotion).
-        t.insert_key(km(b"TTTTT"));
+        t.promote(km(b"TTTTT"));
 
         let stats = t.retain_reliable(3);
         assert_eq!(stats.singletons_removed, 2);
@@ -346,7 +404,7 @@ mod tests {
     fn occurrence_list_is_capped() {
         let mut t = KmerHashTable::with_capacity(4);
         let c = cfg(3);
-        t.insert_key(km(b"ACGTA"));
+        t.promote(km(b"ACGTA"));
         for i in 0..100 {
             t.record_occurrence(&km(b"ACGTA"), occ(i, 0), &c);
         }
@@ -370,7 +428,7 @@ mod tests {
         assert!((0..10_000).all(|_| !empty.admits(random_key().hash64())));
         let mut t = KmerHashTable::with_capacity(1 << 16);
         while t.len() < 1 << 16 {
-            t.insert_key(random_key());
+            t.promote(random_key());
         }
         let screen = t.screen();
         assert!(t.iter().all(|(key, _)| screen.admits(key.hash64())), "a false negative");
@@ -381,14 +439,35 @@ mod tests {
 
     #[test]
     fn memory_accounting_monotone() {
-        let mut t = KmerHashTable::with_capacity(4);
+        // Allocations are counted, not entries: an empty table holds none,
+        // a first key allocates buckets, a first occurrence a list.
+        let mut t = KmerHashTable::default();
         let c = cfg(8);
         let m0 = t.memory_bytes();
-        t.insert_key(km(b"ACGTA"));
+        t.promote(km(b"ACGTA"));
         let m1 = t.memory_bytes();
         t.record_occurrence(&km(b"ACGTA"), occ(0, 0), &c);
         t.record_occurrence(&km(b"ACGTA"), occ(1, 0), &c);
         let m2 = t.memory_bytes();
-        assert!(m0 < m1 && m1 < m2);
+        assert!(m0 == 0 && m0 < m1 && m1 < m2);
+        let list = t.iter().next().unwrap().1.occurrences.capacity();
+        assert!(list > 2, "the list holds more than it uses");
+        assert_eq!(m2 - m1, 8 * list as u64);
+    }
+
+    #[test]
+    fn occurrence_packs_strand_into_the_position_word() {
+        let top = (1 << 31) - 1;
+        for (read, pos, strand) in [(0, 0, Strand::Forward), (7, top, Strand::Reverse), (u32::MAX, 5, Strand::Reverse)] {
+            let o = Occurrence::new(read, pos, strand);
+            assert_eq!((o.read(), o.pos(), o.strand()), (read, pos, strand));
+        }
+        assert_ne!(Occurrence::new(1, 2, Strand::Forward), Occurrence::new(1, 2, Strand::Reverse));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs bit 31")]
+    fn occurrence_position_needing_bit_31_is_refused() {
+        let _ = Occurrence::new(0, 1 << 31, Strand::Forward);
     }
 }

@@ -3,7 +3,7 @@
 //! `ReadKmerCsr::from_table` returns the view may hold no more than
 //! `4 B × distinct (read, k-mer) + 16 B × columns + O(rows + max read id)`
 //! — columns borrowed from the table, each row naming a column once. A
-//! view that copies occurrences (12 B each, once per column and once per
+//! view that copies occurrences (8 B each, once per column and once per
 //! row) holds several times that on a table whose k-mers occur a handful
 //! of times each.
 //!
@@ -72,21 +72,16 @@ fn table(n_reads: u32, n_kmers: usize) -> KmerHashTable {
     while t.len() < n_kmers {
         let ascii: Vec<u8> = (0..17).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
         let km = Kmer1::from_ascii(&ascii).expect("17-mer");
-        if t.contains(&km) {
+        if !t.promote(km) {
             continue;
         }
-        t.insert_key(km);
         for _ in 0..2 + rnd() % 8 {
             let strand = if rnd() % 2 == 0 {
                 Strand::Forward
             } else {
                 Strand::Reverse
             };
-            let occ = Occurrence {
-                read: (rnd() % n_reads as u64) as u32,
-                pos: (rnd() % 10_000) as u32,
-                strand,
-            };
+            let occ = Occurrence::new((rnd() % n_reads as u64) as u32, (rnd() % 10_000) as u32, strand);
             assert!(t.record_occurrence(&km, occ, &kc));
         }
     }
@@ -102,14 +97,14 @@ fn csr_keeps_a_column_per_row_entry_and_borrows_the_occurrences() {
         .map(|(_, e)| {
             e.occurrences
                 .iter()
-                .map(|o| o.read)
+                .map(|o| o.read())
                 .collect::<HashSet<_>>()
                 .len()
         })
         .sum();
     let reads: HashSet<u32> = t
         .iter()
-        .flat_map(|(_, e)| e.occurrences.iter().map(|o| o.read))
+        .flat_map(|(_, e)| e.occurrences.iter().map(|o| o.read()))
         .collect();
     let max_read = *reads.iter().max().expect("reads") as u64;
     assert!(

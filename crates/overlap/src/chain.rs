@@ -80,7 +80,7 @@ pub fn chain_seeds(seeds: &mut Vec<SharedSeed>, cfg: &ChainConfig) -> bool {
 /// seeds of one orientation. Returned in ascending `a_pos` order.
 fn best_chain(seeds: &[SharedSeed], reverse: bool) -> Vec<SharedSeed> {
     let subset: Vec<SharedSeed> =
-        seeds.iter().copied().filter(|s| s.reverse == reverse).collect();
+        seeds.iter().copied().filter(|s| s.reverse() == reverse).collect();
     let n = subset.len();
     if n == 0 {
         return Vec::new();
@@ -88,7 +88,7 @@ fn best_chain(seeds: &[SharedSeed], reverse: bool) -> Vec<SharedSeed> {
     assert!(n <= u32::MAX as usize, "seed index must fit the packed tree entry");
 
     // Dense b-ranks, 1-based for the tree; mirrored when `b` must fall.
-    let mut bs: Vec<u32> = subset.iter().map(|s| s.b_pos).collect();
+    let mut bs: Vec<u32> = subset.iter().map(|s| s.b_pos()).collect();
     bs.sort_unstable();
     bs.dedup();
     let ranks = bs.len();
@@ -110,11 +110,11 @@ fn best_chain(seeds: &[SharedSeed], reverse: bool) -> Vec<SharedSeed> {
     let mut rank = vec![0usize; n];
     let mut lo = 0usize;
     while lo < n {
-        let hi = lo + subset[lo..].partition_point(|s| s.a_pos == subset[lo].a_pos);
+        let hi = lo + subset[lo..].partition_point(|s| s.a_pos() == subset[lo].a_pos());
         // Query the whole equal-`a_pos` group against strictly smaller
         // `a_pos` only...
         for i in lo..hi {
-            rank[i] = rank_of(subset[i].b_pos);
+            rank[i] = rank_of(subset[i].b_pos());
             let mut best = 0u64;
             let mut r = rank[i] - 1; // strictly smaller rank
             while r > 0 {
@@ -168,7 +168,7 @@ mod tests {
     use super::*;
 
     fn seed(a: u32, b: u32, rev: bool) -> SharedSeed {
-        SharedSeed { a_pos: a, b_pos: b, reverse: rev }
+        SharedSeed::new(a, b, rev)
     }
 
     /// The quadratic all-predecessors program [`best_chain`] replaced,
@@ -176,7 +176,7 @@ mod tests {
     /// predecessor is the earliest maximal one.
     fn best_chain_quadratic(seeds: &[SharedSeed], reverse: bool) -> Vec<SharedSeed> {
         let subset: Vec<SharedSeed> =
-            seeds.iter().copied().filter(|s| s.reverse == reverse).collect();
+            seeds.iter().copied().filter(|s| s.reverse() == reverse).collect();
         let n = subset.len();
         if n == 0 {
             return Vec::new();
@@ -185,11 +185,11 @@ mod tests {
         let mut pred = vec![usize::MAX; n];
         for i in 1..n {
             for j in 0..i {
-                let colinear = subset[j].a_pos < subset[i].a_pos
+                let colinear = subset[j].a_pos() < subset[i].a_pos()
                     && if reverse {
-                        subset[j].b_pos > subset[i].b_pos
+                        subset[j].b_pos() > subset[i].b_pos()
                     } else {
-                        subset[j].b_pos < subset[i].b_pos
+                        subset[j].b_pos() < subset[i].b_pos()
                     };
                 if colinear && len[j] + 1 > len[i] {
                     len[i] = len[j] + 1;
@@ -250,7 +250,7 @@ mod tests {
     fn equal_length_tie_keeps_forward() {
         let seeds = vec![seed(10, 110, false), seed(40, 140, false), seed(20, 180, true), seed(60, 120, true)];
         let got = chained(seeds, 2).unwrap();
-        assert!(got.iter().all(|s| !s.reverse));
+        assert!(got.iter().all(|s| !s.reverse()));
     }
 
     #[test]
@@ -282,7 +282,7 @@ mod tests {
             seed(40, 140, false),
         ];
         let got = chained(seeds, 2).unwrap();
-        assert!(got.windows(2).all(|w| w[0].a_pos < w[1].a_pos));
+        assert!(got.windows(2).all(|w| w[0].a_pos() < w[1].a_pos()));
     }
 
     /// 3 000 tie-dense inputs: coordinates come from a range smaller than

@@ -37,7 +37,7 @@ impl SeedPolicy {
     /// required distance beyond the last kept seed, up to
     /// `max_seeds_per_pair`. Returns the number of dropped seeds.
     pub fn apply(&self, seeds: &mut Vec<SharedSeed>, max_seeds_per_pair: usize) -> usize {
-        debug_assert!(seeds.windows(2).all(|w| w[0].a_pos <= w[1].a_pos));
+        debug_assert!(seeds.windows(2).all(|w| w[0].a_pos() <= w[1].a_pos()));
         let before = seeds.len();
         match self {
             SeedPolicy::Single => seeds.truncate(1),
@@ -54,15 +54,15 @@ impl SeedPolicy {
                     // run (a simple, deterministic approximation of
                     // BELLA's chaining).
                     let far_enough = match (last_a, last_rev) {
-                        (Some(a), Some(rev)) if rev == s.reverse => {
-                            s.a_pos >= a.saturating_add(*d)
+                        (Some(a), Some(rev)) if rev == s.reverse() => {
+                            s.a_pos() >= a.saturating_add(*d)
                         }
                         _ => true,
                     };
                     if far_enough {
                         kept += 1;
-                        last_a = Some(s.a_pos);
-                        last_rev = Some(s.reverse);
+                        last_a = Some(s.a_pos());
+                        last_rev = Some(s.reverse());
                         true
                     } else {
                         false
@@ -134,7 +134,7 @@ mod tests {
     use super::*;
 
     fn seed(a: u32, rev: bool) -> SharedSeed {
-        SharedSeed { a_pos: a, b_pos: a, reverse: rev }
+        SharedSeed::new(a, a, rev)
     }
 
     #[test]
@@ -156,7 +156,7 @@ mod tests {
         ];
         SeedPolicy::MinDistance(1000).apply(&mut seeds, 100);
         assert_eq!(
-            seeds.iter().map(|s| s.a_pos).collect::<Vec<_>>(),
+            seeds.iter().map(|s| s.a_pos()).collect::<Vec<_>>(),
             vec![0, 1001, 2500]
         );
     }
@@ -203,7 +203,7 @@ mod tests {
         let dropped = SeedPolicy::MinDistance(1000).apply(&mut seeds, 4);
         assert_eq!(dropped, 6);
         assert_eq!(
-            seeds.iter().map(|s| (s.a_pos, s.reverse)).collect::<Vec<_>>(),
+            seeds.iter().map(|s| (s.a_pos(), s.reverse())).collect::<Vec<_>>(),
             vec![(0, false), (1, true), (2, false), (3, true)],
             "cap must keep the first four in a_pos order, orientations intact"
         );
@@ -218,7 +218,7 @@ mod tests {
         let mut seeds: Vec<SharedSeed> = (0..20).map(|i| seed(i * 500, false)).collect();
         let dropped = SeedPolicy::MinDistance(1000).apply(&mut seeds, 3);
         assert_eq!(
-            seeds.iter().map(|s| s.a_pos).collect::<Vec<_>>(),
+            seeds.iter().map(|s| s.a_pos()).collect::<Vec<_>>(),
             vec![0, 1000, 2000]
         );
         assert_eq!(dropped, 17);

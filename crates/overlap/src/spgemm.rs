@@ -29,8 +29,9 @@
 //!    at most 20 bytes per seed instance (a one-seed record), 8 when a
 //!    pair's seeds ship together, and 20 per *pair* under
 //!    [`SeedFold::Min`]. Bit 31 of `b_pos` is the orientation, so a
-//!    position must stay below 2³¹ — [`write_pair_record`] refuses one
-//!    that does not, and ingest refuses a read of 2³¹ bases before any
+//!    position must stay below 2³¹ — [`SharedSeed::new`] refuses one
+//!    that does not (the in-memory seed keeps its orientation in a
+//!    position bit too), and ingest refuses a read of 2³¹ bases before any
 //!    position is taken from it.
 //!
 //! # Two phases, one round at a time
@@ -141,20 +142,16 @@ impl SpgemmBlockOut {
     }
 }
 
-/// Append one pair record to `buf`; returns its length in bytes.
-///
-/// # Panics
-/// Panics on a `b_pos ≥ 2³¹`: the record keeps the orientation in that
-/// bit, so such a position — a read of two gigabases — would come out of
-/// [`decode_pair_records`] on the other strand.
+/// Append one pair record to `buf`; returns its length in bytes. The
+/// record keeps the orientation in bit 31 of `b_pos`; [`SharedSeed::new`]
+/// refuses a position that needs that bit.
 pub fn write_pair_record(buf: &mut Vec<u8>, pair: ReadPair, seeds: &[SharedSeed]) -> usize {
     buf.extend_from_slice(&pair.a.to_le_bytes());
     buf.extend_from_slice(&pair.b.to_le_bytes());
     buf.extend_from_slice(&(seeds.len() as u32).to_le_bytes());
     for s in seeds {
-        assert!(s.b_pos < 1 << 31, "position {} needs bit 31: reads must be shorter than 2^31 bases", s.b_pos);
-        buf.extend_from_slice(&s.a_pos.to_le_bytes());
-        buf.extend_from_slice(&(s.b_pos | (s.reverse as u32) << 31).to_le_bytes());
+        buf.extend_from_slice(&s.a_pos().to_le_bytes());
+        buf.extend_from_slice(&(s.b_pos() | (s.reverse() as u32) << 31).to_le_bytes());
     }
     RECORD_HEADER_BYTES + SEED_BYTES * seeds.len()
 }
@@ -234,7 +231,7 @@ struct Least {
 impl Default for Least {
     /// No instance yet, and a seed every real one orders below.
     fn default() -> Self {
-        Self { n: 0, seed: SharedSeed { a_pos: u32::MAX, b_pos: u32::MAX, reverse: true } }
+        Self { n: 0, seed: SharedSeed::MAX }
     }
 }
 
@@ -266,14 +263,14 @@ fn for_each_instance(csr: &ReadKmerCsr<'_>, r: usize, mut f: impl FnMut(u32, Sha
     let a = csr.row_read(r);
     for &c in csr.row(r) {
         let occs = csr.col(c);
-        for own in occs.iter().filter(|o| o.read == a) {
+        for own in occs.iter().filter(|o| o.read() == a) {
             for occ in occs {
                 // Strictly upper triangular: the smaller read's row owns
                 // the pair, so each cross-read occurrence pair is produced
                 // exactly once (same-read occurrence pairs witness no
                 // overlap and are skipped too).
-                if occ.read > a {
-                    f(occ.read, SharedSeed { a_pos: own.pos, b_pos: occ.pos, reverse: own.strand != occ.strand });
+                if occ.read() > a {
+                    f(occ.read(), SharedSeed::new(own.pos(), occ.pos(), own.strand() != occ.strand()));
                 }
             }
         }
@@ -425,7 +422,7 @@ impl Iterator for RecordSeeds<'_> {
     fn next(&mut self) -> Option<SharedSeed> {
         let s = self.0.next()?;
         let packed = u32_at(s, 4);
-        Some(SharedSeed { a_pos: u32_at(s, 0), b_pos: packed & !(1 << 31), reverse: packed >> 31 == 1 })
+        Some(SharedSeed::new(u32_at(s, 0), packed & !(1 << 31), packed >> 31 == 1))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -815,7 +812,7 @@ mod tests {
         let mut t = KmerHashTable::with_capacity(entries.len());
         for (s, occs) in entries {
             let km = Kmer1::from_ascii(s).unwrap();
-            t.insert_key(km);
+            t.promote(km);
             for o in occs {
                 assert!(t.record_occurrence(&km, *o, &c));
             }
@@ -824,7 +821,7 @@ mod tests {
     }
 
     fn occ(read: u32, pos: u32, strand: Strand) -> Occurrence {
-        Occurrence { read, pos, strand }
+        Occurrence::new(read, pos, strand)
     }
 
     /// Shared-seed pairs come out as one record carrying all seeds, and
@@ -853,9 +850,9 @@ mod tests {
         let records = decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
         assert_eq!(records, 2);
         let mut want = vec![
-            (ReadPair::new(0, 1), SharedSeed { a_pos: 3, b_pos: 7, reverse: false }),
-            (ReadPair::new(0, 1), SharedSeed { a_pos: 9, b_pos: 1, reverse: true }),
-            (ReadPair::new(0, 2), SharedSeed { a_pos: 20, b_pos: 5, reverse: false }),
+            (ReadPair::new(0, 1), SharedSeed::new(3, 7, false)),
+            (ReadPair::new(0, 1), SharedSeed::new(9, 1, true)),
+            (ReadPair::new(0, 2), SharedSeed::new(20, 5, false)),
         ];
         got.sort_unstable();
         want.sort_unstable();
@@ -919,7 +916,7 @@ mod tests {
         assert_eq!(out.bufs[0].len(), RECORD_HEADER_BYTES + SEED_BYTES);
         let mut got = Vec::new();
         decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
-        assert_eq!(got, vec![(ReadPair::new(0, 1), SharedSeed { a_pos: 3, b_pos: 0, reverse: false })]);
+        assert_eq!(got, vec![(ReadPair::new(0, 1), SharedSeed::new(3, 0, false))]);
         let counted = count_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::Min);
         assert_eq!((counted.bufs, counted.lens), (out.bufs, out.lens));
     }
@@ -976,18 +973,18 @@ mod tests {
             got,
             vec![(
                 ReadPair::new(0, 1),
-                SharedSeed { a_pos: 123_456, b_pos: 654_321, reverse: true }
+                SharedSeed::new(123_456, 654_321, true)
             )]
         );
     }
 
     /// Bit 31 of `b_pos` is the orientation: a position that needs it is
-    /// refused in every build profile, not shipped as a flipped strand.
+    /// refused in every build profile when the seed is made, so no record
+    /// can ship it as a flipped strand.
     #[test]
     #[should_panic(expected = "reads must be shorter than 2^31 bases")]
     fn a_position_needing_the_orientation_bit_is_refused() {
-        let seed = SharedSeed { a_pos: 0, b_pos: 1 << 31, reverse: false };
-        write_pair_record(&mut Vec::new(), ReadPair::new(0, 1), &[seed]);
+        let _ = SharedSeed::new(0, 1 << 31, false);
     }
 
     /// A well-formed record: pair (3, 9), two seeds.
@@ -1006,8 +1003,8 @@ mod tests {
         });
         assert_eq!(records, 2);
         let seeds = vec![
-            SharedSeed { a_pos: 10, b_pos: 20, reverse: false },
-            SharedSeed { a_pos: 30, b_pos: 40, reverse: true },
+            SharedSeed::new(10, 20, false),
+            SharedSeed::new(30, 40, true),
         ];
         assert_eq!(calls, vec![(ReadPair::new(3, 9), 2, seeds.clone()), (ReadPair::new(3, 9), 2, seeds)]);
     }
@@ -1050,10 +1047,9 @@ mod tests {
         while t.len() < n_kmers {
             let ascii: Vec<u8> = (0..9).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
             let km = Kmer1::from_ascii(&ascii).unwrap();
-            if t.contains(&km) {
+            if !t.promote(km) {
                 continue;
             }
-            t.insert_key(km);
             for _ in 0..2 + rnd() % 7 {
                 let strand = if rnd() % 2 == 0 { Strand::Forward } else { Strand::Reverse };
                 let o = occ((rnd() % n_reads as u64) as u32, (rnd() % 5_000) as u32, strand);

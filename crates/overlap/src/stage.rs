@@ -394,19 +394,15 @@ pub fn reference_pairs(tables: &[&KmerHashTable]) -> HashMap<ReadPair, Vec<Share
             for i in 0..occs.len() {
                 for j in (i + 1)..occs.len() {
                     let (oi, oj) = (&occs[i], &occs[j]);
-                    if oi.read == oj.read {
+                    if oi.read() == oj.read() {
                         continue;
                     }
-                    let (pair, a_pos, b_pos) = if oi.read < oj.read {
-                        (ReadPair::new(oi.read, oj.read), oi.pos, oj.pos)
+                    let (pair, a_pos, b_pos) = if oi.read() < oj.read() {
+                        (ReadPair::new(oi.read(), oj.read()), oi.pos(), oj.pos())
                     } else {
-                        (ReadPair::new(oj.read, oi.read), oj.pos, oi.pos)
+                        (ReadPair::new(oj.read(), oi.read()), oj.pos(), oi.pos())
                     };
-                    out.entry(pair).or_default().push(SharedSeed {
-                        a_pos,
-                        b_pos,
-                        reverse: oi.strand != oj.strand,
-                    });
+                    out.entry(pair).or_default().push(SharedSeed::new(a_pos, b_pos, oi.strand() != oj.strand()));
                 }
             }
         }
@@ -661,7 +657,7 @@ mod tests {
             .iter()
             .find(|t| t.pair == ReadPair::new(0, 1))
             .expect("rc pair not found");
-        assert!(t.seeds.iter().all(|s| s.reverse), "strand flags wrong");
+        assert!(t.seeds.iter().all(|s| s.reverse()), "strand flags wrong");
     }
 
     #[test]
@@ -685,7 +681,7 @@ mod tests {
         assert!(chained.iter().all(|t| !t.seeds.is_empty()));
         // Chain output stays sorted for the policy's contract.
         for t in &chained {
-            assert!(t.seeds.windows(2).all(|w| w[0].a_pos <= w[1].a_pos));
+            assert!(t.seeds.windows(2).all(|w| w[0].a_pos() <= w[1].a_pos()));
         }
         // An unsatisfiable chain requirement drops every pair — counted,
         // and nothing reaches the task list.
@@ -800,7 +796,7 @@ mod tests {
     /// `extend` reports what a list grew by under either fold.
     #[test]
     fn pair_seeds_report_growth_and_release_pairs_below_a_bound() {
-        let seed = |a_pos| SharedSeed { a_pos, b_pos: 7, reverse: false };
+        let seed = |a_pos| SharedSeed::new(a_pos, 7, false);
         let mut all = PairSeeds::new(SeedFold::All);
         assert_eq!(all.extend(ReadPair::new(5, 9), [seed(3), seed(1)]), 2);
         assert_eq!(all.extend(ReadPair::new(2, 4), [seed(8)]), 1);

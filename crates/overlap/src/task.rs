@@ -37,14 +37,57 @@ impl ReadPair {
 /// Positions are on each read's own forward orientation; `reverse` records
 /// whether the two reads observed the canonical k-mer on opposite strands
 /// (in which case read `b` must be reverse-complemented for alignment).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SharedSeed {
+///
+/// Eight bytes: `a_pos << 32 | b_pos << 1 | reverse`, so the derived order
+/// is lexicographic `(a_pos, b_pos, reverse)` — what every least-seed fold,
+/// sort, dedup and chain tie-break compares — and `b_pos` must be below
+/// 2³¹, as in the pair-record wire format.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SharedSeed(u64);
+
+const _: () = assert!(std::mem::size_of::<SharedSeed>() == 8);
+
+impl SharedSeed {
+    /// Orders above every seed [`Self::new`] can make.
+    pub(crate) const MAX: Self = Self(u64::MAX);
+
+    /// The seed at `a_pos` in read `a` and `b_pos` in read `b`.
+    ///
+    /// # Panics
+    /// Panics if `b_pos ≥ 2³¹`: bit 0 of its half holds the orientation.
+    #[inline]
+    pub fn new(a_pos: u32, b_pos: u32, reverse: bool) -> Self {
+        assert!(b_pos < 1 << 31, "position {b_pos} needs bit 31: reads must be shorter than 2^31 bases");
+        Self((a_pos as u64) << 32 | (b_pos as u64) << 1 | reverse as u64)
+    }
+
     /// k-mer position in read `a`.
-    pub a_pos: u32,
+    #[inline]
+    pub fn a_pos(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
     /// k-mer position in read `b`.
-    pub b_pos: u32,
+    #[inline]
+    pub fn b_pos(self) -> u32 {
+        self.0 as u32 >> 1
+    }
+
     /// Relative orientation: `true` if strands differ.
-    pub reverse: bool,
+    #[inline]
+    pub fn reverse(self) -> bool {
+        self.0 & 1 == 1
+    }
+}
+
+impl std::fmt::Debug for SharedSeed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedSeed")
+            .field("a_pos", &self.a_pos())
+            .field("b_pos", &self.b_pos())
+            .field("reverse", &self.reverse())
+            .finish()
+    }
 }
 
 /// An alignment task: one read pair plus its (filtered) seed list.
@@ -108,6 +151,46 @@ mod tests {
     #[should_panic(expected = "self-pair")]
     fn self_pair_rejected() {
         let _ = ReadPair::new(3, 3);
+    }
+
+    #[test]
+    fn seed_round_trips_its_fields() {
+        let top = (1 << 31) - 1;
+        for (a, b, rev) in [(0, 0, false), (u32::MAX, top, true), (7, top, false), (u32::MAX, 0, true)] {
+            let s = SharedSeed::new(a, b, rev);
+            assert_eq!((s.a_pos(), s.b_pos(), s.reverse()), (a, b, rev));
+        }
+    }
+
+    /// The packed word orders as the three fields did, so every least-seed
+    /// fold, sort and dedup picks what it picked when they were fields.
+    #[test]
+    fn packed_seed_order_is_lexicographic() {
+        let mut state = 0x5EED_0F5E_ED00_u64;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let top = (1u32 << 31) - 1;
+        // Few distinct positions, with the extremes, so equal `a_pos` and
+        // equal `b_pos` across orientations are common.
+        let positions = [0, 1, 2, 1_000, top - 1, top];
+        let mut pick = move || {
+            let r = rnd();
+            let a = if r & 1 == 0 { positions[(r >> 8) as usize % 6] } else { (r >> 32) as u32 };
+            (a, positions[(r >> 16) as usize % 6] & top, (r >> 24) & 1 == 1)
+        };
+        for _ in 0..20_000 {
+            let (x, y) = (pick(), pick());
+            let (sx, sy) = (SharedSeed::new(x.0, x.1, x.2), SharedSeed::new(y.0, y.1, y.2));
+            assert_eq!(sx.cmp(&sy), x.cmp(&y), "{x:?} vs {y:?}");
+            assert_eq!(sx == sy, x == y);
+        }
+        let at = |a, rev| SharedSeed::new(a, top, rev);
+        assert!(at(5, false) < at(5, true) && at(5, true) < SharedSeed::new(6, 0, false));
+        assert!(SharedSeed::new(5, top, false) > SharedSeed::new(5, top - 1, true));
     }
 
     #[test]

@@ -119,8 +119,8 @@ proptest! {
             let la = reads.reads()[t.pair.a as usize].len();
             let lb = reads.reads()[t.pair.b as usize].len();
             for s in &t.seeds {
-                prop_assert!((s.a_pos as usize) + 9 <= la);
-                prop_assert!((s.b_pos as usize) + 9 <= lb);
+                prop_assert!((s.a_pos() as usize) + 9 <= la);
+                prop_assert!((s.b_pos() as usize) + 9 <= lb);
             }
         }
     }
@@ -134,12 +134,12 @@ proptest! {
         let spaced = run_to_overlap(&reads, 2, SeedPolicy::MinDistance(d));
         for t in &spaced {
             for w in t.seeds.windows(2) {
-                if w[0].reverse == w[1].reverse {
+                if w[0].reverse() == w[1].reverse() {
                     prop_assert!(
-                        w[1].a_pos >= w[0].a_pos + d,
+                        w[1].a_pos() >= w[0].a_pos() + d,
                         "seeds {}/{} closer than {d}",
-                        w[0].a_pos,
-                        w[1].a_pos
+                        w[0].a_pos(),
+                        w[1].a_pos()
                     );
                 }
             }
@@ -162,7 +162,7 @@ proptest! {
         let mut sources: [Vec<SharedSeed>; 4] = Default::default();
         let mut all = Vec::new();
         for ((a_pos, b_pos, reverse), source) in seeds {
-            let seed = SharedSeed { a_pos, b_pos, reverse };
+            let seed = SharedSeed::new(a_pos, b_pos, reverse);
             all.push(seed);
             fold.add(&mut sources[source], seed);
         }
@@ -186,7 +186,7 @@ proptest! {
         let mut sources: [Vec<SharedSeed>; 4] = Default::default();
         let mut want = Vec::new();
         for ((a_pos, b_pos, reverse), source) in seeds {
-            let seed = SharedSeed { a_pos, b_pos, reverse };
+            let seed = SharedSeed::new(a_pos, b_pos, reverse);
             want.push(seed);
             fold.add(&mut sources[source], seed);
         }

@@ -45,10 +45,10 @@ fn tables() -> impl Strategy<Value = KmerHashTable> {
         for (bases, occs) in entries {
             let ascii: Vec<u8> = bases.iter().map(|&b| b"ACGT"[b as usize]).collect();
             let km = Kmer1::from_ascii(&ascii).unwrap();
-            t.insert_key(km);
+            t.promote(km);
             for (read, pos, rev) in occs {
                 let strand = if rev { Strand::Reverse } else { Strand::Forward };
-                assert!(t.record_occurrence(&km, Occurrence { read, pos, strand }, &c));
+                assert!(t.record_occurrence(&km, Occurrence::new(read, pos, strand), &c));
             }
         }
         t
@@ -64,15 +64,15 @@ fn reference_multiset(table: &KmerHashTable) -> Vec<(ReadPair, SharedSeed)> {
         for i in 0..occs.len() {
             for j in (i + 1)..occs.len() {
                 let (oi, oj) = (&occs[i], &occs[j]);
-                if oi.read == oj.read {
+                if oi.read() == oj.read() {
                     continue;
                 }
-                let (pair, a_pos, b_pos) = if oi.read < oj.read {
-                    (ReadPair::new(oi.read, oj.read), oi.pos, oj.pos)
+                let (pair, a_pos, b_pos) = if oi.read() < oj.read() {
+                    (ReadPair::new(oi.read(), oj.read()), oi.pos(), oj.pos())
                 } else {
-                    (ReadPair::new(oj.read, oi.read), oj.pos, oi.pos)
+                    (ReadPair::new(oj.read(), oi.read()), oj.pos(), oi.pos())
                 };
-                out.push((pair, SharedSeed { a_pos, b_pos, reverse: oi.strand != oj.strand }));
+                out.push((pair, SharedSeed::new(a_pos, b_pos, oi.strand() != oj.strand())));
             }
         }
     }

@@ -3,12 +3,13 @@
 //! "DALIGNER computes a k-mer sorting based on the position within a
 //! sequence and then uses a merge-sort to detect common k-mers between
 //! sequences" (Myers 2014). This baseline reproduces that strategy on one
-//! node: build the full `(k-mer, read, position, strand)` tuple list, sort
-//! it by k-mer (rayon parallel sort — DALIGNER's radix sort plays the same
-//! role), scan runs of equal k-mers to emit candidate pairs (masking
-//! high-frequency k-mers, as DALIGNER does), then run the same x-drop
-//! kernel diBELLA uses — the same entry point ([`SeedExtender`]) on the
-//! same dispatch as the pipeline's alignment stage.
+//! node and one thread: build the full `(k-mer, read, position, strand)`
+//! tuple list, sort it by k-mer (a comparison sort standing in for
+//! DALIGNER's radix sort), scan runs of equal k-mers to emit candidate
+//! pairs (masking high-frequency k-mers, as DALIGNER does), then run the
+//! same x-drop kernel diBELLA uses — the same entry point
+//! ([`SeedExtender`]) on the same dispatch as the pipeline's alignment
+//! stage.
 //!
 //! Sharing the alignment kernel and filtering thresholds with the
 //! pipeline makes the Table 2 comparison about what it was about in the
@@ -18,8 +19,6 @@ use dibella_align::{AlignWorkspace, Scoring, SeedExtender, SeedHit, SimdMode};
 use dibella_io::{ReadId, ReadSet};
 use dibella_kmer::base::reverse_complement_ascii_into;
 use dibella_kmer::{Kmer1, KmerIter, Strand};
-use rayon::prelude::*;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -113,17 +112,11 @@ pub struct BaselineResult {
     pub n_pairs: u64,
 }
 
-/// Sort-tuple: k-mer first so the parallel sort groups equal k-mers.
+/// Sort-tuple: k-mer first so the sort groups equal k-mers.
 type Tuple = (Kmer1, ReadId, u32, Strand);
 
 /// Per-pair seed list: `(a_pos, b_pos, reverse)` records.
 type SeedList = Vec<(u32, u32, bool)>;
-
-thread_local! {
-    /// Kernel scratch of the worker thread, reused for every pair it
-    /// aligns.
-    static WORKSPACE: RefCell<AlignWorkspace> = RefCell::new(AlignWorkspace::new());
-}
 
 /// Phase 4's unit of work: extend every seed of one candidate pair and
 /// append the alignments reaching `cfg.min_score` to `out`.
@@ -185,17 +178,17 @@ pub fn run_baseline(reads: &ReadSet, cfg: &BaselineConfig) -> BaselineResult {
     let t0 = Instant::now();
     let mut tuples: Vec<Tuple> = reads
         .reads()
-        .par_iter()
-        .flat_map_iter(|r| {
+        .iter()
+        .flat_map(|r| {
             KmerIter::<1>::new(&r.seq, cfg.k).map(move |h| (h.kmer, r.id, h.pos, h.strand))
         })
         .collect();
     let n_tuples = tuples.len() as u64;
     let t_tuples = t0.elapsed();
 
-    // ---- phase 2: parallel sort by k-mer ------------------------------------
+    // ---- phase 2: sort by k-mer ---------------------------------------------
     let t0 = Instant::now();
-    tuples.par_sort_unstable();
+    tuples.sort_unstable();
     let t_sort = t0.elapsed();
 
     // ---- phase 3: merge runs into per-pair seed lists ------------------------
@@ -234,7 +227,7 @@ pub fn run_baseline(reads: &ReadSet, cfg: &BaselineConfig) -> BaselineResult {
     // Deterministic task list with the same seed policy semantics as the
     // pipeline's `SeedPolicy`.
     let mut tasks: Vec<((ReadId, ReadId), SeedList)> = pairs.into_iter().collect();
-    tasks.par_sort_unstable_by_key(|(key, _)| *key);
+    tasks.sort_unstable_by_key(|(key, _)| *key);
     for (_, seeds) in tasks.iter_mut() {
         seeds.sort_unstable();
         seeds.dedup();
@@ -264,22 +257,17 @@ pub fn run_baseline(reads: &ReadSet, cfg: &BaselineConfig) -> BaselineResult {
     let n_pairs = tasks.len() as u64;
     let t_merge = t0.elapsed();
 
-    // ---- phase 4: parallel alignment ----------------------------------------
+    // ---- phase 4: alignment -------------------------------------------------
     let t0 = Instant::now();
     let all_reads = reads.reads();
-    let mut alignments: Vec<BaselineAlignment> = tasks
-        .par_iter()
-        .flat_map_iter(|(pair, seeds)| {
-            let a_seq = &all_reads[pair.0 as usize].seq;
-            let b_seq = &all_reads[pair.1 as usize].seq;
-            let mut out = Vec::with_capacity(seeds.len());
-            WORKSPACE.with(|ws| {
-                align_pair(*pair, a_seq, b_seq, seeds, cfg, &mut ws.borrow_mut(), &mut out)
-            });
-            out
-        })
-        .collect();
-    alignments.par_sort_unstable();
+    let mut ws = AlignWorkspace::new();
+    let mut alignments: Vec<BaselineAlignment> = Vec::new();
+    for (pair, seeds) in &tasks {
+        let a_seq = &all_reads[pair.0 as usize].seq;
+        let b_seq = &all_reads[pair.1 as usize].seq;
+        align_pair(*pair, a_seq, b_seq, seeds, cfg, &mut ws, &mut alignments);
+    }
+    alignments.sort_unstable();
     let t_align = t0.elapsed();
 
     BaselineResult {

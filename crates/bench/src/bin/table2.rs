@@ -1,6 +1,7 @@
 //! Table 2 — single-node wall-clock comparison (I/O excluded): the
 //! diBELLA pipeline versus the DALIGNER-style sort-merge baseline on
-//! E. coli 30× (sample), 30× and 100×. Real measured seconds on this
+//! E. coli 30× (sample), 30× and 100×. The pipeline runs on `ranks`
+//! rank threads, the baseline on one thread. Real measured seconds on this
 //! host (absolute values are host-dependent; the paper's relation —
 //! competitive, with DALIGNER somewhat ahead single-node — is the
 //! reproduction target).
@@ -17,7 +18,7 @@ fn main() {
         "DIBELLA_TABLE2_RANKS",
         std::thread::available_parallelism().map(|n| n.get() * 2).unwrap_or(4),
     );
-    println!("# Table 2: single node runtime (s), I/O excluded, {ranks} ranks / rayon threads");
+    println!("# Table 2: single node runtime (s), I/O excluded, diBELLA on {ranks} ranks, baseline on 1 thread");
     println!("workload\tdiBELLA(s)\tDALIGNER-style(s)\tdiBELLA pairs\tbaseline pairs");
     for w in [Workload::E30Sample, Workload::E30, Workload::E100] {
         let ds = dataset(w);

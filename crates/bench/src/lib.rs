@@ -92,10 +92,9 @@ where
 }
 
 /// Deterministic synthetic k-mer table (plus an even read partition over
-/// `ranks` owners) for the SpGEMM row benches: `n_kmers` random
-/// k-mers, each occurring 2–8 times across `n_reads` reads. The
-/// `spgemm_rows_per_sec` Criterion group and the `bench_kernels_json`
-/// baseline writer share this fixture so both measure the same workload.
+/// `ranks` owners) for the `bench_kernels_json` SpGEMM row rates:
+/// `n_kmers` random k-mers, each occurring 2–8 times across `n_reads`
+/// reads.
 pub fn spgemm_fixture(n_reads: u32, n_kmers: usize, ranks: usize, seed: u64) -> (KmerHashTable, ReadPartition) {
     const K: usize = 17;
     let kc = KcountConfig {
@@ -134,13 +133,13 @@ pub fn spgemm_fixture(n_reads: u32, n_kmers: usize, ranks: usize, seed: u64) -> 
     (table, ReadPartition::from_counts(&counts))
 }
 
-/// Deterministic colinear-plus-noise seed list for the chaining benches,
+/// Deterministic colinear-plus-noise seed list for the chaining rates,
 /// sorted and deduplicated as [`dibella_overlap::chain_seeds`] requires:
 /// three of four seeds sit on one forward diagonal with a few bases of
 /// indel jitter, the rest are uniform noise of either orientation — the
-/// shape of one HiFi pair's minimizer hits. The `chain_seeds_per_sec`
-/// Criterion group and the `bench_kernels_json` baseline writer share it,
-/// at several `n`, so the rate *ratio* between sizes is comparable.
+/// shape of one HiFi pair's minimizer hits. The `bench_kernels_json`
+/// baseline writer times it at several `n`, so the rate *ratio* between
+/// sizes is comparable.
 pub fn chain_fixture(n: usize, seed: u64) -> Vec<SharedSeed> {
     let mut state = seed | 1;
     let mut rnd = move || {
@@ -165,10 +164,8 @@ pub fn chain_fixture(n: usize, seed: u64) -> Vec<SharedSeed> {
     seeds
 }
 
-/// Deterministic uniform-random reads for the k-mer pass benches. The
-/// `kmer_extract_per_sec` / `kmer_pack_per_sec` Criterion groups and the
-/// `bench_kernels_json` baseline writer share this fixture, so both
-/// measure the same workload.
+/// Deterministic uniform-random reads for the `bench_kernels_json` k-mer
+/// pass rates.
 pub fn kmer_fixture(n_reads: u32, read_len: usize, seed: u64) -> Vec<Read> {
     let mut state = seed | 1;
     (0..n_reads)
@@ -188,8 +185,7 @@ pub fn kmer_fixture(n_reads: u32, read_len: usize, seed: u64) -> Vec<Read> {
 
 /// The owner-run buffers of `reads` packed to `ranks` destinations, with
 /// the k-mers they hold — what an owner rolls in
-/// [`supermer_roll_kmers`]. Shared by the `supermer_roll` rows of the
-/// Criterion bench and the baseline writer.
+/// [`supermer_roll_kmers`], for the baseline writer's pack and roll rates.
 pub fn supermer_fixture(reads: &[Read], k: usize, ranks: usize) -> (Vec<Vec<u8>>, u64) {
     let idx = WindowIndex::new(reads.iter().map(|r| r.len()), k);
     let batch = KcountConfig::DEFAULT_EXTRACT_BATCH;

@@ -14,21 +14,27 @@
 //!    (routed buckets, alignment records, counters); batches share nothing
 //!    mutable.
 //! 3. **Merge in batch order.** Results are concatenated/merged in batch
-//!    index order, which the vendored rayon's indexed `collect()`
-//!    guarantees at any width.
+//!    index order, whichever worker computed them.
 //!
 //! Together these make every stage's output — wire bytes, counters,
 //! alignments — **bit-identical at any thread count**, which is what lets
 //! the test matrix sweep `threads × transport × round cap` and demand
 //! equality rather than statistical agreement.
 //!
+//! The workers are `std::thread::scope` threads spawned per parallel map:
+//! the calling thread works as one of them, every worker claims the next
+//! batch index from one shared atomic cursor (dynamic scheduling, so a
+//! heavy batch never idles the rest), and a worker's panic is re-raised on
+//! the caller with its original payload. No batch closure calls the
+//! executor again, so a map never nests inside another.
+//!
 //! The executor lives in `dibella-comm` (not `-core`) because the stage
 //! crates (`kcount`, `overlap`) sit below `core` in the dependency graph:
 //! it is the compute half of the stage engine whose communication half is
 //! [`crate::RoundExchange`].
 
-use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Batches each worker maps between two sinks of
@@ -46,31 +52,23 @@ const WAVE_BATCHES_PER_THREAD: usize = 64;
 /// [`map_batches`](Self::map_batches) (batches are
 /// slices of a task list) or [`map_batches_mut`](Self::map_batches_mut)
 /// (batches consume their slice in place). Width 1 short-circuits to a
-/// plain sequential loop — the single-threaded pipeline pays no pool or
-/// scheduling cost.
+/// plain sequential loop on the calling thread — the single-threaded
+/// pipeline spawns no thread and pays no scheduling cost.
 #[derive(Debug)]
 pub struct BatchedExecutor {
-    /// `None` when width is 1 (sequential fast path).
-    pool: Option<ThreadPool>,
     threads: usize,
 }
 
 impl BatchedExecutor {
     /// An executor of `threads` workers; `0` means the hardware
-    /// parallelism (as in rayon).
+    /// parallelism.
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
             threads
         };
-        let pool = (threads > 1).then(|| {
-            ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("build stage executor pool")
-        });
-        Self { pool, threads }
+        Self { threads }
     }
 
     /// The sequential executor (width 1) — what library entry points use
@@ -88,20 +86,19 @@ impl BatchedExecutor {
     /// index order**. The batch a given index denotes must be derived from
     /// the index (and captured input) alone, so the decomposition is
     /// identical at any width.
+    ///
+    /// # Panics
+    /// Re-raises, on the calling thread, the panic of any batch.
     pub fn map_indexed<R, F>(&self, n_batches: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        match &self.pool {
-            Some(pool) if n_batches > 1 => {
-                // Capture by reference: `&F` is `Send` whenever `F: Sync`,
-                // which is all `install` needs to move the op in.
-                let f = &f;
-                pool.install(move || (0..n_batches).into_par_iter().map(f).collect())
-            }
-            _ => (0..n_batches).map(f).collect(),
+        let width = self.threads.min(n_batches);
+        if width <= 1 {
+            return (0..n_batches).map(f).collect();
         }
+        map_scoped(width, n_batches, &f)
     }
 
     /// [`map_indexed`](Self::map_indexed) that hands each result to `sink`
@@ -109,16 +106,17 @@ impl BatchedExecutor {
     /// all — for stages whose merge is an append (the k-mer packer), so a
     /// round never holds every batch's output at once. The sequential
     /// executor sinks each batch as it finishes, while its output is still
-    /// in cache; a pool maps waves of 64 batches (`WAVE_BATCHES_PER_THREAD`)
-    /// per worker and sinks between waves. What `sink` sees does not
-    /// depend on the wave size, so neither does the stage's output.
+    /// in cache; wider executors map waves of 64 batches
+    /// (`WAVE_BATCHES_PER_THREAD`) per worker and sink between waves. What
+    /// `sink` sees does not depend on the wave size, so neither does the
+    /// stage's output.
     pub fn map_indexed_into<R, F, S>(&self, n_batches: usize, f: F, mut sink: S)
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
         S: FnMut(R),
     {
-        if self.pool.is_none() {
+        if self.threads == 1 {
             return (0..n_batches).for_each(|i| sink(f(i)));
         }
         let wave = WAVE_BATCHES_PER_THREAD * self.threads;
@@ -166,6 +164,51 @@ impl BatchedExecutor {
             f(&mut chunk)
         })
     }
+}
+
+/// The parallel engine of [`BatchedExecutor::map_indexed`]: `width ≥ 2`
+/// workers — `width − 1` scoped threads and the calling thread — claim
+/// indices `0..n_batches` from one cursor; the results come back in index
+/// order and a worker's panic is re-raised on the caller.
+fn map_scoped<R, F>(width: usize, n_batches: usize, f: &F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    let cursor = &cursor;
+    // Each worker (shared-ref captures only, so the closure is Copy)
+    // claims batches until none is left. The cursor publishes no data
+    // (results come back through `join`), so `Relaxed` is enough.
+    let work = move || {
+        let mut produced = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n_batches {
+                break;
+            }
+            produced.push((i, f(i)));
+        }
+        produced
+    };
+    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..width).map(|_| s.spawn(work)).collect();
+        let mut all = vec![work()];
+        for h in handles {
+            match h.join() {
+                Ok(v) => all.push(v),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        all
+    });
+    // Put the results back in batch-index order.
+    let mut slots: Vec<Option<R>> = (0..n_batches).map(|_| None).collect();
+    for (i, r) in per_worker.into_iter().flatten() {
+        debug_assert!(slots[i].is_none(), "batch {i} computed twice");
+        slots[i] = Some(r);
+    }
+    slots.into_iter().map(|r| r.expect("batch claimed but never computed")).collect()
 }
 
 #[cfg(test)]
@@ -229,11 +272,59 @@ mod tests {
     }
 
     #[test]
-    fn zero_resolves_to_hardware_and_one_builds_no_pool() {
+    fn width_one_runs_every_batch_on_the_calling_thread() {
         assert!(BatchedExecutor::new(0).threads() >= 1);
         let one = BatchedExecutor::new(1);
         assert_eq!(one.threads(), 1);
-        assert!(one.pool.is_none(), "width 1 must not build a pool");
+        let caller = std::thread::current().id();
+        let ids = one.map_indexed(50, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller), "width 1 must spawn no thread");
+        let mut sunk = 0;
+        one.map_indexed_into(
+            3 * WAVE_BATCHES_PER_THREAD,
+            |_| std::thread::current().id(),
+            |id| {
+                assert_eq!(id, caller);
+                sunk += 1;
+            },
+        );
+        assert_eq!(sunk, 3 * WAVE_BATCHES_PER_THREAD);
+    }
+
+    #[test]
+    fn a_wide_map_runs_on_more_than_one_thread() {
+        use std::collections::HashSet;
+        use std::sync::Condvar;
+        use std::time::Duration;
+        let seen = Mutex::new(HashSet::new());
+        let arrived = Condvar::new();
+        BatchedExecutor::new(4).map_indexed(2, |_| {
+            let mut ids = seen.lock().expect("no batch panics holding the lock");
+            ids.insert(std::thread::current().id());
+            arrived.notify_all();
+            // Hold this batch until another thread has taken the other
+            // one, so that no single thread can run both.
+            let _ = arrived.wait_timeout_while(ids, Duration::from_secs(10), |ids| ids.len() < 2);
+        });
+        let ids = seen.into_inner().expect("no batch panicked");
+        assert_eq!(ids.len(), 2, "the two batches ran on one thread");
+    }
+
+    #[test]
+    fn a_batch_panic_is_re_raised_on_the_caller_with_its_payload() {
+        let exec = BatchedExecutor::new(4);
+        let caught = std::panic::catch_unwind(|| {
+            exec.map_indexed(64, |i| {
+                if i == 37 {
+                    std::panic::panic_any(format!("batch {i} failed"));
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the batch panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("batch 37 failed"));
+        // The executor is still usable after a panicking map.
+        assert_eq!(exec.map_indexed(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]

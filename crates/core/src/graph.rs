@@ -101,23 +101,6 @@ impl OverlapGraph {
         self.neighbours(read).len()
     }
 
-    /// (min, mean, max) vertex degree over all reads.
-    pub fn degree_stats(&self) -> (usize, f64, usize) {
-        if self.n_reads == 0 {
-            return (0, 0.0, 0);
-        }
-        let mut min = usize::MAX;
-        let mut max = 0usize;
-        let mut sum = 0usize;
-        for r in 0..self.n_reads as ReadId {
-            let d = self.degree(r);
-            min = min.min(d);
-            max = max.max(d);
-            sum += d;
-        }
-        (min, sum as f64 / self.n_reads as f64, max)
-    }
-
     /// Connected-component label per read (labels are component-minimum
     /// read IDs), plus the component count.
     pub fn connected_components(&self) -> (Vec<ReadId>, usize) {
@@ -228,16 +211,6 @@ mod tests {
         assert_eq!(labels[3], labels[4]);
         assert_ne!(labels[0], labels[3]);
         assert_eq!(labels[5], 5);
-    }
-
-    #[test]
-    fn degree_stats() {
-        let recs = vec![rec(0, 1, 9, false), rec(0, 2, 9, false)];
-        let g = OverlapGraph::from_alignments(3, &recs, 0);
-        let (min, mean, max) = g.degree_stats();
-        assert_eq!(min, 1);
-        assert_eq!(max, 2);
-        assert!((mean - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

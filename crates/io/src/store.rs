@@ -76,16 +76,6 @@ impl<'a> ReadStore<'a> {
         &self.partition
     }
 
-    /// Number of locally owned reads.
-    pub fn n_local(&self) -> usize {
-        self.local.len()
-    }
-
-    /// Number of replicated (fetched) remote reads.
-    pub fn n_replicated(&self) -> usize {
-        self.replicated.len()
-    }
-
     /// Owned reads in ID order.
     pub fn local_reads(&self) -> &[Read] {
         &self.local
@@ -135,21 +125,6 @@ impl<'a> ReadStore<'a> {
     pub fn reserve_replicated(&mut self, additional: usize) {
         self.arena.reserve(additional);
     }
-
-    /// Drop all replicated reads (frees alignment-stage memory).
-    pub fn clear_replicated(&mut self) {
-        self.arena.clear();
-        self.arena.shrink_to_fit();
-        self.replicated.clear();
-        self.replicated.shrink_to_fit();
-    }
-
-    /// Bytes held locally (owned + replicated) — the per-rank memory
-    /// footprint the paper's streaming design constrains.
-    pub fn resident_bytes(&self) -> u64 {
-        let owned: u64 = self.local.iter().map(|r| r.len() as u64).sum();
-        owned + self.arena.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +172,7 @@ mod tests {
         for rank in 0..3 {
             let mine = part.slice(rank, set.reads());
             let store = ReadStore::new(rank, part.clone(), mine);
-            assert_eq!(store.n_local(), mine.len());
+            assert_eq!(store.local_reads().len(), mine.len());
             for read in mine {
                 assert!(std::ptr::eq(store.seq(read.id).unwrap(), read.seq.as_slice()), "read {} copied", read.id);
             }
@@ -238,7 +213,6 @@ mod tests {
         assert!(s0.seq(remote_id).is_none());
         s0.insert_replicated(remote_id, &seq);
         assert_eq!(s0.seq(remote_id).unwrap(), seq.as_slice());
-        assert_eq!(s0.n_replicated(), 1);
         // Re-replicating an already-installed read is ignored.
         s0.insert_replicated(remote_id, b"YYY");
         assert_eq!(s0.seq(remote_id).unwrap(), seq.as_slice());
@@ -246,19 +220,6 @@ mod tests {
         let own_id = s0.local_reads()[0].id;
         s0.insert_replicated(own_id, b"XXX");
         assert_ne!(s0.seq(own_id).unwrap(), b"XXX");
-        // Clearing frees the cache but keeps owned reads.
-        s0.clear_replicated();
-        assert_eq!(s0.n_replicated(), 0);
-        assert!(s0.seq(remote_id).is_none());
-        assert!(s0.seq(own_id).is_some());
-    }
-
-    #[test]
-    fn resident_bytes_tracks_replication() {
-        let mut stores = build_stores(6, 3);
-        let base = stores[0].resident_bytes();
-        stores[0].insert_replicated(5, &[b'A'; 100]);
-        assert_eq!(stores[0].resident_bytes(), base + 100);
     }
 
     #[test]

@@ -112,6 +112,12 @@ impl Hasher for KmerKeyHasher {
     fn write_u16(&mut self, v: u16) {
         self.0 = dibella_kmer::mix64(self.0 ^ v as u64);
     }
+    /// The length prefix a `Kmer`'s word array writes: one fold, the same
+    /// value `write` gives its little-endian bytes, without the chunk loop.
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
 }
 
 type Build = BuildHasherDefault<KmerKeyHasher>;
@@ -334,6 +340,17 @@ mod tests {
 
     fn occ(read: ReadId, pos: u32) -> Occurrence {
         Occurrence::new(read, pos, Strand::Forward)
+    }
+
+    #[test]
+    fn key_hasher_folds_a_usize_as_its_little_endian_bytes() {
+        for v in [0usize, 1, 31, 0xDEAD_BEEF, usize::MAX] {
+            let mut word = KmerKeyHasher(7);
+            word.write_usize(v);
+            let mut bytes = KmerKeyHasher(7);
+            bytes.write(&(v as u64).to_le_bytes());
+            assert_eq!(word.finish(), bytes.finish(), "v = {v}");
+        }
     }
 
     #[test]

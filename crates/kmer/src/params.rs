@@ -36,22 +36,6 @@ pub fn prob_shared_correct_kmer(ov: usize, k: usize, e: f64) -> f64 {
     1.0 - (1.0 - p_both).powf(positions)
 }
 
-/// Select the k-mer length: the largest `k ≤ max_k` such that two reads
-/// overlapping by `min_overlap` bases still share a correct k-mer with
-/// probability ≥ `target`.
-///
-/// Larger k suppresses repeated k-mers (fewer spurious pairs), so we take
-/// the largest k that meets the detection target — this reproduces BELLA's
-/// choice of 17 for PacBio data (`e ≈ 0.15`, 2 kb overlaps, 90 % target).
-///
-/// Returns `None` when even `k = min_k` misses the target.
-pub fn select_k(e: f64, min_overlap: usize, target: f64, min_k: usize, max_k: usize) -> Option<usize> {
-    assert!(min_k >= 1 && min_k <= max_k);
-    (min_k..=max_k)
-        .rev()
-        .find(|&k| prob_shared_correct_kmer(min_overlap, k, e) >= target)
-}
-
 /// Poisson probability mass function (numerically stable via logs).
 pub fn poisson_pmf(lambda: f64, x: u64) -> f64 {
     assert!(lambda > 0.0);
@@ -156,9 +140,6 @@ pub fn overlap_task_bounds(iota: f64, kmer_count: u64, m: u32) -> (u64, u64) {
 pub mod defaults {
     /// Typical k for long reads (paper §2: "17-mers are typical").
     pub const K: usize = 17;
-    /// Target probability of detecting a true overlap via ≥ 1 shared
-    /// correct k-mer.
-    pub const DETECTION_TARGET: f64 = 0.90;
     /// Minimum overlap length considered a true overlap (BELLA: 2 kb).
     pub const MIN_OVERLAP: usize = 2000;
     /// Tail mass allowed past the high-occurrence threshold.
@@ -192,25 +173,6 @@ mod tests {
         assert_eq!(prob_shared_correct_kmer(10, 17, 0.15), 0.0);
         // Error-free data detects with certainty-ish.
         assert!(prob_shared_correct_kmer(100, 17, 0.0) > 0.999_999);
-    }
-
-    #[test]
-    fn select_k_reproduces_the_papers_17mers() {
-        // PacBio-like: e = 15%, 2 kb overlaps, 90% target → k = 20; the
-        // paper's "typical 17" corresponds to a slightly stricter target /
-        // shorter minimum overlap, e.g. 99% detection at 2 kb → 17.
-        let k = select_k(0.15, 2000, 0.90, 11, 32).unwrap();
-        assert_eq!(k, 20);
-        let k_strict = select_k(0.15, 2000, 0.999, 11, 32).unwrap();
-        assert!(
-            (15..=18).contains(&k_strict),
-            "expected k near the paper's 17, got {k_strict}"
-        );
-    }
-
-    #[test]
-    fn select_k_none_when_unreachable() {
-        assert_eq!(select_k(0.45, 300, 0.99, 11, 32), None);
     }
 
     #[test]

@@ -416,7 +416,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     println!("longest read:   {longest}");
     println!("k-mer bag (~):  {total}  (Eq. 2: ≈ G·d)");
     if depth_flag > 0.0 {
-        let m = params::reliable_max_multiplicity(depth_flag, error, k, 1e-4);
+        let m = params::reliable_max_multiplicity(depth_flag, error, k, params::defaults::EPSILON);
         let genome_est = total as f64 / depth_flag;
         println!("assumed depth:  {depth_flag}");
         println!("genome (G=N/d): {:.0}", genome_est);
@@ -424,7 +424,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     } else {
         println!("(pass -d DEPTH to derive the high-occurrence threshold m)");
     }
-    let p_one = params::prob_shared_correct_kmer(2000, k, error);
+    let p_one = params::prob_shared_correct_kmer(params::defaults::MIN_OVERLAP, k, error);
     println!("P(shared correct {k}-mer | 2kb overlap) = {p_one:.4}");
     Ok(())
 }

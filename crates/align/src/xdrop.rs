@@ -6,7 +6,7 @@
 //! significantly (x-drop) \[37\]. This makes pairwise alignment linear in
 //! L." The original algorithm is Zhang, Schwartz, Wagner & Miller (2000);
 //! diBELLA calls SeqAn's implementation — this is a from-scratch
-//! equivalent (see DESIGN.md §2).
+//! equivalent (its two cores: docs/ARCHITECTURE.md, "SIMD kernels").
 //!
 //! The extension walks antidiagonals of the DP matrix keeping only the
 //! cells whose score is within `X` of the best score seen so far; the

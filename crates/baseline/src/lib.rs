@@ -4,8 +4,8 @@
 //! (k-mer tuple sort + merge-scan pair discovery + repeat masking) sharing
 //! diBELLA's x-drop alignment kernel. It runs on one thread: it has never
 //! been parallel, so Table 2 sets a multi-rank pipeline against a
-//! single-threaded baseline. See DESIGN.md §2 for why this is the faithful
-//! stand-in for the closed-world DALIGNER binary.
+//! single-threaded baseline. It stands in for the DALIGNER binary the
+//! paper ran (docs/ARCHITECTURE.md maps it to the paper's Table 2).
 
 #![warn(missing_docs)]
 

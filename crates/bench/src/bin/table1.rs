@@ -3,7 +3,7 @@ fn main() {
     println!("# Table 1: Evaluated platforms");
     print!("{}", dibella_netmodel::table1());
     println!();
-    println!("# Calibration constants (model-side; see DESIGN.md §5)");
+    println!("# Calibration constants (model-side; see crates/netmodel)");
     println!("platform          core_perf  inj_bw(MB/s)  coll_alpha(us)  per_rank(us)  first_a2av(x)");
     for p in dibella_netmodel::Platform::all() {
         println!(

@@ -1,7 +1,7 @@
 //! # dibella-bench
 //!
 //! The harness that regenerates every table and figure of the diBELLA
-//! paper (see DESIGN.md §6 for the experiment index). Each `src/bin/`
+//! paper (docs/ARCHITECTURE.md's crate map names them). Each `src/bin/`
 //! binary prints one figure's series as a tab-separated table; this
 //! library holds the shared machinery: workload construction, pipeline
 //! execution at one-rank-per-modeled-core world sizes, memoization, and

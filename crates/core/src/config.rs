@@ -152,7 +152,7 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
-            k: 17,
+            k: params::defaults::K,
             error_rate: 0.15,
             depth: 30.0,
             max_multiplicity: None,

@@ -1,6 +1,7 @@
 //! Bridge from measured [`RankReport`]s to the cross-architecture cost
 //! model — the substitution that regenerates the paper's cross-platform
-//! figures without the paper's machines (DESIGN.md §2, §5).
+//! figures without the paper's machines (docs/ARCHITECTURE.md, "Transport
+//! layer").
 //!
 //! Each stage's raw counters (k-mers packed/rolled/processed, pairs emitted, DP
 //! cells, bytes per destination) are weighted by the reference per-op

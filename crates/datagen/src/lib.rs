@@ -1,7 +1,7 @@
 //! # dibella-datagen
 //!
 //! Synthetic data substituting for the paper's PacBio E. coli read sets
-//! (DESIGN.md §2): reproducible genomes with planted repeat structure, a
+//! (paper §2): reproducible genomes with planted repeat structure, a
 //! PacBio-CLR-like insertion-dominated error model, log-normal read
 //! sampling on both strands, scalable E. coli 30×/100× presets, and —
 //! something the real data lacks — exact ground-truth read layouts for

@@ -144,9 +144,6 @@ pub mod defaults {
     pub const MIN_OVERLAP: usize = 2000;
     /// Tail mass allowed past the high-occurrence threshold.
     pub const EPSILON: f64 = 1e-4;
-    /// Observed retained-k-mer fraction of the distinct set, ι_set ∈
-    /// [0.04, 0.12] (paper §8).
-    pub const IOTA_SET_RANGE: (f64, f64) = (0.04, 0.12);
     /// Typical distinct/bag ratio for Bloom sizing: up to 98 % of long-read
     /// k-mers are singletons (§6), so the distinct set is nearly the bag.
     pub const DISTINCT_RATIO: f64 = 0.7;

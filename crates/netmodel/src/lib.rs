@@ -12,7 +12,8 @@
 //! paper's superlinear strong-scaling efficiencies) and the one-time
 //! first-`MPI_Alltoallv` setup cost the paper twice calls out.
 //!
-//! See DESIGN.md §2 and §5 for the substitution rationale.
+//! docs/ARCHITECTURE.md maps it to the paper's §3 and Table 1, and its
+//! "Transport layer" section says how a run's counters are projected.
 
 #![warn(missing_docs)]
 

@@ -25,8 +25,8 @@ pub mod task;
 pub use chain::{chain_seeds, ChainConfig};
 pub use policy::{SeedFold, SeedPolicy};
 pub use spgemm::{
-    count_row_block, decode_pair_records, pack_row_block, write_pair_record, RecordSeeds,
-    SpgemmBlockOut,
+    count_row_block, decode_pair_records, pack_row_block, write_pair_record, PairRecordError,
+    PairRecordErrorKind, RecordSeeds, SpgemmBlockOut,
 };
 pub use stage::{
     overlap_stage_with_lengths, reference_pairs, OverlapConfig, OverlapCounters, OverlapEngine,

@@ -17,22 +17,31 @@
 //!    (strictly upper triangular, so each unordered occurrence pair is
 //!    produced by exactly one row — the smaller read's);
 //! 2. per pair `(a, b)` one variable-length wire record carries the seeds
-//!    the fold kept:
+//!    the fold kept, raw or coded ([`write_pair_record`]):
 //!
 //!    ```text
-//!    ┌────────┬────────┬────────┬──────────────────────────────────┐
-//!    │ a: u32 │ b: u32 │ n: u32 │ n × (a_pos: u32, b_pos | rev<<31)│
-//!    └────────┴────────┴────────┴──────────────────────────────────┘
-//!        12-byte header                 8 bytes per seed
+//!    ┌────────┬────────┬──────────────────┬──────────────────────────────────┐
+//!    │ a: u32 │ b: u32 │ n: u32 (bit 31:  │ raw:   n × (a_pos: u32,          │
+//!    │        │        │  list is coded)  │              b_pos | rev<<31: u32)│
+//!    │        │        │                  │ coded: forward count (varint),   │
+//!    │        │        │                  │  forward steps, reverse steps    │
+//!    └────────┴────────┴──────────────────┴──────────────────────────────────┘
+//!        12-byte header                     8 bytes a seed raw, ~2 coded
 //!    ```
 //!
-//!    at most 20 bytes per seed instance (a one-seed record), 8 when a
-//!    pair's seeds ship together, and 20 per *pair* under
-//!    [`SeedFold::Min`]. Bit 31 of `b_pos` is the orientation, so a
-//!    position must stay below 2³¹ — [`SharedSeed::new`] refuses one
-//!    that does not (the in-memory seed keeps its orientation in a
-//!    position bit too), and ingest refuses a read of 2³¹ bases before any
-//!    position is taken from it.
+//!    A coded orientation is sorted by `(a_pos, b_pos)` and written as
+//!    steps `(Δa_pos, Δdiagonal)` — varint and zigzag varint, the diagonal
+//!    `b − a` forward and `a + b` reverse — with every repeated `(+1, 0)`
+//!    step (consecutive shared k-mers) folded into one run token. A record
+//!    of one seed, or one coding would not shrink, is raw, so a record is
+//!    never longer than `12 + 8n` bytes and a [`SeedFold::Min`] record is
+//!    20 bytes whatever it folded. Bit 31 of a raw `b_pos` is the
+//!    orientation, so a position must stay below 2³¹ — [`SharedSeed::new`]
+//!    refuses one that does not (the in-memory seed keeps its orientation
+//!    in a position bit too), and ingest refuses a read of 2³¹ bases
+//!    before any position is taken from it. [`decode_pair_records`] is the
+//!    one decoder: it checks every record whole and names a malformed one
+//!    with a [`PairRecordError`].
 //!
 //! # Two phases, one round at a time
 //!
@@ -44,12 +53,14 @@
 //!   list, yields every record each row will emit, per destination, in
 //!   send order.
 //!   - Under [`SeedFold::All`] the accumulator is a `u32` counter — no
-//!     seed lists, no bytes — and the pass yields each record's length.
-//!     [`ByteRounds::plan`] over those lengths cuts the rounds, so the
-//!     round count, every round's bytes and each destination's
-//!     concatenated stream are exactly those of planning over the fully
-//!     packed product (which is what [`pack_row_block`] over all rows,
-//!     the test oracle, still produces).
+//!     seed lists, no bytes — and the pass yields each record's seed count
+//!     and its *planned* length, the raw `12 + 8n`. [`ByteRounds::plan`]
+//!     over those lengths cuts the rounds, so the round count, every
+//!     round's records and each destination's concatenated stream are
+//!     exactly those of planning over the fully packed product (which is
+//!     what [`pack_row_block`] over all rows, the test oracle, still
+//!     produces). How well a list codes never moves a round boundary;
+//!     only the bytes a round ships shrink.
 //!   - Under [`SeedFold::Min`] the accumulator keeps the least seed
 //!     beside the counter. A record is 20 bytes whatever it folded, so the
 //!     pass writes the records themselves: it *is* the product, held at
@@ -57,11 +68,12 @@
 //!     `ByteRounds::plan` would from the record counts, and each round is
 //!     a slice of the held product ([`ByteRounds::pack`]).
 //! * **Numeric** (`All` only): packing round *r* expands only the rows
-//!   whose records the round's byte ranges cover, in executor batches
-//!   merged in row order. A row whose records straddle a round boundary
-//!   is expanded once; what the round does not ship is carried to the
-//!   next. A source therefore holds the round in flight, the round being
-//!   packed and at most one row's leftover per destination. The plan is
+//!   whose records the round's planned byte ranges cover, in executor
+//!   batches merged in row order. A row whose records straddle a round
+//!   boundary is expanded once; what the round does not ship is carried
+//!   to the next, with each record's planned and written length. A
+//!   source therefore holds the round in flight, the round being packed
+//!   and at most one row's leftover per destination. The plan is
 //!   greedy in destination order, so under a cap a source works through
 //!   destination 0's stream before destination 1's: a row is walked once
 //!   for every round-disjoint group of destinations that needs it (once in
@@ -108,8 +120,19 @@ use std::sync::Mutex;
 
 /// Bytes of a pair record's `(a, b, n)` header.
 pub const RECORD_HEADER_BYTES: usize = 12;
-/// Bytes per seed within a pair record.
+/// Bytes per seed within a raw pair record — the most a seed costs.
 pub const SEED_BYTES: usize = 8;
+
+/// Bit 31 of a record's `n`: set when its seed list is coded.
+const CODED: u32 = 1 << 31;
+
+/// The bytes a record of `seeds` seeds is planned at: its raw length,
+/// which coding never exceeds. Rounds are cut on this, so the round
+/// split does not depend on how well a list codes.
+#[inline]
+fn planned_len(seeds: usize) -> usize {
+    RECORD_HEADER_BYTES + SEED_BYTES * seeds
+}
 
 /// One row block's output: the record geometry [`ByteRounds`] plans with,
 /// the emission counters, and — from the numeric pass, or the count pass
@@ -119,7 +142,8 @@ pub struct SpgemmBlockOut {
     /// Per-destination encoded pair records ([`pack_row_block`]; left
     /// empty by [`count_row_block`] under [`SeedFold::All`]).
     pub bufs: Vec<Vec<u8>>,
-    /// Per-destination record lengths, in send order.
+    /// Per-destination planned record lengths (`12 + 8n`), in send order:
+    /// what the round planner cuts. A coded record is written shorter.
     pub lens: Vec<Vec<usize>>,
     /// Wire records emitted (one per pair with a cross-read seed).
     pub records: u64,
@@ -135,25 +159,115 @@ impl SpgemmBlockOut {
         Self { bufs: vec![Vec::new(); ranks], lens: vec![Vec::new(); ranks], ..Default::default() }
     }
 
-    fn count(&mut self, dest: usize, len: usize) {
-        self.lens[dest].push(len);
+    fn count(&mut self, dest: usize, seeds: usize) {
+        self.lens[dest].push(planned_len(seeds));
         self.records += 1;
-        self.seeds += ((len - RECORD_HEADER_BYTES) / SEED_BYTES) as u64;
+        self.seeds += seeds as u64;
     }
 }
 
-/// Append one pair record to `buf`; returns its length in bytes. The
-/// record keeps the orientation in bit 31 of `b_pos`; [`SharedSeed::new`]
-/// refuses a position that needs that bit.
-pub fn write_pair_record(buf: &mut Vec<u8>, pair: ReadPair, seeds: &[SharedSeed]) -> usize {
+/// A seed's diagonal in its orientation: `b − a` forward, `a + b`
+/// reverse — constant along a run of consecutive shared k-mers.
+#[inline]
+fn diagonal(seed: SharedSeed) -> i64 {
+    let (a, b) = (i64::from(seed.a_pos()), i64::from(seed.b_pos()));
+    if seed.reverse() {
+        a + b
+    } else {
+        b - a
+    }
+}
+
+#[inline]
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// One step of a coded list: `Δa_pos` as a varint, `Δdiagonal` as a zigzag
+/// varint.
+#[inline]
+fn put_step(buf: &mut Vec<u8>, da: u64, dd: i64) {
+    put_varint(buf, da);
+    put_varint(buf, zigzag(dd));
+}
+
+#[inline]
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+#[inline]
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
+/// Code one orientation's seeds, sorted by `(a_pos, b_pos)`: each a step
+/// `(Δa_pos, Δdiagonal)` from the last (from `(0, 0)` for the first), as a
+/// varint and a zigzag varint, except that consecutive `(+1, 0)` steps
+/// become one run token `(0, −len)` — a step no sorted list otherwise
+/// takes, since at equal `a_pos` the diagonal cannot fall.
+fn code_orientation(buf: &mut Vec<u8>, seeds: impl Iterator<Item = SharedSeed>) {
+    let (mut a, mut d, mut run) = (0i64, 0i64, 0i64);
+    for seed in seeds {
+        let (sa, sd) = (i64::from(seed.a_pos()), diagonal(seed));
+        if (sa - a, sd - d) == (1, 0) {
+            run += 1;
+        } else {
+            if run > 0 {
+                put_step(buf, 0, -run);
+                run = 0;
+            }
+            put_step(buf, (sa - a) as u64, sd - d);
+        }
+        (a, d) = (sa, sd);
+    }
+    if run > 0 {
+        put_step(buf, 0, -run);
+    }
+}
+
+/// Append one pair record to `buf`; returns its length in bytes, at most
+/// `12 + 8n` for `n` seeds.
+///
+/// A record of two or more seeds is sorted in place and written **coded**
+/// when that is shorter: the forward count (a varint), then the forward
+/// seeds' steps and the reverse seeds' steps, each orientation by
+/// `(a_pos, b_pos)` as `(Δa_pos, Δdiagonal)` with one token per run of
+/// consecutive k-mers (see the module docs), with bit 31 of `n` set.
+/// Otherwise — one seed, or a list coding would not shrink — it is written
+/// **raw**: `n` times `(a_pos, b_pos | rev << 31)` as two little-endian
+/// `u32`s. [`SharedSeed::new`] refuses a position that needs bit 31.
+pub fn write_pair_record(buf: &mut Vec<u8>, pair: ReadPair, seeds: &mut [SharedSeed]) -> usize {
+    let n = u32::try_from(seeds.len())
+        .ok()
+        .filter(|&n| n < CODED)
+        .expect("a pair record holds fewer than 2^31 seeds");
+    let start = buf.len();
     buf.extend_from_slice(&pair.a.to_le_bytes());
     buf.extend_from_slice(&pair.b.to_le_bytes());
-    buf.extend_from_slice(&(seeds.len() as u32).to_le_bytes());
-    for s in seeds {
+    buf.extend_from_slice(&n.to_le_bytes());
+    let raw = planned_len(seeds.len());
+    if seeds.len() > 1 {
+        seeds.sort_unstable();
+        put_varint(buf, seeds.iter().filter(|s| !s.reverse()).count() as u64);
+        for reverse in [false, true] {
+            code_orientation(buf, seeds.iter().copied().filter(|s| s.reverse() == reverse));
+        }
+        if buf.len() - start < raw {
+            buf[start + 8..start + RECORD_HEADER_BYTES].copy_from_slice(&(n | CODED).to_le_bytes());
+            return buf.len() - start;
+        }
+        buf.truncate(start + RECORD_HEADER_BYTES);
+    }
+    for s in seeds.iter() {
         buf.extend_from_slice(&s.a_pos().to_le_bytes());
         buf.extend_from_slice(&(s.b_pos() | (s.reverse() as u32) << 31).to_le_bytes());
     }
-    RECORD_HEADER_BYTES + SEED_BYTES * seeds.len()
+    raw
 }
 
 /// Where a pair's record goes: the rank that owns the pair's home read.
@@ -307,11 +421,11 @@ fn tally_rows<T: Tally>(
     instances
 }
 
-/// The symbolic pass over `rows`: `record(row, dest, len)` for every record
-/// the numeric pass would write, in its order. Under [`SeedFold::Min`] the
-/// count folds each pair's least seed as it goes — everything the numeric
-/// pass would do — and appends the records themselves to `bufs`. Returns
-/// the instances enumerated.
+/// The symbolic pass over `rows`: `record(row, dest, seeds)` for every
+/// record the numeric pass would write, in its order, with the seeds it
+/// carries. Under [`SeedFold::Min`] the count folds each pair's least seed
+/// as it goes — everything the numeric pass would do — and appends the
+/// records themselves to `bufs`. Returns the instances enumerated.
 fn count_rows(
     csr: &ReadKmerCsr<'_>,
     rows: Range<usize>,
@@ -322,25 +436,26 @@ fn count_rows(
     mut record: impl FnMut(usize, usize, usize),
 ) -> u64 {
     match fold {
-        SeedFold::All => tally_rows(csr, rows, read_part, scratch, |r, dest, _, n: u32| {
-            record(r, dest, RECORD_HEADER_BYTES + SEED_BYTES * n as usize)
-        }),
+        SeedFold::All => {
+            tally_rows(csr, rows, read_part, scratch, |r, dest, _, n: u32| record(r, dest, n as usize))
+        }
         SeedFold::Min => tally_rows(csr, rows, read_part, scratch, |r, dest, b, least: Least| {
             let pair = ReadPair { a: csr.row_read(r), b };
-            record(r, dest, write_pair_record(&mut bufs[dest], pair, &[least.seed]))
+            write_pair_record(&mut bufs[dest], pair, &mut [least.seed]);
+            record(r, dest, 1)
         }),
     }
 }
 
 /// The numeric pass over `rows`: `record(row, pair, seeds)` for every pair
-/// of each row in ascending `b`, the seeds accumulated under `fold`.
-/// Returns the instances enumerated.
+/// of each row in ascending `b`, the seeds accumulated under `fold` (the
+/// list is `record`'s to reorder). Returns the instances enumerated.
 fn expand_rows(
     csr: &ReadKmerCsr<'_>,
     rows: impl Iterator<Item = usize>,
     fold: SeedFold,
     scratch: &mut RowScratch,
-    mut record: impl FnMut(usize, ReadPair, &[SharedSeed]),
+    mut record: impl FnMut(usize, ReadPair, &mut [SharedSeed]),
 ) -> u64 {
     let RowScratch { slot, touched, lists, .. } = scratch;
     let mut instances = 0u64;
@@ -385,8 +500,8 @@ pub fn pack_row_block(
     let scratch = scratch.with_dense_index(read_part.n_reads());
     let instances = expand_rows(csr, rows, fold, scratch, |_, pair, seeds| {
         let dest = dest(read_part, pair.a, pair.b);
-        let len = write_pair_record(&mut out.bufs[dest], pair, seeds);
-        out.count(dest, len);
+        write_pair_record(&mut out.bufs[dest], pair, seeds);
+        out.count(dest, seeds.len());
     });
     out.instances = instances;
     out
@@ -407,58 +522,252 @@ pub fn count_row_block(
     let mut bufs = std::mem::take(&mut out.bufs);
     let mut scratch = RowScratch::default();
     out.instances =
-        count_rows(csr, rows, read_part, fold, &mut scratch, &mut bufs, |_, dest, len| out.count(dest, len));
+        count_rows(csr, rows, read_part, fold, &mut scratch, &mut bufs, |_, dest, seeds| out.count(dest, seeds));
     out.bufs = bufs;
     out
 }
 
-/// The seeds one wire record carries, decoded lazily in wire order.
+/// Why a buffer is not a sequence of pair records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairRecordError {
+    /// Byte offset of the offending record in the buffer.
+    pub offset: usize,
+    /// What is wrong with it.
+    pub kind: PairRecordErrorKind,
+}
+
+/// The ways a pair record can be malformed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PairRecordErrorKind {
+    /// Fewer than [`RECORD_HEADER_BYTES`] bytes are left — a cut header,
+    /// or trailing bytes after the last record.
+    TruncatedHeader,
+    /// The seed list runs past the end of the buffer.
+    TruncatedSeeds,
+    /// A varint of a coded list does not fit 64 bits.
+    VarintOverflow,
+    /// A coded list names more forward seeds than the record holds, or a
+    /// run longer than the seeds its orientation has left.
+    SeedCount,
+    /// A coded step leads to a position no seed can hold.
+    Position,
+}
+
+impl std::fmt::Display for PairRecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let what = match self.kind {
+            PairRecordErrorKind::TruncatedHeader => "header cut short",
+            PairRecordErrorKind::TruncatedSeeds => "seed list cut short",
+            PairRecordErrorKind::VarintOverflow => "varint over 64 bits",
+            PairRecordErrorKind::SeedCount => "coded seeds disagree with the seed count",
+            PairRecordErrorKind::Position => "coded seed out of position range",
+        };
+        write!(f, "pair record at byte {}: {what}", self.offset)
+    }
+}
+
+impl std::error::Error for PairRecordError {}
+
+#[inline]
+fn get_varint(bytes: &mut &[u8]) -> Result<u64, PairRecordErrorKind> {
+    if let Some((&byte, rest)) = bytes.split_first().filter(|(&byte, _)| byte < 0x80) {
+        // Most steps of a coded list fit one byte.
+        *bytes = rest;
+        return Ok(u64::from(byte));
+    }
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&byte, rest) = bytes.split_first().ok_or(PairRecordErrorKind::TruncatedSeeds)?;
+        *bytes = rest;
+        let part = u64::from(byte & 0x7F);
+        if shift == 63 && part > 1 {
+            return Err(PairRecordErrorKind::VarintOverflow);
+        }
+        v |= part << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(PairRecordErrorKind::VarintOverflow)
+}
+
+/// Whether a seed can sit at `(a_pos, diagonal)` in one orientation.
+#[inline]
+fn fits(a: i64, d: i64, reverse: bool) -> Result<(), PairRecordErrorKind> {
+    let b = if reverse { d.checked_sub(a) } else { d.checked_add(a) };
+    match b {
+        Some(b) if (0..=i64::from(u32::MAX)).contains(&a) && (0..1 << 31).contains(&b) => Ok(()),
+        _ => Err(PairRecordErrorKind::Position),
+    }
+}
+
+/// The seed at `(a_pos, diagonal)`, which [`fits`].
+#[inline]
+fn seed_at(a: i64, d: i64, reverse: bool) -> SharedSeed {
+    SharedSeed::new(a as u32, if reverse { d - a } else { d + a } as u32, reverse)
+}
+
+/// Where a coded list's decoder stands: the bytes left, the forward seeds
+/// left, and the `(a_pos, diagonal)` of the last seed of the last token.
 #[derive(Clone, Debug)]
-pub struct RecordSeeds<'a>(std::slice::ChunksExact<'a, u8>);
+struct Coded<'a> {
+    bytes: &'a [u8],
+    forward: usize,
+    reverse: bool,
+    a: i64,
+    d: i64,
+}
+
+impl Coded<'_> {
+    /// Read the next token and, if `CHECK`, check its first and last seed
+    /// — `a_pos` and `b_pos` are monotone along a run, so the seeds between
+    /// are good too. `left` counts the seeds still to come. Returns how
+    /// many seeds the token stands for. A record is checked whole before
+    /// its seeds are handed out, so reading them back needs no checks.
+    #[inline]
+    fn token<const CHECK: bool>(&mut self, left: usize) -> Result<usize, PairRecordErrorKind> {
+        if self.forward == 0 && !self.reverse {
+            // Each orientation steps from (0, 0).
+            (self.reverse, self.a, self.d) = (true, 0, 0);
+        }
+        let da = get_varint(&mut self.bytes)?;
+        let dd = unzigzag(get_varint(&mut self.bytes)?);
+        let len = if da == 0 && dd < 0 {
+            let len = usize::try_from(dd.unsigned_abs()).unwrap_or(usize::MAX);
+            if CHECK {
+                if len > if self.reverse { left } else { self.forward } {
+                    return Err(PairRecordErrorKind::SeedCount);
+                }
+                fits(self.a + 1, self.d, self.reverse)?;
+            }
+            self.a += len as i64;
+            len
+        } else if CHECK {
+            let a = i64::try_from(da).ok().and_then(|da| self.a.checked_add(da));
+            (self.a, self.d) = a.zip(self.d.checked_add(dd)).ok_or(PairRecordErrorKind::Position)?;
+            1
+        } else {
+            (self.a, self.d) = (self.a + da as i64, self.d + dd);
+            1
+        };
+        if CHECK {
+            fits(self.a, self.d, self.reverse)?;
+        }
+        if !self.reverse {
+            self.forward -= len;
+        }
+        Ok(len)
+    }
+}
+
+#[derive(Clone, Debug)]
+enum SeedList<'a> {
+    Raw(&'a [u8]),
+    /// The cursor, and the seeds of its last token not yet handed out.
+    Coded(Coded<'a>, usize),
+}
+
+/// The seeds one wire record carries, decoded lazily — raw records in
+/// wire order, coded ones forward seeds first, each orientation by
+/// `(a_pos, b_pos)`, so a record is at most two sorted runs. Only
+/// [`decode_pair_records`] makes one, after it has checked the whole
+/// record.
+#[derive(Clone, Debug)]
+pub struct RecordSeeds<'a> {
+    record: &'a [u8],
+    left: usize,
+    list: SeedList<'a>,
+}
+
+impl<'a> RecordSeeds<'a> {
+    /// Check the record at the head of `rest`: its pair, its seeds
+    /// positioned before the first, and its length in bytes.
+    fn parse(rest: &'a [u8]) -> Result<(ReadPair, Self), PairRecordErrorKind> {
+        let (header, body) = rest
+            .split_first_chunk::<RECORD_HEADER_BYTES>()
+            .ok_or(PairRecordErrorKind::TruncatedHeader)?;
+        let word = |at: usize| u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]]);
+        let pair = ReadPair { a: word(0), b: word(4) };
+        let n = (word(8) & !CODED) as usize;
+        if word(8) & CODED == 0 {
+            let seeds = SEED_BYTES
+                .checked_mul(n)
+                .and_then(|need| body.get(..need))
+                .ok_or(PairRecordErrorKind::TruncatedSeeds)?;
+            let record = &rest[..RECORD_HEADER_BYTES + seeds.len()];
+            return Ok((pair, Self { record, left: n, list: SeedList::Raw(seeds) }));
+        }
+        let mut bytes = body;
+        let forward = usize::try_from(get_varint(&mut bytes)?)
+            .ok()
+            .filter(|&forward| forward <= n)
+            .ok_or(PairRecordErrorKind::SeedCount)?;
+        let start = Coded { bytes, forward, reverse: false, a: 0, d: 0 };
+        let (mut check, mut left) = (start.clone(), n);
+        while left > 0 {
+            left -= check.token::<true>(left)?;
+        }
+        let record = &rest[..rest.len() - check.bytes.len()];
+        Ok((pair, Self { record, left: n, list: SeedList::Coded(start, 0) }))
+    }
+
+    /// The whole record as it crossed the wire, header included — a
+    /// buffer [`decode_pair_records`] reads back as this one record.
+    pub fn record(&self) -> &'a [u8] {
+        self.record
+    }
+}
 
 impl Iterator for RecordSeeds<'_> {
     type Item = SharedSeed;
 
     fn next(&mut self) -> Option<SharedSeed> {
-        let s = self.0.next()?;
-        let packed = u32_at(s, 4);
-        Some(SharedSeed::new(u32_at(s, 0), packed & !(1 << 31), packed >> 31 == 1))
+        if self.left == 0 {
+            return None;
+        }
+        let seed = match &mut self.list {
+            SeedList::Raw(bytes) => {
+                let (s, rest) = bytes.split_first_chunk::<SEED_BYTES>()?;
+                *bytes = rest;
+                let packed = u32::from_le_bytes([s[4], s[5], s[6], s[7]]);
+                SharedSeed::new(u32::from_le_bytes([s[0], s[1], s[2], s[3]]), packed & !(1 << 31), packed >> 31 == 1)
+            }
+            SeedList::Coded(coded, run) => {
+                if *run == 0 {
+                    *run = coded.token::<false>(self.left).expect("an unchecked token cannot fail");
+                }
+                *run -= 1;
+                seed_at(coded.a - *run as i64, coded.d, coded.reverse)
+            }
+        };
+        self.left -= 1;
+        Some(seed)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        (self.left, Some(self.left))
     }
 }
 
 impl ExactSizeIterator for RecordSeeds<'_> {}
 
-fn u32_at(bytes: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte field"))
-}
-
-/// Decode a buffer of pair records, invoking `f(pair, seeds)` once per
-/// record with the seeds it carries, so a consumer pays its per-pair cost
-/// per record, not per seed. Returns the record count.
-///
-/// # Panics
-/// Panics if `buf` is not a whole number of records.
-pub fn decode_pair_records(buf: &[u8], mut f: impl FnMut(ReadPair, RecordSeeds<'_>)) -> u64 {
-    let mut rest = buf;
-    let mut records = 0u64;
-    while !rest.is_empty() {
-        assert!(rest.len() >= RECORD_HEADER_BYTES, "truncated record header");
-        let (header, body) = rest.split_at(RECORD_HEADER_BYTES);
-        let (a, b, n) = (u32_at(header, 0), u32_at(header, 4), u32_at(header, 8) as usize);
-        let seed_bytes = SEED_BYTES
-            .checked_mul(n)
-            .filter(|&need| need <= body.len())
-            .expect("truncated seed list");
-        let (seeds, tail) = body.split_at(seed_bytes);
-        f(ReadPair { a, b }, RecordSeeds(seeds.chunks_exact(SEED_BYTES)));
-        rest = tail;
+/// Decode a buffer of pair records, raw or coded, invoking `f(pair,
+/// seeds)` once per record with the seeds it carries, so a consumer pays
+/// its per-pair cost per record, not per seed. Each record is checked
+/// whole before `f` sees it. Returns the record count, or the first
+/// malformed record — after `f` has seen every record before it.
+pub fn decode_pair_records(
+    buf: &[u8],
+    mut f: impl FnMut(ReadPair, RecordSeeds<'_>),
+) -> Result<u64, PairRecordError> {
+    let (mut offset, mut records) = (0usize, 0u64);
+    while offset < buf.len() {
+        let (pair, seeds) = RecordSeeds::parse(&buf[offset..]).map_err(|kind| PairRecordError { offset, kind })?;
+        offset += seeds.record.len();
+        f(pair, seeds);
         records += 1;
     }
-    records
+    Ok(records)
 }
 
 /// Most executor batches one round's row span is cut into (and the whole
@@ -513,8 +822,8 @@ const ONE_SEED_RECORD_BYTES: usize = RECORD_HEADER_BYTES + SEED_BYTES;
 
 /// Per destination, what the round planner cuts.
 enum Streams {
-    /// The length of every record in send order (`All`): the numeric pass
-    /// writes the bytes a round at a time.
+    /// The planned length of every record in send order (`All`): the
+    /// numeric pass writes the bytes a round at a time.
     Lens(Vec<Vec<usize>>),
     /// The records themselves (`Min`): the count pass folded and wrote
     /// them, so the numeric pass has nothing left to do.
@@ -551,8 +860,8 @@ impl Product<'_> {
                 let rows = i * batch..((i + 1) * batch).min(n_rows);
                 let (mut records, mut bufs) = (Vec::new(), vec![Vec::new(); ranks]);
                 let instances = self.pool.with(|scratch| {
-                    count_rows(self.csr, rows, self.read_part, self.fold, scratch, &mut bufs, |r, dest, len| {
-                        records.push((r, dest, len))
+                    count_rows(self.csr, rows, self.read_part, self.fold, scratch, &mut bufs, |r, dest, seeds| {
+                        records.push((r, dest, seeds))
                     })
                 });
                 (records, bufs, instances)
@@ -560,8 +869,9 @@ impl Product<'_> {
             |(records, bufs, instances)| {
                 counters.pairs_emitted += instances;
                 counters.candidate_pairs_emitted += records.len() as u64;
-                for (r, dest, len) in records {
-                    counters.seeds_shipped += ((len - RECORD_HEADER_BYTES) / SEED_BYTES) as u64;
+                for (r, dest, seeds) in records {
+                    counters.seeds_shipped += seeds as u64;
+                    let len = planned_len(seeds);
                     if let Streams::Lens(lens) = &mut streams {
                         lens[dest].push(len);
                     }
@@ -585,6 +895,45 @@ impl Product<'_> {
     }
 }
 
+/// Records expanded for one destination and not yet shipped: their bytes
+/// and, per record, its planned and its written length. Rounds are cut in
+/// planned bytes; what ships is the written ones.
+#[derive(Debug, Default)]
+struct Carry {
+    bytes: Vec<u8>,
+    lens: Vec<(usize, usize)>,
+    planned: usize,
+}
+
+impl Carry {
+    fn push(&mut self, pair: ReadPair, seeds: &mut [SharedSeed]) {
+        let written = write_pair_record(&mut self.bytes, pair, seeds);
+        let planned = planned_len(seeds.len());
+        self.lens.push((planned, written));
+        self.planned += planned;
+    }
+
+    fn append(&mut self, other: Carry) {
+        self.bytes.extend_from_slice(&other.bytes);
+        self.lens.extend(other.lens);
+        self.planned += other.planned;
+    }
+
+    /// Take the leading records that fill `planned` bytes of the plan.
+    fn ship(&mut self, planned: usize) -> Vec<u8> {
+        let (mut records, mut taken, mut written) = (0usize, 0usize, 0usize);
+        while taken < planned {
+            let (p, w) = self.lens[records];
+            (records, taken, written) = (records + 1, taken + p, written + w);
+        }
+        assert_eq!(taken, planned, "a planned round ends inside a record");
+        self.lens.drain(..records);
+        self.planned -= taken;
+        let rest = self.bytes.split_off(written);
+        std::mem::replace(&mut self.bytes, rest)
+    }
+}
+
 /// The record streams, round by round: the planned rounds and either the
 /// held one-seed product or, per destination, how far the numeric pass has
 /// expanded and shipped the rows.
@@ -597,11 +946,12 @@ struct RowStream<'a> {
     /// are packed.
     held: Option<Vec<Vec<u8>>>,
     /// Per destination, the first row not yet expanded for it and the
-    /// offset in its stream at which the expanded rows' records end.
+    /// planned offset in its stream at which the expanded rows' records
+    /// end.
     expanded: Vec<(usize, usize)>,
-    /// Per destination, bytes expanded but not yet shipped: what the last
-    /// expanded row emitted past the end of the last packed round.
-    carry: Vec<Vec<u8>>,
+    /// Per destination, records expanded but not yet shipped: what the
+    /// last expanded row emitted past the end of the last packed round.
+    carry: Vec<Carry>,
 }
 
 impl<'a> RowStream<'a> {
@@ -623,7 +973,7 @@ impl<'a> RowStream<'a> {
             row_ends,
             held,
             expanded: vec![(0, 0); ranks],
-            carry: vec![Vec::new(); ranks],
+            carry: (0..ranks).map(|_| Carry::default()).collect(),
         };
         (stream, counters)
     }
@@ -654,8 +1004,8 @@ impl<'a> RowStream<'a> {
     }
 
     /// Pack round `round`: slice it from the held product, or expand the
-    /// rows its byte ranges reach past what is carried, ship exactly the
-    /// planned bytes and carry the rest.
+    /// rows its planned byte ranges reach past what is carried, ship
+    /// exactly the planned records and carry the rest.
     fn pack(&mut self, round: u64) -> Vec<Vec<u8>> {
         if let Some(held) = &self.held {
             return self.split.pack(round, held);
@@ -668,13 +1018,11 @@ impl<'a> RowStream<'a> {
         // through the row in which this round's range ends.
         let mut wants: Vec<Range<usize>> = vec![0..0; ranks];
         for (dest, range) in segments {
-            let carry = &mut self.carry[*dest];
-            if range.start + carry.len() < range.end {
+            if range.start + self.carry[*dest].planned < range.end {
                 let ends = &self.row_ends[*dest];
                 let (last, end) = ends[ends.partition_point(|&(_, end)| end < range.end)];
                 wants[*dest] = self.expanded[*dest].0..last + 1;
                 self.expanded[*dest] = (last + 1, end);
-                carry.reserve_exact(end - range.start - carry.len());
             }
         }
         let wanted = |r: &usize| wants.iter().any(|w| w.contains(r));
@@ -685,22 +1033,22 @@ impl<'a> RowStream<'a> {
         let n_batches = (hi - lo).div_ceil(batch);
         let expand = |i: usize| {
             let rows = lo + i * batch..(lo + (i + 1) * batch).min(hi);
-            let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); ranks];
+            let mut got: Vec<Carry> = (0..ranks).map(|_| Carry::default()).collect();
             pool.with(|scratch| {
                 let scratch = scratch.with_dense_index(n_reads);
                 expand_rows(csr, rows.filter(wanted), fold, scratch, |r, pair, seeds| {
                     let dest = dest(read_part, pair.a, pair.b);
                     if wants[dest].contains(&r) {
-                        write_pair_record(&mut bufs[dest], pair, seeds);
+                        got[dest].push(pair, seeds);
                     }
                 });
             });
-            bufs
+            got
         };
         for wave in (0..n_batches).step_by(WAVE_BATCHES) {
-            for bufs in exec.map_indexed(WAVE_BATCHES.min(n_batches - wave), |i| expand(wave + i)) {
-                for (carry, bytes) in self.carry.iter_mut().zip(bufs) {
-                    carry.extend_from_slice(&bytes);
+            for got in exec.map_indexed(WAVE_BATCHES.min(n_batches - wave), |i| expand(wave + i)) {
+                for (carry, got) in self.carry.iter_mut().zip(got) {
+                    carry.append(got);
                 }
             }
         }
@@ -709,14 +1057,13 @@ impl<'a> RowStream<'a> {
         for (dest, range) in segments {
             let carry = &mut self.carry[*dest];
             // The plan was cut from counted lengths; the rows must have
-            // produced exactly those bytes, in every build profile.
+            // produced exactly those records, in every build profile.
             assert_eq!(
-                range.start + carry.len(),
+                range.start + carry.planned,
                 self.expanded[*dest].1,
                 "destination {dest}, round {round}: the expanded rows disagree with the symbolic pass"
             );
-            let rest = carry.split_off(range.len());
-            out[*dest] = std::mem::replace(carry, rest);
+            out[*dest] = carry.ship(range.len());
         }
         out
     }
@@ -782,11 +1129,51 @@ pub(crate) fn spgemm_exchange(
         |round| sources.iter_mut().map(|s| s.after(round)).min().expect("a world has a rank"),
         finish,
     );
-    assert!(stream.carry.iter().all(Vec::is_empty), "rows expanded past the last planned round");
+    assert!(stream.carry.iter().all(|c| c.lens.is_empty()), "rows expanded past the last planned round");
     counters.seeds_received = got.seeds;
     counters.rounds = got.rounds;
     counters.peak_seeds_pending = got.peak_pending;
     counters
+}
+
+#[cfg(test)]
+/// Each of `plan`'s rounds as it ships: per destination, the written
+/// bytes of the records whose planned bytes the round covers.
+pub(crate) fn coded_rounds(plan: &ByteRounds, product: &SpgemmBlockOut) -> Vec<Vec<Vec<u8>>> {
+    // Per destination, each record's planned and written end offsets.
+    let ends: Vec<Vec<(usize, usize)>> = product
+        .lens
+        .iter()
+        .zip(&product.bufs)
+        .map(|(lens, buf)| {
+            let mut written = Vec::new();
+            decode_pair_records(buf, |_, seeds| written.push(seeds.record().len())).unwrap();
+            assert_eq!(written.len(), lens.len());
+            let (mut p, mut w) = (0, 0);
+            lens.iter().zip(written).map(|(lp, lw)| {
+                (p, w) = (p + lp, w + lw);
+                (p, w)
+            }).collect()
+        })
+        .collect();
+    let written_at = |dest: usize, planned: usize| match planned {
+        0 => 0,
+        planned => {
+            let at = ends[dest].partition_point(|&(p, _)| p < planned);
+            assert_eq!(ends[dest][at].0, planned, "a planned round ends inside a record");
+            ends[dest][at].1
+        }
+    };
+    (0..plan.len() as u64)
+        .map(|round| {
+            let mut bufs = vec![Vec::new(); product.bufs.len()];
+            for (dest, range) in plan.segments(round) {
+                let bytes = written_at(*dest, range.start)..written_at(*dest, range.end);
+                bufs[*dest] = product.bufs[*dest][bytes].to_vec();
+            }
+            bufs
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -840,15 +1227,13 @@ mod tests {
         assert_eq!(out.records, 2, "one record per pair");
         assert_eq!(out.seeds, 3, "three seed contributions");
         assert_eq!(out.instances, 3);
-        assert_eq!(
-            out.bufs[0].len(),
-            2 * RECORD_HEADER_BYTES + 3 * SEED_BYTES,
-            "12 + 8n bytes per record"
-        );
-        assert_eq!(out.lens[0].iter().sum::<usize>(), out.bufs[0].len());
+        let planned = [RECORD_HEADER_BYTES + 2 * SEED_BYTES, RECORD_HEADER_BYTES + SEED_BYTES];
+        assert_eq!(out.lens[0], planned, "planned at 12 + 8n");
+        // The two-seed record codes to 17 bytes; the one-seed record is raw.
+        assert_eq!(out.bufs[0].len(), 17 + 20);
         let mut got: Vec<(ReadPair, SharedSeed)> = Vec::new();
         let records = decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
-        assert_eq!(records, 2);
+        assert_eq!(records, Ok(2));
         let mut want = vec![
             (ReadPair::new(0, 1), SharedSeed::new(3, 7, false)),
             (ReadPair::new(0, 1), SharedSeed::new(9, 1, true)),
@@ -915,7 +1300,7 @@ mod tests {
         assert_eq!((out.instances, out.records, out.seeds), (3, 1, 1));
         assert_eq!(out.bufs[0].len(), RECORD_HEADER_BYTES + SEED_BYTES);
         let mut got = Vec::new();
-        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
+        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s)))).unwrap();
         assert_eq!(got, vec![(ReadPair::new(0, 1), SharedSeed::new(3, 0, false))]);
         let counted = count_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::Min);
         assert_eq!((counted.bufs, counted.lens), (out.bufs, out.lens));
@@ -944,7 +1329,7 @@ mod tests {
         let part = ReadPartition::from_counts(&[3]);
         let out = pack_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::All);
         let mut got: Vec<(ReadPair, SharedSeed)> = Vec::new();
-        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
+        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s)))).unwrap();
         got.sort_unstable();
         // `reference_pairs` dedups each pair's list; these instances are
         // distinct, so the multiset must equal it as it stands.
@@ -968,7 +1353,7 @@ mod tests {
         let part = ReadPartition::from_counts(&[2]);
         let out = pack_row_block(&csr, 0..csr.n_rows(), &part, 1, SeedFold::All);
         let mut got = Vec::new();
-        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s))));
+        decode_pair_records(&out.bufs[0], |p, seeds| got.extend(seeds.map(|s| (p, s)))).unwrap();
         assert_eq!(
             got,
             vec![(
@@ -1001,7 +1386,7 @@ mod tests {
             let n = seeds.len();
             calls.push((p, n, seeds.collect::<Vec<_>>()));
         });
-        assert_eq!(records, 2);
+        assert_eq!(records, Ok(2));
         let seeds = vec![
             SharedSeed::new(10, 20, false),
             SharedSeed::new(30, 40, true),
@@ -1009,27 +1394,197 @@ mod tests {
         assert_eq!(calls, vec![(ReadPair::new(3, 9), 2, seeds.clone()), (ReadPair::new(3, 9), 2, seeds)]);
     }
 
+    /// Each record handed over: its pair and seeds.
+    type Seen = Vec<(ReadPair, Vec<SharedSeed>)>;
+
+    /// Decode `buf`: the records handed over, and the result.
+    fn decode_all(buf: &[u8]) -> (Seen, Result<u64, PairRecordError>) {
+        let mut seen = Vec::new();
+        let res = decode_pair_records(buf, |p, seeds| seen.push((p, seeds.collect())));
+        (seen, res)
+    }
+
+    fn error(offset: usize, kind: PairRecordErrorKind) -> Result<u64, PairRecordError> {
+        Err(PairRecordError { offset, kind })
+    }
+
     #[test]
-    #[should_panic(expected = "truncated record header")]
     fn decode_rejects_a_cut_header() {
         let mut buf = one_record();
         buf.extend_from_slice(&one_record()[..RECORD_HEADER_BYTES - 1]);
-        decode_pair_records(&buf, |_, _| {});
+        let (seen, res) = decode_all(&buf);
+        assert_eq!(res, error(one_record().len(), PairRecordErrorKind::TruncatedHeader));
+        assert_eq!(seen.len(), 1, "the whole record before the cut is handed over");
+        assert_eq!(res.unwrap_err().to_string(), "pair record at byte 28: header cut short");
     }
 
     #[test]
-    #[should_panic(expected = "truncated seed list")]
     fn decode_rejects_a_cut_seed_list() {
         let buf = one_record();
-        decode_pair_records(&buf[..buf.len() - 1], |_, _| {});
+        let (seen, res) = decode_all(&buf[..buf.len() - 1]);
+        assert_eq!((seen, res), (vec![], error(0, PairRecordErrorKind::TruncatedSeeds)));
     }
 
     #[test]
-    #[should_panic(expected = "truncated seed list")]
     fn decode_rejects_a_seed_count_beyond_the_buffer() {
         let mut buf = one_record();
+        buf[8..12].copy_from_slice(&(u32::MAX >> 1).to_le_bytes());
+        assert_eq!(decode_all(&buf).1, error(0, PairRecordErrorKind::TruncatedSeeds));
+        // The same count, coded: the list runs out long before it.
         buf[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        decode_pair_records(&buf, |_, _| {});
+        assert_eq!(decode_all(&buf).1, error(0, PairRecordErrorKind::TruncatedSeeds));
+    }
+
+    /// Coded lists that lie: more forward seeds than the record holds, a
+    /// run past its orientation's seeds, a step off the position range and
+    /// a varint over 64 bits are each named, never a panic.
+    #[test]
+    fn decode_rejects_coded_lists_that_disagree_with_their_header() {
+        let coded = |n: u32, body: &[u8]| -> Vec<u8> {
+            let mut buf = [3u32, 9, n | CODED].iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+            buf.extend_from_slice(body);
+            buf
+        };
+        use PairRecordErrorKind::*;
+        // Two forward seeds at (5, 5) and (6, 6): coded, then decoded back.
+        let good = coded(2, &[2, 5, 0, 0, 1]);
+        let (seen, res) = decode_all(&good);
+        assert_eq!(res, Ok(1));
+        assert_eq!(seen[0].1, [SharedSeed::new(5, 5, false), SharedSeed::new(6, 6, false)]);
+        for (body, kind) in [
+            (&[3u8, 5, 0][..], SeedCount),             // three forward seeds of two
+            (&[2, 5, 0, 0, 3][..], SeedCount),         // a run of two with one seed left
+            (&[0, 0, 0, 0, 3][..], SeedCount),         // a reverse run past the end
+            (&[2, 1, 3, 0, 0][..], Position),          // b = −1
+            (&[2, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F, 0][..], Position), // a_pos past u32
+            (&[2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02][..], VarintOverflow),
+            (&[2, 5, 0][..], TruncatedSeeds),
+        ] {
+            assert_eq!(decode_all(&coded(2, body)).1, error(0, kind), "{body:?}");
+        }
+    }
+
+    /// A small xorshift stream for the seeded codec tests.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// A seed list of one of the shapes the codec must get right: runs of
+    /// consecutive k-mers on a diagonal in either orientation, scattered
+    /// seeds, seeds sharing an `a_pos`, positions near 2³¹ − 1, duplicates.
+    fn seed_list(rnd: &mut impl FnMut() -> u64) -> Vec<SharedSeed> {
+        const TOP: u64 = (1 << 31) - 1;
+        let n = 1 + (rnd() % 40) as usize;
+        let shape = rnd() % 5;
+        let mut seeds = Vec::with_capacity(n);
+        let (mut a, mut b) = (rnd() % 20_000, rnd() % 20_000);
+        for i in 0..n as u64 {
+            let reverse = rnd().is_multiple_of(3);
+            let seed = match shape {
+                // Diagonal runs with the odd indel.
+                0 => {
+                    a += 1 + rnd().is_multiple_of(8) as u64;
+                    b = if reverse { b.saturating_sub(1) } else { b + 1 + rnd().is_multiple_of(9) as u64 };
+                    (a, b)
+                }
+                // Anywhere: coding may not pay, and the raw form must.
+                1 => (rnd() % (TOP + 1), rnd() % (TOP + 1)),
+                // One `a_pos`, many `b_pos`.
+                2 => (a, rnd() % 5_000),
+                // At the top of the position range.
+                3 => (TOP - rnd() % 4, TOP - i % 3),
+                // Duplicates.
+                _ => (a + rnd() % 2, b + rnd() % 2),
+            };
+            seeds.push(SharedSeed::new(seed.0 as u32, seed.1 as u32, reverse));
+        }
+        seeds
+    }
+
+    /// Encode → decode returns the list written, as a multiset, in every
+    /// shape, and no record is longer than its raw `12 + 8n` bytes.
+    #[test]
+    fn coded_records_round_trip_and_never_outgrow_raw() {
+        let mut rnd = xorshift(0xC0DE_5EED);
+        let (mut coded, mut raw) = (0usize, 0usize);
+        for case in 0..4_000 {
+            let seeds = seed_list(&mut rnd);
+            let pair = ReadPair::new(case, case + 1 + (rnd() % 9) as u32);
+            let mut buf = vec![0xAB];
+            let len = write_pair_record(&mut buf, pair, &mut seeds.clone());
+            assert_eq!(len, buf.len() - 1);
+            assert!(len <= planned_len(seeds.len()), "case {case}: {len} bytes for {} seeds", seeds.len());
+            let n = u32::from_le_bytes(buf[9..13].try_into().unwrap());
+            if n & CODED != 0 {
+                coded += 1;
+            } else {
+                assert_eq!(len, planned_len(seeds.len()));
+                raw += 1;
+            }
+            let (seen, res) = decode_all(&buf[1..]);
+            assert_eq!(res, Ok(1), "case {case}");
+            let (mut got, mut want) = (seen[0].1.clone(), seeds);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!((seen[0].0, got), (pair, want), "case {case}");
+        }
+        assert!(coded > 1_000 && raw > 500, "{coded} coded, {raw} raw");
+    }
+
+    /// Consecutive k-mers on one diagonal cost one run token per
+    /// orientation: a few bytes for the whole list.
+    #[test]
+    fn a_diagonal_of_consecutive_kmers_is_one_run_token() {
+        let mut seeds: Vec<SharedSeed> = (0..500).map(|i| SharedSeed::new(100 + i, 7 + i, false)).collect();
+        seeds.extend((0..300).map(|i| SharedSeed::new(40 + i, 900 - i, true)));
+        let mut buf = Vec::new();
+        let len = write_pair_record(&mut buf, ReadPair::new(1, 2), &mut seeds.clone());
+        // Header, forward count, then per orientation one step from (0, 0)
+        // and one run token, each a one-byte Δa_pos and a two-byte varint.
+        assert_eq!(len, RECORD_HEADER_BYTES + 2 + 2 * (3 + 3), "{:?}", &buf[12..]);
+        let (seen, res) = decode_all(&buf);
+        assert_eq!(res, Ok(1));
+        seeds.sort_unstable_by_key(|s| (s.reverse(), *s));
+        assert_eq!(seen[0].1, seeds);
+    }
+
+    /// A buffer of coded and raw records cut at every byte decodes to the
+    /// whole records before the cut and, unless the cut falls between two
+    /// records, an error at the cut record — never a panic. Every byte
+    /// flipped in turn decodes or is refused, never a panic either.
+    #[test]
+    fn cut_or_damaged_records_are_refused_not_panicked_on() {
+        let mut rnd = xorshift(0x0C07_5EED);
+        let (mut buf, mut starts, mut records) = (Vec::new(), Vec::new(), Vec::new());
+        for case in 0..24u32 {
+            starts.push(buf.len());
+            let seeds = seed_list(&mut rnd);
+            let pair = ReadPair::new(case, case + 1);
+            write_pair_record(&mut buf, pair, &mut seeds.clone());
+            records.push(pair);
+        }
+        starts.push(buf.len());
+        for cut in 0..=buf.len() {
+            let (seen, res) = decode_all(&buf[..cut]);
+            let whole = starts.partition_point(|&s| s <= cut) - 1;
+            let pairs: Vec<ReadPair> = seen.iter().map(|(p, _)| *p).collect();
+            assert_eq!(pairs, records[..whole], "cut at {cut}");
+            match res {
+                Ok(n) => assert_eq!((n as usize, cut), (whole, starts[whole]), "cut at {cut}"),
+                Err(e) => assert_eq!(e.offset, starts[whole], "cut at {cut}"),
+            }
+        }
+        for at in 0..buf.len() {
+            let mut bad = buf.clone();
+            bad[at] ^= 1 << (at % 8);
+            let _ = decode_all(&bad);
+        }
     }
 
     /// A table dense enough to stream: `n_kmers` distinct 9-mers, each
@@ -1081,7 +1636,8 @@ mod tests {
                 assert!(oracle.records > 1_000, "{} records", oracle.records);
                 for cap in [usize::MAX, 64 << 10, 4 << 10, 8] {
                     let want = ByteRounds::plan(&oracle.lens, cap);
-                    let total: usize = oracle.bufs.iter().map(Vec::len).sum();
+                    let coded = coded_rounds(&want, &oracle);
+                    let total: usize = oracle.lens.iter().flatten().sum();
                     match cap {
                         usize::MAX => assert_eq!(want.len(), 1),
                         8 => assert_eq!(want.len() as u64, oracle.records, "one record per round"),
@@ -1108,10 +1664,11 @@ mod tests {
                         );
                         // Two rounds past the plan: the tail a rank ships
                         // when the world agreed on more rounds than it needs.
-                        for round in 0..want.len() as u64 + 2 {
-                            assert_eq!(stream.pack(round), want.pack(round, &oracle.bufs), "round {round} {at}");
+                        for round in 0..want.len() + 2 {
+                            let want = coded.get(round).cloned().unwrap_or_else(|| vec![Vec::new(); ranks]);
+                            assert_eq!(stream.pack(round as u64), want, "round {round} {at}");
                         }
-                        assert!(stream.carry.iter().all(Vec::is_empty), "{at}");
+                        assert!(stream.carry.iter().all(|c| c.lens.is_empty()), "{at}");
                     }
                 }
             }
@@ -1147,7 +1704,7 @@ mod tests {
             for round in 0..rounds {
                 for (dest, buf) in stream.pack(round).iter().enumerate() {
                     let mut firsts = Vec::new();
-                    decode_pair_records(buf, |pair, _| firsts.push(pair.a));
+                    decode_pair_records(buf, |pair, _| firsts.push(pair.a)).unwrap();
                     shipped[dest].push(firsts);
                 }
             }

@@ -7,29 +7,44 @@
 //! usual MPI contract; violations panic via the hub's slot checks.
 
 use crate::frame::{decode_frame, encode_frame, FrameError};
+use crate::hub::Hub;
 use crate::stats::CommStats;
-use crate::transport::{InFlight, RetryPolicy, Transport};
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::resume_unwind;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// Consecutive wait timeouts the hardened layer tolerates before it
+/// declares an exchange hung and fails the stage.
+const MAX_WAIT_TIMEOUTS: u32 = 40;
+/// Backoff before a damaged round's first retransmit; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Ceiling on the doubled backoff.
+const BACKOFF_MAX: Duration = Duration::from_millis(100);
+
+/// What an exchange's helper thread delivers: the received buffers plus
+/// the wall time the exchange took, or the helper's panic payload
+/// (re-raised on the waiting rank thread so mismatched-collective bugs
+/// surface with their original message).
+type ExchangeResult = Result<(Vec<Vec<u8>>, Duration), Box<dyn Any + Send>>;
 
 /// Handle to an irregular byte exchange started with
 /// [`Comm::exchange_start`] and finished with [`Comm::exchange_wait`].
 ///
-/// On a reliable transport this is a thin wrapper over the backend's
-/// [`InFlight`]. When the transport advertises a
-/// [`RetryPolicy`], the handle additionally
-/// carries the framed send buffers and the round's sequence number so a
-/// damaged round can be retransmitted verbatim — round packing is
-/// idempotent, so replaying the exact frames is always safe.
+/// The hub's helper thread does the slot traffic and sends its result
+/// through this handle's channel, so the rank thread is free to pack the
+/// next round meanwhile. In a `faulty:` world the handle also carries the
+/// framed send buffers and the round's sequence number, so a damaged
+/// round can be retransmitted verbatim — round packing is idempotent, so
+/// replaying the exact frames is always safe.
 pub struct PendingExchange {
-    inflight: InFlight,
-    resend: Option<ResendState>,
+    pub(crate) rx: mpsc::Receiver<ExchangeResult>,
+    pub(crate) resend: Option<ResendState>,
 }
 
 /// Retransmission state of a hardened in-flight round.
-struct ResendState {
+pub(crate) struct ResendState {
     /// The framed per-destination buffers, kept until the round is
     /// acknowledged clean by every rank.
     frames: Vec<Vec<u8>>,
@@ -37,21 +52,50 @@ struct ResendState {
     seq: u64,
 }
 
+impl PendingExchange {
+    /// Block until the helper finishes and return the buffers received
+    /// from every source rank (indexed by source) with the helper's
+    /// measured wall time for the exchange; re-raise the helper's panic if
+    /// it died. What the rank thread did while the exchange was in flight
+    /// is never part of that time: host packing is accounted in
+    /// `CommStats::pack_wall`.
+    pub(crate) fn finish(self) -> (Vec<Vec<u8>>, Duration) {
+        match self
+            .rx
+            .recv()
+            .expect("exchange helper thread vanished without a result")
+        {
+            Ok(out) => out,
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+
+    /// Wait up to `timeout` for the helper's result without consuming the
+    /// handle. `None` means the helper is still running (a stalled or
+    /// slow exchange — the hardened wait loop counts these against
+    /// [`MAX_WAIT_TIMEOUTS`]); the helper's panic payload is returned as
+    /// the `Err` arm for the caller to re-raise.
+    pub(crate) fn poll(&self, timeout: Duration) -> Option<ExchangeResult> {
+        match self.rx.recv_timeout(timeout) {
+            Ok(result) => Some(result),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("exchange helper thread vanished without a result")
+            }
+        }
+    }
+}
+
 /// Communicator handle owned by one rank's thread.
 ///
-/// All collectives are written once against the [`Transport`] trait; which
-/// backend executes them (real shared memory, or shared memory under the
-/// fault-injecting wrapper) is decided by the launcher — see
-/// [`crate::CommWorld::run_with`]. Every collective charges the host time
-/// it took to `CommStats::exchange_wall`.
+/// All collectives run on the world's hub; whether its byte path is
+/// faulted (and the exchange therefore hardened) is decided by the
+/// launcher — see [`crate::CommWorld::run_with`]. Every collective
+/// charges the host time it took to `CommStats::exchange_wall`.
 pub struct Comm {
     rank: usize,
-    size: usize,
-    transport: Arc<dyn Transport>,
+    hub: Arc<Hub>,
     stats: RefCell<CommStats>,
-    /// Recovery policy cached from [`Transport::retry_policy`]; `Some`
-    /// switches the byte-exchange path to framed + retried.
-    retry: Option<RetryPolicy>,
     /// Sequence number of the next hardened exchange. Every rank issues
     /// the same collectives in the same order (the SPMD contract), so
     /// sender and receiver counters agree without negotiation.
@@ -59,32 +103,14 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub(crate) fn new(rank: usize, transport: Arc<dyn Transport>) -> Self {
-        let size = transport.size();
-        let retry = transport.retry_policy();
+    pub(crate) fn new(rank: usize, hub: Arc<Hub>) -> Self {
+        let size = hub.size();
         Self {
             rank,
-            size,
-            transport,
+            hub,
             stats: RefCell::new(CommStats::new(size)),
-            retry,
             seq: Cell::new(0),
         }
-    }
-
-    /// Take the buffer `src` deposited for this rank and restore its type.
-    ///
-    /// # Panics
-    /// Panics if the deposit is missing or of a different type — both
-    /// indicate mismatched collective calls across ranks.
-    fn recv<T: 'static>(&self, src: usize) -> T {
-        *self
-            .transport
-            .take(src, self.rank)
-            .downcast::<T>()
-            .unwrap_or_else(|_| {
-                panic!("slot ({src},{}) holds unexpected type", self.rank)
-            })
     }
 
     /// This rank's index in `0..size()`.
@@ -96,18 +122,18 @@ impl Comm {
     /// World size (number of ranks).
     #[inline]
     pub fn size(&self) -> usize {
-        self.size
+        self.hub.size()
     }
 
     /// Snapshot and reset the communication counters (stage boundary).
     pub fn take_stats(&self) -> CommStats {
-        std::mem::replace(&mut self.stats.borrow_mut(), CommStats::new(self.size))
+        std::mem::replace(&mut self.stats.borrow_mut(), CommStats::new(self.size()))
     }
 
     /// Synchronize all ranks.
     pub fn barrier(&self) {
         self.stats.borrow_mut().barriers += 1;
-        self.transport.wait();
+        self.hub.wait();
     }
 
     /// Irregular all-to-all of byte buffers: element `d` of `send` goes to
@@ -126,7 +152,7 @@ impl Comm {
 
     /// Begin a non-blocking irregular byte exchange: `send[d]` goes to
     /// rank `d`. Traffic counters are recorded immediately; the payloads
-    /// move on a transport helper while this rank keeps computing.
+    /// move on a hub helper thread while this rank keeps computing.
     ///
     /// SPMD contract, extended to split collectives: every rank starts the
     /// same exchanges in the same order, at most one exchange is in flight
@@ -138,7 +164,7 @@ impl Comm {
     /// # Panics
     /// Panics if `send.len() != size()`.
     pub fn exchange_start(&self, send: Vec<Vec<u8>>) -> PendingExchange {
-        assert_eq!(send.len(), self.size, "exchange needs one buffer per rank");
+        assert_eq!(send.len(), self.size(), "exchange needs one buffer per rank");
         // Traffic accounting is the *logical* payload, recorded once per
         // round: frame headers and retransmits ride the recovery path and
         // never distort `dest_bytes`, `peak_round_bytes` or
@@ -147,18 +173,15 @@ impl Comm {
         self.stats
             .borrow_mut()
             .record_exchange(send.iter().map(Vec::len));
-        if self.retry.is_none() {
-            return PendingExchange {
-                inflight: self.transport.exchange_start(self.rank, send),
-                resend: None,
-            };
+        if self.hub.faults.is_none() {
+            return self.hub.exchange_start(self.rank, send);
         }
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         let frames: Vec<Vec<u8>> = send.iter().map(|b| encode_frame(seq, b)).collect();
         PendingExchange {
-            inflight: self.transport.exchange_start(self.rank, frames.clone()),
-            resend: Some(ResendState { frames, seq }),
+            resend: Some(ResendState { frames: frames.clone(), seq }),
+            ..self.hub.exchange_start(self.rank, frames)
         }
     }
 
@@ -177,29 +200,23 @@ impl Comm {
     /// done in the gap lives in `CommStats::pack_wall`, never in the
     /// exchange wall.
     ///
-    /// On a hardened transport (one advertising a
-    /// [`RetryPolicy`]) this is where recovery
-    /// happens: received frames are validated against the round's
-    /// sequence number, all ranks agree whether the round arrived clean,
-    /// and a damaged round is retransmitted verbatim under exponential
-    /// backoff. A rank that exhausts its retries (or times out waiting on
-    /// a hung exchange) panics, failing the stage cleanly so a
-    /// checkpointed run can resume from the last completed stage.
-    pub fn exchange_wait(&self, pending: PendingExchange) -> Vec<Vec<u8>> {
-        let PendingExchange { inflight, resend } = pending;
-        let Some(resend) = resend else {
-            let (recv, wall) = inflight.finish();
+    /// In a `faulty:` world this is where recovery happens: received
+    /// frames are validated against the round's sequence number, all ranks
+    /// agree whether the round arrived clean, and a damaged round is
+    /// retransmitted verbatim under exponential backoff. A rank that
+    /// exhausts its retries (or times out waiting on a hung exchange)
+    /// panics, failing the stage cleanly so a checkpointed run can resume
+    /// from the last completed stage.
+    pub fn exchange_wait(&self, mut pending: PendingExchange) -> Vec<Vec<u8>> {
+        let Some(ResendState { frames, seq }) = pending.resend.take() else {
+            let (recv, wall) = pending.finish();
             self.stats.borrow_mut().exchange_wall += wall;
             return recv;
         };
-        self.exchange_wait_hardened(inflight, resend)
-    }
-
-    /// The hardened wait loop: poll → validate → agree → (return |
-    /// backoff + retransmit).
-    fn exchange_wait_hardened(&self, mut inflight: InFlight, resend: ResendState) -> Vec<Vec<u8>> {
-        let policy = self.retry.expect("hardened wait without a retry policy");
-        let ResendState { frames, seq } = resend;
+        // The hardened wait loop: poll → validate → agree → (return |
+        // backoff + retransmit).
+        let spec = self.hub.faults.as_ref().expect("hardened wait in a world without faults").spec;
+        let wait_timeout = Duration::from_millis(spec.timeout_ms);
         let mut recovery_start: Option<Instant> = None;
         let mut attempt = 0u32;
         loop {
@@ -207,19 +224,19 @@ impl Comm {
             // instead of blocking forever on a hung exchange.
             let mut consecutive_timeouts = 0u32;
             let result = loop {
-                match inflight.poll(policy.wait_timeout) {
+                match pending.poll(wait_timeout) {
                     Some(result) => break result,
                     None => {
                         self.stats.borrow_mut().wait_timeouts += 1;
                         consecutive_timeouts += 1;
                         assert!(
-                            consecutive_timeouts < policy.max_wait_timeouts,
+                            consecutive_timeouts < MAX_WAIT_TIMEOUTS,
                             "rank {}: exchange seq {seq} hung: {} consecutive waits of {:?} \
                              elapsed with no result; failing the stage (resume from the last \
                              checkpoint with --checkpoint-dir)",
                             self.rank,
                             consecutive_timeouts,
-                            policy.wait_timeout,
+                            wait_timeout,
                         );
                     }
                 }
@@ -255,7 +272,7 @@ impl Comm {
             // consumes it: a rank that received garbage needs its peers to
             // replay, and the SPMD contract requires the retransmit (a
             // full collective) to be entered by all ranks or none. The
-            // handshake rides the transport's reliable control plane
+            // handshake rides the hub's reliable control plane
             // (slot matrix + barrier), not the faultable byte path.
             let all_clean = self.agree(clean);
             if all_clean {
@@ -267,55 +284,52 @@ impl Comm {
             }
             recovery_start.get_or_insert_with(Instant::now);
             assert!(
-                attempt < policy.max_retries,
+                attempt < spec.retries,
                 "rank {}: exchange seq {seq} still damaged after {} retransmits; failing the \
                  stage (resume from the last checkpoint with --checkpoint-dir)",
                 self.rank,
-                policy.max_retries,
+                spec.retries,
             );
             // Bounded exponential backoff, then replay the exact frames:
             // packing is idempotent per round, so the retransmit is
             // byte-identical to the original attempt.
-            let backoff = policy
-                .backoff_base
-                .saturating_mul(1u32 << attempt.min(16))
-                .min(policy.backoff_max);
+            let backoff = BACKOFF_BASE.saturating_mul(1u32 << attempt.min(16)).min(BACKOFF_MAX);
             std::thread::sleep(backoff);
             self.stats.borrow_mut().frames_retransmitted += frames.len() as u64;
-            inflight = self.transport.exchange_start(self.rank, frames.clone());
+            pending = self.hub.exchange_start(self.rank, frames.clone());
             attempt += 1;
         }
     }
 
-    /// All-reduce a `bool` with AND over the transport's reliable slot
+    /// All-reduce a `bool` with AND over the hub's reliable slot
     /// matrix — the hardened layer's agreement handshake. Deliberately
     /// bypasses [`Self::allgather`] so protocol overhead never inflates
     /// `dense_collectives` or `exchange_wall`.
     fn agree(&self, ok: bool) -> bool {
-        for dst in 0..self.size {
-            self.transport.put(self.rank, dst, Box::new(ok));
+        for dst in 0..self.size() {
+            self.hub.put(self.rank, dst, Box::new(ok));
         }
-        self.transport.wait();
+        self.hub.wait();
         let mut all = true;
-        for src in 0..self.size {
-            all &= self.recv::<bool>(src);
+        for src in 0..self.size() {
+            all &= self.hub.take::<bool>(src, self.rank);
         }
-        self.transport.wait();
+        self.hub.wait();
         all
     }
 
     /// Dense all-to-all of one fixed-size value per destination (the
     /// `MPI_Alltoall` used to exchange counts ahead of an `Alltoallv`).
     pub fn alltoall<T: Send + Clone + 'static>(&self, send: Vec<T>) -> Vec<T> {
-        assert_eq!(send.len(), self.size);
+        assert_eq!(send.len(), self.size());
         self.stats.borrow_mut().dense_collectives += 1;
         let t0 = Instant::now();
         for (dst, v) in send.into_iter().enumerate() {
-            self.transport.put(self.rank, dst, Box::new(v));
+            self.hub.put(self.rank, dst, Box::new(v));
         }
-        self.transport.wait();
-        let recv: Vec<T> = (0..self.size).map(|src| self.recv::<T>(src)).collect();
-        self.transport.wait();
+        self.hub.wait();
+        let recv: Vec<T> = (0..self.size()).map(|src| self.hub.take(src, self.rank)).collect();
+        self.hub.wait();
         self.stats.borrow_mut().exchange_wall += t0.elapsed();
         recv
     }
@@ -324,7 +338,7 @@ impl Comm {
     /// [`Self::alltoall`] of `value` to every destination — cloned `P − 1`
     /// times, the cost MPI pays for the broadcast tree, flattened.
     pub fn allgather<T: Send + Clone + 'static>(&self, value: T) -> Vec<T> {
-        self.alltoall(vec![value; self.size])
+        self.alltoall(vec![value; self.size()])
     }
 
     /// Reduce with `op` across all ranks; every rank receives the result.
@@ -445,8 +459,8 @@ mod tests {
     #[should_panic(expected = "unexpected type")]
     fn mismatched_collective_types_panic() {
         let _ = CommWorld::run(1, |comm| {
-            comm.transport.put(0, 0, Box::new(42u64));
-            comm.recv::<Vec<u8>>(0)
+            comm.hub.put(0, 0, Box::new(42u64));
+            comm.hub.take::<Vec<u8>>(0, 0)
         });
     }
 

@@ -1,10 +1,10 @@
 //! The hardened exchange frame: magic, sequence number, length, CRC32.
 //!
-//! Transports that model an unreliable medium (today [`crate::FaultyNet`];
-//! the planned multi-process TCP backend next) cannot assume a round
-//! payload arrives intact, exactly once, or at all. When such a transport
-//! advertises a [`crate::RetryPolicy`], the communicator wraps every
-//! per-destination round payload in a fixed 20-byte header:
+//! A world that injects faults into its byte exchanges
+//! ([`crate::TransportKind::Faulty`]) cannot assume a round payload
+//! arrives intact, exactly once, or at all. In such a world the
+//! communicator wraps every per-destination round payload in a fixed
+//! 20-byte header:
 //!
 //! ```text
 //! offset  size  field

@@ -11,10 +11,12 @@
 //! and the bytes/messages recorded are identical, which is what the
 //! `dibella-netmodel` projections consume: a modeled Cori or AWS time is a
 //! function of a run's counters, computed after the run
-//! (`dibella_core::project`). The backend executing the path (see
-//! [`transport`]) is [`SharedMem`], real shared memory, or [`FaultyNet`],
-//! which injects seeded faults into it for the hardened exchange layer to
-//! recover from. See `docs/ARCHITECTURE.md` for the substitution argument.
+//! (`dibella_core::project`). One backend executes the path: a slot
+//! matrix and barrier in shared memory. A world built from
+//! [`TransportKind::Faulty`] also injects seeded faults into its byte
+//! exchanges for the hardened exchange layer to recover from (see
+//! [`transport`]). See `docs/ARCHITECTURE.md` for the substitution
+//! argument.
 //!
 //! ```
 //! use dibella_comm::CommWorld;
@@ -43,8 +45,6 @@ pub use executor::BatchedExecutor;
 pub use frame::{crc32, decode_frame, encode_frame, FrameError, FRAME_HEADER_BYTES};
 pub use round_exchange::{records_per_round, ByteRounds, RoundExchange, RoundPlan};
 pub use stats::CommStats;
-pub use transport::{
-    FaultSpec, FaultyConfig, FaultyNet, InFlight, RetryPolicy, SharedMem, Transport, TransportKind,
-};
+pub use transport::{FaultSpec, FaultyConfig, TransportKind};
 pub use wire::{decode_iter, decode_vec, encode_slice, try_decode_vec, Wire, WireError};
 pub use world::CommWorld;

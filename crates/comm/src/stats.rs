@@ -45,8 +45,8 @@ pub struct CommStats {
     pub pack_wall: Duration,
     /// Frames the hardened exchange layer rejected for structural damage
     /// (truncation, bad magic, length mismatch, CRC failure). Zero unless
-    /// the transport advertises a [`crate::RetryPolicy`] and the medium
-    /// actually mangles payloads.
+    /// the world injects faults ([`crate::TransportKind::Faulty`]) and the
+    /// injector actually mangles payloads.
     pub frames_corrupt_detected: u64,
     /// Per-destination frames re-sent by the retransmit loop (one
     /// retransmit of a `P`-rank round counts `P`). These bytes ride the
@@ -58,8 +58,9 @@ pub struct CommStats {
     /// Structurally valid frames discarded because they carried a stale
     /// sequence number — duplicates of an earlier round.
     pub duplicates_dropped: u64,
-    /// Times an `exchange_wait` poll exceeded the policy's wait timeout
-    /// before the in-flight helper produced a result.
+    /// Times an `exchange_wait` poll exceeded the fault spec's wait
+    /// timeout (`timeout_ms`) before the in-flight helper produced a
+    /// result.
     pub wait_timeouts: u64,
     /// Wall-clock time spent in the recovery path: backoff sleeps,
     /// retransmits, and the agreement handshake that decides whether a

@@ -1,246 +1,17 @@
-//! The transport layer beneath [`crate::Comm`].
+//! Which exchange a world runs, and the seeded fault injector.
 //!
-//! The collective code path — pack per-destination buffers, irregular
-//! exchange, unpack — lives once in `comm.rs`, written against the
-//! [`Transport`] trait. Two backends implement it:
-//!
-//! * [`SharedMem`] — the real executor: the `P × P` slot matrix and cyclic
-//!   barrier of the crate-private `hub` module. A collective's wall time is
-//!   whatever the host actually spent.
-//! * [`FaultyNet`] — a chaos wrapper around a [`SharedMem`]: it mangles
-//!   the irregular-exchange byte path with seeded, reproducible faults,
-//!   which the communicator's hardened layer must recover from.
-//!
-//! A split exchange's slot traffic runs on a helper thread of its own,
-//! spawned with `std::thread::Builder` per exchange, so the rank thread
-//! can pack the next round meanwhile.
-//!
-//! Backends are chosen via [`TransportKind`], which parses from the CLI
-//! syntax `shared` / `faulty:shared[:<seed>[:<spec>]]`. No backend models
-//! a machine's interconnect: modeled times come from projecting a run's
-//! traffic counters (`dibella_core::project`).
+//! Every collective executes on the crate-private `hub` module's `P × P`
+//! slot matrix and barrier, with each split exchange's slot traffic on a
+//! helper thread of its own. [`TransportKind`], which parses from the CLI
+//! syntax `shared` / `faulty:shared[:<seed>[:<spec>]]`, says whether the
+//! hub also runs a `FaultyNet`: a seeded injector that mangles the
+//! irregular-exchange byte path — and only that path — for the
+//! communicator's hardened layer (frame, CRC, retransmit) to recover
+//! from. Neither kind models a machine's interconnect: modeled times come
+//! from projecting a run's traffic counters (`dibella_core::project`).
 
-use crate::hub::Hub;
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-/// Result a split exchange's helper delivers: either the received buffers
-/// plus the wall time the exchange took, or the helper's panic payload
-/// (re-raised on the waiting rank thread so mismatched-collective bugs
-/// surface with their original message).
-pub(crate) type ExchangeResult = Result<(Vec<Vec<u8>>, Duration), Box<dyn Any + Send>>;
-
-/// Handle to an irregular byte exchange started with
-/// [`Transport::exchange_start`] and finished with [`InFlight::finish`].
-///
-/// Backend-agnostic: the backend's helper thread performs the actual slot
-/// traffic and sends the result through this handle's channel, so the
-/// owning rank thread is free to pack the next round while the exchange is
-/// in flight.
-pub struct InFlight {
-    rx: mpsc::Receiver<ExchangeResult>,
-}
-
-impl InFlight {
-    /// Block until the helper finishes and return the buffers received
-    /// from every source rank (indexed by source) with the helper's
-    /// measured wall time for the exchange; re-raise the helper's panic if
-    /// it died. What the rank thread did while the exchange was in flight
-    /// is never part of that time: host packing is accounted in
-    /// `CommStats::pack_wall`.
-    pub fn finish(self) -> (Vec<Vec<u8>>, Duration) {
-        match self
-            .rx
-            .recv()
-            .expect("exchange helper thread vanished without a result")
-        {
-            Ok(out) => out,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// Wait up to `timeout` for the helper's result without consuming the
-    /// handle. `None` means the helper is still running (a stalled or
-    /// slow exchange — the hardened wait loop counts these against
-    /// [`RetryPolicy::max_wait_timeouts`]); the helper's panic payload is
-    /// returned as the `Err` arm for the caller to re-raise.
-    pub(crate) fn poll(&self, timeout: Duration) -> Option<ExchangeResult> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Some(result),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                panic!("exchange helper thread vanished without a result")
-            }
-        }
-    }
-}
-
-/// How the hardened exchange layer recovers from a damaged round: how
-/// long to wait on a stalled exchange, how often to retransmit, and how
-/// to back off between attempts.
-///
-/// A transport advertises a policy via [`Transport::retry_policy`]; the
-/// communicator then frames every round payload (see [`crate::frame`])
-/// and replays damaged rounds. Only [`FaultyNet`] advertises one (its
-/// [`FaultSpec`] sets the retries and the wait timeout); [`SharedMem`],
-/// whose medium cannot corrupt bytes, returns `None` and keeps the exact
-/// unframed fast path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retransmit attempts per round before the rank fails the stage.
-    pub max_retries: u32,
-    /// How long one `InFlight::poll` waits before counting a timeout.
-    pub wait_timeout: Duration,
-    /// Consecutive poll timeouts tolerated before the wait is declared
-    /// hung and the rank panics (failing the stage cleanly).
-    pub max_wait_timeouts: u32,
-    /// Backoff before the first retransmit; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Ceiling on the doubled backoff.
-    pub backoff_max: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 8,
-            wait_timeout: Duration::from_secs(30),
-            max_wait_timeouts: 40,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(100),
-        }
-    }
-}
-
-/// Take the `(src → dst)` deposit of a byte exchange and restore its type.
-fn take_bytes(hub: &Hub, src: usize, dst: usize) -> Vec<u8> {
-    *hub.take(src, dst)
-        .downcast::<Vec<u8>>()
-        .unwrap_or_else(|_| panic!("slot ({src},{dst}) holds unexpected type"))
-}
-
-/// Run one full irregular byte exchange for `rank` over `hub`: deposit the
-/// per-destination buffers, rendezvous, drain this rank's column, and
-/// rendezvous again so slots can be reused. This is the body every split
-/// exchange's helper executes.
-fn exchange_on_hub(hub: &Hub, rank: usize, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-    let p = hub.size();
-    for (dst, buf) in send.into_iter().enumerate() {
-        hub.put(rank, dst, Box::new(buf));
-    }
-    hub.wait();
-    let recv: Vec<Vec<u8>> = (0..p).map(|src| take_bytes(hub, src, rank)).collect();
-    hub.wait();
-    recv
-}
-
-/// Start `rank`'s byte exchange over `hub` on a dedicated helper thread,
-/// after sleeping `stall` (a fault [`FaultyNet`] injects). The helper
-/// delivers the received buffers and the wall time since this call. Each
-/// helper gets its own OS thread, never a bounded pool's: helpers block on
-/// the hub's P-party barrier, so all P of them must be able to run at once.
-fn spawn_exchange(hub: &Arc<Hub>, rank: usize, send: Vec<Vec<u8>>, stall: Duration) -> InFlight {
-    let hub = Arc::clone(hub);
-    let (tx, rx) = mpsc::channel();
-    let t0 = Instant::now();
-    std::thread::Builder::new()
-        .name("exchange-helper".into())
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                std::thread::sleep(stall);
-                let recv = exchange_on_hub(&hub, rank, send);
-                (recv, t0.elapsed())
-            }));
-            // The receiver only disappears if the rank thread is already
-            // unwinding; dropping the result is then the right thing.
-            let _ = tx.send(result);
-        })
-        .expect("spawn exchange helper thread");
-    InFlight { rx }
-}
-
-/// A communication backend: the exchange primitives the collectives in
-/// [`crate::Comm`] are written against.
-///
-/// Contract (the usual SPMD one): every rank of the world calls the same
-/// collectives in the same order, so backends may synchronize internally.
-/// The split exchange, [`Transport::exchange_start`] then
-/// [`InFlight::finish`], extends that contract: at most one exchange may be in flight per rank, and no
-/// other collective may be issued by that rank between the start and the
-/// matching wait (packing local buffers is exactly what the gap is for).
-pub trait Transport: Send + Sync {
-    /// World size.
-    fn size(&self) -> usize;
-
-    /// Block until all ranks arrive (one barrier phase).
-    fn wait(&self);
-
-    /// Deposit a type-erased buffer for `(src → dst)`.
-    fn put(&self, src: usize, dst: usize, value: Box<dyn Any + Send>);
-
-    /// Take the deposit for `(src → dst)`.
-    ///
-    /// # Panics
-    /// Panics if the slot is empty — mismatched collective calls across
-    /// ranks (the bug MPI reports as a message-truncation error).
-    fn take(&self, src: usize, dst: usize) -> Box<dyn Any + Send>;
-
-    /// Begin a non-blocking irregular byte exchange: `send[d]` goes to
-    /// rank `d`. The traffic moves on a helper task so the caller can
-    /// keep computing (packing the next round) until the matching
-    /// [`InFlight::finish`].
-    fn exchange_start(&self, rank: usize, send: Vec<Vec<u8>>) -> InFlight;
-
-    /// The recovery policy the communicator should harden irregular
-    /// exchanges with, or `None` for a reliable medium (the default):
-    /// payloads then move unframed and unchecked, exactly as before the
-    /// hardened layer existed.
-    fn retry_policy(&self) -> Option<RetryPolicy> {
-        None
-    }
-}
-
-/// The real shared-memory backend: collectives execute through the hub's
-/// slot matrix and wall time is the measured host time. This is the exact
-/// behavior the communicator had before the transport layer existed.
-///
-/// Split exchanges overlap for real: the slot traffic runs on a helper
-/// thread while the rank thread keeps packing, so communication/computation
-/// overlap is genuine host concurrency, not an accounting fiction.
-pub struct SharedMem {
-    hub: Arc<Hub>,
-}
-
-impl SharedMem {
-    /// A shared-memory world of `p` ranks.
-    pub fn new(p: usize) -> Self {
-        Self { hub: Arc::new(Hub::new(p)) }
-    }
-}
-
-impl Transport for SharedMem {
-    fn size(&self) -> usize {
-        self.hub.size()
-    }
-
-    fn wait(&self) {
-        self.hub.wait();
-    }
-
-    fn put(&self, src: usize, dst: usize, value: Box<dyn Any + Send>) {
-        self.hub.put(src, dst, value);
-    }
-
-    fn take(&self, src: usize, dst: usize) -> Box<dyn Any + Send> {
-        self.hub.take(src, dst)
-    }
-
-    fn exchange_start(&self, rank: usize, send: Vec<Vec<u8>>) -> InFlight {
-        spawn_exchange(&self.hub, rank, send, Duration::ZERO)
-    }
-}
+use std::sync::{Mutex, PoisonError};
+use std::time::Duration;
 
 /// splitmix64 — the same finalizer `dibella_kmer::mix64` uses, duplicated
 /// here so the comm crate stays dependency-free. Drives every fault draw,
@@ -253,7 +24,7 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-fault injection rates and recovery knobs of a [`FaultyNet`].
+/// Per-fault injection rates and recovery knobs of a `faulty:` world.
 ///
 /// Rates are stored in per-mille (probability × 1000) so the config stays
 /// `Copy + Eq`. Parsed from a comma-separated spec where each entry is a
@@ -280,17 +51,17 @@ pub struct FaultSpec {
     pub stall_per_mille: u32,
     /// How long a stalled exchange sleeps.
     pub stall_ms: u64,
-    /// Retransmit attempts granted to the hardened layer
-    /// ([`RetryPolicy::max_retries`]).
+    /// Retransmit attempts per round the hardened layer makes before the
+    /// rank fails the stage.
     pub retries: u32,
-    /// Wait-timeout granted to the hardened layer, in milliseconds
-    /// ([`RetryPolicy::wait_timeout`]).
+    /// How long, in milliseconds, one poll of a stalled exchange waits
+    /// before the hardened layer counts a wait timeout.
     pub timeout_ms: u64,
 }
 
 impl Default for FaultSpec {
     /// The `none` preset: a faithful pass-through (all rates zero) that
-    /// still advertises the hardened layer's default recovery policy.
+    /// still runs the hardened layer with its default recovery knobs.
     fn default() -> Self {
         Self {
             corrupt_per_mille: 0,
@@ -299,8 +70,8 @@ impl Default for FaultSpec {
             reorder_per_mille: 0,
             stall_per_mille: 0,
             stall_ms: 20,
-            retries: RetryPolicy::default().max_retries,
-            timeout_ms: RetryPolicy::default().wait_timeout.as_millis() as u64,
+            retries: 8,
+            timeout_ms: 30_000,
         }
     }
 }
@@ -321,15 +92,6 @@ impl FaultSpec {
             reorder_per_mille: 3,
             stall_per_mille: 0,
             ..Self::default()
-        }
-    }
-
-    /// The retry policy this spec grants the hardened exchange layer.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: self.retries,
-            wait_timeout: Duration::from_millis(self.timeout_ms),
-            ..RetryPolicy::default()
         }
     }
 }
@@ -419,7 +181,7 @@ impl std::fmt::Display for FaultSpec {
     }
 }
 
-/// Configuration of a [`FaultyNet`]: the RNG seed and the fault rates.
+/// Configuration of a `faulty:` world: the RNG seed and the fault rates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultyConfig {
     /// Seed of the deterministic fault stream.
@@ -441,28 +203,27 @@ struct LaneState {
     held: Vec<Option<Vec<u8>>>,
 }
 
-/// The fault-injecting chaos backend: wraps a [`SharedMem`] and mangles the irregular-exchange byte path with seeded, reproducible
-/// faults — bit flips, drops, stale duplicates, out-of-order delivery,
-/// stalled exchanges. Everything else (dense collectives, barriers, the
-/// typed slot traffic, and the hardened layer's own agreement handshake)
-/// passes through untouched: the chaos models a lossy *data plane*, which
-/// is exactly the part the frame + retry machinery must survive.
+/// The fault injector a `faulty:` world's hub applies to every
+/// irregular-exchange send: seeded, reproducible bit flips, drops, stale
+/// duplicates, out-of-order delivery and stalled exchanges. Everything
+/// else (dense collectives, barriers, the typed slot traffic, and the
+/// hardened layer's own agreement handshake) passes untouched: the chaos
+/// models a lossy *data plane*, which is exactly the part the frame +
+/// retry machinery must survive.
 ///
 /// Every fault draw is a pure function of `(seed, rank, destination,
 /// call index)`, so a chaos run is bit-reproducible regardless of thread
 /// scheduling — the property the chaos soak tests lean on.
-pub struct FaultyNet {
-    inner: SharedMem,
+pub(crate) struct FaultyNet {
     seed: u64,
-    spec: FaultSpec,
+    pub(crate) spec: FaultSpec,
     lanes: Vec<Mutex<LaneState>>,
 }
 
 impl FaultyNet {
-    /// A chaos world of `p` ranks.
-    pub fn new(p: usize, cfg: FaultyConfig) -> Self {
+    /// The injector of a chaos world of `p` ranks.
+    pub(crate) fn new(p: usize, cfg: FaultyConfig) -> Self {
         Self {
-            inner: SharedMem::new(p),
             seed: cfg.seed,
             spec: cfg.spec,
             lanes: (0..p)
@@ -493,8 +254,9 @@ impl FaultyNet {
     }
 
     /// Apply the per-lane fault schedule to one round's send buffers;
-    /// returns the mangled buffers and whether this exchange stalls.
-    fn mangle(&self, rank: usize, send: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, bool) {
+    /// returns the mangled buffers and how long the exchange stalls
+    /// before any byte moves.
+    pub(crate) fn mangle(&self, rank: usize, send: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, Duration) {
         let mut lane = self.lanes[rank].lock().unwrap_or_else(PoisonError::into_inner);
         let call = lane.calls;
         lane.calls += 1;
@@ -526,59 +288,21 @@ impl FaultyNet {
             lane.prev[dst] = Some(original);
             out.push(mangled);
         }
-        (out, stall)
+        (out, Duration::from_millis(if stall { self.spec.stall_ms } else { 0 }))
     }
 }
 
-impl Transport for FaultyNet {
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn wait(&self) {
-        self.inner.wait();
-    }
-
-    fn put(&self, src: usize, dst: usize, value: Box<dyn Any + Send>) {
-        self.inner.put(src, dst, value);
-    }
-
-    fn take(&self, src: usize, dst: usize) -> Box<dyn Any + Send> {
-        self.inner.take(src, dst)
-    }
-
-    fn exchange_start(&self, rank: usize, send: Vec<Vec<u8>>) -> InFlight {
-        let (send, stall) = self.mangle(rank, send);
-        // The stall sleeps on the helper, not on the rank thread.
-        let stall = if stall { Duration::from_millis(self.spec.stall_ms) } else { Duration::ZERO };
-        spawn_exchange(&self.inner.hub, rank, send, stall)
-    }
-
-    fn retry_policy(&self) -> Option<RetryPolicy> {
-        Some(self.spec.retry_policy())
-    }
-}
-
-/// Which transport backend a world should run on — the cheap, cloneable
-/// configuration that [`crate::CommWorld::run_with`] and
+/// Which exchange a world runs — the cheap, cloneable configuration that
+/// [`crate::CommWorld::run_with`] and
 /// `dibella_core::PipelineConfig::transport` carry around.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// Real shared-memory execution (the default).
     #[default]
     SharedMem,
-    /// Fault-injecting chaos wrapper around shared memory.
+    /// Shared memory with seeded faults injected into the irregular
+    /// exchanges' byte path, which the hardened layer recovers from.
     Faulty(FaultyConfig),
-}
-
-impl TransportKind {
-    /// Instantiate the backend for a world of `p` ranks.
-    pub fn build(&self, p: usize) -> Arc<dyn Transport> {
-        match self {
-            TransportKind::SharedMem => Arc::new(SharedMem::new(p)),
-            TransportKind::Faulty(cfg) => Arc::new(FaultyNet::new(p, *cfg)),
-        }
-    }
 }
 
 /// Parse the trailing `[:<seed>[:<spec>]]` of a `faulty:` transport:
@@ -599,8 +323,8 @@ impl std::str::FromStr for TransportKind {
     type Err = String;
 
     /// Parse the CLI syntax: `shared`, or
-    /// `faulty:shared[:<seed>[:<spec>]]` — shared memory under the chaos
-    /// wrapper, where an absent spec is the `mixed` preset and an absent
+    /// `faulty:shared[:<seed>[:<spec>]]` — shared memory with the fault
+    /// injector, where an absent spec is the `mixed` preset and an absent
     /// seed is 0.
     fn from_str(s: &str) -> Result<Self, String> {
         if s == "shared" {
@@ -636,7 +360,10 @@ impl std::fmt::Display for TransportKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hub::Hub;
     use crate::world::CommWorld;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Arc;
 
     fn faulty(seed: u64, spec: FaultSpec) -> TransportKind {
         TransportKind::Faulty(FaultyConfig { seed, spec })
@@ -708,7 +435,7 @@ mod tests {
 
     #[test]
     fn fault_injection_is_deterministic() {
-        // Two FaultyNet instances with the same seed mangle an identical
+        // Two injectors with the same seed mangle an identical
         // schedule identically; a different seed diverges somewhere.
         // Rates far above the presets so 50 calls guarantee divergence —
         // no retry loop runs here, only the mangler.
@@ -741,7 +468,7 @@ mod tests {
 
     #[test]
     fn faulty_exchange_recovers_bit_identically() {
-        // A chaos world over SharedMem: payloads after recovery must be
+        // A chaos world over shared memory: payloads after recovery must be
         // exactly what a fault-free world delivers, and the robustness
         // counters must show the layer actually worked for its living.
         let body = |comm: &crate::Comm| {
@@ -843,7 +570,7 @@ mod tests {
         // not arrived: the helper blocks at the hub barrier, so poll must
         // report a timeout instead of hanging the suite. Once the partner
         // shows up, the same handle completes normally.
-        let shared = Arc::new(SharedMem::new(2));
+        let shared = Arc::new(Hub::new(2, &TransportKind::SharedMem));
         let pending = shared.exchange_start(0, vec![vec![1u8], vec![2u8]]);
         assert!(
             pending.poll(Duration::from_millis(50)).is_none(),
@@ -866,7 +593,7 @@ mod tests {
         // exchange helper panics downcasting it mid-overlap, and that
         // panic must re-raise on the rank thread at wait time with its
         // original message.
-        let shared = Arc::new(SharedMem::new(2));
+        let shared = Arc::new(Hub::new(2, &TransportKind::SharedMem));
         let partner = Arc::clone(&shared);
         let t = std::thread::spawn(move || {
             // Rank 1 deposits a non-Vec<u8> for (1,0) and joins only the

@@ -1,6 +1,7 @@
 //! World launcher: run an SPMD closure on `P` rank threads.
 
 use crate::comm::Comm;
+use crate::hub::Hub;
 use crate::transport::TransportKind;
 use std::sync::Arc;
 
@@ -10,14 +11,13 @@ use std::sync::Arc;
 /// [`Comm`] handle and collects the per-rank return values in rank order.
 /// Linux threads are cheap enough that worlds of 1024 virtual ranks run
 /// fine on a laptop-class host; collectives serialize ranks only at
-/// barrier points. [`CommWorld::run_with`] does the same on an explicit
-/// transport backend — real shared memory, or shared memory under the
-/// fault-injecting wrapper (see [`crate::transport`]).
+/// barrier points. [`CommWorld::run_with`] does the same with seeded
+/// faults optionally injected into the exchanges (see
+/// [`crate::transport`]).
 pub struct CommWorld;
 
 impl CommWorld {
-    /// Run `f` on `p` ranks over the real shared-memory transport and
-    /// return each rank's result, indexed by rank.
+    /// Run `f` on `p` ranks over shared memory and return each rank's result, indexed by rank.
     ///
     /// # Panics
     /// Panics if `p == 0`, or propagates the first rank panic (which, as
@@ -32,8 +32,8 @@ impl CommWorld {
         Self::run_with(p, &TransportKind::SharedMem, f)
     }
 
-    /// Like [`Self::run`] but on an explicit [`TransportKind`]: the same
-    /// SPMD body can execute over real shared memory or under injected
+    /// Like [`Self::run`] but of an explicit [`TransportKind`]: the same
+    /// SPMD body can execute over shared memory as it is or under injected
     /// faults (`TransportKind::Faulty`), which the hardened exchange layer
     /// recovers from so payloads arrive byte-identical.
     ///
@@ -45,16 +45,16 @@ impl CommWorld {
         T: Send,
     {
         assert!(p > 0, "world size must be positive");
-        let (transport, f) = (transport.build(p), &f);
+        let (hub, f) = (Arc::new(Hub::new(p, transport)), &f);
         let mut results: Vec<Option<T>> = (0..p).map(|_| None).collect();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..p)
                 .map(|rank| {
-                    let transport = Arc::clone(&transport);
+                    let hub = Arc::clone(&hub);
                     std::thread::Builder::new()
                         .name(format!("rank-{rank}"))
                         .spawn_scoped(s, move || {
-                            let comm = Comm::new(rank, transport);
+                            let comm = Comm::new(rank, hub);
                             f(&comm)
                         })
                         .expect("failed to spawn rank thread")

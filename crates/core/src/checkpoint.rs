@@ -28,22 +28,13 @@
 use crate::config::{PipelineConfig, SeedMode};
 use dibella_comm::{encode_slice, try_decode_vec, Wire};
 use dibella_kcount::{FilterStats, KmerEntry, KmerHashTable, Occurrence};
-use dibella_kmer::{Kmer1, Strand};
+use dibella_kmer::{mix64, Kmer1, Strand};
 use dibella_overlap::{OverlapTask, ReadPair, SeedPolicy, SharedSeed};
 
 /// Stage name of the post-stage-2 snapshot (see [`crate::checkpoint`]).
 pub const TABLE_STAGE: &str = "table";
 /// Stage name of the post-stage-3 snapshot (see [`crate::checkpoint`]).
 pub const TASKS_STAGE: &str = "tasks";
-
-/// splitmix64 finalizer — the fingerprint fold below only needs good
-/// avalanche, not cryptographic strength.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Fingerprint of everything a checkpoint's contents depend on: the
 /// dataset (read and base totals) and every config knob that shapes the
@@ -72,7 +63,7 @@ pub fn run_fingerprint(cfg: &PipelineConfig, total_reads: u64, total_bases: u64)
         total_reads,
         total_bases,
     ] {
-        h = mix(h ^ word);
+        h = mix64(h ^ word);
     }
     h
 }

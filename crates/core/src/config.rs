@@ -12,16 +12,21 @@ use std::str::FromStr;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SeedMode {
     /// The paper's reliable-k-mer front end: a distributed Bloom pass
-    /// eliminates singletons, then a full hash pass attaches occurrence
-    /// lists — every k-mer instance crosses the wire twice (8 + 20
-    /// bytes).
+    /// eliminates singletons, then a hash pass attaches occurrence lists.
+    /// The Bloom pass is the only exchange: each k-mer crosses the wire
+    /// once, inside an owner-run record of 2-bit bases (about 1.4 B per
+    /// input base at P = 2), and the hash pass sweeps the records each
+    /// owner kept (see `dibella_kcount::stages`).
     #[default]
     Reliable,
     /// Minimizer-sketch front end (minimap-style): one pass exchanges
-    /// only (w, k) window-minimum k-mers (~`2/(w+1)` of instances, 20
-    /// bytes each), and candidate pairs are colinear-chained before
-    /// alignment. Traffic shrinks several-fold; recall on genuine
-    /// overlaps stays within a few percent (see `tests/seed_modes.rs`).
+    /// only (w, k) window-minimum k-mers (~`2/(w+1)` of instances, each a
+    /// stand-alone 20-byte record), and candidate pairs are
+    /// colinear-chained before alignment. At k = 17 that ships more bytes
+    /// than the reliable front end's owner runs: on the `kmer_flood`
+    /// benchmark input (1× coverage of a 12 Mb genome) it sent 2.9× the
+    /// bytes with 28–29 points less recall. Only precision is higher, and
+    /// that comes from the chain filter.
     Minimizer,
 }
 
@@ -75,7 +80,7 @@ pub struct PipelineConfig {
     /// **Inert spellings.** This field and the four after it name choices
     /// that no longer exist. They stay only so configurations that spell
     /// out every field (the repo benchmark's) keep compiling, and go when
-    /// it stops constructing this struct field by field (ROADMAP 5(ii)).
+    /// it stops constructing this struct field by field (ROADMAP 4(ii)).
     ///
     /// Accepted and ignored: stage 3 has one engine.
     pub overlap_engine: OverlapEngine,

@@ -283,7 +283,7 @@ pub struct OverlapOutput {
 /// `lengths` is an inert spelling: it once fed longer-read task
 /// placement, which is gone. It stays only because the repo benchmark
 /// calls this function with `None`, and goes with that copy of the stage
-/// sequence (ROADMAP 5(ii)).
+/// sequence (ROADMAP 4(ii)).
 ///
 /// # Panics
 /// Panics if `lengths` is `Some`: the placement that read them no longer

@@ -129,7 +129,7 @@ pub fn task_home(ra: ReadId, rb: ReadId) -> ReadId {
 /// The one task placement: every task is homed by the parity heuristic
 /// ([`task_home`]), the paper's production choice. A single-variant
 /// spelling kept only because the repo benchmark's configuration names
-/// `PipelineConfig::placement`; it goes with that field (ROADMAP 5(ii)).
+/// `PipelineConfig::placement`; it goes with that field (ROADMAP 4(ii)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TaskPlacement {
     /// The parity heuristic ([`task_home`]).

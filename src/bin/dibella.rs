@@ -128,18 +128,18 @@ impl Flags {
 }
 
 /// `-e`: a per-base error rate.
-fn error_rate_flag(flags: &Flags) -> Result<f64, String> {
-    flags.get_in("e", 0.15, "in [0, 1)", |e| (0.0..1.0).contains(e))
+fn error_rate_flag(flags: &Flags, default: f64) -> Result<f64, String> {
+    flags.get_in("e", default, "in [0, 1)", |e| (0.0..1.0).contains(e))
 }
 
 /// `-d`: a depth of coverage.
-fn depth_flag(flags: &Flags) -> Result<f64, String> {
-    flags.get_in("d", 30.0, "finite and positive", |d: &f64| d.is_finite() && *d > 0.0)
+fn depth_flag(flags: &Flags, default: f64) -> Result<f64, String> {
+    flags.get_in("d", default, "finite and positive", |d: &f64| d.is_finite() && *d > 0.0)
 }
 
 /// `-k`: a k-mer length.
-fn k_flag(flags: &Flags) -> Result<usize, String> {
-    flags.get_in("k", 17, "in 4..=32", |k| (4..=32).contains(k))
+fn k_flag(flags: &Flags, default: usize) -> Result<usize, String> {
+    flags.get_in("k", default, "in 4..=32", |k| (4..=32).contains(k))
 }
 
 /// The `<platform>[:<ranks_per_node>]` of `--transport sim:…`: the modeled
@@ -169,33 +169,35 @@ fn load_fastq(path: &str) -> Result<ReadSet, String> {
     dibella::io::read_fastq(BufReader::new(file), 0).map_err(|e| format!("parse {path}: {e}"))
 }
 
-fn cmd_overlap(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, OVERLAP_FLAGS)?;
-    let path = flags
-        .positional
-        .first()
-        .ok_or("overlap: missing <reads.fastq>")?;
-    let k = k_flag(&flags)?;
+/// The machine a `--transport sim:…` run is projected onto, and how many
+/// ranks share one of its nodes.
+type Modeled = Option<(&'static Platform, usize)>;
+
+/// The run `dibella overlap`'s named flags ask for: the pipeline
+/// configuration, the world size and the modeled machine. Every flag not
+/// given keeps its [`PipelineConfig::default`] value.
+fn overlap_run(flags: &Flags) -> Result<(PipelineConfig, usize, Modeled), String> {
+    let d = PipelineConfig::default();
+    let k = k_flag(flags, d.k)?;
     let ranks: usize = flags.get_in(
         "p",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
         "at least 1",
         |&p| p >= 1,
     )?;
-    let error_rate = error_rate_flag(&flags)?;
-    let depth = depth_flag(&flags)?;
-    let xdrop: i32 = flags.get_in("x", 25, "at least 1", |&x| x >= 1)?;
-    let min_score: i32 = flags.get("min-score", 0)?;
+    let error_rate = error_rate_flag(flags, d.error_rate)?;
+    let depth = depth_flag(flags, d.depth)?;
+    let xdrop: i32 = flags.get_in("x", d.xdrop, "at least 1", |&x| x >= 1)?;
+    let min_align_score: i32 = flags.get("min-score", d.min_align_score)?;
     // Intra-rank threads for all four stages (hybrid parallelism; 0 = all
     // cores).
     let threads: usize = flags.get("threads", flags.get("t", 1)?)?;
-    // Communication backend: real shared memory, or shared memory wrapped
-    // in the fault-injecting chaos transport ("faulty:shared:<seed>:<spec>"
-    // — see ARCHITECTURE.md). "sim:<platform>[:<ranks_per_node>]" runs on
-    // shared memory too, then projects the run's counters onto a virtual
-    // cori|edison|titan|aws.
+    // Communication: shared memory, optionally with the seeded fault
+    // injector ("faulty:shared:<seed>:<spec>" — see ARCHITECTURE.md).
+    // "sim:<platform>[:<ranks_per_node>]" runs on shared memory too, then
+    // projects the run's counters onto a virtual cori|edison|titan|aws.
     let (transport, modeled) = match flags.named.get("transport") {
-        None => (TransportKind::SharedMem, None),
+        None => (d.transport, None),
         Some(v) => match v.strip_prefix("sim:") {
             Some(spec) => (TransportKind::SharedMem, Some(modeled_platform(spec)?)),
             None => (v.parse()?, None),
@@ -204,7 +206,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
     // Streaming-exchange byte cap per rank and round, in MiB (fractions
     // allowed); unset = unbounded, i.e. one monolithic exchange per stage.
     let round_bytes: usize = match flags.named.get("round-mb") {
-        None => usize::MAX,
+        None => d.max_exchange_bytes_per_round,
         Some(v) => {
             let mb: f64 = v
                 .parse()
@@ -223,18 +225,42 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
     // Seed front end: the paper's two-pass reliable-k-mer counter, or the
     // single-pass (w,k) minimizer sketch.
     let seed_mode: SeedMode = match flags.named.get("seed-mode") {
-        None => SeedMode::Reliable,
+        None => d.seed_mode,
         Some(v) => v.parse()?,
     };
-    let minimizer_w: usize = flags.get_in("minimizer-w", 7, "at least 1", |&w| w >= 1)?;
-    // Stage-boundary checkpoints: persist per-rank stage outputs under DIR
-    // and resume from the last completed stage on the next run whose
-    // fingerprinted knobs and dataset match. The directory is created and
-    // checked here, before the input is read, so an unusable one is a
-    // usage error rather than a failure inside a rank.
-    let checkpoint_dir: Option<std::path::PathBuf> =
-        flags.named.get("checkpoint-dir").map(Into::into);
-    if let Some(dir) = &checkpoint_dir {
+    let minimizer_w: usize = flags.get_in("minimizer-w", d.minimizer_w, "at least 1", |&w| w >= 1)?;
+    let cfg = PipelineConfig {
+        k,
+        depth,
+        error_rate,
+        seed_policy: policy,
+        xdrop,
+        min_align_score,
+        threads: Some(threads),
+        transport,
+        max_exchange_bytes_per_round: round_bytes,
+        seed_mode,
+        minimizer_w,
+        // Stage-boundary checkpoints: persist per-rank stage outputs under
+        // DIR and resume from the last completed stage on the next run
+        // whose fingerprinted knobs and dataset match.
+        checkpoint_dir: flags.named.get("checkpoint-dir").map(Into::into),
+        ..d
+    };
+    Ok((cfg, ranks, modeled))
+}
+
+fn cmd_overlap(args: &[String]) -> Result<(), String> {
+    let flags = parse_flags(args, OVERLAP_FLAGS)?;
+    let path = flags
+        .positional
+        .first()
+        .ok_or("overlap: missing <reads.fastq>")?;
+    let (cfg, ranks, modeled) = overlap_run(&flags)?;
+    // The checkpoint directory is created and checked here, before the
+    // input is read, so an unusable one is a usage error rather than a
+    // failure inside a rank.
+    if let Some(dir) = &cfg.checkpoint_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot use --checkpoint-dir {}: {e}", dir.display()))?;
     }
@@ -243,21 +269,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         return Err("no reads in input".into());
     }
 
-    let cfg = PipelineConfig {
-        k,
-        depth,
-        error_rate,
-        seed_policy: policy,
-        xdrop,
-        min_align_score: min_score,
-        threads: Some(threads),
-        transport,
-        max_exchange_bytes_per_round: round_bytes,
-        seed_mode,
-        minimizer_w,
-        checkpoint_dir,
-        ..Default::default()
-    };
+    let (k, seed_mode, round_bytes) = (cfg.k, cfg.seed_mode, cfg.max_exchange_bytes_per_round);
     let round_cap = if round_bytes == usize::MAX {
         "unbounded".to_owned()
     } else {
@@ -345,7 +357,7 @@ fn cmd_overlap(args: &[String]) -> Result<(), String> {
         let graph = dibella::pipeline::OverlapGraph::from_alignments(
             reads.len(),
             &result.alignments,
-            min_score,
+            cfg.min_align_score,
         );
         let (_, components) = graph.connected_components();
         eprintln!(
@@ -372,7 +384,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         &format!("more than {min_len}, the shortest read simulated at -l {mean_len}"),
         |&g| g > min_len,
     )?;
-    let depth = depth_flag(&flags)?;
+    let depth = depth_flag(&flags, 30.0)?;
     let error: f64 = flags.get_in("e", 0.15, "in [0, 0.6)", |e| (0.0..0.6).contains(e))?;
     let seed: u64 = flags.get("s", 42)?;
 
@@ -402,8 +414,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, STATS_FLAGS)?;
     let path = flags.positional.first().ok_or("stats: missing <reads.fastq>")?;
-    let k = k_flag(&flags)?;
-    let error = error_rate_flag(&flags)?;
+    let d = PipelineConfig::default();
+    let k = k_flag(&flags, d.k)?;
+    let error = error_rate_flag(&flags, d.error_rate)?;
     let depth_flag: f64 =
         flags.get_in("d", 0.0, "finite and positive, or 0 for unknown", |d: &f64| d.is_finite() && *d >= 0.0)?;
     let reads = load_fastq(path)?;
@@ -519,10 +532,26 @@ mod tests {
         for bad in ["", "summit", "aws:0", "aws:x", "aws:2:3"] {
             assert!(modeled_platform(bad).is_err(), "{bad:?} should not parse");
         }
-        // The chaos wrapper takes shared memory only, and the command
+        // The fault injector runs on shared memory only, and the command
         // fails on it before it opens the input.
         let msg = cmd_overlap(&args(&["/nonexistent/x.fastq", "--transport", "faulty:sim:cori:2"])).unwrap_err();
         assert!(msg.starts_with("the faulty transport wraps only `shared`"), "{msg}");
+    }
+
+    #[test]
+    fn overlap_without_optional_flags_runs_the_config_defaults() {
+        let flags = parse_flags(&args(&["reads.fastq"]), OVERLAP_FLAGS).unwrap();
+        let (cfg, _, modeled) = overlap_run(&flags).unwrap();
+        let d = PipelineConfig::default();
+        assert_eq!(
+            (cfg.k, cfg.error_rate, cfg.depth, cfg.xdrop, cfg.min_align_score, cfg.minimizer_w),
+            (d.k, d.error_rate, d.depth, d.xdrop, d.min_align_score, d.minimizer_w)
+        );
+        assert_eq!(
+            (cfg.seed_policy, cfg.seed_mode, cfg.transport, cfg.max_exchange_bytes_per_round),
+            (d.seed_policy, d.seed_mode, d.transport, d.max_exchange_bytes_per_round)
+        );
+        assert_eq!((cfg.checkpoint_dir, modeled.map(|(p, _)| p.id)), (None, None));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! mangling frames underneath it.
 //!
 //! The determinism matrix's fault rows (the matrix lives in
-//! `tests/common/matrix.rs`) hold that a fault-injecting `FaultyNet`
-//! transport never changes alignments, work counters or logical traffic
+//! `tests/common/matrix.rs`) hold that the seeded fault injector of a
+//! `faulty:` transport never changes alignments, work counters or logical traffic
 //! — across fault mixes, world sizes, thread counts and round caps —
 //! and that its fault counters are nonzero exactly when it injects. This
 //! suite also holds the recovery paths around it:

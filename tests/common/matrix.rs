@@ -1,8 +1,8 @@
 //! The determinism invariant, stated once: how the work is spread never
 //! changes what the pipeline computes. The axes are the fixture (the
 //! error-free genome slice and the noisy `toy_dataset` reads), ranks,
-//! threads, the transport (shared memory, and shared memory under the
-//! `faulty:` chaos wrapper), the round caps in bytes and in
+//! threads, the transport (shared memory, and shared memory with the
+//! `faulty:` seeded fault injector), the round caps in bytes and in
 //! k-mers, the seed front end and seed policy, the alignment kernel, the
 //! overlap stage's row block, and the input path (in memory or FASTQ).
 //!
@@ -88,7 +88,7 @@ pub enum Fault {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Net {
     Shared,
-    /// The fault-injecting wrapper around `shared`.
+    /// `shared` with seeded faults injected into its byte exchanges.
     Faulty(Fault),
 }
 

@@ -4,7 +4,9 @@
 //! reads are requested and received by the respective processor." Each
 //! rank collects the remote read IDs its tasks reference, requests them
 //! from their owners, receives the sequences as variable-length records,
-//! then runs the x-drop kernel on every (pair, seed) task locally. Both
+//! then runs the x-drop kernel on every (pair, seed) task locally. A read
+//! of upper-case `ACGT` ships at 2 bits a base, any other read as it is
+//! stored (see [`read_reply_bytes`]). Both
 //! the request and the reply exchange stream through the
 //! [`dibella_comm::RoundExchange`] engine in byte-bounded
 //! rounds ([`dibella_comm::ByteRounds`] keeps records whole), so the
@@ -32,10 +34,12 @@ use crate::record::AlignmentRecord;
 use dibella_align::{AlignWorkspace, SeedExtender, SeedHit};
 use dibella_comm::{decode_iter, encode_slice, BatchedExecutor, ByteRounds, Comm, RoundExchange};
 use dibella_io::{ReadId, ReadStore};
-use dibella_kmer::base::reverse_complement_ascii_into;
+use dibella_kmer::base::{self, reverse_complement_ascii_into};
+use dibella_kmer::varint::{self, VarintError};
 use dibella_overlap::OverlapTask;
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::fmt;
 
 thread_local! {
     /// One [`AlignWorkspace`] per OS thread, shared by every batch that
@@ -65,9 +69,10 @@ pub struct AlignCounters {
     pub dp_cells: u64,
     /// Remote reads this rank requested.
     pub reads_requested: u64,
-    /// Read-sequence bytes this rank served to others.
+    /// Bases of the reads this rank served to others (the wire carries
+    /// fewer bytes: see [`read_reply_bytes`]).
     pub read_bytes_served: u64,
-    /// Read-sequence bytes this rank received.
+    /// Bases of the reads this rank received.
     pub read_bytes_fetched: u64,
     /// Alignments meeting the output score threshold.
     pub accepted: u64,
@@ -103,6 +108,129 @@ impl AlignCounters {
         self.accepted += accepted;
         self.rounds += rounds;
     }
+}
+
+/// Append the reply that ships read `id` to `out`:
+///
+/// ```text
+/// varint(id) | varint(len << 1 | raw) | payload
+/// ```
+///
+/// A read of upper-case `ACGT` ([`base::is_acgt`]) has `raw = 0` and ships
+/// as [`base::pack`]'s 2-bit codes, `⌈len/4⌉` bytes; any other read (`N`,
+/// lower case and IUPAC codes are valid input and are not normalized) has
+/// `raw = 1` and ships its `len` bytes as they are. Either way the
+/// requester installs the owner's bytes exactly.
+#[inline]
+fn put_reply(out: &mut Vec<u8>, id: ReadId, seq: &[u8]) {
+    let len = u32::try_from(seq.len()).expect("a read longer than u32 bases");
+    let raw = !base::is_acgt(seq);
+    varint::put(out, u64::from(id));
+    varint::put(out, u64::from(len) << 1 | u64::from(raw));
+    if raw {
+        out.extend_from_slice(seq);
+    } else {
+        base::pack(seq, out);
+    }
+}
+
+/// Wire bytes of the stage-4 reply that ships read `id` with sequence
+/// `seq`: a header of two varints (3–5 bytes for reads of 100 to 10⁶
+/// bases) and a quarter of a byte a base, or a byte a base for a read
+/// that is not all upper-case `ACGT`.
+pub fn read_reply_bytes(id: ReadId, seq: &[u8]) -> usize {
+    let raw = !base::is_acgt(seq);
+    let payload = if raw { seq.len() } else { base::packed_len(seq.len()) };
+    varint::encoded_len(u64::from(id)) + varint::encoded_len((seq.len() as u64) << 1 | 1) + payload
+}
+
+/// One decoded reply: read `id`, `len` bases, and the payload they are
+/// rebuilt from (checked to be whole).
+struct ReadReply<'a> {
+    id: ReadId,
+    len: usize,
+    raw: bool,
+    payload: &'a [u8],
+}
+
+impl ReadReply<'_> {
+    /// Append the read's bytes — the owner's, exactly — to `out`.
+    #[inline]
+    fn write_to(&self, out: &mut Vec<u8>) {
+        if self.raw {
+            out.extend_from_slice(self.payload);
+        } else {
+            base::unpack(self.payload, self.len, out);
+        }
+    }
+}
+
+/// Why a buffer is not a sequence of read replies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ReadReplyError {
+    /// Byte offset of the offending reply in the buffer.
+    offset: usize,
+    kind: ReadReplyErrorKind,
+}
+
+/// The ways a reply can be malformed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ReadReplyErrorKind {
+    /// The bytes end inside the header.
+    TruncatedHeader,
+    /// A header varint is wider than its field (32 bits for the id, 33 for
+    /// the tagged length).
+    VarintOverflow,
+    /// Fewer payload bytes follow the header than its length calls for.
+    TruncatedSeq,
+}
+
+impl fmt::Display for ReadReplyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let what = match self.kind {
+            ReadReplyErrorKind::TruncatedHeader => "header cut short",
+            ReadReplyErrorKind::VarintOverflow => "header varint wider than its field",
+            ReadReplyErrorKind::TruncatedSeq => "sequence cut short",
+        };
+        write!(f, "read reply at byte {}: {what}", self.offset)
+    }
+}
+
+/// Decode `buf` as a sequence of replies: each reply whole, or one
+/// [`ReadReplyError`] and then nothing.
+fn read_replies(buf: &[u8]) -> impl Iterator<Item = Result<ReadReply<'_>, ReadReplyError>> {
+    let mut rest = buf;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let offset = buf.len() - rest.len();
+        let reply = parse_reply(&mut rest).map_err(|kind| ReadReplyError { offset, kind });
+        if reply.is_err() {
+            rest = &[];
+        }
+        Some(reply)
+    })
+}
+
+/// Read one reply off the front of `rest` and advance past it.
+fn parse_reply<'a>(rest: &mut &'a [u8]) -> Result<ReadReply<'a>, ReadReplyErrorKind> {
+    let field = |rest: &mut &[u8], bits| {
+        varint::get(rest, bits).map_err(|e| match e {
+            VarintError::Truncated => ReadReplyErrorKind::TruncatedHeader,
+            VarintError::Overflow => ReadReplyErrorKind::VarintOverflow,
+        })
+    };
+    let id = field(rest, 32)? as ReadId;
+    let tagged = field(rest, 33)?;
+    let (len, raw) = ((tagged >> 1) as usize, tagged & 1 == 1);
+    let need = if raw { len } else { base::packed_len(len) };
+    if rest.len() < need {
+        return Err(ReadReplyErrorKind::TruncatedSeq);
+    }
+    let (payload, tail) = rest.split_at(need);
+    *rest = tail;
+    Ok(ReadReply { id, len, raw, payload })
 }
 
 /// Fetch every remote read referenced by `tasks` into `store`: one
@@ -148,7 +276,7 @@ pub fn fetch_remote_reads(
     // Serving side: replies accumulate per requester in request-arrival
     // order — the rounds slice each sorted request list in order, so the
     // concatenated reply stream is byte-identical to the monolithic one.
-    // Reply record: u32 id, u32 len, then `len` sequence bytes.
+    // Reply record: see `put_reply`, about 2 bits a base.
     let mut reply_bufs: Vec<Vec<u8>> = vec![Vec::new(); p];
     let mut reply_lens: Vec<Vec<usize>> = vec![Vec::new(); p];
     let mut rounds = RoundExchange::run(
@@ -164,38 +292,44 @@ pub fn fetch_remote_reads(
                             src, comm.rank()));
                     counters.read_bytes_served += seq.len() as u64;
                     let out = &mut reply_bufs[src];
-                    out.extend_from_slice(&id.to_le_bytes());
-                    out.extend_from_slice(&(seq.len() as u32).to_le_bytes());
-                    out.extend_from_slice(seq);
-                    reply_lens[src].push(8 + seq.len());
+                    let at = out.len();
+                    put_reply(out, id, seq);
+                    reply_lens[src].push(out.len() - at);
                 }
             }
         },
     );
 
     // ---- serve sequences, install replicated reads -------------------------
-    // All sequences land in the store's single arena; reserving each
-    // round's reply volume as it arrives (a slight over-estimate: it
-    // includes the 8-byte record headers) keeps the install loop
-    // reallocation-free while never holding more than ~one round cap of
-    // undelivered replies.
+    // All sequences land in the store's single arena. Each round's replies
+    // are checked whole first, then the arena is reserved for the bases
+    // they decode to (a packed reply holds 4 bases a byte, so the received
+    // byte count would under-reserve) and each is unpacked straight into
+    // it: the install loop never reallocates, and never more than ~one
+    // round cap of undelivered replies is held.
     let reply_split = ByteRounds::plan(&reply_lens, max_round_bytes);
+    let rank = comm.rank();
     rounds += RoundExchange::run(
         comm,
         reply_split.round_plan(),
         |round| reply_split.pack(round, &reply_bufs),
-        |_round, recv| {
-            store.reserve_replicated(recv.iter().map(Vec::len).sum());
-            for buf in recv {
-                let mut at = 0usize;
-                while at < buf.len() {
-                    let id = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
-                    let len = u32::from_le_bytes(buf[at + 4..at + 8].try_into().unwrap()) as usize;
-                    at += 8;
-                    counters.read_bytes_fetched += len as u64;
-                    store.insert_replicated(id, &buf[at..at + len]);
-                    at += len;
-                }
+        |round, recv| {
+            // The stage has no error channel (a rank that stopped would
+            // deadlock the world's next collective); on a hardened
+            // transport damaged bytes never get here — the frame CRC
+            // rejects and retransmits them.
+            let mut replies = Vec::new();
+            for (source, buf) in recv.iter().enumerate() {
+                replies.extend(read_replies(buf).map(|reply| {
+                    reply.unwrap_or_else(|e| {
+                        panic!("rank {rank}: read replies, round {round}, buffer from rank {source}: {e}")
+                    })
+                }));
+            }
+            store.reserve_replicated(replies.iter().map(|r| r.len).sum());
+            for reply in &replies {
+                counters.read_bytes_fetched += reply.len as u64;
+                store.insert_replicated(reply.id, |arena| reply.write_to(arena));
             }
         },
     );
@@ -322,6 +456,8 @@ mod tests {
         partition_reads(reads, p)
     }
 
+    /// Six 60-base reads; read 4 has lower-case bases and read 5 an `N`
+    /// and IUPAC codes, so they ship raw.
     fn mk_reads() -> ReadSet {
         let mut state = 0xABCDu64;
         let mut rnd = move || {
@@ -332,7 +468,12 @@ mod tests {
         };
         (0..6u32)
             .map(|i| {
-                let seq: Vec<u8> = (0..60).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
+                let mut seq: Vec<u8> = (0..60).map(|_| b"ACGT"[(rnd() % 4) as usize]).collect();
+                match i {
+                    4 => seq[10..20].make_ascii_lowercase(),
+                    5 => seq[7..10].copy_from_slice(b"NRY"),
+                    _ => {}
+                }
                 Read::new(i, format!("r{i}"), seq)
             })
             .collect()
@@ -372,11 +513,13 @@ mod tests {
 
     #[test]
     fn bounded_fetch_rounds_install_identical_reads() {
-        // Every rank needs every remote read; a 100-byte round cap forces
-        // several reply rounds (each reply record is 8 + 60 bytes), which
-        // must install exactly the same sequences as the unbounded path
-        // and keep the per-round send volume under cap + one record.
+        // Every rank needs every remote read; a 20-byte round cap forces
+        // several reply rounds (a reply record is 17 bytes for a packed
+        // 60-base read, 62 for a raw one), which must install exactly the
+        // same sequences as the unbounded path and keep the per-round send
+        // volume under cap + one record.
         let reads = mk_reads();
+        let largest = reads.iter().map(|r| read_reply_bytes(r.id, &r.seq)).max().unwrap();
         let (part, chunks) = store_world(&reads, 3);
         let all: Vec<Read> = reads.reads().to_vec();
         let tasks: Vec<OverlapTask> = (0..5u32)
@@ -385,7 +528,7 @@ mod tests {
                 seeds: vec![SharedSeed::new(0, 0, false)],
             })
             .collect();
-        for cap in [usize::MAX, 100] {
+        for cap in [usize::MAX, 20] {
             let outs = CommWorld::run(3, |comm| {
                 let mut store = ReadStore::new(
                     comm.rank(),
@@ -408,13 +551,95 @@ mod tests {
                 } else {
                     assert!(c.rounds > 2, "tiny cap must force streaming rounds");
                     assert!(
-                        stats.peak_round_bytes <= (cap + 8 + 60) as u64,
+                        stats.peak_round_bytes <= (cap + largest) as u64,
                         "peak {} exceeds cap + record",
                         stats.peak_round_bytes
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn replies_pack_clean_reads_and_keep_the_rest_raw() {
+        let reads = mk_reads();
+        let mut buf = Vec::new();
+        for r in reads.iter() {
+            let at = buf.len();
+            put_reply(&mut buf, r.id, &r.seq);
+            assert_eq!(buf.len() - at, read_reply_bytes(r.id, &r.seq), "read {}", r.id);
+        }
+        // Id, tagged length (one byte each here), payload.
+        let sizes: Vec<usize> = reads.iter().map(|r| read_reply_bytes(r.id, &r.seq)).collect();
+        assert_eq!(sizes, [17, 17, 17, 17, 62, 62]);
+        let mut arena = Vec::new();
+        for (reply, read) in read_replies(&buf).zip(reads.iter()) {
+            let reply = reply.expect("a packed buffer decodes");
+            assert_eq!((reply.id, reply.len, reply.raw), (read.id, 60, read.id >= 4));
+            arena.clear();
+            reply.write_to(&mut arena);
+            assert_eq!(arena, read.seq);
+        }
+        assert_eq!(read_replies(&buf).count(), 6);
+    }
+
+    /// Hostile bytes at the reply boundary: a reply buffer cut at every
+    /// position, or with any one byte flipped, decodes to a typed error or
+    /// to whole replies that each write exactly their length — never an
+    /// index panic.
+    #[test]
+    fn cut_and_flipped_reply_buffers_are_refused_or_well_formed() {
+        let reads = mk_reads();
+        let mut buf = Vec::new();
+        for r in reads.iter() {
+            put_reply(&mut buf, r.id, &r.seq);
+        }
+        let (mut refused, mut decoded) = (0, 0);
+        let mut check = |bytes: &[u8]| {
+            let mut failed = false;
+            for reply in read_replies(bytes) {
+                assert!(!failed, "the stream must stop at its first error");
+                match reply {
+                    Err(e) => {
+                        assert!(e.offset < bytes.len() && !e.to_string().is_empty());
+                        failed = true;
+                    }
+                    Ok(reply) => {
+                        let mut out = Vec::new();
+                        reply.write_to(&mut out);
+                        assert_eq!(out.len(), reply.len);
+                    }
+                }
+            }
+            if failed {
+                refused += 1;
+            } else {
+                decoded += 1;
+            }
+        };
+        for cut in 0..buf.len() {
+            check(&buf[..cut]);
+        }
+        for at in 0..buf.len() {
+            let mut flipped = buf.clone();
+            flipped[at] ^= 0xFF;
+            check(&flipped);
+        }
+        // A cut inside a reply is always refused; both outcomes occur.
+        assert!(refused > buf.len() - 6 && decoded > 6, "{refused} refused, {decoded} decoded");
+        assert_eq!(
+            read_replies(&buf[..1]).next().unwrap().err(),
+            Some(ReadReplyError { offset: 0, kind: ReadReplyErrorKind::TruncatedHeader })
+        );
+        assert_eq!(
+            read_replies(&buf[..16]).next().unwrap().err(),
+            Some(ReadReplyError { offset: 0, kind: ReadReplyErrorKind::TruncatedSeq })
+        );
+        let wide = [0x80, 0x80, 0x80, 0x80, 0x10, 0];
+        assert_eq!(
+            read_replies(&wide).next().unwrap().err(),
+            Some(ReadReplyError { offset: 0, kind: ReadReplyErrorKind::VarintOverflow })
+        );
     }
 
     #[test]

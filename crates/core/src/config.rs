@@ -14,7 +14,7 @@ pub enum SeedMode {
     /// The paper's reliable-k-mer front end: a distributed Bloom pass
     /// eliminates singletons, then a hash pass attaches occurrence lists.
     /// The Bloom pass is the only exchange: each k-mer crosses the wire
-    /// once, inside an owner-run record of 2-bit bases (about 1.4 B per
+    /// once, inside an owner-run record of 2-bit bases (about 0.9 B per
     /// input base at P = 2), and the hash pass sweeps the records each
     /// owner kept (see `dibella_kcount::stages`).
     #[default]
@@ -25,7 +25,8 @@ pub enum SeedMode {
     /// colinear-chained before alignment. At k = 17 that ships more bytes
     /// than the reliable front end's owner runs: on the `kmer_flood`
     /// benchmark input (1× coverage of a 12 Mb genome) it sent 2.9× the
-    /// bytes with 28–29 points less recall. Only precision is higher, and
+    /// bytes of owner runs under fixed 9-byte headers (the varint headers
+    /// nearly halved those) with 28–29 points less recall. Only precision is higher, and
     /// that comes from the chain filter.
     Minimizer,
 }

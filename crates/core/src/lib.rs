@@ -40,7 +40,7 @@ pub mod model;
 pub mod pipeline;
 pub mod record;
 
-pub use alignment_stage::{align_tasks, fetch_remote_reads, AlignCounters};
+pub use alignment_stage::{align_tasks, fetch_remote_reads, read_reply_bytes, AlignCounters};
 pub use checkpoint::{
     decode_table, decode_tasks, encode_table, encode_tasks, run_fingerprint, TableCheckpoint,
     TABLE_STAGE, TASKS_STAGE,

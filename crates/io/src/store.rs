@@ -107,21 +107,24 @@ impl<'a> ReadStore<'a> {
     }
 
     /// Record a replicated remote read (from the alignment-stage read
-    /// exchange): the bytes are appended to the per-rank arena, not boxed
+    /// exchange): `write` appends the read's bytes to the per-rank arena —
+    /// decoding them there straight from the wire — instead of boxing them
     /// into their own allocation. Replicating a read this rank already
-    /// owns — or one already replicated — is a no-op.
-    pub fn insert_replicated(&mut self, id: ReadId, seq: &[u8]) {
+    /// owns — or one already replicated — is a no-op, and `write` is not
+    /// called.
+    pub fn insert_replicated(&mut self, id: ReadId, write: impl FnOnce(&mut Vec<u8>)) {
         if self.is_local(id) || self.replicated.contains_key(&id) {
             return;
         }
         let off = self.arena.len();
-        self.arena.extend_from_slice(seq);
-        self.replicated.insert(id, (off, seq.len()));
+        write(&mut self.arena);
+        self.replicated.insert(id, (off, self.arena.len() - off));
     }
 
     /// Pre-size the replication arena for `additional` incoming sequence
-    /// bytes (an upper bound is fine), so a burst of
-    /// [`Self::insert_replicated`] calls never reallocates mid-install.
+    /// bytes — decoded bases, not wire bytes (an upper bound is fine), so a
+    /// burst of [`Self::insert_replicated`] calls never reallocates
+    /// mid-install.
     pub fn reserve_replicated(&mut self, additional: usize) {
         self.arena.reserve(additional);
     }
@@ -211,14 +214,14 @@ mod tests {
         let remote_id = s1.local_reads()[0].id;
         let seq = s1.local_seq(remote_id).unwrap().to_vec();
         assert!(s0.seq(remote_id).is_none());
-        s0.insert_replicated(remote_id, &seq);
+        s0.insert_replicated(remote_id, |arena| arena.extend_from_slice(&seq));
         assert_eq!(s0.seq(remote_id).unwrap(), seq.as_slice());
         // Re-replicating an already-installed read is ignored.
-        s0.insert_replicated(remote_id, b"YYY");
+        s0.insert_replicated(remote_id, |_| panic!("written twice"));
         assert_eq!(s0.seq(remote_id).unwrap(), seq.as_slice());
         // Replicating an owned read is ignored.
         let own_id = s0.local_reads()[0].id;
-        s0.insert_replicated(own_id, b"XXX");
+        s0.insert_replicated(own_id, |arena| arena.extend_from_slice(b"XXX"));
         assert_ne!(s0.seq(own_id).unwrap(), b"XXX");
     }
 

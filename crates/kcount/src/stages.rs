@@ -7,9 +7,11 @@
 //! is the only exchange of the two passes: what travels is not one record
 //! per k-mer but **owner-run records** ([`dibella_kmer::supermer`]) — a
 //! k-mer is owned by the rank its minimizer hashes to, so neighbouring
-//! k-mers mostly share an owner, and a maximal run of them ships as
-//! `read id | start | n | 2-bit bases`, about 1.4 B per input base at
-//! P = 2 and 2.6 B at P = 64 instead of 8 B + 20 B per k-mer. The owner
+//! k-mers mostly share an owner, and a maximal run of them ships as a
+//! header of about 2 bytes (varints: the gap from the run before it to
+//! the same owner and the run length) and its 2-bit bases, about 0.9 B per
+//! input base at P = 2 and 1.7 B at P = 64 instead of 8 B + 20 B per
+//! k-mer. The owner
 //! rolls each arriving run back into canonical k-mers for its Bloom
 //! partition and **keeps the received buffers** ([`RetainedRuns`], moved
 //! out of the exchange, never copied). The hash pass is then a local sweep
@@ -33,8 +35,9 @@
 //! and buffers are concatenated in batch order — wire bytes are a pure
 //! function of the input, `extract_batch` and the round cap, never of the
 //! thread count. A batch or round boundary inside a read cuts an
-//! owner-run in two (so a tighter cap ships a few more header bytes); it
-//! never changes which rank a k-mer goes to or what the owner decodes.
+//! owner-run in two and starts every destination on an absolute header
+//! (so a tighter cap ships a few more header bytes); it never changes
+//! which rank a k-mer goes to or what the owner decodes.
 
 use crate::config::KcountConfig;
 use crate::table::{KmerHashTable, Occurrence};
@@ -970,12 +973,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank 3: hash pass, round 2, buffer from rank 1: record at byte 12: run of 0 k-mers")]
+    #[should_panic(expected = "rank 3: hash pass, round 2, buffer from rank 1: record at byte 6: run of 0 k-mers")]
     fn a_malformed_record_is_named_where_it_arrived() {
         let mut bufs = vec![Vec::new()];
         supermer::pack_runs(b"ACGTTGCAGGTA", 0, 9, 0, 4, &mut bufs);
         let mut buf = bufs.pop().unwrap();
-        assert_eq!(buf.len(), 12);
+        assert_eq!(buf.len(), 6);
         buf.extend_from_slice(&[0; 12]);
         let at = Arrival { pass: "hash", rank: 3, round: 2, source: 1 };
         roll_buffer(at, &buf, 9, |_, _| {});

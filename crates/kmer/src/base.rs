@@ -102,6 +102,75 @@ pub fn is_clean(seq: &[u8]) -> bool {
     seq.iter().all(|&b| encode(b).is_some())
 }
 
+/// Returns `true` if every byte of `seq` is one of the upper-case `ACGT`:
+/// exactly the sequences [`unpack`] rebuilds from [`pack`] byte for byte
+/// (lower case comes back upper case, and `N` or IUPAC codes do not pack).
+pub fn is_acgt(seq: &[u8]) -> bool {
+    seq.iter().all(|&b| matches!(b, b'A' | b'C' | b'G' | b'T'))
+}
+
+/// Bytes [`pack`] writes for `bases` bases.
+#[inline]
+pub fn packed_len(bases: usize) -> usize {
+    bases.div_ceil(4)
+}
+
+/// Append the 2-bit codes of `seq` to `out`, four bases a byte, most
+/// significant first; the unused low bits of the last byte are zero. Both
+/// cases of `ACGT` pack to the same codes.
+///
+/// `seq` must be clean ([`is_clean`]): any other byte packs to garbage
+/// (checked in debug builds).
+#[inline]
+pub fn pack(seq: &[u8], out: &mut Vec<u8>) {
+    debug_assert!(is_clean(seq), "packing a sequence with ambiguous bases");
+    let code = |b: u8| CODES[b as usize];
+    let mut quads = seq.chunks_exact(4);
+    out.extend(
+        quads
+            .by_ref()
+            .map(|q| code(q[0]) << 6 | code(q[1]) << 4 | code(q[2]) << 2 | code(q[3])),
+    );
+    let rest = quads.remainder();
+    if !rest.is_empty() {
+        out.push(rest.iter().enumerate().fold(0, |byte, (i, &b)| byte | code(b) << (6 - 2 * i)));
+    }
+}
+
+/// The four upper-case bases of every packed byte.
+const QUADS: [[u8; 4]; 256] = {
+    let mut t = [[0u8; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut i = 0;
+        while i < 4 {
+            t[byte][i] = b"ACGT"[(byte >> (6 - 2 * i)) & 3];
+            i += 1;
+        }
+        byte += 1;
+    }
+    t
+};
+
+/// Append the first `bases` bases of `packed` (as [`pack`] wrote them) to
+/// `out` as upper-case ASCII. The unused low bits of the last byte are
+/// ignored.
+///
+/// # Panics
+/// Panics if `packed` is shorter than [`packed_len`]`(bases)`.
+#[inline]
+pub fn unpack(packed: &[u8], bases: usize, out: &mut Vec<u8>) {
+    let packed = &packed[..packed_len(bases)];
+    out.reserve(bases);
+    let (whole, tail) = packed.split_at(bases / 4);
+    for &byte in whole {
+        out.extend_from_slice(&QUADS[byte as usize]);
+    }
+    if let Some(&last) = tail.first() {
+        out.extend_from_slice(&QUADS[last as usize][..bases % 4]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,6 +202,27 @@ mod tests {
         }
         assert_eq!(complement(A), T);
         assert_eq!(complement(C), G);
+    }
+
+    #[test]
+    fn pack_round_trips_every_length_and_case() {
+        let seq = b"ACGTTGCAGGTATTTACGCAGTTACG";
+        for len in 0..=seq.len() {
+            let mut packed = vec![0xEE];
+            pack(&seq[..len], &mut packed);
+            assert_eq!(packed.len(), 1 + packed_len(len));
+            let mut lower = Vec::new();
+            pack(&seq[..len].to_ascii_lowercase(), &mut lower);
+            assert_eq!(lower, packed[1..]);
+            let mut out = b"xy".to_vec();
+            unpack(&packed[1..], len, &mut out);
+            assert_eq!(&out[2..], &seq[..len]);
+        }
+        // Bases most significant first, zero padding in the last byte.
+        let mut packed = Vec::new();
+        pack(b"CGTAC", &mut packed);
+        assert_eq!(packed, [0b0110_1100, 0b0100_0000]);
+        assert!(is_acgt(b"ACGT") && !is_acgt(b"ACGt") && !is_acgt(b"ACNT") && !is_acgt(b"ACRT"));
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub mod minimizer;
 pub mod packed;
 pub mod params;
 pub mod supermer;
+pub mod varint;
 
 pub use extract::{extract_kmers, kmer_count, window_hits, KmerHit, KmerIter, WindowIndex};
 pub use minimizer::{minimizer_density, minimizer_window_hits, minimizers};

@@ -37,13 +37,27 @@
 //! # The record
 //!
 //! ```text
-//! read id u32 | start u32 | n u8 | ⌈(n + k − 1)/4⌉ bytes of 2-bit bases
+//! absolute:  varint(start << 1 | 1) | varint(read id) | n u8 | bases
+//! relative:  varint(gap << 1)                         | n u8 | bases
+//!                      bases = ⌈(n + k − 1)/4⌉ bytes of 2-bit codes
 //! ```
 //!
-//! little-endian, `1 ≤ n ≤ 255` k-mers starting at read positions
-//! `start .. start + n`, bases most-significant-first within a byte
-//! (unused low bits of the last byte are zero on write and ignored on
-//! read). [`pack_runs`] writes them, [`supermers`] reads a buffer of them
+//! `1 ≤ n ≤ 255` k-mers starting at read positions `start .. start + n`,
+//! bases packed by [`base::pack`] (most significant first within a byte;
+//! unused low bits of the last byte are zero on write and ignored on
+//! read), varints as in [`crate::varint`]. The low bit of the first varint
+//! tells the two headers apart. A record that continues the read of the
+//! previous record one [`pack_runs`] call wrote to the same destination is
+//! *relative*: it names only the `gap = start − previous end` (previous
+//! `start + n`), usually one byte, so most records carry a 2-byte header.
+//! Any other record — the first a call writes to a destination — is
+//! *absolute*. The decoder carries `(read, end)` from record to record, so
+//! buffers that are concatenations of whole `pack_runs` outputs decode as
+//! one stream. At k = 21 on uniform reads, packed in 1 024-window batches
+//! as the Bloom pass packs them, a k-mer costs 0.875 wire bytes to 2
+//! owners and 1.68 to 64 (`BENCH_kernels.json`, `supermer_bytes_per_kmer`).
+//!
+//! [`pack_runs`] writes the records, [`supermers`] reads a buffer of them
 //! back with a typed [`SupermerError`] for every malformed shape, and
 //! [`Supermer::hits`] rolls the canonical [`KmerHit`] stream straight
 //! from the 2-bit codes with the two-register update [`crate::KmerIter`]
@@ -57,6 +71,7 @@ use crate::base;
 use crate::extract::KmerHit;
 use crate::hash::mix64;
 use crate::packed::{Kmer, Strand};
+use crate::varint::{self, VarintError};
 use std::fmt;
 
 /// Length of the m-mers the owner map minimizes over (clamped to `k`).
@@ -68,33 +83,47 @@ const OWNER_M: usize = 11;
 /// [`Kmer2`]: crate::Kmer2
 const MAX_K: usize = 64;
 
-/// Bytes of a record's fixed header: read id, start, run length.
-pub const HEADER_BYTES: usize = 9;
+/// Most bytes a record's header takes: an absolute header at the largest
+/// start and read id (two 5-byte varints) and the run length.
+const MAX_HEADER_BYTES: usize = 11;
 
 /// Most k-mers one record carries (its run length is one byte).
 pub const MAX_RUN: usize = 255;
 
-/// Bytes of a record carrying `n` k-mers of length `k`. A one-k-mer
-/// record, `record_bytes(1, k)`, is the most a single window can cost on
-/// the wire — what a byte-capped round is planned with.
+/// Most bytes a record carrying `n` k-mers of length `k` takes. A
+/// one-k-mer record, `record_bytes(1, k)`, is the most a single window can
+/// cost on the wire — what a byte-capped round is planned with.
 #[inline]
 pub fn record_bytes(n: usize, k: usize) -> usize {
-    HEADER_BYTES + (n + k - 1).div_ceil(4)
+    MAX_HEADER_BYTES + base::packed_len(n + k - 1)
+}
+
+/// Bytes of an absolute header for a run of read `read` starting at
+/// `start`: what a record costs on top of its bases where a batch or round
+/// boundary cuts a read (a relative header is never longer).
+pub fn absolute_header_bytes(read: u32, start: u32) -> usize {
+    varint::encoded_len(u64::from(start) << 1 | 1) + varint::encoded_len(u64::from(read)) + 1
 }
 
 /// Expected wire bytes per k-mer on random sequence routed to `ranks`
 /// owners — a sizing hint for send buffers, not a bound. A minimizer
 /// survives `(w + 1)/2` windows on average (`w = k − m + 1`), and
 /// adjacent supermers merge into one run whenever they hash to the same
-/// owner, i.e. with probability `1/ranks`.
+/// owner, i.e. with probability `1/ranks`. Between two runs to one owner
+/// lie `ranks − 1` runs to the others on average, which sets the gap a
+/// relative header codes; the few absolute headers are left out.
 pub fn expected_bytes_per_kmer(k: usize, ranks: usize) -> f64 {
     let w = (k - OWNER_M.min(k) + 1) as f64;
     let supermer = (w + 1.0) / 2.0;
-    let run = match ranks {
-        0 | 1 => MAX_RUN as f64,
-        p => (supermer * p as f64 / (p - 1) as f64).min(MAX_RUN as f64),
+    let (run, gap) = match ranks {
+        0 | 1 => (MAX_RUN as f64, 0.0),
+        p => {
+            let run = (supermer * p as f64 / (p - 1) as f64).min(MAX_RUN as f64);
+            (run, run * (p - 1) as f64)
+        }
     };
-    (HEADER_BYTES as f64 + (run + k as f64 - 1.0) / 4.0) / run
+    let header = varint::encoded_len(2 * gap as u64) as f64 + 1.0;
+    (header + (run + k as f64 - 1.0) / 4.0) / run
 }
 
 /// The owner bucket of a minimizer hash.
@@ -148,35 +177,47 @@ pub fn owner<const W: usize>(kmer: &Kmer<W>, ranks: usize) -> usize {
 }
 
 /// Append one record to `buf`: the `n` k-mers of `seq` starting at
-/// `start`, all of whose bases are clean.
-fn write_record(buf: &mut Vec<u8>, read: u32, seq: &[u8], start: usize, n: usize, k: usize) {
+/// `start`, all of whose bases are clean. `end` is where the previous
+/// record this call wrote to `buf` ended (`None` before the first): the
+/// record is relative to it if there is one, and leaves its own end there.
+// Always inlined, like `Supermers::{parse, next}` and `varint::{put, get}`:
+// whether the per-record code of the pack and roll loops sits in line must
+// not shift with the crate graph (`objdump -d` on a release build shows it).
+#[inline(always)]
+fn write_record(
+    buf: &mut Vec<u8>,
+    end: &mut Option<u64>,
+    read: u32,
+    seq: &[u8],
+    start: usize,
+    n: usize,
+    k: usize,
+) {
     // Release-mode checks: a wrapped position or run length would decode
     // to well-formed k-mers at the wrong place.
     assert!(start + n - 1 <= u32::MAX as usize, "supermer position {start} + {n} does not fit u32");
-    let start32 = start as u32;
     let n8 = u8::try_from(n).expect("supermer run longer than 255 k-mers");
     let bases = &seq[start..start + n + k - 1];
-    buf.reserve(HEADER_BYTES + bases.len().div_ceil(4));
-    buf.extend_from_slice(&read.to_le_bytes());
-    buf.extend_from_slice(&start32.to_le_bytes());
-    buf.push(n8);
-    let code = |b: u8| base::CODES[b as usize];
-    let mut quads = bases.chunks_exact(4);
-    buf.extend(
-        quads
-            .by_ref()
-            .map(|q| code(q[0]) << 6 | code(q[1]) << 4 | code(q[2]) << 2 | code(q[3])),
-    );
-    let rest = quads.remainder();
-    if !rest.is_empty() {
-        buf.push(rest.iter().enumerate().fold(0, |byte, (i, &b)| byte | code(b) << (6 - 2 * i)));
+    buf.reserve(MAX_HEADER_BYTES + base::packed_len(bases.len()));
+    let start = start as u64;
+    match *end {
+        Some(prev) => varint::put(buf, (start - prev) << 1),
+        None => {
+            varint::put(buf, start << 1 | 1);
+            varint::put(buf, u64::from(read));
+        }
     }
+    buf.push(n8);
+    base::pack(bases, buf);
+    *end = Some(start + n as u64);
 }
 
 /// Pack the k-mer windows of `seq` at positions `[lo, hi)` into
 /// owner-run records, appending each to `bufs[owner]` (`bufs.len()` is
 /// the rank count). Returns the number of k-mers packed — windows that
-/// span an ambiguous base are skipped, as in [`crate::window_hits`].
+/// span an ambiguous base are skipped, as in [`crate::window_hits`]. The
+/// first record the call appends to a buffer is absolute, the rest are
+/// relative, so the bytes depend on the call's range and nothing else.
 ///
 /// One pass over bases `[lo, hi + k − 1)`: a rolling canonical m-mer hash
 /// feeds a sliding minimum over the last `k − m + 1` m-mers, which is the
@@ -220,12 +261,14 @@ pub fn pack_runs(
     // The open run: `run_n` k-mers from `run_start`, all owned by `run_dest`.
     let (mut run_start, mut run_n, mut run_dest) = (0usize, 0usize, 0usize);
     let mut packed = 0u64;
+    // Per destination, where the last record this call wrote there ended.
+    let mut ends: Vec<Option<u64>> = vec![None; ranks];
 
     for (i, &b) in seq[begin..end].iter().enumerate() {
         let code = base::CODES[b as usize];
         if code == base::AMBIGUOUS {
             if run_n > 0 {
-                write_record(&mut bufs[run_dest], read, seq, run_start, run_n, k);
+                write_record(&mut bufs[run_dest], &mut ends[run_dest], read, seq, run_start, run_n, k);
                 run_n = 0;
             }
             filled = 0;
@@ -263,7 +306,7 @@ pub fn pack_runs(
         }
         let pos = begin + i + 1 - k;
         if run_n > 0 && (dest != run_dest || run_n == MAX_RUN) {
-            write_record(&mut bufs[run_dest], read, seq, run_start, run_n, k);
+            write_record(&mut bufs[run_dest], &mut ends[run_dest], read, seq, run_start, run_n, k);
             run_n = 0;
         }
         if run_n == 0 {
@@ -273,7 +316,7 @@ pub fn pack_runs(
         packed += 1;
     }
     if run_n > 0 {
-        write_record(&mut bufs[run_dest], read, seq, run_start, run_n, k);
+        write_record(&mut bufs[run_dest], &mut ends[run_dest], read, seq, run_start, run_n, k);
     }
     packed
 }
@@ -282,13 +325,30 @@ pub fn pack_runs(
 /// byte offset of the offending record in the buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SupermerError {
-    /// Fewer than [`HEADER_BYTES`] bytes are left — a cut header, or
-    /// trailing bytes after the last record.
+    /// The bytes end inside a header — a cut header, or trailing bytes
+    /// after the last record.
     TruncatedHeader {
         /// Where the header starts.
         offset: usize,
         /// Bytes left from there.
         have: usize,
+    },
+    /// A header varint has a bit set above its field's width (33 bits for
+    /// the tagged start or gap, 32 for the read id).
+    VarintOverflow {
+        /// Where the record starts.
+        offset: usize,
+    },
+    /// A relative header with no record before it in the buffer.
+    NoOpenRun {
+        /// Where the record starts.
+        offset: usize,
+    },
+    /// The previous record's end plus a relative header's gap does not fit
+    /// the `u32` position of a k-mer hit.
+    PositionOverflow {
+        /// Where the record starts.
+        offset: usize,
     },
     /// The run length is zero.
     EmptyRun {
@@ -314,10 +374,18 @@ pub enum SupermerError {
 impl fmt::Display for SupermerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Self::TruncatedHeader { offset, have } => write!(
-                f,
-                "record at byte {offset}: {have} bytes left, a header is {HEADER_BYTES}"
-            ),
+            Self::TruncatedHeader { offset, have } => {
+                write!(f, "record at byte {offset}: header cut short, {have} bytes left")
+            }
+            Self::VarintOverflow { offset } => {
+                write!(f, "record at byte {offset}: header varint wider than its field")
+            }
+            Self::NoOpenRun { offset } => {
+                write!(f, "record at byte {offset}: relative header with no record before it")
+            }
+            Self::PositionOverflow { offset } => {
+                write!(f, "record at byte {offset}: start past the u32 positions")
+            }
             Self::EmptyRun { offset } => write!(f, "record at byte {offset}: run of 0 k-mers"),
             Self::SpanOverflow { offset } => {
                 write!(f, "record at byte {offset}: positions overflow u32")
@@ -431,7 +499,7 @@ impl<const W: usize> Iterator for SupermerHits<'_, W> {
 #[inline]
 pub fn supermers(buf: &[u8], k: usize) -> Supermers<'_> {
     assert!(k >= 1, "k = 0");
-    Supermers { buf, offset: 0, k }
+    Supermers { buf, offset: 0, k, open: None }
 }
 
 /// Iterator returned by [`supermers`].
@@ -439,37 +507,60 @@ pub struct Supermers<'a> {
     buf: &'a [u8],
     offset: usize,
     k: usize,
+    /// Read and end (`start + n`) of the last record decoded, which a
+    /// relative header continues.
+    open: Option<(u32, u64)>,
 }
 
 impl<'a> Supermers<'a> {
-    #[inline]
+    /// Byte offset of the next record in the buffer (its length once the
+    /// stream has ended).
+    pub fn offset(&self) -> usize {
+        self.offset
+    }
+
+    #[inline(always)]
     fn parse(&self) -> Result<(Supermer<'a>, usize), SupermerError> {
         let offset = self.offset;
-        let rest = &self.buf[offset..];
-        let Some((header, body)) = rest.split_first_chunk::<HEADER_BYTES>() else {
-            return Err(SupermerError::TruncatedHeader { offset, have: rest.len() });
+        let mut rest = &self.buf[offset..];
+        let truncated = SupermerError::TruncatedHeader { offset, have: rest.len() };
+        let field = |rest: &mut &[u8], bits| {
+            varint::get(rest, bits).map_err(|e| match e {
+                VarintError::Truncated => truncated,
+                VarintError::Overflow => SupermerError::VarintOverflow { offset },
+            })
         };
-        let read = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let start = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        let n = header[8] as usize;
+        let tag = field(&mut rest, 33)?;
+        let (read, start) = if tag & 1 == 1 {
+            (field(&mut rest, 32)? as u32, tag >> 1)
+        } else {
+            let (read, end) = self.open.ok_or(SupermerError::NoOpenRun { offset })?;
+            (read, end + (tag >> 1))
+        };
+        let start = u32::try_from(start).map_err(|_| SupermerError::PositionOverflow { offset })?;
+        let Some((&n, body)) = rest.split_first() else {
+            return Err(truncated);
+        };
+        let n = n as usize;
         if n == 0 {
             return Err(SupermerError::EmptyRun { offset });
         }
         if start.checked_add(n as u32 - 1).is_none() {
             return Err(SupermerError::SpanOverflow { offset });
         }
-        let need = (n + self.k - 1).div_ceil(4);
+        let need = base::packed_len(n + self.k - 1);
         let Some(bases) = body.get(..need) else {
             return Err(SupermerError::TruncatedBases { offset, need, have: body.len() });
         };
-        Ok((Supermer { read, start, n, k: self.k, bases }, offset + HEADER_BYTES + need))
+        let next = self.buf.len() - body.len() + need;
+        Ok((Supermer { read, start, n, k: self.k, bases }, next))
     }
 }
 
 impl<'a> Iterator for Supermers<'a> {
     type Item = Result<Supermer<'a>, SupermerError>;
 
-    #[inline]
+    #[inline(always)]
     fn next(&mut self) -> Option<Self::Item> {
         if self.offset >= self.buf.len() {
             return None;
@@ -477,6 +568,7 @@ impl<'a> Iterator for Supermers<'a> {
         match self.parse() {
             Ok((record, next)) => {
                 self.offset = next;
+                self.open = Some((record.read, u64::from(record.start) + record.n as u64));
                 Some(Ok(record))
             }
             Err(e) => {
@@ -514,7 +606,10 @@ mod tests {
         pack_runs(&s, 0, k, 0, kmer_count(s.len(), k), &mut bufs);
         let lens: Vec<usize> = supermers(&bufs[0], k).map(|r| r.unwrap().len()).collect();
         assert_eq!(lens, vec![255, 255, 170]);
-        assert_eq!(bufs[0].len(), 2 * record_bytes(255, k) + record_bytes(170, k));
+        // One absolute header (tag and start, read id, n), then two
+        // relative ones (gap 0, n).
+        let bases = 2 * base::packed_len(255 + k - 1) + base::packed_len(170 + k - 1);
+        assert_eq!(bufs[0].len(), 3 + 2 + 2 + bases);
     }
 
     #[test]
@@ -523,30 +618,45 @@ mod tests {
         let mut bufs = vec![Vec::new()];
         pack_runs(b"ACGTTGCAGGTATTTACG", 1, k, 0, 10, &mut bufs);
         let good = bufs.pop().unwrap();
-        assert_eq!(good.len(), record_bytes(10, k));
+        // Tag and start 0, read id 1, n = 10, then 18 bases in 5 bytes.
+        assert_eq!(good, [1, 1, 10, 0x1B, 0xE4, 0xAC, 0xFC, 0x60]);
+        assert_eq!(good.len(), absolute_header_bytes(1, 0) + 5);
         let errs = |buf: &[u8]| supermers(buf, k).filter_map(Result::err).collect::<Vec<_>>();
+        let with = |tail: &[u8]| [&good[..], tail].concat();
         assert!(errs(&good).is_empty());
 
-        assert_eq!(errs(&good[..5]), [SupermerError::TruncatedHeader { offset: 0, have: 5 }]);
+        assert_eq!(errs(&good[..2]), [SupermerError::TruncatedHeader { offset: 0, have: 2 }]);
         assert_eq!(
             errs(&good[..good.len() - 1]),
             [SupermerError::TruncatedBases { offset: 0, need: 5, have: 4 }]
         );
-        let mut trailing = good.clone();
-        trailing.extend_from_slice(&[0, 0, 0]);
-        assert_eq!(
-            errs(&trailing),
-            [SupermerError::TruncatedHeader { offset: good.len(), have: 3 }]
-        );
+        let at = good.len();
+        assert_eq!(errs(&with(&[1])), [SupermerError::TruncatedHeader { offset: at, have: 1 }]);
+        assert_eq!(errs(&with(&[0x80])), [SupermerError::TruncatedHeader { offset: at, have: 1 }]);
         let mut empty = good.clone();
-        empty[8] = 0;
+        empty[2] = 0;
         assert_eq!(errs(&empty), [SupermerError::EmptyRun { offset: 0 }]);
-        let mut far = good.clone();
-        far[4..8].copy_from_slice(&(u32::MAX - 3).to_le_bytes());
+        // A read id of 33 bits; a tag of 34.
+        let wide_read = [1, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F, 10];
+        assert_eq!(errs(&wide_read), [SupermerError::VarintOverflow { offset: 0 }]);
+        let wide_tag = [0xFF, 0xFF, 0xFF, 0xFF, 0x3F, 1, 10];
+        assert_eq!(errs(&wide_tag), [SupermerError::VarintOverflow { offset: 0 }]);
+        // A relative record continues the read and end before it (10).
+        let mut next = with(&[2 << 1, 3]);
+        base::pack(b"GATTACAGATTA", &mut next);
+        let decoded: Vec<_> = supermers(&next, k).map(|r| r.map(|s| (s.read, s.start, s.len()))).collect();
+        assert_eq!(decoded, [Ok((1, 0, 10)), Ok((1, 12, 3))]);
+        assert_eq!(errs(&next[at..]), [SupermerError::NoOpenRun { offset: 0 }]);
+        let mut past = good.clone();
+        varint::put(&mut past, (u64::from(u32::MAX) - 9) << 1);
+        assert_eq!(errs(&past), [SupermerError::PositionOverflow { offset: at }]);
+        let mut far = Vec::new();
+        varint::put(&mut far, u64::from(u32::MAX - 3) << 1 | 1);
+        far.extend_from_slice(&good[1..]);
         assert_eq!(errs(&far), [SupermerError::SpanOverflow { offset: 0 }]);
         // The stream stops at the first error.
-        assert_eq!(supermers(&trailing, k).count(), 2);
-        assert!(errs(&good).is_empty() && !format!("{}", errs(&empty)[0]).is_empty());
+        assert_eq!(supermers(&with(&[1]), k).count(), 2);
+        assert!(!format!("{}", errs(&empty)[0]).is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! cut-invariance of what a packed buffer decodes to, and the decoder's
 //! behaviour on hostile bytes.
 
-use dibella_kmer::supermer::{owner, pack_runs, record_bytes, supermers, MAX_RUN};
+use dibella_kmer::supermer::{absolute_header_bytes, owner, pack_runs, record_bytes, supermers, MAX_RUN};
 use dibella_kmer::{base, extract_kmers, kmer_count, window_hits, Kmer1, KmerHit, KmerIter};
 use proptest::prelude::*;
 
@@ -83,10 +83,12 @@ fn owner_load_is_balanced() {
 
 /// Hostile bytes at the wire boundary: a packed buffer that is truncated,
 /// has a bit flipped or has a foreign slice spliced in decodes to a typed
-/// error or to a well-formed stream — every hit k bases long and inside
-/// its record's span, the stream ending — never a panic, an
-/// out-of-bounds read or a hang. (A flipped *base* byte is a different
-/// valid k-mer by design; the frame CRC is what catches that.)
+/// error or to a well-formed stream — every record within its bytes, every
+/// hit k bases long and inside its record's span, the stream ending —
+/// never a panic, an out-of-bounds read or a hang. (A flipped *base* byte
+/// is a different valid k-mer by design; the frame CRC is what catches
+/// that.) The buffers hold the records of two packs, so the second pack's
+/// absolute and relative headers sit in the middle of a stream.
 #[test]
 fn mutated_buffers_decode_to_an_error_or_a_well_formed_stream() {
     let mut rng = XorShift(0xBAD_B17E5);
@@ -97,7 +99,9 @@ fn mutated_buffers_decode_to_an_error_or_a_well_formed_stream() {
         let len = 40 + rng.below(600);
         let seq = dirtied(rng.dna(len), step);
         let mut bufs = vec![Vec::new(); 1 + case % 3];
-        pack_runs(&seq, case as u32, k, 0, kmer_count(seq.len(), k), &mut bufs);
+        let (windows, cut) = (kmer_count(seq.len(), k), rng.below(seq.len()));
+        pack_runs(&seq, case as u32, k, 0, cut, &mut bufs);
+        pack_runs(&seq, case as u32, k, cut, windows, &mut bufs);
         let mut buf = bufs.swap_remove(0);
         if buf.is_empty() {
             continue;
@@ -117,14 +121,19 @@ fn mutated_buffers_decode_to_an_error_or_a_well_formed_stream() {
 
         let mut consumed = 0usize;
         let mut failed = false;
-        for record in supermers(&buf, k) {
+        let mut stream = supermers(&buf, k);
+        while let Some(record) = stream.next() {
             assert!(!failed, "the stream must stop at its first error");
             match record {
                 Err(_) => failed = true,
                 Ok(record) => {
                     let n = record.len();
                     assert!((1..=MAX_RUN).contains(&n));
-                    consumed += record_bytes(n, k);
+                    // Two header bytes at least, the record's bases, and no
+                    // more than the most a record of n k-mers can take.
+                    let bytes = stream.offset() - consumed;
+                    assert!((2 + (n + k - 1).div_ceil(4)..=record_bytes(n, k)).contains(&bytes));
+                    consumed += bytes;
                     assert!(consumed <= buf.len(), "record past the end of the buffer");
                     let mut hits = 0usize;
                     for (i, hit) in record.hits::<1>().enumerate() {
@@ -194,18 +203,26 @@ proptest! {
     /// Packing `[0, c)` and `[c, n)` separately, for every cut `c`,
     /// decodes to the `(read, pos, kmer, strand)` stream `KmerIter` yields
     /// over the whole read, with every k-mer at its owner — a batch or
-    /// round boundary cuts records, never routes.
+    /// round boundary cuts records, never routes. A cut costs each
+    /// destination at most an absolute header and the `k − 1` bases it
+    /// repeats, plus a byte of padding.
     #[test]
     fn every_cut_decodes_to_the_uncut_stream(seq in dirty_read(), ki in 0usize..3, ranks in 1usize..9) {
         let k = [7usize, 17, 32][ki]; // k = 7 is the m == k regime
         let windows = kmer_count(seq.len(), k);
         let want: Vec<KmerHit<1>> = KmerIter::<1>::new(&seq, k).collect();
+        let mut uncut = vec![Vec::new(); ranks];
+        pack_runs(&seq, 77, k, 0, windows, &mut uncut);
+        let cut_bytes = absolute_header_bytes(77, windows as u32) + (k - 1).div_ceil(4) + 1;
         for cut in 0..=windows {
             let mut bufs = vec![Vec::new(); ranks];
             let head = pack_runs(&seq, 77, k, 0, cut, &mut bufs);
             let tail = pack_runs(&seq, 77, k, cut, windows, &mut bufs);
             prop_assert_eq!(head as usize, window_hits::<1>(&seq, k, 0, cut).count());
             prop_assert_eq!((head + tail) as usize, want.len());
+            for (c, u) in bufs.iter().zip(&uncut) {
+                prop_assert!((u.len()..=u.len() + cut_bytes).contains(&c.len()), "{} cut against {} uncut", c.len(), u.len());
+            }
             let got = decode(&bufs, k);
             prop_assert_eq!(got.len(), want.len());
             for (&(read, dest, hit), w) in got.iter().zip(&want) {

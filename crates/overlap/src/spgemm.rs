@@ -115,6 +115,7 @@ use crate::task::{task_home, ReadPair, SharedSeed};
 use dibella_comm::{BatchedExecutor, ByteRounds, Comm};
 use dibella_io::ReadPartition;
 use dibella_kcount::{KmerHashTable, ReadKmerCsr};
+use dibella_kmer::varint::{self, VarintError};
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -178,21 +179,12 @@ fn diagonal(seed: SharedSeed) -> i64 {
     }
 }
 
-#[inline]
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
 /// One step of a coded list: `Δa_pos` as a varint, `Δdiagonal` as a zigzag
 /// varint.
 #[inline]
 fn put_step(buf: &mut Vec<u8>, da: u64, dd: i64) {
-    put_varint(buf, da);
-    put_varint(buf, zigzag(dd));
+    varint::put(buf, da);
+    varint::put(buf, zigzag(dd));
 }
 
 #[inline]
@@ -253,7 +245,7 @@ pub fn write_pair_record(buf: &mut Vec<u8>, pair: ReadPair, seeds: &mut [SharedS
     let raw = planned_len(seeds.len());
     if seeds.len() > 1 {
         seeds.sort_unstable();
-        put_varint(buf, seeds.iter().filter(|s| !s.reverse()).count() as u64);
+        varint::put(buf, seeds.iter().filter(|s| !s.reverse()).count() as u64);
         for reverse in [false, true] {
             code_orientation(buf, seeds.iter().copied().filter(|s| s.reverse() == reverse));
         }
@@ -570,25 +562,10 @@ impl std::error::Error for PairRecordError {}
 
 #[inline]
 fn get_varint(bytes: &mut &[u8]) -> Result<u64, PairRecordErrorKind> {
-    if let Some((&byte, rest)) = bytes.split_first().filter(|(&byte, _)| byte < 0x80) {
-        // Most steps of a coded list fit one byte.
-        *bytes = rest;
-        return Ok(u64::from(byte));
-    }
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let (&byte, rest) = bytes.split_first().ok_or(PairRecordErrorKind::TruncatedSeeds)?;
-        *bytes = rest;
-        let part = u64::from(byte & 0x7F);
-        if shift == 63 && part > 1 {
-            return Err(PairRecordErrorKind::VarintOverflow);
-        }
-        v |= part << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(PairRecordErrorKind::VarintOverflow)
+    varint::get(bytes, 64).map_err(|e| match e {
+        VarintError::Truncated => PairRecordErrorKind::TruncatedSeeds,
+        VarintError::Overflow => PairRecordErrorKind::VarintOverflow,
+    })
 }
 
 /// Whether a seed can sit at `(a_pos, diagonal)` in one orientation.

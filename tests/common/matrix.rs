@@ -31,9 +31,9 @@ use super::{assert_overlap_ledger, faults_survived, genome_slice, toy_cfg, toy_d
 use dibella::align::SimdMode;
 use dibella::comm::{records_per_round, CommStats};
 use dibella::kcount::KcountConfig;
-use dibella::kmer::supermer::{record_bytes, HEADER_BYTES};
+use dibella::kmer::supermer::{absolute_header_bytes, record_bytes};
 use dibella::overlap::OverlapConfig;
-use dibella::pipeline::RankReport;
+use dibella::pipeline::{read_reply_bytes, RankReport};
 use dibella::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -380,11 +380,11 @@ fn assert_accounting(cell: &Cell, res: &PipelineResult) {
     // The other stages never split a record across rounds: a round holds
     // at most the cap plus one record. The largest is a stage-3 pair
     // record with a seed per k-mer position of a read (12-byte header,
-    // 8 bytes a seed), or elsewhere a stage-4 reply (8-byte header and a
-    // whole read).
+    // 8 bytes a seed), or elsewhere the largest stage-4 reply of a
+    // fixture read (two varints and the read at 2 bits a base, or raw).
     let longest = cell.fixture.reads().iter().map(|r| r.len() as u64).max().unwrap();
     let pair_record = 12 + 8 * (longest - k as u64 + 1);
-    let read_record = 8 + longest;
+    let read_record = cell.fixture.reads().iter().map(|r| read_reply_bytes(r.id, &r.seq) as u64).max().unwrap();
     for r in &res.reports {
         let at = format!("{at} rank {}", r.rank);
         for (stage, comm, rounds) in stages(r) {
@@ -449,10 +449,16 @@ fn assert_equivalent(cell: &Cell, got: &PipelineResult, reference: &Cell, want: 
         (filter, bloom, hash, overlap, align)
     };
     // A Bloom record is cut at a read's end, at a round's start and every
-    // extraction batch into a round. A cut costs at most a header and a
-    // byte more than the k − 1 bases it repeats.
+    // extraction batch into a round. A cut costs a destination at most an
+    // absolute header (the largest is at the largest read id and start)
+    // and a byte more than the k − 1 bases it repeats: the record it
+    // splits off, or the next record there turned from relative to
+    // absolute.
     let k = cell.fixture.config().k;
-    let cut_bytes = (HEADER_BYTES + (k - 1).div_ceil(4) + 1) as u64;
+    let reads = cell.fixture.reads();
+    let last_id = reads.iter().map(|r| r.id).max().unwrap();
+    let longest = reads.iter().map(|r| r.len()).max().unwrap() as u32;
+    let cut_bytes = (absolute_header_bytes(last_id, longest) + (k - 1).div_ceil(4) + 1) as u64;
     let batch = KcountConfig::DEFAULT_EXTRACT_BATCH as u64;
     let cuts = |r: &RankReport| r.bloom.rounds + r.bloom.kmers_parsed.div_ceil(batch);
     for (g, w) in got.reports.iter().zip(&want.reports) {

@@ -137,3 +137,46 @@ fn no_self_pairs_ever() {
     let res = run_pipeline(&reads, 3, &cfg_k(11));
     assert!(res.alignments.iter().all(|a| a.pair.a != a.pair.b));
 }
+
+/// `N`, lower-case and IUPAC bytes are valid input that no stage
+/// normalizes: stage 4 ships such reads raw and clean ones at 2 bits a
+/// base. Three ranks align exactly what one rank aligns, and every read a
+/// rank replicates is its owner's bytes.
+#[test]
+fn dirty_reads_replicate_byte_for_byte() {
+    use dibella::io::{partition_reads, ReadStore};
+    use dibella::overlap::{OverlapTask, ReadPair, SharedSeed};
+    let reads: ReadSet = genome_slice(12, 400, 120, 0xD1A7)
+        .into_iter()
+        .map(|mut r| {
+            match r.id % 4 {
+                0 => r.seq[50..90].make_ascii_lowercase(),
+                1 => r.seq[200] = b'N',
+                2 => r.seq[300..303].copy_from_slice(b"RYK"),
+                _ => {}
+            }
+            r
+        })
+        .collect();
+    let one = run_pipeline(&reads, 1, &cfg_k(11));
+    let three = run_pipeline(&reads, 3, &cfg_k(11));
+    assert!(!one.alignments.is_empty());
+    assert_eq!(three.alignments, one.alignments);
+
+    let (part, chunks) = partition_reads(&reads, 3);
+    // Every rank asks for every read it does not own.
+    let tasks: Vec<OverlapTask> = (1..12u32)
+        .map(|b| OverlapTask { pair: ReadPair::new(0, b), seeds: vec![SharedSeed::new(0, 0, false)] })
+        .collect();
+    let stores = CommWorld::run(3, |comm| {
+        let mut store = ReadStore::new(comm.rank(), part.clone(), chunks[comm.rank()].clone().into_reads());
+        let mut counters = dibella::pipeline::AlignCounters::default();
+        dibella::pipeline::fetch_remote_reads(comm, &mut store, &tasks, usize::MAX, &mut counters);
+        (0..12u32).map(|id| store.seq(id).map(<[u8]>::to_vec)).collect::<Vec<_>>()
+    });
+    for (rank, seqs) in stores.iter().enumerate() {
+        for (read, seq) in reads.iter().zip(seqs) {
+            assert_eq!(seq.as_deref(), Some(&read.seq[..]), "rank {rank} read {}", read.id);
+        }
+    }
+}
